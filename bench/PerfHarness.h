@@ -23,9 +23,6 @@
 ///                 enable library metrics collection and write the
 ///                 registry as JSON to FILE (also honored on the --json
 ///                 short-circuit path, so CI collects both in one run)
-///   --mt=N        set the global thread count before anything runs
-///                 (0 = auto, 1 = disable multithreading); applies to the
-///                 phase breakdown and the google-benchmark suites
 ///   --compiled-constraints=0|1
 ///                 select the constraint engine (1 = compiled programs,
 ///                 the default; 0 = the tree interpreter oracle)
@@ -52,7 +49,6 @@
 #include "irdl/ConstraintCompiler.h"
 #include "support/Metrics.h"
 #include "support/Statistic.h"
-#include "support/Threading.h"
 #include "support/Timing.h"
 
 #include <benchmark/benchmark.h>
@@ -118,14 +114,7 @@ inline int runPerfMain(int argc, char **argv, const char *BenchName,
       Metrics = true;
     else if (Arg.rfind("--metrics-json=", 0) == 0)
       MetricsJsonFile = Arg.substr(std::string("--metrics-json=").size());
-    else if (Arg.rfind("--mt=", 0) == 0) {
-      auto N = parseThreadCountValue(Arg.substr(std::string("--mt=").size()));
-      if (!N) {
-        std::cerr << "invalid thread count in '" << Arg << "'\n";
-        return 1;
-      }
-      setGlobalThreadCount(*N);
-    } else if (Arg.rfind("--seed=", 0) == 0) {
+    else if (Arg.rfind("--seed=", 0) == 0) {
       std::string V = Arg.substr(std::string("--seed=").size());
       char *End = nullptr;
       unsigned long long Seed = std::strtoull(V.c_str(), &End, 10);

@@ -3,13 +3,17 @@
 /// Ablation (DESIGN.md): context uniquing of types and attributes. The
 /// cache-hit path is the common case every constraint check relies on
 /// (pointer equality); the miss path pays hashing + verification +
-/// allocation once per distinct type.
+/// allocation once per distinct type. The contended variants share one
+/// context across threads, as irdl_serve's connection threads do.
 
 #include "PerfHarness.h"
 
 #include "ir/Context.h"
 
 #include <benchmark/benchmark.h>
+
+#include <thread>
+#include <vector>
 
 using namespace irdl;
 
@@ -75,6 +79,23 @@ void BM_NestedTypeUniquing_Hit(benchmark::State &State) {
 }
 BENCHMARK(BM_NestedTypeUniquing_Hit);
 
+/// 64 widths spread over the sharded pools; every thread looks up each.
+void lookUpWidths(IRContext &Ctx) {
+  for (unsigned W = 1; W <= 64; ++W) {
+    Type T = Ctx.getIntegerType(W);
+    benchmark::DoNotOptimize(T);
+  }
+}
+
+void BM_TypeUniquing_Contended(benchmark::State &State) {
+  // Shared by the benchmark's threads and never destroyed, so no thread
+  // can outlive it.
+  static IRContext *Ctx = new IRContext();
+  for (auto _ : State)
+    lookUpWidths(*Ctx);
+}
+BENCHMARK(BM_TypeUniquing_Contended)->Threads(4);
+
 /// Phase breakdown (PerfHarness.h): hit and miss paths of the uniquer
 /// under named timing scopes.
 void runPhaseBreakdown() {
@@ -96,6 +117,18 @@ void runPhaseBreakdown() {
         benchmark::DoNotOptimize(T);
       }
     }
+  }
+  {
+    IRDL_TIME_SCOPE("type-contended-4-threads-x1000");
+    IRContext Ctx;
+    std::vector<std::thread> Threads;
+    for (int T = 0; T != 4; ++T)
+      Threads.emplace_back([&Ctx] {
+        for (int I = 0; I != 1000; ++I)
+          lookUpWidths(Ctx);
+      });
+    for (std::thread &T : Threads)
+      T.join();
   }
   {
     IRDL_TIME_SCOPE("attr-hit-x100k");

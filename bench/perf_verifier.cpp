@@ -46,8 +46,8 @@ struct Fixture {
 };
 
 /// Builds the textual form of a module with \p NumFuncs functions, each a
-/// chain of \p ChainLen cmath.mul ops. The workload for the multithreaded
-/// verifier: many isolated single-block functions of equal weight.
+/// chain of \p ChainLen cmath.mul ops: many isolated single-block
+/// functions of equal weight.
 std::string makeLargeModuleText(unsigned NumFuncs, unsigned ChainLen) {
   std::string Text;
   Text.reserve(NumFuncs * (ChainLen + 3) * 48);
@@ -66,8 +66,8 @@ std::string makeLargeModuleText(unsigned NumFuncs, unsigned ChainLen) {
   return Text;
 }
 
-/// A module large enough that verification dominates thread-pool
-/// overhead: 64 functions x 64 ops.
+/// A module large enough that verification dominates fixed per-call
+/// costs: 64 functions x 64 ops.
 struct LargeModuleFixture {
   IRContext Ctx;
   SourceMgr SrcMgr;
@@ -105,8 +105,7 @@ void BM_VerifyModule_Recursive(benchmark::State &State) {
 }
 BENCHMARK(BM_VerifyModule_Recursive);
 
-/// The headline --mt workload: run with --mt=1 and --mt=$(nproc) to
-/// compare sequential and parallel verification of the same module.
+/// The headline large-module verify.
 void BM_VerifyLargeModule(benchmark::State &State) {
   LargeModuleFixture F;
   for (auto _ : State) {

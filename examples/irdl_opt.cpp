@@ -8,7 +8,7 @@
 /// Usage:
 ///   irdl_opt [--dialect file.irdl]... [--pass dce|conorm]...
 ///            [--generic] [--verify-each=0|1] [--emit-bytecode[=FILE]]
-///            [--mt=0|1|N] [--compiled-constraints=0|1] [--timing]
+///            [--compiled-constraints=0|1] [--timing]
 ///            [--stats] [--stats-json=FILE] [--trace-json=FILE]
 ///            [--metrics] [--metrics-json=FILE] [--profile-constraints]
 ///            [--spec-cache-dir=DIR] [input.mlir]
@@ -20,9 +20,6 @@
 /// magic, never from the file extension. The observability flags
 /// (docs/observability.md):
 ///
-///   --mt=0|1|N         thread count for verification and function
-///                      passes (0 = auto, 1 = off; overrides the
-///                      IRDL_NUM_THREADS environment variable)
 ///   --compiled-constraints=0|1
 ///                      constraint engine: 1 (default) verifies through
 ///                      the compiled bytecode programs, 0 through the
@@ -75,7 +72,6 @@
 #include "support/Metrics.h"
 #include "support/Signal.h"
 #include "support/Statistic.h"
-#include "support/Threading.h"
 #include "support/Timing.h"
 
 #include <atomic>
@@ -200,16 +196,6 @@ int main(int argc, char **argv) {
         return 1;
       }
     }
-    else if (Arg.rfind("--mt=", 0) == 0) {
-      auto N = parseThreadCountValue(Arg.substr(std::string("--mt=").size()));
-      if (!N) {
-        std::cerr << "invalid value '"
-                  << Arg.substr(std::string("--mt=").size())
-                  << "' for --mt (expected a non-negative integer)\n";
-        return 1;
-      }
-      setGlobalThreadCount(*N);
-    }
     else if (Arg.rfind("--compiled-constraints=", 0) == 0) {
       std::string V =
           Arg.substr(std::string("--compiled-constraints=").size());
@@ -235,7 +221,7 @@ int main(int argc, char **argv) {
       std::cout << "usage: irdl_opt [--dialect f.irdl]... "
                    "[--pass dce|conorm]... [--generic]\n"
                    "                [--verify-each=0|1] "
-                   "[--emit-bytecode[=FILE]] [--mt=0|1|N]\n"
+                   "[--emit-bytecode[=FILE]]\n"
                    "                [--compiled-constraints=0|1] "
                    "[--timing] [--stats]\n"
                    "                [--stats-json=FILE] [--trace-json=FILE] "

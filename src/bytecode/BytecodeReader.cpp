@@ -1217,18 +1217,21 @@ struct BytecodeReader::Impl {
     std::vector<Block *> Blocks;
     Blocks.reserve(NumBlocks);
     for (uint64_t I = 0; I != NumBlocks; ++I) {
-      Block *B = Block::create(Ctx);
-      R.push_back(B);
-      Blocks.push_back(B);
       uint64_t NumArgs;
       if (!readCount(C, "block argument count", NumArgs))
         return failure();
+      std::vector<Type> ArgTypes;
       for (uint64_t J = 0; J != NumArgs; ++J) {
         Type T;
         if (!readPoolType(C, T))
           return failure();
-        Values.push_back(B->addArgument(T));
+        ArgTypes.push_back(T);
       }
+      Block *B = Block::create(Ctx, ArgTypes);
+      R.push_back(B);
+      Blocks.push_back(B);
+      for (Value Arg : B->getArguments())
+        Values.push_back(Arg);
     }
     for (Block *B : Blocks) {
       uint64_t NumOps;

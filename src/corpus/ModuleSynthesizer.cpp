@@ -32,16 +32,14 @@ public:
     buildPools();
     OperationState ModState(Ctx, Ctx.resolveOpDef("builtin.module"));
     Region *ModRegion = ModState.addRegion();
-    Block *Body = Block::create(Ctx);
-    ModRegion->push_back(Body);
-    Operation *Module = Operation::create(ModState);
-
     // A couple of block arguments give the operand picker something to
     // use before the first result-producing op exists.
-    std::vector<Value> ValuePool;
-    ValuePool.push_back(Body->addArgument(TypePool[0]));
-    ValuePool.push_back(
-        Body->addArgument(TypePool[Rng.below(TypePool.size())]));
+    Type ArgTypes[] = {TypePool[0], TypePool[Rng.below(TypePool.size())]};
+    Block *Body = Block::create(Ctx, ArgTypes);
+    ModRegion->push_back(Body);
+    Operation *Module = Operation::create(ModState);
+    std::vector<Value> ValuePool(Body->getArguments().begin(),
+                                 Body->getArguments().end());
 
     for (unsigned Round = 0; Round != Opts.InstancesPerOp; ++Round)
       for (const OpSpec &OS : Spec.Ops) {
@@ -309,12 +307,15 @@ private:
     // Region bodies are built into the OperationState's regions before
     // creation; their blocks move into the op wholesale.
     for (auto &[RS, R] : PendingRegions) {
-      Block *B = Block::create(Ctx);
-      R->push_back(B);
-      std::vector<Value> RegionPool = ValuePool;
+      std::vector<Type> ArgTypes;
       for (const OperandSpec &AS : RS->Args)
         for (unsigned I = 0, N = countFor(AS.VK); I != N; ++I)
-          RegionPool.push_back(B->addArgument(typeFor(AS.Constr)));
+          ArgTypes.push_back(typeFor(AS.Constr));
+      Block *B = Block::create(Ctx, ArgTypes);
+      R->push_back(B);
+      std::vector<Value> RegionPool = ValuePool;
+      for (Value Arg : B->getArguments())
+        RegionPool.push_back(Arg);
       // A couple of nested ops, then the required terminator (if any).
       for (unsigned I = 0; I != 2 && !Spec.Ops.empty(); ++I) {
         const OpSpec &Nested = Spec.Ops[Rng.below(Spec.Ops.size())];

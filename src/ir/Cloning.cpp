@@ -11,13 +11,13 @@ void irdl::cloneRegionInto(Region &From, Region &To, IRMapping &Mapper) {
   // First create all blocks and their arguments so forward references
   // (successors, cross-block value uses) resolve.
   for (Block &B : From) {
-    Block *NewBlock = Block::create(*To.getContext());
+    std::vector<Type> ArgTypes(B.getArgumentTypes().begin(),
+                               B.getArgumentTypes().end());
+    Block *NewBlock = Block::create(*To.getContext(), ArgTypes);
     To.push_back(NewBlock);
     Mapper.map(&B, NewBlock);
-    for (unsigned I = 0, E = B.getNumArguments(); I != E; ++I) {
-      Value NewArg = NewBlock->addArgument(B.getArgument(I).getType());
-      Mapper.map(B.getArgument(I), NewArg);
-    }
+    for (unsigned I = 0, E = B.getNumArguments(); I != E; ++I)
+      Mapper.map(B.getArgument(I), NewBlock->getArgument(I));
   }
   // Then clone the operations.
   for (Block &B : From) {

@@ -43,13 +43,14 @@ struct OpaqueParamCodec {
   std::function<std::optional<std::string>(std::string_view)> Parse;
 };
 
-/// Thread-safety: IRContext is safe to share across the threads of the
-/// parallel verifier and pass drivers. Type/attribute uniquing goes
-/// through hash-sharded pools behind shared_mutexes, and the dialect and
-/// codec registries are reader/writer-locked. Registration (loading IRDL
-/// dialects, adding ops/types, installing codecs) is expected to happen
-/// in a setup phase; concurrent *lookups* during the parallel phase are
-/// lock-protected and cheap. See docs/threading.md.
+/// Thread-safety: IRContext is safe to share across threads, as
+/// irdl_serve's connection threads share one per epoch. Type/attribute
+/// uniquing goes through hash-sharded pools behind shared_mutexes, and
+/// the dialect and codec registries are reader/writer-locked.
+/// Registration (loading IRDL dialects, adding ops/types, installing
+/// codecs) is expected to happen in a setup phase; concurrent *lookups*
+/// afterwards are lock-protected and cheap. See the Concurrency section
+/// of docs/serving.md.
 class IRContext {
 public:
   IRContext();
@@ -175,8 +176,8 @@ private:
   /// Storage arena for operations (and their operand overflow arrays).
   std::unique_ptr<OpArena> Arena;
 
-  /// The uniquer pools are sharded by hash so concurrent verification
-  /// threads creating types/attrs rarely contend on the same lock.
+  /// The uniquer pools are sharded by hash so threads creating
+  /// types/attrs concurrently rarely contend on the same lock.
   /// Lookups take a shard's shared side; the insert-on-miss path
   /// re-checks under the exclusive side, so two racing creators agree on
   /// the first inserted storage (pointer-identity of equal keys holds

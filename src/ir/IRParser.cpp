@@ -878,25 +878,37 @@ public:
     return success();
   }
 
+  using BlockArgList =
+      std::vector<std::pair<CustomOpParser::UnresolvedOperand, Type>>;
+
+  /// Binds the names in \p Args to the arguments of \p B, which must
+  /// already hold one argument per entry. Only called once every argument
+  /// exists: adding one can move the argument array, so a Value taken
+  /// before the last addition would dangle.
+  LogicalResult defineBlockArguments(Block *B, const BlockArgList &Args) {
+    for (unsigned I = 0, E = Args.size(); I != E; ++I)
+      if (failed(defineValue(Args[I].first.Name, B->getArgument(I),
+                             Args[I].first.Loc)))
+        return failure();
+    return success();
+  }
+
   /// Parses `{ ... }` region contents into \p R.
-  LogicalResult parseRegionBody(
-      Region &R,
-      const std::vector<std::pair<CustomOpParser::UnresolvedOperand, Type>>
-          &EntryArgs) {
+  LogicalResult parseRegionBody(Region &R, const BlockArgList &EntryArgs) {
     if (failed(expect(IRToken::Kind::LBrace, "'{' to begin region")))
       return failure();
     pushScope();
 
     Block *CurBlock = nullptr;
     if (!EntryArgs.empty()) {
-      CurBlock = Block::create(Ctx);
+      std::vector<Type> Types;
+      for (const auto &Arg : EntryArgs)
+        Types.push_back(Arg.second);
+      CurBlock = Block::create(Ctx, Types);
       R.push_back(CurBlock);
-      for (const auto &[Ref, Ty] : EntryArgs) {
-        Value Arg = CurBlock->addArgument(Ty);
-        if (failed(defineValue(Ref.Name, Arg, Ref.Loc))) {
-          (void)popScope();
-          return failure();
-        }
+      if (failed(defineBlockArguments(CurBlock, EntryArgs))) {
+        (void)popScope();
+        return failure();
       }
     }
 
@@ -919,14 +931,18 @@ public:
         S.BlockDefined[Label] = true;
         R.push_back(B);
         if (consumeIf(IRToken::Kind::LParen)) {
+          // A forward successor reference may already have created the
+          // block, so its arguments are appended rather than created with
+          // it.
+          BlockArgList Args;
           if (!tok().is(IRToken::Kind::RParen)) {
             do {
               if (!tok().is(IRToken::Kind::PercentId)) {
                 (void)popScope();
                 return emitError(tok().Loc, "expected block argument");
               }
-              std::string ArgName = tok().Spelling;
-              SMLoc ArgLoc = tok().Loc;
+              CustomOpParser::UnresolvedOperand Ref{tok().Spelling,
+                                                    tok().Loc};
               lex();
               if (failed(expect(IRToken::Kind::Colon,
                                 "':' after block argument"))) {
@@ -938,15 +954,17 @@ public:
                 (void)popScope();
                 return failure();
               }
-              Value Arg = B->addArgument(Ty);
-              if (failed(defineValue(ArgName, Arg, ArgLoc))) {
-                (void)popScope();
-                return failure();
-              }
+              Args.emplace_back(std::move(Ref), Ty);
             } while (consumeIf(IRToken::Kind::Comma));
           }
           if (failed(expect(IRToken::Kind::RParen,
                             "')' after block arguments"))) {
+            (void)popScope();
+            return failure();
+          }
+          for (const auto &Arg : Args)
+            B->addArgument(Arg.second);
+          if (failed(defineBlockArguments(B, Args))) {
             (void)popScope();
             return failure();
           }

@@ -12,8 +12,8 @@
 /// Thread model: the arena is sharded. Each thread is assigned a shard
 /// (round-robin on first use, like the metrics registry), and every shard
 /// owns its own slab chain and free-list buckets behind its own mutex —
-/// so the parallel verifier and the per-function pass driver allocate from
-/// per-thread slabs without contending. Blocks may be freed from a
+/// so irdl_serve's connection threads, which share one context, allocate
+/// from per-thread slabs without contending. Blocks may be freed from a
 /// different thread than the one that allocated them; the block simply
 /// migrates to the freeing thread's shard. All slabs are owned by the
 /// arena and released when it is destroyed.

@@ -491,8 +491,7 @@ public:
 
   /// True if no operation nested within this op uses a value defined
   /// outside of it (MLIR's IsolatedFromAbove, computed structurally).
-  /// Isolated ops are the unit of parallel pass execution: transforming
-  /// them concurrently cannot race on shared use-def chains.
+  /// The verifier times these ops as its per-function grain.
   bool isIsolatedFromAbove() const;
 
   /// Runs structural verification and all registered verifiers on this op
@@ -547,6 +546,10 @@ private:
   uint32_t NumRegionsVal = 0;
   /// Size of the op's own allocation, for returning it to the arena.
   uint32_t AllocBytes = 0;
+  /// Position in the parent block, written when a DominanceInfo numbers
+  /// the block; meaningful only to that DominanceInfo.
+  uint32_t BlockOrderIndex = 0;
+  friend class DominanceInfo;
 };
 
 /// Operations are arena-allocated: intrusive lists must destroy them via

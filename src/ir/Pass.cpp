@@ -7,7 +7,6 @@
 #include "ir/Verifier.h"
 #include "support/Metrics.h"
 #include "support/Statistic.h"
-#include "support/Threading.h"
 
 #include <algorithm>
 
@@ -17,8 +16,6 @@ IRDL_STATISTIC(Pass, NumPassesRun, "passes run to completion");
 IRDL_STATISTIC(Pass, NumPassFailures, "passes that returned failure");
 IRDL_STATISTIC(Pass, NumInterPassVerifications,
                "inter-pass verifier runs by the pass manager");
-IRDL_STATISTIC(Pass, NumParallelFunctionPassRuns,
-               "function-pass runs that fanned out over threads");
 IRDL_STATISTIC(Pass, NumFunctionsProcessed,
                "function roots processed by function passes");
 IRDL_STATISTIC(DCE, NumOpsErased, "operations erased by dce");
@@ -38,43 +35,9 @@ LogicalResult FunctionPass::run(Operation *Root, DiagnosticEngine &Diags) {
           Funcs.push_back(&Op);
 
   NumFunctionsProcessed += Funcs.size();
-
-  if (!isMultithreadingEnabled() || Funcs.size() < 2) {
-    for (Operation *F : Funcs)
-      if (failed(runOnFunction(F, Diags)))
-        return failure();
-    return success();
-  }
-
-  // Only isolated-from-above functions may be mutated concurrently; the
-  // rest run sequentially afterwards. Results are replayed in source
-  // order either way, so the diagnostic stream matches a sequential run
-  // up to (and including) the first failing function.
-  std::vector<size_t> Isolated, Sequential;
-  for (size_t I = 0, E = Funcs.size(); I != E; ++I)
-    (Funcs[I]->isIsolatedFromAbove() ? Isolated : Sequential).push_back(I);
-
-  std::vector<DiagnosticEngine> Engines(Funcs.size());
-  std::vector<char> Failed(Funcs.size(), 0);
-
-  if (Isolated.size() >= 2) {
-    ++NumParallelFunctionPassRuns;
-    parallelFor(0, Isolated.size(), [&](size_t I) {
-      size_t Idx = Isolated[I];
-      Failed[Idx] = failed(runOnFunction(Funcs[Idx], Engines[Idx]));
-    });
-  } else {
-    for (size_t Idx : Isolated)
-      Failed[Idx] = failed(runOnFunction(Funcs[Idx], Engines[Idx]));
-  }
-  for (size_t Idx : Sequential)
-    Failed[Idx] = failed(runOnFunction(Funcs[Idx], Engines[Idx]));
-
-  for (size_t I = 0, E = Funcs.size(); I != E; ++I) {
-    Diags.replayAll(Engines[I]);
-    if (Failed[I])
+  for (Operation *F : Funcs)
+    if (failed(runOnFunction(F, Diags)))
       return failure();
-  }
   return success();
 }
 

@@ -35,18 +35,11 @@ public:
 };
 
 /// A pass that runs independently on each "function" directly under the
-/// root (by default: any direct child op with at least one region). When
-/// multithreading is enabled, functions that are isolated from above are
-/// transformed concurrently on the global thread pool; each task writes
-/// into a private DiagnosticEngine, and the engines are replayed in
-/// source order so the diagnostic stream is byte-identical to a
-/// sequential run. Non-isolated functions (their bodies reach values
-/// defined outside) are run sequentially afterwards — mutating them in
-/// parallel could race on shared use-def chains.
+/// root (by default: any direct child op with at least one region), in
+/// source order, stopping at the first function that fails.
 class FunctionPass : public Pass {
 public:
-  /// Transforms one function root. Must not touch IR outside \p Func and
-  /// must be safe to call concurrently on distinct isolated functions.
+  /// Transforms one function root. Must not touch IR outside \p Func.
   virtual LogicalResult runOnFunction(Operation *Func,
                                       DiagnosticEngine &Diags) = 0;
 

@@ -102,8 +102,7 @@ public:
 private:
   void finish(std::string_view PassName);
 
-  /// Start stack: passes and verifier runs nest strictly, and the hooks
-  /// fire on the submitting thread only.
+  /// Start stack: passes and verifier runs nest strictly.
   std::vector<uint64_t> StartNs;
 };
 

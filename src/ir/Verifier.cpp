@@ -7,7 +7,6 @@
 #include "ir/Region.h"
 #include "support/Metrics.h"
 #include "support/Statistic.h"
-#include "support/Threading.h"
 #include "support/Timing.h"
 
 #include <algorithm>
@@ -18,8 +17,6 @@ IRDL_STATISTIC(Verifier, NumVerifierRuns,
                "entry-point structural verifications");
 IRDL_STATISTIC(Verifier, NumOpsVerified,
                "operations structurally verified");
-IRDL_STATISTIC(Verifier, NumParallelVerifierRuns,
-               "entry-point verifications that fanned out over threads");
 
 //===----------------------------------------------------------------------===//
 // DominanceInfo
@@ -159,12 +156,15 @@ bool DominanceInfo::properlyDominates(Value V, Operation *User) {
       // nested inside one of its regions... which would be a use-before-
       // def of its own result; reject.
       return false;
-    // Scan forward from the def to find the user.
-    for (Operation *Cur = DefOp->getNextNode(); Cur;
-         Cur = Cur->getNextNode())
-      if (Cur == ScopedUser)
-        return true;
-    return false;
+    if (UseBlock != LastNumbered) {
+      if (NumberedBlocks.insert(UseBlock).second) {
+        uint32_t Index = 0;
+        for (Operation &Op : *UseBlock)
+          Op.BlockOrderIndex = Index++;
+      }
+      LastNumbered = UseBlock;
+    }
+    return DefOp->BlockOrderIndex < ScopedUser->BlockOrderIndex;
   }
   return dominates(DefBlock, UseBlock);
 }
@@ -180,8 +180,7 @@ public:
 
   LogicalResult verify(Operation *Op) {
     // Per-function latency distribution: isolated-from-above ops are the
-    // function-like grain, and both the sequential recursion and the
-    // parallel driver pass through here for each of them.
+    // function-like grain.
     if (metricsEnabled() && Op->isIsolatedFromAbove()) {
       static Histogram &FuncLatency = MetricsRegistry::instance().getHistogram(
           "irdl_verify_function_duration_ns",
@@ -193,10 +192,6 @@ public:
     }
     return verifyImpl(Op);
   }
-
-  /// Verifies \p Op without recursing into its regions (the parallel
-  /// driver checks the root itself first, then fans the children out).
-  LogicalResult verifyShallow(Operation *Op) { return verifyOpItself(Op); }
 
 private:
   LogicalResult verifyImpl(Operation *Op) {
@@ -313,73 +308,14 @@ private:
   DiagnosticEngine &Diags;
   DominanceInfo Dom;
 };
-
-/// The parallel driver preserves the sequential diagnostic stream only
-/// when the root's regions are single-block (no inter-block terminator
-/// checks interleave with child verification) and there is enough work
-/// to fan out.
-bool canVerifyChildrenInParallel(Operation *Op) {
-  size_t NumChildren = 0;
-  for (Region &R : Op->getRegions()) {
-    if (R.getNumBlocks() > 1)
-      return false;
-    if (!R.empty())
-      NumChildren += R.front().getNumOps();
-  }
-  return NumChildren >= 2;
-}
-
-/// Parallel verification at top-level-op granularity: the root is checked
-/// shallowly first (exactly what a sequential run does before recursing),
-/// then each direct child is verified recursively on the pool into a
-/// private DiagnosticEngine with its own DominanceInfo. Replaying the
-/// engines in child order — and stopping after the first failed child —
-/// reproduces the fail-fast sequential output byte for byte.
-LogicalResult verifyOpParallel(Operation *Root, DiagnosticEngine &Diags) {
-  ++NumParallelVerifierRuns;
-  if (failed(Verifier(Diags).verifyShallow(Root)))
-    return failure();
-
-  std::vector<Operation *> Children;
-  for (Region &R : Root->getRegions())
-    if (!R.empty())
-      for (Operation &Op : R.front())
-        Children.push_back(&Op);
-
-  std::vector<DiagnosticEngine> Engines(Children.size());
-  std::vector<char> Failed(Children.size(), 0);
-  parallelFor(0, Children.size(), [&](size_t I) {
-    Failed[I] = failed(Verifier(Engines[I]).verify(Children[I]));
-  });
-
-  for (size_t I = 0, E = Children.size(); I != E; ++I) {
-    Diags.replayAll(Engines[I]);
-    if (Failed[I])
-      return failure();
-  }
-  return success();
-}
 } // namespace
 
 LogicalResult irdl::verifyOpsIncremental(const std::vector<Operation *> &Ops,
                                          DiagnosticEngine &Diags) {
   IRDL_TIME_SCOPE("verify-incremental");
-  if (isMultithreadingEnabled() && Ops.size() >= 2) {
-    ++NumParallelVerifierRuns;
-    std::vector<DiagnosticEngine> Engines(Ops.size());
-    std::vector<char> Failed(Ops.size(), 0);
-    parallelFor(0, Ops.size(), [&](size_t I) {
-      Failed[I] = failed(Verifier(Engines[I]).verify(Ops[I]));
-    });
-    for (size_t I = 0, E = Ops.size(); I != E; ++I) {
-      Diags.replayAll(Engines[I]);
-      if (Failed[I])
-        return failure();
-    }
-    return success();
-  }
+  Verifier V(Diags);
   for (Operation *Op : Ops)
-    if (failed(Verifier(Diags).verify(Op)))
+    if (failed(V.verify(Op)))
       return failure();
   return success();
 }
@@ -387,8 +323,6 @@ LogicalResult irdl::verifyOpsIncremental(const std::vector<Operation *> &Ops,
 LogicalResult irdl::verifyOp(Operation *Op, DiagnosticEngine &Diags) {
   IRDL_TIME_SCOPE("verify");
   ++NumVerifierRuns;
-  if (isMultithreadingEnabled() && canVerifyChildrenInParallel(Op))
-    return verifyOpParallel(Op, Diags);
   return Verifier(Diags).verify(Op);
 }
 

@@ -14,6 +14,7 @@
 #include "ir/Operation.h"
 
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace irdl {
@@ -23,6 +24,10 @@ class Region;
 
 /// Dominator-tree information computed per region on demand
 /// (Cooper–Harvey–Kennedy iterative algorithm over a reverse post-order).
+/// Same-block queries compare op positions, which the first query in a
+/// block numbers in place on its ops. Both caches are valid only while
+/// the IR is unchanged, and two DominanceInfos must not query the same
+/// block from different threads at once.
 class DominanceInfo {
 public:
   /// Returns true if \p A dominates \p B (reflexively) within their common
@@ -40,6 +45,11 @@ private:
   /// Immediate dominator of each processed block (entry maps to itself).
   std::unordered_map<Block *, Block *> IDom;
   std::unordered_map<Region *, bool> Processed;
+  /// Blocks whose ops carry their position (Operation::BlockOrderIndex).
+  std::unordered_set<const Block *> NumberedBlocks;
+  /// The block of the previous same-block query, known to be numbered;
+  /// consecutive queries mostly share it and skip the set lookup.
+  const Block *LastNumbered = nullptr;
 };
 
 /// Verifies \p Op and everything nested within it. Reports problems to
@@ -47,12 +57,10 @@ private:
 LogicalResult verifyOp(Operation *Op, DiagnosticEngine &Diags);
 
 /// Verifies a batch of independent top-level operations (each recursively),
-/// fanning out over the thread pool when multithreading is enabled. The
-/// streaming entry point: the server calls this once per arriving VERIFY
-/// chunk with that chunk's function-like ops, so verification overlaps
-/// with the client still sending later frames. Diagnostics are replayed
-/// into \p Diags in batch order and verification stops after the first
-/// failed op, matching the fail-fast sequential stream byte for byte.
+/// in batch order. The streaming entry point: the server calls this once
+/// per arriving VERIFY chunk with that chunk's function-like ops, so
+/// verification overlaps with the client still sending later frames.
+/// Verification stops after the first failed op, like verifyOp.
 LogicalResult verifyOpsIncremental(const std::vector<Operation *> &Ops,
                                    DiagnosticEngine &Diags);
 

@@ -30,13 +30,24 @@ void ConstraintProfiler::registerProgram(const ConstraintProgramPtr &Prog,
   if (!Prog)
     return;
   std::lock_guard<std::mutex> Lock(Mu);
+  pruneExpired();
   Records.push_back({Prog, std::move(Name)});
+}
+
+size_t ConstraintProfiler::getNumRecords() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Records.size();
+}
+
+void ConstraintProfiler::pruneExpired() const {
+  std::erase_if(Records, [](const Record &R) { return R.Prog.expired(); });
 }
 
 std::vector<ConstraintProfiler::Entry> ConstraintProfiler::collect() const {
   std::vector<Entry> Entries;
   {
     std::lock_guard<std::mutex> Lock(Mu);
+    pruneExpired();
     Entries.reserve(Records.size());
     for (const Record &R : Records) {
       ConstraintProgramPtr P = R.Prog.lock();
@@ -147,13 +158,8 @@ std::string ConstraintProfiler::renderJson() const {
 
 void ConstraintProfiler::reset() {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<Record> Live;
-  Live.reserve(Records.size());
-  for (Record &R : Records) {
-    if (ConstraintProgramPtr P = R.Prog.lock()) {
+  pruneExpired();
+  for (const Record &R : Records)
+    if (ConstraintProgramPtr P = R.Prog.lock())
       P->resetProfile();
-      Live.push_back(std::move(R));
-    }
-  }
-  Records = std::move(Live);
 }

@@ -50,8 +50,13 @@ public:
   static ConstraintProfiler &instance();
 
   /// Associates \p Name with \p Prog. Holds only a weak reference: a
-  /// program dies with its spec and silently drops out of reports.
+  /// program dies with its spec and silently drops out of reports. A
+  /// weak reference still pins the program's allocation, so the records
+  /// of dead programs are dropped here and in collect().
   void registerProgram(const ConstraintProgramPtr &Prog, std::string Name);
+
+  /// Records held, those of dead programs included.
+  size_t getNumRecords() const;
 
   struct Entry {
     std::string Name;
@@ -63,7 +68,7 @@ public:
 
   /// All live registered programs with at least one profiled execution,
   /// sorted by cumulative nanoseconds descending (ties by program id for
-  /// determinism).
+  /// determinism). Drops the records of dead programs.
   std::vector<Entry> collect() const;
 
   /// Human-readable "top N hottest constraint programs" table with
@@ -85,8 +90,12 @@ private:
     std::weak_ptr<const ConstraintProgram> Prog;
     std::string Name;
   };
+  /// Drops the records of dead programs; Mu must be held.
+  void pruneExpired() const;
+
   mutable std::mutex Mu;
-  std::vector<Record> Records;
+  /// Mutable so the const report paths can prune it.
+  mutable std::vector<Record> Records;
 };
 
 } // namespace irdl

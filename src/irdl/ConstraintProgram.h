@@ -19,8 +19,8 @@
 ///    definition pointer jumps directly to the plausible alternatives;
 ///  * a memoized verification cache — variable-free, C++-free subprograms
 ///    over uniqued Type/Attribute values cache their verdict keyed on
-///    (instruction, uniqued storage pointer), sharded 16 ways so parallel
-///    verification threads rarely contend.
+///    (instruction, uniqued storage pointer), sharded 16 ways so
+///    concurrent verifies (one per irdl_serve connection) rarely contend.
 ///
 /// Execution is semantically identical to Constraint::matches — the tree
 /// interpreter remains the reference oracle behind --compiled-constraints.
@@ -257,9 +257,9 @@ private:
       return (size_t)H;
     }
   };
-  /// Sharded like the IRContext uniquer pools (docs/threading.md): the
-  /// shard is picked by the key hash, lookups take the shared side, and
-  /// inserts re-check under the exclusive side so --mt=N scales.
+  /// Sharded like the IRContext uniquer pools: the shard is picked by the
+  /// key hash, lookups take the shared side, and inserts re-check under
+  /// the exclusive side, so concurrent verifies rarely contend.
   struct MemoShard {
     mutable std::shared_mutex Mu;
     std::unordered_map<MemoKey, bool, MemoKeyHash> Map;

@@ -367,17 +367,25 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
   // only their profiler attribution is (re-)registered.
   {
     IRDL_TIME_SCOPE("irdl.compile-constraint-programs");
-    // Every program is registered with the constraint profiler under a
-    // "<dialect>.<symbol> <slot> '<name>'" attribution name, so
-    // --profile-constraints reports hot programs by source location
-    // rather than bare program ids.
-    ConstraintProfiler &Prof = ConstraintProfiler::instance();
+    // While profiling is on, every program is registered with the
+    // constraint profiler under a "<dialect>.<symbol> <slot> '<name>'"
+    // attribution name, so --profile-constraints reports hot programs by
+    // source location rather than bare program ids. Off, nothing is
+    // registered: each record pins its program's allocation.
+    bool Profiling = constraintProfilingEnabled();
+    auto Profile = [&](const ConstraintProgramPtr &Prog,
+                       const std::string &Owner, const char *Slot,
+                       const std::string &Name) {
+      if (Profiling)
+        ConstraintProfiler::instance().registerProgram(
+            Prog, Owner + " " + Slot + " '" + Name + "'");
+    };
     auto CompileParams = [&](std::vector<ParamSpec> &Params,
                              const std::string &Owner) {
       for (ParamSpec &P : Params) {
         if (!P.Prog)
           P.Prog = ConstraintCompiler::compile(P.Constr);
-        Prof.registerProgram(P.Prog, Owner + " param '" + P.Name + "'");
+        Profile(P.Prog, Owner, "param", P.Name);
       }
     };
     for (TypeOrAttrSpec &TS : Spec->Types)
@@ -390,32 +398,29 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
         OS.VarPrograms =
             ConstraintCompiler::compileVarPrograms(OS.VarConstraints);
       for (size_t I = 0; I != OS.VarPrograms.size(); ++I)
-        Prof.registerProgram(
-            OS.VarPrograms[I],
-            Owner + " var '" +
-                (I < OS.VarNames.size() ? OS.VarNames[I] : "?") + "'");
+        Profile(OS.VarPrograms[I], Owner, "var",
+                I < OS.VarNames.size() ? OS.VarNames[I] : "?");
       for (OperandSpec &O : OS.Operands) {
         if (!O.Prog)
           O.Prog = ConstraintCompiler::compile(O.Constr, OS.VarPrograms);
-        Prof.registerProgram(O.Prog, Owner + " operand '" + O.Name + "'");
+        Profile(O.Prog, Owner, "operand", O.Name);
       }
       for (OperandSpec &R : OS.Results) {
         if (!R.Prog)
           R.Prog = ConstraintCompiler::compile(R.Constr, OS.VarPrograms);
-        Prof.registerProgram(R.Prog, Owner + " result '" + R.Name + "'");
+        Profile(R.Prog, Owner, "result", R.Name);
       }
       for (ParamSpec &A : OS.Attributes) {
         if (!A.Prog)
           A.Prog = ConstraintCompiler::compile(A.Constr, OS.VarPrograms);
-        Prof.registerProgram(A.Prog, Owner + " attr '" + A.Name + "'");
+        Profile(A.Prog, Owner, "attr", A.Name);
       }
       for (RegionSpec &RS : OS.Regions)
         for (OperandSpec &Arg : RS.Args) {
           if (!Arg.Prog)
             Arg.Prog =
                 ConstraintCompiler::compile(Arg.Constr, OS.VarPrograms);
-          Prof.registerProgram(Arg.Prog,
-                               Owner + " region arg '" + Arg.Name + "'");
+          Profile(Arg.Prog, Owner, "region arg", Arg.Name);
         }
     }
   }

@@ -323,7 +323,7 @@ ResponseFrame VerifyServer::handleVerifyChunk(std::string_view Payload,
   }
 
   // Verify this chunk's function-like top-level ops now, while the client
-  // is still sending later frames; the pool fans the batch out.
+  // is still sending later frames.
   std::vector<Operation *> Ops;
   if (M->getNumRegions() != 0 && !M->getRegion(0).empty())
     for (Operation &Op : M->getRegion(0).front())

@@ -10,7 +10,7 @@
 /// responses replay diagnostics byte-identically to an `irdl_opt` run
 /// over the same input (locked by ServeDifferentialTest); streamed
 /// verification (VERIFY_BEGIN/CHUNK/END) verifies each chunk's top-level
-/// ops on the thread pool as the frames arrive. See docs/serving.md.
+/// ops as the frames arrive. See docs/serving.md.
 ///
 //===----------------------------------------------------------------------===//
 

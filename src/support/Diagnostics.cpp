@@ -31,13 +31,6 @@ Diagnostic &DiagnosticEngine::emit(Severity S, SMLoc Loc,
   return D;
 }
 
-Diagnostic &DiagnosticEngine::replay(const Diagnostic &D) {
-  Diagnostic &New = emit(D.getSeverity(), D.getLocation(), D.getMessage());
-  for (const auto &[NoteLoc, NoteMsg] : D.getNotes())
-    New.attachNote(NoteLoc, NoteMsg);
-  return New;
-}
-
 static void renderOne(std::ostringstream &OS, const SourceMgr *SrcMgr,
                       Severity S, SMLoc Loc, const std::string &Message) {
   if (SrcMgr && Loc.isValid()) {

@@ -93,18 +93,6 @@ public:
     NumErrors = 0;
   }
 
-  /// Re-emits a diagnostic recorded elsewhere (message, severity,
-  /// location, and notes) into this engine. The parallel drivers give
-  /// every task a private engine and replay them in task order, so the
-  /// combined stream is byte-identical to a single-threaded run.
-  Diagnostic &replay(const Diagnostic &D);
-
-  /// Replays every diagnostic recorded by \p Other, in order.
-  void replayAll(const DiagnosticEngine &Other) {
-    for (const Diagnostic &D : Other.getDiagnostics())
-      replay(D);
-  }
-
   /// Renders \p D as text, with a source caret if the engine has a
   /// SourceMgr that knows the location.
   std::string render(const Diagnostic &D) const;

@@ -5,9 +5,8 @@
 /// registry of labeled **counters**, **gauges**, and **log-bucketed
 /// histograms**, built for a long-lived daemon (`irdl_serve`) where the
 /// operational contract is rates (memo-cache hit ratio), distributions
-/// (p50/p99 verification latency), and utilization (thread-pool queue
-/// depth) — questions the run-scoped TimerGroup/Statistic layers cannot
-/// answer.
+/// (p50/p99 verification latency), and load (active connections) —
+/// questions the run-scoped TimerGroup/Statistic layers cannot answer.
 ///
 /// Design points:
 ///

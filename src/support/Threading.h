@@ -1,138 +1,29 @@
-//===- Threading.h - Thread pool and parallel loops --------------*- C++ -*-===//
+//===- Threading.h - The fixed thread count ---------------------*- C++ -*-===//
 ///
 /// \file
-/// The threading layer behind the parallel verifier and pass drivers: a
-/// plain fixed-size ThreadPool plus parallelFor/parallelForEach helpers
-/// that fan an index range out over a process-wide pool.
-///
-/// The degree of parallelism is a process-wide setting resolved in this
-/// order: an explicit setGlobalThreadCount() call (drivers wire their
-/// `--mt=0|1|N` flag here), the IRDL_NUM_THREADS environment variable,
-/// then std::thread::hardware_concurrency(). A count of 1 disables
-/// threading entirely: every parallelFor runs inline on the calling
-/// thread, which is the reference ordering the parallel drivers must
-/// reproduce byte-for-byte (see docs/threading.md).
-///
-/// Determinism contract: parallelFor dispatches indices to workers in an
-/// unspecified order, so tasks must write their results into per-index
-/// slots (and emit diagnostics into per-index engines) that the caller
-/// then reads back in index order. Tasks must not throw.
-///
-/// Worker threads cooperate with the timing layer: a parallelFor issued
-/// inside an open TimingScope re-parents the workers' scopes under the
-/// submitting thread's current timer node, so per-thread timers merge
-/// into one tree (docs/observability.md).
+/// Verification and passes run on the calling thread; there is no thread
+/// pool and no thread-count setting. The two functions below exist only
+/// for pipebench, which pins and reports a thread count
+/// (pipebench/main.cpp, pipebench/Workloads.cpp). They go with
+/// pipebench's next benchmark-defining change.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IRDL_SUPPORT_THREADING_H
 #define IRDL_SUPPORT_THREADING_H
 
-#include <condition_variable>
-#include <cstddef>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <optional>
-#include <string_view>
-#include <thread>
-#include <vector>
+#include <cassert>
 
 namespace irdl {
 
-//===----------------------------------------------------------------------===//
-// Global thread-count configuration
-//===----------------------------------------------------------------------===//
-
-/// Sets the process-wide thread count. 0 means "auto": IRDL_NUM_THREADS
-/// if set (itself with 0 = hardware concurrency), else hardware
-/// concurrency. 1 disables multithreading. The global pool is rebuilt
-/// lazily on the next parallel loop.
-void setGlobalThreadCount(unsigned N);
-
-/// The resolved process-wide thread count (always >= 1).
-unsigned getGlobalThreadCount();
-
-/// True when parallel loops may actually use more than one thread.
-bool isMultithreadingEnabled();
-
-/// Parses the value of the conventional `--mt=0|1|N` driver flag.
-/// Returns nullopt for non-numeric input.
-std::optional<unsigned> parseThreadCountValue(std::string_view Value);
-
-/// True when called from a ThreadPool worker thread (parallel loops nest
-/// inline there to avoid deadlocking the pool).
-bool isThreadPoolWorker();
-
-//===----------------------------------------------------------------------===//
-// ThreadPool
-//===----------------------------------------------------------------------===//
-
-/// A fixed-size pool of worker threads draining one FIFO task queue.
-/// Deliberately simple — no work stealing, no priorities: the parallel
-/// drivers submit coarse (function-granularity) tasks where a shared
-/// queue is not a bottleneck.
-class ThreadPool {
-public:
-  /// Spawns \p NumThreads workers (at least 1).
-  explicit ThreadPool(unsigned NumThreads);
-  /// Waits for queued tasks, then joins the workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool &) = delete;
-  ThreadPool &operator=(const ThreadPool &) = delete;
-
-  unsigned getNumThreads() const { return (unsigned)Workers.size(); }
-
-  /// Enqueues \p Task for execution on some worker. Tasks must not throw.
-  void submit(std::function<void()> Task);
-
-  /// Blocks until every task submitted so far has finished executing.
-  void wait();
-
-private:
-  void workerLoop();
-
-  std::vector<std::thread> Workers;
-  std::deque<std::function<void()>> Queue;
-  std::mutex Mu;
-  std::condition_variable QueueCv;
-  std::condition_variable IdleCv;
-  unsigned NumRunning = 0;
-  bool Stopping = false;
-};
-
-//===----------------------------------------------------------------------===//
-// Parallel loops
-//===----------------------------------------------------------------------===//
-
-namespace detail {
-/// Runs Fn(0..N-1) over the global pool (inline when multithreading is
-/// off, N < 2, or the caller is itself a pool worker). Returns after
-/// every index has completed.
-void parallelForImpl(size_t N, const std::function<void(size_t)> &Fn);
-} // namespace detail
-
-/// Calls \p Fn(I) for every I in [Begin, End), potentially concurrently.
-/// Completion of all indices is guaranteed on return; result ordering is
-/// the caller's job (write to slot I - Begin).
-template <typename FnT>
-void parallelFor(size_t Begin, size_t End, FnT &&Fn) {
-  if (Begin >= End)
-    return;
-  detail::parallelForImpl(End - Begin,
-                          [&](size_t I) { Fn(Begin + I); });
+/// Accepts only 0 or 1: one verify runs on one thread.
+inline void setGlobalThreadCount(unsigned N) {
+  assert(N <= 1 && "verification is single-threaded");
+  (void)N;
 }
 
-/// Calls \p Fn(Element) for every element of a random-access \p Range.
-template <typename RangeT, typename FnT>
-void parallelForEach(RangeT &&Range, FnT &&Fn) {
-  using std::begin;
-  using std::end;
-  auto B = begin(Range);
-  size_t N = (size_t)std::distance(B, end(Range));
-  detail::parallelForImpl(N, [&](size_t I) { Fn(*(B + (ptrdiff_t)I)); });
-}
+/// Always 1.
+inline unsigned getGlobalThreadCount() { return 1; }
 
 } // namespace irdl
 

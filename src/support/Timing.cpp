@@ -119,27 +119,6 @@ void TimerGroup::endScope(Node *N, uint64_t StartNs) {
                     Elapsed, It->second});
 }
 
-TimerGroup::Node *TimerGroup::currentThreadNode() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Stacks.find(std::this_thread::get_id());
-  if (It == Stacks.end() || It->second.empty())
-    return nullptr;
-  return It->second.back();
-}
-
-void TimerGroup::pushThreadFrame(Node *Cursor) {
-  assert(Cursor && "cannot adopt a null cursor");
-  std::lock_guard<std::mutex> Lock(Mu);
-  Stacks[std::this_thread::get_id()].push_back(Cursor);
-}
-
-void TimerGroup::popThreadFrame() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<Node *> &Stack = Stacks[std::this_thread::get_id()];
-  assert(!Stack.empty() && "popThreadFrame without pushThreadFrame");
-  Stack.pop_back();
-}
-
 void TimerGroup::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Root = std::make_unique<Node>();
@@ -230,8 +209,8 @@ TimerGroup::renderTraceJson(std::string_view ProcessName) const {
   OS << "}}";
   char Buf[128];
   // Thread-name metadata events, so about://tracing shows labeled rows
-  // instead of bare tids. Tid 1 is the submitting thread (it ends the
-  // root scope); higher tids are pool workers in first-seen order.
+  // instead of bare tids. Tid 1 is the first thread to close a scope;
+  // higher tids are other threads (serve connections) in first-seen order.
   std::vector<uint32_t> Tids;
   Tids.reserve(TidMap.size());
   for (const auto &[ThreadId, Tid] : TidMap)

@@ -96,17 +96,6 @@ public:
   /// thread), accumulating elapsed time and recording a trace event.
   void endScope(Node *N, uint64_t StartNs);
 
-  /// The calling thread's innermost open node, or null at top level.
-  /// parallelFor captures this on the submitting thread to re-parent the
-  /// workers' scopes.
-  Node *currentThreadNode() const;
-  /// Pushes \p Cursor as a borrowed base frame of the calling thread's
-  /// nesting stack: subsequent scopes on this thread nest under it, but
-  /// no time is accumulated for the frame itself (the thread that really
-  /// opened the scope accounts it). Must be balanced by popThreadFrame.
-  void pushThreadFrame(Node *Cursor);
-  void popThreadFrame();
-
   /// Drops all recorded timings, trace events, and open-scope state.
   void clear();
 

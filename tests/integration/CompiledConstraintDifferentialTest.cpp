@@ -5,8 +5,7 @@
 /// with both valid synthesized modules and mutated-invalid variants,
 /// verified through the compiled programs and through the tree
 /// interpreter (the reference oracle). The verdict and the rendered
-/// diagnostic stream must be byte-identical, sequentially (--mt=1) and
-/// under the parallel verifier (--mt=8) — the memo cache and dispatch
+/// diagnostic stream must be byte-identical — the memo cache and dispatch
 /// tables must be invisible except in speed.
 
 #include "corpus/Corpus.h"
@@ -16,7 +15,6 @@
 #include "ir/Verifier.h"
 #include "irdl/ConstraintCompiler.h"
 #include "irdl/IRDL.h"
-#include "support/Threading.h"
 
 #include <gtest/gtest.h>
 
@@ -24,39 +22,31 @@ using namespace irdl;
 
 namespace {
 
-/// Restores engine + thread-count globals even when an assertion bails.
+/// Restores the engine global even when an assertion bails.
 struct GlobalsGuard {
-  ~GlobalsGuard() {
-    setCompiledConstraintsEnabled(true);
-    setGlobalThreadCount(0);
-  }
+  ~GlobalsGuard() { setCompiledConstraintsEnabled(true); }
 };
 
-/// Verifies \p M through both engines at --mt=1 and --mt=8 and expects
-/// identical verdicts and byte-identical diagnostics.
+/// Verifies \p M through both engines and expects identical verdicts and
+/// byte-identical diagnostics.
 void expectEnginesAgree(Operation *M, SourceMgr &SrcMgr,
                         const std::string &Label) {
-  for (unsigned MT : {1u, 8u}) {
-    setGlobalThreadCount(MT);
+  setCompiledConstraintsEnabled(false);
+  DiagnosticEngine TreeDiags(&SrcMgr);
+  bool TreeOk = succeeded(M->verify(TreeDiags));
 
-    setCompiledConstraintsEnabled(false);
-    DiagnosticEngine TreeDiags(&SrcMgr);
-    bool TreeOk = succeeded(M->verify(TreeDiags));
+  setCompiledConstraintsEnabled(true);
+  DiagnosticEngine ProgDiags(&SrcMgr);
+  bool ProgOk = succeeded(M->verify(ProgDiags));
 
-    setCompiledConstraintsEnabled(true);
-    DiagnosticEngine ProgDiags(&SrcMgr);
-    bool ProgOk = succeeded(M->verify(ProgDiags));
-
-    EXPECT_EQ(TreeOk, ProgOk)
-        << "verdict diverged for " << Label << " at --mt=" << MT;
-    EXPECT_EQ(TreeDiags.renderAll(), ProgDiags.renderAll())
-        << "diagnostics diverged for " << Label << " at --mt=" << MT;
-  }
+  EXPECT_EQ(TreeOk, ProgOk) << "verdict diverged for " << Label;
+  EXPECT_EQ(TreeDiags.renderAll(), ProgDiags.renderAll())
+      << "diagnostics diverged for " << Label;
 }
 
 /// Invalidates \p M in-place: drops the first attribute of every op that
 /// carries one (missing required attributes fail verification), so the
-/// failure replay path is compared too. Returns how many ops changed.
+/// failure path is compared too. Returns how many ops changed.
 unsigned mutateDropAttributes(Operation *M) {
   unsigned Mutated = 0;
   M->walk([&](Operation *Op) {

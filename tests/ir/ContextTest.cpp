@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 using namespace irdl;
 
 namespace {
@@ -102,6 +105,36 @@ TEST(ContextTest, UnregisteredOpPolicy) {
   EXPECT_FALSE(Ctx.allowsUnregisteredOps());
   Ctx.setAllowUnregisteredOps(true);
   EXPECT_TRUE(Ctx.allowsUnregisteredOps());
+}
+
+TEST(ContextTest, ConcurrentUniquingPointerIdentity) {
+  // Threads sharing one context, as irdl_serve's connection threads do,
+  // request the same handful of types and attributes; every equal
+  // request must come back as the same pointer (shard insert races
+  // converge).
+  IRContext Ctx;
+  constexpr size_t N = 256;
+  constexpr size_t NumThreads = 8;
+  std::vector<Type> Same(N);
+  std::vector<Type> Varied(N);
+  std::vector<Attribute> Attrs(N);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (size_t I = T; I < N; I += NumThreads) {
+        Same[I] = Ctx.getIntegerType(17);
+        Varied[I] = Ctx.getIntegerType(1 + (unsigned)(I % 8));
+        Attrs[I] = Ctx.getStringAttr("shared-key");
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t I = 1; I != N; ++I) {
+    EXPECT_EQ(Same[0], Same[I]) << "index " << I;
+    EXPECT_EQ(Attrs[0], Attrs[I]) << "index " << I;
+  }
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(Varied[I], Varied[I % 8]);
 }
 
 } // namespace

@@ -19,6 +19,11 @@ struct ErrorCase {
   const char *ExpectedFragment;
 };
 
+// Without this gtest prints the struct's raw pointer bytes, which change
+// from run to run under ASLR and leak into the test names that ctest
+// discovers; print the case name instead so those names are stable.
+void PrintTo(const ErrorCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(ParserErrorTest, DiagnosesCleanly) {

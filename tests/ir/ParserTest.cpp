@@ -233,4 +233,71 @@ TEST_F(ParserTest, BlockArgumentsParsed) {
   EXPECT_EQ(Loop->getArgument(0).getType(), Ctx.getFloatType(32));
 }
 
+/// `%<Prefix>0: f32, ..., %<Prefix><N-1>: f32`.
+std::string argList(const std::string &Prefix, unsigned N) {
+  std::string Text;
+  for (unsigned I = 0; I != N; ++I)
+    Text += (I ? ", %" : "%") + Prefix + std::to_string(I) + ": f32";
+  return Text;
+}
+
+/// One test.sink of each of `%<Prefix>0..<N-1>`, in order.
+std::string sinks(const std::string &Prefix, unsigned N) {
+  std::string Text;
+  for (unsigned I = 0; I != N; ++I)
+    Text += "  \"test.sink\"(%" + Prefix + std::to_string(I) +
+            ") : (f32) -> ()\n";
+  return Text;
+}
+
+/// Expects the I-th test.sink of \p B to use argument I of \p ArgBlock.
+void expectSinksUseArguments(Block &B, Block &ArgBlock) {
+  unsigned I = 0;
+  for (Operation &Op : B) {
+    if (Op.getName().str() != "test.sink")
+      continue;
+    ASSERT_LT(I, ArgBlock.getNumArguments());
+    EXPECT_EQ(Op.getOperand(0), ArgBlock.getArgument(I)) << "argument " << I;
+    ++I;
+  }
+  EXPECT_EQ(I, ArgBlock.getNumArguments());
+}
+
+// Past four arguments a block moves its argument array out of line; the
+// parser must not keep Values from before the move.
+TEST_F(ParserTest, ManyEntryBlockArguments) {
+  for (unsigned N : {5u, 9u, 300u}) {
+    OwningOpRef Module =
+        parse("std.func @f(" + argList("a", N) + ") {\n" + sinks("a", N) +
+              "  \"std.return\"() : () -> ()\n}\n");
+    ASSERT_TRUE(static_cast<bool>(Module)) << N << Diags.renderAll();
+    Block &Body = Module->getRegion(0).front().front().getRegion(0).front();
+    ASSERT_EQ(Body.getNumArguments(), N);
+    expectSinksUseArguments(Body, Body);
+    DiagnosticEngine VDiags;
+    EXPECT_TRUE(succeeded(Module->verify(VDiags))) << VDiags.renderAll();
+  }
+}
+
+TEST_F(ParserTest, ManyLabelledBlockArguments) {
+  // ^args is created by the forward branch before its label is parsed,
+  // and ^uses refers to its arguments before they are defined.
+  for (unsigned N : {5u, 9u, 300u}) {
+    OwningOpRef Module = parse(
+        "std.func @f() {\n  \"std.br\"()[^args] : () -> ()\n^uses:\n" +
+        sinks("b", N) + "  \"std.return\"() : () -> ()\n^args(" +
+        argList("b", N) + "):\n" + sinks("b", N) +
+        "  \"std.br\"()[^uses] : () -> ()\n}\n");
+    ASSERT_TRUE(static_cast<bool>(Module)) << N << Diags.renderAll();
+    Region &Body = Module->getRegion(0).front().front().getRegion(0);
+    Block *Uses = Body.front().getNextNode();
+    Block *Args = Uses->getNextNode();
+    ASSERT_EQ(Args->getNumArguments(), N);
+    expectSinksUseArguments(*Uses, *Args);
+    expectSinksUseArguments(*Args, *Args);
+    DiagnosticEngine VDiags;
+    EXPECT_TRUE(succeeded(Module->verify(VDiags))) << VDiags.renderAll();
+  }
+}
+
 } // namespace

@@ -211,4 +211,56 @@ TEST_F(PassTest, GreedyRewritePassReportsStatistics) {
   EXPECT_TRUE(PassPtr->getLastStatistics().Converged);
 }
 
+/// A module of \p NumFuncs single-block functions @f0..@f<N-1>.
+std::string functionsText(unsigned NumFuncs) {
+  std::string Text;
+  for (unsigned F = 0; F != NumFuncs; ++F)
+    Text += "std.func @f" + std::to_string(F) +
+            "() {\n  \"std.return\"() : () -> ()\n}\n";
+  return Text;
+}
+
+/// The sym_name of a function root.
+std::string funcName(Operation *Func) {
+  Attribute SymName = Func->getAttr("sym_name");
+  return SymName ? SymName.getParams()[0].getString() : "";
+}
+
+TEST_F(PassTest, FunctionPassVisitsFunctionsInSourceOrder) {
+  OwningOpRef M = parse(functionsText(12));
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  LambdaFunctionPass Pass("annotate", [](Operation *Func,
+                                         DiagnosticEngine &D) {
+    D.emitWarning(Func->getLoc(), "visiting " + funcName(Func));
+    return success();
+  });
+  DiagnosticEngine PDiags;
+  ASSERT_TRUE(succeeded(Pass.run(M.get(), PDiags)));
+  std::string Expected;
+  for (unsigned F = 0; F != 12; ++F)
+    Expected += "warning: visiting f" + std::to_string(F) + "\n";
+  EXPECT_EQ(PDiags.renderAll(), Expected);
+}
+
+TEST_F(PassTest, FunctionPassStopsAtFirstFailure) {
+  OwningOpRef M = parse(functionsText(12));
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  LambdaFunctionPass Pass("fail-at-3", [](Operation *Func,
+                                          DiagnosticEngine &D) {
+    std::string Name = funcName(Func);
+    D.emitWarning(Func->getLoc(), "visiting " + Name);
+    if (Name == "f3") {
+      D.emitError(Func->getLoc(), "rejecting " + Name);
+      return failure();
+    }
+    return success();
+  });
+  DiagnosticEngine PDiags;
+  EXPECT_TRUE(failed(Pass.run(M.get(), PDiags)));
+  std::string Out = PDiags.renderAll();
+  EXPECT_NE(Out.find("rejecting f3"), std::string::npos) << Out;
+  // Nothing from the functions after the failing one.
+  EXPECT_EQ(Out.find("f4"), std::string::npos) << Out;
+}
+
 } // namespace

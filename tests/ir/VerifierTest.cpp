@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 using namespace irdl;
 
 namespace {
@@ -18,6 +21,7 @@ protected:
     Dialect *D = Ctx.getOrCreateDialect("test");
     D->addOp("source");
     D->addOp("sink");
+    D->addOp("wrap");
   }
 
   OwningOpRef parse(std::string_view Src) {
@@ -200,6 +204,77 @@ TEST_F(VerifierTest, DominanceInfoDirectQueries) {
   EXPECT_FALSE(Dom.dominates(Blocks[1], Blocks[3]));
   EXPECT_FALSE(Dom.dominates(Blocks[2], Blocks[3]));
   EXPECT_TRUE(Dom.dominates(Blocks[3], Blocks[3]));
+}
+
+TEST_F(VerifierTest, SameBlockDominanceIsLinear) {
+  // Every op of one block uses the block's first value, so each operand
+  // is a same-block dominance query; none may walk the block.
+  auto AddUsers = [&](OwningOpRef &M, unsigned NumUsers) {
+    Block &Body = M->getRegion(0).front();
+    Value Def = Body.front().getResult(0);
+    for (unsigned I = 0; I != NumUsers; ++I) {
+      OperationState S(Ctx, Ctx.resolveOpDef("test.sink"));
+      S.Operands = {Def};
+      Body.push_back(Operation::create(S));
+    }
+  };
+  auto VerifySeconds = [&](OwningOpRef &M) {
+    auto Begin = std::chrono::steady_clock::now();
+    EXPECT_TRUE(succeeded(verify(M))) << VDiags.renderAll();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         Begin)
+        .count();
+  };
+  OwningOpRef M20k = parse(R"(%0 = "test.source"() : () -> (f32))");
+  OwningOpRef M40k = parse(R"(%0 = "test.source"() : () -> (f32))");
+  ASSERT_TRUE(M20k && M40k) << Diags.renderAll();
+  AddUsers(M20k, 20000);
+  AddUsers(M40k, 40000);
+  // The minimum of 3 runs of each, interleaved so a burst of load on the
+  // host does not land on one size only.
+  double T20k = VerifySeconds(M20k);
+  double T40k = VerifySeconds(M40k);
+  for (int Run = 1; Run != 3; ++Run) {
+    T20k = std::min(T20k, VerifySeconds(M20k));
+    T40k = std::min(T40k, VerifySeconds(M40k));
+  }
+  EXPECT_LE(T40k, 2.5 * T20k)
+      << "20k ops: " << T20k << " s, 40k ops: " << T40k << " s";
+}
+
+TEST_F(VerifierTest, IsolatedFromAbove) {
+  OwningOpRef M = parse(R"(
+    %x = "test.source"() : () -> (f32)
+    std.func @f(%p: f32) {
+      "test.sink"(%p) : (f32) -> ()
+      "std.return"() : () -> ()
+    }
+  )");
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+
+  Operation *Func = nullptr;
+  M->walk([&](Operation *Op) {
+    if (Op->getName().str() == "std.func")
+      Func = Op;
+  });
+  ASSERT_NE(Func, nullptr);
+  // The func's body only reaches its own block arguments.
+  EXPECT_TRUE(Func->isIsolatedFromAbove());
+  // The module's body reaches nothing outside the module.
+  EXPECT_TRUE(M->isIsolatedFromAbove());
+
+  // An op whose region uses a value defined outside it is not isolated.
+  Operation &Source = M->getRegion(0).front().front();
+  OperationState WrapState(Ctx, Ctx.resolveOpDef("test.wrap"));
+  Region *R = WrapState.addRegion();
+  Block *B = Block::create(Ctx);
+  R->push_back(B);
+  OperationState SinkState(Ctx, Ctx.resolveOpDef("test.sink"));
+  SinkState.Operands = {Source.getResult(0)};
+  B->push_back(Operation::create(SinkState));
+  Operation *Wrap = Operation::create(WrapState);
+  EXPECT_FALSE(Wrap->isIsolatedFromAbove());
+  Wrap->erase();
 }
 
 } // namespace

@@ -8,8 +8,12 @@
 
 #include "irdl/ConstraintCompiler.h"
 #include "irdl/ConstraintProfiler.h"
+#include "irdl/IRDL.h"
+#include "support/File.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace irdl;
 
@@ -375,6 +379,65 @@ TEST_F(ConstraintCompilerTest, ProfilerAttributesExecutions) {
   Prof.reset();
   EXPECT_EQ(Prog->getProfiledEvals(), 0u);
   EXPECT_TRUE(Prof.collect().empty());
+}
+
+/// The distinct compiled programs \p Module's specs hold.
+size_t countPrograms(const IRDLModule &Module) {
+  std::set<const ConstraintProgram *> Programs;
+  auto Add = [&](const ConstraintProgramPtr &P) {
+    if (P)
+      Programs.insert(P.get());
+  };
+  for (const auto &Spec : Module.getDialects()) {
+    for (const auto *List : {&Spec->Types, &Spec->Attrs})
+      for (const TypeOrAttrSpec &TS : *List)
+        for (const ParamSpec &P : TS.Params)
+          Add(P.Prog);
+    for (const OpSpec &OS : Spec->Ops) {
+      for (const ConstraintProgramPtr &P : OS.VarPrograms)
+        Add(P);
+      for (const auto *List : {&OS.Operands, &OS.Results})
+        for (const OperandSpec &O : *List)
+          Add(O.Prog);
+      for (const ParamSpec &A : OS.Attributes)
+        Add(A.Prog);
+      for (const RegionSpec &RS : OS.Regions)
+        for (const OperandSpec &Arg : RS.Args)
+          Add(Arg.Prog);
+    }
+  }
+  return Programs.size();
+}
+
+TEST_F(ConstraintCompilerTest, ProfilerRecordsStayBoundedOverReloads) {
+  // Each record pins its program's allocation, so records of unloaded
+  // dialects must not pile up, with profiling off or on.
+  std::string Source;
+  std::string Error;
+  ASSERT_TRUE(succeeded(readFileToString(
+      std::string(IRDL_DIALECTS_DIR) + "/cmath.irdl", Source, Error)))
+      << Error;
+  ConstraintProfiler &Prof = ConstraintProfiler::instance();
+  Prof.reset();
+  for (bool Profiling : {false, true}) {
+    setConstraintProfilingEnabled(Profiling);
+    for (int Cycle = 0; Cycle != 1000; ++Cycle) {
+      IRContext LoadCtx;
+      SourceMgr SrcMgr;
+      DiagnosticEngine Diags(&SrcMgr);
+      std::unique_ptr<IRDLModule> Module =
+          loadIRDL(LoadCtx, Source, SrcMgr, Diags);
+      ASSERT_NE(Module, nullptr) << Diags.renderAll();
+      size_t Live = countPrograms(*Module);
+      ASSERT_LE(Prof.getNumRecords(), Profiling ? Live : 0)
+          << "cycle " << Cycle;
+      ASSERT_GT(Live, 0u);
+    }
+  }
+  setConstraintProfilingEnabled(false);
+  // The last load is gone; collect() drops its records too.
+  EXPECT_TRUE(Prof.collect().empty());
+  EXPECT_EQ(Prof.getNumRecords(), 0u);
 }
 
 } // namespace

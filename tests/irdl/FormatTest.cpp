@@ -30,6 +30,46 @@ protected:
   DiagnosticEngine Diags;
 };
 
+TEST_F(FormatTest, OperandsFromManyArgumentBlocks) {
+  // Past four arguments a block moves its argument array out of line; a
+  // custom-format op must still resolve its operands to the live
+  // arguments of an entry and of a labelled block.
+  auto M = load(R"(
+    Dialect f {
+      Operation pass {
+        Operands (in: !f32)
+        Results (out: !f32)
+        Format "$in"
+      }
+    }
+  )");
+  ASSERT_NE(M, nullptr) << Diags.renderAll();
+  auto Args = [](const std::string &Prefix) {
+    std::string Text;
+    for (unsigned I = 0; I != 9; ++I)
+      Text += (I ? ", %" : "%") + Prefix + std::to_string(I) + ": f32";
+    return Text;
+  };
+  OwningOpRef IR = parse("std.func @f(" + Args("a") +
+                         ") {\n"
+                         "  %x = f.pass %a0\n"
+                         "  \"std.br\"()[^next] : () -> ()\n"
+                         "^next(" +
+                         Args("b") +
+                         "):\n"
+                         "  %y = f.pass %b4\n"
+                         "  \"std.return\"() : () -> ()\n"
+                         "}\n");
+  ASSERT_TRUE(static_cast<bool>(IR)) << Diags.renderAll();
+  Region &Body = IR->getRegion(0).front().front().getRegion(0);
+  Block &Entry = Body.front();
+  Block &Next = *Entry.getNextNode();
+  EXPECT_EQ(Entry.front().getOperand(0), Entry.getArgument(0));
+  EXPECT_EQ(Next.front().getOperand(0), Next.getArgument(4));
+  DiagnosticEngine VDiags;
+  EXPECT_TRUE(succeeded(IR->verify(VDiags))) << VDiags.renderAll();
+}
+
 TEST_F(FormatTest, SimpleOperandFormat) {
   auto M = load(R"(
     Dialect f {

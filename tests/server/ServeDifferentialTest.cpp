@@ -1,7 +1,7 @@
 //===- ServeDifferentialTest.cpp - served vs irdl_opt diagnostics -------===//
 ///
 /// Locks the tentpole guarantee of docs/serving.md: a one-shot VERIFY
-/// response is byte-identical to what `irdl_opt --mt=N` prints for the
+/// response is byte-identical to what `irdl_opt` prints for the
 /// same input. The reference side reproduces irdl_opt's exact pipeline —
 /// fresh context, dialect load, parse (or bytecode read), then
 /// PassManager-style verification with the trailing "IR failed to verify
@@ -9,7 +9,7 @@
 /// socket to an in-process VerifyServer. Compared over every bundled
 /// dialect with valid synthesized modules, attribute-dropping mutations,
 /// hand-broken textual modules (caret rendering included), and
-/// module-only bytecode, at --mt=1 and --mt=8.
+/// module-only bytecode.
 
 #include "bytecode/Bytecode.h"
 #include "corpus/ModuleSynthesizer.h"
@@ -20,7 +20,6 @@
 #include "server/Client.h"
 #include "server/Server.h"
 #include "support/File.h"
-#include "support/Threading.h"
 
 #include <gtest/gtest.h>
 
@@ -31,10 +30,6 @@ using namespace irdl;
 using namespace irdl::serve;
 
 namespace {
-
-struct ThreadCountGuard {
-  ~ThreadCountGuard() { setGlobalThreadCount(0); }
-};
 
 std::string dialectPath(const char *File) {
   return std::string(IRDL_DIALECTS_DIR) + "/" + File;
@@ -99,7 +94,6 @@ protected:
     Server->requestStop();
     if (Serving.joinable())
       Serving.join();
-    setGlobalThreadCount(0);
   }
 
   void loadBundledDialect(const char *File) {
@@ -113,28 +107,22 @@ protected:
     ASSERT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
   }
 
-  /// Served and reference verification must agree byte for byte, at
-  /// --mt=1 and --mt=8 (the thread count is process-wide, so it applies
-  /// to the in-process server and the reference alike).
+  /// Served and reference verification must agree byte for byte.
   void expectServedMatchesReference(const char *DialectFile,
                                     std::string_view Content,
                                     const std::string &BufferName) {
-    for (unsigned MT : {1u, 8u}) {
-      setGlobalThreadCount(MT);
-      ReferenceRun Ref = referenceVerify(DialectFile, Content, BufferName);
-      ResponseFrame Response;
-      std::string Error;
-      ASSERT_TRUE(
-          succeeded(Client.verify(BufferName, Content, Response, Error)))
-          << Error;
-      EXPECT_EQ(Response.Status == FrameStatus::Ok, Ref.Ok)
-          << BufferName << " at --mt=" << MT << "\nserved:\n"
-          << Response.Payload << "\nreference:\n"
-          << Ref.DiagText;
-      EXPECT_EQ(Response.Payload, Ref.DiagText)
-          << "served diagnostics diverged for " << BufferName
-          << " at --mt=" << MT;
-    }
+    ReferenceRun Ref = referenceVerify(DialectFile, Content, BufferName);
+    ResponseFrame Response;
+    std::string Error;
+    ASSERT_TRUE(
+        succeeded(Client.verify(BufferName, Content, Response, Error)))
+        << Error;
+    EXPECT_EQ(Response.Status == FrameStatus::Ok, Ref.Ok)
+        << BufferName << "\nserved:\n"
+        << Response.Payload << "\nreference:\n"
+        << Ref.DiagText;
+    EXPECT_EQ(Response.Payload, Ref.DiagText)
+        << "served diagnostics diverged for " << BufferName;
   }
 
   std::string SocketPath;
@@ -145,7 +133,7 @@ protected:
 
 /// Drops the first attribute of every op that has one (the
 /// CompiledConstraintDifferentialTest mutation): printed back to text,
-/// the module exercises the failure replay path end to end.
+/// the module exercises the failure path end to end.
 unsigned mutateDropAttributes(Operation *M) {
   unsigned Mutated = 0;
   M->walk([&](Operation *Op) {
@@ -162,7 +150,6 @@ constexpr const char *BundledDialects[] = {"cmath.irdl", "arith.irdl",
                                            "math.irdl"};
 
 TEST_F(ServeDifferentialTest, SynthesizedModulesMatchOverText) {
-  ThreadCountGuard Guard;
   for (const char *File : BundledDialects) {
     loadBundledDialect(File);
 
@@ -193,7 +180,6 @@ TEST_F(ServeDifferentialTest, SynthesizedModulesMatchOverText) {
 }
 
 TEST_F(ServeDifferentialTest, BrokenTextualModulesMatchWithCarets) {
-  ThreadCountGuard Guard;
   loadBundledDialect("cmath.irdl");
 
   // Verifier failure with caret rendering against the shipped source.
@@ -223,7 +209,6 @@ TEST_F(ServeDifferentialTest, BrokenTextualModulesMatchWithCarets) {
 }
 
 TEST_F(ServeDifferentialTest, ModuleOnlyBytecodeMatches) {
-  ThreadCountGuard Guard;
   loadBundledDialect("cmath.irdl");
 
   IRContext Ctx;

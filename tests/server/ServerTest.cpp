@@ -12,7 +12,6 @@
 #include "server/Client.h"
 #include "server/Server.h"
 #include "support/File.h"
-#include "support/Threading.h"
 
 #include <gtest/gtest.h>
 

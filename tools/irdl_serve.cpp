@@ -9,7 +9,7 @@
 ///
 /// Usage:
 ///   irdl_serve --socket=/path/to.sock [--dialect file.irdl]...
-///              [--mt=0|1|N] [--compiled-constraints=0|1]
+///              [--compiled-constraints=0|1]
 ///              [--metrics-json=FILE]
 ///
 /// SIGINT/SIGTERM stop the accept loop gracefully: in-flight responses
@@ -23,7 +23,6 @@
 #include "support/File.h"
 #include "support/Metrics.h"
 #include "support/Signal.h"
-#include "support/Threading.h"
 
 #include <fstream>
 #include <iostream>
@@ -62,15 +61,6 @@ int main(int argc, char **argv) {
         std::cerr << "--metrics-json= requires a file name\n";
         return 1;
       }
-    } else if (Arg.rfind("--mt=", 0) == 0) {
-      auto N = parseThreadCountValue(Arg.substr(std::string("--mt=").size()));
-      if (!N) {
-        std::cerr << "invalid value '"
-                  << Arg.substr(std::string("--mt=").size())
-                  << "' for --mt (expected a non-negative integer)\n";
-        return 1;
-      }
-      setGlobalThreadCount(*N);
     } else if (Arg.rfind("--compiled-constraints=", 0) == 0) {
       std::string V =
           Arg.substr(std::string("--compiled-constraints=").size());
@@ -82,7 +72,7 @@ int main(int argc, char **argv) {
       setCompiledConstraintsEnabled(V == "1");
     } else if (Arg == "--help" || Arg == "-h") {
       std::cout << "usage: irdl_serve [--socket=PATH] "
-                   "[--dialect f.irdl]... [--mt=0|1|N]\n"
+                   "[--dialect f.irdl]...\n"
                    "                  [--compiled-constraints=0|1] "
                    "[--metrics] [--metrics-json=FILE]\n";
       return 0;
