@@ -23,9 +23,6 @@
 ///                 enable library metrics collection and write the
 ///                 registry as JSON to FILE (also honored on the --json
 ///                 short-circuit path, so CI collects both in one run)
-///   --compiled-constraints=0|1
-///                 select the constraint engine (1 = compiled programs,
-///                 the default; 0 = the tree interpreter oracle)
 ///   --seed=N      RNG seed for benches that synthesize their workload
 ///                 through ModuleSynthesizer (perf_bytecode, perf_serve),
 ///                 so a corpus is reproducible across runs and CI
@@ -46,7 +43,6 @@
 #ifndef IRDL_BENCH_PERFHARNESS_H
 #define IRDL_BENCH_PERFHARNESS_H
 
-#include "irdl/ConstraintCompiler.h"
 #include "support/Metrics.h"
 #include "support/Statistic.h"
 #include "support/Timing.h"
@@ -124,14 +120,6 @@ inline int runPerfMain(int argc, char **argv, const char *BenchName,
         return 1;
       }
       perfSeedSlot() = Seed;
-    } else if (Arg.rfind("--compiled-constraints=", 0) == 0) {
-      std::string V = Arg.substr(std::string("--compiled-constraints=").size());
-      if (V != "0" && V != "1") {
-        std::cerr << "invalid value '" << V
-                  << "' for --compiled-constraints (expected 0 or 1)\n";
-        return 1;
-      }
-      setCompiledConstraintsEnabled(V == "1");
     } else
       BenchArgs.push_back(argv[I]);
   }

@@ -195,14 +195,15 @@ void BM_Compiled_AnyOf_BacktrackingWithVars(benchmark::State &State) {
     Branches.push_back(Constraint::typeConstraint(
         Pair, {T, Constraint::typeEq(F.Ctx.getIntegerType(W))},
         /*BaseOnly=*/false));
-  ConstraintProgramPtr P = ConstraintCompiler::compile(
-      Constraint::anyOf(Branches),
-      ConstraintCompiler::compileVarPrograms(Vars));
+  ConstraintProgramPtr P =
+      ConstraintCompiler::compile(Constraint::anyOf(Branches));
+  std::vector<ConstraintProgramPtr> VarProgs =
+      ConstraintCompiler::compileVarPrograms(Vars);
   Type V = F.Ctx.getType(Pair, {ParamValue(F.Ctx.getFloatType(32)),
                                 ParamValue(F.Ctx.getIntegerType(8))});
   ParamValue PV(V);
   for (auto _ : State) {
-    MatchContext MC(&Vars);
+    MatchContext MC(&VarProgs);
     bool R = P->run(PV, MC);
     benchmark::DoNotOptimize(R);
   }
@@ -268,7 +269,7 @@ void runPhaseBreakdown() {
                     const std::vector<ConstraintProgramPtr> &VarProgs,
                     const std::vector<ParamValue> &Values,
                     const std::vector<ConstraintPtr> *Vars, int Iters) {
-    ConstraintProgramPtr P = ConstraintCompiler::compile(C, VarProgs);
+    ConstraintProgramPtr P = ConstraintCompiler::compile(C);
     std::string Interp = std::string(Workload) + "-interpreted";
     std::string Compiled = std::string(Workload) + "-compiled";
     // Per-iteration samples alongside the aggregate timing scopes, so
@@ -292,7 +293,7 @@ void runPhaseBreakdown() {
       for (int I = 0; I != Iters; ++I)
         CompiledSampler.sample([&] {
           for (const ParamValue &V : Values) {
-            MatchContext MC(Vars);
+            MatchContext MC(&VarProgs);
             bool R = P->run(V, MC);
             benchmark::DoNotOptimize(R);
           }

@@ -9,7 +9,7 @@
 #include "ir/Block.h"
 #include "ir/IRParser.h"
 #include "ir/Region.h"
-#include "irdl/ConstraintCompiler.h"
+#include "irdl/ConstraintProgram.h"
 #include "irdl/IRDL.h"
 
 #include <benchmark/benchmark.h>
@@ -116,29 +116,14 @@ void BM_VerifyLargeModule(benchmark::State &State) {
 }
 BENCHMARK(BM_VerifyLargeModule)->Unit(benchmark::kMillisecond);
 
-/// The same large-module workload through the tree interpreter (the
-/// compiled engine is the default; this is the ablation baseline).
-void BM_VerifyLargeModule_Interpreted(benchmark::State &State) {
-  LargeModuleFixture F;
-  bool Prev = compiledConstraintsEnabled();
-  setCompiledConstraintsEnabled(false);
-  for (auto _ : State) {
-    DiagnosticEngine Diags;
-    LogicalResult R = F.IR->verify(Diags);
-    benchmark::DoNotOptimize(R);
-  }
-  setCompiledConstraintsEnabled(Prev);
-}
-BENCHMARK(BM_VerifyLargeModule_Interpreted)->Unit(benchmark::kMillisecond);
-
 void BM_ConstraintMatch_Parametric(benchmark::State &State) {
   Fixture F;
   const DialectSpec *Cmath = F.Module->lookupDialect("cmath");
   const OpSpec *Norm = Cmath->lookupOp("norm");
   ParamValue V(F.Mul->getOperand(0).getType());
   for (auto _ : State) {
-    MatchContext MC(&Norm->VarConstraints);
-    bool R = Norm->Operands[0].Constr->matches(V, MC);
+    MatchContext MC(&Norm->VarPrograms);
+    bool R = Norm->Operands[0].Prog->run(V, MC);
     benchmark::DoNotOptimize(R);
   }
 }
@@ -212,23 +197,7 @@ void runPhaseBreakdown() {
         benchmark::DoNotOptimize(R);
       }
     }
-    // The same module through both constraint engines, for the
-    // compiled-vs-interpreted JSON fields (the default engine above is
-    // whatever --compiled-constraints selected).
-    bool Prev = compiledConstraintsEnabled();
     {
-      setCompiledConstraintsEnabled(false);
-      IRDL_TIME_SCOPE("large-module-verify-interpreted-x30");
-      PhaseSampler Sampler("large-module-verify-interpreted-x30");
-      for (int I = 0; I != 30; ++I)
-        Sampler.sample([&] {
-          DiagnosticEngine Diags;
-          LogicalResult R = LF->IR->verify(Diags);
-          benchmark::DoNotOptimize(R);
-        });
-    }
-    {
-      setCompiledConstraintsEnabled(true);
       IRDL_TIME_SCOPE("large-module-verify-compiled-x30");
       PhaseSampler Sampler("large-module-verify-compiled-x30");
       for (int I = 0; I != 30; ++I)
@@ -238,7 +207,6 @@ void runPhaseBreakdown() {
           benchmark::DoNotOptimize(R);
         });
     }
-    setCompiledConstraintsEnabled(Prev);
   }
   {
     IRDL_TIME_SCOPE("constraint-match-x1000");
@@ -246,8 +214,8 @@ void runPhaseBreakdown() {
     const OpSpec *Norm = Cmath->lookupOp("norm");
     ParamValue V(F->Mul->getOperand(0).getType());
     for (int I = 0; I != 1000; ++I) {
-      MatchContext MC(&Norm->VarConstraints);
-      bool R = Norm->Operands[0].Constr->matches(V, MC);
+      MatchContext MC(&Norm->VarPrograms);
+      bool R = Norm->Operands[0].Prog->run(V, MC);
       benchmark::DoNotOptimize(R);
     }
   }

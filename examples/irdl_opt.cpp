@@ -8,7 +8,7 @@
 /// Usage:
 ///   irdl_opt [--dialect file.irdl]... [--pass dce|conorm]...
 ///            [--generic] [--verify-each=0|1] [--emit-bytecode[=FILE]]
-///            [--compiled-constraints=0|1] [--timing]
+///            [--timing]
 ///            [--stats] [--stats-json=FILE] [--trace-json=FILE]
 ///            [--metrics] [--metrics-json=FILE] [--profile-constraints]
 ///            [--spec-cache-dir=DIR] [input.mlir]
@@ -20,11 +20,6 @@
 /// magic, never from the file extension. The observability flags
 /// (docs/observability.md):
 ///
-///   --compiled-constraints=0|1
-///                      constraint engine: 1 (default) verifies through
-///                      the compiled bytecode programs, 0 through the
-///                      reference tree interpreter (docs/constraint-
-///                      compiler.md)
 ///   --timing           print a hierarchical wall-time tree (stderr)
 ///   --stats            print the statistics registry (stderr)
 ///   --stats-json=FILE  write the statistics registry as JSON (sorted by
@@ -63,7 +58,6 @@
 #include "ir/Pass.h"
 #include "ir/Printer.h"
 #include "ir/Region.h"
-#include "irdl/ConstraintCompiler.h"
 #include "irdl/ConstraintProfiler.h"
 #include "irdl/IRDL.h"
 #include "support/File.h"
@@ -196,16 +190,6 @@ int main(int argc, char **argv) {
         return 1;
       }
     }
-    else if (Arg.rfind("--compiled-constraints=", 0) == 0) {
-      std::string V =
-          Arg.substr(std::string("--compiled-constraints=").size());
-      if (V != "0" && V != "1") {
-        std::cerr << "invalid value '" << V
-                  << "' for --compiled-constraints (expected 0 or 1)\n";
-        return 1;
-      }
-      setCompiledConstraintsEnabled(V == "1");
-    }
     else if (Arg.rfind("--verify-each=", 0) == 0) {
       std::string V = Arg.substr(std::string("--verify-each=").size());
       if (V == "1" || V == "true")
@@ -222,8 +206,7 @@ int main(int argc, char **argv) {
                    "[--pass dce|conorm]... [--generic]\n"
                    "                [--verify-each=0|1] "
                    "[--emit-bytecode[=FILE]]\n"
-                   "                [--compiled-constraints=0|1] "
-                   "[--timing] [--stats]\n"
+                   "                [--timing] [--stats]\n"
                    "                [--stats-json=FILE] [--trace-json=FILE] "
                    "[--metrics]\n"
                    "                [--metrics-json=FILE] "

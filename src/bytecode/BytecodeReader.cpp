@@ -849,6 +849,8 @@ struct BytecodeReader::Impl {
           return failure();
         OS.VarConstraints.push_back(std::move(VC));
       }
+      if (auto V = findUnguardedVarCycle(OS.VarConstraints))
+        return C.error(OS.varCycleMessage(*V));
       if (!readOperandSpecs(C, OS.Operands, NumVars) ||
           !readOperandSpecs(C, OS.Results, NumVars) ||
           !readParamSpecs(C, OS.Attributes, NumVars))
@@ -1029,26 +1031,17 @@ struct BytecodeReader::Impl {
                      std::to_string(PendingSpecs.size()));
 
     ProgramReader PR(Ctx, Diags, Opts, Strings, Backing);
-    auto ReadParams = [&](std::vector<ParamSpec> &Params, uint64_t NumVars,
-                          const std::vector<ConstraintProgramPtr> &Vars) {
-      for (ParamSpec &P : Params) {
-        ConstraintProgramPtr Prog;
-        if (failed(PR.readOptional(C, NumVars, /*WithVarPrograms=*/false,
-                                   Vars, Prog)))
+    auto ReadParams = [&](std::vector<ParamSpec> &Params, uint64_t NumVars) {
+      for (ParamSpec &P : Params)
+        if (failed(PR.readOptional(C, NumVars, P.Prog)))
           return failure();
-        P.Prog = std::move(Prog);
-      }
       return success();
     };
-    auto ReadOperands = [&](std::vector<OperandSpec> &Specs, uint64_t NumVars,
-                            const std::vector<ConstraintProgramPtr> &Vars) {
-      for (OperandSpec &S : Specs) {
-        ConstraintProgramPtr Prog;
-        if (failed(PR.readOptional(C, NumVars, /*WithVarPrograms=*/false,
-                                   Vars, Prog)))
+    auto ReadOperands = [&](std::vector<OperandSpec> &Specs,
+                            uint64_t NumVars) {
+      for (OperandSpec &S : Specs)
+        if (failed(PR.readOptional(C, NumVars, S.Prog)))
           return failure();
-        S.Prog = std::move(Prog);
-      }
       return success();
     };
 
@@ -1061,41 +1054,35 @@ struct BytecodeReader::Impl {
                        std::to_string(HasPrograms));
       if (!HasPrograms)
         continue;
-      static const std::vector<ConstraintProgramPtr> NoVars;
       for (TypeOrAttrSpec &TA : Spec->Types)
-        if (failed(ReadParams(TA.Params, 0, NoVars)))
+        if (failed(ReadParams(TA.Params, 0)))
           return failure();
       for (TypeOrAttrSpec &TA : Spec->Attrs)
-        if (failed(ReadParams(TA.Params, 0, NoVars)))
+        if (failed(ReadParams(TA.Params, 0)))
           return failure();
       for (OpSpec &Op : Spec->Ops) {
-        uint64_t NumVarPrograms;
-        if (!readCount(C, "variable program count", NumVarPrograms))
+        uint64_t NumVars;
+        if (!readCount(C, "variable program count", NumVars))
           return failure();
-        if (NumVarPrograms != Op.VarConstraints.size())
+        if (NumVars != Op.VarConstraints.size())
           return C.error("operation '" + Op.Name + "' has " +
                          std::to_string(Op.VarConstraints.size()) +
                          " constraint variables but the program section "
                          "carries " +
-                         std::to_string(NumVarPrograms));
-        std::vector<ConstraintProgramPtr> Vars;
-        Vars.reserve(NumVarPrograms);
-        for (uint64_t I = 0; I != NumVarPrograms; ++I) {
-          ConstraintProgramPtr VP;
-          if (failed(PR.readOptional(C, /*NumVars=*/0,
-                                     /*WithVarPrograms=*/false, NoVars, VP)))
+                         std::to_string(NumVars));
+        // Variable programs may reference each other, so they are read
+        // with the op's variable count like every other slot.
+        Op.VarPrograms.resize(NumVars);
+        for (ConstraintProgramPtr &VP : Op.VarPrograms)
+          if (failed(PR.readOptional(C, NumVars, VP)))
             return failure();
-          Vars.push_back(std::move(VP));
-        }
-        uint64_t NumVars = Vars.size();
-        if (failed(ReadOperands(Op.Operands, NumVars, Vars)) ||
-            failed(ReadOperands(Op.Results, NumVars, Vars)) ||
-            failed(ReadParams(Op.Attributes, NumVars, Vars)))
+        if (failed(ReadOperands(Op.Operands, NumVars)) ||
+            failed(ReadOperands(Op.Results, NumVars)) ||
+            failed(ReadParams(Op.Attributes, NumVars)))
           return failure();
         for (RegionSpec &R : Op.Regions)
-          if (failed(ReadOperands(R.Args, NumVars, Vars)))
+          if (failed(ReadOperands(R.Args, NumVars)))
             return failure();
-        Op.VarPrograms = std::move(Vars);
       }
     }
     return success();

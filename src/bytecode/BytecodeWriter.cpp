@@ -538,23 +538,22 @@ struct BytecodeWriter::Impl {
     });
     auto Params = [&](const std::vector<ParamSpec> &Ps) {
       for (const ParamSpec &P : Ps)
-        PW.writeOptional(P.Prog.get(), /*WithVarPrograms=*/false);
+        PW.writeOptional(P.Prog.get());
     };
     auto Operands = [&](const std::vector<OperandSpec> &Ss) {
       for (const OperandSpec &S : Ss)
-        PW.writeOptional(S.Prog.get(), /*WithVarPrograms=*/false);
+        PW.writeOptional(S.Prog.get());
     };
     for (const TypeOrAttrSpec &TA : Spec.Types)
       Params(TA.Params);
     for (const TypeOrAttrSpec &TA : Spec.Attrs)
       Params(TA.Params);
     for (const OpSpec &Op : Spec.Ops) {
-      // The op's variable programs are written once; the reader installs
-      // them into every operand/result/attr/region-arg program below,
-      // mirroring how registration shares them.
+      // The op's variable programs come first; Var opcodes in every
+      // program of the op index them at run time.
       Body.writeVarInt(Op.VarPrograms.size());
       for (const auto &VP : Op.VarPrograms)
-        PW.writeOptional(VP.get(), /*WithVarPrograms=*/false);
+        PW.writeOptional(VP.get());
       Operands(Op.Operands);
       Operands(Op.Results);
       Params(Op.Attributes);

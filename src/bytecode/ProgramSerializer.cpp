@@ -43,15 +43,13 @@ enum class TableKeyKind : uint8_t { Type = 0, Attr = 1 };
 // Writing
 //===----------------------------------------------------------------------===//
 
-void ProgramWriter::writeOptional(const ConstraintProgram *P,
-                                  bool WithVarPrograms) {
+void ProgramWriter::writeOptional(const ConstraintProgram *P) {
   Body.writeByte(P ? 1 : 0);
   if (P)
-    writeProgram(*P, WithVarPrograms);
+    writeProgram(*P);
 }
 
-void ProgramWriter::writeProgram(const ConstraintProgram &P,
-                                 bool WithVarPrograms) {
+void ProgramWriter::writeProgram(const ConstraintProgram &P) {
   Body.writeVarInt(P.InstrCount);
   Body.writeVarInt(P.ChildCount);
   Body.writeVarInt(P.TableAltCount);
@@ -159,12 +157,6 @@ void ProgramWriter::writeProgram(const ConstraintProgram &P,
       Body.writeVarInt(E.Count);
     }
   }
-
-  if (WithVarPrograms) {
-    Body.writeVarInt(P.VarPrograms.size());
-    for (const ConstraintProgramPtr &VP : P.VarPrograms)
-      writeOptional(VP.get(), /*WithVarPrograms=*/false);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -181,8 +173,6 @@ bool ProgramReader::readString(BytecodeCursor &C, std::string_view &Out) {
 
 LogicalResult
 ProgramReader::readOptional(BytecodeCursor &C, uint64_t NumVars,
-                            bool WithVarPrograms,
-                            std::vector<ConstraintProgramPtr> VarPrograms,
                             ConstraintProgramPtr &Out) {
   Out = nullptr;
   uint8_t Present;
@@ -194,19 +184,12 @@ ProgramReader::readOptional(BytecodeCursor &C, uint64_t NumVars,
   }
   if (!Present)
     return success();
-  std::shared_ptr<ConstraintProgram> P =
-      readProgram(C, NumVars, WithVarPrograms);
-  if (!P)
-    return failure();
-  if (!WithVarPrograms)
-    P->VarPrograms = std::move(VarPrograms);
-  Out = std::move(P);
-  return success();
+  Out = readProgram(C, NumVars);
+  return Out ? success() : failure();
 }
 
 std::shared_ptr<ConstraintProgram>
-ProgramReader::readProgram(BytecodeCursor &C, uint64_t NumVars,
-                           bool WithVarPrograms) {
+ProgramReader::readProgram(BytecodeCursor &C, uint64_t NumVars) {
   auto P = std::make_shared<ConstraintProgram>();
 
   uint64_t NumInstrs, NumChildren, NumTableAlts;
@@ -515,23 +498,6 @@ ProgramReader::readProgram(BytecodeCursor &C, uint64_t NumVars,
     }
   }
 
-  if (WithVarPrograms) {
-    uint64_t NumVarProgs;
-    if (!ReadCount("variable program count", NumVarProgs))
-      return nullptr;
-    P->VarPrograms.resize(NumVarProgs);
-    for (uint64_t I = 0; I != NumVarProgs; ++I) {
-      ConstraintProgramPtr VP;
-      // Variable programs are compiled without nested variable programs
-      // (Var references inside them fall back to the tree), matching
-      // ConstraintCompiler::compileVarPrograms.
-      if (failed(readOptional(C, NumVars, /*WithVarPrograms=*/false, {},
-                              VP)))
-        return nullptr;
-      P->VarPrograms[I] = std::move(VP);
-    }
-  }
-
   if (!validate(C, *P, NumVars))
     return nullptr;
   return P;
@@ -540,7 +506,10 @@ ProgramReader::readProgram(BytecodeCursor &C, uint64_t NumVars,
 /// Structural validation of a decoded program: every index in bounds and
 /// every child/alternative edge strictly forward (the compiler emits
 /// pre-order programs, so this holds for all well-formed buffers and
-/// guarantees exec() terminates on anything we accept).
+/// means no program loops within itself). Registration rejects unguarded
+/// cycles through the Var edges between an operation's programs
+/// (findUnguardedVarCycle); together, exec() terminates on anything we
+/// accept.
 bool ProgramReader::validate(BytecodeCursor &C, const ConstraintProgram &P,
                              uint64_t NumVars) {
   auto Reject = [&](uint32_t Pc, const std::string &Why) {

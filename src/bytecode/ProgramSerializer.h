@@ -50,13 +50,10 @@ public:
       : Body(Body), WriteString(std::move(WriteString)) {}
 
   /// Writes a presence byte, then (if \p P is non-null) the program.
-  /// \p WithVarPrograms controls whether P->VarPrograms is encoded;
-  /// operand/result/attr/region-arg programs of an operation share the
-  /// op's variable programs, which are written once per op instead.
-  void writeOptional(const ConstraintProgram *P, bool WithVarPrograms);
+  void writeOptional(const ConstraintProgram *P);
 
 private:
-  void writeProgram(const ConstraintProgram &P, bool WithVarPrograms);
+  void writeProgram(const ConstraintProgram &P);
 
   BytecodeOutput &Body;
   std::function<void(BytecodeOutput &, std::string_view)> WriteString;
@@ -78,18 +75,14 @@ public:
 
   /// Reads one optional program (presence byte first). Returns failure
   /// on corrupt input; a present, well-formed program lands in \p Out
-  /// (null when absent). \p NumVars bounds Var opcode indices;
-  /// \p VarPrograms is installed as the program's variable-program slots
-  /// when the program was written without them.
+  /// (null when absent). \p NumVars, the owning operation's variable
+  /// count (0 outside operations), bounds Var opcode indices.
   LogicalResult readOptional(BytecodeCursor &C, uint64_t NumVars,
-                             bool WithVarPrograms,
-                             std::vector<ConstraintProgramPtr> VarPrograms,
                              ConstraintProgramPtr &Out);
 
 private:
   std::shared_ptr<ConstraintProgram> readProgram(BytecodeCursor &C,
-                                                 uint64_t NumVars,
-                                                 bool WithVarPrograms);
+                                                 uint64_t NumVars);
   bool readString(BytecodeCursor &C, std::string_view &Out);
   bool validate(BytecodeCursor &C, const ConstraintProgram &P,
                 uint64_t NumVars);

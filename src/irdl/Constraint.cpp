@@ -518,6 +518,63 @@ Constraint::concreteValue(const MatchContext &MC) const {
 }
 
 //===----------------------------------------------------------------------===//
+// Variable cycles
+//===----------------------------------------------------------------------===//
+
+void Constraint::collectUnguardedVars(std::vector<unsigned> &Out) const {
+  switch (K) {
+  case Kind::Var:
+    Out.push_back(VarIndex);
+    return;
+  case Kind::AnyOf:
+  case Kind::And:
+  case Kind::Not:
+  case Kind::Cpp:
+  case Kind::Native:
+  case Kind::Named:
+    for (const ConstraintPtr &Child : Children)
+      Child->collectUnguardedVars(Out);
+    return;
+  default:
+    // Leaves, and parameter/element constraints that only ever see a
+    // strictly smaller value.
+    return;
+  }
+}
+
+std::optional<unsigned>
+irdl::findVarCycle(const std::vector<std::vector<unsigned>> &UnguardedRefs) {
+  // Iterative depth-first search (a hostile `.irbc` may chain thousands
+  // of variables): a reference to a variable still on the stack closes
+  // a cycle through it.
+  enum : uint8_t { Unvisited, OnStack, Done };
+  std::vector<uint8_t> State(UnguardedRefs.size(), Unvisited);
+  std::vector<std::pair<unsigned, size_t>> Stack; // (variable, next ref)
+  for (unsigned Root = 0; Root != UnguardedRefs.size(); ++Root) {
+    if (State[Root] != Unvisited)
+      continue;
+    State[Root] = OnStack;
+    Stack.push_back({Root, 0});
+    while (!Stack.empty()) {
+      auto &[V, Next] = Stack.back();
+      if (Next == UnguardedRefs[V].size()) {
+        State[V] = Done;
+        Stack.pop_back();
+        continue;
+      }
+      unsigned W = UnguardedRefs[V][Next++];
+      if (State[W] == OnStack)
+        return W;
+      if (State[W] == Unvisited) {
+        State[W] = OnStack;
+        Stack.push_back({W, 0});
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+//===----------------------------------------------------------------------===//
 // Printing
 //===----------------------------------------------------------------------===//
 

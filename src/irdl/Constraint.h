@@ -9,10 +9,14 @@
 /// the IRDL-C++ escape hatches (interpreted C++ expressions and native
 /// callbacks).
 ///
-/// Constraints are immutable trees shared via shared_ptr; evaluation
-/// happens against a MatchContext that carries constraint-variable
-/// bindings with a backtracking trail (AnyOf and Not undo the variables
-/// bound since their choice point instead of copying all bindings).
+/// Constraints are immutable trees shared via shared_ptr. Registration
+/// compiles every tree into a ConstraintProgram (ConstraintProgram.h),
+/// and verification, printing and parsing run only those programs. The
+/// tree evaluators below (matches / concreteValue) are the reference
+/// semantics that tests compare the programs against. Both evaluate
+/// against a MatchContext that carries constraint-variable bindings with
+/// a backtracking trail (AnyOf and Not undo the variables bound since
+/// their choice point instead of copying all bindings).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,13 +33,20 @@ namespace irdl {
 
 class Constraint;
 using ConstraintPtr = std::shared_ptr<const Constraint>;
+class ConstraintProgram;
+using ConstraintProgramPtr = std::shared_ptr<const ConstraintProgram>;
 
 /// Constraint-variable bindings during one match (the ConstraintVars
 /// directive, Section 4.6): "constraints that need to be satisfied by the
-/// same type at each use".
+/// same type at each use". An unbound variable resolves through the
+/// owning operation's variable programs (compiled engine) or variable
+/// constraints (the test-only tree oracle).
 class MatchContext {
 public:
   MatchContext() = default;
+  explicit MatchContext(const std::vector<ConstraintProgramPtr> *VarPrograms)
+      : VarPrograms(VarPrograms),
+        Bindings(VarPrograms ? VarPrograms->size() : 0) {}
   explicit MatchContext(const std::vector<ConstraintPtr> *VarConstraints)
       : VarConstraints(VarConstraints),
         Bindings(VarConstraints ? VarConstraints->size() : 0) {}
@@ -57,6 +68,11 @@ public:
       Trail.push_back(Index);
     Bindings[Index] = std::move(V);
   }
+  const ConstraintProgram &getVarProgram(unsigned Index) const {
+    assert(VarPrograms && Index < VarPrograms->size() &&
+           (*VarPrograms)[Index] && "no program for this variable");
+    return *(*VarPrograms)[Index];
+  }
   const ConstraintPtr &getVarConstraint(unsigned Index) const {
     assert(VarConstraints && Index < VarConstraints->size());
     return (*VarConstraints)[Index];
@@ -76,6 +92,7 @@ public:
   }
 
 private:
+  const std::vector<ConstraintProgramPtr> *VarPrograms = nullptr;
   const std::vector<ConstraintPtr> *VarConstraints = nullptr;
   std::vector<std::optional<ParamValue>> Bindings;
   /// Indices of bound variables, in binding order.
@@ -198,12 +215,19 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Returns true if \p V satisfies the constraint under \p MC (variable
-  /// bindings may be extended).
+  /// bindings may be extended). Reference oracle: the runtime runs the
+  /// compiled program instead.
   bool matches(const ParamValue &V, MatchContext &MC) const;
 
   /// If the constraint pins down exactly one value given the bindings in
-  /// \p MC, returns it. Used by the declarative-format type inference.
+  /// \p MC, returns it. Reference oracle for
+  /// ConstraintProgram::concreteValue.
   std::optional<ParamValue> concreteValue(const MatchContext &MC) const;
+
+  /// Appends the constraint variables this constraint evaluates against
+  /// the very value it matches: Var references not nested inside a
+  /// type/attribute parameter or an array element.
+  void collectUnguardedVars(std::vector<unsigned> &Out) const;
 
   /// Renders the constraint in IRDL surface syntax (for diagnostics and
   /// the IRDL pretty-printer).
@@ -232,6 +256,26 @@ private:
   CppParamPredicate CppPred;
   NativeConstraintFn NativeFn;
 };
+
+/// Returns a constraint variable that reaches itself through unguarded
+/// references, or nullopt if there is none. \p UnguardedRefs[V] lists the
+/// variables that variable V's constraint references unguarded (see
+/// Constraint::collectUnguardedVars). Matching such a variable recurses
+/// on the same value forever, while a reference under a parameter or an
+/// array element descends into a strictly smaller value and terminates.
+std::optional<unsigned>
+findVarCycle(const std::vector<std::vector<unsigned>> &UnguardedRefs);
+
+/// findVarCycle over an operation's variable constraints or variable
+/// programs (ConstraintProgram::collectUnguardedVars).
+template <typename T>
+std::optional<unsigned>
+findUnguardedVarCycle(const std::vector<std::shared_ptr<const T>> &Vars) {
+  std::vector<std::vector<unsigned>> Refs(Vars.size());
+  for (size_t V = 0; V != Vars.size(); ++V)
+    Vars[V]->collectUnguardedVars(Refs[V]);
+  return findVarCycle(Refs);
+}
 
 } // namespace irdl
 

@@ -4,8 +4,6 @@
 
 #include "support/Statistic.h"
 
-#include <atomic>
-
 using namespace irdl;
 
 IRDL_STATISTIC(ConstraintCompiler, NumProgramsCompiled,
@@ -16,16 +14,6 @@ IRDL_STATISTIC(ConstraintCompiler, NumDispatchTablesBuilt,
                "AnyOf nodes lowered to dispatch tables");
 IRDL_STATISTIC(ConstraintCompiler, NumMemoPoints,
                "subprograms marked cacheable");
-
-static std::atomic<bool> CompiledConstraintsFlag{true};
-
-void irdl::setCompiledConstraintsEnabled(bool Enabled) {
-  CompiledConstraintsFlag.store(Enabled, std::memory_order_relaxed);
-}
-
-bool irdl::compiledConstraintsEnabled() {
-  return CompiledConstraintsFlag.load(std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -58,11 +46,7 @@ namespace irdl::detail {
 
 class ConstraintProgramBuilder {
 public:
-  explicit ConstraintProgramBuilder(
-      std::vector<ConstraintProgramPtr> VarPrograms) {
-    P = std::make_shared<ConstraintProgram>();
-    P->VarPrograms = std::move(VarPrograms);
-  }
+  ConstraintProgramBuilder() : P(std::make_shared<ConstraintProgram>()) {}
 
   ConstraintProgramPtr take(const ConstraintPtr &Root) {
     emit(*Root);
@@ -277,11 +261,9 @@ private:
 
 } // namespace irdl::detail
 
-ConstraintProgramPtr
-ConstraintCompiler::compile(const ConstraintPtr &C,
-                            std::vector<ConstraintProgramPtr> VarPrograms) {
+ConstraintProgramPtr ConstraintCompiler::compile(const ConstraintPtr &C) {
   assert(C && "compiling a null constraint");
-  return detail::ConstraintProgramBuilder(std::move(VarPrograms)).take(C);
+  return detail::ConstraintProgramBuilder().take(C);
 }
 
 std::vector<ConstraintProgramPtr> ConstraintCompiler::compileVarPrograms(
@@ -289,6 +271,6 @@ std::vector<ConstraintProgramPtr> ConstraintCompiler::compileVarPrograms(
   std::vector<ConstraintProgramPtr> Programs;
   Programs.reserve(VarConstraints.size());
   for (const ConstraintPtr &C : VarConstraints)
-    Programs.push_back(C ? compile(C) : nullptr);
+    Programs.push_back(compile(C));
   return Programs;
 }

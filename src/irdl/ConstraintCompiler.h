@@ -9,10 +9,8 @@
 /// variable-free, C++-free subprograms as entry points of the memoized
 /// verification cache.
 ///
-/// The compiled engine is selected at *run* time by the global
-/// --compiled-constraints flag (default on), checked inside the installed
-/// verifier closures so a differential test can flip engines without
-/// re-registering dialects.
+/// The compiled programs are the only engine verification, printing and
+/// parsing run; the trees stay as their reference oracle in tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,25 +31,15 @@ public:
   /// probe is cheaper than just running the subprogram.
   static constexpr size_t MemoMinInstrs = 4;
 
-  /// Compiles \p C into a program. \p VarPrograms are the programs of the
-  /// owning operation's constraint variables (slot V backs variable V);
-  /// pass {} for contexts without variables.
-  static ConstraintProgramPtr
-  compile(const ConstraintPtr &C,
-          std::vector<ConstraintProgramPtr> VarPrograms = {});
+  /// Compiles \p C into a program. Var opcodes in it resolve through
+  /// the variable programs of the MatchContext it runs under.
+  static ConstraintProgramPtr compile(const ConstraintPtr &C);
 
-  /// Compiles one program per constraint variable. Var references inside
-  /// a variable's own constraint fall back to the tree (no circular
-  /// program references).
+  /// Compiles one program per constraint variable, the slots a
+  /// MatchContext for the owning operation carries.
   static std::vector<ConstraintProgramPtr>
   compileVarPrograms(const std::vector<ConstraintPtr> &VarConstraints);
 };
-
-/// Global engine switch behind --compiled-constraints (default enabled).
-/// Checked per verification, so flipping it mid-process swaps engines for
-/// already-registered dialects.
-void setCompiledConstraintsEnabled(bool Enabled);
-bool compiledConstraintsEnabled();
 
 } // namespace irdl
 

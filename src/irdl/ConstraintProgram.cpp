@@ -310,10 +310,7 @@ bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
       const auto &Binding = MC.getBinding(I.A);
       if (Binding)
         return *Binding == V;
-      bool Ok = I.A < VarPrograms.size() && VarPrograms[I.A]
-                    ? VarPrograms[I.A]->run(V, MC)
-                    : MC.getVarConstraint(I.A)->matches(V, MC);
-      if (!Ok)
+      if (!MC.getVarProgram(I.A).run(V, MC))
         return false;
       MC.bind(I.A, V);
       return true;
@@ -424,6 +421,52 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
     return std::nullopt;
   default:
     return std::nullopt;
+  }
+}
+
+std::optional<ParamValue>
+ConstraintProgram::concreteChildValue(unsigned I,
+                                      const MatchContext &MC) const {
+  assert(InstrCount != 0 && "empty constraint program");
+  if (I >= InstrArr[0].NumChildren)
+    return std::nullopt;
+  return concreteAt(ChildArr[InstrArr[0].ChildrenBegin + I], MC);
+}
+
+void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {
+  // A worklist with a visited set: a hostile `.irbc` program may nest
+  // deeply or share subprograms heavily.
+  std::vector<bool> Visited(InstrCount);
+  std::vector<uint32_t> Work{0};
+  while (!Work.empty()) {
+    uint32_t Pc = Work.back();
+    Work.pop_back();
+    if (Visited[Pc])
+      continue;
+    Visited[Pc] = true;
+    const CInstr &I = InstrArr[Pc];
+    const uint32_t *Child = ChildArr + I.ChildrenBegin;
+    switch (I.Op) {
+    case COpcode::Var:
+      Out.push_back(I.A);
+      break;
+    case COpcode::AnyOfTable:
+      for (const auto &[Def, Slice] : Tables[I.A].Map)
+        Work.insert(Work.end(), TableAltArr + Slice.first,
+                    TableAltArr + Slice.first + Slice.second);
+      [[fallthrough]];
+    case COpcode::AnyOf:
+    case COpcode::And:
+    case COpcode::Not:
+    case COpcode::Cpp:
+    case COpcode::Native:
+      Work.insert(Work.end(), Child, Child + I.NumChildren);
+      break;
+    default:
+      // Leaves, and parameter/element programs that only ever see a
+      // strictly smaller value.
+      break;
+    }
   }
 }
 

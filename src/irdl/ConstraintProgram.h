@@ -22,8 +22,12 @@
 ///    (instruction, uniqued storage pointer), sharded 16 ways so
 ///    concurrent verifies (one per irdl_serve connection) rarely contend.
 ///
-/// Execution is semantically identical to Constraint::matches — the tree
-/// interpreter remains the reference oracle behind --compiled-constraints.
+/// Programs are the only constraint engine at runtime: verification,
+/// declarative-format printing and parsing all run them. A Var opcode
+/// resolves an unbound variable by running the owning operation's
+/// variable program, which the MatchContext carries; no program owns
+/// another. Execution is semantically identical to Constraint::matches,
+/// the reference oracle that tests compare every program against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,9 +42,6 @@
 #include <unordered_map>
 
 namespace irdl {
-
-class ConstraintProgram;
-using ConstraintProgramPtr = std::shared_ptr<const ConstraintProgram>;
 
 namespace detail {
 class ConstraintProgramBuilder;
@@ -116,13 +117,25 @@ public:
   /// Executes the program against \p V under the bindings in \p MC.
   /// Exactly equivalent to Constraint::matches of the source tree:
   /// variables bound by a successful run stay bound in \p MC, failed
-  /// AnyOf branches are undone through the trail.
+  /// AnyOf branches are undone through the trail, and an unbound
+  /// variable is matched by MC's program for it.
   bool run(const ParamValue &V, MatchContext &MC) const;
 
   /// If the program pins down exactly one value given the bindings in
   /// \p MC, returns it — the compiled counterpart of
   /// Constraint::concreteValue, used by declarative-format inference.
   std::optional<ParamValue> concreteValue(const MatchContext &MC) const;
+
+  /// concreteValue of the entry instruction's \p I-th child, i.e. of one
+  /// parameter of a parametric type/attribute program; nullopt when the
+  /// entry has no such child.
+  std::optional<ParamValue> concreteChildValue(unsigned I,
+                                               const MatchContext &MC) const;
+
+  /// Program counterpart of Constraint::collectUnguardedVars: the Var
+  /// operands reachable from the entry without passing through a
+  /// TypeParams/AttrParams/ArrayOf/ArrayExact child edge.
+  void collectUnguardedVars(std::vector<unsigned> &Out) const;
 
   //===------------------------------------------------------------------===//
   // Introspection (tests, docs, statistics)
@@ -139,8 +152,9 @@ public:
 
   /// Profiled executions / cumulative execution nanoseconds, accumulated
   /// by run() only while constraintProfilingEnabled() (see
-  /// ConstraintProfiler.h). Nested Var programs account their time in
-  /// both the outer and the inner program (non-exclusive).
+  /// ConstraintProfiler.h). A variable program run from a Var opcode
+  /// accounts its time in both the outer and its own program
+  /// (non-exclusive).
   uint64_t getProfiledEvals() const {
     return ProfEvals.load(std::memory_order_relaxed);
   }
@@ -233,11 +247,6 @@ private:
   };
   std::vector<DispatchTable> Tables;
   std::vector<uint32_t> TableAlts;
-
-  /// Programs compiled for the owning operation's constraint variables;
-  /// slot V backs the Var opcode with A == V. Null slots (or a shorter
-  /// vector) fall back to the tree constraint in the MatchContext.
-  std::vector<ConstraintProgramPtr> VarPrograms;
 
   //===------------------------------------------------------------------===//
   // Memoized verification cache

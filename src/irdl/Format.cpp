@@ -4,7 +4,7 @@
 
 #include "ir/IRParser.h"
 #include "ir/Printer.h"
-#include "irdl/ConstraintCompiler.h"
+#include "irdl/ConstraintProgram.h"
 #include "support/StringExtras.h"
 
 #include <map>
@@ -118,8 +118,9 @@ std::optional<unsigned> lookupVarParam(const ConstraintPtr &VC,
 }
 
 /// Derives the value of every still-unbound var in \p MC, using parsed
-/// per-var parameter values. Returns false if some var stays unknown.
-bool deriveVars(const OpSpec &Spec, MatchContext &MC,
+/// per-var parameter values. Vars that stay unbound surface later, when
+/// the operand/result types they feed cannot be inferred.
+void deriveVars(const OpSpec &Spec, MatchContext &MC,
                 const std::map<std::pair<unsigned, unsigned>, ParamValue>
                     &VarParamVals) {
   bool Progress = true;
@@ -140,7 +141,7 @@ bool deriveVars(const OpSpec &Spec, MatchContext &MC,
           Params.push_back(It->second);
           continue;
         }
-        auto CV = VC->getChildren()[I]->concreteValue(MC);
+        auto CV = Spec.VarPrograms[V]->concreteChildValue(I, MC);
         if (!CV) {
           Ok = false;
           break;
@@ -167,12 +168,6 @@ bool deriveVars(const OpSpec &Spec, MatchContext &MC,
       Progress = true;
     }
   }
-  for (unsigned V = 0, E = Spec.VarConstraints.size(); V != E; ++V)
-    if (!MC.getBinding(V) && !Spec.VarConstraints.empty()) {
-      // Unbound vars are only a problem if something still needs them;
-      // report lazily via concreteValue failures.
-    }
-  return true;
 }
 
 } // namespace
@@ -310,16 +305,16 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
   Op.Def->setPrintFn([SpecRef, Compiled](Operation *O, CustomOpPrinter &P) {
     const OpSpec &Spec = *SpecRef;
     // Rebind constraint variables from the verified op.
-    MatchContext MC(&Spec.VarConstraints);
+    MatchContext MC(&Spec.VarPrograms);
     for (unsigned I = 0, E = std::min<size_t>(Spec.Operands.size(),
                                               O->getNumOperands());
          I != E; ++I)
-      (void)Spec.Operands[I].Constr->matches(
+      (void)Spec.Operands[I].Prog->run(
           ParamValue(O->getOperand(I).getType()), MC);
     for (unsigned I = 0, E = std::min<size_t>(Spec.Results.size(),
                                               O->getNumResults());
          I != E; ++I)
-      (void)Spec.Results[I].Constr->matches(
+      (void)Spec.Results[I].Prog->run(
           ParamValue(O->getResult(I).getType()), MC);
 
     for (const FormatElement &Elem : Compiled->Elements) {
@@ -363,7 +358,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
     SMLoc OpLoc = P.getCurrentLoc();
     std::vector<CustomOpParser::UnresolvedOperand> OperandRefs(
         Spec.Operands.size());
-    MatchContext MC(&Spec.VarConstraints);
+    MatchContext MC(&Spec.VarPrograms);
     std::map<std::pair<unsigned, unsigned>, ParamValue> VarParamVals;
 
     for (const FormatElement &Elem : Compiled->Elements) {
@@ -409,16 +404,9 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
 
     deriveVars(Spec, MC, VarParamVals);
 
-    // Resolve operand and result types through the constraints (the
-    // compiled program derives the same value as the tree; the flag is
-    // read per parse like in the verifiers).
-    auto ConcreteValue = [](const OperandSpec &OS, const MatchContext &MC) {
-      if (OS.Prog && compiledConstraintsEnabled())
-        return OS.Prog->concreteValue(MC);
-      return OS.Constr->concreteValue(MC);
-    };
+    // Resolve operand and result types through their programs.
     for (unsigned I = 0, E = Spec.Operands.size(); I != E; ++I) {
-      auto TV = ConcreteValue(Spec.Operands[I], MC);
+      auto TV = Spec.Operands[I].Prog->concreteValue(MC);
       if (!TV || !TV->isType())
         return P.emitError(OpLoc,
                            "cannot infer the type of operand '" +
@@ -428,7 +416,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
         return failure();
     }
     for (unsigned I = 0, E = Spec.Results.size(); I != E; ++I) {
-      auto TV = ConcreteValue(Spec.Results[I], MC);
+      auto TV = Spec.Results[I].Prog->concreteValue(MC);
       if (!TV || !TV->isType())
         return P.emitError(OpLoc, "cannot infer the type of result '" +
                                       Spec.Results[I].Name + "'");

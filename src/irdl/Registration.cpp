@@ -13,19 +13,6 @@
 
 using namespace irdl;
 
-/// Matches \p V through the compiled program when the engine is enabled
-/// (and the program exists), through the tree otherwise. The flag is read
-/// per call so --compiled-constraints swaps engines for dialects that are
-/// already registered; diagnostics always render from the tree, keeping
-/// error text byte-identical across engines.
-static bool constraintMatches(const ConstraintPtr &C,
-                              const std::shared_ptr<const ConstraintProgram> &Prog,
-                              const ParamValue &V, MatchContext &MC) {
-  if (Prog && compiledConstraintsEnabled())
-    return Prog->run(V, MC);
-  return C->matches(V, MC);
-}
-
 //===----------------------------------------------------------------------===//
 // Segmentation
 //===----------------------------------------------------------------------===//
@@ -156,8 +143,7 @@ buildTypeOrAttrVerifier(std::shared_ptr<DialectSpec> Owner,
     }
     MatchContext MC;
     for (size_t I = 0, E = Params.size(); I != E; ++I) {
-      if (!constraintMatches(S.Params[I].Constr, S.Params[I].Prog,
-                             Params[I], MC)) {
+      if (!S.Params[I].Prog->run(Params[I], MC)) {
         Diags.emitError(Loc, "parameter '" + S.Params[I].Name + "' of '" +
                                  FullName +
                                  "' does not satisfy constraint " +
@@ -197,7 +183,7 @@ OpDefinition::VerifierFn buildOpVerifier(
     const OpSpec &S = *Ref;
     std::string FullName = S.Def->getFullName();
     std::string Err;
-    MatchContext MC(&S.VarConstraints);
+    MatchContext MC(&S.VarPrograms);
 
     // Operands.
     auto OperandSegments = computeSegments(
@@ -211,8 +197,7 @@ OpDefinition::VerifierFn buildOpVerifier(
       auto [Begin, Size] = (*OperandSegments)[I];
       for (unsigned J = 0; J != Size; ++J) {
         Type Ty = Op->getOperand(Begin + J).getType();
-        if (!constraintMatches(S.Operands[I].Constr, S.Operands[I].Prog,
-                               ParamValue(Ty), MC)) {
+        if (!S.Operands[I].Prog->run(ParamValue(Ty), MC)) {
           Diags.emitError(Op->getLoc(),
                           "operand '" + S.Operands[I].Name + "' of '" +
                               FullName + "' (type " + Ty.str() +
@@ -235,8 +220,7 @@ OpDefinition::VerifierFn buildOpVerifier(
       auto [Begin, Size] = (*ResultSegments)[I];
       for (unsigned J = 0; J != Size; ++J) {
         Type Ty = Op->getResult(Begin + J).getType();
-        if (!constraintMatches(S.Results[I].Constr, S.Results[I].Prog,
-                               ParamValue(Ty), MC)) {
+        if (!S.Results[I].Prog->run(ParamValue(Ty), MC)) {
           Diags.emitError(Op->getLoc(),
                           "result '" + S.Results[I].Name + "' of '" +
                               FullName + "' (type " + Ty.str() +
@@ -256,7 +240,7 @@ OpDefinition::VerifierFn buildOpVerifier(
                                           A.Name + "'");
         return failure();
       }
-      if (!constraintMatches(A.Constr, A.Prog, ParamValue(Attr), MC)) {
+      if (!A.Prog->run(ParamValue(Attr), MC)) {
         Diags.emitError(Op->getLoc(),
                         "attribute '" + A.Name + "' of '" + FullName +
                             "' does not satisfy constraint " +
@@ -300,8 +284,7 @@ OpDefinition::VerifierFn buildOpVerifier(
           auto [Begin, Size] = (*ArgSegments)[A];
           for (unsigned J = 0; J != Size; ++J) {
             Type Ty = Entry.getArgument(Begin + J).getType();
-            if (!constraintMatches(RS.Args[A].Constr, RS.Args[A].Prog,
-                                   ParamValue(Ty), MC)) {
+            if (!RS.Args[A].Prog->run(ParamValue(Ty), MC)) {
               Diags.emitError(
                   Op->getLoc(),
                   "argument '" + RS.Args[A].Name + "' of region '" +
@@ -373,20 +356,25 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
     // source location rather than bare program ids. Off, nothing is
     // registered: each record pins its program's allocation.
     bool Profiling = constraintProfilingEnabled();
-    auto Profile = [&](const ConstraintProgramPtr &Prog,
+    auto Compile = [&](ConstraintProgramPtr &Prog, const ConstraintPtr &C,
                        const std::string &Owner, const char *Slot,
                        const std::string &Name) {
+      if (!Prog)
+        Prog = ConstraintCompiler::compile(C);
+      assert(Prog && "constraint slot left without a program");
       if (Profiling)
         ConstraintProfiler::instance().registerProgram(
             Prog, Owner + " " + Slot + " '" + Name + "'");
     };
     auto CompileParams = [&](std::vector<ParamSpec> &Params,
                              const std::string &Owner) {
-      for (ParamSpec &P : Params) {
-        if (!P.Prog)
-          P.Prog = ConstraintCompiler::compile(P.Constr);
-        Profile(P.Prog, Owner, "param", P.Name);
-      }
+      for (ParamSpec &P : Params)
+        Compile(P.Prog, P.Constr, Owner, "param", P.Name);
+    };
+    auto CompileOperands = [&](std::vector<OperandSpec> &Specs,
+                               const std::string &Owner, const char *Slot) {
+      for (OperandSpec &O : Specs)
+        Compile(O.Prog, O.Constr, Owner, Slot, O.Name);
     };
     for (TypeOrAttrSpec &TS : Spec->Types)
       CompileParams(TS.Params, Spec->Name + "." + TS.Name);
@@ -394,34 +382,25 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
       CompileParams(TS.Params, Spec->Name + "." + TS.Name);
     for (OpSpec &OS : Spec->Ops) {
       std::string Owner = Spec->Name + "." + OS.Name;
-      if (OS.VarPrograms.empty())
-        OS.VarPrograms =
-            ConstraintCompiler::compileVarPrograms(OS.VarConstraints);
+      // Var opcodes index these slots through the verifier's
+      // MatchContext, so every variable needs its program.
+      OS.VarPrograms.resize(OS.VarConstraints.size());
       for (size_t I = 0; I != OS.VarPrograms.size(); ++I)
-        Profile(OS.VarPrograms[I], Owner, "var",
+        Compile(OS.VarPrograms[I], OS.VarConstraints[I], Owner, "var",
                 I < OS.VarNames.size() ? OS.VarNames[I] : "?");
-      for (OperandSpec &O : OS.Operands) {
-        if (!O.Prog)
-          O.Prog = ConstraintCompiler::compile(O.Constr, OS.VarPrograms);
-        Profile(O.Prog, Owner, "operand", O.Name);
+      // Sema rejects these cycles with a location; this catches them in
+      // the programs themselves, however they were loaded (`.irbc`
+      // programs may disagree with their trees).
+      if (auto V = findUnguardedVarCycle(OS.VarPrograms)) {
+        Diags.emitError(SMLoc(), OS.varCycleMessage(*V));
+        return failure();
       }
-      for (OperandSpec &R : OS.Results) {
-        if (!R.Prog)
-          R.Prog = ConstraintCompiler::compile(R.Constr, OS.VarPrograms);
-        Profile(R.Prog, Owner, "result", R.Name);
-      }
-      for (ParamSpec &A : OS.Attributes) {
-        if (!A.Prog)
-          A.Prog = ConstraintCompiler::compile(A.Constr, OS.VarPrograms);
-        Profile(A.Prog, Owner, "attr", A.Name);
-      }
+      CompileOperands(OS.Operands, Owner, "operand");
+      CompileOperands(OS.Results, Owner, "result");
+      for (ParamSpec &A : OS.Attributes)
+        Compile(A.Prog, A.Constr, Owner, "attr", A.Name);
       for (RegionSpec &RS : OS.Regions)
-        for (OperandSpec &Arg : RS.Args) {
-          if (!Arg.Prog)
-            Arg.Prog =
-                ConstraintCompiler::compile(Arg.Constr, OS.VarPrograms);
-          Profile(Arg.Prog, Owner, "region arg", Arg.Name);
-        }
+        CompileOperands(RS.Args, Owner, "region arg");
     }
   }
 

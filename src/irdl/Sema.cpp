@@ -691,6 +691,10 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
         return failure();
       OS.VarConstraints.push_back(std::move(C));
     }
+    if (auto V = findUnguardedVarCycle(OS.VarConstraints)) {
+      Diags.emitError(Op.ConstraintVars[*V].Loc, OS.varCycleMessage(*V));
+      return failure();
+    }
 
     auto ResolveOperandList =
         [&](const std::vector<NamedConstraint> &Decls,

@@ -55,6 +55,14 @@ std::optional<unsigned> OpSpec::lookupVar(std::string_view N) const {
   return std::nullopt;
 }
 
+std::string OpSpec::varCycleMessage(unsigned V) const {
+  return "constraint variable '" +
+         (V < VarNames.size() ? VarNames[V] : std::to_string(V)) +
+         "' of operation '" + Name +
+         "' refers to itself outside any type, attribute or array "
+         "parameter";
+}
+
 std::optional<unsigned> OpSpec::lookupAttrField(std::string_view N) const {
   for (unsigned I = 0, E = Attributes.size(); I != E; ++I)
     if (Attributes[I].Name == N)

@@ -22,14 +22,12 @@
 
 namespace irdl {
 
-class ConstraintProgram;
-
 /// A named, constrained slot (type/attr parameter or op attribute).
 struct ParamSpec {
   std::string Name;
   ConstraintPtr Constr;
   /// Compiled form of Constr (set by registration; null until then).
-  std::shared_ptr<const ConstraintProgram> Prog;
+  ConstraintProgramPtr Prog;
 };
 
 /// Resolved type or attribute definition.
@@ -66,7 +64,7 @@ struct OperandSpec {
   ConstraintPtr Constr;
   VariadicKind VK = VariadicKind::Single;
   /// Compiled form of Constr (set by registration; null until then).
-  std::shared_ptr<const ConstraintProgram> Prog;
+  ConstraintProgramPtr Prog;
 };
 
 struct RegionSpec {
@@ -85,10 +83,10 @@ struct OpSpec {
   /// Constraint variables: name + the constraint each binding must satisfy.
   std::vector<std::string> VarNames;
   std::vector<ConstraintPtr> VarConstraints;
-  /// Compiled programs for VarConstraints, shared by every operand /
-  /// result / attribute / region-argument program of this op (set by
-  /// registration).
-  std::vector<std::shared_ptr<const ConstraintProgram>> VarPrograms;
+  /// Compiled programs for VarConstraints, one per variable (set by
+  /// registration). The op's MatchContexts carry them, so a Var opcode
+  /// in any program of this op runs the variable's program.
+  std::vector<ConstraintProgramPtr> VarPrograms;
   std::vector<OperandSpec> Operands;
   std::vector<OperandSpec> Results;
   std::vector<ParamSpec> Attributes;
@@ -118,6 +116,10 @@ struct OpSpec {
   std::optional<unsigned> lookupResult(std::string_view N) const;
   std::optional<unsigned> lookupVar(std::string_view N) const;
   std::optional<unsigned> lookupAttrField(std::string_view N) const;
+
+  /// Diagnostic for variable \p V found by findUnguardedVarCycle: its
+  /// constraint would match it against the same value forever.
+  std::string varCycleMessage(unsigned V) const;
 };
 
 struct EnumSpec {

@@ -10,8 +10,11 @@
 #include "ir/Block.h"
 #include "ir/IRParser.h"
 #include "ir/Region.h"
+#include "irdl/ConstraintCompiler.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace irdl;
 
@@ -262,6 +265,71 @@ TEST(BytecodeError, UnknownDefinitionInPool) {
   std::string Rendered;
   EXPECT_FALSE(tryRead(Writer.write(), &Rendered));
   EXPECT_NE(Rendered.find("cmath.complex"), std::string::npos) << Rendered;
+}
+
+/// Serializes the spec of a two-variable operation whose variable trees
+/// become \p Trees and whose variable programs are compiled from
+/// \p Programs. Built in memory: the frontend rejects these cycles, so
+/// only a hostile or hand-made file carries them.
+std::string cyclicSpecBytes(
+    const std::function<std::vector<ConstraintPtr>(IRContext &)> &Trees,
+    const std::function<std::vector<ConstraintPtr>(IRContext &)> &Programs) {
+  IRContext Ctx;
+  SourceMgr SrcMgr;
+  DiagnosticEngine Diags(&SrcMgr);
+  auto M = loadIRDL(Ctx, R"(
+    Dialect cy {
+      Operation op {
+        ConstraintVar (!T: !AnyType, !U: !AnyType)
+        Operands (x: !T, y: !U)
+      }
+    }
+  )",
+                    SrcMgr, Diags);
+  EXPECT_NE(M, nullptr) << Diags.renderAll();
+  OpSpec &Op = M->getDialects()[0]->Ops[0];
+  Op.VarConstraints = Trees(Ctx);
+  Op.VarPrograms = ConstraintCompiler::compileVarPrograms(Programs(Ctx));
+  BytecodeWriter Writer;
+  Writer.addModuleSpecs(*M);
+  return Writer.write();
+}
+
+TEST(BytecodeError, CyclicConstraintVariablesAreRejected) {
+  using Vars = std::vector<ConstraintPtr>;
+  std::function<Vars(IRContext &)> Benign = [](IRContext &) {
+    return Vars{Constraint::anyType(), Constraint::anyType()};
+  };
+  // (!T: !T), (!T: !U, !U: !T), (!T: !AnyOf<!T, !f32>)
+  std::vector<std::function<Vars(IRContext &)>> Cyclic = {
+      [](IRContext &) {
+        return Vars{Constraint::var(0, "T"), Constraint::anyType()};
+      },
+      [](IRContext &) {
+        return Vars{Constraint::var(1, "U"), Constraint::var(0, "T")};
+      },
+      [](IRContext &Ctx) {
+        return Vars{Constraint::anyOf({Constraint::var(0, "T"),
+                                       Constraint::typeEq(
+                                           Ctx.getFloatType(32))}),
+                    Constraint::anyType()};
+      }};
+  for (size_t I = 0; I != Cyclic.size(); ++I) {
+    // Cyclic in both forms, in the trees only (the reader's check), and
+    // in the programs only (registration's check: programs are what
+    // verification runs).
+    for (auto [Trees, Programs] :
+         {std::pair{Cyclic[I], Cyclic[I]}, std::pair{Cyclic[I], Benign},
+          std::pair{Benign, Cyclic[I]}}) {
+      std::string Rendered;
+      EXPECT_FALSE(tryRead(cyclicSpecBytes(Trees, Programs), &Rendered))
+          << "case " << I;
+      EXPECT_NE(Rendered.find("refers to itself"), std::string::npos)
+          << "case " << I << ": " << Rendered;
+    }
+  }
+  // The benign spec itself reads back fine.
+  EXPECT_TRUE(tryRead(cyclicSpecBytes(Benign, Benign), nullptr));
 }
 
 } // namespace

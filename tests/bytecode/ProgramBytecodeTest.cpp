@@ -3,7 +3,8 @@
 /// The v2 Programs section and the content-hash spec cache: deserialized
 /// constraint programs must be used as-is (no recompilation), the mmap'd
 /// zero-copy read must be observationally identical to the copied read
-/// and to the tree interpreter over the whole synthetic corpus, corrupt
+/// and agree with the tree interpreter over the whole synthetic corpus
+/// and over variables that reference variables, corrupt
 /// program sections (bad padding, misalignment, truncation) must be
 /// rejected with diagnostics, and both cache layers must hit on
 /// identical content and invalidate stale on-disk entries.
@@ -11,6 +12,7 @@
 #include "bytecode/Bytecode.h"
 #include "bytecode/Encoding.h"
 #include "bytecode/SpecCache.h"
+#include "common/EngineOracle.h"
 #include "corpus/Corpus.h"
 #include "corpus/ModuleSynthesizer.h"
 #include "ir/Block.h"
@@ -18,7 +20,6 @@
 #include "ir/Printer.h"
 #include "ir/Region.h"
 #include "ir/Verifier.h"
-#include "irdl/ConstraintCompiler.h"
 #include "support/Statistic.h"
 
 #include <gtest/gtest.h>
@@ -102,11 +103,6 @@ std::pair<size_t, size_t> sectionPayload(const std::string &Buffer,
   return {0, 0};
 }
 
-/// Restores the constraint-engine global even when an assertion bails.
-struct EngineGuard {
-  ~EngineGuard() { setCompiledConstraintsEnabled(true); }
-};
-
 TEST(ProgramBytecode, DeserializedProgramsAreNotRecompiled) {
   CorpusFixture &F = corpusFixture();
   ASSERT_TRUE(static_cast<bool>(F.Corpus)) << F.Diags.renderAll();
@@ -131,41 +127,45 @@ TEST(ProgramBytecode, DeserializedProgramsAreNotRecompiled) {
   EXPECT_EQ(Compiled->get(), Before);
 }
 
-TEST(ProgramBytecode, MmapCopiedAndInterpreterVerifyIdentically) {
-  EngineGuard Guard;
-  CorpusFixture &F = corpusFixture();
-  ASSERT_TRUE(static_cast<bool>(F.Corpus)) << F.Diags.renderAll();
-
-  std::string Path = ::testing::TempDir() + "program_bytecode_corpus." +
+/// Loads \p SpecBytes two more ways next to the textual frontend that
+/// produced them (\p TextCtx): a copied bytecode read, and the zero-copy
+/// mmap read whose programs alias the mapping. Each generic-form module
+/// in \p Modules (label, text) must parse and verify identically in all
+/// three contexts, once as written and once with every op's first
+/// attribute dropped so the failure path is compared too. The programs
+/// of both bytecode reads are also checked slot by slot against the tree
+/// oracle.
+void expectReadPathsAgree(
+    IRContext &TextCtx, const std::string &SpecBytes,
+    const std::vector<std::pair<std::string, std::string>> &Modules,
+    const IRDLLoadOptions &Opts = {}) {
+  std::string Path = ::testing::TempDir() + "program_bytecode_paths." +
                      std::to_string(::getpid()) + ".irbc";
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(F.SpecBytes.data(),
-              static_cast<std::streamsize>(F.SpecBytes.size()));
+    Out.write(SpecBytes.data(),
+              static_cast<std::streamsize>(SpecBytes.size()));
   }
 
-  // Same specs three ways: textual frontend (the fixture context),
-  // copied bytecode read, and the zero-copy mmap read whose programs
-  // alias the mapping.
   IRContext CopyCtx;
   DiagnosticEngine CopyDiags;
-  BytecodeReader CopyReader(CopyCtx, CopyDiags, corpusNativeOptions());
+  BytecodeReader CopyReader(CopyCtx, CopyDiags, Opts);
   BytecodeReadResult CopyResult;
-  ASSERT_TRUE(succeeded(CopyReader.read(F.SpecBytes, CopyResult)))
+  ASSERT_TRUE(succeeded(CopyReader.read(SpecBytes, CopyResult)))
       << CopyDiags.renderAll();
 
   IRContext MmapCtx;
   DiagnosticEngine MmapDiags;
   BytecodeReadResult MmapResult;
-  ASSERT_TRUE(succeeded(readBytecodeFileMapped(
-      Path, MmapCtx, MmapDiags, MmapResult, corpusNativeOptions())))
+  ASSERT_TRUE(succeeded(
+      readBytecodeFileMapped(Path, MmapCtx, MmapDiags, MmapResult, Opts)))
       << MmapDiags.renderAll();
+  std::remove(Path.c_str());
 
-  PrintOptions Generic;
-  Generic.GenericForm = true;
+  EngineOracle CopyOracle, MmapOracle;
+  CopyOracle.addModule(*CopyResult.Specs);
+  MmapOracle.addModule(*MmapResult.Specs);
 
-  // Each op drops its first attribute so the failure path is compared
-  // too; the mutation is deterministic over identical parses.
   auto DropFirstAttrs = [](Operation *M) {
     M->walk([](Operation *Op) {
       if (!Op->getAttrs().empty())
@@ -173,22 +173,19 @@ TEST(ProgramBytecode, MmapCopiedAndInterpreterVerifyIdentically) {
     });
   };
 
-  for (const auto &Spec : F.Corpus.AnalysisDialects) {
-    OwningOpRef Synth = synthesizeModule(F.Ctx, *Spec);
-    ASSERT_TRUE(static_cast<bool>(Synth)) << Spec->Name;
-    std::string Text = printOpToString(Synth.get(), Generic);
-
+  for (const auto &[Label, Text] : Modules) {
     for (bool Mutate : {false, true}) {
       struct Outcome {
         bool Parsed = false;
         bool Verified = false;
         std::string Diags;
       };
-      // TextCtx compiled, CopyCtx compiled, MmapCtx compiled, MmapCtx
-      // through the tree interpreter (the reference oracle).
-      Outcome Outcomes[4];
-      IRContext *Ctxs[4] = {&F.Ctx, &CopyCtx, &MmapCtx, &MmapCtx};
-      for (int I = 0; I != 4; ++I) {
+      Outcome Outcomes[3];
+      IRContext *Ctxs[3] = {&TextCtx, &CopyCtx, &MmapCtx};
+      EngineOracle *Oracles[3] = {nullptr, &CopyOracle, &MmapOracle};
+      const char *Labels[3] = {"text", "copy", "mmap"};
+      std::string Suffix = Mutate ? " (mutated)" : "";
+      for (int I = 0; I != 3; ++I) {
         SourceMgr SM;
         DiagnosticEngine PDiags(&SM);
         OwningOpRef M = parseSourceString(*Ctxs[I], Text, SM, PDiags);
@@ -197,27 +194,100 @@ TEST(ProgramBytecode, MmapCopiedAndInterpreterVerifyIdentically) {
           continue;
         if (Mutate)
           DropFirstAttrs(M.get());
-        setCompiledConstraintsEnabled(I != 3);
         DiagnosticEngine VDiags(&SM);
         Outcomes[I].Verified = succeeded(M->verify(VDiags));
         Outcomes[I].Diags = VDiags.renderAll();
-        setCompiledConstraintsEnabled(true);
+        if (Oracles[I])
+          Oracles[I]->check(M.get(), Label + " via " + Labels[I] + Suffix);
       }
-      const char *Labels[4] = {"text", "copy", "mmap", "interpreter"};
-      ASSERT_TRUE(Outcomes[0].Parsed) << Spec->Name;
-      for (int I = 1; I != 4; ++I) {
+      ASSERT_TRUE(Outcomes[0].Parsed) << Label;
+      for (int I = 1; I != 3; ++I) {
         EXPECT_EQ(Outcomes[0].Parsed, Outcomes[I].Parsed)
-            << Spec->Name << " via " << Labels[I];
+            << Label << " via " << Labels[I];
         EXPECT_EQ(Outcomes[0].Verified, Outcomes[I].Verified)
-            << Spec->Name << " via " << Labels[I]
-            << (Mutate ? " (mutated)" : "");
+            << Label << " via " << Labels[I] << Suffix;
         EXPECT_EQ(Outcomes[0].Diags, Outcomes[I].Diags)
-            << Spec->Name << " via " << Labels[I]
-            << (Mutate ? " (mutated)" : "");
+            << Label << " via " << Labels[I] << Suffix;
       }
     }
   }
-  std::remove(Path.c_str());
+}
+
+TEST(ProgramBytecode, MmapCopiedAndInterpreterVerifyIdentically) {
+  CorpusFixture &F = corpusFixture();
+  ASSERT_TRUE(static_cast<bool>(F.Corpus)) << F.Diags.renderAll();
+
+  PrintOptions Generic;
+  Generic.GenericForm = true;
+  std::vector<std::pair<std::string, std::string>> Modules;
+  for (const auto &Spec : F.Corpus.AnalysisDialects) {
+    OwningOpRef Synth = synthesizeModule(F.Ctx, *Spec);
+    ASSERT_TRUE(static_cast<bool>(Synth)) << Spec->Name;
+    Modules.emplace_back(Spec->Name, printOpToString(Synth.get(), Generic));
+  }
+  expectReadPathsAgree(F.Ctx, F.SpecBytes, Modules, corpusNativeOptions());
+}
+
+TEST(ProgramBytecode, VariableProgramsRoundTrip) {
+  // C's constraint refers to T, and R refers to itself under a type
+  // parameter: variable programs carry Var opcodes of their own.
+  IRContext Ctx;
+  SourceMgr SrcMgr;
+  DiagnosticEngine Diags(&SrcMgr);
+  auto M = loadIRDL(Ctx, R"(
+    Dialect vv {
+      Type complex {
+        Parameters (elem: !AnyType)
+      }
+      Operation pair {
+        ConstraintVar (!T: !AnyOf<!f32, !f64>, !C: !complex<!T>)
+        Operands (x: !T, y: !C)
+        Attributes (tag: #AnyAttr)
+      }
+      Operation nest {
+        ConstraintVar (!R: !AnyOf<!f32, !complex<!R>>)
+        Operands (x: !R)
+        Results (r: !R)
+      }
+    }
+  )",
+                    SrcMgr, Diags);
+  ASSERT_NE(M, nullptr) << Diags.renderAll();
+  BytecodeWriter Writer;
+  Writer.addModuleSpecs(*M);
+
+  expectReadPathsAgree(
+      Ctx, Writer.write(),
+      {{"pair", R"(
+          std.func @f(%a: f32, %b: f64, %ca: !vv.complex<f32>,
+                      %cb: !vv.complex<f64>) {
+            "vv.pair"(%a, %ca) {tag = 1 : i32}
+                : (f32, !vv.complex<f32>) -> ()
+            "vv.pair"(%b, %cb) {tag = 1 : i32}
+                : (f64, !vv.complex<f64>) -> ()
+            std.return
+          }
+        )"},
+       {"pair mismatch", R"(
+          std.func @f(%a: f32, %cb: !vv.complex<f64>) {
+            "vv.pair"(%a, %cb) {tag = 1 : i32}
+                : (f32, !vv.complex<f64>) -> ()
+            std.return
+          }
+        )"},
+       {"nest", R"(
+          std.func @f(%cc: !vv.complex<!vv.complex<f32>>) {
+            %r = "vv.nest"(%cc) : (!vv.complex<!vv.complex<f32>>)
+                -> (!vv.complex<!vv.complex<f32>>)
+            std.return
+          }
+        )"},
+       {"nest mismatch", R"(
+          std.func @f(%cb: !vv.complex<f64>) {
+            %r = "vv.nest"(%cb) : (!vv.complex<f64>) -> (!vv.complex<f64>)
+            std.return
+          }
+        )"}});
 }
 
 TEST(ProgramBytecode, OversizedPadCountIsRejected) {

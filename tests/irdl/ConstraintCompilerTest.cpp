@@ -65,10 +65,10 @@ protected:
     std::vector<ConstraintProgramPtr> VarProgs =
         Vars ? ConstraintCompiler::compileVarPrograms(*Vars)
              : std::vector<ConstraintProgramPtr>();
-    ConstraintProgramPtr Prog = ConstraintCompiler::compile(C, VarProgs);
+    ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
     for (const ParamValue &V : grid()) {
       MatchContext TreeMC(Vars);
-      MatchContext ProgMC(Vars);
+      MatchContext ProgMC(&VarProgs);
       bool TreeVerdict = C->matches(V, TreeMC);
       bool ProgVerdict = Prog->run(V, ProgMC);
       EXPECT_EQ(TreeVerdict, ProgVerdict)
@@ -77,8 +77,9 @@ protected:
       for (unsigned I = 0, E = TreeMC.getNumVars(); I != E; ++I) {
         ASSERT_EQ(TreeMC.getBinding(I).has_value(),
                   ProgMC.getBinding(I).has_value());
-        if (TreeMC.getBinding(I))
+        if (TreeMC.getBinding(I)) {
           EXPECT_TRUE(*TreeMC.getBinding(I) == *ProgMC.getBinding(I));
+        }
       }
     }
   }
@@ -153,6 +154,67 @@ TEST_F(ConstraintCompilerTest, VariableEquivalence) {
                    &Vars);
 }
 
+TEST_F(ConstraintCompilerTest, VariablesResolveThroughVariablePrograms) {
+  // T: AnyOf<f32, complex<T>> (guarded self-reference) and
+  // C: complex<T> (a variable referring to another).
+  std::vector<ConstraintPtr> Vars{
+      Constraint::anyOf(
+          {Constraint::typeEq(Ctx.getFloatType(32)),
+           Constraint::typeConstraint(Complex, {Constraint::var(0, "T")},
+                                      /*BaseOnly=*/false)}),
+      Constraint::typeConstraint(Complex, {Constraint::var(0, "T")},
+                                 /*BaseOnly=*/false)};
+  expectEquivalent(Constraint::var(0, "T"), &Vars);
+  expectEquivalent(Constraint::var(1, "C"), &Vars);
+  expectEquivalent(
+      Constraint::anyOf({Constraint::var(1, "C"), Constraint::var(0, "T")}),
+      &Vars);
+  EXPECT_FALSE(findUnguardedVarCycle(Vars).has_value());
+  EXPECT_FALSE(findUnguardedVarCycle(
+                   ConstraintCompiler::compileVarPrograms(Vars))
+                   .has_value());
+
+  // Nesting deeper than the grid: T matches complex<complex<f32>>.
+  std::vector<ConstraintProgramPtr> VarProgs =
+      ConstraintCompiler::compileVarPrograms(Vars);
+  MatchContext MC(&VarProgs);
+  ParamValue Deep(complexOf(complexOf(Ctx.getFloatType(32))));
+  EXPECT_TRUE(ConstraintCompiler::compile(Constraint::var(0, "T"))
+                  ->run(Deep, MC));
+  ASSERT_TRUE(MC.getBinding(0).has_value());
+  EXPECT_TRUE(*MC.getBinding(0) == Deep);
+}
+
+TEST_F(ConstraintCompilerTest, UnguardedVariableCyclesAreFound) {
+  ConstraintPtr T = Constraint::var(0, "T");
+  ConstraintPtr U = Constraint::var(1, "U");
+  ConstraintPtr F32 = Constraint::typeEq(Ctx.getFloatType(32));
+  ConstraintPtr CpxT =
+      Constraint::typeConstraint(Complex, {T}, /*BaseOnly=*/false);
+  struct Case {
+    std::vector<ConstraintPtr> Vars;
+    std::optional<unsigned> Cycle;
+  };
+  std::vector<Case> Cases = {
+      {{T}, 0u},
+      {{U, T}, 0u},
+      {{Constraint::anyOf({T, F32})}, 0u},
+      {{Constraint::negation(Constraint::named(T, "d.Self"))}, 0u},
+      // U only leads into T's self-loop; the cycle is T's.
+      {{Constraint::conjunction({F32, T}), T}, 0u},
+      {{U, U}, 1u},
+      {{Constraint::anyOf({F32, CpxT})}, std::nullopt},
+      {{Constraint::arrayOf(T)}, std::nullopt},
+      {{F32, Constraint::anyOf({T, CpxT})}, std::nullopt},
+  };
+  for (const Case &C : Cases) {
+    EXPECT_EQ(findUnguardedVarCycle(C.Vars), C.Cycle);
+    EXPECT_EQ(
+        findUnguardedVarCycle(ConstraintCompiler::compileVarPrograms(C.Vars)),
+        C.Cycle);
+  }
+}
+
 TEST_F(ConstraintCompilerTest, FailedAnyOfBranchUnbindsVariables) {
   // First alternative binds T then fails on the second conjunct; the
   // trail must unbind T so the second alternative sees it fresh.
@@ -165,8 +227,8 @@ TEST_F(ConstraintCompilerTest, FailedAnyOfBranchUnbindsVariables) {
 
   std::vector<ConstraintProgramPtr> VarProgs =
       ConstraintCompiler::compileVarPrograms(Vars);
-  ConstraintProgramPtr Prog = ConstraintCompiler::compile(C, VarProgs);
-  MatchContext MC(&Vars);
+  ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
+  MatchContext MC(&VarProgs);
   EXPECT_TRUE(Prog->run(ParamValue(Ctx.getFloatType(32)), MC));
   ASSERT_TRUE(MC.getBinding(0).has_value());
   EXPECT_TRUE(MC.getBinding(0)->getType() == Ctx.getFloatType(32));
@@ -260,8 +322,7 @@ TEST_F(ConstraintCompilerTest, VarSubprogramsAreNotMemoized) {
       {Constraint::anyOf({Constraint::var(0, "T"),
                           Constraint::typeEq(Ctx.getFloatType(64))})},
       /*BaseOnly=*/false);
-  ConstraintProgramPtr Prog = ConstraintCompiler::compile(
-      C, ConstraintCompiler::compileVarPrograms(Vars));
+  ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
   for (size_t I = 0, E = Prog->getNumInstrs(); I != E; ++I)
     EXPECT_FALSE(Prog->getInstr(I).Flags & CInstr::FlagMemo)
         << "instr " << I << " of a var-referencing program is memoized";
@@ -298,17 +359,22 @@ TEST_F(ConstraintCompilerTest, ConcreteValueEquivalence) {
       Constraint::var(0, "T"),
       Constraint::anyType(),
   };
+  std::vector<ConstraintProgramPtr> VarProgs =
+      ConstraintCompiler::compileVarPrograms(Vars);
   for (const ConstraintPtr &C : Cases) {
-    ConstraintProgramPtr Prog = ConstraintCompiler::compile(
-        C, ConstraintCompiler::compileVarPrograms(Vars));
-    MatchContext MC(&Vars);
-    if (C->getKind() == Constraint::Kind::Var)
-      MC.bind(0, ParamValue(Ctx.getFloatType(64)));
-    auto TreeV = C->concreteValue(MC);
-    auto ProgV = Prog->concreteValue(MC);
+    ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
+    MatchContext TreeMC(&Vars);
+    MatchContext ProgMC(&VarProgs);
+    if (C->getKind() == Constraint::Kind::Var) {
+      TreeMC.bind(0, ParamValue(Ctx.getFloatType(64)));
+      ProgMC.bind(0, ParamValue(Ctx.getFloatType(64)));
+    }
+    auto TreeV = C->concreteValue(TreeMC);
+    auto ProgV = Prog->concreteValue(ProgMC);
     ASSERT_EQ(TreeV.has_value(), ProgV.has_value()) << C->str();
-    if (TreeV)
+    if (TreeV) {
       EXPECT_TRUE(*TreeV == *ProgV) << C->str();
+    }
   }
 }
 
@@ -327,14 +393,6 @@ TEST_F(ConstraintCompilerTest, ProgramIdsAreUnique) {
   ConstraintProgramPtr A = ConstraintCompiler::compile(Constraint::anyType());
   ConstraintProgramPtr B = ConstraintCompiler::compile(Constraint::anyType());
   EXPECT_NE(A->getId(), B->getId());
-}
-
-TEST_F(ConstraintCompilerTest, EngineFlagDefaultsOn) {
-  EXPECT_TRUE(compiledConstraintsEnabled());
-  setCompiledConstraintsEnabled(false);
-  EXPECT_FALSE(compiledConstraintsEnabled());
-  setCompiledConstraintsEnabled(true);
-  EXPECT_TRUE(compiledConstraintsEnabled());
 }
 
 TEST_F(ConstraintCompilerTest, ProfilerAttributesExecutions) {

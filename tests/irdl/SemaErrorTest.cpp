@@ -97,6 +97,33 @@ INSTANTIATE_TEST_SUITE_P(
         ErrorCase{"DuplicateAlias",
                   "Dialect d { Alias !A = !f32 Alias !A = !f64 }",
                   "redefinition of alias 'A'"},
+        ErrorCase{"CyclicVarSelf",
+                  R"(Dialect d {
+                       Operation o {
+                         ConstraintVar (!T: !T)
+                         Operands (x: !T)
+                       }
+                     })",
+                  "constraint variable 'T' of operation 'o' refers to "
+                  "itself"},
+        ErrorCase{"CyclicVarPair",
+                  R"(Dialect d {
+                       Operation o {
+                         ConstraintVar (!T: !U, !U: !T)
+                         Operands (x: !T)
+                       }
+                     })",
+                  "refers to itself outside any type, attribute or array "
+                  "parameter"},
+        ErrorCase{"CyclicVarUnderAnyOf",
+                  R"(Dialect d {
+                       Operation o {
+                         ConstraintVar (!T: !AnyOf<!T, !f32>)
+                         Operands (x: !T)
+                       }
+                     })",
+                  "constraint variable 'T' of operation 'o' refers to "
+                  "itself"},
         ErrorCase{"RecursiveAlias",
                   R"(Dialect d {
                        Alias !A = !B

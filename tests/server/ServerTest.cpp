@@ -244,6 +244,56 @@ TEST(ServerTest, FailedReloadKeepsPreviousEpoch) {
   EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
 }
 
+TEST(ServerTest, CyclicConstraintVariablesAreRejected) {
+  ServerFixture Fixture("cyclicvars");
+  ServeClient Client = Fixture.connect();
+  ResponseFrame Response;
+  std::string Error;
+
+  // Unguarded variable cycles would overflow the verifier's stack on the
+  // first use; the load must fail cleanly and the server keep serving.
+  for (const char *Vars : {"!T: !T", "!T: !U, !U: !T",
+                           "!T: !AnyOf<!T, !f32>"}) {
+    std::string Spec = std::string("Dialect cy { Operation op { "
+                                   "ConstraintVar (") +
+                       Vars + ") Operands (x: !T) } }";
+    ASSERT_TRUE(
+        succeeded(Client.loadDialect("cy.irdl", Spec, Response, Error)))
+        << Error;
+    EXPECT_EQ(Response.Status, FrameStatus::Fail) << Vars;
+    EXPECT_NE(Response.Payload.find("refers to itself"), std::string::npos)
+        << Response.Payload;
+
+    ASSERT_TRUE(succeeded(Client.ping(Response, Error))) << Error;
+    EXPECT_EQ(Response.Status, FrameStatus::Ok);
+  }
+
+  // A guarded self-reference is legal and verifies.
+  ASSERT_TRUE(succeeded(Client.loadDialect("gr.irdl", R"(
+    Dialect gr {
+      Type box {
+        Parameters (elem: !AnyType)
+      }
+      Operation op {
+        ConstraintVar (!T: !AnyOf<!f32, !box<!T>>)
+        Operands (x: !T)
+      }
+    }
+  )",
+                                           Response, Error)))
+      << Error;
+  ASSERT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+  ASSERT_TRUE(succeeded(Client.verify(
+      "m.mlir",
+      "std.func @f(%x: !gr.box<!gr.box<f32>>) {\n"
+      "  \"gr.op\"(%x) : (!gr.box<!gr.box<f32>>) -> ()\n"
+      "  std.return\n"
+      "}\n",
+      Response, Error)))
+      << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+}
+
 TEST(ServerTest, StreamedVerifyPinsEpochAcrossReload) {
   ServerFixture Fixture("pin");
   ServeClient Streamer = Fixture.connect();

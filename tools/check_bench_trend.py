@@ -36,7 +36,6 @@ REGRESSION_THRESHOLD = 0.25
 # single-shot and too noisy to block on.
 BLOCKING_PHASES = [
     "perf_verifier/large-module-verify-compiled-x30",
-    "perf_verifier/large-module-verify-interpreted-x30",
     "perf_parse/parse-custom",
     "perf_parse/parse-generic",
     "perf_parse/parse-deep-region",

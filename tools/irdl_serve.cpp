@@ -9,7 +9,6 @@
 ///
 /// Usage:
 ///   irdl_serve --socket=/path/to.sock [--dialect file.irdl]...
-///              [--compiled-constraints=0|1]
 ///              [--metrics-json=FILE]
 ///
 /// SIGINT/SIGTERM stop the accept loop gracefully: in-flight responses
@@ -18,7 +17,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "irdl/ConstraintCompiler.h"
 #include "server/Server.h"
 #include "support/File.h"
 #include "support/Metrics.h"
@@ -61,20 +59,10 @@ int main(int argc, char **argv) {
         std::cerr << "--metrics-json= requires a file name\n";
         return 1;
       }
-    } else if (Arg.rfind("--compiled-constraints=", 0) == 0) {
-      std::string V =
-          Arg.substr(std::string("--compiled-constraints=").size());
-      if (V != "0" && V != "1") {
-        std::cerr << "invalid value '" << V
-                  << "' for --compiled-constraints (expected 0 or 1)\n";
-        return 1;
-      }
-      setCompiledConstraintsEnabled(V == "1");
     } else if (Arg == "--help" || Arg == "-h") {
       std::cout << "usage: irdl_serve [--socket=PATH] "
                    "[--dialect f.irdl]...\n"
-                   "                  [--compiled-constraints=0|1] "
-                   "[--metrics] [--metrics-json=FILE]\n";
+                   "                  [--metrics] [--metrics-json=FILE]\n";
       return 0;
     } else {
       std::cerr << "unknown option " << Arg << " (see --help)\n";
