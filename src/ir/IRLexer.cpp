@@ -19,7 +19,7 @@ const IRToken &IRLexer::lex() {
 IRToken IRLexer::makeToken(IRToken::Kind K, const char *Start) {
   IRToken T;
   T.K = K;
-  T.Spelling.assign(Start, Cur - Start);
+  T.Spelling = std::string_view(Start, Cur - Start);
   T.Loc = SMLoc::getFromPointer(Start);
   return T;
 }
@@ -143,7 +143,9 @@ IRToken IRLexer::lexNumber(const char *Start) {
 }
 
 IRToken IRLexer::lexString(const char *Start) {
-  std::string Body;
+  const char *Body = Cur;
+  // Set at the first escape; the body is then built here instead of viewed.
+  std::string *Buf = nullptr;
   while (true) {
     if (Cur == End) {
       Diags.emitError(SMLoc::getFromPointer(Start),
@@ -162,29 +164,32 @@ IRToken IRLexer::lexString(const char *Start) {
       char E = *Cur++;
       switch (E) {
       case 'n':
-        Body += '\n';
+        C = '\n';
         break;
       case 't':
-        Body += '\t';
+        C = '\t';
         break;
       case '"':
-        Body += '"';
-        break;
       case '\\':
-        Body += '\\';
+        C = E;
         break;
       default:
         Diags.emitError(SMLoc::getFromPointer(Cur - 2),
                         "invalid escape sequence");
         return makeToken(IRToken::Kind::Error, Start);
       }
+      if (!Buf)
+        Buf = &Unescaped.emplace_back(Body, Cur - 2 - Body);
+      *Buf += C;
       continue;
     }
-    Body += C;
+    if (Buf)
+      *Buf += C;
   }
   IRToken T;
   T.K = IRToken::Kind::String;
-  T.Spelling = std::move(Body);
+  T.Spelling = Buf ? std::string_view(*Buf)
+                   : std::string_view(Body, Cur - 1 - Body);
   T.Loc = SMLoc::getFromPointer(Start);
   return T;
 }
@@ -206,7 +211,7 @@ IRToken IRLexer::lexPrefixedIdent(const char *Start, IRToken::Kind K,
   }
   IRToken T;
   T.K = K;
-  T.Spelling.assign(Body, Cur - Body);
+  T.Spelling = std::string_view(Body, Cur - Body);
   T.Loc = SMLoc::getFromPointer(Start);
   return T;
 }

@@ -12,6 +12,7 @@
 #include "support/Diagnostics.h"
 #include "support/SourceMgr.h"
 
+#include <deque>
 #include <string>
 #include <string_view>
 
@@ -50,9 +51,11 @@ struct IRToken {
   };
 
   Kind K = Kind::Eof;
-  /// Token text. For String it is the unescaped body; for PercentId /
-  /// CaretId / AtId it excludes the sigil.
-  std::string Spelling;
+  /// Token text, viewing the source buffer. For String it is the
+  /// unescaped body, held by the lexer when the literal has escapes; for
+  /// PercentId / CaretId / AtId it excludes the sigil. Valid while both the
+  /// source buffer and the lexer live.
+  std::string_view Spelling;
   SMLoc Loc;
 
   bool is(Kind Other) const { return K == Other; }
@@ -61,10 +64,14 @@ struct IRToken {
   }
 };
 
-/// A single-token-lookahead lexer over a source buffer.
+/// A single-token-lookahead lexer over a source buffer. Tokens view the
+/// buffer, so lexing allocates only for string literals with escapes.
 class IRLexer {
 public:
   IRLexer(std::string_view Source, DiagnosticEngine &Diags);
+  /// A copy's current token would view the original's unescaped storage.
+  IRLexer(const IRLexer &) = delete;
+  IRLexer &operator=(const IRLexer &) = delete;
 
   /// The current token.
   const IRToken &getToken() const { return Tok; }
@@ -89,6 +96,9 @@ private:
   const char *End;
   DiagnosticEngine &Diags;
   IRToken Tok;
+  /// Unescaped bodies of string literals with escapes; a deque so earlier
+  /// tokens' spellings stay valid.
+  std::deque<std::string> Unescaped;
 };
 
 } // namespace irdl

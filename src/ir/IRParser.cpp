@@ -10,9 +10,9 @@
 #include "support/StringExtras.h"
 #include "support/Timing.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <map>
+#include <unordered_map>
 
 using namespace irdl;
 
@@ -31,8 +31,9 @@ public:
   ~IRParserImpl() {
     // Delete any orphaned forward-reference placeholders (error paths).
     for (auto &Scope : Scopes)
-      for (auto &[Name, Op] : Scope.Forwards)
-        Orphans.push_back(Op);
+      for (auto &[Name, Entry] : Scope.Values)
+        if (Entry.Forward)
+          Orphans.push_back(Entry.Forward);
     Scopes.clear();
   }
 
@@ -75,33 +76,66 @@ public:
   // Scopes
   //===------------------------------------------------------------------===//
 
+  /// Hashes std::string keys and string_view probes alike, so a lookup
+  /// by token spelling builds no string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Name) const {
+      return std::hash<std::string_view>()(Name);
+    }
+  };
+  template <typename T>
+  using NameMap = std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
+  struct ValueEntry {
+    Value V;
+    /// While only forward-referenced: the detached placeholder op whose
+    /// result is V. Its location is the first use.
+    Operation *Forward = nullptr;
+  };
+  struct BlockEntry {
+    Block *B;
+    bool Defined;
+    SMLoc FirstUse;
+  };
   struct Scope {
-    std::map<std::string, Value> Values;
-    std::map<std::string, SMLoc> ValueLocs;
-    /// Forward-referenced values: name -> detached placeholder op.
-    std::map<std::string, Operation *> Forwards;
+    NameMap<ValueEntry> Values;
     /// Block label table for the region.
-    std::map<std::string, Block *> Blocks;
-    std::map<std::string, bool> BlockDefined;
+    NameMap<BlockEntry> Blocks;
   };
 
   void pushScope() { Scopes.emplace_back(); }
 
+  /// Names of \p Table's entries selected by \p Pred, in name order so
+  /// diagnostics do not depend on hashing.
+  template <typename T, typename PredT>
+  static std::vector<const typename NameMap<T>::value_type *>
+  sortedEntries(const NameMap<T> &Table, PredT Pred) {
+    std::vector<const typename NameMap<T>::value_type *> Result;
+    for (const auto &Entry : Table)
+      if (Pred(Entry.second))
+        Result.push_back(&Entry);
+    std::sort(Result.begin(), Result.end(),
+              [](const auto *L, const auto *R) { return L->first < R->first; });
+    return Result;
+  }
+
   LogicalResult popScope() {
     Scope &S = Scopes.back();
     LogicalResult Result = success();
-    for (auto &[Name, Op] : S.Forwards) {
-      Diags.emitError(Op->getLoc(), "use of undefined value %" + Name);
+    for (const auto *Entry : sortedEntries(
+             S.Values, [](const ValueEntry &E) { return E.Forward; })) {
+      Operation *Op = Entry->second.Forward;
+      Diags.emitError(Op->getLoc(), "use of undefined value %" + Entry->first);
       Orphans.push_back(Op);
       Result = failure();
     }
-    S.Forwards.clear();
-    for (auto &[Name, B] : S.Blocks) {
-      if (!S.BlockDefined[Name]) {
-        Diags.emitError(SMLoc(), "reference to undefined block ^" + Name);
-        B->destroy();
-        Result = failure();
-      }
+    for (const auto *Entry : sortedEntries(
+             S.Blocks, [](const BlockEntry &E) { return !E.Defined; })) {
+      Diags.emitError(Entry->second.FirstUse,
+                      "reference to undefined block ^" + Entry->first);
+      Entry->second.B->destroy();
+      Result = failure();
     }
     Scopes.pop_back();
     return Result;
@@ -109,25 +143,21 @@ public:
 
   Value lookupValue(std::string_view Name) {
     for (auto It = Scopes.rbegin(), E = Scopes.rend(); It != E; ++It) {
-      auto VIt = It->Values.find(std::string(Name));
-      if (VIt != It->Values.end())
-        return VIt->second;
+      auto VIt = It->Values.find(Name);
       // Forward placeholders are only visible in their own scope.
-      if (It == Scopes.rbegin()) {
-        auto FIt = It->Forwards.find(std::string(Name));
-        if (FIt != It->Forwards.end())
-          return FIt->second->getResult(0);
-      }
+      if (VIt != It->Values.end() &&
+          (!VIt->second.Forward || It == Scopes.rbegin()))
+        return VIt->second.V;
     }
     return Value();
   }
 
   /// Resolves a `%name` reference of expected type \p Ty, creating a
   /// forward placeholder in the innermost scope when unknown.
-  Value resolveValue(const std::string &Name, Type Ty, SMLoc Loc) {
+  Value resolveValue(std::string_view Name, Type Ty, SMLoc Loc) {
     if (Value V = lookupValue(Name)) {
       if (V.getType() != Ty) {
-        Diags.emitError(Loc, "value %" + Name + " has type " +
+        Diags.emitError(Loc, "value %" + std::string(Name) + " has type " +
                                  V.getType().str() + " but is used as " +
                                  Ty.str());
         return Value();
@@ -138,41 +168,40 @@ public:
     OperationState State(Ctx, OperationName("builtin.__forward_ref__"), Loc);
     State.ResultTypes.push_back(Ty);
     Operation *Placeholder = Operation::create(State);
-    Scopes.back().Forwards.emplace(Name, Placeholder);
+    Scopes.back().Values.emplace(
+        Name, ValueEntry{Placeholder->getResult(0), Placeholder});
     return Placeholder->getResult(0);
   }
 
-  LogicalResult defineValue(const std::string &Name, Value V, SMLoc Loc) {
-    Scope &S = Scopes.back();
-    if (S.Values.count(Name))
-      return emitError(Loc, "redefinition of value %" + Name);
-    auto FIt = S.Forwards.find(Name);
-    if (FIt != S.Forwards.end()) {
-      Operation *Placeholder = FIt->second;
-      Value Old = Placeholder->getResult(0);
-      if (Old.getType() != V.getType())
-        return emitError(Loc, "definition of %" + Name + " with type " +
-                                  V.getType().str() +
-                                  " does not match forward uses of type " +
-                                  Old.getType().str());
-      Old.replaceAllUsesWith(V);
-      Placeholder->destroy();
-      S.Forwards.erase(FIt);
-    }
-    S.Values.emplace(Name, V);
-    S.ValueLocs.emplace(Name, Loc);
+  LogicalResult defineValue(std::string_view Name, Value V, SMLoc Loc) {
+    auto [It, Inserted] =
+        Scopes.back().Values.try_emplace(std::string(Name), ValueEntry{V});
+    if (Inserted)
+      return success();
+    ValueEntry &Entry = It->second;
+    if (!Entry.Forward)
+      return emitError(Loc, "redefinition of value %" + std::string(Name));
+    Value Old = Entry.V;
+    if (Old.getType() != V.getType())
+      return emitError(Loc, "definition of %" + std::string(Name) +
+                                " with type " + V.getType().str() +
+                                " does not match forward uses of type " +
+                                Old.getType().str());
+    Old.replaceAllUsesWith(V);
+    Entry.Forward->destroy();
+    Entry = ValueEntry{V};
     return success();
   }
 
-  Block *getOrCreateBlock(const std::string &Name) {
-    Scope &S = Scopes.back();
-    auto It = S.Blocks.find(Name);
-    if (It != S.Blocks.end())
-      return It->second;
-    Block *B = Block::create(Ctx);
-    S.Blocks.emplace(Name, B);
-    S.BlockDefined.emplace(Name, false);
-    return B;
+  /// The block labelled \p Name in the innermost region, created on first
+  /// mention; \p Loc is recorded as its first use.
+  BlockEntry &getOrCreateBlock(std::string_view Name, SMLoc Loc) {
+    NameMap<BlockEntry> &Blocks = Scopes.back().Blocks;
+    auto It = Blocks.find(Name);
+    if (It == Blocks.end())
+      It = Blocks.emplace(Name, BlockEntry{Block::create(Ctx), false, Loc})
+               .first;
+    return It->second;
   }
 
   //===------------------------------------------------------------------===//
@@ -180,7 +209,16 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Tries builtin type sugar for \p Ident; returns null when no match.
+  /// Answers are cached for the parse: \p Ident views the source, and a
+  /// few spellings such as `f32` and `i1` make up most types in real inputs.
   Type parseTypeSugar(std::string_view Ident) {
+    auto [It, Inserted] = SugarTypes.try_emplace(Ident);
+    if (Inserted)
+      It->second = buildTypeSugar(Ident);
+    return It->second;
+  }
+
+  Type buildTypeSugar(std::string_view Ident) {
     if (Ident == "f16" || Ident == "f32" || Ident == "f64")
       return Ctx.getFloatType(Ident == "f16" ? 16 : Ident == "f32" ? 32 : 64);
     if (Ident == "index")
@@ -205,23 +243,48 @@ public:
     return Ctx.getIntegerType(static_cast<unsigned>(*Width), Sign);
   }
 
-  /// Parses a dotted identifier path (`a.b.c`); returns the segments.
-  std::vector<std::string> parseDottedPath() {
-    std::vector<std::string> Segments;
+  /// Parses a dotted identifier path (`a.b.c`) and returns it joined by
+  /// dots. The result views the source when the path has no spaces or
+  /// comments inside, and DottedName otherwise; it is valid until the next
+  /// call. Empty when the current token is not an identifier or a segment
+  /// is missing (diagnosed).
+  std::string_view parseDottedName() {
     if (!tok().is(IRToken::Kind::Identifier))
-      return Segments;
-    Segments.push_back(tok().Spelling);
+      return {};
+    std::string_view Path = tok().Spelling;
+    bool Copied = false;
     lex();
     while (tok().is(IRToken::Kind::Dot)) {
+      const char *DotPos = tok().Loc.getPointer();
       lex();
       if (!tok().is(IRToken::Kind::Identifier)) {
         Diags.emitError(tok().Loc, "expected identifier after '.'");
         return {};
       }
-      Segments.push_back(tok().Spelling);
+      std::string_view Segment = tok().Spelling;
+      if (!Copied && DotPos == Path.data() + Path.size() &&
+          Segment.data() == DotPos + 1) {
+        Path = std::string_view(Path.data(), Path.size() + 1 + Segment.size());
+      } else {
+        if (!Copied)
+          DottedName.assign(Path);
+        Copied = true;
+        DottedName += '.';
+        DottedName += Segment;
+      }
       lex();
     }
-    return Segments;
+    return Copied ? std::string_view(DottedName) : Path;
+  }
+
+  /// Splits a dotted name at its last dot into (prefix, last segment);
+  /// the prefix is empty for a single segment.
+  static std::pair<std::string_view, std::string_view>
+  splitLastSegment(std::string_view Name) {
+    size_t Dot = Name.rfind('.');
+    if (Dot == std::string_view::npos)
+      return {std::string_view(), Name};
+    return {Name.substr(0, Dot), Name.substr(Dot + 1)};
   }
 
   Type parseType() {
@@ -262,26 +325,24 @@ public:
       return Ctx.getFunctionType(Inputs, Results);
     }
 
-    bool HadBang = consumeIf(IRToken::Kind::Bang);
+    consumeIf(IRToken::Kind::Bang);
     if (!tok().is(IRToken::Kind::Identifier)) {
       Diags.emitError(Loc, "expected type");
       return Type();
     }
-    std::vector<std::string> Path = parseDottedPath();
-    if (Path.empty())
+    std::string_view FullName = parseDottedName();
+    if (FullName.empty())
       return Type();
 
-    if (Path.size() == 1)
-      if (Type Sugar = parseTypeSugar(Path[0]))
+    if (FullName.find('.') == std::string_view::npos)
+      if (Type Sugar = parseTypeSugar(FullName))
         return Sugar;
 
-    std::string FullName = join(Path, ".");
     TypeDefinition *Def = Ctx.resolveTypeDef(FullName);
     if (!Def) {
-      Diags.emitError(Loc, "unknown type '" + FullName + "'");
+      Diags.emitError(Loc, "unknown type '" + std::string(FullName) + "'");
       return Type();
     }
-    (void)HadBang;
 
     std::vector<ParamValue> Params;
     if (consumeIf(IRToken::Kind::Less)) {
@@ -360,16 +421,17 @@ public:
                                 Negative ? -D : D});
         return success();
       }
-      int64_t SV = static_cast<int64_t>(*V);
-      P = ParamValue(IntVal{static_cast<uint16_t>(K.Width), K.Sign,
-                            Negative ? -SV : SV});
+      std::optional<int64_t> SV = applySign(*V, Negative);
+      if (!SV)
+        return emitError(Loc, "integer literal out of range");
+      P = ParamValue(IntVal{static_cast<uint16_t>(K.Width), K.Sign, *SV});
       return success();
     }
     if (tok().is(IRToken::Kind::Float) || tok().isIdent("inf") ||
         tok().isIdent("nan")) {
       double D;
       if (tok().is(IRToken::Kind::Float))
-        D = std::strtod(tok().Spelling.c_str(), nullptr);
+        D = parseDouble(tok().Spelling);
       else
         D = tok().isIdent("inf") ? HUGE_VAL : NAN;
       lex();
@@ -393,7 +455,7 @@ public:
     case IRToken::Kind::Float:
       return parseNumberParam(P);
     case IRToken::Kind::String: {
-      P = ParamValue(tok().Spelling);
+      P = ParamValue(std::string(tok().Spelling));
       lex();
       return success();
     }
@@ -435,13 +497,13 @@ public:
           return failure();
         if (!tok().is(IRToken::Kind::String))
           return emitError(tok().Loc, "expected opaque parameter kind name");
-        std::string KindName = tok().Spelling;
+        std::string_view KindName = tok().Spelling;
         lex();
         if (failed(expect(IRToken::Kind::Comma, "',' in opaque parameter")))
           return failure();
         if (!tok().is(IRToken::Kind::String))
           return emitError(tok().Loc, "expected opaque parameter payload");
-        std::string Payload = tok().Spelling;
+        std::string_view Payload = tok().Spelling;
         lex();
         if (failed(expect(IRToken::Kind::Greater,
                           "'>' after opaque parameter")))
@@ -449,41 +511,39 @@ public:
         const OpaqueParamCodec *Codec = Ctx.lookupOpaqueParamCodec(KindName);
         if (!Codec)
           return emitError(Loc, "unknown opaque parameter kind '" +
-                                    KindName + "'");
+                                    std::string(KindName) + "'");
         auto Parsed = Codec->Parse(Payload);
         if (!Parsed)
           return emitError(Loc, "invalid payload for opaque parameter '" +
-                                    KindName + "'");
-        P = ParamValue(OpaqueVal{KindName, *Parsed});
+                                    std::string(KindName) + "'");
+        P = ParamValue(OpaqueVal{std::string(KindName), *Parsed});
         return success();
       }
       if (tok().isIdent("inf") || tok().isIdent("nan"))
         return parseNumberParam(P);
 
-      std::vector<std::string> Path = parseDottedPath();
+      std::string_view Path = parseDottedName();
       if (Path.empty())
         return failure();
-      if (Path.size() == 1) {
-        if (Type Sugar = parseTypeSugar(Path[0])) {
+      // Enum constructor: [dialect.]enum.Case
+      auto [EnumPath, CaseName] = splitLastSegment(Path);
+      if (EnumPath.empty()) {
+        if (Type Sugar = parseTypeSugar(Path)) {
           P = ParamValue(Sugar);
           return success();
         }
-        return emitError(Loc, "unknown parameter '" + Path[0] + "'");
+        return emitError(Loc, "unknown parameter '" + std::string(Path) + "'");
       }
-      // Enum constructor: [dialect.]enum.Case
-      std::string CaseName = Path.back();
-      Path.pop_back();
-      std::string EnumPath = join(Path, ".");
       if (EnumDef *Def = Ctx.resolveEnumDef(EnumPath)) {
         if (auto Index = Def->lookupCase(CaseName)) {
           P = ParamValue(EnumVal{Def, *Index});
           return success();
         }
-        return emitError(Loc, "'" + CaseName + "' is not a constructor of "
-                                                   "enum '" +
+        return emitError(Loc, "'" + std::string(CaseName) +
+                                  "' is not a constructor of enum '" +
                                   Def->getFullName() + "'");
       }
-      return emitError(Loc, "unknown enum '" + EnumPath + "'");
+      return emitError(Loc, "unknown enum '" + std::string(EnumPath) + "'");
     }
     default:
       return emitError(Loc, "expected parameter value");
@@ -504,7 +564,7 @@ public:
       return Ctx.getAttr(Ctx.getFloatAttrDef(), {P});
     }
     case IRToken::Kind::String: {
-      std::string S = tok().Spelling;
+      std::string S(tok().Spelling);
       lex();
       return Ctx.getStringAttr(std::move(S));
     }
@@ -525,15 +585,15 @@ public:
     }
     case IRToken::Kind::Hash: {
       lex();
-      std::vector<std::string> Path = parseDottedPath();
-      if (Path.empty()) {
+      std::string_view FullName = parseDottedName();
+      if (FullName.empty()) {
         Diags.emitError(Loc, "expected attribute name after '#'");
         return Attribute();
       }
-      std::string FullName = join(Path, ".");
       AttrDefinition *Def = Ctx.resolveAttrDef(FullName);
       if (!Def) {
-        Diags.emitError(Loc, "unknown attribute '" + FullName + "'");
+        Diags.emitError(Loc,
+                        "unknown attribute '" + std::string(FullName) + "'");
         return Attribute();
       }
       std::vector<ParamValue> Params;
@@ -571,28 +631,24 @@ public:
       // Dotted identifier paths may name an enum constructor
       // (`arith.fastmath.fast`); otherwise they fall back to type syntax.
       if (tok().is(IRToken::Kind::Identifier)) {
-        // Peek: a path with >= 2 segments whose prefix names an enum.
-        const char *Save = tok().Loc.getPointer();
-        std::vector<std::string> Path = parseDottedPath();
-        if (Path.empty())
+        // A path with >= 2 segments whose prefix names an enum.
+        std::string_view FullName = parseDottedName();
+        if (FullName.empty())
           return Attribute();
-        if (Path.size() >= 2) {
-          std::string CaseName = Path.back();
-          std::vector<std::string> Prefix(Path.begin(), Path.end() - 1);
-          if (EnumDef *Def = Ctx.resolveEnumDef(join(Prefix, "."))) {
+        auto [EnumPath, CaseName] = splitLastSegment(FullName);
+        if (!EnumPath.empty()) {
+          if (EnumDef *Def = Ctx.resolveEnumDef(EnumPath)) {
             if (auto Index = Def->lookupCase(CaseName))
               return Ctx.getEnumAttr(EnumVal{Def, *Index});
-            Diags.emitError(Loc, "'" + CaseName +
+            Diags.emitError(Loc, "'" + std::string(CaseName) +
                                      "' is not a constructor of enum '" +
                                      Def->getFullName() + "'");
             return Attribute();
           }
+        } else if (Type Sugar = parseTypeSugar(FullName)) {
+          // Not an enum: reinterpret the path as a type.
+          return Ctx.getTypeAttr(Sugar);
         }
-        // Not an enum: reinterpret the path as a type.
-        if (Path.size() == 1)
-          if (Type Sugar = parseTypeSugar(Path[0]))
-            return Ctx.getTypeAttr(Sugar);
-        std::string FullName = join(Path, ".");
         if (TypeDefinition *Def = Ctx.resolveTypeDef(FullName)) {
           // Continue a full type parse for optional parameters.
           std::vector<ParamValue> Params;
@@ -614,8 +670,8 @@ public:
             return Attribute();
           return Ctx.getTypeAttr(T);
         }
-        (void)Save;
-        Diags.emitError(Loc, "unknown attribute '" + FullName + "'");
+        Diags.emitError(Loc,
+                        "unknown attribute '" + std::string(FullName) + "'");
         return Attribute();
       }
       [[fallthrough]];
@@ -640,7 +696,7 @@ public:
     if (consumeIf(IRToken::Kind::RBrace))
       return success();
     do {
-      std::string Name;
+      std::string_view Name;
       if (tok().is(IRToken::Kind::Identifier) ||
           tok().is(IRToken::Kind::String)) {
         Name = tok().Spelling;
@@ -665,7 +721,7 @@ public:
   //===------------------------------------------------------------------===//
 
   struct ResultBinding {
-    std::string Name;
+    std::string_view Name;
     SMLoc Loc;
     std::optional<unsigned> DeclaredCount;
   };
@@ -677,7 +733,7 @@ public:
       ResultBinding B;
       B.Name = tok().Spelling;
       B.Loc = tok().Loc;
-      if (B.Name.find('#') != std::string::npos)
+      if (B.Name.find('#') != std::string_view::npos)
         return emitError(B.Loc, "result binding may not contain '#'");
       lex();
       if (consumeIf(IRToken::Kind::Colon)) {
@@ -691,7 +747,7 @@ public:
       }
       if (failed(expect(IRToken::Kind::Equal, "'=' after result binding")))
         return failure();
-      Binding = std::move(B);
+      Binding = B;
     }
 
     SMLoc OpLoc = tok().Loc;
@@ -727,7 +783,8 @@ public:
           return failure();
       } else {
         for (unsigned I = 0; I != NumResults; ++I)
-          if (failed(defineValue(Binding->Name + "#" + std::to_string(I),
+          if (failed(defineValue(std::string(Binding->Name) + "#" +
+                                     std::to_string(I),
                                  Op->getResult(I), Binding->Loc)))
             return failure();
       }
@@ -737,22 +794,22 @@ public:
     return success();
   }
 
-  LogicalResult resolveOpName(const std::string &FullName, SMLoc Loc,
+  LogicalResult resolveOpName(std::string_view FullName, SMLoc Loc,
                               OperationName &Name) {
     if (const OpDefinition *Def = Ctx.resolveOpDef(FullName)) {
       Name = OperationName(Def);
       return success();
     }
     if (Ctx.allowsUnregisteredOps()) {
-      Name = OperationName(FullName);
+      Name = OperationName(std::string(FullName));
       return success();
     }
-    return emitError(Loc, "unknown operation '" + FullName + "'");
+    return emitError(Loc, "unknown operation '" + std::string(FullName) + "'");
   }
 
   LogicalResult parseGenericOp(Operation *&Op) {
     SMLoc OpLoc = tok().Loc;
-    std::string FullName = tok().Spelling;
+    std::string_view FullName = tok().Spelling;
     lex();
 
     OperationName Name;
@@ -781,7 +838,7 @@ public:
         do {
           if (!tok().is(IRToken::Kind::CaretId))
             return emitError(tok().Loc, "expected successor block");
-          State.addSuccessor(getOrCreateBlock(tok().Spelling));
+          State.addSuccessor(getOrCreateBlock(tok().Spelling, tok().Loc).B);
           lex();
         } while (consumeIf(IRToken::Kind::Comma));
       }
@@ -859,13 +916,13 @@ public:
 
   LogicalResult parseCustomOp(Operation *&Op) {
     SMLoc OpLoc = tok().Loc;
-    std::vector<std::string> Path = parseDottedPath();
-    if (Path.empty())
+    std::string_view FullName = parseDottedName();
+    if (FullName.empty())
       return failure();
-    std::string FullName = join(Path, ".");
     const OpDefinition *Def = Ctx.resolveOpDef(FullName);
     if (!Def)
-      return emitError(OpLoc, "unknown operation '" + FullName + "'");
+      return emitError(OpLoc,
+                       "unknown operation '" + std::string(FullName) + "'");
     if (!Def->getParseFn())
       return emitError(OpLoc, "operation '" + Def->getFullName() +
                                   "' has no custom syntax; use the generic "
@@ -919,16 +976,17 @@ public:
       }
       if (tok().is(IRToken::Kind::CaretId)) {
         // Labeled block.
-        std::string Label = tok().Spelling;
+        std::string_view Label = tok().Spelling;
         SMLoc LabelLoc = tok().Loc;
         lex();
-        Block *B = getOrCreateBlock(Label);
-        Scope &S = Scopes.back();
-        if (S.BlockDefined[Label]) {
+        BlockEntry &Entry = getOrCreateBlock(Label, LabelLoc);
+        if (Entry.Defined) {
           (void)popScope();
-          return emitError(LabelLoc, "redefinition of block ^" + Label);
+          return emitError(LabelLoc,
+                           "redefinition of block ^" + std::string(Label));
         }
-        S.BlockDefined[Label] = true;
+        Entry.Defined = true;
+        Block *B = Entry.B;
         R.push_back(B);
         if (consumeIf(IRToken::Kind::LParen)) {
           // A forward successor reference may already have created the
@@ -954,7 +1012,7 @@ public:
                 (void)popScope();
                 return failure();
               }
-              Args.emplace_back(std::move(Ref), Ty);
+              Args.emplace_back(Ref, Ty);
             } while (consumeIf(IRToken::Kind::Comma));
           }
           if (failed(expect(IRToken::Kind::RParen,
@@ -1028,6 +1086,10 @@ public:
   IRLexer Lex;
   std::vector<Scope> Scopes;
   std::vector<Operation *> Orphans;
+  /// parseTypeSugar's answers in this parse, keyed by source spelling.
+  std::unordered_map<std::string_view, Type> SugarTypes;
+  /// Backing store for parseDottedName's result when the path is spaced.
+  std::string DottedName;
 };
 
 } // namespace irdl
@@ -1110,7 +1172,7 @@ LogicalResult CustomOpParser::parseOptionalAttrDict(NamedAttrList &Attrs) {
 LogicalResult CustomOpParser::parseSymbolName(std::string &Result) {
   if (!Impl.tok().is(IRToken::Kind::AtId))
     return Impl.emitError(Impl.tok().Loc, "expected symbol name");
-  Result = Impl.tok().Spelling;
+  Result = std::string(Impl.tok().Spelling);
   Impl.lex();
   return success();
 }
@@ -1118,7 +1180,7 @@ LogicalResult CustomOpParser::parseSymbolName(std::string &Result) {
 LogicalResult CustomOpParser::parseSuccessor(Block *&Result) {
   if (!Impl.tok().is(IRToken::Kind::CaretId))
     return Impl.emitError(Impl.tok().Loc, "expected successor block");
-  Result = Impl.getOrCreateBlock(Impl.tok().Spelling);
+  Result = Impl.getOrCreateBlock(Impl.tok().Spelling, Impl.tok().Loc).B;
   Impl.lex();
   return success();
 }

@@ -81,9 +81,10 @@ Attribute parseAttrString(IRContext &Ctx, std::string_view Source,
 /// then creates the op and binds its results.
 class CustomOpParser {
 public:
-  /// A not-yet-resolved SSA operand reference.
+  /// A not-yet-resolved SSA operand reference. Name views the source
+  /// buffer, which outlives the parse.
   struct UnresolvedOperand {
-    std::string Name;
+    std::string_view Name;
     SMLoc Loc;
   };
 

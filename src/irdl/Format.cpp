@@ -20,6 +20,7 @@ struct FormatElement {
   /// Literal: raw text. Others: unused.
   std::string Text;
   /// Literal: expected tokens (kind + spelling for identifier-likes).
+  /// Spellings are owned copies: the lexer that produced them is gone.
   std::vector<std::pair<IRToken::Kind, std::string>> Tokens;
   /// Operand / AttrField / Var index.
   unsigned Index = 0;

@@ -6,8 +6,6 @@
 #include "support/LogicalResult.h"
 #include "support/StringExtras.h"
 
-#include <cstdlib>
-
 using namespace irdl;
 using namespace irdl::ast;
 
@@ -108,15 +106,16 @@ private:
       bool Negative = consumeIf(IRToken::Kind::Minus);
       if (tok().is(IRToken::Kind::Integer)) {
         auto V = parseUInt(tok().Spelling);
-        if (!V)
+        std::optional<int64_t> SV =
+            V ? applySign(*V, Negative) : std::nullopt;
+        if (!SV)
           return error(tok().Loc, "integer literal out of range");
         Expr->K = ConstraintExpr::Kind::IntLit;
-        Expr->IntValue =
-            Negative ? -static_cast<int64_t>(*V) : static_cast<int64_t>(*V);
+        Expr->IntValue = *SV;
         lex();
       } else if (tok().is(IRToken::Kind::Float)) {
         Expr->K = ConstraintExpr::Kind::FloatLit;
-        Expr->FloatValue = std::strtod(tok().Spelling.c_str(), nullptr);
+        Expr->FloatValue = parseDouble(tok().Spelling);
         if (Negative)
           Expr->FloatValue = -Expr->FloatValue;
         lex();
@@ -430,7 +429,7 @@ private:
       else
         return error(tok().Loc, "expected Summary, CppClassName, "
                                 "CppParser, or CppPrinter");
-      std::string Directive = tok().Spelling;
+      std::string_view Directive = tok().Spelling;
       lex();
       if (failed(parseDirectiveString(*Target, Directive)))
         return failure();

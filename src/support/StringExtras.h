@@ -9,6 +9,7 @@
 #ifndef IRDL_SUPPORT_STRINGEXTRAS_H
 #define IRDL_SUPPORT_STRINGEXTRAS_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,6 +41,15 @@ inline bool startsWith(std::string_view Str, std::string_view Prefix) {
 
 /// Parses a decimal unsigned integer; returns nullopt on failure/overflow.
 std::optional<uint64_t> parseUInt(std::string_view Str);
+
+/// The value of an integer literal with magnitude \p Magnitude, negated
+/// when \p Negative; nullopt when it lies outside int64_t.
+std::optional<int64_t> applySign(uint64_t Magnitude, bool Negative);
+
+/// Converts a decimal floating-point literal (`1.5`, `2e10`) without
+/// allocating. A literal beyond the range of double becomes HUGE_VAL or 0,
+/// as with strtod.
+double parseDouble(std::string_view Str);
 
 /// Joins \p Pieces with \p Sep.
 std::string join(const std::vector<std::string> &Pieces,

@@ -8,15 +8,26 @@ using namespace irdl;
 
 namespace {
 
-std::vector<IRToken> lexAll(std::string_view Src, DiagnosticEngine &Diags) {
+/// A token with its spelling copied: IRToken's spelling may view storage
+/// owned by the lexer, which lexAll destroys before returning.
+struct LexedToken {
+  IRToken::Kind K;
+  std::string Spelling;
+
+  bool isIdent(std::string_view Str) const {
+    return K == IRToken::Kind::Identifier && Spelling == Str;
+  }
+};
+
+std::vector<LexedToken> lexAll(std::string_view Src, DiagnosticEngine &Diags) {
   IRLexer Lex(Src, Diags);
-  std::vector<IRToken> Tokens;
+  std::vector<LexedToken> Tokens;
   while (!Lex.getToken().is(IRToken::Kind::Eof) &&
          !Lex.getToken().is(IRToken::Kind::Error)) {
-    Tokens.push_back(Lex.getToken());
+    Tokens.push_back({Lex.getToken().K, std::string(Lex.getToken().Spelling)});
     Lex.lex();
   }
-  Tokens.push_back(Lex.getToken());
+  Tokens.push_back({Lex.getToken().K, std::string(Lex.getToken().Spelling)});
   return Tokens;
 }
 
@@ -24,7 +35,7 @@ TEST(IRLexerTest, Punctuation) {
   DiagnosticEngine Diags;
   auto Tokens = lexAll("( ) { } < > [ ] , : = . ? + * ! #", Diags);
   std::vector<IRToken::Kind> Kinds;
-  for (const IRToken &T : Tokens)
+  for (const LexedToken &T : Tokens)
     Kinds.push_back(T.K);
   using K = IRToken::Kind;
   EXPECT_EQ(Kinds, (std::vector<K>{
@@ -88,6 +99,22 @@ TEST(IRLexerTest, Strings) {
   EXPECT_EQ(Tokens[0].Spelling, "plain");
   EXPECT_EQ(Tokens[1].Spelling, "with \"quotes\"");
   EXPECT_EQ(Tokens[2].Spelling, "nl\n");
+}
+
+TEST(IRLexerTest, StringSpellingsOutliveLaterTokens) {
+  DiagnosticEngine Diags;
+  std::string_view Src = R"("esc\"aped" "plain" "x\ty" foo)";
+  IRLexer Lex(Src, Diags);
+  std::string_view Escaped = Lex.getToken().Spelling;
+  std::string_view Plain = Lex.lex().Spelling;
+  std::string_view Tab = Lex.lex().Spelling;
+  EXPECT_TRUE(Lex.lex().isIdent("foo"));
+  EXPECT_TRUE(Lex.lex().is(IRToken::Kind::Eof));
+  EXPECT_EQ(Escaped, "esc\"aped");
+  EXPECT_EQ(Tab, "x\ty");
+  // A literal without escapes views the source, without its quotes.
+  EXPECT_EQ(Plain, "plain");
+  EXPECT_EQ(Plain.data(), Src.data() + Src.find("plain"));
 }
 
 TEST(IRLexerTest, UnterminatedString) {

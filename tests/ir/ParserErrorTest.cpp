@@ -89,11 +89,23 @@ INSTANTIATE_TEST_SUITE_P(
         ErrorCase{"BadResultCount",
                   R"(%r:2 = "test.source"() : () -> (f32))",
                   "1 results but 2 were bound"},
+        // Reported at the first use, with a caret under it.
         ErrorCase{"UndefinedBlock",
                   R"(std.func @f() {
                        "std.br"()[^nowhere] : () -> ()
                      })",
-                  "undefined block"},
+                  "<input>:2:35: error: reference to undefined block ^nowhere\n"
+                  "                       \"std.br\"()[^nowhere] : () -> ()\n"
+                  "                                  ^\n"},
+        ErrorCase{"IntegerLiteralWraps",
+                  "%0 = std.constant 18446744073709551615 : i8",
+                  "integer literal out of range"},
+        ErrorCase{"IntegerLiteralAboveInt64",
+                  R"("test.sink"() {v = 9223372036854775808} : () -> ())",
+                  "integer literal out of range"},
+        ErrorCase{"IntegerLiteralBelowInt64",
+                  R"("test.sink"() {v = -9223372036854775809} : () -> ())",
+                  "integer literal out of range"},
         ErrorCase{"DuplicateBlockLabel",
                   R"(std.func @f() {
                        std.return

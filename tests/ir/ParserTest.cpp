@@ -81,6 +81,20 @@ TEST_F(ParserTest, ParseAttributes) {
                               Ctx.getIntegerAttr(2, 32)}));
 }
 
+TEST_F(ParserTest, Int64ExtremesRoundTrip) {
+  const char *Src = R"(builtin.module {
+  %0 = std.constant -9223372036854775808 : i64
+  %1 = std.constant 9223372036854775807 : i64
+})";
+  OwningOpRef Module = parse(Src);
+  ASSERT_TRUE(static_cast<bool>(Module)) << Diags.renderAll();
+  EXPECT_EQ(printOpToString(Module.get()), Src);
+  EXPECT_EQ(parseAttrString(Ctx, "-9223372036854775808", Diags),
+            Ctx.getIntegerAttr(INT64_MIN));
+  EXPECT_EQ(parseAttrString(Ctx, "9223372036854775807", Diags),
+            Ctx.getIntegerAttr(INT64_MAX));
+}
+
 TEST_F(ParserTest, ParseCanonicalAttrForm) {
   EXPECT_EQ(parseAttrString(Ctx, "#builtin.int<3 : i32>", Diags),
             Ctx.getIntegerAttr(3, 32));
@@ -203,6 +217,45 @@ TEST_F(ParserTest, UndefinedBlockIsAnError) {
   )");
   EXPECT_FALSE(static_cast<bool>(Module));
   EXPECT_TRUE(Diags.hadError());
+}
+
+// Undefined names are reported in name order, not in use order or hash
+// order, so diagnostics stay the same from run to run. Three names each,
+// used in an order that is neither name order nor its reverse.
+TEST_F(ParserTest, UndefinedNamesReportedInNameOrder) {
+  EXPECT_FALSE(static_cast<bool>(parse(R"(std.func @f() {
+  %s = std.addf %b, %a : f32
+  "test.sink"(%c) : (f32) -> ()
+})")));
+  EXPECT_EQ(Diags.renderAll(),
+            "<input>:2:21: error: use of undefined value %a\n"
+            "  %s = std.addf %b, %a : f32\n"
+            "                    ^\n"
+            "<input>:2:17: error: use of undefined value %b\n"
+            "  %s = std.addf %b, %a : f32\n"
+            "                ^\n"
+            "<input>:3:15: error: use of undefined value %c\n"
+            "  \"test.sink\"(%c) : (f32) -> ()\n"
+            "              ^\n");
+
+  SourceMgr BlockSrcMgr;
+  DiagnosticEngine BlockDiags(&BlockSrcMgr);
+  EXPECT_FALSE(static_cast<bool>(parseSourceString(Ctx, R"(std.func @f() {
+  "std.br"()[^zz] : () -> ()
+  "std.br"()[^aa] : () -> ()
+  "std.br"()[^mm] : () -> ()
+})",
+                                                   BlockSrcMgr, BlockDiags)));
+  EXPECT_EQ(BlockDiags.renderAll(),
+            "<input>:3:14: error: reference to undefined block ^aa\n"
+            "  \"std.br\"()[^aa] : () -> ()\n"
+            "             ^\n"
+            "<input>:4:14: error: reference to undefined block ^mm\n"
+            "  \"std.br\"()[^mm] : () -> ()\n"
+            "             ^\n"
+            "<input>:2:14: error: reference to undefined block ^zz\n"
+            "  \"std.br\"()[^zz] : () -> ()\n"
+            "             ^\n");
 }
 
 TEST_F(ParserTest, ExplicitModuleUnwrapped) {

@@ -47,6 +47,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         ErrorCase{"TopLevelGarbage", "Type t {}",
                   "expected 'Dialect' at top level"},
+        ErrorCase{"IntegerLiteralAboveInt64",
+                  "Dialect d { Type t { Parameters (a: 9223372036854775808 "
+                  ": int64_t) } }",
+                  "integer literal out of range"},
+        ErrorCase{"IntegerLiteralBelowInt64",
+                  "Dialect d { Type t { Parameters (a: -9223372036854775809 "
+                  ": int64_t) } }",
+                  "integer literal out of range"},
         ErrorCase{"MissingDialectName", "Dialect {",
                   "expected dialect name"},
         ErrorCase{"UnknownDialectDirective",

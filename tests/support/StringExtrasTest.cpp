@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace irdl;
 
 namespace {
@@ -72,6 +74,28 @@ TEST(StringExtrasTest, ParseUInt) {
   EXPECT_EQ(parseUInt("12a"), std::nullopt);
   EXPECT_EQ(parseUInt("18446744073709551615"), UINT64_MAX);
   EXPECT_EQ(parseUInt("18446744073709551616"), std::nullopt);
+}
+
+TEST(StringExtrasTest, ApplySign) {
+  EXPECT_EQ(applySign(0, true), 0);
+  EXPECT_EQ(applySign(5, true), -5);
+  EXPECT_EQ(applySign(9223372036854775807u, false), INT64_MAX);
+  EXPECT_EQ(applySign(9223372036854775808u, false), std::nullopt);
+  EXPECT_EQ(applySign(9223372036854775808u, true), INT64_MIN);
+  EXPECT_EQ(applySign(9223372036854775809u, true), std::nullopt);
+  EXPECT_EQ(applySign(UINT64_MAX, false), std::nullopt);
+}
+
+TEST(StringExtrasTest, ParseDouble) {
+  EXPECT_EQ(parseDouble("1.5"), 1.5);
+  EXPECT_EQ(parseDouble("2.5e-3"), 2.5e-3);
+  EXPECT_EQ(parseDouble("1e10"), 1e10);
+  // Out of range rounds as strtod does.
+  EXPECT_EQ(parseDouble("1e400"), HUGE_VAL);
+  EXPECT_EQ(parseDouble("1e-400"), 0.0);
+  EXPECT_EQ(parseDouble("0.001e000000000312"), HUGE_VAL);
+  EXPECT_EQ(parseDouble("1" + std::string(400, '0') + ".5"), HUGE_VAL);
+  EXPECT_EQ(parseDouble("0." + std::string(400, '0') + "1e50"), 0.0);
 }
 
 TEST(StringExtrasTest, Join) {
