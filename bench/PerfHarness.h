@@ -16,7 +16,7 @@
 ///                 running the google-benchmark suites (stdout stays
 ///                 pure JSON)
 ///   --json=FILE   write the summary to FILE, then run the suites
-///   --metrics     enable library metrics collection (the memo-cache /
+///   --metrics     enable library metrics collection (the constraint
 ///                 dispatch / verifier instrumentation) and print the
 ///                 Prometheus exposition to stderr
 ///   --metrics-json=FILE

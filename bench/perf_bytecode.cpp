@@ -10,7 +10,6 @@
 #include "PerfHarness.h"
 
 #include "bytecode/Bytecode.h"
-#include "bytecode/SpecCache.h"
 #include "corpus/Corpus.h"
 #include "corpus/ModuleSynthesizer.h"
 #include "ir/Block.h"
@@ -208,10 +207,9 @@ void runPhaseBreakdown() {
       });
   }
 
-  // The v2 zero-copy pair (check_bytecode.py gates on these): loading the
-  // corpus specs from an mmap'd .irbc — compiled programs alias the
-  // mapping — and re-"loading" an already cached spec, which is just a
-  // content hash plus one cache probe.
+  // The v2 zero-copy load (check_bytecode.py gates on it): loading the
+  // corpus specs from an mmap'd .irbc, whose compiled programs alias the
+  // mapping.
   std::string MappedPath = "perf_bytecode_specs_" +
                            std::to_string(::getpid()) + ".irbc";
   {
@@ -238,38 +236,6 @@ void runPhaseBreakdown() {
       });
   }
   std::remove(MappedPath.c_str());
-  {
-    // Prime the in-process cache with one full load, keyed by the
-    // textual source's content hash — the verification-service shape,
-    // where re-registering an identical spec must cost hash + probe.
-    uint64_t SpecHash = hashSpecBuffer(F->SpecText);
-    {
-      CachedSpecs Entry;
-      Entry.Ctx = std::make_shared<IRContext>();
-      SourceMgr SM;
-      DiagnosticEngine Diags(&SM);
-      Entry.Module = loadIRDL(*Entry.Ctx, F->SpecText, SM, Diags,
-                              corpusNativeOptions());
-      if (!Entry.Module) {
-        std::fprintf(stderr, "spec-cache-hit priming failed:\n%s",
-                     Diags.renderAll().c_str());
-        std::exit(1);
-      }
-      SpecLoadCache::instance().insert(SpecHash, std::move(Entry));
-    }
-    IRDL_TIME_SCOPE("spec-cache-hit-x50");
-    PhaseSampler Sampler("spec-cache-hit");
-    for (int I = 0; I != 50; ++I)
-      Sampler.sample([&] {
-        uint64_t H = hashSpecBuffer(F->SpecText);
-        auto Entry = SpecLoadCache::instance().lookup(H);
-        if (!Entry) {
-          std::fprintf(stderr, "spec-cache-hit: lookup missed\n");
-          std::exit(1);
-        }
-        benchmark::DoNotOptimize(Entry.get());
-      });
-  }
 }
 
 } // namespace

@@ -315,7 +315,7 @@ void runPhaseBreakdown() {
 
   {
     // Variable-heavy: every branch binds !T then mostly fails, with a
-    // var-free inner AnyOf the compiled engine can memoize.
+    // var-free inner AnyOf.
     Dialect *D = F.Ctx.getOrCreateDialect("vh");
     TypeDefinition *Pair = D->addType("pair");
     Pair->setParamNames({"a", "b"});

@@ -54,6 +54,7 @@
 #include "bytecode/Bytecode.h"
 #include "bytecode/SpecCache.h"
 #include "ir/Block.h"
+#include "ir/ConormPattern.h"
 #include "ir/IRParser.h"
 #include "ir/Pass.h"
 #include "ir/Printer.h"
@@ -74,39 +75,6 @@
 #include <sstream>
 
 using namespace irdl;
-
-namespace {
-
-/// The Listing 1 peephole, as in cmath_opt.cpp.
-struct ConormPattern : RewritePattern {
-  ConormPattern() : RewritePattern("std.mulf") {}
-
-  LogicalResult matchAndRewrite(Operation *Op,
-                                PatternRewriter &Rewriter) const override {
-    Operation *L = Op->getOperand(0).getDefiningOp();
-    Operation *R = Op->getOperand(1).getDefiningOp();
-    auto IsNorm = [](Operation *N) {
-      return N && N->getName().str() == "cmath.norm";
-    };
-    if (!IsNorm(L) || !IsNorm(R) ||
-        L->getOperand(0).getType() != R->getOperand(0).getType())
-      return failure();
-    IRContext *Ctx = Rewriter.getContext();
-    OperationState MulState(*Ctx, Ctx->resolveOpDef("cmath.mul"), Op->getLoc());
-    MulState.Operands = {L->getOperand(0), R->getOperand(0)};
-    MulState.ResultTypes = {L->getOperand(0).getType()};
-    Operation *Mul = Rewriter.createOp(MulState);
-    OperationState NormState(*Ctx, Ctx->resolveOpDef("cmath.norm"),
-                             Op->getLoc());
-    NormState.Operands = {Mul->getResult(0)};
-    NormState.ResultTypes = {Op->getResult(0).getType()};
-    Operation *Norm = Rewriter.createOp(NormState);
-    Rewriter.replaceOp(Op, {Norm->getResult(0)});
-    return success();
-  }
-};
-
-} // namespace
 
 int main(int argc, char **argv) {
   std::vector<std::string> DialectFiles;
@@ -344,12 +312,17 @@ int main(int argc, char **argv) {
       if (!SpecCacheDir.empty()) {
         // Content-hash cache: a prior run already parsed, compiled, and
         // serialized this exact text — mmap-load the compiled entry
-        // instead of running the frontend.
+        // instead of running the frontend. Cache diagnostics (a discarded
+        // stale entry, a failed store) go to stderr at once: they do not
+        // fail the run, so nothing later would print them.
         uint64_t Hash = hashSpecBuffer(Buffer);
+        DiagnosticEngine CacheDiags;
         BytecodeReadResult Cached;
-        if (succeeded(loadCachedSpec(SpecCacheDir, Hash, Ctx, Diags,
-                                     Cached)) &&
-            Cached.Specs) {
+        bool Hit = succeeded(loadCachedSpec(SpecCacheDir, Hash, Ctx,
+                                            CacheDiags, Cached)) &&
+                   Cached.Specs;
+        std::cerr << CacheDiags.renderAll();
+        if (Hit) {
           LoadedSpecs.append(std::move(*Cached.Specs));
           continue;
         }
@@ -358,8 +331,9 @@ int main(int argc, char **argv) {
           std::cerr << Diags.renderAll();
           return 1;
         }
-        if (failed(storeCachedSpec(SpecCacheDir, Hash, *Loaded, Diags)))
-          std::cerr << Diags.renderAll();
+        CacheDiags.clear();
+        if (failed(storeCachedSpec(SpecCacheDir, Hash, *Loaded, CacheDiags)))
+          std::cerr << CacheDiags.renderAll();
         LoadedSpecs.append(std::move(*Loaded));
         continue;
       }

@@ -30,9 +30,14 @@ static_assert(offsetof(CInstr, Op) == 0 && offsetof(CInstr, Flags) == 1 &&
 static constexpr bool HostIsLittleEndian =
     std::endian::native == std::endian::little;
 
+/// Bit 1 once marked memoizable subprograms for a verdict cache that no
+/// longer exists. `.irbc` files and spec-cache entries written before its
+/// removal set it, so the reader still accepts it and execution ignores
+/// it; the writer never emits it.
+static constexpr uint8_t RetiredMemoFlag = 1u << 1;
+
 /// Known CInstr flag bits; anything else in a decoded buffer is corrupt.
-static constexpr uint8_t KnownFlags =
-    CInstr::FlagBaseOnly | CInstr::FlagMemo;
+static constexpr uint8_t KnownFlags = CInstr::FlagBaseOnly | RetiredMemoFlag;
 
 namespace {
 /// Dispatch-table key kinds on the wire.
@@ -61,7 +66,7 @@ void ProgramWriter::writeProgram(const ConstraintProgram &P) {
   for (uint32_t I = 0; I != P.InstrCount; ++I) {
     const CInstr &Ins = P.InstrArr[I];
     Body.writeByte(static_cast<uint8_t>(Ins.Op));
-    Body.writeByte(Ins.Flags);
+    Body.writeByte(static_cast<uint8_t>(Ins.Flags & ~RetiredMemoFlag));
     Body.writeByte(static_cast<uint8_t>(Ins.NumChildren));
     Body.writeByte(static_cast<uint8_t>(Ins.NumChildren >> 8));
     Body.writeFixed32(Ins.A);

@@ -6,8 +6,6 @@
 #include "support/File.h"
 #include "support/Hashing.h"
 #include "support/MappedFile.h"
-#include "support/Metrics.h"
-#include "support/Statistic.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -18,9 +16,6 @@
 
 using namespace irdl;
 using namespace irdl::bytecode;
-
-IRDL_STATISTIC(SpecCache, NumSpecCacheHits, "in-process spec cache hits");
-IRDL_STATISTIC(SpecCache, NumSpecCacheMisses, "in-process spec cache misses");
 
 //===----------------------------------------------------------------------===//
 // Hashing
@@ -61,53 +56,6 @@ uint64_t irdl::hashSpecBuffer(std::string_view Buffer) {
     }
   }
   return H;
-}
-
-//===----------------------------------------------------------------------===//
-// In-process cache
-//===----------------------------------------------------------------------===//
-
-SpecLoadCache &SpecLoadCache::instance() {
-  static SpecLoadCache Cache;
-  return Cache;
-}
-
-std::shared_ptr<const CachedSpecs> SpecLoadCache::lookup(uint64_t Hash) {
-  std::shared_ptr<const CachedSpecs> Entry;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Map.find(Hash);
-    if (It != Map.end())
-      Entry = It->second;
-  }
-  if (Entry)
-    ++NumSpecCacheHits;
-  else
-    ++NumSpecCacheMisses;
-  if (metricsEnabled()) {
-    static Counter &Hits = MetricsRegistry::instance().getCounter(
-        "irdl_spec_cache_hits", "in-process spec load cache hits");
-    static Counter &Misses = MetricsRegistry::instance().getCounter(
-        "irdl_spec_cache_misses", "in-process spec load cache misses");
-    (Entry ? Hits : Misses).inc();
-  }
-  return Entry;
-}
-
-void SpecLoadCache::insert(uint64_t Hash, CachedSpecs Entry) {
-  auto Shared = std::make_shared<const CachedSpecs>(std::move(Entry));
-  std::lock_guard<std::mutex> Lock(M);
-  Map[Hash] = std::move(Shared);
-}
-
-size_t SpecLoadCache::size() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Map.size();
-}
-
-void SpecLoadCache::clear() {
-  std::lock_guard<std::mutex> Lock(M);
-  Map.clear();
 }
 
 //===----------------------------------------------------------------------===//

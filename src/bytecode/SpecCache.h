@@ -1,21 +1,15 @@
 //===- SpecCache.h - Content-hash dialect spec caching ------------*- C++ -*-===//
 ///
 /// \file
-/// Content-hash based caching of IRDL dialect specifications, in two
-/// layers keyed by the same 64-bit FNV-1a hash (support/Hashing.h):
-///
-///  * An in-process cache (SpecLoadCache) mapping a spec buffer's hash to
-///    the IRContext + IRDLModule it was loaded into, so repeated loads of
-///    identical spec content inside one process skip parsing,
-///    compilation, and registration entirely.
-///
-///  * An on-disk cache directory (`irdl_opt --spec-cache-dir=DIR`) where
-///    each entry is a compiled `.irbc` spec buffer named by the hex hash
-///    of its *source* text. A hit replaces frontend parsing with an
-///    mmap'd bytecode load whose compiled programs alias the mapping.
-///    Entries embed the source hash in their Meta section; an entry
-///    whose embedded hash does not match its filename hash is stale
-///    (e.g. truncated or hand-edited) and is invalidated.
+/// Content-hash based caching of IRDL dialect specifications, keyed by a
+/// 64-bit FNV-1a hash (support/Hashing.h). The cache is an on-disk
+/// directory (`irdl_opt --spec-cache-dir=DIR`) where each entry is a
+/// compiled `.irbc` spec buffer named by the hex hash of its *source*
+/// text. A hit replaces frontend parsing with an mmap'd bytecode load
+/// whose compiled programs alias the mapping. Entries embed the source
+/// hash in their Meta section; an entry whose embedded hash does not
+/// match its filename hash is stale (e.g. truncated or hand-edited) and
+/// is invalidated.
 ///
 /// The hash is computed by hashSpecBuffer(): textual buffers hash their
 /// full contents; bytecode buffers hash the canonical spec sections
@@ -31,11 +25,8 @@
 #include "bytecode/Bytecode.h"
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace irdl {
 
@@ -44,37 +35,6 @@ namespace irdl {
 /// to their Strings/Specs/Programs sections; anything else (including
 /// malformed bytecode) hashes whole.
 uint64_t hashSpecBuffer(std::string_view Buffer);
-
-/// One in-process cache entry: the context the specs were registered
-/// into plus the module describing them. Verification against the cached
-/// dialects must happen in the cached context (types and attributes are
-/// uniqued per context).
-struct CachedSpecs {
-  std::shared_ptr<IRContext> Ctx;
-  std::shared_ptr<IRDLModule> Module;
-};
-
-/// Process-wide spec load cache keyed by content hash. Thread-safe.
-/// Exposes `irdl_spec_cache_hits` / `irdl_spec_cache_misses` counters
-/// when metrics are enabled.
-class SpecLoadCache {
-public:
-  static SpecLoadCache &instance();
-
-  /// Returns the entry for \p Hash, or null. Counts a hit or miss.
-  std::shared_ptr<const CachedSpecs> lookup(uint64_t Hash);
-
-  /// Inserts (or replaces) the entry for \p Hash.
-  void insert(uint64_t Hash, CachedSpecs Entry);
-
-  size_t size() const;
-  void clear();
-
-private:
-  SpecLoadCache() = default;
-  mutable std::mutex M;
-  std::unordered_map<uint64_t, std::shared_ptr<const CachedSpecs>> Map;
-};
 
 /// The on-disk cache file for \p Hash under \p Dir:
 /// `DIR/<16-hex-digit hash>.irbc`.

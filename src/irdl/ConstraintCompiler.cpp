@@ -12,8 +12,6 @@ IRDL_STATISTIC(ConstraintCompiler, NumInstrsEmitted,
                "constraint program instructions emitted");
 IRDL_STATISTIC(ConstraintCompiler, NumDispatchTablesBuilt,
                "AnyOf nodes lowered to dispatch tables");
-IRDL_STATISTIC(ConstraintCompiler, NumMemoPoints,
-               "subprograms marked cacheable");
 
 namespace {
 
@@ -176,15 +174,6 @@ private:
       break;
     }
 
-    // A variable-free, C++-free subprogram is a pure function of the
-    // (uniqued) value it matches — cache its verdict when it is big
-    // enough that the probe beats re-running it.
-    size_t SubtreeSize = P->OwnedInstrs.size() - Idx;
-    if (!C.requiresCpp() && !C.referencesVar() &&
-        SubtreeSize >= ConstraintCompiler::MemoMinInstrs) {
-      P->OwnedInstrs[Idx].Flags |= CInstr::FlagMemo;
-      ++NumMemoPoints;
-    }
     return Idx;
   }
 

@@ -5,9 +5,7 @@
 /// dialect-registration time. The compiler walks the tree once in
 /// pre-order, hoists literals/definitions/predicates into the program's
 /// pools, elides transparent Named wrappers, turns dispatchable AnyOf
-/// nodes into hash-dispatched AnyOfTable instructions, and marks
-/// variable-free, C++-free subprograms as entry points of the memoized
-/// verification cache.
+/// nodes into hash-dispatched AnyOfTable instructions.
 ///
 /// The compiled programs are the only engine verification, printing and
 /// parsing run; the trees stay as their reference oracle in tests.
@@ -27,9 +25,6 @@ public:
   /// (below this, trying the alternatives in order is cheaper than a
   /// hash lookup).
   static constexpr size_t MinDispatchAlts = 4;
-  /// Minimum subprogram size (instructions) before a verification-cache
-  /// probe is cheaper than just running the subprogram.
-  static constexpr size_t MemoMinInstrs = 4;
 
   /// Compiles \p C into a program. Var opcodes in it resolve through
   /// the variable programs of the MatchContext it runs under.

@@ -8,45 +8,22 @@
 #include "support/Timing.h"
 
 #include <atomic>
-#include <mutex>
 #include <sstream>
 
 using namespace irdl;
 
 IRDL_STATISTIC(ConstraintProgram, NumProgramRuns,
                "compiled constraint program executions");
-IRDL_STATISTIC(ConstraintProgram, NumMemoHits,
-               "verification-cache hits (verdict served without matching)");
-IRDL_STATISTIC(ConstraintProgram, NumMemoMisses,
-               "verification-cache misses (verdict computed and recorded)");
-IRDL_STATISTIC(ConstraintProgram, NumDispatchTableHits,
-               "AnyOf alternatives dispatched directly via a table");
-IRDL_STATISTIC(ConstraintProgram, NumDispatchTableRejects,
-               "AnyOf values refuted by a table lookup alone");
 
 namespace {
 /// Metric series for the compiled-constraint engine, created once and
-/// recorded into only while metricsEnabled() (the statistics above stay
-/// the always-on counters).
+/// recorded into only while metricsEnabled().
 struct ConstraintMetrics {
-  Counter &MemoHits;
-  Counter &MemoMisses;
-  Counter &MemoExcluded;
   Counter &DispatchHits;
   Counter &DispatchRejects;
 
   static ConstraintMetrics &get() {
     static ConstraintMetrics M{
-        MetricsRegistry::instance().getCounter(
-            "irdl_constraint_memo_hits_total",
-            "verification-cache hits (verdict served without matching)"),
-        MetricsRegistry::instance().getCounter(
-            "irdl_constraint_memo_misses_total",
-            "verification-cache misses (verdict computed and recorded)"),
-        MetricsRegistry::instance().getCounter(
-            "irdl_constraint_memo_excluded_total",
-            "memoizable entries skipped because the value is not a "
-            "uniqued type/attribute"),
         MetricsRegistry::instance().getCounter(
             "irdl_constraint_dispatch_hits_total",
             "AnyOf alternatives dispatched directly via a table"),
@@ -150,195 +127,148 @@ static bool matchEnum(const ParamValue &V, const EnumDef *EDef,
 bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
                              MatchContext &MC) const {
   const CInstr &I = InstrArr[Pc];
-
-  // Memoized subprograms are variable-free and C++-free, so their verdict
-  // over a uniqued value is a pure function of the storage pointer — and
-  // they bind nothing, so a cached verdict needs no binding replay.
-  const void *MemoPtr = nullptr;
-  if (I.Flags & CInstr::FlagMemo) {
-    if (V.isType())
-      MemoPtr = V.getType().getImpl();
-    else if (V.isAttr())
-      MemoPtr = V.getAttr().getImpl();
-    if (MemoPtr) {
-      MemoKey Key{Pc, MemoPtr};
-      MemoShard &Shard = MemoShards[MemoKeyHash{}(Key) % NumMemoShards];
-      std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-      auto It = Shard.Map.find(Key);
-      if (It != Shard.Map.end()) {
-        ++NumMemoHits;
-        if (metricsEnabled())
-          ConstraintMetrics::get().MemoHits.inc();
-        return It->second;
-      }
-    } else if (metricsEnabled()) {
-      ConstraintMetrics::get().MemoExcluded.inc();
-    }
+  const uint32_t *Child = ChildArr + I.ChildrenBegin;
+  switch (I.Op) {
+  case COpcode::AnyType:
+    return V.isType();
+  case COpcode::AnyAttr:
+    return V.isAttr();
+  case COpcode::AnyParam:
+    return true;
+  case COpcode::TypeParams: {
+    if (!V.isType() || V.getType().getDef() != TypeDefs[I.A])
+      return false;
+    if (I.Flags & CInstr::FlagBaseOnly)
+      return true;
+    const auto &Params = V.getType().getParams();
+    if (Params.size() != I.NumChildren)
+      return false;
+    for (uint16_t C = 0; C != I.NumChildren; ++C)
+      if (!exec(Child[C], Params[C], MC))
+        return false;
+    return true;
   }
-
-  bool Result = [&]() -> bool {
-    const uint32_t *Child = ChildArr + I.ChildrenBegin;
-    switch (I.Op) {
-    case COpcode::AnyType:
-      return V.isType();
-    case COpcode::AnyAttr:
-      return V.isAttr();
-    case COpcode::AnyParam:
-      return true;
-    case COpcode::TypeParams: {
-      if (!V.isType() || V.getType().getDef() != TypeDefs[I.A])
-        return false;
-      if (I.Flags & CInstr::FlagBaseOnly)
-        return true;
-      const auto &Params = V.getType().getParams();
-      if (Params.size() != I.NumChildren)
-        return false;
-      for (uint16_t C = 0; C != I.NumChildren; ++C)
-        if (!exec(Child[C], Params[C], MC))
-          return false;
-      return true;
-    }
-    case COpcode::AttrParams: {
-      if (!V.isAttr() || V.getAttr().getDef() != AttrDefs[I.A])
-        return false;
-      if (I.Flags & CInstr::FlagBaseOnly)
-        return true;
-      const auto &Params = V.getAttr().getParams();
-      if (Params.size() != I.NumChildren)
-        return false;
-      for (uint16_t C = 0; C != I.NumChildren; ++C)
-        if (!exec(Child[C], Params[C], MC))
-          return false;
-      return true;
-    }
-    case COpcode::IntKind:
-      return V.isInt() && V.getInt().Width == Ints[I.A].Width &&
-             V.getInt().Sign == Ints[I.A].Sign;
-    case COpcode::IntEq:
-      return V.isInt() && V.getInt() == Ints[I.A];
-    case COpcode::FloatKind:
-      return V.isFloat() &&
-             (Floats[I.A].Width == 0 ||
-              V.getFloat().Width == Floats[I.A].Width);
-    case COpcode::FloatEq:
-      return V.isFloat() && V.getFloat() == Floats[I.A];
-    case COpcode::StringKind:
-      return V.isString();
-    case COpcode::StringEq:
-      return V.isString() && V.getString() == Strings[I.A];
-    case COpcode::EnumKind:
-      return matchEnum(V, EnumDefs[I.A], nullptr);
-    case COpcode::EnumEq:
-      return matchEnum(V, EnumVals[I.A].Def, &EnumVals[I.A]);
-    case COpcode::ArrayOf: {
-      if (!V.isArray())
-        return false;
-      if (I.NumChildren == 0)
-        return true;
-      for (const ParamValue &Elem : V.getArray())
-        if (!exec(Child[0], Elem, MC))
-          return false;
-      return true;
-    }
-    case COpcode::ArrayExact: {
-      if (!V.isArray() || V.getArray().size() != I.NumChildren)
-        return false;
-      for (uint16_t C = 0; C != I.NumChildren; ++C)
-        if (!exec(Child[C], V.getArray()[C], MC))
-          return false;
-      return true;
-    }
-    case COpcode::OpaqueKind:
-      return V.isOpaque() && V.getOpaque().ParamTypeName == Strings[I.A];
-    case COpcode::AnyOf: {
-      for (uint16_t C = 0; C != I.NumChildren; ++C) {
-        MatchContext::Mark M = MC.mark();
-        if (exec(Child[C], V, MC))
-          return true;
-        MC.undoTo(M);
-      }
+  case COpcode::AttrParams: {
+    if (!V.isAttr() || V.getAttr().getDef() != AttrDefs[I.A])
       return false;
-    }
-    case COpcode::AnyOfTable: {
-      // Every alternative is rooted in a base definition check, so only
-      // the alternatives keyed under the value's own definition can
-      // possibly match; everything else is skipped without executing.
-      const void *Def = nullptr;
-      if (V.isType())
-        Def = V.getType().getDef();
-      else if (V.isAttr())
-        Def = V.getAttr().getDef();
-      if (!Def) {
-        ++NumDispatchTableRejects;
-        if (metricsEnabled())
-          ConstraintMetrics::get().DispatchRejects.inc();
-        return false;
-      }
-      const DispatchTable &Table = Tables[I.A];
-      auto It = Table.Map.find(Def);
-      if (It == Table.Map.end()) {
-        ++NumDispatchTableRejects;
-        if (metricsEnabled())
-          ConstraintMetrics::get().DispatchRejects.inc();
-        return false;
-      }
-      ++NumDispatchTableHits;
-      if (metricsEnabled())
-        ConstraintMetrics::get().DispatchHits.inc();
-      auto [Begin, Count] = It->second;
-      for (uint32_t C = 0; C != Count; ++C) {
-        MatchContext::Mark M = MC.mark();
-        if (exec(TableAltArr[Begin + C], V, MC))
-          return true;
-        MC.undoTo(M);
-      }
-      return false;
-    }
-    case COpcode::And: {
-      for (uint16_t C = 0; C != I.NumChildren; ++C)
-        if (!exec(Child[C], V, MC))
-          return false;
+    if (I.Flags & CInstr::FlagBaseOnly)
       return true;
-    }
-    case COpcode::Not: {
+    const auto &Params = V.getAttr().getParams();
+    if (Params.size() != I.NumChildren)
+      return false;
+    for (uint16_t C = 0; C != I.NumChildren; ++C)
+      if (!exec(Child[C], Params[C], MC))
+        return false;
+    return true;
+  }
+  case COpcode::IntKind:
+    return V.isInt() && V.getInt().Width == Ints[I.A].Width &&
+           V.getInt().Sign == Ints[I.A].Sign;
+  case COpcode::IntEq:
+    return V.isInt() && V.getInt() == Ints[I.A];
+  case COpcode::FloatKind:
+    return V.isFloat() &&
+           (Floats[I.A].Width == 0 ||
+            V.getFloat().Width == Floats[I.A].Width);
+  case COpcode::FloatEq:
+    return V.isFloat() && V.getFloat() == Floats[I.A];
+  case COpcode::StringKind:
+    return V.isString();
+  case COpcode::StringEq:
+    return V.isString() && V.getString() == Strings[I.A];
+  case COpcode::EnumKind:
+    return matchEnum(V, EnumDefs[I.A], nullptr);
+  case COpcode::EnumEq:
+    return matchEnum(V, EnumVals[I.A].Def, &EnumVals[I.A]);
+  case COpcode::ArrayOf: {
+    if (!V.isArray())
+      return false;
+    if (I.NumChildren == 0)
+      return true;
+    for (const ParamValue &Elem : V.getArray())
+      if (!exec(Child[0], Elem, MC))
+        return false;
+    return true;
+  }
+  case COpcode::ArrayExact: {
+    if (!V.isArray() || V.getArray().size() != I.NumChildren)
+      return false;
+    for (uint16_t C = 0; C != I.NumChildren; ++C)
+      if (!exec(Child[C], V.getArray()[C], MC))
+        return false;
+    return true;
+  }
+  case COpcode::OpaqueKind:
+    return V.isOpaque() && V.getOpaque().ParamTypeName == Strings[I.A];
+  case COpcode::AnyOf: {
+    for (uint16_t C = 0; C != I.NumChildren; ++C) {
       MatchContext::Mark M = MC.mark();
-      bool Matched = exec(Child[0], V, MC);
+      if (exec(Child[C], V, MC))
+        return true;
       MC.undoTo(M);
-      return !Matched;
-    }
-    case COpcode::Var: {
-      const auto &Binding = MC.getBinding(I.A);
-      if (Binding)
-        return *Binding == V;
-      if (!MC.getVarProgram(I.A).run(V, MC))
-        return false;
-      MC.bind(I.A, V);
-      return true;
-    }
-    case COpcode::Cpp: {
-      if (!exec(Child[0], V, MC) || !CppPreds[I.A])
-        return false;
-      return CppPreds[I.A](V);
-    }
-    case COpcode::Native: {
-      if (!exec(Child[0], V, MC) || !NativeFns[I.A])
-        return false;
-      return NativeFns[I.A](V);
-    }
     }
     return false;
-  }();
-
-  if (MemoPtr) {
-    ++NumMemoMisses;
-    if (metricsEnabled())
-      ConstraintMetrics::get().MemoMisses.inc();
-    MemoKey Key{Pc, MemoPtr};
-    MemoShard &Shard = MemoShards[MemoKeyHash{}(Key) % NumMemoShards];
-    std::unique_lock<std::shared_mutex> Lock(Shard.Mu);
-    Shard.Map.emplace(Key, Result);
   }
-  return Result;
+  case COpcode::AnyOfTable: {
+    // Every alternative is rooted in a base definition check, so only
+    // the alternatives keyed under the value's own definition can
+    // possibly match; everything else is skipped without executing.
+    const void *Def = nullptr;
+    if (V.isType())
+      Def = V.getType().getDef();
+    else if (V.isAttr())
+      Def = V.getAttr().getDef();
+    const DispatchTable &Table = Tables[I.A];
+    auto It = Def ? Table.Map.find(Def) : Table.Map.end();
+    if (It == Table.Map.end()) {
+      if (metricsEnabled())
+        ConstraintMetrics::get().DispatchRejects.inc();
+      return false;
+    }
+    if (metricsEnabled())
+      ConstraintMetrics::get().DispatchHits.inc();
+    auto [Begin, Count] = It->second;
+    for (uint32_t C = 0; C != Count; ++C) {
+      MatchContext::Mark M = MC.mark();
+      if (exec(TableAltArr[Begin + C], V, MC))
+        return true;
+      MC.undoTo(M);
+    }
+    return false;
+  }
+  case COpcode::And: {
+    for (uint16_t C = 0; C != I.NumChildren; ++C)
+      if (!exec(Child[C], V, MC))
+        return false;
+    return true;
+  }
+  case COpcode::Not: {
+    MatchContext::Mark M = MC.mark();
+    bool Matched = exec(Child[0], V, MC);
+    MC.undoTo(M);
+    return !Matched;
+  }
+  case COpcode::Var: {
+    const auto &Binding = MC.getBinding(I.A);
+    if (Binding)
+      return *Binding == V;
+    if (!MC.getVarProgram(I.A).run(V, MC))
+      return false;
+    MC.bind(I.A, V);
+    return true;
+  }
+  case COpcode::Cpp: {
+    if (!exec(Child[0], V, MC) || !CppPreds[I.A])
+      return false;
+    return CppPreds[I.A](V);
+  }
+  case COpcode::Native: {
+    if (!exec(Child[0], V, MC) || !NativeFns[I.A])
+      return false;
+    return NativeFns[I.A](V);
+  }
+  }
+  return false;
 }
 
 std::optional<ParamValue>
@@ -470,22 +400,6 @@ void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {
   }
 }
 
-size_t ConstraintProgram::getMemoCacheSize() const {
-  size_t N = 0;
-  for (const MemoShard &Shard : MemoShards) {
-    std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-    N += Shard.Map.size();
-  }
-  return N;
-}
-
-void ConstraintProgram::clearMemoCache() const {
-  for (MemoShard &Shard : MemoShards) {
-    std::unique_lock<std::shared_mutex> Lock(Shard.Mu);
-    Shard.Map.clear();
-  }
-}
-
 std::string ConstraintProgram::dump() const {
   std::ostringstream OS;
   for (size_t Pc = 0, E = InstrCount; Pc != E; ++Pc) {
@@ -528,8 +442,6 @@ std::string ConstraintProgram::dump() const {
     }
     if (I.Flags & CInstr::FlagBaseOnly)
       OS << " base";
-    if (I.Flags & CInstr::FlagMemo)
-      OS << " memo";
     if (I.NumChildren) {
       OS << " [";
       for (uint16_t C = 0; C != I.NumChildren; ++C) {

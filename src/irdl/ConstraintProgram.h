@@ -9,18 +9,17 @@
 /// dialect-registration time and executed by a tight switch-dispatch
 /// interpreter — "compile the declaration, not interpret it per op".
 ///
-/// Three mechanisms make the compiled engine fast (docs/constraint-
+/// Two mechanisms make the compiled engine fast (docs/constraint-
 /// compiler.md):
 ///
 ///  * trail-based backtracking — AnyOf/Not record a MatchContext mark and
 ///    undo only the variables bound since (shared with the tree oracle);
 ///  * AnyOf dispatch tables — when every alternative is rooted in a base
 ///    TypeParams/AttrParams/TypeEq check, a hash on the value's uniqued
-///    definition pointer jumps directly to the plausible alternatives;
-///  * a memoized verification cache — variable-free, C++-free subprograms
-///    over uniqued Type/Attribute values cache their verdict keyed on
-///    (instruction, uniqued storage pointer), sharded 16 ways so
-///    concurrent verifies (one per irdl_serve connection) rarely contend.
+///    definition pointer jumps directly to the plausible alternatives.
+///
+/// There is no verdict cache: every run executes the program, so a
+/// verdict follows from the constraints alone.
 ///
 /// Programs are the only constraint engine at runtime: verification,
 /// declarative-format printing and parsing all run them. A Var opcode
@@ -36,9 +35,7 @@
 
 #include "irdl/Constraint.h"
 
-#include <array>
 #include <atomic>
-#include <shared_mutex>
 #include <unordered_map>
 
 namespace irdl {
@@ -91,7 +88,7 @@ std::string_view getOpcodeName(COpcode Op);
 /// so walking a subtree touches only two flat arrays.
 struct CInstr {
   COpcode Op = COpcode::AnyType;
-  /// Instruction flag bits (FlagBaseOnly / FlagMemo).
+  /// Instruction flag bits (FlagBaseOnly).
   uint8_t Flags = 0;
   /// Number of child programs.
   uint16_t NumChildren = 0;
@@ -101,15 +98,11 @@ struct CInstr {
   uint32_t ChildrenBegin = 0;
 
   static constexpr uint8_t FlagBaseOnly = 1u << 0;
-  /// Entry point of a memoizable subprogram (variable-free, C++-free):
-  /// when the matched value is a uniqued Type/Attribute, the verdict is
-  /// served from / recorded into the program's verification cache.
-  static constexpr uint8_t FlagMemo = 1u << 1;
 };
 
 /// A compiled, immutable constraint program. Instruction 0 is the entry
-/// point. Thread-safe to execute concurrently (the verification cache is
-/// internally sharded and locked; everything else is read-only).
+/// point. Thread-safe to execute concurrently: execution only reads the
+/// program (the profiling accumulators are relaxed atomics).
 class ConstraintProgram {
 public:
   ConstraintProgram();
@@ -167,12 +160,6 @@ public:
   }
 
   size_t getNumDispatchTables() const { return Tables.size(); }
-  /// Entries currently held by the verification cache (all shards).
-  size_t getMemoCacheSize() const;
-  /// Drops every cached verdict (tests; specs owning stale uniqued
-  /// pointers must clear before their IRContext dies if the program is
-  /// reused against a new context).
-  void clearMemoCache() const;
 
   /// One-line-per-instruction disassembly, e.g.
   /// "0: AnyOfTable tbl=0 n=16 [1..16]".
@@ -247,34 +234,6 @@ private:
   };
   std::vector<DispatchTable> Tables;
   std::vector<uint32_t> TableAlts;
-
-  //===------------------------------------------------------------------===//
-  // Memoized verification cache
-  //===------------------------------------------------------------------===//
-
-  struct MemoKey {
-    uint32_t Pc;
-    const void *Ptr;
-    bool operator==(const MemoKey &RHS) const = default;
-  };
-  struct MemoKeyHash {
-    size_t operator()(const MemoKey &K) const {
-      // Same splitmix-style mix as the uniquer's shard hash.
-      uint64_t H = (uint64_t)K.Pc * 0x9E3779B97F4A7C15ull;
-      H ^= (uint64_t)(uintptr_t)K.Ptr + 0x9E3779B97F4A7C15ull +
-           (H << 6) + (H >> 2);
-      return (size_t)H;
-    }
-  };
-  /// Sharded like the IRContext uniquer pools: the shard is picked by the
-  /// key hash, lookups take the shared side, and inserts re-check under
-  /// the exclusive side, so concurrent verifies rarely contend.
-  struct MemoShard {
-    mutable std::shared_mutex Mu;
-    std::unordered_map<MemoKey, bool, MemoKeyHash> Map;
-  };
-  static constexpr size_t NumMemoShards = 16;
-  mutable std::array<MemoShard, NumMemoShards> MemoShards;
 
   /// --profile-constraints accumulators (relaxed; see getProfiledEvals).
   mutable std::atomic<uint64_t> ProfEvals{0};

@@ -4,7 +4,7 @@
 /// The service-telemetry layer of the observability stack: a process-wide
 /// registry of labeled **counters**, **gauges**, and **log-bucketed
 /// histograms**, built for a long-lived daemon (`irdl_serve`) where the
-/// operational contract is rates (memo-cache hit ratio), distributions
+/// operational contract is rates (dispatch-table hit ratio), distributions
 /// (p50/p99 verification latency), and load (active connections) —
 /// questions the run-scoped TimerGroup/Statistic layers cannot answer.
 ///
@@ -20,7 +20,7 @@
 ///    cache-line-aligned atomic cells; a thread records into the cell
 ///    picked by its (round-robin assigned) thread shard index and scrapes
 ///    merge all cells. This mirrors the 16-way sharding of the IRContext
-///    uniquer and the constraint memo cache: concurrent recorders on
+///    uniquer: concurrent recorders on
 ///    different threads almost never touch the same cache line, and a
 ///    record is a single relaxed RMW — no locks anywhere on the hot path.
 ///
@@ -206,7 +206,7 @@ private:
 /// instrumented sites cache them in function-local statics:
 ///
 ///   static Counter &Hits = MetricsRegistry::instance().getCounter(
-///       "irdl_constraint_memo_hits_total", "verification-cache hits");
+///       "irdl_constraint_dispatch_hits_total", "dispatch-table hits");
 ///   ...
 ///   if (metricsEnabled())
 ///     Hits.inc();

@@ -5,9 +5,10 @@
 /// zero-copy read must be observationally identical to the copied read
 /// and agree with the tree interpreter over the whole synthetic corpus
 /// and over variables that reference variables, corrupt
-/// program sections (bad padding, misalignment, truncation) must be
-/// rejected with diagnostics, and both cache layers must hit on
-/// identical content and invalidate stale on-disk entries.
+/// program sections (bad padding, misalignment, truncation, unknown flag
+/// bits) must be rejected with diagnostics, the retired memo flag bit
+/// must not change any verdict, and the on-disk spec cache must hit on
+/// identical content and invalidate stale entries.
 
 #include "bytecode/Bytecode.h"
 #include "bytecode/Encoding.h"
@@ -24,8 +25,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -333,6 +336,135 @@ TEST(ProgramBytecode, TruncatedProgramSectionIsRejected) {
   }
 }
 
+/// Byte offsets within \p Buffer of the instructions of cmath.mul's
+/// programs (variable, operand and result programs) that \p Pick selects.
+/// The buffer is read with itself as backing, so the programs alias it
+/// and each instruction's address is an offset into it.
+std::vector<size_t>
+mulInstrOffsets(const std::string &Buffer,
+                const std::function<bool(const CInstr &)> &Pick) {
+  IRContext Ctx;
+  DiagnosticEngine Diags;
+  BytecodeReader Reader(Ctx, Diags);
+  BytecodeReadResult Result;
+  std::shared_ptr<const void> Backing(Buffer.data(), [](const void *) {});
+  std::vector<size_t> Offsets;
+  if (failed(Reader.read(Buffer, Result, {}, Backing))) {
+    ADD_FAILURE() << Diags.renderAll();
+    return Offsets;
+  }
+  const OpSpec *Mul = Result.Specs->getDialects()[0]->lookupOp("mul");
+  if (!Mul) {
+    ADD_FAILURE() << "cmath.mul missing from the spec buffer";
+    return Offsets;
+  }
+  std::vector<const ConstraintProgram *> Progs;
+  for (const ConstraintProgramPtr &P : Mul->VarPrograms)
+    Progs.push_back(P.get());
+  for (const OperandSpec &O : Mul->Operands)
+    Progs.push_back(O.Prog.get());
+  for (const OperandSpec &R : Mul->Results)
+    Progs.push_back(R.Prog.get());
+  for (const ConstraintProgram *P : Progs) {
+    for (size_t I = 0, E = P->getNumInstrs(); I != E; ++I) {
+      const char *Addr = reinterpret_cast<const char *>(&P->getInstr(I));
+      if (!P->isExternallyBacked() || Addr < Buffer.data() ||
+          Addr >= Buffer.data() + Buffer.size()) {
+        ADD_FAILURE() << "program does not alias the buffer";
+        return {};
+      }
+      if (Pick(P->getInstr(I)))
+        Offsets.push_back(static_cast<size_t>(Addr - Buffer.data()));
+    }
+  }
+  return Offsets;
+}
+
+/// Copy of \p Buffer with \p Bits or'ed into the flag byte of the
+/// instructions at \p Offsets.
+std::string withFlagBits(std::string Buffer, const std::vector<size_t> &Offsets,
+                         uint8_t Bits) {
+  for (size_t Off : Offsets)
+    Buffer[Off + offsetof(CInstr, Flags)] |= static_cast<char>(Bits);
+  return Buffer;
+}
+
+/// Loads the cmath specs from \p SpecBytes (copied or zero-copy) and
+/// verifies a module holding a well-typed cmath.mul followed by one whose
+/// operands disagree on !T. Returns the rendered verify diagnostics.
+std::string verifyMulModule(const std::string &SpecBytes, bool ZeroCopy) {
+  IRContext Ctx;
+  DiagnosticEngine ReadDiags;
+  BytecodeReader Reader(Ctx, ReadDiags);
+  BytecodeReadResult Result;
+  std::shared_ptr<const void> Backing;
+  if (ZeroCopy)
+    Backing.reset(SpecBytes.data(), [](const void *) {});
+  if (failed(Reader.read(SpecBytes, Result, {}, Backing))) {
+    ADD_FAILURE() << ReadDiags.renderAll();
+    return {};
+  }
+  SourceMgr SM;
+  DiagnosticEngine Diags(&SM);
+  OwningOpRef M = parseSourceString(Ctx, R"(
+    std.func @f(%b32: !cmath.complex<f32>, %c64: !cmath.complex<f64>) {
+      %0 = "cmath.mul"(%b32, %b32)
+          : (!cmath.complex<f32>, !cmath.complex<f32>) -> (!cmath.complex<f32>)
+      %1 = "cmath.mul"(%c64, %b32)
+          : (!cmath.complex<f64>, !cmath.complex<f32>) -> (!cmath.complex<f32>)
+      std.return
+    }
+  )",
+                                    SM, Diags);
+  if (!M) {
+    ADD_FAILURE() << Diags.renderAll();
+    return {};
+  }
+  EXPECT_TRUE(failed(M->verify(Diags)));
+  return Diags.renderAll();
+}
+
+TEST(ProgramBytecode, MemoFlagBitDoesNotChangeVerdicts) {
+  std::string Honest = cmathSpecBytes();
+  for (bool ZeroCopy : {false, true}) {
+    SCOPED_TRACE(ZeroCopy ? "zero-copy read" : "copied read");
+    std::string Expected = verifyMulModule(Honest, ZeroCopy);
+    EXPECT_NE(Expected.find("does not satisfy constraint !T"),
+              std::string::npos)
+        << Expected;
+
+    // Bit 1 once marked a subprogram whose verdict was cached per
+    // uniqued value. On a Var instruction that let the second mul reuse
+    // the first mul's verdict for the same operand type and skip the !T
+    // check; the flag must be inert.
+    std::vector<size_t> VarInstrs = mulInstrOffsets(
+        Honest, [](const CInstr &I) { return I.Op == COpcode::Var; });
+    ASSERT_FALSE(VarInstrs.empty());
+    EXPECT_EQ(verifyMulModule(withFlagBits(Honest, VarInstrs, 1u << 1),
+                              ZeroCopy),
+              Expected);
+
+    // Bit 1 on var-free instructions, where files written before the
+    // cache was removed set it, loads and verifies the same.
+    std::vector<size_t> VarFreeInstrs = mulInstrOffsets(
+        Honest, [](const CInstr &I) { return I.Op != COpcode::Var; });
+    ASSERT_FALSE(VarFreeInstrs.empty());
+    EXPECT_EQ(verifyMulModule(withFlagBits(Honest, VarFreeInstrs, 1u << 1),
+                              ZeroCopy),
+              Expected);
+  }
+
+  // Bit 2 has never had a meaning and is still rejected.
+  std::vector<size_t> AllInstrs =
+      mulInstrOffsets(Honest, [](const CInstr &) { return true; });
+  ASSERT_FALSE(AllInstrs.empty());
+  std::string Rendered;
+  EXPECT_FALSE(
+      tryRead(withFlagBits(Honest, {AllInstrs[0]}, 1u << 2), &Rendered));
+  EXPECT_NE(Rendered.find("unknown flag bits"), std::string::npos)
+      << Rendered;
+}
+
 TEST(ProgramBytecode, SpecHashIgnoresNonSpecSections) {
   IRContext Ctx;
   SourceMgr SrcMgr;
@@ -359,32 +491,6 @@ TEST(ProgramBytecode, SpecHashIgnoresNonSpecSections) {
   EXPECT_NE(hashSpecBuffer("Dialect a {}"), hashSpecBuffer("Dialect b {}"));
 }
 
-TEST(ProgramBytecode, InProcessSpecCacheHitsOnIdenticalContent) {
-  std::string Source = "in-process spec cache test source";
-  uint64_t Hash = hashSpecBuffer(Source);
-
-  ASSERT_EQ(SpecLoadCache::instance().lookup(Hash), nullptr);
-
-  CachedSpecs Entry;
-  Entry.Ctx = std::make_shared<IRContext>();
-  {
-    SourceMgr SM;
-    DiagnosticEngine Diags(&SM);
-    Entry.Module = loadIRDLFile(*Entry.Ctx,
-                                std::string(IRDL_DIALECTS_DIR) +
-                                    "/cmath.irdl",
-                                SM, Diags);
-    ASSERT_NE(Entry.Module, nullptr) << Diags.renderAll();
-  }
-  const IRDLModule *Inserted = Entry.Module.get();
-  SpecLoadCache::instance().insert(Hash, std::move(Entry));
-
-  auto Hit = SpecLoadCache::instance().lookup(Hash);
-  ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(Hit->Module.get(), Inserted);
-  EXPECT_EQ(SpecLoadCache::instance().lookup(Hash ^ 1), nullptr);
-}
-
 TEST(ProgramBytecode, StaleOnDiskCacheEntryIsInvalidated) {
   IRContext Ctx;
   SourceMgr SrcMgr;
@@ -393,7 +499,7 @@ TEST(ProgramBytecode, StaleOnDiskCacheEntryIsInvalidated) {
   auto M = loadIRDLFile(Ctx, SpecPath, SrcMgr, Diags);
   ASSERT_NE(M, nullptr) << Diags.renderAll();
 
-  std::string Dir = ::testing::TempDir() + "irdl_spec_cache_test." +
+  std::string Dir = ::testing::TempDir() + "program_bytecode_cache." +
                     std::to_string(::getpid());
   uint64_t Hash = 0xfeedfacecafe0001ULL;
   ASSERT_TRUE(succeeded(storeCachedSpec(Dir, Hash, *M, Diags)))

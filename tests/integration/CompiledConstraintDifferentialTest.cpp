@@ -6,8 +6,8 @@
 /// under a type parameter. Valid synthesized modules and mutated-invalid
 /// variants are checked slot by slot against the tree interpreter, the
 /// reference oracle (tests/common/EngineOracle.h): verdicts and variable
-/// bindings must agree, so the memo cache, the dispatch tables and the
-/// variable programs are invisible except in speed.
+/// bindings must agree, so the dispatch tables and the variable programs
+/// are invisible except in speed.
 
 #include "common/EngineOracle.h"
 #include "corpus/Corpus.h"

@@ -8,6 +8,7 @@
 #include "analysis/DialectStatistics.h"
 #include "ir/Block.h"
 #include "ir/Cloning.h"
+#include "ir/ConormPattern.h"
 #include "ir/IRParser.h"
 #include "ir/Pass.h"
 #include "ir/Printer.h"
@@ -19,34 +20,6 @@
 using namespace irdl;
 
 namespace {
-
-struct ConormPattern : RewritePattern {
-  ConormPattern() : RewritePattern("std.mulf") {}
-
-  LogicalResult matchAndRewrite(Operation *Op,
-                                PatternRewriter &Rewriter) const override {
-    Operation *L = Op->getOperand(0).getDefiningOp();
-    Operation *R = Op->getOperand(1).getDefiningOp();
-    auto IsNorm = [](Operation *N) {
-      return N && N->getName().str() == "cmath.norm";
-    };
-    if (!IsNorm(L) || !IsNorm(R) ||
-        L->getOperand(0).getType() != R->getOperand(0).getType())
-      return failure();
-    IRContext *Ctx = Rewriter.getContext();
-    OperationState MulState(*Ctx, Ctx->resolveOpDef("cmath.mul"), Op->getLoc());
-    MulState.Operands = {L->getOperand(0), R->getOperand(0)};
-    MulState.ResultTypes = {L->getOperand(0).getType()};
-    Operation *Mul = Rewriter.createOp(MulState);
-    OperationState NormState(*Ctx, Ctx->resolveOpDef("cmath.norm"),
-                             Op->getLoc());
-    NormState.Operands = {Mul->getResult(0)};
-    NormState.ResultTypes = {Op->getResult(0).getType()};
-    Operation *Norm = Rewriter.createOp(NormState);
-    Rewriter.replaceOp(Op, {Norm->getResult(0)});
-    return success();
-  }
-};
 
 class EndToEndTest : public ::testing::Test {
 protected:

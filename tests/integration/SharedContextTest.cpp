@@ -2,11 +2,12 @@
 ///
 /// irdl_serve gives each connection its own thread, and all of them parse
 /// and verify against one context with loaded dialects. What those
-/// threads share is locked: the sharded type/attribute uniquer, the op
-/// arena, and the compiled constraint programs' memo and dispatch
-/// caches. Here four threads each parse and verify every module of a set
-/// (valid ones, synthesized ones over the five bundled dialects, and
-/// hand-broken ones) against one such context. Every verdict and
+/// threads share is either locked or only read: the sharded
+/// type/attribute uniquer and the op arena are locked, and the compiled
+/// constraint programs and their dispatch tables are read-only (there is
+/// no verdict cache). Here four threads each parse and verify every
+/// module of a set (valid ones, synthesized ones over the five bundled
+/// dialects, and hand-broken ones) against one such context. Every verdict and
 /// rendered diagnostic stream must equal a sequential run.
 
 #include "corpus/ModuleSynthesizer.h"
@@ -139,7 +140,7 @@ TEST(SharedContextTest, ConcurrentParseVerifyMatchesSequential) {
       loadBundled(Ctx, SpecSrcMgr);
   ASSERT_EQ(Modules.size(), std::size(BundledDialects));
 
-  // The threads run first, so they race on cold memo and dispatch caches.
+  // The threads run first, so they race on a cold uniquer and arena.
   // Each starts at a different input to spread the contention.
   constexpr size_t NumThreads = 4;
   std::vector<std::vector<Outcome>> Concurrent(

@@ -2,9 +2,8 @@
 ///
 /// The compiled engine's contract is semantic identity with the tree
 /// interpreter (the reference oracle). These tests compile constraint
-/// trees and check verdicts, variable bindings, dispatch-table lowering,
-/// the memoized verification cache, and concreteValue against the tree
-/// over a grid of values.
+/// trees and check verdicts, variable bindings, dispatch-table lowering
+/// and concreteValue against the tree over a grid of values.
 
 #include "irdl/ConstraintCompiler.h"
 #include "irdl/ConstraintProfiler.h"
@@ -283,62 +282,6 @@ TEST_F(ConstraintCompilerTest, SameDefAlternativesKeepSourceOrder) {
   MatchContext MC;
   EXPECT_TRUE(
       Prog->run(ParamValue(complexOf(Ctx.getFloatType(64))), MC));
-}
-
-TEST_F(ConstraintCompilerTest, MemoCachesVarFreeSubprograms) {
-  // complex<AnyOf<f32, f64>> is variable-free and big enough to memoize.
-  ConstraintPtr C = Constraint::typeConstraint(
-      Complex,
-      {Constraint::anyOf({Constraint::typeEq(Ctx.getFloatType(32)),
-                          Constraint::typeEq(Ctx.getFloatType(64))})},
-      /*BaseOnly=*/false);
-  ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
-  ASSERT_TRUE(Prog->getInstr(0).Flags & CInstr::FlagMemo);
-  EXPECT_EQ(Prog->getMemoCacheSize(), 0u);
-
-  MatchContext MC;
-  ParamValue V(complexOf(Ctx.getFloatType(32)));
-  EXPECT_TRUE(Prog->run(V, MC));
-  size_t AfterFirst = Prog->getMemoCacheSize();
-  EXPECT_GT(AfterFirst, 0u);
-  // Same uniqued value again: verdict comes from the cache, no growth.
-  EXPECT_TRUE(Prog->run(V, MC));
-  EXPECT_EQ(Prog->getMemoCacheSize(), AfterFirst);
-  // Negative verdicts are cached too.
-  ParamValue Bad(complexOf(Ctx.getFloatType(16)));
-  EXPECT_FALSE(Prog->run(Bad, MC));
-  EXPECT_FALSE(Prog->run(Bad, MC));
-  EXPECT_GT(Prog->getMemoCacheSize(), AfterFirst);
-
-  Prog->clearMemoCache();
-  EXPECT_EQ(Prog->getMemoCacheSize(), 0u);
-  EXPECT_TRUE(Prog->run(V, MC));
-}
-
-TEST_F(ConstraintCompilerTest, VarSubprogramsAreNotMemoized) {
-  std::vector<ConstraintPtr> Vars{Constraint::anyType()};
-  ConstraintPtr C = Constraint::typeConstraint(
-      Complex,
-      {Constraint::anyOf({Constraint::var(0, "T"),
-                          Constraint::typeEq(Ctx.getFloatType(64))})},
-      /*BaseOnly=*/false);
-  ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
-  for (size_t I = 0, E = Prog->getNumInstrs(); I != E; ++I)
-    EXPECT_FALSE(Prog->getInstr(I).Flags & CInstr::FlagMemo)
-        << "instr " << I << " of a var-referencing program is memoized";
-}
-
-TEST_F(ConstraintCompilerTest, CppSubprogramsAreNotMemoized) {
-  ConstraintPtr C = Constraint::typeConstraint(
-      Complex,
-      {Constraint::native(
-          Constraint::anyOf({Constraint::typeEq(Ctx.getFloatType(32)),
-                             Constraint::typeEq(Ctx.getFloatType(64))}),
-          [](const ParamValue &) { return true; }, "always")},
-      /*BaseOnly=*/false);
-  ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
-  for (size_t I = 0, E = Prog->getNumInstrs(); I != E; ++I)
-    EXPECT_FALSE(Prog->getInstr(I).Flags & CInstr::FlagMemo);
 }
 
 TEST_F(ConstraintCompilerTest, ConcreteValueEquivalence) {

@@ -1,20 +1,13 @@
 #!/usr/bin/env python3
-"""CI guard for the v2 bytecode fast paths (stdlib only).
+"""CI guard for the v2 bytecode fast path (stdlib only).
 
 Reads the ``--json`` output of ``perf_bytecode`` (the
 ``BENCH_perf_bytecode.json`` artifact from the bench-smoke step) and
-fails unless the two v2 loading shortcuts hold their promised shape:
-
- 1. **mmap beats the frontend**: loading dialect specs (with their
-    compiled constraint programs) from a memory-mapped ``.irbc`` must be
-    faster than running the textual IRDL frontend on the same specs
-    (``spec-mmap-load`` vs ``spec-frontend``).
-
- 2. **a second load is a cache hit**: re-"loading" an already registered
-    spec through the content-hash cache must cost only a hash plus one
-    probe — at least 3x faster than a full bytecode spec load and at
-    least 8x faster than the frontend (``spec-cache-hit`` vs
-    ``spec-bytecode`` / ``spec-frontend``).
+fails unless **mmap beats the frontend**: loading dialect specs (with
+their compiled constraint programs) from a memory-mapped ``.irbc`` must
+be faster than running the textual IRDL frontend on the same specs
+(``spec-mmap-load`` vs ``spec-frontend``). ``spec-bytecode`` (a copying
+load) is printed alongside for the log.
 
 Comparisons use the exact per-iteration **mean** (histogram sum/count)
 rather than p50: the metrics histograms bucket at powers of two, so
@@ -28,9 +21,7 @@ Usage: check_bytecode.py BENCH_perf_bytecode.json
 import json
 import sys
 
-PHASES = ("spec-frontend", "spec-bytecode", "spec-mmap-load", "spec-cache-hit")
-CACHE_VS_BYTECODE_MIN_SPEEDUP = 3.0
-CACHE_VS_FRONTEND_MIN_SPEEDUP = 8.0
+PHASES = ("spec-frontend", "spec-bytecode", "spec-mmap-load")
 
 
 def collect_phases(metrics):
@@ -73,35 +64,12 @@ def main(argv):
               f"p50={p['p50_ms']:9.3f}ms n={p['count']}")
 
     frontend = phases["spec-frontend"]["mean_ms"]
-    bytecode = phases["spec-bytecode"]["mean_ms"]
     mmap = phases["spec-mmap-load"]["mean_ms"]
-    cache = phases["spec-cache-hit"]["mean_ms"]
-
-    failures = []
-    if not mmap < frontend:
-        failures.append(
-            f"mmap'd spec load ({mmap:.3f}ms) is not faster than the "
-            f"IRDL frontend ({frontend:.3f}ms)")
-    if not cache * CACHE_VS_BYTECODE_MIN_SPEEDUP <= bytecode:
-        failures.append(
-            f"cache hit ({cache:.3f}ms) is not "
-            f"{CACHE_VS_BYTECODE_MIN_SPEEDUP:.0f}x faster than a bytecode "
-            f"spec load ({bytecode:.3f}ms)")
-    if not cache * CACHE_VS_FRONTEND_MIN_SPEEDUP <= frontend:
-        failures.append(
-            f"cache hit ({cache:.3f}ms) is not "
-            f"{CACHE_VS_FRONTEND_MIN_SPEEDUP:.0f}x faster than the IRDL "
-            f"frontend ({frontend:.3f}ms)")
 
     print(f"\nmmap vs frontend : {frontend / mmap:5.2f}x")
-    print(f"cache vs bytecode: {bytecode / cache:5.2f}x "
-          f"(need >= {CACHE_VS_BYTECODE_MIN_SPEEDUP:.0f}x)")
-    print(f"cache vs frontend: {frontend / cache:5.2f}x "
-          f"(need >= {CACHE_VS_FRONTEND_MIN_SPEEDUP:.0f}x)")
-
-    if failures:
-        for f_ in failures:
-            print(f"\nerror: {f_}", file=sys.stderr)
+    if not mmap < frontend:
+        print(f"\nerror: mmap'd spec load ({mmap:.3f}ms) is not faster than "
+              f"the IRDL frontend ({frontend:.3f}ms)", file=sys.stderr)
         return 1
     return 0
 

@@ -5,10 +5,9 @@ Reads a ``--metrics-json`` file (from ``irdl_opt`` or any PerfHarness
 bench; either the bare registry object or a ``--json`` summary with a
 ``metrics`` key) and fails when the instrumentation looks dead:
 
-* the memo-cache hit counter ``irdl_constraint_memo_hits_total`` must be
-  nonzero — on any large workload the memoized verification cache is the
-  reason repeated verification is cheap, so a zero here means either the
-  cache or its instrumentation silently broke;
+* the verifier latency histogram ``irdl_verify_function_duration_ns``
+  must have samples — every workload this gate reads verifies IR, so an
+  empty histogram means the verifier's instrumentation went dark;
 * the arena counters ``ir_arena_slabs_allocated_total`` and
   ``ir_arena_bytes_allocated_total`` must be nonzero — every
   Operation::create and Block::create goes through the per-context
@@ -25,14 +24,13 @@ throughput, thread-pool counters) are printed for the log but never fail
 the job: workloads legitimately skip some of them (e.g. a single-thread
 run never touches the pool).
 
-Usage: check_metrics.py METRICS.json [--no-require-memo-hits]
-                                     [--no-require-arena]
+Usage: check_metrics.py METRICS.json [--no-require-arena]
 """
 
 import json
 import sys
 
-MEMO_HITS = "irdl_constraint_memo_hits_total"
+VERIFY_LATENCY = "irdl_verify_function_duration_ns"
 ARENA_SLABS = "ir_arena_slabs_allocated_total"
 ARENA_BYTES = "ir_arena_bytes_allocated_total"
 
@@ -44,10 +42,11 @@ def series_key(entry):
 
 
 def main(argv):
-    require_memo = "--no-require-memo-hits" not in argv
     require_arena = "--no-require-arena" not in argv
     paths = [a for a in argv[1:] if not a.startswith("--")]
-    if len(paths) != 1:
+    unknown = [a for a in argv[1:]
+               if a.startswith("--") and a != "--no-require-arena"]
+    if len(paths) != 1 or unknown:
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
@@ -61,12 +60,6 @@ def main(argv):
     print("counters:")
     for key, value in sorted(counters.items()):
         print(f"  {value:12d}  {key}")
-    memo_hits = sum(v for k, v in counters.items() if k.startswith(MEMO_HITS))
-    if require_memo and memo_hits == 0:
-        print(f"\nerror: {MEMO_HITS} is zero in {paths[0]} — the memo "
-              "cache (or its instrumentation) is not firing on a workload "
-              "that must exercise it", file=sys.stderr)
-        failed = True
     for name, what in ((ARENA_SLABS, "reserves arena slabs"),
                        (ARENA_BYTES, "serves bytes from the arena")):
         total = sum(v for k, v in counters.items() if k.startswith(name))
@@ -92,6 +85,15 @@ def main(argv):
             print(f"\nerror: percentiles out of order in {series_key(hist)}",
                   file=sys.stderr)
             failed = True
+
+    verify_samples = sum(h.get("count", 0)
+                         for h in metrics.get("histograms", [])
+                         if h.get("name") == VERIFY_LATENCY)
+    if verify_samples == 0:
+        print(f"\nerror: {VERIFY_LATENCY} has no samples in {paths[0]} — "
+              "the workload verifies IR, so the verifier's instrumentation "
+              "is not firing", file=sys.stderr)
+        failed = True
 
     return 1 if failed else 0
 

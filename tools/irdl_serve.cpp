@@ -71,8 +71,8 @@ int main(int argc, char **argv) {
   }
 
   // A verification service without observability is not operable; the
-  // library instrumentation (verifier latency, reader throughput, memo
-  // cache) is always on so METRICS has something to say.
+  // library instrumentation (verifier latency, reader throughput,
+  // constraint dispatch) is always on so METRICS has something to say.
   setMetricsEnabled(true);
 
   VerifyServer Server(ServerOptions{SocketPath});
