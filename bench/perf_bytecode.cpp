@@ -207,35 +207,34 @@ void runPhaseBreakdown() {
       });
   }
 
-  // The v2 zero-copy load (check_bytecode.py gates on it): loading the
-  // corpus specs from an mmap'd .irbc, whose compiled programs alias the
-  // mapping.
-  std::string MappedPath = "perf_bytecode_specs_" +
-                           std::to_string(::getpid()) + ".irbc";
+  // The file load check_bytecode.py gates on: loading the corpus specs,
+  // with their compiled programs, from an .irbc file on disk.
+  std::string SpecPath = "perf_bytecode_specs_" +
+                         std::to_string(::getpid()) + ".irbc";
   {
-    std::ofstream Out(MappedPath, std::ios::binary | std::ios::trunc);
+    std::ofstream Out(SpecPath, std::ios::binary | std::ios::trunc);
     Out.write(F->SpecBytes.data(),
               static_cast<std::streamsize>(F->SpecBytes.size()));
   }
   {
-    IRDL_TIME_SCOPE("spec-mmap-load-x10");
-    PhaseSampler Sampler("spec-mmap-load");
+    IRDL_TIME_SCOPE("spec-file-load-x10");
+    PhaseSampler Sampler("spec-file-load");
     for (int I = 0; I != 10; ++I)
       Sampler.sample([&] {
         IRContext Ctx;
         DiagnosticEngine Diags;
         BytecodeReadResult Result;
-        LogicalResult R = readBytecodeFileMapped(
-            MappedPath, Ctx, Diags, Result, corpusNativeOptions());
+        LogicalResult R = readBytecodeFile(SpecPath, Ctx, Diags, Result,
+                                           corpusNativeOptions());
         if (failed(R)) {
-          std::fprintf(stderr, "spec-mmap-load failed:\n%s",
+          std::fprintf(stderr, "spec-file-load failed:\n%s",
                        Diags.renderAll().c_str());
           std::exit(1);
         }
         benchmark::DoNotOptimize(Result.Specs.get());
       });
   }
-  std::remove(MappedPath.c_str());
+  std::remove(SpecPath.c_str());
 }
 
 } // namespace

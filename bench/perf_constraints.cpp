@@ -227,7 +227,6 @@ void runPhaseBreakdown() {
   auto RunMatches = [](const char *Phase, const ConstraintPtr &C,
                        const ParamValue &V,
                        const std::vector<ConstraintPtr> *Vars) {
-    (void)Phase; // unused when IRDL_ENABLE_TIMING=0
     IRDL_TIME_SCOPE(Phase);
     for (int I = 0; I != 1000; ++I) {
       MatchContext MC(Vars);

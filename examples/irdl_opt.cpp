@@ -40,9 +40,9 @@
 ///   --spec-cache-dir=DIR
 ///                      cache compiled dialect specs on disk, keyed by
 ///                      the content hash of their source: a hit replaces
-///                      the IRDL frontend with an mmap'd bytecode load
-///                      whose compiled constraint programs alias the
-///                      mapping (docs/serialization.md)
+///                      the IRDL frontend with a bytecode load of the
+///                      compiled constraint programs
+///                      (docs/serialization.md)
 ///
 /// Examples:
 ///
@@ -63,7 +63,6 @@
 #include "irdl/IRDL.h"
 #include "support/File.h"
 #include "support/Hashing.h"
-#include "support/MappedFile.h"
 #include "support/Metrics.h"
 #include "support/Signal.h"
 #include "support/Statistic.h"
@@ -210,13 +209,8 @@ int main(int argc, char **argv) {
   // parser, pipeline, and verifier scopes all land in one tree.
   TimerGroup Timers("irdl_opt");
   bool WantTiming = Timing || !TraceJsonFile.empty();
-  if (WantTiming) {
+  if (WantTiming)
     setActiveTimerGroup(&Timers);
-#if !IRDL_ENABLE_TIMING
-    std::cerr << "warning: built with IRDL_ENABLE_TIMING=OFF; timing "
-                 "report and trace will be empty\n";
-#endif
-  }
   bool WantMetrics = Metrics || !MetricsJsonFile.empty();
   if (WantMetrics)
     setMetricsEnabled(true);
@@ -287,19 +281,16 @@ int main(int argc, char **argv) {
   {
     IRDL_TIME_SCOPE("load-dialects");
     for (const std::string &Path : DialectFiles) {
-      std::string Error;
-      std::shared_ptr<MappedFile> File = MappedFile::open(Path, Error);
-      if (!File) {
+      std::string Buffer, Error;
+      if (failed(readFileToString(Path, Buffer, Error))) {
         std::cerr << "cannot read dialect file " << Path << ": " << Error
                   << "\n";
         return 1;
       }
-      if (isBytecodeBuffer(File->data())) {
-        // Zero-copy: compiled programs in the buffer alias the mapping,
-        // which they keep alive past this scope.
+      if (isBytecodeBuffer(Buffer)) {
         BytecodeReader Reader(Ctx, Diags);
         BytecodeReadResult Result;
-        if (failed(Reader.read(File->data(), Result, Path, File))) {
+        if (failed(Reader.read(Buffer, Result, Path))) {
           std::cerr << Diags.renderAll();
           return 1;
         }
@@ -307,12 +298,10 @@ int main(int argc, char **argv) {
           LoadedSpecs.append(std::move(*Result.Specs));
         continue;
       }
-      std::string Buffer(File->data());
-      File.reset();
       if (!SpecCacheDir.empty()) {
         // Content-hash cache: a prior run already parsed, compiled, and
-        // serialized this exact text — mmap-load the compiled entry
-        // instead of running the frontend. Cache diagnostics (a discarded
+        // serialized this exact text — load the compiled entry instead
+        // of running the frontend. Cache diagnostics (a discarded
         // stale entry, a failed store) go to stderr at once: they do not
         // fail the run, so nothing later would print them.
         uint64_t Hash = hashSpecBuffer(Buffer);

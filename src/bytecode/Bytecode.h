@@ -127,14 +127,11 @@ public:
   /// buffer as a whole (version mismatch, bad magic) so a failing
   /// `--dialect foo.irbc` names the offending file.
   ///
-  /// \p Backing, when non-null, asserts that \p Buffer stays valid for
-  /// as long as \p Backing is referenced — typically the MappedFile the
-  /// view points into. The reader then backs compiled-program storage
-  /// directly by the buffer (zero-copy) instead of copying; programs
-  /// keep a reference so the mapping outlives them.
+  /// Nothing read keeps a reference into \p Buffer: compiled programs
+  /// copy-decode their storage, so the caller may overwrite or free the
+  /// buffer as soon as read() returns.
   LogicalResult read(std::string_view Buffer, BytecodeReadResult &Result,
-                     std::string BufferName = {},
-                     std::shared_ptr<const void> Backing = nullptr);
+                     std::string BufferName = {});
 
 private:
   struct Impl;
@@ -158,14 +155,6 @@ LogicalResult readBytecodeFile(const std::string &Path, IRContext &Ctx,
                                DiagnosticEngine &Diags,
                                BytecodeReadResult &Result,
                                const IRDLLoadOptions &Opts = {});
-
-/// Like readBytecodeFile, but memory-maps \p Path (support/MappedFile)
-/// and reads zero-copy: compiled-program storage aliases the read-only
-/// mapping, which stays alive for as long as any loaded program does.
-LogicalResult readBytecodeFileMapped(const std::string &Path, IRContext &Ctx,
-                                     DiagnosticEngine &Diags,
-                                     BytecodeReadResult &Result,
-                                     const IRDLLoadOptions &Opts = {});
 
 } // namespace irdl
 

@@ -18,7 +18,6 @@
 #include "irdl/CppExpr.h"
 #include "irdl/Registration.h"
 #include "support/File.h"
-#include "support/MappedFile.h"
 #include "support/Metrics.h"
 #include "support/Statistic.h"
 #include "support/Timing.h"
@@ -88,10 +87,6 @@ struct BytecodeReader::Impl {
   /// Names whole-buffer diagnostics (bad magic, version mismatch) after
   /// the file the buffer came from; empty for anonymous buffers.
   std::string BufferName;
-  /// Keeps the input buffer alive when program storage aliases it
-  /// (mmap-backed reads); null for owned buffers, which forces the
-  /// copy-decode path in ProgramReader.
-  std::shared_ptr<const void> Backing;
 
   /// Specs decoded from the Specs section but not yet registered:
   /// registration (which compiles any constraint slot lacking a program)
@@ -1030,7 +1025,7 @@ struct BytecodeReader::Impl {
                      " dialects but the spec section has " +
                      std::to_string(PendingSpecs.size()));
 
-    ProgramReader PR(Ctx, Diags, Opts, Strings, Backing);
+    ProgramReader PR(Ctx, Diags, Opts, Strings);
     auto ReadParams = [&](std::vector<ParamSpec> &Params, uint64_t NumVars) {
       for (ParamSpec &P : Params)
         if (failed(PR.readOptional(C, NumVars, P.Prog)))
@@ -1377,11 +1372,9 @@ bool irdl::bytecodeBufferHasSpecs(std::string_view Buffer) {
 
 LogicalResult BytecodeReader::read(std::string_view Buffer,
                                    BytecodeReadResult &Result,
-                                   std::string BufferName,
-                                   std::shared_ptr<const void> Backing) {
+                                   std::string BufferName) {
   Impl I(Ctx, Diags, Opts);
   I.BufferName = std::move(BufferName);
-  I.Backing = std::move(Backing);
   if (!metricsEnabled())
     return I.read(Buffer, Result);
 
@@ -1449,22 +1442,4 @@ LogicalResult irdl::readBytecodeFile(const std::string &Path, IRContext &Ctx,
   }
   BytecodeReader Reader(Ctx, Diags, Opts);
   return Reader.read(Buffer, Result, Path);
-}
-
-LogicalResult irdl::readBytecodeFileMapped(const std::string &Path,
-                                           IRContext &Ctx,
-                                           DiagnosticEngine &Diags,
-                                           BytecodeReadResult &Result,
-                                           const IRDLLoadOptions &Opts) {
-  std::string Error;
-  std::shared_ptr<MappedFile> File = MappedFile::open(Path, Error);
-  if (!File) {
-    Diags.emitError(SMLoc(), Error);
-    return failure();
-  }
-  BytecodeReader Reader(Ctx, Diags, Opts);
-  // The mapping is handed to the reader as the backing object: compiled
-  // programs that alias it keep it referenced, so the mapping lives for
-  // exactly as long as any zero-copy program does.
-  return Reader.read(File->data(), Result, Path, File);
 }

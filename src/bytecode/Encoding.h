@@ -44,7 +44,8 @@ enum class SectionId : uint8_t {
   Specs = 2,
   /// Compiled ConstraintPrograms for the Specs dialects: an 8-byte-aligned
   /// body whose flat instruction/child/table arrays are raw little-endian
-  /// and can back program storage zero-copy from a read-only mapping.
+  /// at 8-byte-aligned offsets. The reader checks the padding and
+  /// copy-decodes the arrays into storage each program owns.
   Programs = 3,
   TypeAttrPool = 4,
   IR = 5,

@@ -6,29 +6,16 @@
 #include "irdl/CppExpr.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
-#include <cstring>
 #include <tuple>
-#include <type_traits>
 
 using namespace irdl;
 using namespace irdl::bytecode;
 
-// The zero-copy contract: the wire form of the flat arrays is exactly
-// the in-memory form on a little-endian host. Any change to CInstr's
-// layout is a bytecode format break (bump FormatVersion).
-static_assert(sizeof(CInstr) == 12, "CInstr wire layout changed");
-static_assert(std::is_trivially_copyable_v<CInstr>,
-              "CInstr must be memcpy-safe");
-static_assert(offsetof(CInstr, Op) == 0 && offsetof(CInstr, Flags) == 1 &&
-                  offsetof(CInstr, NumChildren) == 2 &&
-                  offsetof(CInstr, A) == 4 &&
-                  offsetof(CInstr, ChildrenBegin) == 8,
-              "CInstr field order changed");
-
-static constexpr bool HostIsLittleEndian =
-    std::endian::native == std::endian::little;
+/// Bytes per instruction on the wire: Op, Flags, NumChildren (u16), A
+/// (u32), ChildrenBegin (u32), little-endian. Any change is a bytecode
+/// format break (bump FormatVersion).
+static constexpr size_t InstrWireSize = 12;
 
 /// Bit 1 once marked memoizable subprograms for a verdict cache that no
 /// longer exists. `.irbc` files and spec-cache entries written before its
@@ -55,16 +42,15 @@ void ProgramWriter::writeOptional(const ConstraintProgram *P) {
 }
 
 void ProgramWriter::writeProgram(const ConstraintProgram &P) {
-  Body.writeVarInt(P.InstrCount);
-  Body.writeVarInt(P.ChildCount);
-  Body.writeVarInt(P.TableAltCount);
+  Body.writeVarInt(P.Instrs.size());
+  Body.writeVarInt(P.Children.size());
+  Body.writeVarInt(P.TableAlts.size());
 
   // The three flat arrays, raw little-endian at 8-aligned (body-relative
   // == absolute) offsets. Field-wise emission keeps the file identical
   // regardless of host endianness.
   Body.alignTo(ProgramSectionAlign);
-  for (uint32_t I = 0; I != P.InstrCount; ++I) {
-    const CInstr &Ins = P.InstrArr[I];
+  for (const CInstr &Ins : P.Instrs) {
     Body.writeByte(static_cast<uint8_t>(Ins.Op));
     Body.writeByte(static_cast<uint8_t>(Ins.Flags & ~RetiredMemoFlag));
     Body.writeByte(static_cast<uint8_t>(Ins.NumChildren));
@@ -73,11 +59,11 @@ void ProgramWriter::writeProgram(const ConstraintProgram &P) {
     Body.writeFixed32(Ins.ChildrenBegin);
   }
   Body.alignTo(ProgramSectionAlign);
-  for (uint32_t I = 0; I != P.ChildCount; ++I)
-    Body.writeFixed32(P.ChildArr[I]);
+  for (uint32_t Child : P.Children)
+    Body.writeFixed32(Child);
   Body.alignTo(ProgramSectionAlign);
-  for (uint32_t I = 0; I != P.TableAltCount; ++I)
-    Body.writeFixed32(P.TableAltArr[I]);
+  for (uint32_t Alt : P.TableAlts)
+    Body.writeFixed32(Alt);
 
   // Pools. Uniqued definition pointers travel as qualified names and are
   // re-resolved against the destination context.
@@ -201,7 +187,7 @@ ProgramReader::readProgram(BytecodeCursor &C, uint64_t NumVars) {
   // Each instruction/index occupies a fixed byte count, so the remaining
   // payload bounds the plausible element counts — corrupt sizes are
   // rejected before any allocation.
-  if (!C.readVarIntBelow(C.remaining() / sizeof(CInstr) + 1,
+  if (!C.readVarIntBelow(C.remaining() / InstrWireSize + 1,
                          "program instruction count", NumInstrs) ||
       !C.readVarIntBelow(C.remaining() / sizeof(uint32_t) + 1,
                          "program child count", NumChildren) ||
@@ -213,78 +199,45 @@ ProgramReader::readProgram(BytecodeCursor &C, uint64_t NumVars) {
     return nullptr;
   }
 
-  // The flat arrays. Zero-copy when the memory cooperates; otherwise a
-  // field-wise copy-decode with identical semantics.
+  // The flat arrays, copy-decoded field by field from their
+  // little-endian wire form into storage the program owns.
   auto ReadArray = [&](size_t ElemSize, uint64_t Count,
                        std::string_view &Raw) {
     if (!C.skipAlignment(ProgramSectionAlign))
       return false;
     return C.readBytes(Count * ElemSize, Raw);
   };
-  auto CanAlias = [&](std::string_view Raw, size_t Align) {
-    return HostIsLittleEndian && Backing &&
-           reinterpret_cast<uintptr_t>(Raw.data()) % Align == 0;
-  };
-
   std::string_view RawInstrs, RawChildren, RawAlts;
-  if (!ReadArray(sizeof(CInstr), NumInstrs, RawInstrs) ||
+  if (!ReadArray(InstrWireSize, NumInstrs, RawInstrs) ||
       !ReadArray(sizeof(uint32_t), NumChildren, RawChildren) ||
       !ReadArray(sizeof(uint32_t), NumTableAlts, RawAlts))
     return nullptr;
 
-  bool Aliased = false;
-  if (CanAlias(RawInstrs, alignof(CInstr))) {
-    P->InstrArr = reinterpret_cast<const CInstr *>(RawInstrs.data());
-    Aliased = true;
-  } else {
-    P->OwnedInstrs.resize(NumInstrs);
-    for (uint64_t I = 0; I != NumInstrs; ++I) {
-      const unsigned char *B = reinterpret_cast<const unsigned char *>(
-          RawInstrs.data() + I * sizeof(CInstr));
-      CInstr &Ins = P->OwnedInstrs[I];
-      Ins.Op = static_cast<COpcode>(B[0]);
-      Ins.Flags = B[1];
-      Ins.NumChildren = static_cast<uint16_t>(B[2] | (B[3] << 8));
-      Ins.A = static_cast<uint32_t>(B[4]) | (static_cast<uint32_t>(B[5]) << 8) |
-              (static_cast<uint32_t>(B[6]) << 16) |
-              (static_cast<uint32_t>(B[7]) << 24);
-      Ins.ChildrenBegin = static_cast<uint32_t>(B[8]) |
-                          (static_cast<uint32_t>(B[9]) << 8) |
-                          (static_cast<uint32_t>(B[10]) << 16) |
-                          (static_cast<uint32_t>(B[11]) << 24);
-    }
-    P->InstrArr = P->OwnedInstrs.data();
-  }
-  P->InstrCount = static_cast<uint32_t>(NumInstrs);
-
-  auto BindU32Array = [&](std::string_view Raw, uint64_t Count,
-                          const uint32_t *&Arr, uint32_t &CountOut,
-                          std::vector<uint32_t> &Owned) {
-    if (CanAlias(Raw, alignof(uint32_t))) {
-      Arr = reinterpret_cast<const uint32_t *>(Raw.data());
-      Aliased = true;
-    } else {
-      Owned.resize(Count);
-      for (uint64_t I = 0; I != Count; ++I) {
-        const unsigned char *B = reinterpret_cast<const unsigned char *>(
-            Raw.data() + I * sizeof(uint32_t));
-        Owned[I] = static_cast<uint32_t>(B[0]) |
-                   (static_cast<uint32_t>(B[1]) << 8) |
-                   (static_cast<uint32_t>(B[2]) << 16) |
-                   (static_cast<uint32_t>(B[3]) << 24);
-      }
-      Arr = Owned.data();
-    }
-    CountOut = static_cast<uint32_t>(Count);
+  auto U32At = [](const char *Raw) {
+    const auto *B = reinterpret_cast<const unsigned char *>(Raw);
+    return static_cast<uint32_t>(B[0]) | (static_cast<uint32_t>(B[1]) << 8) |
+           (static_cast<uint32_t>(B[2]) << 16) |
+           (static_cast<uint32_t>(B[3]) << 24);
   };
-  BindU32Array(RawChildren, NumChildren, P->ChildArr, P->ChildCount,
-               P->OwnedChildren);
-  BindU32Array(RawAlts, NumTableAlts, P->TableAltArr, P->TableAltCount,
-               P->OwnedTableAlts);
-  // At least one array aliases the external buffer; keep it alive for
-  // the program's lifetime.
-  if (Aliased)
-    P->Backing = Backing;
+  P->Instrs.resize(NumInstrs);
+  for (uint64_t I = 0; I != NumInstrs; ++I) {
+    const char *Raw = RawInstrs.data() + I * InstrWireSize;
+    const auto *B = reinterpret_cast<const unsigned char *>(Raw);
+    CInstr &Ins = P->Instrs[I];
+    Ins.Op = static_cast<COpcode>(B[0]);
+    Ins.Flags = B[1];
+    Ins.NumChildren = static_cast<uint16_t>(B[2] | (B[3] << 8));
+    Ins.A = U32At(Raw + 4);
+    Ins.ChildrenBegin = U32At(Raw + 8);
+  }
+  auto DecodeU32Array = [&](std::string_view Raw, uint64_t Count,
+                            std::vector<uint32_t> &Out) {
+    Out.resize(Count);
+    for (uint64_t I = 0; I != Count; ++I)
+      Out[I] = U32At(Raw.data() + I * sizeof(uint32_t));
+  };
+  DecodeU32Array(RawChildren, NumChildren, P->Children);
+  DecodeU32Array(RawAlts, NumTableAlts, P->TableAlts);
 
   // Pools.
   auto ReadCount = [&](std::string_view What, uint64_t &N) {
@@ -481,15 +434,15 @@ ProgramReader::readProgram(BytecodeCursor &C, uint64_t NumVars) {
         C.error("invalid dispatch key kind " + std::to_string(Kind));
         return nullptr;
       }
-      if (!C.readVarIntBelow(P->TableAltCount + 1, "dispatch slice begin",
+      if (!C.readVarIntBelow(P->TableAlts.size() + 1, "dispatch slice begin",
                              Begin) ||
-          !C.readVarIntBelow(P->TableAltCount + 1, "dispatch slice count",
+          !C.readVarIntBelow(P->TableAlts.size() + 1, "dispatch slice count",
                              Count))
         return nullptr;
-      if (Begin + Count > P->TableAltCount) {
+      if (Begin + Count > P->TableAlts.size()) {
         C.error("dispatch slice [" + std::to_string(Begin) + ", +" +
                 std::to_string(Count) + ") exceeds table-alt array of " +
-                std::to_string(P->TableAltCount));
+                std::to_string(P->TableAlts.size()));
         return nullptr;
       }
       if (!P->Tables[T]
@@ -522,19 +475,20 @@ bool ProgramReader::validate(BytecodeCursor &C, const ConstraintProgram &P,
             Why);
     return false;
   };
-  for (uint32_t Pc = 0; Pc != P.InstrCount; ++Pc) {
-    const CInstr &I = P.InstrArr[Pc];
+  const uint32_t NumInstrs = static_cast<uint32_t>(P.Instrs.size());
+  for (uint32_t Pc = 0; Pc != NumInstrs; ++Pc) {
+    const CInstr &I = P.Instrs[Pc];
     if (static_cast<uint8_t>(I.Op) > static_cast<uint8_t>(COpcode::Native))
       return Reject(Pc, "unknown opcode " +
                             std::to_string(static_cast<uint8_t>(I.Op)));
     if (I.Flags & ~KnownFlags)
       return Reject(Pc, "unknown flag bits");
     if (static_cast<uint64_t>(I.ChildrenBegin) + I.NumChildren >
-        P.ChildCount)
+        P.Children.size())
       return Reject(Pc, "child slice out of bounds");
     for (uint16_t Ch = 0; Ch != I.NumChildren; ++Ch) {
-      uint32_t Child = P.ChildArr[I.ChildrenBegin + Ch];
-      if (Child <= Pc || Child >= P.InstrCount)
+      uint32_t Child = P.Children[I.ChildrenBegin + Ch];
+      if (Child <= Pc || Child >= NumInstrs)
         return Reject(Pc, "child edge to instruction " +
                               std::to_string(Child) + " is not forward");
     }
@@ -607,8 +561,8 @@ bool ProgramReader::validate(BytecodeCursor &C, const ConstraintProgram &P,
         return false;
       for (const auto &[Key, Slice] : P.Tables[I.A].Map)
         for (uint32_t A = 0; A != Slice.second; ++A) {
-          uint32_t Alt = P.TableAltArr[Slice.first + A];
-          if (Alt <= Pc || Alt >= P.InstrCount)
+          uint32_t Alt = P.TableAlts[Slice.first + A];
+          if (Alt <= Pc || Alt >= NumInstrs)
             return Reject(Pc, "dispatch edge to instruction " +
                                   std::to_string(Alt) + " is not forward");
         }

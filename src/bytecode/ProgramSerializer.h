@@ -5,11 +5,11 @@
 /// section (format v2). The wire form mirrors the in-memory form: the
 /// flat 12-byte CInstr array, the child-index array, and the dispatch-
 /// table alternative array are written as raw little-endian bytes at
-/// 8-byte-aligned offsets, so the reader can point program storage
-/// directly into a read-only mapping — zero copies, zero fixups on the
-/// hot path. Everything pointer-shaped (definition pools, dispatch-table
-/// keys, C++ predicates, native hooks) is written as qualified names /
-/// sources and re-resolved per context at read time.
+/// 8-byte-aligned offsets, and the reader copy-decodes them into storage
+/// the program owns, so a program never aliases its input buffer.
+/// Everything pointer-shaped (definition pools, dispatch-table keys, C++
+/// predicates, native hooks) is written as qualified names / sources and
+/// re-resolved per context at read time.
 ///
 /// A decoded program is validated structurally before use (opcode range,
 /// pool bounds, strictly-forward child edges), so corrupt or truncated
@@ -59,19 +59,15 @@ private:
   std::function<void(BytecodeOutput &, std::string_view)> WriteString;
 };
 
-/// Decodes programs from a Programs-section body. When \p Backing is
-/// non-null, the host is little-endian, and the buffer memory happens to
-/// be suitably aligned, the flat arrays alias the buffer directly and
-/// \p Backing keeps it alive; otherwise they are copy-decoded into owned
-/// storage. Both paths yield semantically identical programs.
+/// Decodes programs from a Programs-section body. Every decoded program
+/// owns copies of its flat arrays, so the buffer may change or go away
+/// as soon as the read returns.
 class ProgramReader {
 public:
   ProgramReader(IRContext &Ctx, DiagnosticEngine &Diags,
                 const IRDLLoadOptions &Opts,
-                const std::vector<std::string_view> &Strings,
-                std::shared_ptr<const void> Backing)
-      : Ctx(Ctx), Diags(Diags), Opts(Opts), Strings(Strings),
-        Backing(std::move(Backing)) {}
+                const std::vector<std::string_view> &Strings)
+      : Ctx(Ctx), Diags(Diags), Opts(Opts), Strings(Strings) {}
 
   /// Reads one optional program (presence byte first). Returns failure
   /// on corrupt input; a present, well-formed program lands in \p Out
@@ -91,7 +87,6 @@ private:
   DiagnosticEngine &Diags;
   const IRDLLoadOptions &Opts;
   const std::vector<std::string_view> &Strings;
-  std::shared_ptr<const void> Backing;
 
   /// Read-side memoization, shared by every program of one section: the
   /// same definition names, C++ predicate sources, and native hook names

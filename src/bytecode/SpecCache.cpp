@@ -5,7 +5,6 @@
 #include "bytecode/Encoding.h"
 #include "support/File.h"
 #include "support/Hashing.h"
-#include "support/MappedFile.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -120,9 +119,8 @@ LogicalResult irdl::loadCachedSpec(const std::string &Dir, uint64_t Hash,
   if (::stat(Path.c_str(), &St) != 0)
     return failure(); // Absent: a plain miss, no diagnostics.
 
-  std::string Error;
-  std::shared_ptr<MappedFile> File = MappedFile::open(Path, Error);
-  if (!File) {
+  std::string Buffer, Error;
+  if (failed(readFileToString(Path, Buffer, Error))) {
     Diags.emitWarning(SMLoc(), "discarding unreadable spec cache entry: " +
                                    Error);
     ::unlink(Path.c_str());
@@ -132,7 +130,7 @@ LogicalResult irdl::loadCachedSpec(const std::string &Dir, uint64_t Hash,
   // Validate the embedded hash before registering anything: an entry
   // whose content does not re-declare the hash it is filed under is
   // stale or corrupt, and must not poison the destination context.
-  std::optional<uint64_t> Embedded = embeddedSourceHash(File->data());
+  std::optional<uint64_t> Embedded = embeddedSourceHash(Buffer);
   if (!Embedded || *Embedded != Hash) {
     Diags.emitWarning(SMLoc(), "discarding stale spec cache entry '" + Path +
                                    "' (embedded hash mismatch)");
@@ -141,7 +139,7 @@ LogicalResult irdl::loadCachedSpec(const std::string &Dir, uint64_t Hash,
   }
 
   BytecodeReader Reader(Ctx, Diags, Opts);
-  if (failed(Reader.read(File->data(), Result, Path, File))) {
+  if (failed(Reader.read(Buffer, Result, Path))) {
     ::unlink(Path.c_str());
     return failure();
   }

@@ -5,11 +5,11 @@
 /// 64-bit FNV-1a hash (support/Hashing.h). The cache is an on-disk
 /// directory (`irdl_opt --spec-cache-dir=DIR`) where each entry is a
 /// compiled `.irbc` spec buffer named by the hex hash of its *source*
-/// text. A hit replaces frontend parsing with an mmap'd bytecode load
-/// whose compiled programs alias the mapping. Entries embed the source
-/// hash in their Meta section; an entry whose embedded hash does not
-/// match its filename hash is stale (e.g. truncated or hand-edited) and
-/// is invalidated.
+/// text. A hit replaces frontend parsing with a bytecode load of the
+/// entry's compiled programs. Entries embed the source hash in their
+/// Meta section; an entry whose embedded hash does not match its
+/// filename hash is stale (e.g. truncated or hand-edited) and is
+/// invalidated.
 ///
 /// The hash is computed by hashSpecBuffer(): textual buffers hash their
 /// full contents; bytecode buffers hash the canonical spec sections
@@ -40,8 +40,9 @@ uint64_t hashSpecBuffer(std::string_view Buffer);
 /// `DIR/<16-hex-digit hash>.irbc`.
 std::string specCachePath(const std::string &Dir, uint64_t Hash);
 
-/// Attempts to load the cached compiled spec for \p Hash from \p Dir via
-/// the zero-copy mmap path. Returns failure — silently, with no
+/// Attempts to load the cached compiled spec for \p Hash from \p Dir.
+/// The entry is read into memory once, and the hash check and the load
+/// both see those bytes. Returns failure — silently, with no
 /// diagnostics — when the entry is absent; emits diagnostics and deletes
 /// the entry when it exists but is stale (embedded Meta hash does not
 /// match) or unreadable. On success the specs are registered into

@@ -56,25 +56,19 @@ void PassInstrumentation::runBeforeVerifier(Operation *) {}
 void PassInstrumentation::runAfterVerifier(Operation *, bool) {}
 
 void PassTimingInstrumentation::open(std::string_view Name) {
-#if IRDL_ENABLE_TIMING
   if (!Group)
     return;
   OpenScope S;
   S.Node = Group->startScope(Name, S.StartNs);
   Open.push_back(S);
-#else
-  (void)Name;
-#endif
 }
 
 void PassTimingInstrumentation::close() {
-#if IRDL_ENABLE_TIMING
   if (!Group || Open.empty())
     return;
   OpenScope S = Open.back();
   Open.pop_back();
   Group->endScope(S.Node, S.StartNs);
-#endif
 }
 
 void PassTimingInstrumentation::runBeforePipeline(Operation *) {

@@ -48,9 +48,8 @@ public:
 
   ConstraintProgramPtr take(const ConstraintPtr &Root) {
     emit(*Root);
-    P->finalizeOwnedStorage();
     ++NumProgramsCompiled;
-    NumInstrsEmitted += P->OwnedInstrs.size();
+    NumInstrsEmitted += P->Instrs.size();
     return P;
   }
 
@@ -61,8 +60,8 @@ private:
     if (C.getKind() == Kind::Named)
       return emit(*C.getChildren()[0]);
 
-    uint32_t Idx = (uint32_t)P->OwnedInstrs.size();
-    P->OwnedInstrs.emplace_back();
+    uint32_t Idx = (uint32_t)P->Instrs.size();
+    P->Instrs.emplace_back();
 
     // Children first (pre-order: the subtree of Idx is exactly
     // [Idx, Instrs.size()) when this frame returns), then the child
@@ -72,11 +71,11 @@ private:
     for (const ConstraintPtr &Ch : C.getChildren())
       ChildIdx.push_back(emit(*Ch));
 
-    uint32_t Begin = (uint32_t)P->OwnedChildren.size();
-    P->OwnedChildren.insert(P->OwnedChildren.end(), ChildIdx.begin(), ChildIdx.end());
+    uint32_t Begin = (uint32_t)P->Children.size();
+    P->Children.insert(P->Children.end(), ChildIdx.begin(), ChildIdx.end());
 
     assert(ChildIdx.size() <= UINT16_MAX && "constraint fan-out too large");
-    CInstr &I = P->OwnedInstrs[Idx];
+    CInstr &I = P->Instrs[Idx];
     I.NumChildren = (uint16_t)ChildIdx.size();
     I.ChildrenBegin = Begin;
 
@@ -207,11 +206,11 @@ private:
     }
     for (auto &[Key, Slice] : Table.Map) {
       std::vector<uint32_t> &Group = Groups[Slice.first];
-      Slice = {(uint32_t)P->OwnedTableAlts.size(), (uint32_t)Group.size()};
-      P->OwnedTableAlts.insert(P->OwnedTableAlts.end(), Group.begin(), Group.end());
+      Slice = {(uint32_t)P->TableAlts.size(), (uint32_t)Group.size()};
+      P->TableAlts.insert(P->TableAlts.end(), Group.begin(), Group.end());
     }
 
-    CInstr &I = P->OwnedInstrs[Idx];
+    CInstr &I = P->Instrs[Idx];
     I.Op = COpcode::AnyOfTable;
     I.A = (uint32_t)P->Tables.size();
     P->Tables.push_back(std::move(Table));

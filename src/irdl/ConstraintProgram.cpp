@@ -94,7 +94,7 @@ ConstraintProgram::ConstraintProgram() {
 
 bool ConstraintProgram::run(const ParamValue &V, MatchContext &MC) const {
   ++NumProgramRuns;
-  assert(InstrCount != 0 && "empty constraint program");
+  assert(!Instrs.empty() && "empty constraint program");
   if (constraintProfilingEnabled()) {
     uint64_t Begin = steadyNowNs();
     bool Result = exec(0, V, MC);
@@ -126,8 +126,8 @@ static bool matchEnum(const ParamValue &V, const EnumDef *EDef,
 
 bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
                              MatchContext &MC) const {
-  const CInstr &I = InstrArr[Pc];
-  const uint32_t *Child = ChildArr + I.ChildrenBegin;
+  const CInstr &I = Instrs[Pc];
+  const uint32_t *Child = Children.data() + I.ChildrenBegin;
   switch (I.Op) {
   case COpcode::AnyType:
     return V.isType();
@@ -230,7 +230,7 @@ bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
     auto [Begin, Count] = It->second;
     for (uint32_t C = 0; C != Count; ++C) {
       MatchContext::Mark M = MC.mark();
-      if (exec(TableAltArr[Begin + C], V, MC))
+      if (exec(TableAlts[Begin + C], V, MC))
         return true;
       MC.undoTo(M);
     }
@@ -273,14 +273,14 @@ bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
 
 std::optional<ParamValue>
 ConstraintProgram::concreteValue(const MatchContext &MC) const {
-  assert(InstrCount != 0 && "empty constraint program");
+  assert(!Instrs.empty() && "empty constraint program");
   return concreteAt(0, MC);
 }
 
 std::optional<ParamValue>
 ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
-  const CInstr &I = InstrArr[Pc];
-  const uint32_t *Child = ChildArr + I.ChildrenBegin;
+  const CInstr &I = Instrs[Pc];
+  const uint32_t *Child = Children.data() + I.ChildrenBegin;
   switch (I.Op) {
   case COpcode::TypeParams: {
     const TypeDefinition *Def = TypeDefs[I.A];
@@ -357,16 +357,16 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
 std::optional<ParamValue>
 ConstraintProgram::concreteChildValue(unsigned I,
                                       const MatchContext &MC) const {
-  assert(InstrCount != 0 && "empty constraint program");
-  if (I >= InstrArr[0].NumChildren)
+  assert(!Instrs.empty() && "empty constraint program");
+  if (I >= Instrs[0].NumChildren)
     return std::nullopt;
-  return concreteAt(ChildArr[InstrArr[0].ChildrenBegin + I], MC);
+  return concreteAt(Children[Instrs[0].ChildrenBegin + I], MC);
 }
 
 void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {
   // A worklist with a visited set: a hostile `.irbc` program may nest
   // deeply or share subprograms heavily.
-  std::vector<bool> Visited(InstrCount);
+  std::vector<bool> Visited(Instrs.size());
   std::vector<uint32_t> Work{0};
   while (!Work.empty()) {
     uint32_t Pc = Work.back();
@@ -374,16 +374,16 @@ void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {
     if (Visited[Pc])
       continue;
     Visited[Pc] = true;
-    const CInstr &I = InstrArr[Pc];
-    const uint32_t *Child = ChildArr + I.ChildrenBegin;
+    const CInstr &I = Instrs[Pc];
+    const uint32_t *Child = Children.data() + I.ChildrenBegin;
     switch (I.Op) {
     case COpcode::Var:
       Out.push_back(I.A);
       break;
     case COpcode::AnyOfTable:
       for (const auto &[Def, Slice] : Tables[I.A].Map)
-        Work.insert(Work.end(), TableAltArr + Slice.first,
-                    TableAltArr + Slice.first + Slice.second);
+        Work.insert(Work.end(), TableAlts.begin() + Slice.first,
+                    TableAlts.begin() + Slice.first + Slice.second);
       [[fallthrough]];
     case COpcode::AnyOf:
     case COpcode::And:
@@ -402,8 +402,8 @@ void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {
 
 std::string ConstraintProgram::dump() const {
   std::ostringstream OS;
-  for (size_t Pc = 0, E = InstrCount; Pc != E; ++Pc) {
-    const CInstr &I = InstrArr[Pc];
+  for (size_t Pc = 0, E = Instrs.size(); Pc != E; ++Pc) {
+    const CInstr &I = Instrs[Pc];
     OS << Pc << ": " << getOpcodeName(I.Op);
     switch (I.Op) {
     case COpcode::TypeParams:
@@ -447,7 +447,7 @@ std::string ConstraintProgram::dump() const {
       for (uint16_t C = 0; C != I.NumChildren; ++C) {
         if (C)
           OS << " ";
-        OS << ChildArr[I.ChildrenBegin + C];
+        OS << Children[I.ChildrenBegin + C];
       }
       OS << "]";
     }

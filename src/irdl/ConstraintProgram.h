@@ -134,11 +134,8 @@ public:
   // Introspection (tests, docs, statistics)
   //===------------------------------------------------------------------===//
 
-  size_t getNumInstrs() const { return InstrCount; }
-  const CInstr &getInstr(size_t I) const { return InstrArr[I]; }
-  /// True when the flat arrays alias external memory (an mmap'd `.irbc`
-  /// buffer) instead of owned vectors — the zero-copy load path.
-  bool isExternallyBacked() const { return Backing != nullptr; }
+  size_t getNumInstrs() const { return Instrs.size(); }
+  const CInstr &getInstr(size_t I) const { return Instrs[I]; }
   /// Globally unique id (monotone counter), so cache keys and traces can
   /// name a program even after its spec is gone.
   uint64_t getId() const { return Id; }
@@ -175,39 +172,14 @@ private:
   std::optional<ParamValue> concreteAt(uint32_t Pc,
                                        const MatchContext &MC) const;
 
-  /// Points the flat-array views at the owned vectors. The builder (and
-  /// any other producer that fills OwnedInstrs/OwnedChildren/
-  /// OwnedTableAlts) must call this exactly once, after the vectors stop
-  /// growing.
-  void finalizeOwnedStorage() {
-    InstrArr = OwnedInstrs.data();
-    InstrCount = static_cast<uint32_t>(OwnedInstrs.size());
-    ChildArr = OwnedChildren.data();
-    ChildCount = static_cast<uint32_t>(OwnedChildren.size());
-    TableAltArr = OwnedTableAlts.data();
-    TableAltCount = static_cast<uint32_t>(OwnedTableAlts.size());
-  }
-
-  /// The hot-path storage: raw views over either the Owned* vectors
-  /// below or an externally owned read-only mapping (Backing). exec()
-  /// touches only these — no pointer fixups, no indirection through the
-  /// vectors — which is what lets an mmap'd `.irbc` Programs section
-  /// back them directly.
-  const CInstr *InstrArr = nullptr;
-  uint32_t InstrCount = 0;
-  const uint32_t *ChildArr = nullptr;
-  uint32_t ChildCount = 0;
-  const uint32_t *TableAltArr = nullptr;
-  uint32_t TableAltCount = 0;
-
-  /// Owned storage for compiler-built (or copy-decoded) programs; empty
-  /// when the views alias external memory.
-  std::vector<CInstr> OwnedInstrs;
-  std::vector<uint32_t> OwnedChildren;
-  std::vector<uint32_t> OwnedTableAlts;
-
-  /// Keep-alive for externally backed storage (the mmap'd buffer).
-  std::shared_ptr<const void> Backing;
+  /// The flat program: instructions (entry at 0), the child-index array
+  /// their (Begin, Count) slices point into, and the dispatch-table
+  /// alternative array. The program owns all three, whether the compiler
+  /// built it or the `.irbc` reader copy-decoded it, so nothing outside
+  /// the program can change what exec() runs.
+  std::vector<CInstr> Instrs;
+  std::vector<uint32_t> Children;
+  std::vector<uint32_t> TableAlts;
 
   // Literal/definition pools (indexed by CInstr::A).
   std::vector<const TypeDefinition *> TypeDefs;
@@ -233,7 +205,6 @@ private:
     std::unordered_map<const void *, std::pair<uint32_t, uint32_t>> Map;
   };
   std::vector<DispatchTable> Tables;
-  std::vector<uint32_t> TableAlts;
 
   /// --profile-constraints accumulators (relaxed; see getProfiledEvals).
   mutable std::atomic<uint64_t> ProfEvals{0};

@@ -104,6 +104,21 @@ VerifyServer::~VerifyServer() {
       T.join();
 }
 
+size_t VerifyServer::getNumConnectionThreads() const {
+  std::lock_guard<std::mutex> Lock(ConnMutex);
+  return ConnThreads.size();
+}
+
+void VerifyServer::joinFinishedThreadsLocked() {
+  // A finished thread filed itself after its last use of ConnMutex, so
+  // joining here, with the mutex held, waits only for it to return.
+  for (std::list<std::thread>::iterator It : FinishedThreads) {
+    It->join();
+    ConnThreads.erase(It);
+  }
+  FinishedThreads.clear();
+}
+
 LogicalResult VerifyServer::start(std::string &Error) {
   ListenFd = listenUnixSocket(Opts.SocketPath, Error);
   if (!ListenFd.isValid())
@@ -133,11 +148,14 @@ void VerifyServer::serve() {
         .inc();
     activeConnectionsGauge().inc();
     std::lock_guard<std::mutex> Lock(ConnMutex);
+    joinFinishedThreadsLocked();
     ActiveFds.insert(Conn.get());
-    ConnThreads.emplace_back(
-        [this, Fd = std::move(Conn)]() mutable {
-          handleConnection(std::move(Fd));
-        });
+    auto It = ConnThreads.emplace(ConnThreads.end());
+    *It = std::thread([this, It, Fd = std::move(Conn)]() mutable {
+      handleConnection(std::move(Fd));
+      std::lock_guard<std::mutex> Lock(ConnMutex);
+      FinishedThreads.push_back(It);
+    });
   }
 
   // Wind-down: no new requests on live connections (SHUT_RD lets an
@@ -147,13 +165,19 @@ void VerifyServer::serve() {
     for (int Fd : ActiveFds)
       ::shutdown(Fd, SHUT_RD);
   }
-  std::vector<std::thread> ToJoin;
+  std::list<std::thread> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
     ToJoin.swap(ConnThreads);
   }
   for (std::thread &T : ToJoin)
     T.join();
+  {
+    // Every thread has filed itself by now; the positions point into
+    // ToJoin, whose threads are joined.
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    FinishedThreads.clear();
+  }
   ListenFdRaw.store(-1, std::memory_order_release);
   ListenFd.reset();
   ::unlink(Opts.SocketPath.c_str());

@@ -22,6 +22,7 @@
 #include "support/Socket.h"
 
 #include <atomic>
+#include <list>
 #include <set>
 #include <thread>
 
@@ -47,7 +48,9 @@ public:
   /// Runs the accept loop on the calling thread until requestStop() (or a
   /// SHUTDOWN request) fires, then winds down: stops reading on active
   /// connections (in-flight responses still flush), joins every
-  /// connection thread, and unlinks the socket file.
+  /// connection thread, and unlinks the socket file. Threads of closed
+  /// connections are joined as the next connection is accepted, so a
+  /// long-running server holds threads only for its live connections.
   void serve();
 
   /// Asks the accept loop to exit. Async-signal-safe: an atomic store
@@ -63,6 +66,10 @@ public:
   EpochRegistry &epochs() { return Epochs; }
 
   const std::string &socketPath() const { return Opts.SocketPath; }
+
+  /// Connection threads not yet joined: the live connections plus any
+  /// that closed since the last accept (tests).
+  size_t getNumConnectionThreads() const;
 
 private:
   /// Per-connection streaming-verification state (VERIFY_BEGIN..END).
@@ -87,11 +94,16 @@ private:
   std::atomic<int> ListenFdRaw{-1};
   FileDescriptor ListenFd;
 
-  /// Active connection fds + threads; guarded by ConnMutex. Threads are
-  /// joined in serve() after the accept loop exits.
-  std::mutex ConnMutex;
+  /// Joins the threads in FinishedThreads. Caller holds ConnMutex.
+  void joinFinishedThreadsLocked();
+
+  /// Active connection fds + threads; guarded by ConnMutex. A connection
+  /// thread files its own list position in FinishedThreads as its last
+  /// act; serve() joins those on each accept and the rest at wind-down.
+  mutable std::mutex ConnMutex;
   std::set<int> ActiveFds;
-  std::vector<std::thread> ConnThreads;
+  std::list<std::thread> ConnThreads;
+  std::vector<std::list<std::thread>::iterator> FinishedThreads;
 };
 
 } // namespace serve

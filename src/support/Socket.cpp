@@ -2,6 +2,7 @@
 
 #include "support/Socket.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -111,13 +112,18 @@ bool irdl::sendAll(int Fd, std::string_view Data) {
 }
 
 bool irdl::recvAll(int Fd, size_t N, std::string &Out, bool *CleanEof) {
+  // N is the peer's claim, not bytes in hand: grow the buffer as data
+  // arrives, at most RecvStep ahead, so a header promising megabytes and
+  // then a close costs what was actually sent.
+  constexpr size_t RecvStep = 64 * 1024;
   if (CleanEof)
     *CleanEof = false;
   Out.clear();
-  Out.resize(N);
   size_t Got = 0;
   while (Got < N) {
-    ssize_t R = ::recv(Fd, Out.data() + Got, N - Got, 0);
+    if (Out.size() == Got)
+      Out.resize(Got + std::min(N - Got, RecvStep));
+    ssize_t R = ::recv(Fd, Out.data() + Got, Out.size() - Got, 0);
     if (R < 0) {
       if (errno == EINTR)
         continue;

@@ -68,8 +68,10 @@ FileDescriptor acceptConnection(int ListenFd);
 /// Writes all \p Data.size() bytes, retrying on EINTR and short writes.
 bool sendAll(int Fd, std::string_view Data);
 
-/// Reads exactly \p N bytes into \p Out (resized to \p N). Returns false
-/// on EOF or error; \p Out is then partial. An EOF before the first byte
+/// Reads exactly \p N bytes into \p Out (resized to \p N). The buffer
+/// grows with the bytes received, not with \p N, so a short stream never
+/// allocates what it only announced. Returns false on EOF or error; \p Out
+/// is then partial. An EOF before the first byte
 /// sets \p CleanEof (when given), letting callers distinguish an orderly
 /// disconnect from a mid-message truncation.
 bool recvAll(int Fd, size_t N, std::string &Out, bool *CleanEof = nullptr);

@@ -11,8 +11,7 @@
 ///   ++NumConstraintEvals;
 ///
 /// and drivers dump the registry sorted by (group, name) as a table or as
-/// machine-readable JSON. Statistics stay enabled regardless of
-/// IRDL_ENABLE_TIMING — they are cheap enough to always collect.
+/// machine-readable JSON. Statistics are cheap enough to always collect.
 ///
 //===----------------------------------------------------------------------===//
 

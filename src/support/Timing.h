@@ -13,20 +13,12 @@
 /// Instrumentation sites in the library use IRDL_TIME_SCOPE("name"),
 /// which times against the process-wide *active* timer group — a plain
 /// pointer that drivers install around the work they want profiled and
-/// that defaults to null (scopes are then single-branch no-ops). With the
-/// CMake option IRDL_ENABLE_TIMING=OFF the macro and TimingScope compile
-/// away entirely.
+/// that defaults to null (scopes are then single-branch no-ops).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IRDL_SUPPORT_TIMING_H
 #define IRDL_SUPPORT_TIMING_H
-
-// Defined to 0/1 by the build (CMake option IRDL_ENABLE_TIMING); default
-// to enabled for out-of-tree includes.
-#ifndef IRDL_ENABLE_TIMING
-#define IRDL_ENABLE_TIMING 1
-#endif
 
 #include <cstdint>
 #include <memory>
@@ -139,7 +131,6 @@ TimerGroup *setActiveTimerGroup(TimerGroup *G);
 /// RAII handle for one timed scope. A null group makes it a no-op.
 class TimingScope {
 public:
-#if IRDL_ENABLE_TIMING
   TimingScope(TimerGroup *Group, std::string_view Name) {
     if (Group) {
       G = Group;
@@ -149,6 +140,8 @@ public:
   TimingScope(TimerGroup &Group, std::string_view Name)
       : TimingScope(&Group, Name) {}
   ~TimingScope() { stop(); }
+  TimingScope(const TimingScope &) = delete;
+  TimingScope &operator=(const TimingScope &) = delete;
 
   /// Ends the scope early (idempotent).
   void stop() {
@@ -162,27 +155,14 @@ private:
   TimerGroup *G = nullptr;
   TimerGroup::Node *N = nullptr;
   uint64_t StartNs = 0;
-#else
-  TimingScope(TimerGroup *, std::string_view) {}
-  TimingScope(TimerGroup &, std::string_view) {}
-  void stop() {}
-#endif
-
-public:
-  TimingScope(const TimingScope &) = delete;
-  TimingScope &operator=(const TimingScope &) = delete;
 };
 
-#if IRDL_ENABLE_TIMING
 #define IRDL_TIME_CONCAT_IMPL(A, B) A##B
 #define IRDL_TIME_CONCAT(A, B) IRDL_TIME_CONCAT_IMPL(A, B)
 /// Times the enclosing scope under NAME in the active timer group.
 #define IRDL_TIME_SCOPE(NAME)                                               \
   ::irdl::TimingScope IRDL_TIME_CONCAT(IrdlTimingScope_, __LINE__)(         \
       ::irdl::getActiveTimerGroup(), NAME)
-#else
-#define IRDL_TIME_SCOPE(NAME) ((void)0)
-#endif
 
 } // namespace irdl
 

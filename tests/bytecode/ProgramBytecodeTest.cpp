@@ -1,10 +1,12 @@
 //===- ProgramBytecodeTest.cpp - Compiled program serialization ---------===//
 ///
 /// The v2 Programs section and the content-hash spec cache: deserialized
-/// constraint programs must be used as-is (no recompilation), the mmap'd
-/// zero-copy read must be observationally identical to the copied read
-/// and agree with the tree interpreter over the whole synthetic corpus
-/// and over variables that reference variables, corrupt
+/// constraint programs must be used as-is (no recompilation), a read from
+/// a file must be observationally identical to a read from memory and
+/// agree with the tree interpreter over the whole synthetic corpus and
+/// over variables that reference variables, loaded programs must not
+/// depend on their source bytes once the read returns (the file may be
+/// rewritten or truncated, the buffer overwritten or freed), corrupt
 /// program sections (bad padding, misalignment, truncation, unknown flag
 /// bits) must be rejected with diagnostics, the retired memo flag bit
 /// must not change any verdict, and the on-disk spec cache must hit on
@@ -21,16 +23,19 @@
 #include "ir/Printer.h"
 #include "ir/Region.h"
 #include "ir/Verifier.h"
+#include "support/File.h"
 #include "support/Statistic.h"
 
 #include <gtest/gtest.h>
 
-#include <cstddef>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sys/stat.h>
 #include <unistd.h>
+#include <utility>
 
 using namespace irdl;
 using namespace irdl::bytecode;
@@ -85,6 +90,16 @@ bool tryRead(const std::string &Buffer, std::string *RenderedDiags) {
   return Ok;
 }
 
+/// Writes \p Bytes to a per-process temporary file named after \p Stem
+/// and returns its path.
+std::string writeTempFile(const std::string &Stem, const std::string &Bytes) {
+  std::string Path = ::testing::TempDir() + Stem + "." +
+                     std::to_string(::getpid()) + ".irbc";
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  return Path;
+}
+
 /// Payload range [start, end) of the section with \p WantId, walking the
 /// v2 container (magic, varint version, then id byte + fixed u64 length).
 std::pair<size_t, size_t> sectionPayload(const std::string &Buffer,
@@ -115,12 +130,14 @@ TEST(ProgramBytecode, DeserializedProgramsAreNotRecompiled) {
   ASSERT_NE(Compiled, nullptr);
   uint64_t Before = Compiled->get();
 
+  std::string Path = writeTempFile("program_bytecode_corpus", F.SpecBytes);
   IRContext FreshCtx;
   DiagnosticEngine FreshDiags;
-  BytecodeReader Reader(FreshCtx, FreshDiags, corpusNativeOptions());
   BytecodeReadResult Result;
-  ASSERT_TRUE(succeeded(Reader.read(F.SpecBytes, Result)))
+  ASSERT_TRUE(succeeded(readBytecodeFile(Path, FreshCtx, FreshDiags, Result,
+                                         corpusNativeOptions())))
       << FreshDiags.renderAll();
+  std::remove(Path.c_str());
   ASSERT_NE(Result.Specs, nullptr);
   ASSERT_EQ(Result.Specs->getDialects().size(),
             F.Corpus.Module->getDialects().size());
@@ -131,8 +148,8 @@ TEST(ProgramBytecode, DeserializedProgramsAreNotRecompiled) {
 }
 
 /// Loads \p SpecBytes two more ways next to the textual frontend that
-/// produced them (\p TextCtx): a copied bytecode read, and the zero-copy
-/// mmap read whose programs alias the mapping. Each generic-form module
+/// produced them (\p TextCtx): a bytecode read from memory, and a
+/// readBytecodeFile read of the same bytes on disk. Each generic-form module
 /// in \p Modules (label, text) must parse and verify identically in all
 /// three contexts, once as written and once with every op's first
 /// attribute dropped so the failure path is compared too. The programs
@@ -142,13 +159,7 @@ void expectReadPathsAgree(
     IRContext &TextCtx, const std::string &SpecBytes,
     const std::vector<std::pair<std::string, std::string>> &Modules,
     const IRDLLoadOptions &Opts = {}) {
-  std::string Path = ::testing::TempDir() + "program_bytecode_paths." +
-                     std::to_string(::getpid()) + ".irbc";
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(SpecBytes.data(),
-              static_cast<std::streamsize>(SpecBytes.size()));
-  }
+  std::string Path = writeTempFile("program_bytecode_paths", SpecBytes);
 
   IRContext CopyCtx;
   DiagnosticEngine CopyDiags;
@@ -157,17 +168,17 @@ void expectReadPathsAgree(
   ASSERT_TRUE(succeeded(CopyReader.read(SpecBytes, CopyResult)))
       << CopyDiags.renderAll();
 
-  IRContext MmapCtx;
-  DiagnosticEngine MmapDiags;
-  BytecodeReadResult MmapResult;
-  ASSERT_TRUE(succeeded(
-      readBytecodeFileMapped(Path, MmapCtx, MmapDiags, MmapResult, Opts)))
-      << MmapDiags.renderAll();
+  IRContext FileCtx;
+  DiagnosticEngine FileDiags;
+  BytecodeReadResult FileResult;
+  ASSERT_TRUE(
+      succeeded(readBytecodeFile(Path, FileCtx, FileDiags, FileResult, Opts)))
+      << FileDiags.renderAll();
   std::remove(Path.c_str());
 
-  EngineOracle CopyOracle, MmapOracle;
+  EngineOracle CopyOracle, FileOracle;
   CopyOracle.addModule(*CopyResult.Specs);
-  MmapOracle.addModule(*MmapResult.Specs);
+  FileOracle.addModule(*FileResult.Specs);
 
   auto DropFirstAttrs = [](Operation *M) {
     M->walk([](Operation *Op) {
@@ -184,9 +195,9 @@ void expectReadPathsAgree(
         std::string Diags;
       };
       Outcome Outcomes[3];
-      IRContext *Ctxs[3] = {&TextCtx, &CopyCtx, &MmapCtx};
-      EngineOracle *Oracles[3] = {nullptr, &CopyOracle, &MmapOracle};
-      const char *Labels[3] = {"text", "copy", "mmap"};
+      IRContext *Ctxs[3] = {&TextCtx, &CopyCtx, &FileCtx};
+      EngineOracle *Oracles[3] = {nullptr, &CopyOracle, &FileOracle};
+      const char *Labels[3] = {"text", "copy", "file"};
       std::string Suffix = Mutate ? " (mutated)" : "";
       for (int I = 0; I != 3; ++I) {
         SourceMgr SM;
@@ -336,10 +347,33 @@ TEST(ProgramBytecode, TruncatedProgramSectionIsRejected) {
   }
 }
 
+/// Bytes per instruction in the Programs section, and the offset of the
+/// flag byte within one.
+constexpr size_t InstrWireSize = 12;
+constexpr size_t InstrWireFlagsOffset = 1;
+
+/// The wire form of \p I (little-endian Op, Flags, NumChildren, A,
+/// ChildrenBegin), as the Programs section stores it.
+std::string instrWireBytes(const CInstr &I) {
+  std::string Bytes(InstrWireSize, '\0');
+  auto Put = [&Bytes](size_t At, uint32_t V, unsigned N) {
+    for (unsigned K = 0; K != N; ++K)
+      Bytes[At + K] = static_cast<char>((V >> (8 * K)) & 0xff);
+  };
+  Put(0, static_cast<uint8_t>(I.Op), 1);
+  Put(1, I.Flags, 1);
+  Put(2, I.NumChildren, 2);
+  Put(4, I.A, 4);
+  Put(8, I.ChildrenBegin, 4);
+  return Bytes;
+}
+
 /// Byte offsets within \p Buffer of the instructions of cmath.mul's
 /// programs (variable, operand and result programs) that \p Pick selects.
-/// The buffer is read with itself as backing, so the programs alias it
-/// and each instruction's address is an offset into it.
+/// Each program's instruction array is located by its wire bytes at an
+/// 8-byte-aligned offset of the Programs section; a program that occurs
+/// more than once (identical constraints elsewhere in the dialect)
+/// contributes every occurrence.
 std::vector<size_t>
 mulInstrOffsets(const std::string &Buffer,
                 const std::function<bool(const CInstr &)> &Pick) {
@@ -347,9 +381,8 @@ mulInstrOffsets(const std::string &Buffer,
   DiagnosticEngine Diags;
   BytecodeReader Reader(Ctx, Diags);
   BytecodeReadResult Result;
-  std::shared_ptr<const void> Backing(Buffer.data(), [](const void *) {});
   std::vector<size_t> Offsets;
-  if (failed(Reader.read(Buffer, Result, {}, Backing))) {
+  if (failed(Reader.read(Buffer, Result))) {
     ADD_FAILURE() << Diags.renderAll();
     return Offsets;
   }
@@ -365,16 +398,24 @@ mulInstrOffsets(const std::string &Buffer,
     Progs.push_back(O.Prog.get());
   for (const OperandSpec &R : Mul->Results)
     Progs.push_back(R.Prog.get());
+  auto [Start, End] = sectionPayload(Buffer, SectionId::Programs);
   for (const ConstraintProgram *P : Progs) {
-    for (size_t I = 0, E = P->getNumInstrs(); I != E; ++I) {
-      const char *Addr = reinterpret_cast<const char *>(&P->getInstr(I));
-      if (!P->isExternallyBacked() || Addr < Buffer.data() ||
-          Addr >= Buffer.data() + Buffer.size()) {
-        ADD_FAILURE() << "program does not alias the buffer";
-        return {};
-      }
-      if (Pick(P->getInstr(I)))
-        Offsets.push_back(static_cast<size_t>(Addr - Buffer.data()));
+    std::string Wire;
+    for (size_t I = 0, E = P->getNumInstrs(); I != E; ++I)
+      Wire += instrWireBytes(P->getInstr(I));
+    bool Found = false;
+    for (size_t At = (Start + 7) / 8 * 8; At + Wire.size() <= End; At += 8) {
+      if (Buffer.compare(At, Wire.size(), Wire) != 0)
+        continue;
+      Found = true;
+      for (size_t I = 0, E = P->getNumInstrs(); I != E; ++I)
+        if (Pick(P->getInstr(I)))
+          Offsets.push_back(At + I * InstrWireSize);
+    }
+    if (!Found) {
+      ADD_FAILURE() << "program not found in the Programs section:\n"
+                    << P->dump();
+      return {};
     }
   }
   return Offsets;
@@ -385,28 +426,13 @@ mulInstrOffsets(const std::string &Buffer,
 std::string withFlagBits(std::string Buffer, const std::vector<size_t> &Offsets,
                          uint8_t Bits) {
   for (size_t Off : Offsets)
-    Buffer[Off + offsetof(CInstr, Flags)] |= static_cast<char>(Bits);
+    Buffer[Off + InstrWireFlagsOffset] |= static_cast<char>(Bits);
   return Buffer;
 }
 
-/// Loads the cmath specs from \p SpecBytes (copied or zero-copy) and
-/// verifies a module holding a well-typed cmath.mul followed by one whose
-/// operands disagree on !T. Returns the rendered verify diagnostics.
-std::string verifyMulModule(const std::string &SpecBytes, bool ZeroCopy) {
-  IRContext Ctx;
-  DiagnosticEngine ReadDiags;
-  BytecodeReader Reader(Ctx, ReadDiags);
-  BytecodeReadResult Result;
-  std::shared_ptr<const void> Backing;
-  if (ZeroCopy)
-    Backing.reset(SpecBytes.data(), [](const void *) {});
-  if (failed(Reader.read(SpecBytes, Result, {}, Backing))) {
-    ADD_FAILURE() << ReadDiags.renderAll();
-    return {};
-  }
-  SourceMgr SM;
-  DiagnosticEngine Diags(&SM);
-  OwningOpRef M = parseSourceString(Ctx, R"(
+/// A module holding a well-typed cmath.mul followed by one whose
+/// operands disagree on !T.
+constexpr const char *MulModule = R"(
     std.func @f(%b32: !cmath.complex<f32>, %c64: !cmath.complex<f64>) {
       %0 = "cmath.mul"(%b32, %b32)
           : (!cmath.complex<f32>, !cmath.complex<f32>) -> (!cmath.complex<f32>)
@@ -414,45 +440,63 @@ std::string verifyMulModule(const std::string &SpecBytes, bool ZeroCopy) {
           : (!cmath.complex<f64>, !cmath.complex<f32>) -> (!cmath.complex<f32>)
       std.return
     }
-  )",
-                                    SM, Diags);
+  )";
+
+/// The outcome of verifying MulModule: whether verification failed, and
+/// the rendered diagnostics.
+using MulVerdict = std::pair<bool, std::string>;
+
+/// Verifies MulModule against the cmath specs already loaded into \p Ctx.
+MulVerdict verifyMulModuleIn(IRContext &Ctx) {
+  SourceMgr SM;
+  DiagnosticEngine Diags(&SM);
+  OwningOpRef M = parseSourceString(Ctx, MulModule, SM, Diags);
   if (!M) {
     ADD_FAILURE() << Diags.renderAll();
     return {};
   }
-  EXPECT_TRUE(failed(M->verify(Diags)));
-  return Diags.renderAll();
+  bool Failed = failed(M->verify(Diags));
+  return {Failed, Diags.renderAll()};
+}
+
+/// Loads the cmath specs from \p SpecBytes and verifies MulModule.
+MulVerdict verifyMulModule(const std::string &SpecBytes) {
+  IRContext Ctx;
+  DiagnosticEngine ReadDiags;
+  BytecodeReader Reader(Ctx, ReadDiags);
+  BytecodeReadResult Result;
+  if (failed(Reader.read(SpecBytes, Result))) {
+    ADD_FAILURE() << ReadDiags.renderAll();
+    return {};
+  }
+  return verifyMulModuleIn(Ctx);
 }
 
 TEST(ProgramBytecode, MemoFlagBitDoesNotChangeVerdicts) {
   std::string Honest = cmathSpecBytes();
-  for (bool ZeroCopy : {false, true}) {
-    SCOPED_TRACE(ZeroCopy ? "zero-copy read" : "copied read");
-    std::string Expected = verifyMulModule(Honest, ZeroCopy);
-    EXPECT_NE(Expected.find("does not satisfy constraint !T"),
-              std::string::npos)
-        << Expected;
+  MulVerdict Expected = verifyMulModule(Honest);
+  EXPECT_TRUE(Expected.first);
+  EXPECT_NE(Expected.second.find("does not satisfy constraint !T"),
+            std::string::npos)
+      << Expected.second;
 
-    // Bit 1 once marked a subprogram whose verdict was cached per
-    // uniqued value. On a Var instruction that let the second mul reuse
-    // the first mul's verdict for the same operand type and skip the !T
-    // check; the flag must be inert.
-    std::vector<size_t> VarInstrs = mulInstrOffsets(
-        Honest, [](const CInstr &I) { return I.Op == COpcode::Var; });
-    ASSERT_FALSE(VarInstrs.empty());
-    EXPECT_EQ(verifyMulModule(withFlagBits(Honest, VarInstrs, 1u << 1),
-                              ZeroCopy),
-              Expected);
+  // Bit 1 once marked a subprogram whose verdict was cached per
+  // uniqued value. On a Var instruction that let the second mul reuse
+  // the first mul's verdict for the same operand type and skip the !T
+  // check; the flag must be inert.
+  std::vector<size_t> VarInstrs = mulInstrOffsets(
+      Honest, [](const CInstr &I) { return I.Op == COpcode::Var; });
+  ASSERT_FALSE(VarInstrs.empty());
+  EXPECT_EQ(verifyMulModule(withFlagBits(Honest, VarInstrs, 1u << 1)),
+            Expected);
 
-    // Bit 1 on var-free instructions, where files written before the
-    // cache was removed set it, loads and verifies the same.
-    std::vector<size_t> VarFreeInstrs = mulInstrOffsets(
-        Honest, [](const CInstr &I) { return I.Op != COpcode::Var; });
-    ASSERT_FALSE(VarFreeInstrs.empty());
-    EXPECT_EQ(verifyMulModule(withFlagBits(Honest, VarFreeInstrs, 1u << 1),
-                              ZeroCopy),
-              Expected);
-  }
+  // Bit 1 on var-free instructions, where files written before the
+  // cache was removed set it, loads and verifies the same.
+  std::vector<size_t> VarFreeInstrs = mulInstrOffsets(
+      Honest, [](const CInstr &I) { return I.Op != COpcode::Var; });
+  ASSERT_FALSE(VarFreeInstrs.empty());
+  EXPECT_EQ(verifyMulModule(withFlagBits(Honest, VarFreeInstrs, 1u << 1)),
+            Expected);
 
   // Bit 2 has never had a meaning and is still rejected.
   std::vector<size_t> AllInstrs =
@@ -463,6 +507,111 @@ TEST(ProgramBytecode, MemoFlagBitDoesNotChangeVerdicts) {
       tryRead(withFlagBits(Honest, {AllInstrs[0]}, 1u << 2), &Rendered));
   EXPECT_NE(Rendered.find("unknown flag bits"), std::string::npos)
       << Rendered;
+}
+
+/// \p Honest with every Var instruction of cmath.mul's programs turned
+/// into AnyParam, so the mul whose operands disagree on !T verifies.
+std::string withMulVarsErased(const std::string &Honest) {
+  std::string Rewritten = Honest;
+  for (size_t Off : mulInstrOffsets(
+           Honest, [](const CInstr &I) { return I.Op == COpcode::Var; }))
+    Rewritten[Off] = static_cast<char>(COpcode::AnyParam);
+  return Rewritten;
+}
+
+/// Overwrites the file at \p Path with \p Bytes in place: same inode,
+/// same length, no truncation.
+void overwriteInPlace(const std::string &Path, const std::string &Bytes) {
+  std::fstream Out(Path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(Out.good()) << Path;
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  Out.flush();
+  ASSERT_TRUE(Out.good()) << Path;
+}
+
+/// Checks that specs loaded from the file at \p Path by \p Load keep
+/// their verdicts after the file's Programs section is rewritten in place
+/// and after the file is truncated into that section.
+void expectLoadIgnoresLaterFileChanges(
+    const std::string &Path,
+    const std::function<LogicalResult(IRContext &, DiagnosticEngine &)>
+        &Load) {
+  std::string Honest, Error;
+  ASSERT_TRUE(succeeded(readFileToString(Path, Honest, Error))) << Error;
+  std::string Rewritten = withMulVarsErased(Honest);
+  ASSERT_NE(Rewritten, Honest);
+  // Read fresh, the rewritten bytes accept the mismatched mul, so a
+  // program that still ran the file's bytes would change its verdict.
+  EXPECT_EQ(verifyMulModule(Rewritten), MulVerdict(false, ""));
+
+  IRContext Ctx;
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(succeeded(Load(Ctx, Diags))) << Diags.renderAll();
+  MulVerdict Expected = verifyMulModuleIn(Ctx);
+  EXPECT_TRUE(Expected.first);
+  EXPECT_NE(Expected.second.find("does not satisfy constraint !T"),
+            std::string::npos)
+      << Expected.second;
+
+  overwriteInPlace(Path, Rewritten);
+  EXPECT_EQ(verifyMulModuleIn(Ctx), Expected) << "after in-place rewrite";
+
+  auto [Start, End] = sectionPayload(Honest, SectionId::Programs);
+  ASSERT_LT(Start, End);
+  ASSERT_EQ(::truncate(Path.c_str(), static_cast<off_t>(Start)), 0);
+  EXPECT_EQ(verifyMulModuleIn(Ctx), Expected) << "after truncation";
+}
+
+TEST(ProgramBytecode, LoadedProgramsIgnoreLaterFileChanges) {
+  // A spec file read by readBytecodeFile.
+  std::string Path = writeTempFile("program_bytecode_rewrite", cmathSpecBytes());
+  expectLoadIgnoresLaterFileChanges(
+      Path, [&](IRContext &Ctx, DiagnosticEngine &Diags) {
+        BytecodeReadResult Result;
+        return readBytecodeFile(Path, Ctx, Diags, Result);
+      });
+  std::remove(Path.c_str());
+
+  // A spec-cache entry read by loadCachedSpec.
+  IRContext TextCtx;
+  SourceMgr SrcMgr;
+  DiagnosticEngine TextDiags(&SrcMgr);
+  auto M = loadIRDLFile(TextCtx, std::string(IRDL_DIALECTS_DIR) +
+                                     "/cmath.irdl",
+                        SrcMgr, TextDiags);
+  ASSERT_NE(M, nullptr) << TextDiags.renderAll();
+  std::string Dir = ::testing::TempDir() + "program_bytecode_rewrite_cache." +
+                    std::to_string(::getpid());
+  uint64_t Hash = 0xfeedfacecafe0002ULL;
+  ASSERT_TRUE(succeeded(storeCachedSpec(Dir, Hash, *M, TextDiags)))
+      << TextDiags.renderAll();
+  expectLoadIgnoresLaterFileChanges(
+      specCachePath(Dir, Hash), [&](IRContext &Ctx, DiagnosticEngine &Diags) {
+        BytecodeReadResult Result;
+        return loadCachedSpec(Dir, Hash, Ctx, Diags, Result);
+      });
+  std::remove(specCachePath(Dir, Hash).c_str());
+  ::rmdir(Dir.c_str());
+}
+
+TEST(ProgramBytecode, ReadBufferCanBeFreedBeforeVerify) {
+  auto Bytes = std::make_unique<std::string>(cmathSpecBytes());
+  MulVerdict Expected = verifyMulModule(*Bytes);
+  EXPECT_TRUE(Expected.first);
+  EXPECT_NE(Expected.second.find("does not satisfy constraint !T"),
+            std::string::npos)
+      << Expected.second;
+
+  IRContext Ctx;
+  DiagnosticEngine Diags;
+  BytecodeReader Reader(Ctx, Diags);
+  BytecodeReadResult Result;
+  ASSERT_TRUE(succeeded(Reader.read(*Bytes, Result))) << Diags.renderAll();
+  // Nothing loaded may keep a view into the buffer: scribble over it,
+  // then free it (ASan reports any later read of either).
+  std::fill(Bytes->begin(), Bytes->end(), '\xff');
+  Bytes.reset();
+  EXPECT_EQ(verifyMulModuleIn(Ctx), Expected);
 }
 
 TEST(ProgramBytecode, SpecHashIgnoresNonSpecSections) {
@@ -505,7 +654,7 @@ TEST(ProgramBytecode, StaleOnDiskCacheEntryIsInvalidated) {
   ASSERT_TRUE(succeeded(storeCachedSpec(Dir, Hash, *M, Diags)))
       << Diags.renderAll();
 
-  // Round trip: the entry loads via mmap into a fresh context.
+  // Round trip: the entry loads into a fresh context.
   {
     IRContext FreshCtx;
     DiagnosticEngine FreshDiags;

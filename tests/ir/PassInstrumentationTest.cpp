@@ -162,9 +162,6 @@ TEST_F(PassInstrumentationTest, InstrumentationsNestLikeScopes) {
 }
 
 TEST_F(PassInstrumentationTest, PassTimingBuildsPipelineTree) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   OwningOpRef M = parse("%c = std.constant 1.0 : f32");
   ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
   TimerGroup Timers("test");
@@ -188,9 +185,6 @@ TEST_F(PassInstrumentationTest, PassTimingBuildsPipelineTree) {
 }
 
 TEST_F(PassInstrumentationTest, PassTimingClosesScopesOnFailure) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   OwningOpRef M = parse("%c = std.constant 1.0 : f32");
   ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
   TimerGroup Timers("test");

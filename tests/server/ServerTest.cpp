@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 
@@ -437,6 +439,50 @@ TEST(ServerTest, OversizedFrameIsProtocolError) {
   EXPECT_EQ(Response.Status, FrameStatus::ProtocolError);
   EXPECT_NE(Response.Payload.find("exceeds"), std::string::npos)
       << Response.Payload;
+}
+
+TEST(ServerTest, TruncatedFrameAllocatesOnlyWhatArrived) {
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  FileDescriptor Reader(Fds[0]), Writer(Fds[1]);
+  // A PING header claiming a 200 MiB payload, then 10 bytes, then close.
+  std::string Message("\x09\x00\x00\x80\x0c", 5);
+  Message.append(10, 'x');
+  ASSERT_TRUE(sendAll(Writer.get(), Message));
+  Writer.reset();
+
+  RequestFrame Request;
+  std::string Error;
+  EXPECT_EQ(readRequestFrame(Reader.get(), Request, Error),
+            ReadOutcome::Error);
+  EXPECT_NE(Error.find("truncated frame payload (got 10 of 209715200"),
+            std::string::npos)
+      << Error;
+  EXPECT_LT(Request.Payload.capacity(), size_t(1) << 20);
+}
+
+TEST(ServerTest, FinishedConnectionThreadsAreJoined) {
+  ServerFixture Fixture("reap");
+  auto PingOnce = [&Fixture]() {
+    ServeClient Client = Fixture.connect();
+    ResponseFrame Response;
+    std::string Error;
+    ASSERT_TRUE(succeeded(Client.ping(Response, Error))) << Error;
+    ASSERT_EQ(Response.Status, FrameStatus::Ok);
+  };
+  for (int I = 0; I != 100; ++I)
+    PingOnce();
+  // Finished threads are joined only on accept, and the last
+  // connections' threads may still be winding down, so keep connecting
+  // until only the newest ones are left. Without joining, the count
+  // stays above 100 and the deadline passes.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (Fixture.Server.getNumConnectionThreads() > 2 &&
+         std::chrono::steady_clock::now() < Deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    PingOnce();
+  }
+  EXPECT_LE(Fixture.Server.getNumConnectionThreads(), 2u);
 }
 
 TEST(ServerTest, MetricsEndpointReportsServedRequests) {

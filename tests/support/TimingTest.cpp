@@ -18,9 +18,6 @@ void spinBriefly() {
 }
 
 TEST(TimingTest, NestingBuildsAHierarchy) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("test");
   {
     TimingScope Outer(G, "outer");
@@ -47,9 +44,6 @@ TEST(TimingTest, NestingBuildsAHierarchy) {
 }
 
 TEST(TimingTest, SameNameScopesAggregate) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("test");
   for (int I = 0; I != 3; ++I) {
     TimingScope S(G, "repeated");
@@ -63,9 +57,6 @@ TEST(TimingTest, SameNameScopesAggregate) {
 }
 
 TEST(TimingTest, ExclusiveTimeMath) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("test");
   {
     TimingScope Outer(G, "outer");
@@ -91,9 +82,6 @@ TEST(TimingTest, ExclusiveTimeMath) {
 }
 
 TEST(TimingTest, RecursiveSameNameDoesNotDoubleCountOneNode) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("test");
   {
     TimingScope A(G, "work");
@@ -112,9 +100,6 @@ TEST(TimingTest, RecursiveSameNameDoesNotDoubleCountOneNode) {
 }
 
 TEST(TimingTest, ThreadsGetIndependentStacks) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("test");
   std::vector<std::thread> Threads;
   for (int T = 0; T != 4; ++T)
@@ -153,18 +138,10 @@ TEST(TimingTest, MacroUsesActiveGroupAndDefaultsOff) {
     IRDL_TIME_SCOPE("macro-scope");
   }
   setActiveTimerGroup(nullptr);
-#if IRDL_ENABLE_TIMING
   EXPECT_NE(G.getRoot().findChild("macro-scope"), nullptr);
-#else
-  // Compiled out: nothing may be recorded.
-  EXPECT_TRUE(G.getRoot().getChildren().empty());
-#endif
 }
 
 TEST(TimingTest, RenderTreeListsScopes) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("render-me");
   {
     TimingScope Outer(G, "phase-a");
@@ -179,9 +156,6 @@ TEST(TimingTest, RenderTreeListsScopes) {
 }
 
 TEST(TimingTest, ClearResets) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("test");
   {
     TimingScope S(G, "gone");

@@ -234,9 +234,6 @@ void recordFixture(TimerGroup &G) {
 }
 
 TEST(TraceJsonTest, ParsesAndHasSchema) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("trace-test");
   recordFixture(G);
   std::string Json = G.renderTraceJson("my-process");
@@ -290,9 +287,6 @@ TEST(TraceJsonTest, ParsesAndHasSchema) {
 }
 
 TEST(TraceJsonTest, EventsCoverAllScopesAndNestProperly) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("trace-test");
   recordFixture(G);
   auto Doc = JsonParser(G.renderTraceJson()).parse();
@@ -352,9 +346,6 @@ TEST(TraceJsonTest, EventsCoverAllScopesAndNestProperly) {
 }
 
 TEST(TraceJsonTest, EscapesSpecialCharactersInNames) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("trace-test");
   {
     TimingScope S(G, "quote\"back\\slash\nnewline");
@@ -369,9 +360,6 @@ TEST(TraceJsonTest, EscapesSpecialCharactersInNames) {
 }
 
 TEST(TraceJsonTest, JsonSummaryParsesAndMirrorsTree) {
-#if !IRDL_ENABLE_TIMING
-  GTEST_SKIP() << "built with IRDL_ENABLE_TIMING=OFF";
-#endif
   TimerGroup G("summary-test");
   recordFixture(G);
   auto Doc = JsonParser(G.renderJsonSummary()).parse();
