@@ -99,16 +99,34 @@ struct BytecodeReader::Impl {
   /// ParamValue.
   std::vector<ParamValue> Pool;
 
-  /// Value-id table and deferred operand references for the IR section.
+  /// Value-id table and deferred operand references for the IR section:
+  /// every op's operand ids back to back in OperandIds, and per op with
+  /// operands the slice it owns.
   std::vector<Value> Values;
+  std::vector<uint64_t> OperandIds;
   struct OperandFixup {
     Operation *Op;
-    std::vector<uint64_t> ValueIds;
+    size_t Begin;
+    size_t Count;
   };
   std::vector<OperandFixup> Fixups;
 
+  /// Op definitions by string-table index, each resolved on the first op
+  /// that names it. Sized by the string table when the IR section starts,
+  /// after every spec section has been registered.
+  struct CachedOpDef {
+    const OpDefinition *Def = nullptr;
+    bool Resolved = false;
+  };
+  std::vector<CachedOpDef> OpDefs;
+
+  /// Filled by every readOp and consumed by its Operation::create, which
+  /// happens before the op's regions (and the ops nested in them) are
+  /// read, so one state serves the whole section without reallocating.
+  OperationState State;
+
   Impl(IRContext &Ctx, DiagnosticEngine &Diags, const IRDLLoadOptions &Opts)
-      : Ctx(Ctx), Diags(Diags), Opts(Opts) {}
+      : Ctx(Ctx), Diags(Diags), Opts(Opts), State(Ctx, OperationName()) {}
 
   //===------------------------------------------------------------------===//
   // Shared decoding helpers
@@ -1102,21 +1120,29 @@ struct BytecodeReader::Impl {
 
   Operation *readOp(BytecodeCursor &C,
                     const std::vector<Block *> *EnclosingBlocks) {
-    std::string_view Name;
-    if (!readString(C, Name))
+    uint64_t NameId;
+    if (!C.readVarIntBelow(Strings.size(), "string index", NameId))
       return nullptr;
-    OperationName OpName;
-    if (const OpDefinition *Def = Ctx.resolveOpDef(Name))
-      OpName = OperationName(Def);
+    CachedOpDef &Cached = OpDefs[NameId];
+    if (!Cached.Resolved) {
+      Cached.Def = Ctx.resolveOpDef(Strings[NameId]);
+      Cached.Resolved = true;
+    }
+    if (Cached.Def)
+      State.Name = OperationName(Cached.Def);
     else if (Ctx.allowsUnregisteredOps())
-      OpName = OperationName(std::string(Name));
+      State.Name = OperationName(std::string(Strings[NameId]));
     else {
-      C.error("operation '" + std::string(Name) +
+      C.error("operation '" + std::string(Strings[NameId]) +
               "' has no registered definition");
       return nullptr;
     }
+    State.ResultTypes.clear();
+    State.Operands.clear();
+    State.Attributes.clear();
+    State.Successors.clear();
+    State.Regions.clear();
 
-    OperationState State(Ctx, std::move(OpName));
     uint64_t NumResults;
     if (!readCount(C, "result count", NumResults))
       return nullptr;
@@ -1130,13 +1156,16 @@ struct BytecodeReader::Impl {
     uint64_t NumOperands;
     if (!readCount(C, "operand count", NumOperands))
       return nullptr;
-    std::vector<uint64_t> OperandIds(NumOperands);
     // Operand ids may point at values not created yet (graph regions, CFG
     // back-edges); they are bounds-checked and resolved in the final
     // fixup pass.
-    for (uint64_t &Id : OperandIds)
+    size_t IdsBegin = OperandIds.size();
+    for (uint64_t I = 0; I != NumOperands; ++I) {
+      uint64_t Id;
       if (!C.readVarInt(Id))
         return nullptr;
+      OperandIds.push_back(Id);
+    }
     // Create the op with null operands so the fixup pass fills slots in
     // place — keeping the operand array inside the op's single allocation
     // instead of growing it afterwards.
@@ -1178,8 +1207,8 @@ struct BytecodeReader::Impl {
     ++NumOpsRead;
     for (uint64_t I = 0; I != NumResults; ++I)
       Values.push_back(Op->getResult(static_cast<unsigned>(I)));
-    if (!OperandIds.empty())
-      Fixups.push_back(OperandFixup{Op, std::move(OperandIds)});
+    if (NumOperands)
+      Fixups.push_back(OperandFixup{Op, IdsBegin, NumOperands});
 
     for (uint64_t I = 0; I != NumRegions; ++I) {
       if (failed(readRegion(C, Op->getRegion(static_cast<unsigned>(I))))) {
@@ -1232,13 +1261,14 @@ struct BytecodeReader::Impl {
   LogicalResult readIRSection(BytecodeCursor &C,
                               BytecodeReadResult &Result) {
     IRDL_TIME_SCOPE("read-ir");
+    OpDefs.assign(Strings.size(), CachedOpDef());
     Operation *Root = readOp(C, /*EnclosingBlocks=*/nullptr);
     if (!Root)
       return failure();
     Result.Module = OwningOpRef(Root);
     for (const OperandFixup &F : Fixups) {
-      for (uint64_t I = 0, E = F.ValueIds.size(); I != E; ++I) {
-        uint64_t Id = F.ValueIds[I];
+      for (size_t I = 0; I != F.Count; ++I) {
+        uint64_t Id = OperandIds[F.Begin + I];
         if (Id >= Values.size()) {
           Result.Module.reset();
           return C.error("operand value index " + std::to_string(Id) +

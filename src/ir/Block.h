@@ -255,6 +255,10 @@ private:
   /// Size of the block's own allocation, for returning it to the arena.
   uint32_t AllocBytes = 0;
   IntrusiveList<Operation> Ops;
+  /// The epoch of the DominanceInfo that last numbered this block's ops
+  /// (Operation::BlockOrderIndex); 0 when none has.
+  uint64_t OrderEpoch = 0;
+  friend class DominanceInfo;
 };
 
 /// Blocks are arena-allocated: intrusive lists (Region bodies) must

@@ -19,15 +19,13 @@ using namespace irdl;
 
 namespace {
 
-/// Returns the builtin definition check helper.
-bool isBuiltinFloat(Type T) {
+/// True when \p T is f16, f32 or f64 of \p Ctx.
+bool isBuiltinFloat(const IRContext &Ctx, Type T) {
   if (!T)
     return false;
   const TypeDefinition *Def = T.getDef();
-  if (Def->getDialect()->getNamespace() != "builtin")
-    return false;
-  const std::string &N = Def->getShortName();
-  return N == "f16" || N == "f32" || N == "f64";
+  return Def == Ctx.getFloatTypeDef(16) || Def == Ctx.getFloatTypeDef(32) ||
+         Def == Ctx.getFloatTypeDef(64);
 }
 
 LogicalResult verifyModule(Operation *Op, DiagnosticEngine &Diags) {
@@ -109,6 +107,22 @@ LogicalResult verifyFunc(Operation *Op, DiagnosticEngine &Diags) {
   return success();
 }
 
+/// True when \p T is the builtin integer type of \p Width and \p Sign.
+/// Compares the definition and parameters in place, so verification
+/// interns no type (and never one a verifier would reject).
+bool isIntegerType(const IRContext &Ctx, Type T, unsigned Width,
+                   Signedness Sign) {
+  if (!T || T.getDef() != Ctx.getIntegerTypeDef())
+    return false;
+  const std::vector<ParamValue> &Params = T.getParams();
+  return Params.size() == 2 && Params[0].isInt() &&
+         Params[0].getInt() == IntVal{32, Signedness::Unsigned,
+                                      static_cast<int64_t>(Width)} &&
+         Params[1].isEnum() &&
+         Params[1].getEnum() ==
+             EnumVal{Ctx.getSignednessEnum(), static_cast<unsigned>(Sign)};
+}
+
 LogicalResult verifyBinaryFloatOp(Operation *Op, DiagnosticEngine &Diags) {
   if (Op->getNumOperands() != 2 || Op->getNumResults() != 1 ||
       Op->getNumRegions() != 0) {
@@ -118,7 +132,7 @@ LogicalResult verifyBinaryFloatOp(Operation *Op, DiagnosticEngine &Diags) {
     return failure();
   }
   Type T = Op->getOperand(0).getType();
-  if (!isBuiltinFloat(T)) {
+  if (!isBuiltinFloat(*Op->getContext(), T)) {
     Diags.emitError(Op->getLoc(), "'" + Op->getName().str() +
                                       "' operates on floating-point types");
     return failure();
@@ -148,20 +162,21 @@ LogicalResult verifyConstant(Operation *Op, DiagnosticEngine &Diags) {
     return failure();
   }
   Type ResultTy = Op->getResult(0).getType();
+  bool Matches;
   if (V.getDef() == Ctx->getFloatAttrDef()) {
+    // A width with no float type (a crafted `.irbc` can carry any) has no
+    // definition and matches nothing.
     unsigned Width = V.getParams()[0].getFloat().Width;
-    if (ResultTy != Ctx->getFloatType(Width)) {
-      Diags.emitError(Op->getLoc(),
-                      "constant result type does not match its value");
-      return failure();
-    }
+    Matches = ResultTy && ResultTy.getDef() == Ctx->getFloatTypeDef(Width) &&
+              ResultTy.getParams().empty();
   } else {
     const IntVal &IV = V.getParams()[0].getInt();
-    if (ResultTy != Ctx->getIntegerType(IV.Width, IV.Sign)) {
-      Diags.emitError(Op->getLoc(),
-                      "constant result type does not match its value");
-      return failure();
-    }
+    Matches = isIntegerType(*Ctx, ResultTy, IV.Width, IV.Sign);
+  }
+  if (!Matches) {
+    Diags.emitError(Op->getLoc(),
+                    "constant result type does not match its value");
+    return failure();
   }
   return success();
 }
@@ -169,7 +184,8 @@ LogicalResult verifyConstant(Operation *Op, DiagnosticEngine &Diags) {
 LogicalResult verifyCondBr(Operation *Op, DiagnosticEngine &Diags) {
   IRContext *Ctx = Op->getDef()->getDialect()->getContext();
   if (Op->getNumOperands() != 1 ||
-      Op->getOperand(0).getType() != Ctx->getIntegerType(1)) {
+      !isIntegerType(*Ctx, Op->getOperand(0).getType(), 1,
+                     Signedness::Signless)) {
     Diags.emitError(Op->getLoc(), "cond_br expects a single i1 condition");
     return failure();
   }

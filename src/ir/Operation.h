@@ -61,6 +61,8 @@ public:
   bool erase(std::string_view Name);
 
   bool empty() const { return Entries.empty(); }
+  /// Removes every entry, keeping the storage for reuse.
+  void clear() { Entries.clear(); }
   size_t size() const { return Entries.size(); }
   auto begin() const { return Entries.begin(); }
   auto end() const { return Entries.end(); }
@@ -547,7 +549,8 @@ private:
   /// Size of the op's own allocation, for returning it to the arena.
   uint32_t AllocBytes = 0;
   /// Position in the parent block, written when a DominanceInfo numbers
-  /// the block; meaningful only to that DominanceInfo.
+  /// the block; meaningful only to the DominanceInfo whose epoch the
+  /// block carries (Block::OrderEpoch).
   uint32_t BlockOrderIndex = 0;
   friend class DominanceInfo;
 };

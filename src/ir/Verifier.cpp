@@ -10,6 +10,7 @@
 #include "support/Timing.h"
 
 #include <algorithm>
+#include <atomic>
 
 using namespace irdl;
 
@@ -17,6 +18,8 @@ IRDL_STATISTIC(Verifier, NumVerifierRuns,
                "entry-point structural verifications");
 IRDL_STATISTIC(Verifier, NumOpsVerified,
                "operations structurally verified");
+IRDL_STATISTIC(Verifier, NumOpsNumbered,
+               "operations numbered for same-block dominance");
 
 //===----------------------------------------------------------------------===//
 // DominanceInfo
@@ -55,6 +58,21 @@ std::vector<Block *> computeRPO(Region *R) {
   return PostOrder;
 }
 } // namespace
+
+DominanceInfo::DominanceInfo() {
+  static std::atomic<uint64_t> NextEpoch{1};
+  Epoch = NextEpoch.fetch_add(1, std::memory_order_relaxed);
+}
+
+DominanceInfo::~DominanceInfo() { NumOpsNumbered += OpsNumbered; }
+
+void DominanceInfo::numberBlock(Block *B) {
+  uint32_t Index = 0;
+  for (Operation &Op : *B)
+    Op.BlockOrderIndex = Index++;
+  B->OrderEpoch = Epoch;
+  OpsNumbered += Index;
+}
 
 void DominanceInfo::computeRegion(Region *R) {
   if (Processed[R])
@@ -131,7 +149,9 @@ bool DominanceInfo::dominates(Block *A, Block *B) {
 }
 
 bool DominanceInfo::properlyDominates(Value V, Operation *User) {
-  Block *DefBlock = V.getParentBlock();
+  // Null for a block argument (and a null value).
+  Operation *DefOp = V.getDefiningOp();
+  Block *DefBlock = DefOp ? DefOp->getBlock() : V.getOwnerBlock();
   if (!DefBlock)
     return false;
   Region *DefRegion = DefBlock->getParent();
@@ -148,22 +168,15 @@ bool DominanceInfo::properlyDominates(Value V, Operation *User) {
 
   if (DefBlock == UseBlock) {
     // Block arguments dominate every op in the block.
-    if (V.isBlockArgument())
+    if (!DefOp)
       return true;
-    Operation *DefOp = V.getDefiningOp();
     if (DefOp == ScopedUser)
       // An op does not dominate itself — unless the original user was
       // nested inside one of its regions... which would be a use-before-
       // def of its own result; reject.
       return false;
-    if (UseBlock != LastNumbered) {
-      if (NumberedBlocks.insert(UseBlock).second) {
-        uint32_t Index = 0;
-        for (Operation &Op : *UseBlock)
-          Op.BlockOrderIndex = Index++;
-      }
-      LastNumbered = UseBlock;
-    }
+    if (UseBlock->OrderEpoch != Epoch)
+      numberBlock(UseBlock);
     return DefOp->BlockOrderIndex < ScopedUser->BlockOrderIndex;
   }
   return dominates(DefBlock, UseBlock);
@@ -177,6 +190,8 @@ namespace {
 class Verifier {
 public:
   Verifier(DiagnosticEngine &Diags) : Diags(Diags) {}
+  /// Statistics are shared atomics: one add per walk, not one per op.
+  ~Verifier() { NumOpsVerified += OpsVerified; }
 
   LogicalResult verify(Operation *Op) {
     // Per-function latency distribution: isolated-from-above ops are the
@@ -204,8 +219,7 @@ private:
   }
 
   LogicalResult verifyOpItself(Operation *Op) {
-    ++NumOpsVerified;
-    IRContext *Ctx = nullptr;
+    ++OpsVerified;
     for (unsigned I = 0, E = Op->getNumResults(); I != E; ++I)
       if (!Op->getResult(I).getType()) {
         Diags.emitError(Op->getLoc(), "operation '" + Op->getName().str() +
@@ -214,9 +228,6 @@ private:
       }
 
     const OpDefinition *Def = Op->getDef();
-    if (Def)
-      Ctx = Def->getDialect()->getContext();
-
     if (!Def) {
       // Unregistered operations are only structural; acceptability was
       // decided at creation/parse time.
@@ -283,7 +294,6 @@ private:
       if (failed(Def->getVerifier()(Op, Diags)))
         return failure();
 
-    (void)Ctx;
     return success();
   }
 
@@ -307,6 +317,7 @@ private:
 
   DiagnosticEngine &Diags;
   DominanceInfo Dom;
+  uint64_t OpsVerified = 0;
 };
 } // namespace
 

@@ -14,7 +14,6 @@
 #include "ir/Operation.h"
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace irdl {
@@ -25,11 +24,19 @@ class Region;
 /// Dominator-tree information computed per region on demand
 /// (Cooper–Harvey–Kennedy iterative algorithm over a reverse post-order).
 /// Same-block queries compare op positions, which the first query in a
-/// block numbers in place on its ops. Both caches are valid only while
-/// the IR is unchanged, and two DominanceInfos must not query the same
-/// block from different threads at once.
+/// block numbers in place on its ops, stamping the block with this
+/// DominanceInfo's epoch so later queries check one field instead of
+/// probing a set. Both caches are valid only while the IR is unchanged,
+/// and two DominanceInfos must not query the same block from different
+/// threads at once.
 class DominanceInfo {
 public:
+  DominanceInfo();
+  /// Adds getNumOpsNumbered() to the Verifier.NumOpsNumbered statistic.
+  ~DominanceInfo();
+  DominanceInfo(const DominanceInfo &) = delete;
+  DominanceInfo &operator=(const DominanceInfo &) = delete;
+
   /// Returns true if \p A dominates \p B (reflexively) within their common
   /// region. Both blocks must be in the same region.
   bool dominates(Block *A, Block *B);
@@ -39,17 +46,22 @@ public:
   /// needed.
   bool properlyDominates(Value V, Operation *User);
 
+  /// Operations numbered so far for same-block queries. Each block is
+  /// numbered at most once per DominanceInfo, so this never exceeds the
+  /// number of ops in the blocks queried.
+  uint64_t getNumOpsNumbered() const { return OpsNumbered; }
+
 private:
   void computeRegion(Region *R);
+  void numberBlock(Block *B);
 
   /// Immediate dominator of each processed block (entry maps to itself).
   std::unordered_map<Block *, Block *> IDom;
   std::unordered_map<Region *, bool> Processed;
-  /// Blocks whose ops carry their position (Operation::BlockOrderIndex).
-  std::unordered_set<const Block *> NumberedBlocks;
-  /// The block of the previous same-block query, known to be numbered;
-  /// consecutive queries mostly share it and skip the set lookup.
-  const Block *LastNumbered = nullptr;
+  /// Process-unique, never 0; a block whose Block::OrderEpoch equals it
+  /// carries this DominanceInfo's op positions.
+  uint64_t Epoch;
+  uint64_t OpsNumbered = 0;
 };
 
 /// Verifies \p Op and everything nested within it. Reports problems to

@@ -53,6 +53,17 @@ public:
 
   unsigned getNumVars() const { return Bindings.size(); }
 
+  /// Starts over for another operation with \p NewVarPrograms: every
+  /// variable unbound, the trail empty, and the storage of both kept, so
+  /// a context reused across operations stops allocating once it has
+  /// seen the largest variable count.
+  void reset(const std::vector<ConstraintProgramPtr> *NewVarPrograms) {
+    undoTo(0);
+    VarPrograms = NewVarPrograms;
+    VarConstraints = nullptr;
+    Bindings.resize(NewVarPrograms ? NewVarPrograms->size() : 0);
+  }
+
   const std::optional<ParamValue> &getBinding(unsigned Index) const {
     assert(Index < Bindings.size() && "variable index out of range");
     return Bindings[Index];

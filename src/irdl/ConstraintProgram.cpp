@@ -105,6 +105,21 @@ bool ConstraintProgram::run(const ParamValue &V, MatchContext &MC) const {
   return exec(0, V, MC);
 }
 
+bool ConstraintProgram::run(Type T, MatchContext &MC) const {
+  assert(!Instrs.empty() && "empty constraint program");
+  // The common `!T` operand after the first: a bound variable makes the
+  // verdict one handle comparison. Profiled runs keep the timed path.
+  const CInstr &Entry = Instrs[0];
+  if (Entry.Op == COpcode::Var && !constraintProfilingEnabled()) {
+    const std::optional<ParamValue> &Binding = MC.getBinding(Entry.A);
+    if (Binding && Binding->isType()) {
+      ++NumProgramRuns;
+      return Binding->getType() == T;
+    }
+  }
+  return run(ParamValue(T), MC);
+}
+
 /// Matches the enum-constraint value conventions of the tree interpreter:
 /// enum constraints accept raw enum parameters and builtin.enum
 /// attributes wrapping one.

@@ -114,6 +114,12 @@ public:
   /// variable is matched by MC's program for it.
   bool run(const ParamValue &V, MatchContext &MC) const;
 
+  /// run() for a type operand, result or block argument: the same
+  /// verdict and bindings as run(ParamValue(T), MC). When the entry
+  /// instruction is a Var already bound to a type, the two type handles
+  /// are compared directly; everything else goes through exec().
+  bool run(Type T, MatchContext &MC) const;
+
   /// If the program pins down exactly one value given the bindings in
   /// \p MC, returns it — the compiled counterpart of
   /// Constraint::concreteValue, used by declarative-format inference.

@@ -11,16 +11,18 @@
 #include "support/StringExtras.h"
 #include "support/Timing.h"
 
+#include <algorithm>
+
 using namespace irdl;
 
 //===----------------------------------------------------------------------===//
 // Segmentation
 //===----------------------------------------------------------------------===//
 
-std::optional<std::vector<std::pair<unsigned, unsigned>>>
-irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
-                      const Operation *Op, std::string_view SegmentAttrName,
-                      std::string &Err) {
+bool irdl::computeSegmentsInto(
+    const std::vector<OperandSpec> &Specs, unsigned Actual,
+    const Operation *Op, std::string_view SegmentAttrName,
+    std::vector<std::pair<unsigned, unsigned>> &Segments, std::string &Err) {
   unsigned NumVariadic = 0;
   unsigned NumFixed = 0;
   for (const OperandSpec &S : Specs) {
@@ -30,24 +32,24 @@ irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
       ++NumVariadic;
   }
 
-  std::vector<std::pair<unsigned, unsigned>> Segments(Specs.size());
+  Segments.resize(Specs.size());
 
   if (NumVariadic == 0) {
     if (Actual != Specs.size()) {
       Err = "expected " + std::to_string(Specs.size()) + " but found " +
             std::to_string(Actual);
-      return std::nullopt;
+      return false;
     }
     for (unsigned I = 0; I != Actual; ++I)
       Segments[I] = {I, 1};
-    return Segments;
+    return true;
   }
 
   if (NumVariadic == 1) {
     if (Actual < NumFixed) {
       Err = "expected at least " + std::to_string(NumFixed) +
             " but found " + std::to_string(Actual);
-      return std::nullopt;
+      return false;
     }
     unsigned Slack = Actual - NumFixed;
     unsigned Pos = 0;
@@ -61,12 +63,12 @@ irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
         Err = "optional definition '" + Specs[I].Name +
               "' matches at most one, but " + std::to_string(Slack) +
               " remain";
-        return std::nullopt;
+        return false;
       }
       Segments[I] = {Pos, Slack};
       Pos += Slack;
     }
-    return Segments;
+    return true;
   }
 
   // Two or more variadic definitions: segment sizes come from an attribute.
@@ -74,19 +76,19 @@ irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
   if (!SegAttr) {
     Err = "multiple variadic definitions require the '" +
           std::string(SegmentAttrName) + "' attribute";
-    return std::nullopt;
+    return false;
   }
   IRContext *Ctx = SegAttr.getContext();
   if (SegAttr.getDef() != Ctx->getArrayAttrDef()) {
     Err = "'" + std::string(SegmentAttrName) +
           "' must be an array attribute";
-    return std::nullopt;
+    return false;
   }
   const auto &Elems = SegAttr.getParams()[0].getArray();
   if (Elems.size() != Specs.size()) {
     Err = "'" + std::string(SegmentAttrName) + "' must have " +
           std::to_string(Specs.size()) + " entries";
-    return std::nullopt;
+    return false;
   }
   unsigned Pos = 0;
   for (unsigned I = 0, E = Specs.size(); I != E; ++I) {
@@ -95,7 +97,7 @@ irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
         Elem.getAttr().getDef() != Ctx->getIntAttrDef()) {
       Err = "'" + std::string(SegmentAttrName) +
             "' entries must be integer attributes";
-      return std::nullopt;
+      return false;
     }
     int64_t Size = Elem.getAttr().getParams()[0].getInt().Value;
     bool SizeOk = Size >= 0 &&
@@ -104,7 +106,7 @@ irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
     if (!SizeOk) {
       Err = "segment size " + std::to_string(Size) +
             " is invalid for definition '" + Specs[I].Name + "'";
-      return std::nullopt;
+      return false;
     }
     Segments[I] = {Pos, static_cast<unsigned>(Size)};
     Pos += static_cast<unsigned>(Size);
@@ -112,8 +114,18 @@ irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
   if (Pos != Actual) {
     Err = "segment sizes sum to " + std::to_string(Pos) + " but " +
           std::to_string(Actual) + " were found";
-    return std::nullopt;
+    return false;
   }
+  return true;
+}
+
+std::optional<std::vector<std::pair<unsigned, unsigned>>>
+irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
+                      const Operation *Op, std::string_view SegmentAttrName,
+                      std::string &Err) {
+  std::vector<std::pair<unsigned, unsigned>> Segments;
+  if (!computeSegmentsInto(Specs, Actual, Op, SegmentAttrName, Segments, Err))
+    return std::nullopt;
   return Segments;
 }
 
@@ -172,145 +184,229 @@ buildTypeOrAttrVerifier(std::shared_ptr<DialectSpec> Owner,
   };
 }
 
-/// Builds the operation verifier for an OpSpec.
+/// What the op verifiers of one thread reuse from op to op: the
+/// constraint-variable bindings and the segment buffer of variadic
+/// definitions. A verifier that finds it taken (a native hook verifying
+/// from inside a constraint) uses a fresh one instead.
+struct OpVerifyScratch {
+  MatchContext MC;
+  std::vector<std::pair<unsigned, unsigned>> Segments;
+  bool InUse = false;
+};
+
+thread_local OpVerifyScratch ThreadScratch;
+
+/// Outcome of matching one operand, result or entry-block argument list
+/// against its definitions.
+struct ListMatch {
+  /// The value count fits no segmentation; CountErr says why.
+  bool CountMismatch = false;
+  std::string CountErr;
+  /// Otherwise, the definition and type of the first value that failed
+  /// its constraint, or null when every value matched.
+  const OperandSpec *Failed = nullptr;
+  Type FailedType;
+};
+
+/// True when no definition of \p Specs is Variadic or Optional: the
+/// segments are the identity and only the count needs checking.
+bool allSingle(const std::vector<OperandSpec> &Specs) {
+  return std::all_of(Specs.begin(), Specs.end(), [](const OperandSpec &S) {
+    return S.VK == VariadicKind::Single;
+  });
+}
+
+/// Matches the \p Actual values whose types \p TypeAt yields against
+/// \p Specs, in definition order.
+template <typename TypeAtFn>
+ListMatch matchList(const std::vector<OperandSpec> &Specs, bool AllSingle,
+                    unsigned Actual, TypeAtFn TypeAt, const Operation *Op,
+                    std::string_view SegmentAttrName,
+                    OpVerifyScratch &Scratch) {
+  ListMatch M;
+  auto Check = [&](const OperandSpec &Spec, unsigned Index) {
+    Type Ty = TypeAt(Index);
+    if (Spec.Prog->run(Ty, Scratch.MC))
+      return true;
+    M.Failed = &Spec;
+    M.FailedType = Ty;
+    return false;
+  };
+  if (AllSingle && Actual == Specs.size()) {
+    for (unsigned I = 0; I != Actual; ++I)
+      if (!Check(Specs[I], I))
+        break;
+    return M;
+  }
+  if (!computeSegmentsInto(Specs, Actual, Op, SegmentAttrName,
+                           Scratch.Segments, M.CountErr)) {
+    M.CountMismatch = true;
+    return M;
+  }
+  for (size_t I = 0, E = Specs.size(); I != E; ++I) {
+    auto [Begin, Size] = Scratch.Segments[I];
+    for (unsigned J = 0; J != Size; ++J)
+      if (!Check(Specs[I], Begin + J))
+        return M;
+  }
+  return M;
+}
+
+/// Which value lists of an op are all-Single, decided once when its
+/// verifier is built.
+struct OpShape {
+  bool OperandsSingle;
+  bool ResultsSingle;
+  std::vector<bool> ArgsSingle;
+
+  explicit OpShape(const OpSpec &S)
+      : OperandsSingle(allSingle(S.Operands)),
+        ResultsSingle(allSingle(S.Results)) {
+    for (const RegionSpec &RS : S.Regions)
+      ArgsSingle.push_back(allSingle(RS.Args));
+  }
+};
+
+/// Everything the IRDL declaration checks except the IRDL-C++ and native
+/// constraints: value counts and constraints, attributes and regions.
+LogicalResult verifyDeclared(const OpSpec &S, const OpShape &Shape,
+                             Operation *Op, DiagnosticEngine &Diags,
+                             OpVerifyScratch &Scratch) {
+  const std::string &FullName = S.Def->getFullName();
+  Scratch.MC.reset(&S.VarPrograms);
+
+  ListMatch Operands = matchList(
+      S.Operands, Shape.OperandsSingle, Op->getNumOperands(),
+      [Op](unsigned I) { return Op->getOperand(I).getType(); }, Op,
+      "operandSegmentSizes", Scratch);
+  if (Operands.CountMismatch) {
+    Diags.emitError(Op->getLoc(), "'" + FullName +
+                                      "' operand count mismatch: " +
+                                      Operands.CountErr);
+    return failure();
+  }
+  if (Operands.Failed) {
+    Diags.emitError(Op->getLoc(),
+                    "operand '" + Operands.Failed->Name + "' of '" +
+                        FullName + "' (type " + Operands.FailedType.str() +
+                        ") does not satisfy constraint " +
+                        Operands.Failed->Constr->str());
+    return failure();
+  }
+
+  ListMatch Results = matchList(
+      S.Results, Shape.ResultsSingle, Op->getNumResults(),
+      [Op](unsigned I) { return Op->getResult(I).getType(); }, Op,
+      "resultSegmentSizes", Scratch);
+  if (Results.CountMismatch) {
+    Diags.emitError(Op->getLoc(), "'" + FullName +
+                                      "' result count mismatch: " +
+                                      Results.CountErr);
+    return failure();
+  }
+  if (Results.Failed) {
+    Diags.emitError(Op->getLoc(),
+                    "result '" + Results.Failed->Name + "' of '" + FullName +
+                        "' (type " + Results.FailedType.str() +
+                        ") does not satisfy constraint " +
+                        Results.Failed->Constr->str());
+    return failure();
+  }
+
+  for (const ParamSpec &A : S.Attributes) {
+    Attribute Attr = Op->getAttr(A.Name);
+    if (!Attr) {
+      Diags.emitError(Op->getLoc(), "'" + FullName +
+                                        "' requires attribute '" + A.Name +
+                                        "'");
+      return failure();
+    }
+    if (!A.Prog->run(ParamValue(Attr), Scratch.MC)) {
+      Diags.emitError(Op->getLoc(), "attribute '" + A.Name + "' of '" +
+                                        FullName +
+                                        "' does not satisfy constraint " +
+                                        A.Constr->str());
+      return failure();
+    }
+  }
+
+  if (Op->getNumRegions() != S.Regions.size()) {
+    Diags.emitError(Op->getLoc(), "'" + FullName + "' expects " +
+                                      std::to_string(S.Regions.size()) +
+                                      " regions but has " +
+                                      std::to_string(Op->getNumRegions()));
+    return failure();
+  }
+  for (size_t I = 0, E = S.Regions.size(); I != E; ++I) {
+    const RegionSpec &RS = S.Regions[I];
+    Region &R = Op->getRegion(I);
+    if (!RS.Args.empty() || !RS.TerminatorOpName.empty()) {
+      if (R.empty()) {
+        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
+                                          FullName + "' must not be empty");
+        return failure();
+      }
+    }
+    if (!RS.Args.empty()) {
+      Block &Entry = R.front();
+      ListMatch Args = matchList(
+          RS.Args, Shape.ArgsSingle[I], Entry.getNumArguments(),
+          [&Entry](unsigned J) { return Entry.getArgument(J).getType(); },
+          Op, "argumentSegmentSizes", Scratch);
+      if (Args.CountMismatch) {
+        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
+                                          FullName + "' argument mismatch: " +
+                                          Args.CountErr);
+        return failure();
+      }
+      if (Args.Failed) {
+        Diags.emitError(Op->getLoc(), "argument '" + Args.Failed->Name +
+                                          "' of region '" + RS.Name +
+                                          "' does not satisfy constraint " +
+                                          Args.Failed->Constr->str());
+        return failure();
+      }
+    }
+    if (!RS.TerminatorOpName.empty()) {
+      if (R.getNumBlocks() != 1) {
+        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
+                                          FullName +
+                                          "' must consist of a single block");
+        return failure();
+      }
+      Operation *Term = R.front().empty() ? nullptr : &R.front().back();
+      if (!Term || Term->getName().str() != RS.TerminatorOpName) {
+        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
+                                          FullName + "' must end with '" +
+                                          RS.TerminatorOpName + "'");
+        return failure();
+      }
+    }
+  }
+  return success();
+}
+
+/// Builds the operation verifier for an OpSpec. On success it allocates
+/// nothing: names are referenced, diagnostics are built only on failure,
+/// and bindings and segments live in the thread's OpVerifyScratch.
 OpDefinition::VerifierFn buildOpVerifier(
     std::shared_ptr<DialectSpec> Owner, const OpSpec &Spec,
     std::function<LogicalResult(Operation *, DiagnosticEngine &)>
         NativeVerifier) {
   std::shared_ptr<const OpSpec> Ref(Owner, &Spec);
-  return [Ref, NativeVerifier](Operation *Op,
-                               DiagnosticEngine &Diags) -> LogicalResult {
+  return [Ref, Shape = OpShape(Spec),
+          NativeVerifier](Operation *Op,
+                          DiagnosticEngine &Diags) -> LogicalResult {
     const OpSpec &S = *Ref;
-    std::string FullName = S.Def->getFullName();
-    std::string Err;
-    MatchContext MC(&S.VarPrograms);
-
-    // Operands.
-    auto OperandSegments = computeSegments(
-        S.Operands, Op->getNumOperands(), Op, "operandSegmentSizes", Err);
-    if (!OperandSegments) {
-      Diags.emitError(Op->getLoc(),
-                      "'" + FullName + "' operand count mismatch: " + Err);
-      return failure();
-    }
-    for (size_t I = 0, E = S.Operands.size(); I != E; ++I) {
-      auto [Begin, Size] = (*OperandSegments)[I];
-      for (unsigned J = 0; J != Size; ++J) {
-        Type Ty = Op->getOperand(Begin + J).getType();
-        if (!S.Operands[I].Prog->run(ParamValue(Ty), MC)) {
-          Diags.emitError(Op->getLoc(),
-                          "operand '" + S.Operands[I].Name + "' of '" +
-                              FullName + "' (type " + Ty.str() +
-                              ") does not satisfy constraint " +
-                              S.Operands[I].Constr->str());
-          return failure();
-        }
-      }
-    }
-
-    // Results.
-    auto ResultSegments = computeSegments(
-        S.Results, Op->getNumResults(), Op, "resultSegmentSizes", Err);
-    if (!ResultSegments) {
-      Diags.emitError(Op->getLoc(),
-                      "'" + FullName + "' result count mismatch: " + Err);
-      return failure();
-    }
-    for (size_t I = 0, E = S.Results.size(); I != E; ++I) {
-      auto [Begin, Size] = (*ResultSegments)[I];
-      for (unsigned J = 0; J != Size; ++J) {
-        Type Ty = Op->getResult(Begin + J).getType();
-        if (!S.Results[I].Prog->run(ParamValue(Ty), MC)) {
-          Diags.emitError(Op->getLoc(),
-                          "result '" + S.Results[I].Name + "' of '" +
-                              FullName + "' (type " + Ty.str() +
-                              ") does not satisfy constraint " +
-                              S.Results[I].Constr->str());
-          return failure();
-        }
-      }
-    }
-
-    // Attributes.
-    for (const ParamSpec &A : S.Attributes) {
-      Attribute Attr = Op->getAttr(A.Name);
-      if (!Attr) {
-        Diags.emitError(Op->getLoc(), "'" + FullName +
-                                          "' requires attribute '" +
-                                          A.Name + "'");
+    {
+      std::optional<OpVerifyScratch> Nested;
+      OpVerifyScratch &Scratch =
+          ThreadScratch.InUse ? Nested.emplace() : ThreadScratch;
+      Scratch.InUse = true;
+      LogicalResult Declared = verifyDeclared(S, Shape, Op, Diags, Scratch);
+      Scratch.InUse = false;
+      if (failed(Declared))
         return failure();
-      }
-      if (!A.Prog->run(ParamValue(Attr), MC)) {
-        Diags.emitError(Op->getLoc(),
-                        "attribute '" + A.Name + "' of '" + FullName +
-                            "' does not satisfy constraint " +
-                            A.Constr->str());
-        return failure();
-      }
-    }
-
-    // Regions.
-    if (Op->getNumRegions() != S.Regions.size()) {
-      Diags.emitError(Op->getLoc(),
-                      "'" + FullName + "' expects " +
-                          std::to_string(S.Regions.size()) +
-                          " regions but has " +
-                          std::to_string(Op->getNumRegions()));
-      return failure();
-    }
-    for (size_t I = 0, E = S.Regions.size(); I != E; ++I) {
-      const RegionSpec &RS = S.Regions[I];
-      Region &R = Op->getRegion(I);
-      if (!RS.Args.empty() || !RS.TerminatorOpName.empty()) {
-        if (R.empty()) {
-          Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
-                                            FullName +
-                                            "' must not be empty");
-          return failure();
-        }
-      }
-      if (!RS.Args.empty()) {
-        Block &Entry = R.front();
-        auto ArgSegments =
-            computeSegments(RS.Args, Entry.getNumArguments(), Op,
-                            "argumentSegmentSizes", Err);
-        if (!ArgSegments) {
-          Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
-                                            FullName +
-                                            "' argument mismatch: " + Err);
-          return failure();
-        }
-        for (size_t A = 0, AE = RS.Args.size(); A != AE; ++A) {
-          auto [Begin, Size] = (*ArgSegments)[A];
-          for (unsigned J = 0; J != Size; ++J) {
-            Type Ty = Entry.getArgument(Begin + J).getType();
-            if (!RS.Args[A].Prog->run(ParamValue(Ty), MC)) {
-              Diags.emitError(
-                  Op->getLoc(),
-                  "argument '" + RS.Args[A].Name + "' of region '" +
-                      RS.Name + "' does not satisfy constraint " +
-                      RS.Args[A].Constr->str());
-              return failure();
-            }
-          }
-        }
-      }
-      if (!RS.TerminatorOpName.empty()) {
-        if (R.getNumBlocks() != 1) {
-          Diags.emitError(Op->getLoc(),
-                          "region '" + RS.Name + "' of '" + FullName +
-                              "' must consist of a single block");
-          return failure();
-        }
-        Operation *Term = R.front().empty() ? nullptr : &R.front().back();
-        if (!Term || Term->getName().str() != RS.TerminatorOpName) {
-          Diags.emitError(Op->getLoc(),
-                          "region '" + RS.Name + "' of '" + FullName +
-                              "' must end with '" + RS.TerminatorOpName +
-                              "'");
-          return failure();
-        }
-      }
     }
 
     // IRDL-C++ global constraint.
@@ -321,7 +417,7 @@ OpDefinition::VerifierFn buildOpVerifier(
       auto B = S.CppConstraint->evaluateBool(Ctx);
       if (!B || !*B) {
         Diags.emitError(Op->getLoc(),
-                        "'" + FullName +
+                        "'" + S.Def->getFullName() +
                             "' violates its IRDL-C++ constraint \"" +
                             S.CppConstraintSrc + "\"");
         return failure();

@@ -11,9 +11,11 @@
 #include "corpus/Corpus.h"
 #include "corpus/ModuleSynthesizer.h"
 #include "ir/Block.h"
+#include "ir/IRParser.h"
 #include "ir/Printer.h"
 #include "ir/Region.h"
 #include "ir/StructuralCompare.h"
+#include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,46 @@ TEST_P(DialectFileBytecodeRoundTrip, SelfContainedBufferIntoFreshContext) {
         isStructurallyEquivalent(Synth.get(), Result.Module.get(), &WhyNot))
         << Spec->Name << ": cross-context roundtrip diverged at " << WhyNot;
   }
+}
+
+TEST(BytecodeVerify, CraftedFloatWidthIsADiagnosticNotACrash) {
+  // The reader accepts any float width below 65536, and builtin.float
+  // does not check it; the constant verifier must still only report.
+  std::string Bytes;
+  {
+    IRContext Ctx;
+    SourceMgr SrcMgr;
+    DiagnosticEngine Diags(&SrcMgr);
+    OwningOpRef M = parseSourceString(
+        Ctx, R"(%0 = "std.constant"() {value = 1.0 : f32} : () -> (f32))",
+        SrcMgr, Diags);
+    ASSERT_TRUE(M) << Diags.renderAll();
+    BytecodeWriter Writer;
+    Writer.setModule(M.get());
+    Bytes = Writer.write();
+  }
+  // The float parameter: tag 4, width 32 as one varint byte, then 1.0 as
+  // a little-endian double.
+  const std::string Float32One("\x04\x20\x00\x00\x00\x00\x00\x00\xF0\x3F",
+                               10);
+  size_t At = Bytes.find(Float32One);
+  ASSERT_NE(At, std::string::npos);
+  ASSERT_EQ(Bytes.find(Float32One, At + 1), std::string::npos);
+  Bytes[At + 1] = 80;
+
+  IRContext Ctx;
+  DiagnosticEngine Diags;
+  BytecodeReader Reader(Ctx, Diags);
+  BytecodeReadResult Result;
+  ASSERT_TRUE(succeeded(Reader.read(Bytes, Result))) << Diags.renderAll();
+  ASSERT_TRUE(Result.Module);
+  size_t TypesBefore = Ctx.getNumUniquedTypes();
+  DiagnosticEngine VDiags;
+  EXPECT_TRUE(failed(verifyOp(Result.Module.get(), VDiags)));
+  ASSERT_EQ(VDiags.getDiagnostics().size(), 1u) << VDiags.renderAll();
+  EXPECT_EQ(VDiags.getDiagnostics().front().getMessage(),
+            "constant result type does not match its value");
+  EXPECT_EQ(Ctx.getNumUniquedTypes(), TypesBefore);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFiles, DialectFileBytecodeRoundTrip,

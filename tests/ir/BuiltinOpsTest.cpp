@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace irdl;
 
 namespace {
@@ -121,6 +123,41 @@ TEST_F(BuiltinOpsTest, IntegerConstant) {
   Operation &C = M->getRegion(0).front().front();
   EXPECT_EQ(C.getResult(0).getType(), Ctx.getIntegerType(32));
   EXPECT_EQ(C.getAttr("value"), Ctx.getIntegerAttr(42, 32));
+}
+
+TEST_F(BuiltinOpsTest, VerificationInternsNoTypes) {
+  // Constants of every kind and a cond_br: their verifiers compare the
+  // result and condition types in place instead of building the types
+  // they expect.
+  OwningOpRef M = parse(R"(
+    std.func @f(%c: i1) -> f64 {
+      %a = std.constant 1.5 : f16
+      %b = std.constant 7 : si8
+      %d = std.constant 9 : ui64
+      "std.cond_br"(%c)[^x, ^y] : (i1) -> ()
+    ^x:
+      %e = std.constant 2.0 : f64
+      std.return %e : f64
+    ^y:
+      %g = std.constant 3.0 : f64
+      std.return %g : f64
+    }
+  )");
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  size_t Before = Ctx.getNumUniquedTypes();
+  EXPECT_TRUE(succeeded(verify(M))) << VDiags.renderAll();
+  EXPECT_EQ(Ctx.getNumUniquedTypes(), Before);
+
+  // A mismatch is still caught, still without interning: no i17 type
+  // exists, and checking the constant against its i17 value makes none.
+  Operation &Si8 = *std::next(M->getRegion(0).front().front()
+                                  .getRegion(0).front().begin(), 1);
+  Si8.setAttr("value", Ctx.getIntegerAttr(7, 17));
+  Before = Ctx.getNumUniquedTypes();
+  EXPECT_TRUE(failed(verify(M)));
+  EXPECT_NE(VDiags.renderAll().find("constant result type does not match"),
+            std::string::npos);
+  EXPECT_EQ(Ctx.getNumUniquedTypes(), Before);
 }
 
 TEST_F(BuiltinOpsTest, ModuleVerifier) {

@@ -5,11 +5,11 @@
 #include "ir/Region.h"
 #include "ir/Verifier.h"
 #include "ir/Block.h"
+#include "support/Statistic.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
+#include <iterator>
 
 using namespace irdl;
 
@@ -208,7 +208,8 @@ TEST_F(VerifierTest, DominanceInfoDirectQueries) {
 
 TEST_F(VerifierTest, SameBlockDominanceIsLinear) {
   // Every op of one block uses the block's first value, so each operand
-  // is a same-block dominance query; none may walk the block.
+  // is a same-block dominance query. Numbering the block's ops once is
+  // linear; any re-walk of the block numbers some op twice.
   auto AddUsers = [&](OwningOpRef &M, unsigned NumUsers) {
     Block &Body = M->getRegion(0).front();
     Value Def = Body.front().getResult(0);
@@ -218,28 +219,57 @@ TEST_F(VerifierTest, SameBlockDominanceIsLinear) {
       Body.push_back(Operation::create(S));
     }
   };
-  auto VerifySeconds = [&](OwningOpRef &M) {
-    auto Begin = std::chrono::steady_clock::now();
+  Statistic *Numbered =
+      StatisticRegistry::instance().lookup("Verifier", "NumOpsNumbered");
+  ASSERT_NE(Numbered, nullptr);
+  auto OpsNumbered = [&](OwningOpRef &M) {
+    uint64_t Before = Numbered->get();
     EXPECT_TRUE(succeeded(verify(M))) << VDiags.renderAll();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         Begin)
-        .count();
+    return Numbered->get() - Before;
   };
   OwningOpRef M20k = parse(R"(%0 = "test.source"() : () -> (f32))");
   OwningOpRef M40k = parse(R"(%0 = "test.source"() : () -> (f32))");
   ASSERT_TRUE(M20k && M40k) << Diags.renderAll();
   AddUsers(M20k, 20000);
   AddUsers(M40k, 40000);
-  // The minimum of 3 runs of each, interleaved so a burst of load on the
-  // host does not land on one size only.
-  double T20k = VerifySeconds(M20k);
-  double T40k = VerifySeconds(M40k);
-  for (int Run = 1; Run != 3; ++Run) {
-    T20k = std::min(T20k, VerifySeconds(M20k));
-    T40k = std::min(T40k, VerifySeconds(M40k));
-  }
-  EXPECT_LE(T40k, 2.5 * T20k)
-      << "20k ops: " << T20k << " s, 40k ops: " << T40k << " s";
+  EXPECT_EQ(OpsNumbered(M20k), 20001u);
+  EXPECT_EQ(OpsNumbered(M40k), 40001u);
+}
+
+TEST_F(VerifierTest, AlternatingBlocksAreNumberedOnce) {
+  // Uses alternate between a nested block's own value and its parent
+  // block's: each block is still numbered once per DominanceInfo.
+  OwningOpRef M = parse(R"(
+    %0 = "test.source"() : () -> (f32)
+    %1 = "test.source"() : () -> (f32)
+    "test.wrap"() ({
+      %2 = "test.source"() : () -> (f32)
+      "test.sink"(%2, %1) : (f32, f32) -> ()
+      "test.sink"(%1, %2) : (f32, f32) -> ()
+      "test.sink"(%2, %0) : (f32, f32) -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  Block &Outer = M->getRegion(0).front();
+  Block &Inner = Outer.back().getRegion(0).front();
+  DominanceInfo Dom;
+  for (Operation &User : Inner)
+    for (unsigned I = 0, E = User.getNumOperands(); I != E; ++I)
+      EXPECT_TRUE(Dom.properlyDominates(User.getOperand(I), &User));
+  // The outer block (3 ops) and the inner one (4 ops), once each.
+  EXPECT_EQ(Dom.getNumOpsNumbered(), 7u);
+  // Later queries reuse the positions: a later op's value does not
+  // dominate an earlier op, and nothing is renumbered.
+  Operation &Second = *std::next(Outer.begin());
+  EXPECT_FALSE(Dom.properlyDominates(Second.getResult(0), &Outer.front()));
+  EXPECT_EQ(Dom.getNumOpsNumbered(), 7u);
+
+  // A second DominanceInfo numbers afresh rather than trusting positions
+  // written by the first.
+  DominanceInfo Again;
+  EXPECT_TRUE(Again.properlyDominates(Outer.front().getResult(0),
+                                      &Outer.back()));
+  EXPECT_EQ(Again.getNumOpsNumbered(), 3u);
 }
 
 TEST_F(VerifierTest, IsolatedFromAbove) {
