@@ -190,6 +190,11 @@ struct BytecodeReader::Impl {
     uint64_t Width;
     if (!C.readVarIntBelow(0x10000, "float width", Width))
       return false;
+    // The only widths the text parser makes (f16/f32/f64).
+    if (Width != 16 && Width != 32 && Width != 64) {
+      C.error("invalid float width " + std::to_string(Width));
+      return false;
+    }
     V.Width = static_cast<uint16_t>(Width);
     return C.readDouble(V.Value);
   }

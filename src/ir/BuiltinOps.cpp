@@ -41,7 +41,7 @@ LogicalResult verifyModule(Operation *Op, DiagnosticEngine &Diags) {
 LogicalResult verifyFunc(Operation *Op, DiagnosticEngine &Diags) {
   Attribute SymName = Op->getAttr("sym_name");
   Attribute FuncTy = Op->getAttr("function_type");
-  IRContext *Ctx = Op->getDef()->getDialect()->getContext();
+  const IRContext *Ctx = Op->getDef()->getDialect()->getContext();
   if (!SymName || SymName.getDef() != Ctx->getStringAttrDef()) {
     Diags.emitError(Op->getLoc(),
                     "func requires a string 'sym_name' attribute");
@@ -148,7 +148,7 @@ LogicalResult verifyBinaryFloatOp(Operation *Op, DiagnosticEngine &Diags) {
 }
 
 LogicalResult verifyConstant(Operation *Op, DiagnosticEngine &Diags) {
-  IRContext *Ctx = Op->getDef()->getDialect()->getContext();
+  const IRContext *Ctx = Op->getDef()->getDialect()->getContext();
   Attribute V = Op->getAttr("value");
   if (!V || (V.getDef() != Ctx->getIntAttrDef() &&
              V.getDef() != Ctx->getFloatAttrDef())) {
@@ -164,8 +164,6 @@ LogicalResult verifyConstant(Operation *Op, DiagnosticEngine &Diags) {
   Type ResultTy = Op->getResult(0).getType();
   bool Matches;
   if (V.getDef() == Ctx->getFloatAttrDef()) {
-    // A width with no float type (a crafted `.irbc` can carry any) has no
-    // definition and matches nothing.
     unsigned Width = V.getParams()[0].getFloat().Width;
     Matches = ResultTy && ResultTy.getDef() == Ctx->getFloatTypeDef(Width) &&
               ResultTy.getParams().empty();
@@ -182,7 +180,7 @@ LogicalResult verifyConstant(Operation *Op, DiagnosticEngine &Diags) {
 }
 
 LogicalResult verifyCondBr(Operation *Op, DiagnosticEngine &Diags) {
-  IRContext *Ctx = Op->getDef()->getDialect()->getContext();
+  const IRContext *Ctx = Op->getDef()->getDialect()->getContext();
   if (Op->getNumOperands() != 1 ||
       !isIntegerType(*Ctx, Op->getOperand(0).getType(), 1,
                      Signedness::Signless)) {
@@ -214,7 +212,7 @@ LogicalResult parseModule(CustomOpParser &P, OperationState &State) {
 }
 
 void printFunc(Operation *Op, CustomOpPrinter &P) {
-  IRContext *Ctx = Op->getDef()->getDialect()->getContext();
+  const IRContext *Ctx = Op->getDef()->getDialect()->getContext();
   P << "@";
   P << Op->getAttr("sym_name").getParams()[0].getString();
   Type FT = Op->getAttr("function_type").getParams()[0].getType();

@@ -5,6 +5,10 @@
 #include "ir/OpArena.h"
 #include "support/Statistic.h"
 
+#include <algorithm>
+#include <cassert>
+#include <type_traits>
+
 using namespace irdl;
 
 IRDL_STATISTIC(Uniquing, NumTypeUniqueHits,
@@ -26,10 +30,23 @@ IRContext::IRContext() : Arena(std::make_unique<OpArena>()) {
   registerBuiltinOps(*this);
 }
 
+IRContext::IRContext(const IRContext &Parent)
+    : Parent(&Parent), Arena(std::make_unique<OpArena>()),
+      AllowUnregisteredOps(Parent.AllowUnregisteredOps),
+      IntegerTypeDef(Parent.IntegerTypeDef), IndexTypeDef(Parent.IndexTypeDef),
+      FunctionTypeDef(Parent.FunctionTypeDef), IntAttrDef(Parent.IntAttrDef),
+      FloatAttrDef(Parent.FloatAttrDef), StringAttrDef(Parent.StringAttrDef),
+      TypeAttrDef(Parent.TypeAttrDef), UnitAttrDef(Parent.UnitAttrDef),
+      ArrayAttrDef(Parent.ArrayAttrDef), EnumAttrDef(Parent.EnumAttrDef),
+      SignednessEnum(Parent.SignednessEnum) {
+  std::copy(std::begin(Parent.FloatTypeDefs), std::end(Parent.FloatTypeDefs),
+            std::begin(FloatTypeDefs));
+}
+
 IRContext::~IRContext() = default;
 
 Dialect *IRContext::getOrCreateDialect(std::string_view Namespace) {
-  std::unique_lock<std::shared_mutex> Lock(DialectsMu);
+  assert(!Parent && "dialects are registered in a root context");
   auto It = Dialects.find(Namespace);
   if (It != Dialects.end())
     return It->second.get();
@@ -40,13 +57,15 @@ Dialect *IRContext::getOrCreateDialect(std::string_view Namespace) {
 }
 
 Dialect *IRContext::lookupDialect(std::string_view Namespace) const {
-  std::shared_lock<std::shared_mutex> Lock(DialectsMu);
+  if (Parent)
+    return Parent->lookupDialect(Namespace);
   auto It = Dialects.find(Namespace);
   return It == Dialects.end() ? nullptr : It->second.get();
 }
 
 std::vector<Dialect *> IRContext::getDialects() const {
-  std::shared_lock<std::shared_mutex> Lock(DialectsMu);
+  if (Parent)
+    return Parent->getDialects();
   std::vector<Dialect *> Result;
   Result.reserve(Dialects.size());
   for (const auto &[Name, D] : Dialects)
@@ -130,150 +149,74 @@ static size_t hashDefAndParams(const void *Def,
   return Seed;
 }
 
-namespace {
-/// Scans \p Pool for an existing storage with the same key; caller holds
-/// the shard lock (shared or exclusive).
+/// A parent is never written while it has children, so this walk reads
+/// the ancestors' pools without a lock; a child interns only keys its
+/// ancestors lack, so equal keys still share one storage pointer.
 template <typename StorageT, typename DefT>
-StorageT *findStorage(
-    const std::unordered_multimap<size_t, std::unique_ptr<StorageT>> &Pool,
-    size_t H, const DefT *Def, const std::vector<ParamValue> &Params) {
-  auto [It, End] = Pool.equal_range(H);
-  for (; It != End; ++It)
-    if (It->second->Def == Def && It->second->Params == Params)
-      return It->second.get();
-  return nullptr;
-}
-} // namespace
-
-/// The shared uniquing path: shared-locked lookup, then (on miss) the
-/// verifier runs *outside* any lock — it may recursively unique nested
-/// types — and the insert re-checks under the exclusive lock, so two
-/// threads racing on the same key converge on one storage (pointer
-/// identity holds under concurrency). \p Verify returns failure to
-/// abort construction (the checked entry points).
-template <typename StorageT, typename DefT, typename VerifyFn>
-static StorageT *
-uniqueStorage(detail::UniquerShard<StorageT> &Shard, const DefT *Def,
-              std::vector<ParamValue> &&Params, size_t H,
-              Statistic &Hits, Statistic &Misses, VerifyFn &&Verify) {
-  {
-    std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-    if (StorageT *Existing = findStorage(Shard.Pool, H, Def, Params)) {
-      ++Hits;
-      return Existing;
-    }
+StorageT *IRContext::uniqueStorage(UniquePool<StorageT> IRContext::*PoolOf,
+                                   const DefT *Def,
+                                   std::vector<ParamValue> &&Params,
+                                   DiagnosticEngine &Diags, SMLoc Loc) {
+  assert(Def && "null type or attribute definition");
+  constexpr bool IsType = std::is_same_v<StorageT, TypeStorage>;
+  size_t H = hashDefAndParams(Def, Params);
+  for (const IRContext *C = this; C; C = C->Parent) {
+    auto [It, End] = (C->*PoolOf).equal_range(H);
+    for (; It != End; ++It)
+      if (It->second->Def == Def && It->second->Params == Params) {
+        ++(IsType ? NumTypeUniqueHits : NumAttrUniqueHits);
+        return It->second.get();
+      }
   }
-  ++Misses;
+  ++(IsType ? NumTypeUniqueMisses : NumAttrUniqueMisses);
 
-  if (failed(Verify(Params)))
-    return nullptr;
-
+  // The verifier may unique nested types; it runs before the insert.
+  if (const auto &Verifier = Def->getVerifier())
+    if (failed(Verifier(Params, Diags, Loc)))
+      return nullptr;
   auto Storage = std::make_unique<StorageT>();
   Storage->Def = Def;
   Storage->Params = std::move(Params);
-
-  std::unique_lock<std::shared_mutex> Lock(Shard.Mu);
-  if (StorageT *Existing =
-          findStorage(Shard.Pool, H, Def, Storage->Params))
-    return Existing; // lost the insertion race; equal key wins
   StorageT *Raw = Storage.get();
-  Shard.Pool.emplace(H, std::move(Storage));
+  (this->*PoolOf).emplace(H, std::move(Storage));
   return Raw;
 }
 
 Type IRContext::getType(const TypeDefinition *Def,
                         std::vector<ParamValue> Params) {
-  assert(Def && "null type definition");
-  size_t H = hashDefAndParams(Def, Params);
-  TypeStorage *S = uniqueStorage(
-      TypeShards[H % NumUniquerShards], Def, std::move(Params), H,
-      NumTypeUniqueHits, NumTypeUniqueMisses,
-      [&](const std::vector<ParamValue> &P) -> LogicalResult {
-        (void)P;
-#ifndef NDEBUG
-        if (const auto &Verifier = Def->getVerifier()) {
-          DiagnosticEngine Scratch;
-          assert(succeeded(Verifier(P, Scratch, SMLoc())) &&
-                 "type parameters rejected by definition verifier; use "
-                 "getTypeChecked for fallible construction");
-        }
-#endif
-        return success();
-      });
-  return Type(S);
+  DiagnosticEngine Scratch;
+  Type T = getTypeChecked(Def, std::move(Params), Scratch);
+  assert(T && "type parameters rejected by definition verifier; use "
+              "getTypeChecked for fallible construction");
+  return T;
 }
 
 Type IRContext::getTypeChecked(const TypeDefinition *Def,
                                std::vector<ParamValue> Params,
                                DiagnosticEngine &Diags, SMLoc Loc) {
-  assert(Def && "null type definition");
-  size_t H = hashDefAndParams(Def, Params);
-  TypeStorage *S = uniqueStorage(
-      TypeShards[H % NumUniquerShards], Def, std::move(Params), H,
-      NumTypeUniqueHits, NumTypeUniqueMisses,
-      [&](const std::vector<ParamValue> &P) -> LogicalResult {
-        if (const auto &Verifier = Def->getVerifier())
-          return Verifier(P, Diags, Loc);
-        return success();
-      });
-  return S ? Type(S) : Type();
+  return Type(uniqueStorage(&IRContext::TypePool, Def, std::move(Params),
+                            Diags, Loc));
 }
 
 Attribute IRContext::getAttr(const AttrDefinition *Def,
                              std::vector<ParamValue> Params) {
-  assert(Def && "null attribute definition");
-  size_t H = hashDefAndParams(Def, Params);
-  AttrStorage *S = uniqueStorage(
-      AttrShards[H % NumUniquerShards], Def, std::move(Params), H,
-      NumAttrUniqueHits, NumAttrUniqueMisses,
-      [&](const std::vector<ParamValue> &P) -> LogicalResult {
-        (void)P;
-#ifndef NDEBUG
-        if (const auto &Verifier = Def->getVerifier()) {
-          DiagnosticEngine Scratch;
-          assert(succeeded(Verifier(P, Scratch, SMLoc())) &&
-                 "attribute parameters rejected by definition verifier; "
-                 "use getAttrChecked for fallible construction");
-        }
-#endif
-        return success();
-      });
-  return Attribute(S);
+  DiagnosticEngine Scratch;
+  Attribute A = getAttrChecked(Def, std::move(Params), Scratch);
+  assert(A && "attribute parameters rejected by definition verifier; use "
+              "getAttrChecked for fallible construction");
+  return A;
 }
 
 Attribute IRContext::getAttrChecked(const AttrDefinition *Def,
                                     std::vector<ParamValue> Params,
                                     DiagnosticEngine &Diags, SMLoc Loc) {
-  assert(Def && "null attribute definition");
-  size_t H = hashDefAndParams(Def, Params);
-  AttrStorage *S = uniqueStorage(
-      AttrShards[H % NumUniquerShards], Def, std::move(Params), H,
-      NumAttrUniqueHits, NumAttrUniqueMisses,
-      [&](const std::vector<ParamValue> &P) -> LogicalResult {
-        if (const auto &Verifier = Def->getVerifier())
-          return Verifier(P, Diags, Loc);
-        return success();
-      });
-  return S ? Attribute(S) : Attribute();
+  return Attribute(uniqueStorage(&IRContext::AttrPool, Def, std::move(Params),
+                                 Diags, Loc));
 }
 
-size_t IRContext::getNumUniquedTypes() const {
-  size_t N = 0;
-  for (const auto &Shard : TypeShards) {
-    std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-    N += Shard.Pool.size();
-  }
-  return N;
-}
+size_t IRContext::getNumUniquedTypes() const { return TypePool.size(); }
 
-size_t IRContext::getNumUniquedAttrs() const {
-  size_t N = 0;
-  for (const auto &Shard : AttrShards) {
-    std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-    N += Shard.Pool.size();
-  }
-  return N;
-}
+size_t IRContext::getNumUniquedAttrs() const { return AttrPool.size(); }
 
 //===----------------------------------------------------------------------===//
 // Builtin dialect
@@ -360,6 +303,11 @@ void IRContext::registerBuiltinDialect() {
     if (Params.size() != 1 || !Params[0].isFloat()) {
       Diags.emitError(Loc,
                       "builtin.float expects a single float parameter");
+      return failure();
+    }
+    unsigned Width = Params[0].getFloat().Width;
+    if (Width != 16 && Width != 32 && Width != 64) {
+      Diags.emitError(Loc, "builtin.float width must be 16, 32 or 64");
       return failure();
     }
     return success();
@@ -509,16 +457,14 @@ Attribute IRContext::getArrayAttr(std::vector<Attribute> Elements) {
 
 void IRContext::registerOpaqueParamCodec(std::string ParamTypeName,
                                          OpaqueParamCodec Codec) {
-  std::unique_lock<std::shared_mutex> Lock(CodecsMu);
+  assert(!Parent && "codecs are registered in a root context");
   OpaqueCodecs[std::move(ParamTypeName)] = std::move(Codec);
 }
 
 const OpaqueParamCodec *
 IRContext::lookupOpaqueParamCodec(std::string_view ParamTypeName) const {
-  std::shared_lock<std::shared_mutex> Lock(CodecsMu);
-  // Node-based map: the pointer stays valid after the lock drops as long
-  // as codecs are only registered (never erased), and registration
-  // happens in the single-threaded setup phase.
+  if (Parent)
+    return Parent->lookupOpaqueParamCodec(ParamTypeName);
   auto It = OpaqueCodecs.find(ParamTypeName);
   return It == OpaqueCodecs.end() ? nullptr : &It->second;
 }

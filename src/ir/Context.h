@@ -14,26 +14,14 @@
 
 #include "ir/Dialect.h"
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 
 namespace irdl {
 
 class OpArena;
-
-namespace detail {
-/// One shard of the context's type/attribute uniquer: an open multimap
-/// keyed by the (definition, params) hash, guarded by a reader/writer
-/// lock. See the thread-safety note on IRContext.
-template <typename StorageT> struct UniquerShard {
-  mutable std::shared_mutex Mu;
-  std::unordered_multimap<size_t, std::unique_ptr<StorageT>> Pool;
-};
-} // namespace detail
 
 /// Parses and prints the payload of an opaque parameter kind.
 struct OpaqueParamCodec {
@@ -43,19 +31,26 @@ struct OpaqueParamCodec {
   std::function<std::optional<std::string>(std::string_view)> Parse;
 };
 
-/// Thread-safety: IRContext is safe to share across threads, as
-/// irdl_serve's connection threads share one per epoch. Type/attribute
-/// uniquing goes through hash-sharded pools behind shared_mutexes, and
-/// the dialect and codec registries are reader/writer-locked.
-/// Registration (loading IRDL dialects, adding ops/types, installing
-/// codecs) is expected to happen in a setup phase; concurrent *lookups*
-/// afterwards are lock-protected and cheap. See the Concurrency section
-/// of docs/serving.md.
+/// Thread-safety: share a context only as `const`; a context you write is
+/// yours alone. Nothing in IRContext takes a lock. A context that threads
+/// share (irdl_serve's epoch context) is fully built first — dialects,
+/// codecs, builtins — and is then only read. A thread that needs to
+/// create IR builds a child context of the shared one
+/// (IRContext(const IRContext &)): the child answers registry lookups
+/// from its parent, finds types and attributes in its parent's pools
+/// before its own, interns only what the parent lacks, and allocates its
+/// operations from its own arena. See the Concurrency section of
+/// docs/serving.md.
 class IRContext {
 public:
+  /// A root context with the builtin dialects registered.
   IRContext();
+  /// A child of \p Parent, which must outlive it and must not change
+  /// while it lives. Not a copy: the child starts with no uniqued storage
+  /// and no operations, and registers nothing (dialects and codecs are
+  /// looked up in the parent). IR built in the child must not outlive it.
+  explicit IRContext(const IRContext &Parent);
   ~IRContext();
-  IRContext(const IRContext &) = delete;
   IRContext &operator=(const IRContext &) = delete;
 
   //===------------------------------------------------------------------===//
@@ -63,7 +58,7 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Returns the dialect registered under \p Namespace, creating it if
-  /// needed.
+  /// needed. Only a root context registers dialects.
   Dialect *getOrCreateDialect(std::string_view Namespace);
 
   /// Returns the dialect or null.
@@ -89,8 +84,9 @@ public:
   // Type / attribute uniquing
   //===------------------------------------------------------------------===//
 
-  /// Returns the uniqued type for (Def, Params). Asserts that the
-  /// definition's verifier (if any) accepts the parameters.
+  /// Returns the uniqued type for (Def, Params): the parent's (and its
+  /// parent's) storage if it has one, else this context's own. Asserts
+  /// that the definition's verifier (if any) accepts the parameters.
   Type getType(const TypeDefinition *Def, std::vector<ParamValue> Params = {});
 
   /// Like getType, but reports verifier failures through \p Diags and
@@ -105,7 +101,8 @@ public:
                            std::vector<ParamValue> Params,
                            DiagnosticEngine &Diags, SMLoc Loc = SMLoc());
 
-  /// Number of distinct uniqued types/attributes (introspection, tests).
+  /// Number of distinct types/attributes uniqued in this context's own
+  /// pools, not counting its parent's (introspection, tests).
   size_t getNumUniquedTypes() const;
   size_t getNumUniquedAttrs() const;
 
@@ -143,7 +140,7 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Registers a codec for opaque parameters named \p ParamTypeName.
-  /// Overwrites any existing codec of that name.
+  /// Overwrites any existing codec of that name. Root contexts only.
   void registerOpaqueParamCodec(std::string ParamTypeName,
                                 OpaqueParamCodec Codec);
   const OpaqueParamCodec *lookupOpaqueParamCodec(
@@ -163,32 +160,33 @@ public:
   //===------------------------------------------------------------------===//
 
   /// The bump-pointer arena every Operation of this context is allocated
-  /// from. Sharded per thread; see ir/OpArena.h. Operations must not
-  /// outlive their context.
+  /// from; see ir/OpArena.h. Operations must not outlive their context.
   OpArena &getOpArena() { return *Arena; }
 
 private:
+  template <typename StorageT>
+  using UniquePool = std::unordered_multimap<size_t, std::unique_ptr<StorageT>>;
+
   void registerBuiltinDialect();
 
-  mutable std::shared_mutex DialectsMu;
+  /// Finds (Def, Params) in the pool \p PoolOf of this context or an
+  /// ancestor; on a miss runs the definition's verifier and interns the
+  /// storage into this context's own pool. Null if the verifier fails.
+  template <typename StorageT, typename DefT>
+  StorageT *uniqueStorage(UniquePool<StorageT> IRContext::*PoolOf,
+                          const DefT *Def, std::vector<ParamValue> &&Params,
+                          DiagnosticEngine &Diags, SMLoc Loc);
+
+  const IRContext *Parent = nullptr;
+
   std::map<std::string, std::unique_ptr<Dialect>, std::less<>> Dialects;
 
   /// Storage arena for operations (and their operand overflow arrays).
   std::unique_ptr<OpArena> Arena;
 
-  /// The uniquer pools are sharded by hash so threads creating
-  /// types/attrs concurrently rarely contend on the same lock.
-  /// Lookups take a shard's shared side; the insert-on-miss path
-  /// re-checks under the exclusive side, so two racing creators agree on
-  /// the first inserted storage (pointer-identity of equal keys holds
-  /// under concurrency).
-  static constexpr size_t NumUniquerShards = 16;
-  std::array<detail::UniquerShard<TypeStorage>, NumUniquerShards>
-      TypeShards;
-  std::array<detail::UniquerShard<AttrStorage>, NumUniquerShards>
-      AttrShards;
+  UniquePool<TypeStorage> TypePool;
+  UniquePool<AttrStorage> AttrPool;
 
-  mutable std::shared_mutex CodecsMu;
   std::map<std::string, OpaqueParamCodec, std::less<>> OpaqueCodecs;
 
   bool AllowUnregisteredOps = false;

@@ -166,10 +166,13 @@ private:
 /// A dialect: a namespace of type, attribute, enum, and op definitions.
 class Dialect {
 public:
-  Dialect(IRContext *Ctx, std::string Namespace)
+  Dialect(const IRContext *Ctx, std::string Namespace)
       : Ctx(Ctx), Namespace(std::move(Namespace)) {}
 
-  IRContext *getContext() const { return Ctx; }
+  /// The context that registered this dialect. Read-only: it may be the
+  /// shared parent of the context IR is being built in, so types and
+  /// attributes are created through the IR's own context instead.
+  const IRContext *getContext() const { return Ctx; }
   const std::string &getNamespace() const { return Namespace; }
 
   /// Registration. Each returns the created definition (owned by the
@@ -192,7 +195,7 @@ public:
   std::vector<EnumDef *> getEnumDefs() const;
 
 private:
-  IRContext *Ctx;
+  const IRContext *Ctx;
   std::string Namespace;
   std::map<std::string, std::unique_ptr<TypeDefinition>, std::less<>> Types;
   std::map<std::string, std::unique_ptr<AttrDefinition>, std::less<>> Attrs;

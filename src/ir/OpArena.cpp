@@ -5,7 +5,6 @@
 #include "support/Metrics.h"
 #include "support/Statistic.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstring>
 
@@ -89,23 +88,11 @@ struct ArenaMetrics {
 OpArena::OpArena() = default;
 
 OpArena::~OpArena() {
-  if (!metricsEnabled())
-    return;
   // Slab memory (and any live bytes) disappears with the arena; keep the
   // process-wide live gauge honest.
-  OpArenaStats S = getStats();
-  if (S.BytesLive)
-    ArenaMetrics::instance().BytesLive.sub(static_cast<int64_t>(S.BytesLive));
-}
-
-OpArena::Shard &OpArena::myShard() {
-  // Round-robin thread->shard assignment, mirroring the metrics registry:
-  // each pool worker lands on its own shard (its own slabs and free
-  // lists), so parallel creation/erasure does not contend.
-  static std::atomic<unsigned> NextShard{0};
-  thread_local unsigned MyIndex =
-      NextShard.fetch_add(1, std::memory_order_relaxed) % NumShards;
-  return Shards[MyIndex];
+  if (metricsEnabled() && Stats.BytesLive)
+    ArenaMetrics::instance().BytesLive.sub(
+        static_cast<int64_t>(Stats.BytesLive));
 }
 
 void *OpArena::allocate(size_t Size, size_t Align) {
@@ -114,11 +101,9 @@ void *OpArena::allocate(size_t Size, size_t Align) {
   (void)Align;
   Size = roundUp(Size);
 
-  Shard &S = myShard();
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  S.Stats.NumAllocs++;
-  S.Stats.BytesAllocated += Size;
-  S.Stats.BytesLive += Size;
+  Stats.NumAllocs++;
+  Stats.BytesAllocated += Size;
+  Stats.BytesLive += Size;
   ++NumArenaAllocations;
   bool MetricsOn = metricsEnabled();
   if (MetricsOn) {
@@ -128,28 +113,28 @@ void *OpArena::allocate(size_t Size, size_t Align) {
 
   if (Size <= MaxBucketedSize) {
     size_t Bucket = Size / Granule - 1;
-    if (void *Head = S.FreeLists[Bucket]) {
-      S.FreeLists[Bucket] = *static_cast<void **>(Head);
+    if (void *Head = FreeLists[Bucket]) {
+      FreeLists[Bucket] = *static_cast<void **>(Head);
       unpoisonBlock(Head, Size);
-      S.Stats.FreeListHits++;
-      S.Stats.BytesReused += Size;
+      Stats.FreeListHits++;
+      Stats.BytesReused += Size;
       ++NumArenaReusedBlocks;
       if (MetricsOn)
         ArenaMetrics::instance().BlocksReused.inc();
       return Head;
     }
-    if (static_cast<size_t>(S.End - S.Cur) < Size) {
-      S.Slabs.push_back(std::make_unique<std::byte[]>(SlabSize));
-      S.Cur = S.Slabs.back().get();
-      S.End = S.Cur + SlabSize;
-      S.Stats.Slabs++;
-      S.Stats.SlabBytes += SlabSize;
+    if (static_cast<size_t>(End - Cur) < Size) {
+      Slabs.push_back(std::make_unique<std::byte[]>(SlabSize));
+      Cur = Slabs.back().get();
+      End = Cur + SlabSize;
+      Stats.Slabs++;
+      Stats.SlabBytes += SlabSize;
       ++NumArenaSlabs;
       if (MetricsOn)
         ArenaMetrics::instance().Slabs.inc();
     }
-    void *Result = S.Cur;
-    S.Cur += Size;
+    void *Result = Cur;
+    Cur += Size;
     return Result;
   }
 
@@ -157,8 +142,8 @@ void *OpArena::allocate(size_t Size, size_t Align) {
   // big to be worth bucketing. Tracked so the arena owns it either way.
   auto Block = std::make_unique<std::byte[]>(Size);
   void *Result = Block.get();
-  S.Large.emplace(Result, std::move(Block));
-  S.Stats.LargeAllocs++;
+  Large.emplace(Result, std::move(Block));
+  Stats.LargeAllocs++;
   return Result;
 }
 
@@ -166,51 +151,21 @@ void OpArena::deallocate(void *Ptr, size_t Size) {
   assert(Ptr && "deallocating null");
   Size = roundUp(Size);
 
-  Shard &S = myShard();
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Stats.NumFrees++;
-    S.Stats.BytesLive -= Size;
-
-    if (Size <= MaxBucketedSize) {
-      size_t Bucket = Size / Granule - 1;
-      // Poison everything past the free-list link, then thread the block
-      // onto the bucket.
-      poisonBlock(Ptr, Size, /*Offset=*/sizeof(void *));
-      *static_cast<void **>(Ptr) = S.FreeLists[Bucket];
-      S.FreeLists[Bucket] = Ptr;
-      if (metricsEnabled())
-        ArenaMetrics::instance().BytesLive.sub(static_cast<int64_t>(Size));
-      return;
-    }
-  }
-
-  // Out-of-band block: may live in any shard's Large map (blocks can be
-  // freed from a different thread than the allocating one). One lock at
-  // a time — never nested — so cross-shard frees cannot deadlock.
+  Stats.NumFrees++;
+  Stats.BytesLive -= Size;
   if (metricsEnabled())
     ArenaMetrics::instance().BytesLive.sub(static_cast<int64_t>(Size));
-  for (Shard &Other : Shards) {
-    std::lock_guard<std::mutex> OtherLock(Other.Mu);
-    if (Other.Large.erase(Ptr))
-      return;
-  }
-  assert(false && "large block not owned by this arena");
-}
 
-OpArenaStats OpArena::getStats() const {
-  OpArenaStats Total;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    Total.Slabs += S.Stats.Slabs;
-    Total.SlabBytes += S.Stats.SlabBytes;
-    Total.BytesLive += S.Stats.BytesLive;
-    Total.BytesAllocated += S.Stats.BytesAllocated;
-    Total.BytesReused += S.Stats.BytesReused;
-    Total.NumAllocs += S.Stats.NumAllocs;
-    Total.NumFrees += S.Stats.NumFrees;
-    Total.FreeListHits += S.Stats.FreeListHits;
-    Total.LargeAllocs += S.Stats.LargeAllocs;
+  if (Size <= MaxBucketedSize) {
+    size_t Bucket = Size / Granule - 1;
+    // Poison everything past the free-list link, then thread the block
+    // onto the bucket.
+    poisonBlock(Ptr, Size, /*Offset=*/sizeof(void *));
+    *static_cast<void **>(Ptr) = FreeLists[Bucket];
+    FreeLists[Bucket] = Ptr;
+    return;
   }
-  return Total;
+
+  [[maybe_unused]] size_t Erased = Large.erase(Ptr);
+  assert(Erased && "large block not owned by this arena");
 }

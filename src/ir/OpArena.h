@@ -9,14 +9,11 @@
 /// — the trailing-object layouts fold those into each object's single
 /// block).
 ///
-/// Thread model: the arena is sharded. Each thread is assigned a shard
-/// (round-robin on first use, like the metrics registry), and every shard
-/// owns its own slab chain and free-list buckets behind its own mutex —
-/// so irdl_serve's connection threads, which share one context, allocate
-/// from per-thread slabs without contending. Blocks may be freed from a
-/// different thread than the one that allocated them; the block simply
-/// migrates to the freeing thread's shard. All slabs are owned by the
-/// arena and released when it is destroyed.
+/// Thread model: none. An arena belongs to one IRContext, and a context
+/// that creates or erases IR is written by one thread at a time (Context.h),
+/// so the arena is one slab chain and one set of free-list buckets with no
+/// lock. All slabs are owned by the arena and released when it is
+/// destroyed.
 ///
 /// Freed blocks are poisoned (0xA5 fill, plus ASan manual poisoning when
 /// building under AddressSanitizer) so a stale Value or Operation pointer
@@ -38,13 +35,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 namespace irdl {
 
-/// Aggregated point-in-time counters of one arena (summed over shards).
+/// Point-in-time counters of one arena.
 struct OpArenaStats {
   uint64_t Slabs = 0;          ///< Slabs currently allocated.
   uint64_t SlabBytes = 0;      ///< Total bytes reserved in slabs.
@@ -57,7 +53,7 @@ struct OpArenaStats {
   uint64_t LargeAllocs = 0;    ///< Allocations beyond the bucketed sizes.
 };
 
-/// A sharded bump-pointer arena with size-class free lists.
+/// A bump-pointer arena with size-class free lists.
 class OpArena {
 public:
   /// Allocation granule; every block size is rounded up to a multiple.
@@ -74,18 +70,16 @@ public:
   OpArena &operator=(const OpArena &) = delete;
 
   /// Returns a block of at least \p Size bytes aligned to \p Align
-  /// (Align must divide Granule). Never returns null; memory comes from
-  /// the calling thread's shard.
+  /// (Align must divide Granule). Never returns null.
   void *allocate(size_t Size, size_t Align = alignof(std::max_align_t));
 
   /// Recycles the block at \p Ptr of \p Size bytes (the size passed to
-  /// allocate). The block is poisoned and pushed onto a free-list bucket
-  /// of the calling thread's shard; slab memory is not released.
+  /// allocate). The block is poisoned and pushed onto a free-list bucket;
+  /// slab memory is not released.
   void deallocate(void *Ptr, size_t Size);
 
-  /// Counters summed over all shards. O(#shards); intended for tests,
-  /// the metrics layer, and the bench harness — not per-op hot paths.
-  OpArenaStats getStats() const;
+  /// The arena's counters (tests, the metrics layer, the bench harness).
+  const OpArenaStats &getStats() const { return Stats; }
 
   /// Rounds \p Size up to the arena granule (what allocate really uses).
   static size_t roundUp(size_t Size) {
@@ -93,25 +87,17 @@ public:
   }
 
 private:
-  static constexpr size_t NumShards = 16;
   static constexpr size_t NumBuckets = MaxBucketedSize / Granule;
 
-  struct Shard {
-    mutable std::mutex Mu;
-    std::vector<std::unique_ptr<std::byte[]>> Slabs;
-    std::byte *Cur = nullptr;
-    std::byte *End = nullptr;
-    /// Intrusive singly-linked free lists, one per size class. The next
-    /// pointer lives in the first word of the freed block.
-    std::array<void *, NumBuckets> FreeLists{};
-    /// Out-of-band blocks (> MaxBucketedSize), keyed by address.
-    std::unordered_map<void *, std::unique_ptr<std::byte[]>> Large;
-    OpArenaStats Stats;
-  };
-
-  Shard &myShard();
-
-  std::array<Shard, NumShards> Shards;
+  std::vector<std::unique_ptr<std::byte[]>> Slabs;
+  std::byte *Cur = nullptr;
+  std::byte *End = nullptr;
+  /// Intrusive singly-linked free lists, one per size class. The next
+  /// pointer lives in the first word of the freed block.
+  std::array<void *, NumBuckets> FreeLists{};
+  /// Out-of-band blocks (> MaxBucketedSize), keyed by address.
+  std::unordered_map<void *, std::unique_ptr<std::byte[]>> Large;
+  OpArenaStats Stats;
 };
 
 } // namespace irdl

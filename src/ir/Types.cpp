@@ -31,7 +31,7 @@ const std::vector<ParamValue> &Type::getParams() const {
 }
 
 Dialect *Type::getDialect() const { return getDef()->getDialect(); }
-IRContext *Type::getContext() const { return getDialect()->getContext(); }
+const IRContext *Type::getContext() const { return getDialect()->getContext(); }
 std::string Type::getName() const { return getDef()->getFullName(); }
 
 const ParamValue &Type::getParam(std::string_view Name) const {
@@ -53,7 +53,7 @@ const std::vector<ParamValue> &Attribute::getParams() const {
 }
 
 Dialect *Attribute::getDialect() const { return getDef()->getDialect(); }
-IRContext *Attribute::getContext() const {
+const IRContext *Attribute::getContext() const {
   return getDialect()->getContext();
 }
 std::string Attribute::getName() const { return getDef()->getFullName(); }

@@ -90,7 +90,9 @@ public:
   const TypeDefinition *getDef() const;
   const std::vector<ParamValue> &getParams() const;
   Dialect *getDialect() const;
-  IRContext *getContext() const;
+  /// The context that registered the dialect (Dialect::getContext), which
+  /// may be a read-only parent of the one that uniqued this type.
+  const IRContext *getContext() const;
 
   /// Returns the fully qualified name, e.g. "cmath.complex".
   std::string getName() const;
@@ -119,7 +121,7 @@ public:
   const AttrDefinition *getDef() const;
   const std::vector<ParamValue> &getParams() const;
   Dialect *getDialect() const;
-  IRContext *getContext() const;
+  const IRContext *getContext() const;
 
   std::string getName() const;
   const ParamValue &getParam(std::string_view Name) const;

@@ -360,7 +360,7 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
     const ParamValue *Inner = &V;
     ParamValue Unwrapped;
     if (V.isAttr()) {
-      IRContext *Ctx = EDef->getDialect()->getContext();
+      const IRContext *Ctx = EDef->getDialect()->getContext();
       if (V.getAttr().getDef() != Ctx->getEnumAttrDef())
         return false;
       Unwrapped = V.getAttr().getParams()[0];
@@ -444,22 +444,21 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
 }
 
 std::optional<ParamValue>
-Constraint::concreteValue(const MatchContext &MC) const {
+Constraint::concreteValue(const MatchContext &MC, IRContext &Ctx) const {
   switch (K) {
   case Kind::TypeParams: {
     if (BaseOnly && TDef->getNumParams() != 0)
       return std::nullopt;
     std::vector<ParamValue> Params;
     for (const ConstraintPtr &Child : Children) {
-      auto V = Child->concreteValue(MC);
+      auto V = Child->concreteValue(MC, Ctx);
       if (!V)
         return std::nullopt;
       Params.push_back(std::move(*V));
     }
     // Unverified construction would assert on bad params; check first.
     DiagnosticEngine Scratch;
-    Type T = TDef->getDialect()->getContext()->getTypeChecked(
-        TDef, std::move(Params), Scratch);
+    Type T = Ctx.getTypeChecked(TDef, std::move(Params), Scratch);
     if (!T)
       return std::nullopt;
     return ParamValue(T);
@@ -469,14 +468,13 @@ Constraint::concreteValue(const MatchContext &MC) const {
       return std::nullopt;
     std::vector<ParamValue> Params;
     for (const ConstraintPtr &Child : Children) {
-      auto V = Child->concreteValue(MC);
+      auto V = Child->concreteValue(MC, Ctx);
       if (!V)
         return std::nullopt;
       Params.push_back(std::move(*V));
     }
     DiagnosticEngine Scratch;
-    Attribute A = ADef->getDialect()->getContext()->getAttrChecked(
-        ADef, std::move(Params), Scratch);
+    Attribute A = Ctx.getAttrChecked(ADef, std::move(Params), Scratch);
     if (!A)
       return std::nullopt;
     return ParamValue(A);
@@ -492,7 +490,7 @@ Constraint::concreteValue(const MatchContext &MC) const {
   case Kind::ArrayExact: {
     std::vector<ParamValue> Elems;
     for (const ConstraintPtr &Child : Children) {
-      auto V = Child->concreteValue(MC);
+      auto V = Child->concreteValue(MC, Ctx);
       if (!V)
         return std::nullopt;
       Elems.push_back(std::move(*V));
@@ -509,7 +507,7 @@ Constraint::concreteValue(const MatchContext &MC) const {
   case Kind::Named:
     // Derivable when some conjunct is.
     for (const ConstraintPtr &Child : Children)
-      if (auto V = Child->concreteValue(MC))
+      if (auto V = Child->concreteValue(MC, Ctx))
         return V;
     return std::nullopt;
   default:

@@ -231,9 +231,11 @@ public:
   bool matches(const ParamValue &V, MatchContext &MC) const;
 
   /// If the constraint pins down exactly one value given the bindings in
-  /// \p MC, returns it. Reference oracle for
+  /// \p MC, returns it. A derived type or attribute is uniqued in \p Ctx,
+  /// the context of the IR being built. Reference oracle for
   /// ConstraintProgram::concreteValue.
-  std::optional<ParamValue> concreteValue(const MatchContext &MC) const;
+  std::optional<ParamValue> concreteValue(const MatchContext &MC,
+                                          IRContext &Ctx) const;
 
   /// Appends the constraint variables this constraint evaluates against
   /// the very value it matches: Var references not nested inside a

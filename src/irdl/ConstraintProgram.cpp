@@ -128,7 +128,7 @@ static bool matchEnum(const ParamValue &V, const EnumDef *EDef,
   const ParamValue *Inner = &V;
   ParamValue Unwrapped;
   if (V.isAttr()) {
-    IRContext *Ctx = EDef->getDialect()->getContext();
+    const IRContext *Ctx = EDef->getDialect()->getContext();
     if (V.getAttr().getDef() != Ctx->getEnumAttrDef())
       return false;
     Unwrapped = V.getAttr().getParams()[0];
@@ -287,13 +287,15 @@ bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
 }
 
 std::optional<ParamValue>
-ConstraintProgram::concreteValue(const MatchContext &MC) const {
+ConstraintProgram::concreteValue(const MatchContext &MC,
+                                 IRContext &Ctx) const {
   assert(!Instrs.empty() && "empty constraint program");
-  return concreteAt(0, MC);
+  return concreteAt(0, MC, Ctx);
 }
 
 std::optional<ParamValue>
-ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
+ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC,
+                              IRContext &Ctx) const {
   const CInstr &I = Instrs[Pc];
   const uint32_t *Child = Children.data() + I.ChildrenBegin;
   switch (I.Op) {
@@ -303,14 +305,13 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
       return std::nullopt;
     std::vector<ParamValue> Params;
     for (uint16_t C = 0; C != I.NumChildren; ++C) {
-      auto V = concreteAt(Child[C], MC);
+      auto V = concreteAt(Child[C], MC, Ctx);
       if (!V)
         return std::nullopt;
       Params.push_back(std::move(*V));
     }
     DiagnosticEngine Scratch;
-    Type T = Def->getDialect()->getContext()->getTypeChecked(
-        Def, std::move(Params), Scratch);
+    Type T = Ctx.getTypeChecked(Def, std::move(Params), Scratch);
     if (!T)
       return std::nullopt;
     return ParamValue(T);
@@ -321,14 +322,13 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
       return std::nullopt;
     std::vector<ParamValue> Params;
     for (uint16_t C = 0; C != I.NumChildren; ++C) {
-      auto V = concreteAt(Child[C], MC);
+      auto V = concreteAt(Child[C], MC, Ctx);
       if (!V)
         return std::nullopt;
       Params.push_back(std::move(*V));
     }
     DiagnosticEngine Scratch;
-    Attribute A = Def->getDialect()->getContext()->getAttrChecked(
-        Def, std::move(Params), Scratch);
+    Attribute A = Ctx.getAttrChecked(Def, std::move(Params), Scratch);
     if (!A)
       return std::nullopt;
     return ParamValue(A);
@@ -344,7 +344,7 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
   case COpcode::ArrayExact: {
     std::vector<ParamValue> Elems;
     for (uint16_t C = 0; C != I.NumChildren; ++C) {
-      auto V = concreteAt(Child[C], MC);
+      auto V = concreteAt(Child[C], MC, Ctx);
       if (!V)
         return std::nullopt;
       Elems.push_back(std::move(*V));
@@ -361,7 +361,7 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
     // Derivable when some conjunct is (the Cpp/Native base is their sole
     // child, mirroring the tree interpreter).
     for (uint16_t C = 0; C != I.NumChildren; ++C)
-      if (auto V = concreteAt(Child[C], MC))
+      if (auto V = concreteAt(Child[C], MC, Ctx))
         return V;
     return std::nullopt;
   default:
@@ -370,12 +370,12 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC) const {
 }
 
 std::optional<ParamValue>
-ConstraintProgram::concreteChildValue(unsigned I,
-                                      const MatchContext &MC) const {
+ConstraintProgram::concreteChildValue(unsigned I, const MatchContext &MC,
+                                      IRContext &Ctx) const {
   assert(!Instrs.empty() && "empty constraint program");
   if (I >= Instrs[0].NumChildren)
     return std::nullopt;
-  return concreteAt(Children[Instrs[0].ChildrenBegin + I], MC);
+  return concreteAt(Children[Instrs[0].ChildrenBegin + I], MC, Ctx);
 }
 
 void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {

@@ -123,13 +123,17 @@ public:
   /// If the program pins down exactly one value given the bindings in
   /// \p MC, returns it — the compiled counterpart of
   /// Constraint::concreteValue, used by declarative-format inference.
-  std::optional<ParamValue> concreteValue(const MatchContext &MC) const;
+  /// A derived type or attribute is uniqued in \p Ctx, the context of
+  /// the IR being built.
+  std::optional<ParamValue> concreteValue(const MatchContext &MC,
+                                          IRContext &Ctx) const;
 
   /// concreteValue of the entry instruction's \p I-th child, i.e. of one
   /// parameter of a parametric type/attribute program; nullopt when the
   /// entry has no such child.
   std::optional<ParamValue> concreteChildValue(unsigned I,
-                                               const MatchContext &MC) const;
+                                               const MatchContext &MC,
+                                               IRContext &Ctx) const;
 
   /// Program counterpart of Constraint::collectUnguardedVars: the Var
   /// operands reachable from the entry without passing through a
@@ -175,8 +179,8 @@ private:
   friend class bytecode::ProgramReader;
 
   bool exec(uint32_t Pc, const ParamValue &V, MatchContext &MC) const;
-  std::optional<ParamValue> concreteAt(uint32_t Pc,
-                                       const MatchContext &MC) const;
+  std::optional<ParamValue> concreteAt(uint32_t Pc, const MatchContext &MC,
+                                       IRContext &Ctx) const;
 
   /// The flat program: instructions (entry at 0), the child-index array
   /// their (Begin, Count) slices point into, and the dispatch-table

@@ -119,11 +119,13 @@ std::optional<unsigned> lookupVarParam(const ConstraintPtr &VC,
 }
 
 /// Derives the value of every still-unbound var in \p MC, using parsed
-/// per-var parameter values. Vars that stay unbound surface later, when
-/// the operand/result types they feed cannot be inferred.
+/// per-var parameter values; derived values are uniqued in \p Ctx. Vars
+/// that stay unbound surface later, when the operand/result types they
+/// feed cannot be inferred.
 void deriveVars(const OpSpec &Spec, MatchContext &MC,
                 const std::map<std::pair<unsigned, unsigned>, ParamValue>
-                    &VarParamVals) {
+                    &VarParamVals,
+                IRContext &Ctx) {
   bool Progress = true;
   while (Progress) {
     Progress = false;
@@ -142,7 +144,7 @@ void deriveVars(const OpSpec &Spec, MatchContext &MC,
           Params.push_back(It->second);
           continue;
         }
-        auto CV = Spec.VarPrograms[V]->concreteChildValue(I, MC);
+        auto CV = Spec.VarPrograms[V]->concreteChildValue(I, MC, Ctx);
         if (!CV) {
           Ok = false;
           break;
@@ -153,15 +155,14 @@ void deriveVars(const OpSpec &Spec, MatchContext &MC,
         continue;
       DiagnosticEngine Scratch;
       if (VC->getKind() == Constraint::Kind::TypeParams) {
-        Type T = VC->getTypeDef()->getDialect()->getContext()->getTypeChecked(
-            VC->getTypeDef(), std::move(Params), Scratch);
+        Type T = Ctx.getTypeChecked(VC->getTypeDef(), std::move(Params),
+                                    Scratch);
         if (!T)
           continue;
         MC.bind(V, ParamValue(T));
       } else {
-        Attribute A =
-            VC->getAttrDef()->getDialect()->getContext()->getAttrChecked(
-                VC->getAttrDef(), std::move(Params), Scratch);
+        Attribute A = Ctx.getAttrChecked(VC->getAttrDef(), std::move(Params),
+                                         Scratch);
         if (!A)
           continue;
         MC.bind(V, ParamValue(A));
@@ -403,11 +404,12 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
       }
     }
 
-    deriveVars(Spec, MC, VarParamVals);
+    IRContext &Ctx = *P.getContext();
+    deriveVars(Spec, MC, VarParamVals, Ctx);
 
     // Resolve operand and result types through their programs.
     for (unsigned I = 0, E = Spec.Operands.size(); I != E; ++I) {
-      auto TV = Spec.Operands[I].Prog->concreteValue(MC);
+      auto TV = Spec.Operands[I].Prog->concreteValue(MC, Ctx);
       if (!TV || !TV->isType())
         return P.emitError(OpLoc,
                            "cannot infer the type of operand '" +
@@ -417,7 +419,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
         return failure();
     }
     for (unsigned I = 0, E = Spec.Results.size(); I != E; ++I) {
-      auto TV = Spec.Results[I].Prog->concreteValue(MC);
+      auto TV = Spec.Results[I].Prog->concreteValue(MC, Ctx);
       if (!TV || !TV->isType())
         return P.emitError(OpLoc, "cannot infer the type of result '" +
                                       Spec.Results[I].Name + "'");

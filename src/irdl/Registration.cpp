@@ -78,7 +78,7 @@ bool irdl::computeSegmentsInto(
           std::string(SegmentAttrName) + "' attribute";
     return false;
   }
-  IRContext *Ctx = SegAttr.getContext();
+  const IRContext *Ctx = SegAttr.getContext();
   if (SegAttr.getDef() != Ctx->getArrayAttrDef()) {
     Err = "'" + std::string(SegmentAttrName) +
           "' must be an array attribute";

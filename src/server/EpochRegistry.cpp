@@ -43,13 +43,14 @@ uint64_t EpochRegistry::currentEpochNumber() const {
   return Current->Number;
 }
 
-LogicalResult EpochRegistry::loadInto(Epoch &E, const Source &S,
+LogicalResult EpochRegistry::loadInto(IRContext &Ctx, Epoch &E,
+                                      const Source &S,
                                       std::vector<std::string> &DialectNames,
                                       std::string &DiagText) {
   DiagnosticEngine Diags(E.SrcMgr.get());
   std::unique_ptr<IRDLModule> Loaded;
   if (isBytecodeBuffer(S.Buffer)) {
-    BytecodeReader Reader(*E.Ctx, Diags);
+    BytecodeReader Reader(Ctx, Diags);
     BytecodeReadResult Result;
     if (failed(Reader.read(S.Buffer, Result)) || !Result.Specs) {
       if (!Diags.hadError())
@@ -60,7 +61,7 @@ LogicalResult EpochRegistry::loadInto(Epoch &E, const Source &S,
     }
     Loaded = std::move(Result.Specs);
   } else {
-    Loaded = loadIRDL(*E.Ctx, S.Buffer, *E.SrcMgr, Diags, {}, S.Name);
+    Loaded = loadIRDL(Ctx, S.Buffer, *E.SrcMgr, Diags, {}, S.Name);
     if (!Loaded) {
       DiagText = Diags.renderAll();
       return failure();
@@ -74,14 +75,17 @@ LogicalResult EpochRegistry::loadInto(Epoch &E, const Source &S,
 
 LogicalResult EpochRegistry::rebuild(std::vector<Source> Sources,
                                      std::string &DiagText) {
+  // Built before the epoch so that, on failure, it outlives the epoch's
+  // modules (see Epoch::Ctx).
+  auto Ctx = std::make_unique<IRContext>();
   auto Next = std::make_shared<Epoch>();
-  Next->Ctx = std::make_unique<IRContext>();
   Next->SrcMgr = std::make_unique<SourceMgr>();
   for (Source &S : Sources) {
     S.DialectNames.clear();
-    if (failed(loadInto(*Next, S, S.DialectNames, DiagText)))
+    if (failed(loadInto(*Ctx, *Next, S, S.DialectNames, DiagText)))
       return failure();
   }
+  Next->Ctx = std::move(Ctx);
   Next->Number = NextNumber++;
   this->Sources = std::move(Sources);
   Current = std::move(Next);
@@ -94,13 +98,13 @@ LogicalResult EpochRegistry::loadDialect(std::string Name,
   std::lock_guard<std::mutex> Lock(Mutex);
   // Discover the dialect names by loading into a scratch context first;
   // this also surfaces load errors without paying a full rebuild.
+  auto ScratchCtx = std::make_unique<IRContext>();
   Epoch Scratch;
-  Scratch.Ctx = std::make_unique<IRContext>();
   Scratch.SrcMgr = std::make_unique<SourceMgr>();
   Source S{std::move(Name), std::move(Buffer), {}, 0};
   S.Hash = hashSpecBuffer(S.Buffer);
   std::vector<std::string> NewNames;
-  if (failed(loadInto(Scratch, S, NewNames, DiagText)))
+  if (failed(loadInto(*ScratchCtx, Scratch, S, NewNames, DiagText)))
     return failure();
   for (const Source &Existing : Sources)
     for (const std::string &N : NewNames)
@@ -130,12 +134,12 @@ LogicalResult EpochRegistry::reloadDialect(std::string Name,
       specCacheCounter(/*Hit=*/true).inc();
       return success();
     }
+  auto ScratchCtx = std::make_unique<IRContext>();
   Epoch Scratch;
-  Scratch.Ctx = std::make_unique<IRContext>();
   Scratch.SrcMgr = std::make_unique<SourceMgr>();
   Source S{std::move(Name), std::move(Buffer), {}, Hash};
   std::vector<std::string> NewNames;
-  if (failed(loadInto(Scratch, S, NewNames, DiagText)))
+  if (failed(loadInto(*ScratchCtx, Scratch, S, NewNames, DiagText)))
     return failure();
   std::vector<Source> NewSources;
   for (const Source &Existing : Sources) {

@@ -1,18 +1,19 @@
 //===- EpochRegistry.h - Epoch-versioned dialect registry --------*- C++ -*-===//
 ///
 /// \file
-/// Hot dialect reload for the verification server. IRContext registration
-/// is a setup-phase operation (Context.h): lookups and uniquing are
-/// thread-safe, mutation concurrent with verification is not. Instead of
-/// locking the context, the registry makes every generation immutable: an
-/// Epoch is a fully built IRContext (plus the SourceMgr its diagnostics
-/// render from) constructed from the complete ordered list of loaded
-/// dialect sources. LOAD_DIALECT/RELOAD_DIALECT build a fresh epoch off
-/// to the side and atomically publish it; requests pin the current epoch
-/// with a shared_ptr for their whole lifetime, so in-flight verification
-/// keeps the context (and the compiled constraint programs inside it)
-/// alive and untouched while newer requests already see the new spec. A
-/// build failure leaves the previous epoch in place.
+/// Hot dialect reload for the verification server, under IRContext's one
+/// concurrency rule (Context.h): share a context only as `const`; a
+/// context you write is yours alone. An Epoch is a fully built IRContext
+/// (plus the SourceMgr its diagnostics render from) constructed from the
+/// complete ordered list of loaded dialect sources and then never written
+/// again. LOAD_DIALECT/RELOAD_DIALECT build a fresh epoch off to the side
+/// and atomically publish it; requests pin the current epoch with a
+/// shared_ptr for their whole lifetime and build their IR in a child
+/// context of it, so in-flight verification keeps the epoch (and the
+/// compiled constraint programs inside it) alive and untouched while
+/// newer requests already see the new spec. No client type or attribute
+/// is ever interned into an epoch. A build failure leaves the previous
+/// epoch in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +37,8 @@ struct Epoch {
   uint64_t Number = 1;
   /// Declared before SrcMgr/Modules so it is destroyed last: registered
   /// verifier closures reference the spec objects owned by Modules.
-  std::unique_ptr<IRContext> Ctx;
+  /// Read-only once published; requests build IR in child contexts.
+  std::unique_ptr<const IRContext> Ctx;
   /// Owns the textual dialect buffers; request SourceMgrs do not alias it
   /// (dialect-load diagnostics happen at epoch build time only).
   std::unique_ptr<SourceMgr> SrcMgr;
@@ -87,9 +89,9 @@ private:
     uint64_t Hash = 0;
   };
 
-  /// Loads \p Buffer into \p Target, appending the loaded module(s) to
-  /// \p Epoch.Modules when \p Keep. Fills \p DialectNames.
-  static LogicalResult loadInto(Epoch &E, const Source &S,
+  /// Loads \p S into \p Ctx (the epoch \p E is building), appending the
+  /// loaded module to \p E.Modules. Fills \p DialectNames.
+  static LogicalResult loadInto(IRContext &Ctx, Epoch &E, const Source &S,
                                 std::vector<std::string> &DialectNames,
                                 std::string &DiagText);
 

@@ -60,13 +60,17 @@ Gauge &activeConnectionsGauge() {
 
 /// State of one VERIFY_BEGIN..VERIFY_END stream. Chunk modules are kept
 /// alive until the stream closes so recorded diagnostics can still render
-/// against their source buffers at VERIFY_END.
+/// against their source buffers at VERIFY_END. The chunks live in the
+/// stream's own child of the pinned epoch context, so the members are
+/// declared (and reset) so that chunks die before their context, and the
+/// context before the epoch it reads.
 struct VerifyServer::StreamState {
   bool Open = false;
   bool Failed = false;
   unsigned NumChunks = 0;
   std::string Name;
   std::shared_ptr<const Epoch> Pinned;
+  std::unique_ptr<IRContext> Ctx;
   std::unique_ptr<SourceMgr> SrcMgr;
   std::unique_ptr<DiagnosticEngine> Diags;
   std::vector<OwningOpRef> Chunks;
@@ -79,6 +83,7 @@ struct VerifyServer::StreamState {
     Chunks.clear();
     Diags.reset();
     SrcMgr.reset();
+    Ctx.reset();
     Pinned.reset();
   }
 };
@@ -252,9 +257,9 @@ namespace {
 /// Materializes a request payload into \p Ctx: textual IR through the
 /// parser (buffer registered with \p SrcMgr for caret rendering), `.irbc`
 /// through the bytecode reader. Mirrors the irdl_opt input path so the
-/// recorded diagnostics are identical. Spec-bearing bytecode is rejected
-/// up front: reading it would register dialects into the shared epoch
-/// context mid-flight.
+/// recorded diagnostics are identical. \p Ctx is a request's child of
+/// the epoch context. Spec-bearing bytecode is rejected up front: dialects
+/// are registered through LOAD_DIALECT, never by a request.
 OwningOpRef materializeModule(IRContext &Ctx, std::string_view Name,
                               std::string_view Content, SourceMgr &SrcMgr,
                               DiagnosticEngine &Diags) {
@@ -286,11 +291,13 @@ ResponseFrame VerifyServer::handleVerify(std::string_view Payload) {
   if (!decodeNamedPayload(Payload, Name, Content))
     return {FrameStatus::ProtocolError, "malformed VERIFY payload header"};
 
+  // The module is built in a child of the pinned epoch context and dies
+  // before it (reverse declaration order).
   std::shared_ptr<const Epoch> Pinned = Epochs.current();
+  IRContext Ctx(*Pinned->Ctx);
   SourceMgr SrcMgr;
   DiagnosticEngine Diags(&SrcMgr);
-  OwningOpRef M =
-      materializeModule(*Pinned->Ctx, Name, Content, SrcMgr, Diags);
+  OwningOpRef M = materializeModule(Ctx, Name, Content, SrcMgr, Diags);
   if (!M)
     return {FrameStatus::Fail, Diags.renderAll()};
 
@@ -320,6 +327,7 @@ ResponseFrame VerifyServer::handleVerifyBegin(std::string_view Payload,
   Stream.Open = true;
   Stream.Name = std::string(Name);
   Stream.Pinned = Epochs.current();
+  Stream.Ctx = std::make_unique<IRContext>(*Stream.Pinned->Ctx);
   Stream.SrcMgr = std::make_unique<SourceMgr>();
   Stream.Diags = std::make_unique<DiagnosticEngine>(Stream.SrcMgr.get());
   return {FrameStatus::Ok, ""};
@@ -339,7 +347,7 @@ ResponseFrame VerifyServer::handleVerifyChunk(std::string_view Payload,
 
   std::string ChunkName =
       Stream.Name + ":chunk" + std::to_string(Index);
-  OwningOpRef M = materializeModule(*Stream.Pinned->Ctx, ChunkName, Payload,
+  OwningOpRef M = materializeModule(*Stream.Ctx, ChunkName, Payload,
                                     *Stream.SrcMgr, *Stream.Diags);
   if (!M) {
     Stream.Failed = true;

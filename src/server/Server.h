@@ -4,8 +4,8 @@
 /// The persistent verification service: a unix-domain socket listener
 /// serving the serve::Protocol frame catalogue against a warm, epoch-
 /// versioned dialect registry. Each connection gets its own thread; each
-/// request pins the then-current Epoch, so verification always runs
-/// against a fully built, immutable IRContext while LOAD_DIALECT /
+/// request pins the then-current Epoch and builds its IR in a child of the
+/// epoch's fully built, read-only IRContext, while LOAD_DIALECT /
 /// RELOAD_DIALECT publish new epochs concurrently. One-shot VERIFY
 /// responses replay diagnostics byte-identically to an `irdl_opt` run
 /// over the same input (locked by ServeDifferentialTest); streamed

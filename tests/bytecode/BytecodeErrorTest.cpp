@@ -246,6 +246,33 @@ TEST(BytecodeError, ReadFileErrors) {
   EXPECT_TRUE(Diags.hadError());
 }
 
+TEST(BytecodeError, NonIEEEFloatWidthIsRejected) {
+  // The text parser only makes f16/f32/f64 floats; a .irbc whose f32
+  // constant claims width 80 must fail to read, not print as `f80`.
+  IRContext Ctx;
+  SourceMgr SrcMgr;
+  DiagnosticEngine Diags(&SrcMgr);
+  OwningOpRef IR =
+      parseSourceString(Ctx, "%c = std.constant 1.0 : f32", SrcMgr, Diags);
+  ASSERT_TRUE(IR) << Diags.renderAll();
+  BytecodeWriter Writer;
+  Writer.setModule(IR.get());
+  std::string Buffer = Writer.write();
+  ASSERT_TRUE(tryRead(Buffer, nullptr));
+
+  // The float parameter: width varint 32, then 1.0 as a little-endian
+  // double.
+  const std::string F32One("\x20\0\0\0\0\0\0\xf0\x3f", 9);
+  size_t At = Buffer.find(F32One);
+  ASSERT_NE(At, std::string::npos);
+  ASSERT_EQ(Buffer.find(F32One, At + 1), std::string::npos);
+  Buffer[At] = 80;
+  std::string Rendered;
+  EXPECT_FALSE(tryRead(Buffer, &Rendered));
+  EXPECT_NE(Rendered.find("invalid float width 80"), std::string::npos)
+      << Rendered;
+}
+
 TEST(BytecodeError, UnknownDefinitionInPool) {
   // A module using a dialect type read into a context where the dialect
   // was never registered (spec section stripped) must fail by name.

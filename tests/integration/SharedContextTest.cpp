@@ -1,14 +1,16 @@
 //===- SharedContextTest.cpp - Concurrent verifies on one context -------===//
 ///
 /// irdl_serve gives each connection its own thread, and all of them parse
-/// and verify against one context with loaded dialects. What those
-/// threads share is either locked or only read: the sharded
-/// type/attribute uniquer and the op arena are locked, and the compiled
-/// constraint programs and their dispatch tables are read-only (there is
-/// no verdict cache). Here four threads each parse and verify every
-/// module of a set (valid ones, synthesized ones over the five bundled
-/// dialects, and hand-broken ones) against one such context. Every verdict and
-/// rendered diagnostic stream must equal a sequential run.
+/// and verify against one context with loaded dialects. They share it
+/// only as const: each request builds its IR in a child of the shared
+/// context, so the threads only read what they share (the registry, the
+/// parent's uniqued types and attributes, and the compiled constraint
+/// programs with their dispatch tables; there is no verdict cache). Here
+/// four threads each parse and verify every module of a set (valid ones,
+/// synthesized ones over the five bundled dialects, and hand-broken ones),
+/// each in its own child of one such context. Every verdict and rendered
+/// diagnostic stream must equal a sequential run in the shared context
+/// itself, and the threads must leave that context's pools unchanged.
 
 #include "corpus/ModuleSynthesizer.h"
 #include "ir/Block.h"
@@ -117,9 +119,8 @@ struct Outcome {
   std::string Diagnostics;
 };
 
-/// Parses and verifies \p In against \p Ctx the way one irdl_serve
-/// connection does: its own SourceMgr and DiagnosticEngine, the shared
-/// context.
+/// Parses and verifies \p In in \p Ctx with its own SourceMgr and
+/// DiagnosticEngine, as one irdl_serve request does.
 Outcome parseAndVerify(IRContext &Ctx, const Input &In) {
   SourceMgr SrcMgr;
   DiagnosticEngine Diags(&SrcMgr);
@@ -140,21 +141,27 @@ TEST(SharedContextTest, ConcurrentParseVerifyMatchesSequential) {
       loadBundled(Ctx, SpecSrcMgr);
   ASSERT_EQ(Modules.size(), std::size(BundledDialects));
 
-  // The threads run first, so they race on a cold uniquer and arena.
-  // Each starts at a different input to spread the contention.
+  // The threads run first, while the shared context's pools hold only
+  // what loading the dialects interned. Each starts at a different input.
+  const size_t SharedTypes = Ctx.getNumUniquedTypes();
+  const size_t SharedAttrs = Ctx.getNumUniquedAttrs();
   constexpr size_t NumThreads = 4;
   std::vector<std::vector<Outcome>> Concurrent(
       NumThreads, std::vector<Outcome>(Inputs.size()));
   std::vector<std::thread> Threads;
   for (size_t T = 0; T != NumThreads; ++T)
     Threads.emplace_back([&, T] {
+      const IRContext &Shared = Ctx;
       for (size_t K = 0; K != Inputs.size(); ++K) {
         size_t I = (K + T * Inputs.size() / NumThreads) % Inputs.size();
-        Concurrent[T][I] = parseAndVerify(Ctx, Inputs[I]);
+        IRContext Request(Shared);
+        Concurrent[T][I] = parseAndVerify(Request, Inputs[I]);
       }
     });
   for (std::thread &T : Threads)
     T.join();
+  EXPECT_EQ(Ctx.getNumUniquedTypes(), SharedTypes);
+  EXPECT_EQ(Ctx.getNumUniquedAttrs(), SharedAttrs);
 
   unsigned NumFailed = 0;
   for (size_t I = 0; I != Inputs.size(); ++I) {

@@ -108,33 +108,76 @@ TEST(ContextTest, UnregisteredOpPolicy) {
 }
 
 TEST(ContextTest, ConcurrentUniquingPointerIdentity) {
-  // Threads sharing one context, as irdl_serve's connection threads do,
-  // request the same handful of types and attributes; every equal
-  // request must come back as the same pointer (shard insert races
-  // converge).
-  IRContext Ctx;
+  // Threads share one context only as const, as irdl_serve's connection
+  // threads share an epoch: each builds IR in its own child of it. What
+  // the parent has comes back as the parent's pointer in every child;
+  // what it lacks is interned once in the asking child and never reaches
+  // the parent.
+  IRContext Parent;
+  Type I17 = Parent.getIntegerType(17);
+  Attribute Key = Parent.getStringAttr("shared-key");
+  std::vector<Type> Narrow; // i1..i4; i5..i8 stay child-only
+  for (unsigned W = 1; W <= 4; ++W)
+    Narrow.push_back(Parent.getIntegerType(W));
+  const size_t ParentTypes = Parent.getNumUniquedTypes();
+  const size_t ParentAttrs = Parent.getNumUniquedAttrs();
+
   constexpr size_t N = 256;
   constexpr size_t NumThreads = 8;
-  std::vector<Type> Same(N);
-  std::vector<Type> Varied(N);
-  std::vector<Attribute> Attrs(N);
   std::vector<std::thread> Threads;
   for (size_t T = 0; T != NumThreads; ++T)
     Threads.emplace_back([&, T] {
-      for (size_t I = T; I < N; I += NumThreads) {
-        Same[I] = Ctx.getIntegerType(17);
-        Varied[I] = Ctx.getIntegerType(1 + (unsigned)(I % 8));
-        Attrs[I] = Ctx.getStringAttr("shared-key");
+      const IRContext &Shared = Parent;
+      IRContext Child(Shared);
+      std::vector<Type> Varied(8);
+      Attribute Own;
+      for (size_t I = 0; I != N; ++I) {
+        EXPECT_EQ(Child.getIntegerType(17), I17);
+        EXPECT_EQ(Child.getStringAttr("shared-key"), Key);
+        unsigned W = 1 + (unsigned)(I % 8);
+        Type V = Child.getIntegerType(W);
+        if (W <= 4) {
+          EXPECT_EQ(V, Narrow[W - 1]) << "i" << W << " on thread " << T;
+        }
+        if (I < 8)
+          Varied[I] = V;
+        EXPECT_EQ(V, Varied[I % 8]) << "i" << W << " on thread " << T;
+        Attribute A = Child.getStringAttr("thread-" + std::to_string(T));
+        if (I == 0)
+          Own = A;
+        EXPECT_EQ(A, Own);
       }
+      // Only the misses (i5..i8 and the thread's own string) are the
+      // child's.
+      EXPECT_EQ(Child.getNumUniquedTypes(), 4u);
+      EXPECT_EQ(Child.getNumUniquedAttrs(), 1u);
     });
   for (std::thread &T : Threads)
     T.join();
-  for (size_t I = 1; I != N; ++I) {
-    EXPECT_EQ(Same[0], Same[I]) << "index " << I;
-    EXPECT_EQ(Attrs[0], Attrs[I]) << "index " << I;
-  }
-  for (size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Varied[I], Varied[I % 8]);
+  EXPECT_EQ(Parent.getNumUniquedTypes(), ParentTypes);
+  EXPECT_EQ(Parent.getNumUniquedAttrs(), ParentAttrs);
+}
+
+TEST(ContextTest, ChildAnswersRegistryLookupsFromParent) {
+  IRContext Parent;
+  Dialect *D = Parent.getOrCreateDialect("test");
+  TypeDefinition *Vec = D->addType("vec");
+  Parent.setAllowUnregisteredOps(true);
+  const size_t ParentTypes = Parent.getNumUniquedTypes();
+  IRContext Child(static_cast<const IRContext &>(Parent));
+  EXPECT_EQ(Child.lookupDialect("test"), D);
+  EXPECT_EQ(Child.resolveTypeDef("test.vec"), Vec);
+  EXPECT_EQ(Child.getDialects(), Parent.getDialects());
+  EXPECT_EQ(Child.getIntegerTypeDef(), Parent.getIntegerTypeDef());
+  EXPECT_EQ(Child.getFloatTypeDef(32), Parent.getFloatTypeDef(32));
+  EXPECT_EQ(Child.lookupOpaqueParamCodec("location"),
+            Parent.lookupOpaqueParamCodec("location"));
+  EXPECT_TRUE(Child.allowsUnregisteredOps());
+  // A child's own types carry the registering (parent) context.
+  Type V = Child.getType(Vec);
+  EXPECT_EQ(V.getContext(), &Parent);
+  EXPECT_EQ(Child.getNumUniquedTypes(), 1u);
+  EXPECT_EQ(Parent.getNumUniquedTypes(), ParentTypes);
 }
 
 } // namespace

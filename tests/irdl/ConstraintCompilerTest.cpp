@@ -312,8 +312,8 @@ TEST_F(ConstraintCompilerTest, ConcreteValueEquivalence) {
       TreeMC.bind(0, ParamValue(Ctx.getFloatType(64)));
       ProgMC.bind(0, ParamValue(Ctx.getFloatType(64)));
     }
-    auto TreeV = C->concreteValue(TreeMC);
-    auto ProgV = Prog->concreteValue(ProgMC);
+    auto TreeV = C->concreteValue(TreeMC, Ctx);
+    auto ProgV = Prog->concreteValue(ProgMC, Ctx);
     ASSERT_EQ(TreeV.has_value(), ProgV.has_value()) << C->str();
     if (TreeV) {
       EXPECT_TRUE(*TreeV == *ProgV) << C->str();

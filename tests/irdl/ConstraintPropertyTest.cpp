@@ -150,7 +150,7 @@ TEST_P(ConstraintValueGrid, ConcreteValueIsSound) {
   (void)VI;
   ConstraintPtr C = pool().sampleConstraints()[CI];
   MatchContext MC;
-  if (auto V = C->concreteValue(MC)) {
+  if (auto V = C->concreteValue(MC, pool().Ctx)) {
     EXPECT_TRUE(plainMatch(C, *V)) << C->str();
   }
 }

@@ -245,7 +245,7 @@ TEST_F(ConstraintTest, ConcreteValueDerivation) {
   ConstraintPtr C = Constraint::typeConstraint(
       Complex, {Constraint::typeEq(Ctx.getFloatType(32))},
       /*BaseOnly=*/false);
-  auto V = C->concreteValue(MC);
+  auto V = C->concreteValue(MC, Ctx);
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(V->getType(), complexOf(Ctx.getFloatType(32)));
 
@@ -253,15 +253,15 @@ TEST_F(ConstraintTest, ConcreteValueDerivation) {
   ConstraintPtr Either =
       Constraint::anyOf({Constraint::typeEq(Ctx.getFloatType(32)),
                          Constraint::typeEq(Ctx.getFloatType(64))});
-  EXPECT_FALSE(Either->concreteValue(MC).has_value());
+  EXPECT_FALSE(Either->concreteValue(MC, Ctx).has_value());
 
   // Var derives from its binding.
   std::vector<ConstraintPtr> Vars = {Constraint::anyType()};
   MatchContext MC2(&Vars);
   ConstraintPtr T = Constraint::var(0, "T");
-  EXPECT_FALSE(T->concreteValue(MC2).has_value());
+  EXPECT_FALSE(T->concreteValue(MC2, Ctx).has_value());
   MC2.bind(0, ParamValue(Ctx.getFloatType(64)));
-  auto TV = T->concreteValue(MC2);
+  auto TV = T->concreteValue(MC2, Ctx);
   ASSERT_TRUE(TV.has_value());
   EXPECT_EQ(TV->getType(), Ctx.getFloatType(64));
 }

@@ -591,4 +591,36 @@ TEST(ServerTest, BytecodeVerifyRejectsSpecPayloads) {
   EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
 }
 
+TEST(ServerTest, VerifyInternsNothingIntoTheEpoch) {
+  // Each request brings an integer type of a fresh width and signedness
+  // (i/si/ui of widths 1..128, in turn) and a constant of a value no
+  // earlier request used. Requests build their IR in a child of the
+  // epoch context, so none of it is interned into the epoch.
+  ServerFixture Fixture("nointern");
+  ServeClient Client = Fixture.connect();
+  std::shared_ptr<const Epoch> Pinned = Fixture.Server.epochs().current();
+  const size_t EpochTypes = Pinned->Ctx->getNumUniquedTypes();
+  const size_t EpochAttrs = Pinned->Ctx->getNumUniquedAttrs();
+
+  constexpr unsigned NumRequests = 1000;
+  const char *Prefixes[] = {"i", "si", "ui"};
+  unsigned NumOk = 0;
+  for (unsigned I = 0; I != NumRequests; ++I) {
+    std::string Ty = Prefixes[(I / 128) % 3] + std::to_string(1 + I % 128);
+    std::string Text = "std.func @f(%a: " + Ty + ") -> " + Ty + " {\n" +
+                       "  %c = std.constant " + std::to_string(I) + " : " +
+                       Ty + "\n" +
+                       "  std.return %c : " + Ty + "\n}\n";
+    ResponseFrame Response;
+    std::string Error;
+    ASSERT_TRUE(succeeded(Client.verify("w.mlir", Text, Response, Error)))
+        << Error;
+    NumOk += Response.Status == FrameStatus::Ok;
+  }
+  EXPECT_EQ(NumOk, NumRequests);
+  EXPECT_EQ(Fixture.Server.epochs().current(), Pinned);
+  EXPECT_EQ(Pinned->Ctx->getNumUniquedTypes(), EpochTypes);
+  EXPECT_EQ(Pinned->Ctx->getNumUniquedAttrs(), EpochAttrs);
+}
+
 } // namespace
