@@ -2,23 +2,24 @@
 ///
 /// \file
 /// Wraps the google-benchmark suites with the instrumentation layer
-/// (support/Timing.h, support/Statistic.h, support/Metrics.h): before
-/// the registered benchmarks run, a phase-breakdown callback executes a
-/// representative workload under an active TimerGroup, and the harness
-/// prints the resulting timing tree and statistics table to stderr — so
-/// a perf run reports *where* time goes, not one opaque number. Phase
-/// callbacks record per-iteration samples through PhaseSampler, so the
-/// JSON summary also carries p50/p90/p99 latency distributions.
+/// (support/Timing.h, support/Metrics.h): before the registered
+/// benchmarks run, a phase-breakdown callback executes a representative
+/// workload under an active TimerGroup, and the harness prints the
+/// resulting timing tree to stderr — so a perf run reports *where* time
+/// goes, not one opaque number. Phase callbacks record per-iteration
+/// samples through PhaseSampler, so the JSON summary also carries
+/// p50/p90/p99 latency distributions.
 ///
 /// Flags handled before google-benchmark sees the command line:
 ///   --json        print the machine-readable summary (timing tree +
-///                 statistics + metrics) to stdout and exit without
+///                 metrics) to stdout and exit without
 ///                 running the google-benchmark suites (stdout stays
 ///                 pure JSON)
 ///   --json=FILE   write the summary to FILE, then run the suites
-///   --metrics     enable library metrics collection (the constraint
-///                 dispatch / verifier instrumentation) and print the
-///                 Prometheus exposition to stderr
+///   --metrics     enable library metrics collection (the statistics
+///                 and the constraint dispatch / verifier
+///                 instrumentation) and print the Prometheus exposition
+///                 to stderr
 ///   --metrics-json=FILE
 ///                 enable library metrics collection and write the
 ///                 registry as JSON to FILE (also honored on the --json
@@ -30,7 +31,6 @@
 ///
 /// The JSON shape, for BENCH_*.json trajectory tracking:
 ///   {"bench": NAME, "timing": <TimerGroup::renderJsonSummary()>,
-///    "statistics": <StatisticRegistry::renderJson()>,
 ///    "metrics": <MetricsRegistry::renderJson()>}
 ///
 /// Note the split: PhaseSampler records its bench_phase_duration_ns
@@ -44,7 +44,6 @@
 #define IRDL_BENCH_PERFHARNESS_H
 
 #include "support/Metrics.h"
-#include "support/Statistic.h"
 #include "support/Timing.h"
 
 #include <benchmark/benchmark.h>
@@ -128,7 +127,6 @@ inline int runPerfMain(int argc, char **argv, const char *BenchName,
     setMetricsEnabled(true);
 
   TimerGroup Timers(BenchName);
-  StatisticRegistry::instance().resetAll();
   MetricsRegistry::instance().resetAll();
   setActiveTimerGroup(&Timers);
   PhaseBreakdown();
@@ -136,8 +134,6 @@ inline int runPerfMain(int argc, char **argv, const char *BenchName,
 
   std::string Summary = std::string("{\"bench\":\"") + BenchName +
                         "\",\"timing\":" + Timers.renderJsonSummary() +
-                        ",\"statistics\":" +
-                        StatisticRegistry::instance().renderJson() +
                         ",\"metrics\":" +
                         MetricsRegistry::instance().renderJson() + "}\n";
   auto WriteMetricsJson = [&]() -> bool {
@@ -155,8 +151,7 @@ inline int runPerfMain(int argc, char **argv, const char *BenchName,
     std::cout << Summary;
     return WriteMetricsJson() ? 0 : 1;
   }
-  std::cerr << Timers.renderTree()
-            << StatisticRegistry::instance().renderTable();
+  std::cerr << Timers.renderTree();
   if (Metrics)
     std::cerr << MetricsRegistry::instance().renderPrometheus();
   if (!WriteMetricsJson())

@@ -153,8 +153,8 @@ BENCHMARK(BM_LoadSpecs_Bytecode)->Unit(benchmark::kMillisecond);
 
 /// Phase breakdown (PerfHarness.h): both load paths under named timing
 /// scopes; the bytecode library's own scopes (bytecode-read, read-specs,
-/// read-pool, read-ir) nest inside, and the Bytecode statistics group
-/// reports op/pool/byte counts.
+/// read-pool, read-ir) nest inside; under --metrics the bytecode
+/// statistics report op/pool/byte counts.
 void runPhaseBreakdown() {
   Fixture *F;
   {

@@ -215,12 +215,11 @@ BENCHMARK(BM_Compiled_AnyOf_BacktrackingWithVars);
 //===----------------------------------------------------------------------===//
 
 /// Phase breakdown (PerfHarness.h): each ablation scenario runs a fixed
-/// number of evaluations under its own timing scope; the statistics
-/// table then shows per-kind eval counts, variable bindings, AnyOf
-/// rollbacks, and the compiled engine's cache/dispatch counters for the
-/// whole run. The `*-interpreted` / `*-compiled` pairs run the *same*
-/// workload through both engines (tools/check_constraint_bench.py keys
-/// on these names).
+/// number of evaluations under its own timing scope; under --metrics the
+/// registry then shows the compiled engine's program-run and dispatch
+/// counters for the whole run. The `*-interpreted` / `*-compiled` pairs
+/// run the *same* workload through both engines
+/// (tools/check_constraint_bench.py keys on these names).
 void runPhaseBreakdown() {
   Fixture F;
   ConstraintPtr AnyOfC = Constraint::anyOf(F.Branches);

@@ -8,8 +8,7 @@
 /// Usage:
 ///   irdl_opt [--dialect file.irdl]... [--pass dce|conorm]...
 ///            [--generic] [--verify-each=0|1] [--emit-bytecode[=FILE]]
-///            [--timing]
-///            [--stats] [--stats-json=FILE] [--trace-json=FILE]
+///            [--timing] [--trace-json=FILE]
 ///            [--metrics] [--metrics-json=FILE] [--profile-constraints]
 ///            [--spec-cache-dir=DIR] [input.mlir]
 ///
@@ -21,13 +20,10 @@
 /// (docs/observability.md):
 ///
 ///   --timing           print a hierarchical wall-time tree (stderr)
-///   --stats            print the statistics registry (stderr)
-///   --stats-json=FILE  write the statistics registry as JSON (sorted by
-///                      group/name for deterministic diffs)
 ///   --trace-json=FILE  write a chrome://tracing / Perfetto trace
-///   --metrics          collect runtime metrics (counters/gauges/latency
-///                      histograms) and print the Prometheus text
-///                      exposition to stderr
+///   --metrics          collect runtime metrics (the statistics counters,
+///                      gauges, latency histograms) and print the
+///                      Prometheus text exposition to stderr
 ///   --metrics-json=FILE
 ///                      collect runtime metrics and write them as JSON
 ///                      (implies collection like --metrics)
@@ -65,7 +61,6 @@
 #include "support/Hashing.h"
 #include "support/Metrics.h"
 #include "support/Signal.h"
-#include "support/Statistic.h"
 #include "support/Timing.h"
 
 #include <atomic>
@@ -81,13 +76,11 @@ int main(int argc, char **argv) {
   std::string InputFile;
   std::string TraceJsonFile;
   std::string BytecodeFile;
-  std::string StatsJsonFile;
   std::string MetricsJsonFile;
   std::string SpecCacheDir;
   bool EmitBytecode = false;
   bool Generic = false;
   bool Timing = false;
-  bool Stats = false;
   bool Metrics = false;
   bool ProfileConstraints = false;
   bool VerifyEach = true;
@@ -109,8 +102,6 @@ int main(int argc, char **argv) {
       Generic = true;
     else if (Arg == "--timing")
       Timing = true;
-    else if (Arg == "--stats")
-      Stats = true;
     else if (Arg == "--metrics")
       Metrics = true;
     else if (Arg == "--profile-constraints")
@@ -119,13 +110,6 @@ int main(int argc, char **argv) {
       MetricsJsonFile = Arg.substr(std::string("--metrics-json=").size());
       if (MetricsJsonFile.empty()) {
         std::cerr << "--metrics-json= requires a file name\n";
-        return 1;
-      }
-    }
-    else if (Arg.rfind("--stats-json=", 0) == 0) {
-      StatsJsonFile = Arg.substr(std::string("--stats-json=").size());
-      if (StatsJsonFile.empty()) {
-        std::cerr << "--stats-json= requires a file name\n";
         return 1;
       }
     }
@@ -173,8 +157,7 @@ int main(int argc, char **argv) {
                    "[--pass dce|conorm]... [--generic]\n"
                    "                [--verify-each=0|1] "
                    "[--emit-bytecode[=FILE]]\n"
-                   "                [--timing] [--stats]\n"
-                   "                [--stats-json=FILE] [--trace-json=FILE] "
+                   "                [--timing] [--trace-json=FILE] "
                    "[--metrics]\n"
                    "                [--metrics-json=FILE] "
                    "[--profile-constraints]\n"
@@ -232,8 +215,8 @@ int main(int argc, char **argv) {
   // most once whichever path gets there first.
   struct ReportGuard {
     TimerGroup &Timers;
-    bool Timing, Stats, Metrics, ProfileConstraints;
-    std::string TraceJsonFile, StatsJsonFile, MetricsJsonFile;
+    bool Timing, Metrics, ProfileConstraints;
+    std::string TraceJsonFile, MetricsJsonFile;
     std::atomic<bool> Flushed{false};
     ~ReportGuard() { flush(); }
     void flush() {
@@ -242,15 +225,6 @@ int main(int argc, char **argv) {
       setActiveTimerGroup(nullptr);
       if (Timing)
         std::cerr << Timers.renderTree();
-      if (Stats)
-        std::cerr << StatisticRegistry::instance().renderTable();
-      if (!StatsJsonFile.empty()) {
-        std::ofstream Out(StatsJsonFile);
-        if (!Out)
-          std::cerr << "cannot write stats to " << StatsJsonFile << "\n";
-        else
-          Out << StatisticRegistry::instance().renderJson() << "\n";
-      }
       if (Metrics)
         std::cerr << MetricsRegistry::instance().renderPrometheus();
       if (!MetricsJsonFile.empty()) {
@@ -270,9 +244,8 @@ int main(int argc, char **argv) {
           Out << Timers.renderTraceJson("irdl_opt");
       }
     }
-  } Guard{Timers,        Timing,        Stats,
-          Metrics,       ProfileConstraints,
-          TraceJsonFile, StatsJsonFile, MetricsJsonFile};
+  } Guard{Timers, Timing, Metrics, ProfileConstraints, TraceJsonFile,
+          MetricsJsonFile};
   installExitFlushHandler([&Guard]() { Guard.flush(); });
 
   // Dialects loaded from textual IRDL are re-emitted by --emit-bytecode

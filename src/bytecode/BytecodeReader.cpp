@@ -27,11 +27,20 @@
 using namespace irdl;
 using namespace irdl::bytecode;
 
-IRDL_STATISTIC(Bytecode, NumOpsRead, "operations deserialized from bytecode");
+// Ops and bytes read share the IR readers' throughput families with the
+// text parser, told apart by the format label.
+static Statistic NumOpsRead("Bytecode", "NumOpsRead", "irdl_reader_ops_total",
+                            "operations materialized by IR readers",
+                            {{"format", "bytecode"}});
+static Statistic NumBytesRead("Bytecode", "NumBytesRead",
+                              "irdl_reader_bytes_total",
+                              "input bytes consumed by IR readers",
+                              {{"format", "bytecode"}});
 IRDL_STATISTIC(Bytecode, NumPoolEntriesRead,
+               "irdl_bytecode_pool_entries_read_total",
                "type/attr pool entries deserialized");
-IRDL_STATISTIC(Bytecode, NumSpecsRead, "dialect specs deserialized");
-IRDL_STATISTIC(Bytecode, NumBytesRead, "bytecode bytes consumed");
+IRDL_STATISTIC(Bytecode, NumSpecsRead, "irdl_bytecode_specs_read_total",
+               "dialect specs deserialized");
 
 namespace {
 
@@ -1413,27 +1422,14 @@ LogicalResult BytecodeReader::read(std::string_view Buffer,
   if (!metricsEnabled())
     return I.read(Buffer, Result);
 
-  // Reader throughput, comparable with the text parser through the
-  // shared format label.
-  MetricLabels BcLabel{{"format", "bytecode"}};
-  static Counter &Bytes = MetricsRegistry::instance().getCounter(
-      "irdl_reader_bytes_total", "input bytes consumed by IR readers",
-      BcLabel);
-  static Counter &Ops = MetricsRegistry::instance().getCounter(
-      "irdl_reader_ops_total", "operations materialized by IR readers",
-      BcLabel);
+  // Reader latency, comparable with the text parser through the shared
+  // format label (ops and bytes are counted as they are read).
   static Histogram &Duration = MetricsRegistry::instance().getHistogram(
       "irdl_reader_duration_ns", "wall time of one IR reader invocation",
-      BcLabel);
+      {{"format", "bytecode"}});
   uint64_t Begin = steadyNowNs();
   LogicalResult R = I.read(Buffer, Result);
   Duration.record(steadyNowNs() - Begin);
-  Bytes.inc(Buffer.size());
-  if (succeeded(R) && Result.Module) {
-    uint64_t NumOps = 0;
-    Result.Module->walk([&NumOps](Operation *) { ++NumOps; });
-    Ops.inc(NumOps);
-  }
   return R;
 }
 

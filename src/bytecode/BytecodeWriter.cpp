@@ -20,11 +20,15 @@
 using namespace irdl;
 using namespace irdl::bytecode;
 
-IRDL_STATISTIC(Bytecode, NumOpsWritten, "operations serialized to bytecode");
+IRDL_STATISTIC(Bytecode, NumOpsWritten, "irdl_bytecode_ops_written_total",
+               "operations serialized to bytecode");
 IRDL_STATISTIC(Bytecode, NumPoolEntriesWritten,
+               "irdl_bytecode_pool_entries_written_total",
                "type/attr pool entries serialized");
-IRDL_STATISTIC(Bytecode, NumSpecsWritten, "dialect specs serialized");
-IRDL_STATISTIC(Bytecode, NumBytesWritten, "bytecode bytes produced");
+IRDL_STATISTIC(Bytecode, NumSpecsWritten, "irdl_bytecode_specs_written_total",
+               "dialect specs serialized");
+IRDL_STATISTIC(Bytecode, NumBytesWritten, "irdl_bytecode_bytes_written_total",
+               "bytecode bytes produced");
 
 namespace {
 

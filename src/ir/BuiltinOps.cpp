@@ -123,6 +123,27 @@ bool isIntegerType(const IRContext &Ctx, Type T, unsigned Width,
              EnumVal{Ctx.getSignednessEnum(), static_cast<unsigned>(Sign)};
 }
 
+/// True when some integer of \p Width bits and signedness \p Sign holds
+/// \p V: siN in [-2^(N-1), 2^(N-1)-1], uiN in [0, 2^N-1], and a
+/// signless iN under either reading.
+bool integerFits(int64_t V, unsigned Width, Signedness Sign) {
+  if (Width == 0)
+    return V == 0;
+  bool FitsSigned = Width >= 64 || (V >= -(int64_t(1) << (Width - 1)) &&
+                                    V < (int64_t(1) << (Width - 1)));
+  bool FitsUnsigned =
+      V >= 0 && (Width >= 64 || static_cast<uint64_t>(V) >> Width == 0);
+  switch (Sign) {
+  case Signedness::Signed:
+    return FitsSigned;
+  case Signedness::Unsigned:
+    return FitsUnsigned;
+  case Signedness::Signless:
+    break;
+  }
+  return FitsSigned || FitsUnsigned;
+}
+
 LogicalResult verifyBinaryFloatOp(Operation *Op, DiagnosticEngine &Diags) {
   if (Op->getNumOperands() != 2 || Op->getNumResults() != 1 ||
       Op->getNumRegions() != 0) {
@@ -170,6 +191,13 @@ LogicalResult verifyConstant(Operation *Op, DiagnosticEngine &Diags) {
   } else {
     const IntVal &IV = V.getParams()[0].getInt();
     Matches = isIntegerType(*Ctx, ResultTy, IV.Width, IV.Sign);
+    if (Matches && !integerFits(IV.Value, IV.Width, IV.Sign)) {
+      Diags.emitError(Op->getLoc(),
+                      "integer constant " + std::to_string(IV.Value) +
+                          " does not fit its type " +
+                          printTypeToString(ResultTy));
+      return failure();
+    }
   }
   if (!Matches) {
     Diags.emitError(Op->getLoc(),

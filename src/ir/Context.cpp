@@ -12,12 +12,16 @@
 using namespace irdl;
 
 IRDL_STATISTIC(Uniquing, NumTypeUniqueHits,
+               "irdl_uniquer_type_hits_total",
                "type uniquing requests served from the pool");
 IRDL_STATISTIC(Uniquing, NumTypeUniqueMisses,
+               "irdl_uniquer_type_misses_total",
                "type uniquing requests that allocated storage");
 IRDL_STATISTIC(Uniquing, NumAttrUniqueHits,
+               "irdl_uniquer_attr_hits_total",
                "attribute uniquing requests served from the pool");
 IRDL_STATISTIC(Uniquing, NumAttrUniqueMisses,
+               "irdl_uniquer_attr_misses_total",
                "attribute uniquing requests that allocated storage");
 
 // Implemented in BuiltinOps.cpp; registers module/func/return/arith ops.

@@ -16,7 +16,7 @@
 
 using namespace irdl;
 
-IRDL_STATISTIC(IRParser, NumBuffersParsed,
+IRDL_STATISTIC(IRParser, NumBuffersParsed, "irdl_parser_buffers_total",
                "textual IR buffers parsed end to end");
 
 namespace irdl {

@@ -2,7 +2,6 @@
 
 #include "ir/OpArena.h"
 
-#include "support/Metrics.h"
 #include "support/Statistic.h"
 
 #include <cassert>
@@ -22,10 +21,14 @@
 
 using namespace irdl;
 
-IRDL_STATISTIC(Arena, NumArenaAllocations, "blocks served by op arenas");
-IRDL_STATISTIC(Arena, NumArenaSlabs, "slabs reserved by op arenas");
-IRDL_STATISTIC(Arena, NumArenaReusedBlocks,
+IRDL_STATISTIC(Arena, NumArenaAllocations, "ir_arena_blocks_allocated_total",
+               "blocks served by operation arenas");
+IRDL_STATISTIC(Arena, NumArenaSlabs, "ir_arena_slabs_allocated_total",
+               "slabs reserved by operation arenas");
+IRDL_STATISTIC(Arena, NumArenaReusedBlocks, "ir_arena_blocks_reused_total",
                "arena allocations served from a free list");
+IRDL_STATISTIC(Arena, NumArenaBytes, "ir_arena_bytes_allocated_total",
+               "bytes served by operation arenas");
 
 namespace {
 
@@ -55,33 +58,13 @@ void unpoisonBlock(void *Ptr, size_t Size) {
 #endif
 }
 
-/// Process-wide arena telemetry for the metrics layer (PR 5). Counters
-/// aggregate over every arena in the process; the live-bytes gauge goes
-/// down again as ops are erased and arenas die.
-struct ArenaMetrics {
-  Counter &Slabs;
-  Counter &BytesAllocated;
-  Counter &BlocksReused;
-  Gauge &BytesLive;
-
-  static ArenaMetrics &instance() {
-    static ArenaMetrics M{
-        MetricsRegistry::instance().getCounter(
-            "ir_arena_slabs_allocated_total",
-            "slabs reserved by operation arenas"),
-        MetricsRegistry::instance().getCounter(
-            "ir_arena_bytes_allocated_total",
-            "bytes served by operation arenas"),
-        MetricsRegistry::instance().getCounter(
-            "ir_arena_blocks_reused_total",
-            "arena allocations served from a free list"),
-        MetricsRegistry::instance().getGauge(
-            "ir_arena_bytes_live",
-            "bytes currently handed out by operation arenas"),
-    };
-    return M;
-  }
-};
+/// Bytes handed out by every arena in the process; goes down again as ops
+/// are erased and arenas die.
+Gauge &bytesLive() {
+  static Gauge &G = MetricsRegistry::instance().getGauge(
+      "ir_arena_bytes_live", "bytes currently handed out by operation arenas");
+  return G;
+}
 
 } // namespace
 
@@ -91,8 +74,7 @@ OpArena::~OpArena() {
   // Slab memory (and any live bytes) disappears with the arena; keep the
   // process-wide live gauge honest.
   if (metricsEnabled() && Stats.BytesLive)
-    ArenaMetrics::instance().BytesLive.sub(
-        static_cast<int64_t>(Stats.BytesLive));
+    bytesLive().sub(static_cast<int64_t>(Stats.BytesLive));
 }
 
 void *OpArena::allocate(size_t Size, size_t Align) {
@@ -105,11 +87,9 @@ void *OpArena::allocate(size_t Size, size_t Align) {
   Stats.BytesAllocated += Size;
   Stats.BytesLive += Size;
   ++NumArenaAllocations;
-  bool MetricsOn = metricsEnabled();
-  if (MetricsOn) {
-    ArenaMetrics::instance().BytesAllocated.inc(Size);
-    ArenaMetrics::instance().BytesLive.add(static_cast<int64_t>(Size));
-  }
+  NumArenaBytes += Size;
+  if (metricsEnabled())
+    bytesLive().add(static_cast<int64_t>(Size));
 
   if (Size <= MaxBucketedSize) {
     size_t Bucket = Size / Granule - 1;
@@ -119,8 +99,6 @@ void *OpArena::allocate(size_t Size, size_t Align) {
       Stats.FreeListHits++;
       Stats.BytesReused += Size;
       ++NumArenaReusedBlocks;
-      if (MetricsOn)
-        ArenaMetrics::instance().BlocksReused.inc();
       return Head;
     }
     if (static_cast<size_t>(End - Cur) < Size) {
@@ -130,8 +108,6 @@ void *OpArena::allocate(size_t Size, size_t Align) {
       Stats.Slabs++;
       Stats.SlabBytes += SlabSize;
       ++NumArenaSlabs;
-      if (MetricsOn)
-        ArenaMetrics::instance().Slabs.inc();
     }
     void *Result = Cur;
     Cur += Size;
@@ -154,7 +130,7 @@ void OpArena::deallocate(void *Ptr, size_t Size) {
   Stats.NumFrees++;
   Stats.BytesLive -= Size;
   if (metricsEnabled())
-    ArenaMetrics::instance().BytesLive.sub(static_cast<int64_t>(Size));
+    bytesLive().sub(static_cast<int64_t>(Size));
 
   if (Size <= MaxBucketedSize) {
     size_t Bucket = Size / Granule - 1;

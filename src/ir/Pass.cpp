@@ -12,13 +12,18 @@
 
 using namespace irdl;
 
-IRDL_STATISTIC(Pass, NumPassesRun, "passes run to completion");
-IRDL_STATISTIC(Pass, NumPassFailures, "passes that returned failure");
+IRDL_STATISTIC(Pass, NumPassesRun, "irdl_pass_runs_total",
+               "passes run to completion");
+IRDL_STATISTIC(Pass, NumPassFailures, "irdl_pass_failures_total",
+               "passes that returned failure");
 IRDL_STATISTIC(Pass, NumInterPassVerifications,
+               "irdl_pass_verifications_total",
                "inter-pass verifier runs by the pass manager");
 IRDL_STATISTIC(Pass, NumFunctionsProcessed,
+               "irdl_pass_functions_processed_total",
                "function roots processed by function passes");
-IRDL_STATISTIC(DCE, NumOpsErased, "operations erased by dce");
+IRDL_STATISTIC(DCE, NumOpsErased, "irdl_dce_ops_erased_total",
+               "operations erased by dce");
 
 Pass::~Pass() = default;
 

@@ -14,10 +14,12 @@
 using namespace irdl;
 
 IRDL_STATISTIC(Rewrite, NumGreedyIterations,
+               "irdl_rewrite_greedy_iterations_total",
                "greedy rewriter worklist sweeps");
-IRDL_STATISTIC(Rewrite, NumPatternRewrites,
+IRDL_STATISTIC(Rewrite, NumPatternRewrites, "irdl_rewrite_rewrites_total",
                "successful pattern applications");
 IRDL_STATISTIC(Rewrite, NumPatternMatchFailures,
+               "irdl_rewrite_match_failures_total",
                "pattern matchAndRewrite attempts that failed");
 
 PatternRewriter::~PatternRewriter() = default;

@@ -14,11 +14,12 @@
 
 using namespace irdl;
 
-IRDL_STATISTIC(Verifier, NumVerifierRuns,
+IRDL_STATISTIC(Verifier, NumVerifierRuns, "irdl_verify_runs_total",
                "entry-point structural verifications");
-IRDL_STATISTIC(Verifier, NumOpsVerified,
+IRDL_STATISTIC(Verifier, NumOpsVerified, "irdl_verify_ops_total",
                "operations structurally verified");
 IRDL_STATISTIC(Verifier, NumOpsNumbered,
+               "irdl_verify_ops_numbered_total",
                "operations numbered for same-block dominance");
 
 //===----------------------------------------------------------------------===//

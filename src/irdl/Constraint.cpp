@@ -3,59 +3,10 @@
 #include "irdl/Constraint.h"
 
 #include "ir/Printer.h"
-#include "support/Statistic.h"
 
 #include <sstream>
 
 using namespace irdl;
-
-IRDL_STATISTIC(Constraint, NumConstraintEvals,
-               "constraint nodes evaluated");
-IRDL_STATISTIC(Constraint, NumVarBindings,
-               "constraint variables bound to a value");
-IRDL_STATISTIC(Constraint, NumVarBindingHits,
-               "variable uses resolved against an existing binding");
-IRDL_STATISTIC(Constraint, NumAnyOfRollbacks,
-               "AnyOf branches rolled back after a failed match");
-IRDL_STATISTIC(Constraint, NumCppPredEvals,
-               "interpreted IRDL-C++ predicate evaluations");
-IRDL_STATISTIC(Constraint, NumNativePredEvals,
-               "native-callback predicate evaluations");
-
-/// Per-kind evaluation counters, indexed by Constraint::Kind. Kept in one
-/// table (rather than 23 IRDL_STATISTIC declarations) but registered in
-/// the same registry under the ConstraintKind group.
-static Statistic &kindStat(Constraint::Kind K) {
-  static Statistic Stats[] = {
-      {"ConstraintKind", "AnyType", "evals of AnyType"},
-      {"ConstraintKind", "AnyAttr", "evals of AnyAttr"},
-      {"ConstraintKind", "AnyParam", "evals of AnyParam"},
-      {"ConstraintKind", "TypeParams", "evals of parametric-type"},
-      {"ConstraintKind", "AttrParams", "evals of parametric-attr"},
-      {"ConstraintKind", "IntKind", "evals of integer-kind"},
-      {"ConstraintKind", "IntEq", "evals of integer-literal"},
-      {"ConstraintKind", "FloatKind", "evals of float-kind"},
-      {"ConstraintKind", "FloatEq", "evals of float-literal"},
-      {"ConstraintKind", "StringKind", "evals of string-kind"},
-      {"ConstraintKind", "StringEq", "evals of string-literal"},
-      {"ConstraintKind", "EnumKind", "evals of enum-kind"},
-      {"ConstraintKind", "EnumEq", "evals of enum-constructor"},
-      {"ConstraintKind", "ArrayOf", "evals of array-of"},
-      {"ConstraintKind", "ArrayExact", "evals of fixed-array"},
-      {"ConstraintKind", "OpaqueKind", "evals of opaque-kind"},
-      {"ConstraintKind", "AnyOf", "evals of AnyOf"},
-      {"ConstraintKind", "And", "evals of And"},
-      {"ConstraintKind", "Not", "evals of Not"},
-      {"ConstraintKind", "Var", "evals of constraint-variable"},
-      {"ConstraintKind", "Cpp", "evals of IRDL-C++ constraints"},
-      {"ConstraintKind", "Native", "evals of native constraints"},
-      {"ConstraintKind", "Named", "evals of named-constraint uses"},
-  };
-  static_assert(sizeof(Stats) / sizeof(Stats[0]) ==
-                    (size_t)Constraint::Kind::Named + 1,
-                "kind table out of sync with Constraint::Kind");
-  return Stats[(size_t)K];
-}
 
 //===----------------------------------------------------------------------===//
 // Factories
@@ -305,8 +256,6 @@ void Constraint::computeFlags() {
 //===----------------------------------------------------------------------===//
 
 bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
-  ++NumConstraintEvals;
-  ++kindStat(K);
   switch (K) {
   case Kind::AnyType:
     return V.isType();
@@ -396,7 +345,6 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
       MatchContext::Mark M = MC.mark();
       if (Child->matches(V, MC))
         return true;
-      ++NumAnyOfRollbacks;
       MC.undoTo(M);
     }
     return false;
@@ -416,25 +364,21 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
   case Kind::Var: {
     const auto &Binding = MC.getBinding(VarIndex);
     if (Binding) {
-      ++NumVarBindingHits;
       return *Binding == V;
     }
     if (!MC.getVarConstraint(VarIndex)->matches(V, MC))
       return false;
     MC.bind(VarIndex, V);
-    ++NumVarBindings;
     return true;
   }
   case Kind::Cpp: {
     if (!Children[0]->matches(V, MC) || !CppPred)
       return false;
-    ++NumCppPredEvals;
     return CppPred(V);
   }
   case Kind::Native: {
     if (!Children[0]->matches(V, MC) || !NativeFn)
       return false;
-    ++NumNativePredEvals;
     return NativeFn(V);
   }
   case Kind::Named:

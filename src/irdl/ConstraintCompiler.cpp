@@ -7,10 +7,13 @@
 using namespace irdl;
 
 IRDL_STATISTIC(ConstraintCompiler, NumProgramsCompiled,
+               "irdl_constraint_programs_compiled_total",
                "constraint programs compiled");
 IRDL_STATISTIC(ConstraintCompiler, NumInstrsEmitted,
+               "irdl_constraint_instrs_emitted_total",
                "constraint program instructions emitted");
 IRDL_STATISTIC(ConstraintCompiler, NumDispatchTablesBuilt,
+               "irdl_constraint_dispatch_tables_built_total",
                "AnyOf nodes lowered to dispatch tables");
 
 namespace {

@@ -13,6 +13,7 @@
 using namespace irdl;
 
 IRDL_STATISTIC(ConstraintProgram, NumProgramRuns,
+               "irdl_constraint_program_runs_total",
                "compiled constraint program executions");
 
 namespace {

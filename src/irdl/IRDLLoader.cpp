@@ -14,10 +14,13 @@
 using namespace irdl;
 
 IRDL_STATISTIC(IRDLFrontend, NumBuffersLoaded,
+               "irdl_frontend_buffers_loaded_total",
                "IRDL buffers run through the frontend");
 IRDL_STATISTIC(IRDLFrontend, NumDialectsRegistered,
+               "irdl_frontend_dialects_registered_total",
                "dialects registered from IRDL specs");
 IRDL_STATISTIC(IRDLFrontend, NumOpsRegistered,
+               "irdl_frontend_ops_registered_total",
                "operations registered from IRDL specs");
 
 size_t IRDLModule::getNumOps() const {

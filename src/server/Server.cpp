@@ -9,6 +9,8 @@
 #include "support/Metrics.h"
 #include "support/Timing.h"
 
+#include <atomic>
+#include <cassert>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,25 +23,53 @@ using namespace irdl::serve;
 
 namespace {
 
+/// Returns *\p Slot, filling it from \p Make on first use. Two threads
+/// that race to fill a slot get the same series from the registry.
+template <typename SeriesT, typename MakeT>
+SeriesT &resolveOnce(std::atomic<SeriesT *> &Slot, MakeT Make) {
+  SeriesT *S = Slot.load(std::memory_order_acquire);
+  if (!S) {
+    S = &Make();
+    Slot.store(S, std::memory_order_release);
+  }
+  return *S;
+}
+
 /// Server-side request accounting. Recorded unconditionally (not gated on
 /// metricsEnabled()): the METRICS endpoint must report served counts even
 /// when the host process did not opt into library instrumentation, and
-/// the cost is a handful of atomics per request.
+/// the cost is a handful of atomics per request. Each (type, status)
+/// series is looked up under the registry lock once, on its first
+/// request, so it still appears in METRICS only once it has been served.
 void recordRequest(FrameType Type, FrameStatus Status, uint64_t DurationNs) {
-  std::string TypeName(frameTypeName(Type));
+  constexpr unsigned NumTypes = static_cast<unsigned>(FrameType::Ping) + 1;
+  constexpr unsigned NumStatuses =
+      static_cast<unsigned>(FrameStatus::ProtocolError) + 1;
+  // Slot 0 collects every unknown frame type ("UNKNOWN").
+  static std::atomic<Counter *> Requests[NumTypes][NumStatuses];
+  static std::atomic<Histogram *> Durations[NumTypes];
+
+  unsigned T = static_cast<unsigned>(Type);
+  if (T >= NumTypes || !isKnownFrameType(static_cast<uint8_t>(Type)))
+    T = 0;
+  unsigned S = static_cast<unsigned>(Status);
+  assert(S < NumStatuses && "unknown response status");
+  std::string_view TypeName = frameTypeName(Type);
   std::string_view StatusName = Status == FrameStatus::Ok     ? "ok"
                                 : Status == FrameStatus::Fail ? "fail"
                                                               : "protocol_error";
-  MetricsRegistry::instance()
-      .getCounter("irdl_serve_requests_total",
-                  "requests served by irdl_serve",
-                  {{"type", TypeName}, {"status", std::string(StatusName)}})
-      .inc();
-  MetricsRegistry::instance()
-      .getHistogram("irdl_serve_request_duration_ns",
-                    "end-to-end server-side request handling time",
-                    {{"type", TypeName}})
-      .record(DurationNs);
+  resolveOnce(Requests[T][S], [&]() -> Counter & {
+    return MetricsRegistry::instance().getCounter(
+        "irdl_serve_requests_total", "requests served by irdl_serve",
+        {{"type", std::string(TypeName)},
+         {"status", std::string(StatusName)}});
+  }).inc();
+  resolveOnce(Durations[T], [&]() -> Histogram & {
+    return MetricsRegistry::instance().getHistogram(
+        "irdl_serve_request_duration_ns",
+        "end-to-end server-side request handling time",
+        {{"type", std::string(TypeName)}});
+  }).record(DurationNs);
 }
 
 Gauge &epochGauge() {

@@ -5,8 +5,9 @@
 /// registry of labeled **counters**, **gauges**, and **log-bucketed
 /// histograms**, built for a long-lived daemon (`irdl_serve`) where the
 /// operational contract is rates (dispatch-table hit ratio), distributions
-/// (p50/p99 verification latency), and load (active connections) —
-/// questions the run-scoped TimerGroup/Statistic layers cannot answer.
+/// (p50/p99 verification latency), and load (active connections). It is
+/// the one counter system: every `IRDL_STATISTIC` (support/Statistic.h)
+/// is a counter here.
 ///
 /// Design points:
 ///
@@ -32,11 +33,11 @@
 ///    always within one power-of-2 bucket boundary of the exact value.
 ///
 ///  * **Zero cost when off.** Recording is *unconditional* at the metric
-///    object level; instrumented call sites guard with
-///    `if (irdl::metricsEnabled())` — one relaxed atomic load and a
-///    predictable branch — so a build with metrics disabled (the default
-///    for one-shot runs) pays nothing measurable on the verifier hot
-///    path. Drivers flip the flag with `--metrics` / `--metrics-json`.
+///    object level; instrumented call sites (and every Statistic bump)
+///    guard with `if (irdl::metricsEnabled())` — one relaxed atomic load
+///    and a predictable branch — so a build with metrics disabled (the
+///    default for one-shot runs) pays nothing measurable on the verifier
+///    hot path. Drivers flip the flag with `--metrics` / `--metrics-json`.
 ///
 /// Exporters: Prometheus text exposition format (`renderPrometheus`) and
 /// JSON (`renderJson`, with precomputed p50/p90/p99 per histogram).

@@ -2,16 +2,20 @@
 
 #include "support/Statistic.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <sstream>
-
 using namespace irdl;
 
-Statistic::Statistic(const char *Group, const char *Name, const char *Desc)
-    : Group(Group), Name(Name), Desc(Desc) {
-  StatisticRegistry::instance().add(this);
+/// Head of the list of every Statistic, newest first. Statistics are
+/// constructed during static initialization, before any thread starts.
+static Statistic *Head = nullptr;
+
+Statistic::Statistic(const char *Group, const char *Name,
+                     std::string_view Metric, std::string_view Help,
+                     MetricLabels Labels)
+    : Group(Group), Name(Name),
+      C(MetricsRegistry::instance().getCounter(Metric, Help,
+                                               std::move(Labels))),
+      Next(Head) {
+  Head = this;
 }
 
 StatisticRegistry &StatisticRegistry::instance() {
@@ -19,75 +23,10 @@ StatisticRegistry &StatisticRegistry::instance() {
   return Registry;
 }
 
-void StatisticRegistry::add(Statistic *S) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Stats.push_back(S);
-}
-
-std::vector<Statistic *> StatisticRegistry::getAll() const {
-  std::vector<Statistic *> Result;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Result = Stats;
-  }
-  std::sort(Result.begin(), Result.end(),
-            [](const Statistic *A, const Statistic *B) {
-              int G = std::strcmp(A->getGroup(), B->getGroup());
-              if (G != 0)
-                return G < 0;
-              return std::strcmp(A->getName(), B->getName()) < 0;
-            });
-  return Result;
-}
-
 Statistic *StatisticRegistry::lookup(std::string_view Group,
                                      std::string_view Name) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (Statistic *S : Stats)
-    if (Group == S->getGroup() && Name == S->getName())
+  for (Statistic *S = Head; S; S = S->Next)
+    if (Group == S->Group && Name == S->Name)
       return S;
   return nullptr;
-}
-
-std::string StatisticRegistry::renderTable(bool IncludeZero) const {
-  std::ostringstream OS;
-  OS << "===-------------------------------------------------------"
-        "---===\n";
-  OS << "  statistics\n";
-  OS << "===-------------------------------------------------------"
-        "---===\n";
-  char Buf[32];
-  for (const Statistic *S : getAll()) {
-    if (!IncludeZero && S->get() == 0)
-      continue;
-    std::snprintf(Buf, sizeof(Buf), "%12llu",
-                  (unsigned long long)S->get());
-    OS << Buf << "  " << S->getGroup() << "." << S->getName() << " - "
-       << S->getDesc() << "\n";
-  }
-  return OS.str();
-}
-
-std::string StatisticRegistry::renderJson(bool IncludeZero) const {
-  std::ostringstream OS;
-  OS << "[";
-  bool First = true;
-  for (const Statistic *S : getAll()) {
-    if (!IncludeZero && S->get() == 0)
-      continue;
-    if (!First)
-      OS << ",";
-    First = false;
-    OS << "\n{\"group\":\"" << S->getGroup() << "\",\"name\":\""
-       << S->getName() << "\",\"value\":" << S->get() << ",\"desc\":\""
-       << S->getDesc() << "\"}";
-  }
-  OS << "\n]";
-  return OS.str();
-}
-
-void StatisticRegistry::resetAll() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (Statistic *S : Stats)
-    S->reset();
 }

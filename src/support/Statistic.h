@@ -1,47 +1,46 @@
-//===- Statistic.h - Cheap named counters ------------------------*- C++ -*-===//
+//===- Statistic.h - Named counters in the metrics registry -----*- C++ -*-===//
 ///
 /// \file
-/// LLVM-`STATISTIC`-style counters: a Statistic is a named atomic counter
-/// that registers itself with a process-wide registry at construction and
-/// costs one relaxed atomic increment per bump. Instrumented code declares
-/// counters at file scope with
+/// LLVM-`STATISTIC`-style declarations over the one counter system: a
+/// Statistic is a handle to a MetricsRegistry counter, declared at file
+/// scope with a group, a variable name and a Prometheus name:
 ///
-///   IRDL_STATISTIC(Verifier, NumConstraintEvals, "constraint evals");
+///   IRDL_STATISTIC(Verifier, NumOpsVerified, "irdl_verifier_ops_total",
+///                  "operations checked by the verifier");
 ///   ...
-///   ++NumConstraintEvals;
+///   ++NumOpsVerified;
 ///
-/// and drivers dump the registry sorted by (group, name) as a table or as
-/// machine-readable JSON. Statistics are cheap enough to always collect.
+/// A bump records only while `metricsEnabled()`; with collection off it
+/// costs one relaxed load and a branch and writes nothing. The counter
+/// shows up in `--metrics` / `--metrics-json` under its Prometheus name.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IRDL_SUPPORT_STATISTIC_H
 #define IRDL_SUPPORT_STATISTIC_H
 
-#include <atomic>
+#include "support/Metrics.h"
+
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
+#include <string_view>
 
 namespace irdl {
 
-/// One named counter. Construction registers it permanently with the
-/// StatisticRegistry, so instances must have static storage duration.
+/// A (group, name) handle to one MetricsRegistry counter. Instances must
+/// have static storage duration: construction links them into the list
+/// that StatisticRegistry::lookup walks.
 class Statistic {
 public:
-  Statistic(const char *Group, const char *Name, const char *Desc);
+  Statistic(const char *Group, const char *Name, std::string_view Metric,
+            std::string_view Help, MetricLabels Labels = {});
 
   Statistic(const Statistic &) = delete;
   Statistic &operator=(const Statistic &) = delete;
 
-  const char *getGroup() const { return Group; }
-  const char *getName() const { return Name; }
-  const char *getDesc() const { return Desc; }
-
-  uint64_t get() const { return Value.load(std::memory_order_relaxed); }
+  uint64_t get() const { return C.get(); }
   void inc(uint64_t N = 1) {
-    Value.fetch_add(N, std::memory_order_relaxed);
+    if (metricsEnabled())
+      C.inc(N);
   }
   Statistic &operator++() {
     inc();
@@ -51,47 +50,28 @@ public:
     inc(N);
     return *this;
   }
-  void reset() { Value.store(0, std::memory_order_relaxed); }
 
 private:
+  friend class StatisticRegistry;
   const char *Group;
   const char *Name;
-  const char *Desc;
-  std::atomic<uint64_t> Value{0};
+  Counter &C;
+  Statistic *Next;
 };
 
-/// The process-wide set of all Statistic instances.
+/// Finds a statistic by its (group, variable name) pair.
 class StatisticRegistry {
 public:
   static StatisticRegistry &instance();
 
-  void add(Statistic *S);
-
-  /// All registered statistics, sorted by (group, name).
-  std::vector<Statistic *> getAll() const;
-
-  /// Looks up one statistic; null if absent.
+  /// The statistic declared as GROUP.NAME; null if absent.
   Statistic *lookup(std::string_view Group, std::string_view Name) const;
-
-  /// Aligned "value group.name - description" table; zero-valued
-  /// counters are skipped unless \p IncludeZero.
-  std::string renderTable(bool IncludeZero = false) const;
-
-  /// JSON array [{"group":...,"name":...,"value":N,"desc":...},...].
-  std::string renderJson(bool IncludeZero = false) const;
-
-  /// Zeroes every registered counter (bench/test isolation).
-  void resetAll();
-
-private:
-  StatisticRegistry() = default;
-  mutable std::mutex Mu;
-  std::vector<Statistic *> Stats;
 };
 
-/// Declares a file-local statistic named VARNAME in group GROUP.
-#define IRDL_STATISTIC(GROUP, VARNAME, DESC)                                \
-  static ::irdl::Statistic VARNAME(#GROUP, #VARNAME, DESC)
+/// Declares a file-local statistic named VARNAME in group GROUP, counted
+/// by the MetricsRegistry counter METRIC.
+#define IRDL_STATISTIC(GROUP, VARNAME, METRIC, HELP)                        \
+  static ::irdl::Statistic VARNAME(#GROUP, #VARNAME, METRIC, HELP)
 
 } // namespace irdl
 

@@ -273,6 +273,34 @@ TEST(BytecodeError, NonIEEEFloatWidthIsRejected) {
       << Rendered;
 }
 
+TEST(BytecodeError, OutOfRangeIntegerConstantFailsVerification) {
+  // The reader takes any int64 constant value; the verifier checks that
+  // it fits the constant's type, so `999 : i1` reads but does not verify.
+  IRContext Ctx;
+  SourceMgr SrcMgr;
+  DiagnosticEngine Diags(&SrcMgr);
+  OwningOpRef IR =
+      parseSourceString(Ctx, "%c = std.constant 1 : i1", SrcMgr, Diags);
+  ASSERT_TRUE(IR) << Diags.renderAll();
+  Operation &C = IR->getRegion(0).front().front();
+  C.setAttr("value", Ctx.getIntegerAttr(999, 1));
+  BytecodeWriter Writer;
+  Writer.setModule(IR.get());
+
+  IRContext ReadCtx;
+  DiagnosticEngine ReadDiags;
+  BytecodeReader Reader(ReadCtx, ReadDiags);
+  BytecodeReadResult Result;
+  ASSERT_TRUE(succeeded(Reader.read(Writer.write(), Result)))
+      << ReadDiags.renderAll();
+  ASSERT_TRUE(Result.Module);
+  EXPECT_TRUE(failed(Result.Module->verify(ReadDiags)));
+  EXPECT_NE(ReadDiags.renderAll().find(
+                "integer constant 999 does not fit its type i1"),
+            std::string::npos)
+      << ReadDiags.renderAll();
+}
+
 TEST(BytecodeError, UnknownDefinitionInPool) {
   // A module using a dialect type read into a context where the dialect
   // was never registered (spec section stripped) must fail by name.

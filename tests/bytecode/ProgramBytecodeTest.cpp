@@ -16,6 +16,7 @@
 #include "bytecode/Encoding.h"
 #include "bytecode/SpecCache.h"
 #include "common/EngineOracle.h"
+#include "common/ScopedMetrics.h"
 #include "corpus/Corpus.h"
 #include "corpus/ModuleSynthesizer.h"
 #include "ir/Block.h"
@@ -128,6 +129,7 @@ TEST(ProgramBytecode, DeserializedProgramsAreNotRecompiled) {
   Statistic *Compiled = StatisticRegistry::instance().lookup(
       "ConstraintCompiler", "NumProgramsCompiled");
   ASSERT_NE(Compiled, nullptr);
+  ScopedMetricsEnabled Metrics;
   uint64_t Before = Compiled->get();
 
   std::string Path = writeTempFile("program_bytecode_corpus", F.SpecBytes);
@@ -145,6 +147,16 @@ TEST(ProgramBytecode, DeserializedProgramsAreNotRecompiled) {
   // Every compiled program came out of the Programs section; registration
   // found all slots populated and compiled nothing.
   EXPECT_EQ(Compiled->get(), Before);
+
+  // Positive control: the same specs through the textual frontend do
+  // compile, so the check above cannot pass on a counter that never moves.
+  IRContext TextCtx;
+  SourceMgr TextSrcMgr;
+  DiagnosticEngine TextDiags(&TextSrcMgr);
+  ASSERT_TRUE(static_cast<bool>(
+      loadSyntheticCorpus(TextCtx, TextSrcMgr, TextDiags)))
+      << TextDiags.renderAll();
+  EXPECT_GT(Compiled->get(), Before);
 }
 
 /// Loads \p SpecBytes two more ways next to the textual frontend that

@@ -6,11 +6,11 @@
 /// the op's block. Verified with a statistic-delta, the same technique
 /// PR 8 used to lock spec-cache no-recompile behavior.
 
+#include "common/ScopedMetrics.h"
 #include "ir/Block.h"
 #include "ir/Context.h"
 #include "ir/OpArena.h"
 #include "ir/Region.h"
-#include "support/Metrics.h"
 #include "support/Statistic.h"
 
 #include <gtest/gtest.h>
@@ -44,6 +44,9 @@ protected:
     return Operation::create(State);
   }
 
+  // Statistics count only while collection is on; declared first so it
+  // stays on from before Ctx is built until after it is gone.
+  ScopedMetricsEnabled Metrics;
   IRContext Ctx;
   OpDefinition *ProduceDef = nullptr;
   OpDefinition *ConsumeDef = nullptr;
@@ -247,8 +250,6 @@ TEST_F(ArenaTest, ErasedBlocksAreReused) {
 }
 
 TEST_F(ArenaTest, LiveBytesGaugeDrainsOnContextDestruction) {
-  bool WasEnabled = metricsEnabled();
-  setMetricsEnabled(true);
   Gauge &Live = MetricsRegistry::instance().getGauge(
       "ir_arena_bytes_live", "bytes currently handed out by operation arenas");
   int64_t Before = Live.get();
@@ -269,7 +270,6 @@ TEST_F(ArenaTest, LiveBytesGaugeDrainsOnContextDestruction) {
   // Blocks, args, and ops all lived on the context's arena; destroying the
   // context must return the live-bytes gauge exactly to its prior level.
   EXPECT_EQ(Live.get(), Before);
-  setMetricsEnabled(WasEnabled);
 }
 
 TEST_F(ArenaTest, RawArenaRoundUpAndReuse) {

@@ -125,6 +125,34 @@ TEST_F(BuiltinOpsTest, IntegerConstant) {
   EXPECT_EQ(C.getAttr("value"), Ctx.getIntegerAttr(42, 32));
 }
 
+TEST_F(BuiltinOpsTest, IntegerConstantMustFitItsType) {
+  // siN holds [-2^(N-1), 2^(N-1)-1], uiN holds [0, 2^N-1], and a signless
+  // iN takes either reading.
+  for (const char *Bad : {"999 : i1", "-5 : ui8", "128 : si8", "256 : i8",
+                          "-129 : i8", "2 : ui1", "-2 : i1"}) {
+    OwningOpRef M = parse(std::string("%c = std.constant ") + Bad);
+    ASSERT_TRUE(static_cast<bool>(M)) << Bad << ": " << Diags.renderAll();
+    EXPECT_TRUE(failed(verify(M))) << Bad;
+  }
+  OwningOpRef M = parse("%c = std.constant 999 : i1");
+  ASSERT_TRUE(static_cast<bool>(M));
+  EXPECT_TRUE(failed(verify(M)));
+  EXPECT_NE(VDiags.renderAll().find(
+                "integer constant 999 does not fit its type i1"),
+            std::string::npos)
+      << VDiags.renderAll();
+
+  for (const char *Good :
+       {"255 : i8", "-128 : si8", "255 : ui8", "-128 : i8", "127 : si8",
+        "0 : ui1", "1 : i1", "-1 : i1", "-1 : si1",
+        "9223372036854775807 : ui64", "-9223372036854775808 : si64",
+        "-9223372036854775808 : i128"}) {
+    OwningOpRef M = parse(std::string("%c = std.constant ") + Good);
+    ASSERT_TRUE(static_cast<bool>(M)) << Good << ": " << Diags.renderAll();
+    EXPECT_TRUE(succeeded(verify(M))) << Good << ": " << VDiags.renderAll();
+  }
+}
+
 TEST_F(BuiltinOpsTest, VerificationInternsNoTypes) {
   // Constants of every kind and a cond_br: their verifiers compare the
   // result and condition types in place instead of building the types

@@ -3,6 +3,7 @@
 /// Locks in the hook-order contract documented in PassInstrumentation.h
 /// and the per-run behavior of the pass statistics.
 
+#include "common/ScopedMetrics.h"
 #include "ir/Context.h"
 #include "ir/IRParser.h"
 #include "ir/Pass.h"
@@ -249,6 +250,7 @@ TEST_F(PassInstrumentationTest, DceExposesRegistryStatistic) {
       StatisticRegistry::instance().lookup("DCE", "NumOpsErased");
   ASSERT_NE(NumOpsErased, nullptr)
       << "DCE.NumOpsErased not registered with the statistics registry";
+  ScopedMetricsEnabled Metrics;
   uint64_t Before = NumOpsErased->get();
 
   OwningOpRef M = parse(R"(

@@ -1,5 +1,6 @@
 //===- VerifierTest.cpp - Structural verification ----------------------===//
 
+#include "common/ScopedMetrics.h"
 #include "ir/Context.h"
 #include "ir/IRParser.h"
 #include "ir/Region.h"
@@ -222,6 +223,7 @@ TEST_F(VerifierTest, SameBlockDominanceIsLinear) {
   Statistic *Numbered =
       StatisticRegistry::instance().lookup("Verifier", "NumOpsNumbered");
   ASSERT_NE(Numbered, nullptr);
+  ScopedMetricsEnabled Metrics;
   auto OpsNumbered = [&](OwningOpRef &M) {
     uint64_t Before = Numbered->get();
     EXPECT_TRUE(succeeded(verify(M))) << VDiags.renderAll();

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <sys/socket.h>
@@ -593,9 +594,10 @@ TEST(ServerTest, BytecodeVerifyRejectsSpecPayloads) {
 
 TEST(ServerTest, VerifyInternsNothingIntoTheEpoch) {
   // Each request brings an integer type of a fresh width and signedness
-  // (i/si/ui of widths 1..128, in turn) and a constant of a value no
-  // earlier request used. Requests build their IR in a child of the
-  // epoch context, so none of it is interned into the epoch.
+  // (i/si/ui of widths 1..128, in turn) and a constant of the request's
+  // index, reduced below 2^(width-1) so that it fits every signedness.
+  // Requests build their IR in a child of the epoch context, so none of
+  // it is interned into the epoch.
   ServerFixture Fixture("nointern");
   ServeClient Client = Fixture.connect();
   std::shared_ptr<const Epoch> Pinned = Fixture.Server.epochs().current();
@@ -606,10 +608,12 @@ TEST(ServerTest, VerifyInternsNothingIntoTheEpoch) {
   const char *Prefixes[] = {"i", "si", "ui"};
   unsigned NumOk = 0;
   for (unsigned I = 0; I != NumRequests; ++I) {
-    std::string Ty = Prefixes[(I / 128) % 3] + std::to_string(1 + I % 128);
+    unsigned Width = 1 + I % 128;
+    std::string Ty = Prefixes[(I / 128) % 3] + std::to_string(Width);
+    uint64_t Value = I % (uint64_t(1) << std::min(Width - 1, 62u));
     std::string Text = "std.func @f(%a: " + Ty + ") -> " + Ty + " {\n" +
-                       "  %c = std.constant " + std::to_string(I) + " : " +
-                       Ty + "\n" +
+                       "  %c = std.constant " + std::to_string(Value) +
+                       " : " + Ty + "\n" +
                        "  std.return %c : " + Ty + "\n}\n";
     ResponseFrame Response;
     std::string Error;

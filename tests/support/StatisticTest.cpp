@@ -1,17 +1,20 @@
-//===- StatisticTest.cpp - Statistic registry ------------------------===//
+//===- StatisticTest.cpp - Statistic handles and lookup --------------===//
 
+#include "common/ScopedMetrics.h"
 #include "support/Statistic.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <thread>
+#include <vector>
 
 using namespace irdl;
 
 // File-scope counters, the way instrumented code declares them.
-IRDL_STATISTIC(StatisticTest, TestCounterA, "a test counter");
-IRDL_STATISTIC(StatisticTest, TestCounterB, "another test counter");
+IRDL_STATISTIC(StatisticTest, TestCounterA, "irdl_statistic_test_a_total",
+               "a test counter");
+IRDL_STATISTIC(StatisticTest, TestCounterB, "irdl_statistic_test_b_total",
+               "another test counter");
 
 namespace {
 
@@ -20,22 +23,38 @@ TEST(StatisticTest, RegistersAndLooksUp) {
       StatisticRegistry::instance().lookup("StatisticTest", "TestCounterA");
   ASSERT_NE(S, nullptr);
   EXPECT_EQ(S, &TestCounterA);
-  EXPECT_STREQ(S->getDesc(), "a test counter");
   EXPECT_EQ(StatisticRegistry::instance().lookup("StatisticTest", "Nope"),
+            nullptr);
+  EXPECT_EQ(StatisticRegistry::instance().lookup("Nope", "TestCounterA"),
             nullptr);
 }
 
 TEST(StatisticTest, IncrementAndAdd) {
-  TestCounterA.reset();
+  Counter &C = MetricsRegistry::instance().getCounter(
+      "irdl_statistic_test_a_total", "");
+  uint64_t Before = TestCounterA.get();
+  {
+    ScopedMetricsEnabled Metrics;
+    ++TestCounterA;
+    TestCounterA += 41;
+  }
+  // The statistic is the registry counter under its Prometheus name.
+  EXPECT_EQ(TestCounterA.get(), Before + 42);
+  EXPECT_EQ(C.get(), Before + 42);
+  EXPECT_NE(MetricsRegistry::instance().renderJson().find(
+                "\"name\":\"irdl_statistic_test_a_total\""),
+            std::string::npos);
+
+  // With collection off a bump records nothing.
+  ScopedMetricsEnabled Off(false);
   ++TestCounterA;
-  TestCounterA += 41;
-  EXPECT_EQ(TestCounterA.get(), 42u);
-  TestCounterA.reset();
-  EXPECT_EQ(TestCounterA.get(), 0u);
+  TestCounterA.inc(5);
+  EXPECT_EQ(TestCounterA.get(), Before + 42);
 }
 
 TEST(StatisticTest, AtomicUnderConcurrentIncrements) {
-  TestCounterB.reset();
+  ScopedMetricsEnabled Metrics;
+  uint64_t Before = TestCounterB.get();
   constexpr int NumThreads = 8;
   constexpr int IncsPerThread = 20000;
   std::vector<std::thread> Threads;
@@ -46,44 +65,8 @@ TEST(StatisticTest, AtomicUnderConcurrentIncrements) {
     });
   for (auto &T : Threads)
     T.join();
-  EXPECT_EQ(TestCounterB.get(),
+  EXPECT_EQ(TestCounterB.get() - Before,
             (uint64_t)NumThreads * (uint64_t)IncsPerThread);
-}
-
-TEST(StatisticTest, GetAllIsSortedByGroupThenName) {
-  auto All = StatisticRegistry::instance().getAll();
-  ASSERT_GE(All.size(), 2u);
-  for (size_t I = 1; I != All.size(); ++I) {
-    int G = std::strcmp(All[I - 1]->getGroup(), All[I]->getGroup());
-    EXPECT_TRUE(G < 0 ||
-                (G == 0 && std::strcmp(All[I - 1]->getName(),
-                                       All[I]->getName()) <= 0))
-        << All[I - 1]->getGroup() << "." << All[I - 1]->getName()
-        << " vs " << All[I]->getGroup() << "." << All[I]->getName();
-  }
-}
-
-TEST(StatisticTest, RenderTableSkipsZerosByDefault) {
-  TestCounterA.reset();
-  TestCounterB.reset();
-  ++TestCounterA;
-  std::string Table = StatisticRegistry::instance().renderTable();
-  EXPECT_NE(Table.find("StatisticTest.TestCounterA"), std::string::npos);
-  EXPECT_EQ(Table.find("StatisticTest.TestCounterB"), std::string::npos);
-  std::string Full =
-      StatisticRegistry::instance().renderTable(/*IncludeZero=*/true);
-  EXPECT_NE(Full.find("StatisticTest.TestCounterB"), std::string::npos);
-  TestCounterA.reset();
-}
-
-TEST(StatisticTest, RenderJsonContainsEntries) {
-  TestCounterA.reset();
-  TestCounterA += 7;
-  std::string Json = StatisticRegistry::instance().renderJson();
-  EXPECT_NE(Json.find("{\"group\":\"StatisticTest\",\"name\":"
-                      "\"TestCounterA\",\"value\":7,"),
-            std::string::npos);
-  TestCounterA.reset();
 }
 
 } // namespace

@@ -8,6 +8,9 @@ bench; either the bare registry object or a ``--json`` summary with a
 * the verifier latency histogram ``irdl_verify_function_duration_ns``
   must have samples — every workload this gate reads verifies IR, so an
   empty histogram means the verifier's instrumentation went dark;
+* the ops-verified statistic ``irdl_verify_ops_total`` must be nonzero —
+  statistics are counters in the same registry, so a zero means they
+  stopped reaching it (or the workload verified nothing);
 * the arena counters ``ir_arena_slabs_allocated_total`` and
   ``ir_arena_bytes_allocated_total`` must be nonzero — every
   Operation::create and Block::create goes through the per-context
@@ -33,6 +36,7 @@ import sys
 VERIFY_LATENCY = "irdl_verify_function_duration_ns"
 ARENA_SLABS = "ir_arena_slabs_allocated_total"
 ARENA_BYTES = "ir_arena_bytes_allocated_total"
+OPS_VERIFIED = "irdl_verify_ops_total"
 
 
 def series_key(entry):
@@ -69,6 +73,12 @@ def main(argv):
                   "workload that builds IR with metrics on must light "
                   "this up", file=sys.stderr)
             failed = True
+
+    if counters.get(OPS_VERIFIED, 0) == 0:
+        print(f"\nerror: {OPS_VERIFIED} is zero in {paths[0]} — the "
+              "workload verifies IR, so the verifier's statistics are not "
+              "reaching the metrics registry", file=sys.stderr)
+        failed = True
 
     print("histograms:")
     for hist in sorted(metrics.get("histograms", []), key=series_key):
