@@ -153,8 +153,8 @@ BENCHMARK(BM_LoadSpecs_Bytecode)->Unit(benchmark::kMillisecond);
 
 /// Phase breakdown (PerfHarness.h): both load paths under named timing
 /// scopes; the bytecode library's own scopes (bytecode-read, read-specs,
-/// read-pool, read-ir) nest inside; under --metrics the bytecode
-/// statistics report op/pool/byte counts.
+/// register, read-pool, read-ir) nest inside; under --metrics the
+/// bytecode statistics report op/pool/byte counts.
 void runPhaseBreakdown() {
   Fixture *F;
   {
@@ -180,35 +180,10 @@ void runPhaseBreakdown() {
       benchmark::DoNotOptimize(R);
     }
   }
-  {
-    IRDL_TIME_SCOPE("spec-frontend-x3");
-    PhaseSampler Sampler("spec-frontend");
-    for (int I = 0; I != 3; ++I)
-      Sampler.sample([&] {
-        IRContext Ctx;
-        SourceMgr SM;
-        DiagnosticEngine Diags(&SM);
-        auto Module =
-            loadIRDL(Ctx, F->SpecText, SM, Diags, corpusNativeOptions());
-        benchmark::DoNotOptimize(Module);
-      });
-  }
-  {
-    IRDL_TIME_SCOPE("spec-bytecode-x3");
-    PhaseSampler Sampler("spec-bytecode");
-    for (int I = 0; I != 3; ++I)
-      Sampler.sample([&] {
-        IRContext Ctx;
-        DiagnosticEngine Diags;
-        BytecodeReader Reader(Ctx, Diags, corpusNativeOptions());
-        BytecodeReadResult Result;
-        LogicalResult R = Reader.read(F->SpecBytes, Result);
-        benchmark::DoNotOptimize(R);
-      });
-  }
-
-  // The file load check_bytecode.py gates on: loading the corpus specs,
-  // with their compiled programs, from an .irbc file on disk.
+  // The file load check_bytecode.py gates on: loading the corpus specs
+  // from an .irbc file on disk. It skips lexing, parsing and semantic
+  // analysis; registration compiles the constraint programs on both
+  // paths.
   std::string SpecPath = "perf_bytecode_specs_" +
                          std::to_string(::getpid()) + ".irbc";
   {
@@ -216,23 +191,56 @@ void runPhaseBreakdown() {
     Out.write(F->SpecBytes.data(),
               static_cast<std::streamsize>(F->SpecBytes.size()));
   }
+  auto Frontend = [&] {
+    IRDL_TIME_SCOPE("spec-frontend");
+    IRContext Ctx;
+    SourceMgr SM;
+    DiagnosticEngine Diags(&SM);
+    auto Module = loadIRDL(Ctx, F->SpecText, SM, Diags, corpusNativeOptions());
+    benchmark::DoNotOptimize(Module);
+  };
+  auto FromBuffer = [&] {
+    IRDL_TIME_SCOPE("spec-bytecode");
+    IRContext Ctx;
+    DiagnosticEngine Diags;
+    BytecodeReader Reader(Ctx, Diags, corpusNativeOptions());
+    BytecodeReadResult Result;
+    LogicalResult R = Reader.read(F->SpecBytes, Result);
+    benchmark::DoNotOptimize(R);
+  };
+  auto FromFile = [&] {
+    IRDL_TIME_SCOPE("spec-file-load");
+    IRContext Ctx;
+    DiagnosticEngine Diags;
+    BytecodeReadResult Result;
+    LogicalResult R = readBytecodeFile(SpecPath, Ctx, Diags, Result,
+                                       corpusNativeOptions());
+    if (failed(R)) {
+      std::fprintf(stderr, "spec-file-load failed:\n%s",
+                   Diags.renderAll().c_str());
+      std::exit(1);
+    }
+    benchmark::DoNotOptimize(Result.Specs.get());
+  };
+  // One unsampled load of each kind first: the first loads of a run are
+  // the slow ones. Then the kinds alternate, so a slow stretch of the
+  // host lands on all of them alike.
   {
-    IRDL_TIME_SCOPE("spec-file-load-x10");
-    PhaseSampler Sampler("spec-file-load");
-    for (int I = 0; I != 10; ++I)
-      Sampler.sample([&] {
-        IRContext Ctx;
-        DiagnosticEngine Diags;
-        BytecodeReadResult Result;
-        LogicalResult R = readBytecodeFile(SpecPath, Ctx, Diags, Result,
-                                           corpusNativeOptions());
-        if (failed(R)) {
-          std::fprintf(stderr, "spec-file-load failed:\n%s",
-                       Diags.renderAll().c_str());
-          std::exit(1);
-        }
-        benchmark::DoNotOptimize(Result.Specs.get());
-      });
+    IRDL_TIME_SCOPE("spec-warmup");
+    Frontend();
+    FromBuffer();
+    FromFile();
+  }
+  {
+    IRDL_TIME_SCOPE("spec-loads-x10");
+    PhaseSampler FrontendSampler("spec-frontend");
+    PhaseSampler BufferSampler("spec-bytecode");
+    PhaseSampler FileSampler("spec-file-load");
+    for (int I = 0; I != 10; ++I) {
+      FrontendSampler.sample(Frontend);
+      BufferSampler.sample(FromBuffer);
+      FileSampler.sample(FromFile);
+    }
   }
   std::remove(SpecPath.c_str());
 }

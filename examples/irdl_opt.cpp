@@ -34,10 +34,11 @@
 ///                      loaded from text) as bytecode instead of text;
 ///                      with =FILE to disk, otherwise to stdout
 ///   --spec-cache-dir=DIR
-///                      cache compiled dialect specs on disk, keyed by
+///                      cache dialect specs on disk as `.irbc`, keyed by
 ///                      the content hash of their source: a hit replaces
-///                      the IRDL frontend with a bytecode load of the
-///                      compiled constraint programs
+///                      lexing, parsing and semantic analysis with a
+///                      bytecode load; constraint programs are compiled
+///                      at registration either way
 ///                      (docs/serialization.md)
 ///
 /// Examples:
@@ -272,9 +273,9 @@ int main(int argc, char **argv) {
         continue;
       }
       if (!SpecCacheDir.empty()) {
-        // Content-hash cache: a prior run already parsed, compiled, and
-        // serialized this exact text — load the compiled entry instead
-        // of running the frontend. Cache diagnostics (a discarded
+        // Content-hash cache: a prior run already parsed, checked and
+        // serialized this exact text — load the entry instead of running
+        // the frontend. Cache diagnostics (a discarded
         // stale entry, a failed store) go to stderr at once: they do not
         // fail the run, so nothing later would print them.
         uint64_t Hash = hashSpecBuffer(Buffer);

@@ -106,7 +106,8 @@ struct BytecodeReadResult {
 
 /// Deserializes `.irbc` buffers into an IRContext. Dialect specs are
 /// registered into the context exactly as a textual IRDL load would
-/// (verifiers compiled, formats installed, terminators flagged); native
+/// (constraint programs compiled from the decoded trees, verifiers
+/// built, formats installed, terminators flagged); native
 /// constraint references resolve through the same IRDLLoadOptions hooks.
 /// All failures — version mismatch, truncation, corruption, unresolvable
 /// names — are reported through the DiagnosticEngine as structured,
@@ -127,9 +128,10 @@ public:
   /// buffer as a whole (version mismatch, bad magic) so a failing
   /// `--dialect foo.irbc` names the offending file.
   ///
-  /// Nothing read keeps a reference into \p Buffer: compiled programs
-  /// copy-decode their storage, so the caller may overwrite or free the
-  /// buffer as soon as read() returns.
+  /// Nothing read keeps a reference into \p Buffer: specs decode into
+  /// owned trees and their programs are compiled from those trees, so
+  /// the caller may overwrite or free the buffer as soon as read()
+  /// returns.
   LogicalResult read(std::string_view Buffer, BytecodeReadResult &Result,
                      std::string BufferName = {});
 

@@ -12,7 +12,6 @@
 #include "bytecode/Bytecode.h"
 
 #include "bytecode/Encoding.h"
-#include "bytecode/ProgramSerializer.h"
 #include "ir/Block.h"
 #include "ir/Region.h"
 #include "irdl/CppExpr.h"
@@ -43,6 +42,11 @@ IRDL_STATISTIC(Bytecode, NumSpecsRead, "irdl_bytecode_specs_read_total",
                "dialect specs deserialized");
 
 namespace {
+
+/// Id 3, the Programs section of format version 2, lies inside the
+/// SectionId range but names no section, so the section walk rejects it
+/// explicitly.
+constexpr uint8_t RetiredProgramsId = 3;
 
 // Wire tags; must match BytecodeWriter.cpp (docs/serialization.md).
 enum class ParamTag : uint8_t {
@@ -97,13 +101,6 @@ struct BytecodeReader::Impl {
   /// the file the buffer came from; empty for anonymous buffers.
   std::string BufferName;
 
-  /// Specs decoded from the Specs section but not yet registered:
-  /// registration (which compiles any constraint slot lacking a program)
-  /// is deferred until after the Programs section has had a chance to
-  /// install serialized programs into these slots.
-  std::vector<std::shared_ptr<DialectSpec>> PendingSpecs;
-  bool HaveSpecs = false;
-  bool SpecsRegistered = false;
   /// Combined type/attribute pool; every entry is a Type or Attr
   /// ParamValue.
   std::vector<ParamValue> Pool;
@@ -948,7 +945,10 @@ struct BytecodeReader::Impl {
     return success();
   }
 
-  LogicalResult readSpecsSection(BytecodeCursor &C) {
+  /// Decodes every dialect of the Specs section (passes 1 and 2) into
+  /// \p Specs, without registering any.
+  LogicalResult decodeSpecs(BytecodeCursor &C,
+                            std::vector<std::shared_ptr<DialectSpec>> &Specs) {
     IRDL_TIME_SCOPE("read-specs");
     uint64_t NumDialects;
     if (!readCount(C, "dialect count", NumDialects))
@@ -994,124 +994,28 @@ struct BytecodeReader::Impl {
         return BC.error("trailing bytes in dialect body");
     }
 
-    // Pass 3 — registration — is deferred to ensureSpecsRegistered(): a
-    // Programs section, when present, installs serialized constraint
-    // programs into the spec slots first, so registration skips
-    // recompiling them.
-    HaveSpecs = true;
     for (PendingDialect &P : Pending)
-      PendingSpecs.push_back(std::move(P.Spec));
+      Specs.push_back(std::move(P.Spec));
     return success();
   }
 
-  /// Runs the regular registration pass — verifiers, terminator flags,
-  /// format hooks, and compilation of any constraint slot that did not
-  /// arrive with a serialized program — over the decoded specs. Called
-  /// once, after the Programs section (if any) and before any section
-  /// that needs the dialects registered.
-  LogicalResult ensureSpecsRegistered(BytecodeReadResult &Result) {
-    if (SpecsRegistered || !HaveSpecs)
-      return success();
-    SpecsRegistered = true;
+  LogicalResult readSpecsSection(BytecodeCursor &C,
+                                 BytecodeReadResult &Result) {
+    std::vector<std::shared_ptr<DialectSpec>> Specs;
+    if (failed(decodeSpecs(C, Specs)))
+      return failure();
+    // Pass 3: the regular registration pass, which compiles every
+    // constraint program from the decoded trees, exactly as a textual
+    // load does.
+    IRDL_TIME_SCOPE("register");
     auto Module = std::make_unique<IRDLModule>();
-    for (std::shared_ptr<DialectSpec> &Spec : PendingSpecs) {
+    for (std::shared_ptr<DialectSpec> &Spec : Specs) {
       if (failed(registerDialectSpec(Spec, Ctx, Diags, Opts)))
         return failure();
       Module->Dialects.push_back(std::move(Spec));
       ++NumSpecsRead;
     }
-    PendingSpecs.clear();
     Result.Specs = std::move(Module);
-    return success();
-  }
-
-  //===------------------------------------------------------------------===//
-  // Programs section
-  //===------------------------------------------------------------------===//
-
-  /// Decodes the compiled-program section into the pending specs'
-  /// constraint slots. Slot order and counts are implied by the Specs
-  /// section (already decoded); the section carries only a per-dialect
-  /// presence byte plus the programs themselves.
-  LogicalResult readProgramsSection(BytecodeCursor &C) {
-    IRDL_TIME_SCOPE("read-programs");
-    uint8_t PadCount;
-    if (!C.readByte(PadCount))
-      return failure();
-    if (PadCount >= ProgramSectionAlign)
-      return C.error("program section pad count " +
-                     std::to_string(PadCount) + " exceeds alignment");
-    std::string_view Pad;
-    if (!C.readBytes(PadCount, Pad))
-      return failure();
-    if (C.offset() % ProgramSectionAlign != 0)
-      return C.error("program section body is misaligned (offset " +
-                     std::to_string(C.offset()) + " mod " +
-                     std::to_string(ProgramSectionAlign) + " != 0)");
-
-    uint64_t NumDialects;
-    if (!readCount(C, "program dialect count", NumDialects))
-      return failure();
-    if (NumDialects != PendingSpecs.size())
-      return C.error("program section covers " + std::to_string(NumDialects) +
-                     " dialects but the spec section has " +
-                     std::to_string(PendingSpecs.size()));
-
-    ProgramReader PR(Ctx, Diags, Opts, Strings);
-    auto ReadParams = [&](std::vector<ParamSpec> &Params, uint64_t NumVars) {
-      for (ParamSpec &P : Params)
-        if (failed(PR.readOptional(C, NumVars, P.Prog)))
-          return failure();
-      return success();
-    };
-    auto ReadOperands = [&](std::vector<OperandSpec> &Specs,
-                            uint64_t NumVars) {
-      for (OperandSpec &S : Specs)
-        if (failed(PR.readOptional(C, NumVars, S.Prog)))
-          return failure();
-      return success();
-    };
-
-    for (std::shared_ptr<DialectSpec> &Spec : PendingSpecs) {
-      uint8_t HasPrograms;
-      if (!C.readByte(HasPrograms))
-        return failure();
-      if (HasPrograms > 1)
-        return C.error("invalid program presence byte " +
-                       std::to_string(HasPrograms));
-      if (!HasPrograms)
-        continue;
-      for (TypeOrAttrSpec &TA : Spec->Types)
-        if (failed(ReadParams(TA.Params, 0)))
-          return failure();
-      for (TypeOrAttrSpec &TA : Spec->Attrs)
-        if (failed(ReadParams(TA.Params, 0)))
-          return failure();
-      for (OpSpec &Op : Spec->Ops) {
-        uint64_t NumVars;
-        if (!readCount(C, "variable program count", NumVars))
-          return failure();
-        if (NumVars != Op.VarConstraints.size())
-          return C.error("operation '" + Op.Name + "' has " +
-                         std::to_string(Op.VarConstraints.size()) +
-                         " constraint variables but the program section "
-                         "carries " +
-                         std::to_string(NumVars));
-        // Variable programs may reference each other, so they are read
-        // with the op's variable count like every other slot.
-        Op.VarPrograms.resize(NumVars);
-        for (ConstraintProgramPtr &VP : Op.VarPrograms)
-          if (failed(PR.readOptional(C, NumVars, VP)))
-            return failure();
-        if (failed(ReadOperands(Op.Operands, NumVars)) ||
-            failed(ReadOperands(Op.Results, NumVars)) ||
-            failed(ReadParams(Op.Attributes, NumVars)))
-          return failure();
-        for (RegionSpec &R : Op.Regions)
-          if (failed(ReadOperands(R.Args, NumVars)))
-            return failure();
-      }
-    }
     return success();
   }
 
@@ -1329,7 +1233,8 @@ struct BytecodeReader::Impl {
       uint8_t Id;
       if (!C.readByte(Id))
         return failure();
-      if (Id <= LastId || Id > static_cast<uint8_t>(SectionId::Meta))
+      if (Id <= LastId || Id > static_cast<uint8_t>(SectionId::Meta) ||
+          Id == RetiredProgramsId)
         return C.error("unknown, duplicate, or out-of-order section id " +
                        std::to_string(Id));
       LastId = Id;
@@ -1344,12 +1249,6 @@ struct BytecodeReader::Impl {
         return C.error("section " + std::to_string(Id) +
                        " precedes the string table");
 
-      // Spec registration waits for the Programs section (which installs
-      // serialized programs); any later section needs it done.
-      if (Id > static_cast<uint8_t>(SectionId::Programs) &&
-          failed(ensureSpecsRegistered(Result)))
-        return failure();
-
       BytecodeCursor SC(Payload, Diags, PayloadBase);
       LogicalResult SectionResult = success();
       switch (static_cast<SectionId>(Id)) {
@@ -1357,10 +1256,7 @@ struct BytecodeReader::Impl {
         SectionResult = readStringsSection(SC);
         break;
       case SectionId::Specs:
-        SectionResult = readSpecsSection(SC);
-        break;
-      case SectionId::Programs:
-        SectionResult = readProgramsSection(SC);
+        SectionResult = readSpecsSection(SC, Result);
         break;
       case SectionId::TypeAttrPool:
         SectionResult = readPoolSection(SC);
@@ -1377,7 +1273,7 @@ struct BytecodeReader::Impl {
       if (!SC.atEnd())
         return SC.error("trailing bytes in section " + std::to_string(Id));
     }
-    return ensureSpecsRegistered(Result);
+    return success();
   }
 };
 

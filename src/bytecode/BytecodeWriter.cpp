@@ -9,7 +9,6 @@
 #include "bytecode/Bytecode.h"
 
 #include "bytecode/Encoding.h"
-#include "bytecode/ProgramSerializer.h"
 #include "ir/Block.h"
 #include "ir/Region.h"
 #include "support/Statistic.h"
@@ -489,91 +488,11 @@ struct BytecodeWriter::Impl {
   }
 
   //===------------------------------------------------------------------===//
-  // Programs section
-  //===------------------------------------------------------------------===//
-
-  /// True when every non-variable constraint slot of \p Spec carries a
-  /// compiled program (i.e. the spec went through registration). Specs
-  /// built by hand serialize without programs and the reader compiles at
-  /// registration, exactly as before v2.
-  static bool specHasPrograms(const DialectSpec &Spec) {
-    auto ParamsOk = [](const std::vector<ParamSpec> &Params) {
-      for (const ParamSpec &P : Params)
-        if (!P.Prog)
-          return false;
-      return true;
-    };
-    auto OperandsOk = [](const std::vector<OperandSpec> &Specs) {
-      for (const OperandSpec &S : Specs)
-        if (!S.Prog)
-          return false;
-      return true;
-    };
-    for (const TypeOrAttrSpec &TA : Spec.Types)
-      if (!ParamsOk(TA.Params))
-        return false;
-    for (const TypeOrAttrSpec &TA : Spec.Attrs)
-      if (!ParamsOk(TA.Params))
-        return false;
-    for (const OpSpec &Op : Spec.Ops) {
-      if (!OperandsOk(Op.Operands) || !OperandsOk(Op.Results) ||
-          !ParamsOk(Op.Attributes))
-        return false;
-      for (const RegionSpec &R : Op.Regions)
-        if (!OperandsOk(R.Args))
-          return false;
-    }
-    return true;
-  }
-
-  /// Emits the compiled programs of \p Spec in the canonical slot order
-  /// (the exact order registerDialectSpec compiles them): type params,
-  /// attr params, then per op the variable programs followed by operand,
-  /// result, attribute, and region-argument programs. Counts are implied
-  /// by the Specs section, which the reader decodes first.
-  void encodeSpecPrograms(BytecodeOutput &Body, const DialectSpec &Spec) {
-    if (!specHasPrograms(Spec)) {
-      Body.writeByte(0);
-      return;
-    }
-    Body.writeByte(1);
-    ProgramWriter PW(Body, [this](BytecodeOutput &Out, std::string_view S) {
-      writeString(Out, S);
-    });
-    auto Params = [&](const std::vector<ParamSpec> &Ps) {
-      for (const ParamSpec &P : Ps)
-        PW.writeOptional(P.Prog.get());
-    };
-    auto Operands = [&](const std::vector<OperandSpec> &Ss) {
-      for (const OperandSpec &S : Ss)
-        PW.writeOptional(S.Prog.get());
-    };
-    for (const TypeOrAttrSpec &TA : Spec.Types)
-      Params(TA.Params);
-    for (const TypeOrAttrSpec &TA : Spec.Attrs)
-      Params(TA.Params);
-    for (const OpSpec &Op : Spec.Ops) {
-      // The op's variable programs come first; Var opcodes in every
-      // program of the op index them at run time.
-      Body.writeVarInt(Op.VarPrograms.size());
-      for (const auto &VP : Op.VarPrograms)
-        PW.writeOptional(VP.get());
-      Operands(Op.Operands);
-      Operands(Op.Results);
-      Params(Op.Attributes);
-      for (const RegionSpec &R : Op.Regions)
-        Operands(R.Args);
-    }
-  }
-
-  //===------------------------------------------------------------------===//
   // Assembly
   //===------------------------------------------------------------------===//
 
-  /// v2 section header: id byte + fixed 8-byte little-endian payload
-  /// length. Fixed lengths keep every payload's absolute offset known
-  /// while assembling, which is what lets the Programs payload pad its
-  /// body to an 8-aligned file offset.
+  /// Section header: id byte + fixed 8-byte little-endian payload
+  /// length (docs/serialization.md, "Container").
   static void writeSection(BytecodeOutput &File, SectionId Id,
                            const std::string &Payload) {
     File.writeByte(static_cast<uint8_t>(Id));
@@ -585,25 +504,18 @@ struct BytecodeWriter::Impl {
     IRDL_TIME_SCOPE("bytecode-write");
 
     BytecodeOutput SpecsOut;
-    BytecodeOutput ProgramsBody;
     if (!Specs.empty()) {
-      {
-        IRDL_TIME_SCOPE("write-specs");
-        SpecsOut.writeVarInt(Specs.size());
-        for (const DialectSpec *Spec : Specs) {
-          BytecodeOutput Skeleton, Body;
-          encodeSpecSkeleton(Skeleton, *Spec);
-          encodeSpecBody(Body, *Spec);
-          SpecsOut.writeVarInt(Skeleton.size());
-          SpecsOut.writeBytes(Skeleton.str());
-          SpecsOut.writeVarInt(Body.size());
-          SpecsOut.writeBytes(Body.str());
-        }
+      IRDL_TIME_SCOPE("write-specs");
+      SpecsOut.writeVarInt(Specs.size());
+      for (const DialectSpec *Spec : Specs) {
+        BytecodeOutput Skeleton, Body;
+        encodeSpecSkeleton(Skeleton, *Spec);
+        encodeSpecBody(Body, *Spec);
+        SpecsOut.writeVarInt(Skeleton.size());
+        SpecsOut.writeBytes(Skeleton.str());
+        SpecsOut.writeVarInt(Body.size());
+        SpecsOut.writeBytes(Body.str());
       }
-      IRDL_TIME_SCOPE("write-programs");
-      ProgramsBody.writeVarInt(Specs.size());
-      for (const DialectSpec *Spec : Specs)
-        encodeSpecPrograms(ProgramsBody, *Spec);
     }
 
     BytecodeOutput IROut;
@@ -625,22 +537,8 @@ struct BytecodeWriter::Impl {
     File.writeBytes(std::string_view(Magic, sizeof(Magic)));
     File.writeVarInt(FormatVersion);
     writeSection(File, SectionId::Strings, StringsOut.str());
-    if (!Specs.empty()) {
+    if (!Specs.empty())
       writeSection(File, SectionId::Specs, SpecsOut.str());
-      // Programs payload: one pad-count byte plus that many zeros so the
-      // body lands on an 8-aligned absolute offset (File.size() + the
-      // 9-byte section header + 1 pad-count byte, rounded up).
-      size_t BodyOffset = File.size() + 9 + 1;
-      uint8_t PadCount = static_cast<uint8_t>(
-          (ProgramSectionAlign - BodyOffset % ProgramSectionAlign) %
-          ProgramSectionAlign);
-      BytecodeOutput ProgramsPayload;
-      ProgramsPayload.writeByte(PadCount);
-      for (uint8_t I = 0; I != PadCount; ++I)
-        ProgramsPayload.writeByte(0);
-      ProgramsPayload.writeBytes(ProgramsBody.str());
-      writeSection(File, SectionId::Programs, ProgramsPayload.str());
-    }
     if (Root) {
       BytecodeOutput PoolSection;
       PoolSection.writeVarInt(NumPoolEntries);

@@ -30,34 +30,25 @@ inline constexpr char Magic[4] = {'I', 'R', 'B', 'C'};
 /// Bumped on any incompatible layout change. Readers hard-reject any other
 /// version: bytecode is an exact-version artifact, not an archive format
 /// (docs/serialization.md, "Versioning policy"). Version 2 switched every
-/// section header to a fixed 8-byte length, added the Programs and Meta
-/// sections, and renumbered TypeAttrPool/IR.
-inline constexpr uint64_t FormatVersion = 2;
+/// section header to a fixed 8-byte length and added the Meta section;
+/// version 3 dropped the serialized constraint programs (id 3), which
+/// every load now compiles from the decoded constraint trees.
+inline constexpr uint64_t FormatVersion = 3;
 
 /// Section identifiers. Order in the file is fixed: Strings must precede
-/// every section that interns into it; Specs must precede Programs (a
-/// program references definitions its spec declares); specs must be
-/// registered before TypeAttrPool (pool entries resolve definitions that
-/// specs may register); the pool must precede IR.
+/// every section that interns into it; specs must be registered before
+/// TypeAttrPool (pool entries resolve definitions that specs may
+/// register); the pool must precede IR. Id 3 is retired (it held the
+/// version-2 Programs section) and is rejected like any unknown id.
 enum class SectionId : uint8_t {
   Strings = 1,
   Specs = 2,
-  /// Compiled ConstraintPrograms for the Specs dialects: an 8-byte-aligned
-  /// body whose flat instruction/child/table arrays are raw little-endian
-  /// at 8-byte-aligned offsets. The reader checks the padding and
-  /// copy-decodes the arrays into storage each program owns.
-  Programs = 3,
   TypeAttrPool = 4,
   IR = 5,
   /// Trailing metadata: the 64-bit content hash of the source the buffer
   /// was generated from (on-disk spec-cache validation).
   Meta = 6,
 };
-
-/// Alignment guaranteed for the Programs section body (and therefore for
-/// every raw array inside it, which the writer pads relative to the body
-/// start).
-inline constexpr size_t ProgramSectionAlign = 8;
 
 /// Appends primitives to a growing byte buffer.
 class BytecodeOutput {
@@ -88,23 +79,13 @@ public:
       writeByte(static_cast<uint8_t>(Raw >> (8 * I)));
   }
 
-  /// Raw little-endian fixed-width integers. Section headers use fixed
-  /// 8-byte lengths (not varints) so absolute payload offsets are known
-  /// during assembly — the property the Programs section's alignment
-  /// guarantee rests on.
-  void writeFixed32(uint32_t V) {
-    for (unsigned I = 0; I != 4; ++I)
-      writeByte(static_cast<uint8_t>(V >> (8 * I)));
-  }
+  /// Raw little-endian 64-bit integer. Section headers use a fixed
+  /// 8-byte length (not a varint), so every pre-scan that walks the
+  /// section list (spec-hash, Meta lookup, has-specs) reads a header
+  /// the same way.
   void writeFixed64(uint64_t V) {
     for (unsigned I = 0; I != 8; ++I)
       writeByte(static_cast<uint8_t>(V >> (8 * I)));
-  }
-
-  /// Zero-pads until size() is a multiple of \p Align.
-  void alignTo(size_t Align) {
-    while (Bytes.size() % Align != 0)
-      writeByte(0);
   }
 
   void writeBytes(std::string_view Data) { Bytes.append(Data); }
@@ -179,17 +160,6 @@ public:
     return true;
   }
 
-  bool readFixed32(uint32_t &V) {
-    V = 0;
-    for (unsigned I = 0; I != 4; ++I) {
-      uint8_t B;
-      if (!readByte(B))
-        return false;
-      V |= static_cast<uint32_t>(B) << (8 * I);
-    }
-    return true;
-  }
-
   bool readFixed64(uint64_t &V) {
     V = 0;
     for (unsigned I = 0; I != 8; ++I) {
@@ -197,16 +167,6 @@ public:
       if (!readByte(B))
         return false;
       V |= static_cast<uint64_t>(B) << (8 * I);
-    }
-    return true;
-  }
-
-  /// Skips padding bytes until offset() is a multiple of \p Align.
-  bool skipAlignment(size_t Align) {
-    while (offset() % Align != 0) {
-      uint8_t B;
-      if (!readByte(B))
-        return false;
     }
     return true;
   }

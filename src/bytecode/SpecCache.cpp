@@ -24,18 +24,19 @@ uint64_t irdl::hashSpecBuffer(std::string_view Buffer) {
   if (!isBytecodeBuffer(Buffer))
     return fnv1a64(Buffer);
 
-  // Canonicalize bytecode: hash the version plus the Strings, Specs, and
-  // Programs section payloads (id byte included, so an empty section and
-  // a missing one hash differently). Meta, the type/attr pool, and IR do
-  // not describe the dialects and are skipped. Buffers the walk cannot
-  // parse hash whole — the full reader will reject them anyway.
+  // Canonicalize bytecode: hash the Strings and Specs section payloads
+  // (id byte included, so an empty section and a missing one hash
+  // differently) under a seed that names the format version, so no key
+  // matches across versions. Meta, the type/attr pool, and IR do not
+  // describe the dialects and are skipped. Buffers the walk cannot parse
+  // hash whole — the full reader will reject them anyway.
   DiagnosticEngine Scratch;
   BytecodeCursor C(Buffer.substr(sizeof(Magic)), Scratch, sizeof(Magic));
   uint64_t Version;
   if (!C.readVarInt(Version) || Version != FormatVersion)
     return fnv1a64(Buffer);
 
-  uint64_t H = fnv1a64("irbc-spec-v2");
+  uint64_t H = fnv1a64("irbc-spec-v" + std::to_string(FormatVersion));
   while (!C.atEnd()) {
     uint8_t Id;
     if (!C.readByte(Id))
@@ -47,8 +48,7 @@ uint64_t irdl::hashSpecBuffer(std::string_view Buffer) {
     if (!C.readBytes(Len, Payload))
       return fnv1a64(Buffer);
     if (Id == static_cast<uint8_t>(SectionId::Strings) ||
-        Id == static_cast<uint8_t>(SectionId::Specs) ||
-        Id == static_cast<uint8_t>(SectionId::Programs)) {
+        Id == static_cast<uint8_t>(SectionId::Specs)) {
       char IdByte = static_cast<char>(Id);
       H = fnv1a64(std::string_view(&IdByte, 1), H);
       H = fnv1a64(Payload, H);

@@ -4,16 +4,17 @@
 /// Content-hash based caching of IRDL dialect specifications, keyed by a
 /// 64-bit FNV-1a hash (support/Hashing.h). The cache is an on-disk
 /// directory (`irdl_opt --spec-cache-dir=DIR`) where each entry is a
-/// compiled `.irbc` spec buffer named by the hex hash of its *source*
-/// text. A hit replaces frontend parsing with a bytecode load of the
-/// entry's compiled programs. Entries embed the source hash in their
+/// `.irbc` spec buffer named by the hex hash of its *source* text. A hit
+/// replaces lexing, parsing and semantic analysis with a bytecode load of
+/// the entry's constraint trees, which registration compiles exactly as
+/// after a textual load. Entries embed the source hash in their
 /// Meta section; an entry whose embedded hash does not match its
 /// filename hash is stale (e.g. truncated or hand-edited) and is
 /// invalidated.
 ///
 /// The hash is computed by hashSpecBuffer(): textual buffers hash their
 /// full contents; bytecode buffers hash the canonical spec sections
-/// (Strings, Specs, Programs) only, so a buffer that merely gained a
+/// (Strings, Specs) only, so a buffer that merely gained a
 /// Meta section or an IR payload still dedups against its spec-identical
 /// sibling.
 ///
@@ -32,7 +33,7 @@ namespace irdl {
 
 /// The 64-bit content hash of a spec buffer. Stable across processes and
 /// suitable for on-disk cache keys. Bytecode buffers are canonicalized
-/// to their Strings/Specs/Programs sections; anything else (including
+/// to their Strings/Specs sections; anything else (including
 /// malformed bytecode) hashes whole.
 uint64_t hashSpecBuffer(std::string_view Buffer);
 
@@ -40,7 +41,7 @@ uint64_t hashSpecBuffer(std::string_view Buffer);
 /// `DIR/<16-hex-digit hash>.irbc`.
 std::string specCachePath(const std::string &Dir, uint64_t Hash);
 
-/// Attempts to load the cached compiled spec for \p Hash from \p Dir.
+/// Attempts to load the cached spec for \p Hash from \p Dir.
 /// The entry is read into memory once, and the hash check and the load
 /// both see those bytes. Returns failure — silently, with no
 /// diagnostics — when the entry is absent; emits diagnostics and deletes
@@ -52,8 +53,8 @@ LogicalResult loadCachedSpec(const std::string &Dir, uint64_t Hash,
                              BytecodeReadResult &Result,
                              const IRDLLoadOptions &Opts = {});
 
-/// Serializes \p Specs (with compiled programs and \p Hash embedded in
-/// the Meta section) into the cache entry for \p Hash under \p Dir.
+/// Serializes \p Specs (with \p Hash embedded in the Meta section) into
+/// the cache entry for \p Hash under \p Dir.
 /// Writes to a temporary file first and renames into place, so
 /// concurrent readers never observe a partial entry.
 LogicalResult storeCachedSpec(const std::string &Dir, uint64_t Hash,

@@ -162,14 +162,10 @@ private:
     case Kind::Cpp:
       I.Op = COpcode::Cpp;
       I.A = pushPool(P->CppPreds, C.getCppPred());
-      // Keep the predicate source alongside: it is the serializable form
-      // the bytecode writer persists and the reader recompiles from.
-      pushPool(P->CppSrcs, C.getString());
       break;
     case Kind::Native:
       I.Op = COpcode::Native;
       I.A = pushPool(P->NativeFns, C.getNativeFn());
-      pushPool(P->NativeNames, C.getString());
       break;
     case Kind::Named:
       assert(false && "Named handled above");

@@ -380,8 +380,8 @@ ConstraintProgram::concreteChildValue(unsigned I, const MatchContext &MC,
 }
 
 void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {
-  // A worklist with a visited set: a hostile `.irbc` program may nest
-  // deeply or share subprograms heavily.
+  // A worklist with a visited set: a program compiled from a hostile
+  // `.irbc` tree may nest deeply.
   std::vector<bool> Visited(Instrs.size());
   std::vector<uint32_t> Work{0};
   while (!Work.empty()) {

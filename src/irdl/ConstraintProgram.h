@@ -44,11 +44,6 @@ namespace detail {
 class ConstraintProgramBuilder;
 } // namespace detail
 
-namespace bytecode {
-class ProgramWriter;
-class ProgramReader;
-} // namespace bytecode
-
 /// Opcodes of the compiled constraint interpreter. Every Constraint::Kind
 /// lowers to exactly one opcode except AnyOf, which compiles to
 /// AnyOfTable when all alternatives are dispatchable on a uniqued
@@ -175,8 +170,6 @@ public:
 private:
   friend class ConstraintCompiler;
   friend class detail::ConstraintProgramBuilder;
-  friend class bytecode::ProgramWriter;
-  friend class bytecode::ProgramReader;
 
   bool exec(uint32_t Pc, const ParamValue &V, MatchContext &MC) const;
   std::optional<ParamValue> concreteAt(uint32_t Pc, const MatchContext &MC,
@@ -184,8 +177,7 @@ private:
 
   /// The flat program: instructions (entry at 0), the child-index array
   /// their (Begin, Count) slices point into, and the dispatch-table
-  /// alternative array. The program owns all three, whether the compiler
-  /// built it or the `.irbc` reader copy-decoded it, so nothing outside
+  /// alternative array. The program owns all three, so nothing outside
   /// the program can change what exec() runs.
   std::vector<CInstr> Instrs;
   std::vector<uint32_t> Children;
@@ -201,12 +193,6 @@ private:
   std::vector<EnumVal> EnumVals;
   std::vector<CppParamPredicate> CppPreds;
   std::vector<NativeConstraintFn> NativeFns;
-  /// Serialization twins of CppPreds/NativeFns: the C++ predicate source
-  /// and native-hook name each slot was built from. std::function cannot
-  /// be serialized, so the `.irbc` writer persists these and the reader
-  /// recompiles/re-resolves per context.
-  std::vector<std::string> CppSrcs;
-  std::vector<std::string> NativeNames;
 
   /// AnyOf dispatch: uniqued definition pointer -> (Begin, Count) slice
   /// of TableAlts holding the alternatives rooted in that definition, in

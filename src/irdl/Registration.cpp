@@ -440,10 +440,10 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
                                         DiagnosticEngine &Diags,
                                         const IRDLLoadOptions &Opts) {
   // Compile every resolved constraint into its flat program form up
-  // front, so verification never pays the lowering cost. Slots that
-  // already carry a program — bytecode loads deserialize compiled
-  // programs straight from the v2 Programs section — are kept as-is;
-  // only their profiler attribution is (re-)registered.
+  // front, so verification never pays the lowering cost. The frontend
+  // (after Sema) and the `.irbc` reader (after its own tree checks) are
+  // the only callers, so every program here is compiled from checked
+  // trees.
   {
     IRDL_TIME_SCOPE("irdl.compile-constraint-programs");
     // While profiling is on, every program is registered with the
@@ -455,9 +455,7 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
     auto Compile = [&](ConstraintProgramPtr &Prog, const ConstraintPtr &C,
                        const std::string &Owner, const char *Slot,
                        const std::string &Name) {
-      if (!Prog)
-        Prog = ConstraintCompiler::compile(C);
-      assert(Prog && "constraint slot left without a program");
+      Prog = ConstraintCompiler::compile(C);
       if (Profiling)
         ConstraintProfiler::instance().registerProgram(
             Prog, Owner + " " + Slot + " '" + Name + "'");
@@ -484,13 +482,10 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
       for (size_t I = 0; I != OS.VarPrograms.size(); ++I)
         Compile(OS.VarPrograms[I], OS.VarConstraints[I], Owner, "var",
                 I < OS.VarNames.size() ? OS.VarNames[I] : "?");
-      // Sema rejects these cycles with a location; this catches them in
-      // the programs themselves, however they were loaded (`.irbc`
-      // programs may disagree with their trees).
-      if (auto V = findUnguardedVarCycle(OS.VarPrograms)) {
-        Diags.emitError(SMLoc(), OS.varCycleMessage(*V));
-        return failure();
-      }
+      // Sema and the `.irbc` reader reject unguarded variable cycles in
+      // the trees, and programs compiled from them cannot add one.
+      assert(!findUnguardedVarCycle(OS.VarPrograms) &&
+             "unguarded variable cycle survived the tree checks");
       CompileOperands(OS.Operands, Owner, "operand");
       CompileOperands(OS.Results, Owner, "result");
       for (ParamSpec &A : OS.Attributes)

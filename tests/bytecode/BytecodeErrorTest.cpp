@@ -10,7 +10,6 @@
 #include "ir/Block.h"
 #include "ir/IRParser.h"
 #include "ir/Region.h"
-#include "irdl/ConstraintCompiler.h"
 
 #include <gtest/gtest.h>
 
@@ -129,7 +128,7 @@ std::vector<size_t> sectionBoundaries(const std::string &Buffer) {
   while (Pos < Buffer.size()) {
     Bounds.push_back(Pos); // section id
     ++Pos;
-    // v2 headers carry a fixed 8-byte little-endian payload length.
+    // Headers carry a fixed 8-byte little-endian payload length.
     uint64_t Len = 0;
     for (unsigned I = 0; I != 8 && Pos < Buffer.size(); ++I)
       Len |= static_cast<uint64_t>(static_cast<uint8_t>(Buffer[Pos++]))
@@ -144,9 +143,9 @@ std::vector<size_t> sectionBoundaries(const std::string &Buffer) {
 TEST(BytecodeError, TruncationSweepAtSectionBoundaries) {
   std::string Buffer = makeValidBuffer();
   std::vector<size_t> Bounds = sectionBoundaries(Buffer);
-  // Strings + Specs + Programs + TypeAttrPool + IR: five sections, three
-  // seams each, plus the header end.
-  ASSERT_GE(Bounds.size(), 16u);
+  // Strings + Specs + TypeAttrPool + IR: four sections, three seams
+  // each, plus the header end.
+  ASSERT_GE(Bounds.size(), 13u);
   EXPECT_EQ(Bounds.back(), Buffer.size());
   for (size_t Boundary : Bounds)
     for (size_t Len : {Boundary - 1, Boundary, Boundary + 1}) {
@@ -166,6 +165,32 @@ TEST(BytecodeError, TruncationSweepAtSectionBoundaries) {
             << "chopped at " << Len << ": " << Rendered;
       }
     }
+}
+
+TEST(BytecodeError, RetiredProgramsSectionIdIsRejected) {
+  // Id 3 held the version-2 Programs section. Inserted where that
+  // section sat, right after Specs, it is an unknown id whether its
+  // payload is empty or not.
+  std::string Buffer = makeValidBuffer();
+  std::vector<size_t> Bounds = sectionBoundaries(Buffer);
+  ASSERT_GE(Bounds.size(), 7u);
+  ASSERT_EQ(Buffer[Bounds[4]], 2) << "the second section is not Specs";
+  size_t AfterSpecs = Bounds[6];
+  for (const std::string &Payload : {std::string(), std::string(9, '\0')}) {
+    std::string Section(1, '\x03');
+    for (unsigned I = 0; I != 8; ++I)
+      Section += static_cast<char>((Payload.size() >> (8 * I)) & 0xff);
+    Section += Payload;
+    std::string Rendered;
+    EXPECT_FALSE(tryRead(Buffer.substr(0, AfterSpecs) + Section +
+                             Buffer.substr(AfterSpecs),
+                         &Rendered))
+        << Payload.size() << "-byte payload";
+    EXPECT_NE(Rendered.find("unknown, duplicate, or out-of-order section "
+                            "id 3"),
+              std::string::npos)
+        << Payload.size() << "-byte payload: " << Rendered;
+  }
 }
 
 TEST(BytecodeError, HasSpecsPreScan) {
@@ -323,12 +348,10 @@ TEST(BytecodeError, UnknownDefinitionInPool) {
 }
 
 /// Serializes the spec of a two-variable operation whose variable trees
-/// become \p Trees and whose variable programs are compiled from
-/// \p Programs. Built in memory: the frontend rejects these cycles, so
-/// only a hostile or hand-made file carries them.
+/// become \p Trees. Built in memory: the frontend rejects these cycles,
+/// so only a hostile or hand-made file carries them.
 std::string cyclicSpecBytes(
-    const std::function<std::vector<ConstraintPtr>(IRContext &)> &Trees,
-    const std::function<std::vector<ConstraintPtr>(IRContext &)> &Programs) {
+    const std::function<std::vector<ConstraintPtr>(IRContext &)> &Trees) {
   IRContext Ctx;
   SourceMgr SrcMgr;
   DiagnosticEngine Diags(&SrcMgr);
@@ -344,7 +367,6 @@ std::string cyclicSpecBytes(
   EXPECT_NE(M, nullptr) << Diags.renderAll();
   OpSpec &Op = M->getDialects()[0]->Ops[0];
   Op.VarConstraints = Trees(Ctx);
-  Op.VarPrograms = ConstraintCompiler::compileVarPrograms(Programs(Ctx));
   BytecodeWriter Writer;
   Writer.addModuleSpecs(*M);
   return Writer.write();
@@ -370,21 +392,16 @@ TEST(BytecodeError, CyclicConstraintVariablesAreRejected) {
                     Constraint::anyType()};
       }};
   for (size_t I = 0; I != Cyclic.size(); ++I) {
-    // Cyclic in both forms, in the trees only (the reader's check), and
-    // in the programs only (registration's check: programs are what
-    // verification runs).
-    for (auto [Trees, Programs] :
-         {std::pair{Cyclic[I], Cyclic[I]}, std::pair{Cyclic[I], Benign},
-          std::pair{Benign, Cyclic[I]}}) {
-      std::string Rendered;
-      EXPECT_FALSE(tryRead(cyclicSpecBytes(Trees, Programs), &Rendered))
-          << "case " << I;
-      EXPECT_NE(Rendered.find("refers to itself"), std::string::npos)
-          << "case " << I << ": " << Rendered;
-    }
+    // The file carries trees only; the reader rejects the cycle before
+    // registration compiles any program from them.
+    std::string Rendered;
+    EXPECT_FALSE(tryRead(cyclicSpecBytes(Cyclic[I]), &Rendered))
+        << "case " << I;
+    EXPECT_NE(Rendered.find("refers to itself"), std::string::npos)
+        << "case " << I << ": " << Rendered;
   }
   // The benign spec itself reads back fine.
-  EXPECT_TRUE(tryRead(cyclicSpecBytes(Benign, Benign), nullptr));
+  EXPECT_TRUE(tryRead(cyclicSpecBytes(Benign), nullptr));
 }
 
 } // namespace

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""CI guard for the v2 bytecode fast path (stdlib only).
+"""CI guard for the bytecode spec-load fast path (stdlib only).
 
 Reads the ``--json`` output of ``perf_bytecode`` (the
 ``BENCH_perf_bytecode.json`` artifact from the bench-smoke step) and
 fails unless **the file load beats the frontend**: loading dialect specs
-(with their compiled constraint programs) from an ``.irbc`` file must be
-faster than running the textual IRDL frontend on the same specs
-(``spec-file-load`` vs ``spec-frontend``). ``spec-bytecode`` (the same
-load from a buffer already in memory) is printed alongside for the log.
+from an ``.irbc`` file must be faster than running the textual IRDL
+frontend on the same specs (``spec-file-load`` vs ``spec-frontend``).
+Both paths compile the constraint programs at registration; the file
+load skips lexing, parsing and semantic analysis. ``perf_bytecode``
+takes 10 samples of each phase, alternating the kinds after one
+unsampled warm-up load of each. ``spec-bytecode`` (the same load from a
+buffer already in memory) is printed alongside for the log.
 
 Comparisons use the exact per-iteration **mean** (histogram sum/count)
 rather than p50: the metrics histograms bucket at powers of two, so
