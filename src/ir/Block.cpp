@@ -45,7 +45,7 @@ Block::Block(IRContext &Ctx, TypeRange ArgTypes, const Layout &L)
 }
 
 Block::~Block() {
-  clear();
+  destroyOps();
   for (unsigned I = NumArgsVal; I != 0; --I)
     ArgStorage[I - 1].~BlockArgumentImpl();
   if (!argsAreInline())
@@ -54,6 +54,11 @@ Block::~Block() {
 }
 
 void Block::destroy() {
+  dropAllReferences();
+  destroyDropped();
+}
+
+void Block::destroyDropped() {
   OpArena &A = Ctx->getOpArena();
   uint32_t Bytes = AllocBytes;
   this->~Block();
@@ -66,7 +71,11 @@ void Block::erase() {
   destroy();
 }
 
-void irdl::IntrusiveListTraits<Block>::deleteNode(Block *B) { B->destroy(); }
+// Only a region's teardown deletes its blocks through the list, after it
+// (or the op owning it) dropped every reference inside.
+void irdl::IntrusiveListTraits<Block>::deleteNode(Block *B) {
+  B->destroyDropped();
+}
 
 Operation *Block::getParentOp() const {
   return ParentRegion ? ParentRegion->getParentOp() : nullptr;
@@ -183,16 +192,22 @@ Block *Block::splitBefore(iterator Pos) {
   return NewBlock;
 }
 
+void Block::dropAllReferences() {
+  for (Operation &Op : Ops)
+    Op.walk([](Operation *Nested) { Nested->setOperands({}); });
+}
+
 void Block::clear() {
   // Drop all operand references first so that ops may be deleted in any
   // order even with intra-block forward references or cycles.
-  for (Operation &Op : Ops) {
-    Op.setOperands({});
-    Op.walk([](Operation *Nested) { Nested->setOperands({}); });
-  }
+  dropAllReferences();
+  destroyOps();
+}
+
+void Block::destroyOps() {
   while (!Ops.empty()) {
     Operation *Op = &Ops.back();
     remove(Op);
-    Op->destroy();
+    Op->destroyDropped();
   }
 }

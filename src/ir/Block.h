@@ -142,8 +142,9 @@ public:
   /// through erase()/destroy(), never `delete`.
   static Block *create(IRContext &Ctx, TypeRange ArgTypes = {});
 
-  /// Destroys a detached block: erases its operations, destroys its
-  /// arguments, and returns the storage to the context arena.
+  /// Destroys a detached block: drops every operand reference inside it
+  /// in one walk, erases its operations, destroys its arguments, and
+  /// returns the storage to the context arena.
   void destroy();
 
   /// Unlinks this block from its region (if any) and destroys it.
@@ -221,6 +222,9 @@ public:
   /// forward intra-block references during teardown).
   void clear();
 
+  /// Clears the operand lists of every op in this block, recursively.
+  void dropAllReferences();
+
 private:
   friend struct IntrusiveListTraits<Block>;
 
@@ -232,7 +236,15 @@ private:
   static Layout computeLayout(unsigned ArgCapacity);
 
   Block(IRContext &Ctx, TypeRange ArgTypes, const Layout &L);
+  /// Destroys the ops and arguments; every operand reference inside must
+  /// already be dropped (destroy(), clear() or an enclosing teardown did).
   ~Block();
+
+  /// Destroys this block once its references are dropped.
+  void destroyDropped();
+  /// Unlinks and destroys every op, back to front, without dropping
+  /// references first.
+  void destroyOps();
 
   /// Moves the argument array to a fresh arena block of \p NewCapacity
   /// slots. BlockArgumentImpls are value definitions — every use is

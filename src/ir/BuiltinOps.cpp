@@ -451,6 +451,7 @@ void registerBuiltinOps(IRContext &Ctx) {
   Module->setVerifier(verifyModule);
   Module->setPrintFn(printModule);
   Module->setParseFn(parseModule);
+  Module->setIsolatedFromAbove();
 
   Dialect *Std = Ctx.getOrCreateDialect("std");
 
@@ -460,6 +461,7 @@ void registerBuiltinOps(IRContext &Ctx) {
   Func->setPrintFn(printFunc);
   Func->setParseFn(parseFunc);
   Func->setRequiresCpp(); // Global constraints live in native C++.
+  Func->setIsolatedFromAbove();
 
   OpDefinition *Return = Std->addOp("return");
   Return->setSummary("Function return terminator");

@@ -150,6 +150,12 @@ public:
   bool requiresCpp() const { return RequiresCpp; }
   void setRequiresCpp(bool V = true) { RequiresCpp = V; }
 
+  /// MLIR's IsolatedFromAbove trait: ops nested in this op use no value
+  /// defined outside it. Declared at registration (`builtin.module`,
+  /// `std.func`); the verifier times these ops as its per-function grain.
+  bool isIsolatedFromAbove() const { return IsolatedFromAbove; }
+  void setIsolatedFromAbove(bool V = true) { IsolatedFromAbove = V; }
+
 private:
   Dialect *Owner;
   std::string Name;
@@ -161,6 +167,7 @@ private:
   PrintFn Printer;
   ParseFn Parser;
   bool RequiresCpp = false;
+  bool IsolatedFromAbove = false;
 };
 
 /// A dialect: a namespace of type, attribute, enum, and op definitions.

@@ -128,8 +128,8 @@ Operation::Operation(OperationState &State, const Layout &L)
 
 Operation::~Operation() {
   assert(use_empty() && "destroying an operation whose results are in use");
-  // Regions first (nested ops may still hold uses of values above them;
-  // Region's destructor drops those references), then operands (each
+  // Regions first (the teardown entry point already dropped the nested
+  // ops' references, so they go in any order), then operands (each
   // unlinks from its value's use list), then results.
   for (unsigned I = NumRegionsVal; I != 0; --I)
     RegionStorage[I - 1].~Region();
@@ -143,6 +143,12 @@ Operation::~Operation() {
 }
 
 void Operation::destroy() {
+  for (Region &R : getRegions())
+    R.dropAllReferences();
+  destroyDropped();
+}
+
+void Operation::destroyDropped() {
   OpArena &A = Ctx->getOpArena();
   uint32_t Bytes = AllocBytes;
   this->~Operation();
@@ -250,35 +256,6 @@ void Operation::erase() {
   if (ParentBlock)
     removeFromBlock();
   destroy();
-}
-
-bool Operation::isIsolatedFromAbove() const {
-  bool Isolated = true;
-  const_cast<Operation *>(this)->walk([&](Operation *Nested) {
-    // The op's own operands come from the enclosing scope by definition;
-    // isolation is about what the *body* reaches.
-    if (!Isolated || Nested == this)
-      return;
-    for (unsigned I = 0, E = Nested->getNumOperands(); I != E; ++I) {
-      Value V = Nested->getOperand(I);
-      Block *DefBlock = V ? V.getParentBlock() : nullptr;
-      if (!DefBlock) {
-        Isolated = false; // detached or null value: be conservative
-        return;
-      }
-      bool Inside = false;
-      for (Operation *P = DefBlock->getParentOp(); P; P = P->getParentOp())
-        if (P == this) {
-          Inside = true;
-          break;
-        }
-      if (!Inside) {
-        Isolated = false;
-        return;
-      }
-    }
-  });
-  return Isolated;
 }
 
 std::string Operation::str() const {

@@ -340,7 +340,8 @@ public:
   /// destruction must go through erase()/destroy(), never `delete`.
   static Operation *create(OperationState &State);
 
-  /// Destroys a detached operation: runs destructors and returns its
+  /// Destroys a detached operation: drops the operand references of every
+  /// op nested in it in one walk, then runs destructors and returns its
   /// storage to the context arena's free lists. All results must be
   /// unused.
   void destroy();
@@ -491,11 +492,6 @@ public:
   /// traverse the IR.
   template <typename FnT> void walk(FnT &&Callback);
 
-  /// True if no operation nested within this op uses a value defined
-  /// outside of it (MLIR's IsolatedFromAbove, computed structurally).
-  /// The verifier times these ops as its per-function grain.
-  bool isIsolatedFromAbove() const;
-
   /// Runs structural verification and all registered verifiers on this op
   /// and everything nested in it.
   LogicalResult verify(DiagnosticEngine &Diags);
@@ -518,6 +514,11 @@ private:
   Operation(OperationState &State, const Layout &L);
   ~Operation();
 
+  /// Destroys this op once every operand reference inside its regions is
+  /// gone (an enclosing teardown dropped them in its single walk).
+  void destroyDropped();
+  friend class Block;
+
   /// Moves the operand array to a fresh arena block of \p NewCapacity
   /// slots (use lists are relinked; use order within a value's list may
   /// change).
@@ -526,6 +527,11 @@ private:
   /// True when the operand array still lives inside the op's own
   /// allocation (vs. a separate arena block after growth).
   bool operandsAreInline() const;
+
+  /// 1 + this op's entry in the ChangeSet recording it; 0 when none does.
+  /// Declared first so it fills the padding after the list-node base.
+  uint32_t ChangeIndex = 0;
+  friend class ChangeSet;
 
   OperationName Name;
   SMLoc Loc;
@@ -553,6 +559,10 @@ private:
   /// block carries (Block::OrderEpoch).
   uint32_t BlockOrderIndex = 0;
   friend class DominanceInfo;
+  /// 1 + this op's slot in the running greedy rewriter's worklist; 0 when
+  /// it is not queued. One greedy rewriter at a time may run over an op.
+  uint32_t WorklistIndex = 0;
+  friend class GreedyRewriter;
 };
 
 /// Operations are arena-allocated: intrusive lists must destroy them via

@@ -27,6 +27,12 @@ IRDL_STATISTIC(DCE, NumOpsErased, "irdl_dce_ops_erased_total",
 
 Pass::~Pass() = default;
 
+LogicalResult Pass::runAndRecord(Operation *Root, DiagnosticEngine &Diags,
+                                 ChangeSet &Changes) {
+  Changes.markUnlocalized();
+  return run(Root, Diags);
+}
+
 //===----------------------------------------------------------------------===//
 // FunctionPass
 //===----------------------------------------------------------------------===//
@@ -199,12 +205,15 @@ LogicalResult PassManager::run(Operation *Root, DiagnosticEngine &Diags,
       Hook(*It);
   };
 
-  auto Verify = [&](const std::string &After) -> LogicalResult {
+  // Verifies \p Changes when given, else the whole root.
+  auto Verify = [&](const std::string &After,
+                    ChangeSet *Changes) -> LogicalResult {
     if (!VerifyEach)
       return success();
     ++NumInterPassVerifications;
     Forward([&](PassInstrumentation *PI) { PI->runBeforeVerifier(Root); });
-    bool Ok = succeeded(verifyOp(Root, Diags));
+    bool Ok = succeeded(Changes ? verifyChanges(Root, *Changes, Diags)
+                                : verifyOp(Root, Diags));
     Reverse(
         [&](PassInstrumentation *PI) { PI->runAfterVerifier(Root, Ok); });
     if (Ok)
@@ -223,13 +232,15 @@ LogicalResult PassManager::run(Operation *Root, DiagnosticEngine &Diags,
     return Result;
   };
 
-  if (failed(Verify("")))
+  if (failed(Verify("", nullptr)))
     return Finish(failure());
 
   for (const auto &P : Passes) {
     Forward(
         [&](PassInstrumentation *PI) { PI->runBeforePass(P.get(), Root); });
-    if (failed(P->run(Root, Diags))) {
+    ChangeSet Changes;
+    if (failed(VerifyEach ? P->runAndRecord(Root, Diags, Changes)
+                          : P->run(Root, Diags))) {
       ++NumPassFailures;
       Reverse([&](PassInstrumentation *PI) {
         PI->runAfterPassFailed(P.get(), Root);
@@ -239,7 +250,7 @@ LogicalResult PassManager::run(Operation *Root, DiagnosticEngine &Diags,
     ++NumPassesRun;
     Reverse(
         [&](PassInstrumentation *PI) { PI->runAfterPass(P.get(), Root); });
-    if (failed(Verify(std::string(P->getName()))))
+    if (failed(Verify(std::string(P->getName()), &Changes)))
       return Finish(failure());
   }
   return Finish(success());
@@ -250,44 +261,51 @@ LogicalResult PassManager::run(Operation *Root, DiagnosticEngine &Diags,
 //===----------------------------------------------------------------------===//
 
 LogicalResult DeadCodeEliminationPass::run(Operation *Root,
-                                           DiagnosticEngine &Diags) {
-  (void)Diags;
+                                           DiagnosticEngine &) {
+  eliminate(Root, nullptr);
+  return success();
+}
+
+LogicalResult DeadCodeEliminationPass::runAndRecord(Operation *Root,
+                                                    DiagnosticEngine &,
+                                                    ChangeSet &Changes) {
+  eliminate(Root, &Changes);
+  return success();
+}
+
+void DeadCodeEliminationPass::eliminate(Operation *Root,
+                                        ChangeSet *Changes) {
   // Per-run count: a reused pass instance must not accumulate across
   // run() invocations.
-  NumErased = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    std::vector<Operation *> Dead;
-    Root->walk([&](Operation *Op) {
-      if (Op == Root || !Op->use_empty() || Op->getNumResults() == 0)
-        return;
-      if (Op->getNumRegions() != 0 || Op->getNumSuccessors() != 0 ||
-          Op->isTerminator())
-        return;
-      bool Pure =
-          std::find(PureOps.begin(), PureOps.end(),
-                    Op->getName().str()) != PureOps.end() ||
-          (AssumeRegisteredOpsPure && Op->isRegistered());
-      if (!Pure)
-        return;
-      Dead.push_back(Op);
-    });
-    for (Operation *Op : Dead) {
-      if (!Op->use_empty())
-        continue;
-      Op->erase();
-      ++NumErased;
-      ++NumOpsErased;
-      Changed = true;
-    }
-  }
-  return success();
+  NumErased = eraseDeadOps(
+      Root,
+      [&](Operation *Op) {
+        if (Op->getNumSuccessors() != 0 || Op->isTerminator())
+          return false;
+        return (AssumeRegisteredOpsPure && Op->isRegistered()) ||
+               std::find(PureOps.begin(), PureOps.end(),
+                         Op->getName().str()) != PureOps.end();
+      },
+      Changes);
+  NumOpsErased += NumErased;
 }
 
 LogicalResult GreedyRewritePass::run(Operation *Root,
                                      DiagnosticEngine &Diags) {
-  LastStats = applyPatternsGreedily(Root, *Patterns);
+  return rewrite(Root, Diags, nullptr);
+}
+
+LogicalResult GreedyRewritePass::runAndRecord(Operation *Root,
+                                              DiagnosticEngine &Diags,
+                                              ChangeSet &Changes) {
+  return rewrite(Root, Diags, &Changes);
+}
+
+LogicalResult GreedyRewritePass::rewrite(Operation *Root,
+                                         DiagnosticEngine &Diags,
+                                         ChangeSet *Changes) {
+  LastStats = applyPatternsGreedily(Root, *Patterns, /*MaxIterations=*/10,
+                                    Changes);
   if (!LastStats.Converged) {
     Diags.emitError(Root->getLoc(),
                     "pattern application did not converge in pass '" +

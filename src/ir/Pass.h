@@ -22,6 +22,8 @@
 
 namespace irdl {
 
+class ChangeSet;
+
 /// An IR-to-IR transformation rooted at one operation.
 class Pass {
 public:
@@ -32,6 +34,13 @@ public:
 
   /// Transforms \p Root in place. Failure aborts the pipeline.
   virtual LogicalResult run(Operation *Root, DiagnosticEngine &Diags) = 0;
+
+  /// Runs the pass and records what it changed into \p Changes, which the
+  /// pass manager's verify-each then checks instead of the whole root.
+  /// The default runs run() and marks \p Changes unlocalized, so a pass
+  /// that does not override this gets a full verify.
+  virtual LogicalResult runAndRecord(Operation *Root, DiagnosticEngine &Diags,
+                                     ChangeSet &Changes);
 };
 
 /// A pass that runs independently on each "function" directly under the
@@ -81,7 +90,10 @@ struct PassPipelineStatistics {
 };
 
 /// Runs passes in sequence, verifying the IR between passes (and before
-/// the first) unless disabled.
+/// the first) unless disabled. The verify before the first pass checks the
+/// whole root; the verify after a pass checks what the pass recorded
+/// changing (Pass::runAndRecord), or the whole root when it recorded
+/// nothing it could localize.
 class PassManager {
 public:
   explicit PassManager(IRContext *Ctx) : Ctx(Ctx) {}
@@ -144,10 +156,14 @@ public:
 
   std::string_view getName() const override { return "dce"; }
   LogicalResult run(Operation *Root, DiagnosticEngine &Diags) override;
+  LogicalResult runAndRecord(Operation *Root, DiagnosticEngine &Diags,
+                             ChangeSet &Changes) override;
 
   unsigned getNumErased() const { return NumErased; }
 
 private:
+  void eliminate(Operation *Root, ChangeSet *Changes);
+
   std::vector<std::string> PureOps;
   bool AssumeRegisteredOpsPure;
   unsigned NumErased = 0;
@@ -162,10 +178,15 @@ public:
 
   std::string_view getName() const override { return PassName; }
   LogicalResult run(Operation *Root, DiagnosticEngine &Diags) override;
+  LogicalResult runAndRecord(Operation *Root, DiagnosticEngine &Diags,
+                             ChangeSet &Changes) override;
 
   const RewriteStatistics &getLastStatistics() const { return LastStats; }
 
 private:
+  LogicalResult rewrite(Operation *Root, DiagnosticEngine &Diags,
+                        ChangeSet *Changes);
+
   std::string PassName;
   std::shared_ptr<RewritePatternSet> Patterns;
   RewriteStatistics LastStats;

@@ -30,12 +30,17 @@ void Region::erase(Block *B) {
   B->destroy();
 }
 
-Region::~Region() { dropAllReferences(); }
+Region::~Region() {
+  // A region inside an op goes down with it, and the op's teardown has
+  // dropped the references already; a detached region is its own
+  // outermost teardown.
+  if (!ParentOp)
+    dropAllReferences();
+}
 
 void Region::dropAllReferences() {
   for (Block &B : Blocks)
-    for (Operation &Op : B)
-      Op.walk([](Operation *Nested) { Nested->setOperands({}); });
+    B.dropAllReferences();
 }
 
 void Region::takeBody(Region &Other) {

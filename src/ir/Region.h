@@ -26,9 +26,10 @@ public:
   /// exists.
   explicit Region(IRContext &Ctx) : ParentOp(nullptr), Ctx(&Ctx) {}
 
-  /// Drops every operand reference held by ops in this region (recursively)
-  /// before the blocks are destroyed, so that deletion order does not
-  /// matter even with cross-block references.
+  /// Destroys the blocks. A detached region first drops every operand
+  /// reference held by ops in it (recursively), so that deletion order
+  /// does not matter even with cross-block references; a region inside an
+  /// op relies on the op's teardown to have done that in its one walk.
   ~Region();
 
   Operation *getParentOp() const { return ParentOp; }

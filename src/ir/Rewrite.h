@@ -15,15 +15,18 @@
 
 #include "ir/Builder.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace irdl {
 
+class ChangeSet;
+
 /// Mutation interface handed to patterns. All IR changes made during
-/// matchAndRewrite must go through this class so the driver can keep its
-/// worklist in sync.
+/// matchAndRewrite must go through this class (or be reported to it) so
+/// the driver can keep its worklist and the pass's change set in sync.
 class PatternRewriter : public OpBuilder {
 public:
   explicit PatternRewriter(IRContext *Ctx) : OpBuilder(Ctx) {}
@@ -49,8 +52,16 @@ public:
   /// Notifies that \p Op was modified in place.
   virtual void notifyOpModified(Operation *Op) { (void)Op; }
 
+  /// Notifies, before the change, that \p B's arguments are about to
+  /// change or that ops are about to move into or out of it. Such a
+  /// change is not localized: the verify after the pass checks the whole
+  /// root.
+  virtual void notifyBlockModified(Block *B) { (void)B; }
+
 protected:
   virtual void notifyOpInserted(Operation *Op) { (void)Op; }
+  /// Called once before \p Op is erased, with the ops nested in it still
+  /// in place; they are erased with it.
   virtual void notifyOpErased(Operation *Op) { (void)Op; }
   virtual void notifyOpReplaced(Operation *Op,
                                 std::span<const Value> NewValues) {
@@ -116,13 +127,25 @@ struct RewriteStatistics {
 
 /// Applies \p Patterns to \p Root's regions repeatedly (worklist-driven,
 /// highest benefit first) until a fixed point or \p MaxIterations sweeps.
+/// Each sweep queues, in walk order, the ops some pattern may match.
+/// Records what the patterns change into \p Changes when non-null.
 RewriteStatistics applyPatternsGreedily(Operation *Root,
                                         const RewritePatternSet &Patterns,
-                                        unsigned MaxIterations = 10);
+                                        unsigned MaxIterations = 10,
+                                        ChangeSet *Changes = nullptr);
 
-/// Erases ops whose results are unused and whose definitions mark no
-/// side effects... conservatively: only ops explicitly named in
-/// \p PureOpNames. Returns the number of erased ops.
+/// Erases every op under \p Root (not Root itself) that has results, none
+/// of them used, no regions, and for which \p IsErasable holds; then
+/// every op that erasing those leaves dead, until none is left. One walk
+/// finds the dead ops; erasing an op re-checks the defining ops of its
+/// operands. Records the erasures into \p Changes when non-null. Returns
+/// the number of erased ops.
+unsigned eraseDeadOps(Operation *Root,
+                      const std::function<bool(Operation *)> &IsErasable,
+                      ChangeSet *Changes);
+
+/// eraseDeadOps for the ops named in \p PureOpNames: conservatively, no
+/// op is assumed free of side effects unless listed.
 unsigned eraseDeadOps(Operation *Root,
                       const std::vector<std::string> &PureOpNames);
 

@@ -187,7 +187,7 @@ bool DominanceInfo::properlyDominates(Value V, Operation *User) {
 // Structural verification
 //===----------------------------------------------------------------------===//
 
-namespace {
+namespace irdl {
 class Verifier {
 public:
   Verifier(DiagnosticEngine &Diags) : Diags(Diags) {}
@@ -197,7 +197,8 @@ public:
   LogicalResult verify(Operation *Op) {
     // Per-function latency distribution: isolated-from-above ops are the
     // function-like grain.
-    if (metricsEnabled() && Op->isIsolatedFromAbove()) {
+    const OpDefinition *Def = Op->getDef();
+    if (metricsEnabled() && Def && Def->isIsolatedFromAbove()) {
       static Histogram &FuncLatency = MetricsRegistry::instance().getHistogram(
           "irdl_verify_function_duration_ns",
           "wall time verifying one isolated-from-above operation");
@@ -207,6 +208,34 @@ public:
       return Result;
     }
     return verifyImpl(Op);
+  }
+
+  /// Visits \p Op and the recorded ops nested in it in walk order,
+  /// interleaving the checks exactly as verify() does, so the first
+  /// failure is the one a full verify would report.
+  LogicalResult verifyChanged(Operation *Op, const ChangeSet &Changes) {
+    uint8_t Flags = Changes.flags(Op);
+    if (Flags & ChangeSet::Body)
+      return verify(Op);
+    bool Own = Flags & ChangeSet::Own;
+    bool Descend = Flags & ChangeSet::Descend;
+    if (Own && failed(verifyOpItself(Op)))
+      return failure();
+    if (!Descend && !Own)
+      return success();
+    for (Region &R : Op->getRegions()) {
+      bool MultiBlock = R.getNumBlocks() > 1;
+      for (Block &B : R) {
+        if (Own && MultiBlock && failed(verifyBlockEnd(B)))
+          return failure();
+        if (Descend)
+          for (Operation &Nested : B)
+            if (Changes.flags(&Nested) &&
+                failed(verifyChanged(&Nested, Changes)))
+              return failure();
+      }
+    }
+    return success();
   }
 
 private:
@@ -301,14 +330,8 @@ private:
   LogicalResult verifyRegion(Region &R) {
     bool MultiBlock = R.getNumBlocks() > 1;
     for (Block &B : R) {
-      if (MultiBlock) {
-        if (B.empty() || !B.back().isTerminator()) {
-          SMLoc Loc = B.empty() ? SMLoc() : B.back().getLoc();
-          Diags.emitError(Loc, "block in a multi-block region must end "
-                               "with a terminator operation");
-          return failure();
-        }
-      }
+      if (MultiBlock && failed(verifyBlockEnd(B)))
+        return failure();
       for (Operation &Op : B)
         if (failed(verify(&Op)))
           return failure();
@@ -316,11 +339,139 @@ private:
     return success();
   }
 
+  /// The rule for a block of a multi-block region.
+  LogicalResult verifyBlockEnd(Block &B) {
+    if (!B.empty() && B.back().isTerminator())
+      return success();
+    SMLoc Loc = B.empty() ? SMLoc() : B.back().getLoc();
+    Diags.emitError(Loc, "block in a multi-block region must end "
+                         "with a terminator operation");
+    return failure();
+  }
+
   DiagnosticEngine &Diags;
   DominanceInfo Dom;
   uint64_t OpsVerified = 0;
 };
-} // namespace
+} // namespace irdl
+
+//===----------------------------------------------------------------------===//
+// ChangeSet
+//===----------------------------------------------------------------------===//
+
+void ChangeSet::mark(Operation *Op, uint8_t Flags) {
+  if (uint32_t Index = Op->ChangeIndex) {
+    Entry &E = Entries[Index - 1];
+    if ((Flags & Own) && !(E.Flags & Own))
+      ++NumChecked;
+    E.Flags |= Flags;
+    return;
+  }
+  Entries.push_back({Op, Flags});
+  Op->ChangeIndex = static_cast<uint32_t>(Entries.size());
+  if (Flags & Own)
+    ++NumChecked;
+}
+
+uint8_t ChangeSet::flags(const Operation *Op) const {
+  uint32_t Index = Op->ChangeIndex;
+  return Index ? Entries[Index - 1].Flags : 0;
+}
+
+void ChangeSet::markBlockChanged(Block *B) {
+  if (Operation *Parent = B->getParentOp())
+    mark(Parent, Own);
+}
+
+void ChangeSet::addModified(Operation *Op) {
+  if (!Localized)
+    return;
+  if (Op->getNumSuccessors()) {
+    markUnlocalized(); // its successors may have changed
+    return;
+  }
+  mark(Op, Own);
+  if (Block *B = Op->getBlock(); B && !Op->getNextNode())
+    markBlockChanged(B);
+}
+
+void ChangeSet::addCreated(Operation *Op) {
+  if (!Localized)
+    return;
+  if (Op->getNumSuccessors()) {
+    markUnlocalized(); // new CFG edges
+    return;
+  }
+  mark(Op, Op->getNumRegions() ? Own | Body : Own);
+  Block *B = Op->getBlock();
+  if (!B)
+    return;
+  markBlockChanged(B);
+  // An op appended after a terminator makes that terminator misplaced.
+  if (!Op->getNextNode())
+    if (Operation *Prev = Op->getPrevNode())
+      mark(Prev, Own);
+}
+
+void ChangeSet::addErased(Operation *Op) {
+  if (Localized) {
+    if (Op->getNumSuccessors())
+      markUnlocalized(); // removed CFG edges
+    else if (Block *B = Op->getBlock())
+      markBlockChanged(B);
+  }
+  if (Entries.empty())
+    return;
+  Op->walk([&](Operation *Nested) {
+    uint32_t Index = Nested->ChangeIndex;
+    if (!Index)
+      return;
+    Entry &E = Entries[Index - 1];
+    if (E.Flags & Own)
+      --NumChecked;
+    E.Op = nullptr;
+    Nested->ChangeIndex = 0;
+  });
+}
+
+void ChangeSet::markUnlocalized() {
+  clear();
+  Localized = false;
+}
+
+void ChangeSet::clear() {
+  for (const Entry &E : Entries)
+    if (E.Op)
+      E.Op->ChangeIndex = 0;
+  Entries.clear();
+  NumChecked = 0;
+  Localized = true;
+}
+
+void ChangeSet::markAncestors() {
+  // Each climb goes to the top or to an ancestor already marked, whose
+  // own climb went to the top.
+  for (size_t I = 0; I != Entries.size(); ++I) {
+    Operation *Op = Entries[I].Op;
+    if (!Op)
+      continue;
+    for (Operation *P = Op->getParentOp(); P; P = P->getParentOp()) {
+      if (flags(P) & Descend)
+        break;
+      mark(P, Descend);
+    }
+  }
+}
+
+LogicalResult irdl::verifyChanges(Operation *Root, ChangeSet &Changes,
+                                  DiagnosticEngine &Diags) {
+  if (!Changes.isLocalized())
+    return verifyOp(Root, Diags);
+  IRDL_TIME_SCOPE("verify");
+  ++NumVerifierRuns;
+  Changes.markAncestors();
+  return Verifier(Diags).verifyChanged(Root, Changes);
+}
 
 LogicalResult irdl::verifyOpsIncremental(const std::vector<Operation *> &Ops,
                                          DiagnosticEngine &Diags) {

@@ -6,8 +6,12 @@
 #include "ir/Pass.h"
 #include "ir/Printer.h"
 #include "ir/Region.h"
+#include "ir/Verifier.h"
+#include "common/ScopedMetrics.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 using namespace irdl;
 
@@ -173,6 +177,22 @@ TEST_F(PassTest, DceConservativeWithoutPurity) {
             std::string::npos);
 }
 
+/// Rewrites addf into mulf of the same operands.
+struct AddToMul : RewritePattern {
+  AddToMul() : RewritePattern("std.addf") {}
+  LogicalResult matchAndRewrite(Operation *Op,
+                                PatternRewriter &Rewriter) const override {
+    OperationState S(*Rewriter.getContext(),
+                     Rewriter.getContext()->resolveOpDef("std.mulf"),
+                     Op->getLoc());
+    S.Operands = {Op->getOperand(0), Op->getOperand(1)};
+    S.ResultTypes = {Op->getResult(0).getType()};
+    Operation *Mul = Rewriter.createOp(S);
+    Rewriter.replaceOp(Op, {Mul->getResult(0)});
+    return success();
+  }
+};
+
 TEST_F(PassTest, GreedyRewritePassReportsStatistics) {
   OwningOpRef M = parse(R"(
     std.func @f(%a: f32) -> f32 {
@@ -181,22 +201,6 @@ TEST_F(PassTest, GreedyRewritePassReportsStatistics) {
     }
   )");
   ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
-
-  struct AddToMul : RewritePattern {
-    AddToMul() : RewritePattern("std.addf") {}
-    LogicalResult
-    matchAndRewrite(Operation *Op,
-                    PatternRewriter &Rewriter) const override {
-      OperationState S(*Rewriter.getContext(),
-                       Rewriter.getContext()->resolveOpDef("std.mulf"),
-                       Op->getLoc());
-      S.Operands = {Op->getOperand(0), Op->getOperand(1)};
-      S.ResultTypes = {Op->getResult(0).getType()};
-      Operation *Mul = Rewriter.createOp(S);
-      Rewriter.replaceOp(Op, {Mul->getResult(0)});
-      return success();
-    }
-  };
 
   auto Patterns = std::make_shared<RewritePatternSet>(&Ctx);
   Patterns->add<AddToMul>();
@@ -261,6 +265,142 @@ TEST_F(PassTest, FunctionPassStopsAtFirstFailure) {
   EXPECT_NE(Out.find("rejecting f3"), std::string::npos) << Out;
   // Nothing from the functions after the failing one.
   EXPECT_EQ(Out.find("f4"), std::string::npos) << Out;
+}
+
+/// Records how many ops each verify-each run checked.
+struct VerifyCounts : PassInstrumentation {
+  explicit VerifyCounts(std::vector<uint64_t> *Checked) : Checked(Checked) {}
+  static uint64_t opsVerified() {
+    return MetricsRegistry::instance()
+        .getCounter("irdl_verify_ops_total", "")
+        .get();
+  }
+  void runBeforeVerifier(Operation *) override { Before = opsVerified(); }
+  void runAfterVerifier(Operation *, bool) override {
+    Checked->push_back(opsVerified() - Before);
+  }
+  std::vector<uint64_t> *Checked;
+  uint64_t Before = 0;
+};
+
+/// Forwards to \p Inner and keeps the size of the change set it
+/// recorded, or SIZE_MAX when the set was not localized.
+struct RecordingPass : Pass {
+  RecordingPass(std::unique_ptr<Pass> Inner, size_t *Recorded)
+      : Inner(std::move(Inner)), Recorded(Recorded) {}
+  std::string_view getName() const override { return Inner->getName(); }
+  LogicalResult run(Operation *Root, DiagnosticEngine &Diags) override {
+    return Inner->run(Root, Diags);
+  }
+  LogicalResult runAndRecord(Operation *Root, DiagnosticEngine &Diags,
+                             ChangeSet &Changes) override {
+    LogicalResult Result = Inner->runAndRecord(Root, Diags, Changes);
+    *Recorded = Changes.isLocalized() ? Changes.size() : SIZE_MAX;
+    return Result;
+  }
+  std::unique_ptr<Pass> Inner;
+  size_t *Recorded;
+};
+
+unsigned countOps(Operation *Root) {
+  unsigned N = 0;
+  Root->walk([&](Operation *) { ++N; });
+  return N;
+}
+
+TEST_F(PassTest, VerifyEachChecksOnlyWhatThePassChanged) {
+  std::string Text = functionsText(6);
+  Text += R"(
+    std.func @g(%a: f32) -> f32 {
+      %dead = std.constant 2.0 : f32
+      %s = std.addf %a, %a : f32
+      std.return %s : f32
+    }
+  )";
+  OwningOpRef M = parse(Text);
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  unsigned NumOps = countOps(M.get());
+
+  ScopedMetricsEnabled Metrics;
+  Counter &Verifications = MetricsRegistry::instance().getCounter(
+      "irdl_pass_verifications_total", "");
+  uint64_t VerificationsBefore = Verifications.get();
+  std::vector<uint64_t> Checked;
+  size_t RewriteRecorded = 0, DceRecorded = 0;
+  auto Patterns = std::make_shared<RewritePatternSet>(&Ctx);
+  Patterns->add<AddToMul>();
+  PassManager PM(&Ctx);
+  PM.addInstrumentation<VerifyCounts>(&Checked);
+  PM.addPass<RecordingPass>(
+      std::make_unique<GreedyRewritePass>("add-to-mul", Patterns),
+      &RewriteRecorded);
+  PM.addPass<RecordingPass>(std::make_unique<DeadCodeEliminationPass>(
+                                std::vector<std::string>{"std.constant"}),
+                            &DceRecorded);
+  DiagnosticEngine PDiags;
+  ASSERT_TRUE(succeeded(PM.run(M.get(), PDiags))) << PDiags.renderAll();
+
+  // The rewrite records the new mulf, the return now using it, and @g,
+  // whose block changed. dce records @g, whose block lost the constant.
+  EXPECT_EQ(RewriteRecorded, 3u);
+  EXPECT_EQ(DceRecorded, 1u);
+  EXPECT_EQ(Checked, (std::vector<uint64_t>{NumOps, 3, 1}));
+  EXPECT_EQ(Verifications.get() - VerificationsBefore, 3u);
+}
+
+TEST_F(PassTest, PassesThatRecordNothingGetAFullVerify) {
+  OwningOpRef M = parse(functionsText(4));
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  unsigned NumOps = countOps(M.get());
+  ScopedMetricsEnabled Metrics;
+  std::vector<uint64_t> Checked;
+  int Runs = 0;
+  size_t Recorded = 0;
+  PassManager PM(&Ctx);
+  PM.addInstrumentation<VerifyCounts>(&Checked);
+  PM.addPass<RecordingPass>(std::make_unique<CountingPass>(&Runs),
+                            &Recorded);
+  DiagnosticEngine PDiags;
+  ASSERT_TRUE(succeeded(PM.run(M.get(), PDiags))) << PDiags.renderAll();
+  EXPECT_EQ(Recorded, SIZE_MAX);
+  EXPECT_EQ(Checked, (std::vector<uint64_t>{NumOps, NumOps}));
+}
+
+TEST_F(PassTest, UnlocalizedChangesFallBackToAFullVerify) {
+  // A pattern that gives the entry block of @f an argument its signature
+  // lacks, and reports the block: only a check of @f itself sees that.
+  struct AddBlockArgument : RewritePattern {
+    AddBlockArgument() : RewritePattern("std.addf") {}
+    LogicalResult matchAndRewrite(Operation *Op,
+                                  PatternRewriter &Rewriter) const override {
+      Block *B = Op->getBlock();
+      if (B->getNumArguments() != 1)
+        return failure();
+      Rewriter.notifyBlockModified(B);
+      B->addArgument(Op->getResult(0).getType());
+      return success();
+    }
+  };
+  OwningOpRef M = parse(R"(
+    std.func @f(%a: f32) -> f32 {
+      %s = std.addf %a, %a : f32
+      std.return %s : f32
+    }
+  )");
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  auto Patterns = std::make_shared<RewritePatternSet>(&Ctx);
+  Patterns->add<AddBlockArgument>();
+  size_t Recorded = 0;
+  PassManager PM(&Ctx);
+  PM.addPass<RecordingPass>(
+      std::make_unique<GreedyRewritePass>("add-arg", Patterns), &Recorded);
+  DiagnosticEngine PDiags;
+  EXPECT_TRUE(failed(PM.run(M.get(), PDiags)));
+  EXPECT_EQ(Recorded, SIZE_MAX);
+  EXPECT_NE(PDiags.renderAll().find("entry block argument count does not "
+                                    "match the function signature"),
+            std::string::npos)
+      << PDiags.renderAll();
 }
 
 } // namespace

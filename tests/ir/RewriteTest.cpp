@@ -189,4 +189,126 @@ TEST_F(RewriteTest, EraseDeadOpsRespectsUses) {
   EXPECT_NE(Text.find("std.constant 2"), std::string::npos);
 }
 
+/// Logs every op it is tried on and never matches; benefit 0, so it runs
+/// after every other pattern.
+struct LogVisits : RewritePattern {
+  explicit LogVisits(std::vector<std::string> *Seen)
+      : RewritePattern("", /*Benefit=*/0), Seen(Seen) {}
+  LogicalResult matchAndRewrite(Operation *Op,
+                                PatternRewriter &) const override {
+    Seen->push_back(Op->getName().str());
+    return failure();
+  }
+  std::vector<std::string> *Seen;
+};
+
+TEST_F(RewriteTest, NewOpAtAnErasedQueuedOpsAddressRunsAtItsOwnPosition) {
+  Dialect *D = Ctx.getOrCreateDialect("t");
+  for (const char *Name : {"a", "b", "c", "d"})
+    D->addOp(Name);
+  OwningOpRef M = parse(R"(
+    std.func @f() {
+      "t.a"() : () -> ()
+      "t.b"() : () -> ()
+      "t.d"() : () -> ()
+      std.return
+    }
+  )");
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+
+  // On t.a, once: erases t.b, which is still queued, then creates t.c
+  // in its place. t.c has t.b's shape, so the arena hands it t.b's slot.
+  struct ReplaceNext : RewritePattern {
+    ReplaceNext(uintptr_t *Erased, uintptr_t *Created)
+        : RewritePattern("t.a"), Erased(Erased), Created(Created) {}
+    LogicalResult matchAndRewrite(Operation *Op,
+                                  PatternRewriter &Rewriter) const override {
+      if (*Created)
+        return failure();
+      Operation *Next = Op->getNextNode();
+      *Erased = reinterpret_cast<uintptr_t>(Next);
+      Rewriter.eraseOp(Next);
+      OperationState State(*Rewriter.getContext(),
+                           Rewriter.getContext()->resolveOpDef("t.c"),
+                           Op->getLoc());
+      Rewriter.setInsertionPointAfter(Op);
+      *Created = reinterpret_cast<uintptr_t>(Rewriter.createOp(State));
+      return success();
+    }
+    uintptr_t *Erased;
+    uintptr_t *Created;
+  };
+
+  uintptr_t Erased = 0, Created = 0;
+  std::vector<std::string> Seen;
+  RewritePatternSet Patterns(&Ctx);
+  Patterns.add<ReplaceNext>(&Erased, &Created);
+  Patterns.add<LogVisits>(&Seen);
+  RewriteStatistics Stats = applyPatternsGreedily(M.get(), Patterns);
+  ASSERT_EQ(Created, Erased) << "the arena did not reuse the erased slot";
+  EXPECT_EQ(Stats.NumRewrites, 1u);
+  EXPECT_TRUE(Stats.Converged);
+  // First sweep: t.b's queue slot is dead, and t.c runs once, after the
+  // ops queued before it. Second sweep: walk order, nothing matches.
+  std::vector<std::string> Expected = {
+      "std.func", "t.d", "std.return", "t.c",                  // sweep 1
+      "std.func", "t.a", "t.c",        "t.d", "std.return"};   // sweep 2
+  EXPECT_EQ(Seen, Expected);
+}
+
+TEST_F(RewriteTest, NonConvergenceIsReported) {
+  // A pattern that claims a change every time it runs never converges.
+  struct AlwaysChanged : RewritePattern {
+    AlwaysChanged() : RewritePattern("std.addf") {}
+    LogicalResult matchAndRewrite(Operation *,
+                                  PatternRewriter &) const override {
+      return success();
+    }
+  };
+  OwningOpRef M = parse(R"(
+    std.func @f(%a: f32) -> f32 {
+      %s = std.addf %a, %a : f32
+      std.return %s : f32
+    }
+  )");
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  RewritePatternSet Patterns(&Ctx);
+  Patterns.add<AlwaysChanged>();
+  RewriteStatistics Stats =
+      applyPatternsGreedily(M.get(), Patterns, /*MaxIterations=*/3);
+  EXPECT_FALSE(Stats.Converged);
+  EXPECT_EQ(Stats.NumIterations, 3u);
+  EXPECT_EQ(Stats.NumRewrites, 4u); // three sweeps plus the probe
+}
+
+TEST_F(RewriteTest, PatternsRootedAtUnregisteredNamesCompareNames) {
+  // "t.x" is not registered: its pattern is tried on unregistered ops by
+  // name, and never on registered ones.
+  Ctx.setAllowUnregisteredOps(true);
+  OwningOpRef M = parse(R"(
+    std.func @f(%a: f32) -> f32 {
+      "t.x"() : () -> ()
+      "t.y"() : () -> ()
+      %s = std.addf %a, %a : f32
+      std.return %s : f32
+    }
+  )");
+  ASSERT_TRUE(static_cast<bool>(M)) << Diags.renderAll();
+  struct LogX : RewritePattern {
+    explicit LogX(std::vector<std::string> *Seen)
+        : RewritePattern("t.x"), Seen(Seen) {}
+    LogicalResult matchAndRewrite(Operation *Op,
+                                  PatternRewriter &) const override {
+      Seen->push_back(Op->getName().str());
+      return failure();
+    }
+    std::vector<std::string> *Seen;
+  };
+  std::vector<std::string> Seen;
+  RewritePatternSet Patterns(&Ctx);
+  Patterns.add<LogX>(&Seen);
+  applyPatternsGreedily(M.get(), Patterns);
+  EXPECT_EQ(Seen, std::vector<std::string>{"t.x"});
+}
+
 } // namespace

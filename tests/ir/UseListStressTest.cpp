@@ -9,6 +9,7 @@
 
 #include "ir/Block.h"
 #include "ir/Context.h"
+#include "ir/OpArena.h"
 #include "ir/Region.h"
 
 #include <gtest/gtest.h>
@@ -335,6 +336,61 @@ TEST_F(UseListStressTest, SetOperandsSelfAssignSafe) {
   EXPECT_EQ(P->getResult(1).getNumUses(), 1u);
   C->erase();
   P->erase();
+}
+
+TEST_F(UseListStressTest, NestedTeardownLeavesNoLiveUse) {
+  // A module three regions deep whose ops use values across regions and
+  // blocks (forward, backward, into nested regions and out of them) and a
+  // value defined outside it. Destroying the module drops every
+  // reference in one walk; no use of the outside value survives, and the
+  // arena gets every byte back.
+  OpDefinition *WrapDef = Ctx.getOrCreateDialect("stress")->addOp("wrap");
+  Type ArgTypes[] = {Ctx.getFloatType(32)};
+  auto MakeWrap = [&](unsigned NumBlocks) {
+    OperationState S(Ctx, OperationName(WrapDef));
+    Region *R = S.addRegion();
+    for (unsigned I = 0; I != NumBlocks; ++I)
+      R->push_back(Block::create(Ctx, ArgTypes));
+    return Operation::create(S);
+  };
+  Operation *Outside = makeProducer();
+  uint64_t LiveBefore = Ctx.getOpArena().getStats().BytesLive;
+
+  Operation *Module = MakeWrap(1);
+  Block &B0 = Module->getRegion(0).front();
+  Operation *Forward = makeConsumer({});
+  B0.push_back(Forward);
+  Operation *P0 = makeProducer();
+  B0.push_back(P0);
+  Forward->setOperands({P0->getResult(0), Outside->getResult(0)});
+  Operation *W1 = MakeWrap(2);
+  B0.push_back(W1);
+
+  Block &B1 = W1->getRegion(0).front();
+  Block &B1Next = W1->getRegion(0).back();
+  Operation *P1 = makeProducer();
+  B1.push_back(P1);
+  B1.push_back(makeConsumer(
+      {P0->getResult(1), Outside->getResult(0), B0.getArgument(0)}));
+  Operation *W2 = MakeWrap(2);
+  B1.push_back(W2);
+
+  Block &B2 = W2->getRegion(0).front();
+  Block &B2Next = W2->getRegion(0).back();
+  Operation *P2 = makeProducer();
+  B2Next.push_back(P2);
+  B2.push_back(makeConsumer({P2->getResult(0), P1->getResult(0),
+                             P0->getResult(0), Outside->getResult(1),
+                             B1.getArgument(0)}));
+  B2Next.push_back(makeConsumer({B2.getArgument(0), Outside->getResult(0)}));
+  B1Next.push_back(makeConsumer({P2->getResult(1), B2Next.getArgument(0)}));
+
+  EXPECT_EQ(Outside->getResult(0).getNumUses(), 3u);
+  EXPECT_EQ(Outside->getResult(1).getNumUses(), 1u);
+  Module->destroy();
+  EXPECT_TRUE(Outside->use_empty());
+  EXPECT_EQ(Ctx.getOpArena().getStats().BytesLive, LiveBefore);
+  Outside->erase();
 }
 
 } // namespace
