@@ -294,7 +294,6 @@ LogicalResult parseFunc(CustomOpParser &P, OperationState &State) {
     return failure();
 
   std::vector<std::pair<CustomOpParser::UnresolvedOperand, Type>> EntryArgs;
-  std::vector<Type> InputTypes;
   if (failed(P.expect(IRToken::Kind::LParen, "'(' in function signature")))
     return failure();
   if (!P.consumeIf(IRToken::Kind::RParen)) {
@@ -308,13 +307,16 @@ LogicalResult parseFunc(CustomOpParser &P, OperationState &State) {
       if (failed(P.parseType(Ty)))
         return failure();
       EntryArgs.emplace_back(Arg, Ty);
-      InputTypes.push_back(Ty);
     } while (P.consumeIf(IRToken::Kind::Comma));
     if (failed(P.expect(IRToken::Kind::RParen,
                         "')' in function signature")))
       return failure();
   }
 
+  std::vector<Type> InputTypes;
+  InputTypes.reserve(EntryArgs.size());
+  for (const auto &Arg : EntryArgs)
+    InputTypes.push_back(Arg.second);
   std::vector<Type> ResultTypes;
   if (P.consumeIf(IRToken::Kind::Arrow)) {
     if (P.consumeIf(IRToken::Kind::LParen)) {

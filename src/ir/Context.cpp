@@ -146,7 +146,7 @@ EnumDef *IRContext::resolveEnumDef(std::string_view Name,
 //===----------------------------------------------------------------------===//
 
 static size_t hashDefAndParams(const void *Def,
-                               const std::vector<ParamValue> &Params) {
+                               std::span<const ParamValue> Params) {
   size_t Seed = std::hash<const void *>{}(Def);
   for (const ParamValue &P : Params)
     hashCombine(Seed, P.hash());
@@ -159,7 +159,8 @@ static size_t hashDefAndParams(const void *Def,
 template <typename StorageT, typename DefT>
 StorageT *IRContext::uniqueStorage(UniquePool<StorageT> IRContext::*PoolOf,
                                    const DefT *Def,
-                                   std::vector<ParamValue> &&Params,
+                                   std::span<const ParamValue> Params,
+                                   std::vector<ParamValue> *Owned,
                                    DiagnosticEngine &Diags, SMLoc Loc) {
   assert(Def && "null type or attribute definition");
   constexpr bool IsType = std::is_same_v<StorageT, TypeStorage>;
@@ -167,20 +168,27 @@ StorageT *IRContext::uniqueStorage(UniquePool<StorageT> IRContext::*PoolOf,
   for (const IRContext *C = this; C; C = C->Parent) {
     auto [It, End] = (C->*PoolOf).equal_range(H);
     for (; It != End; ++It)
-      if (It->second->Def == Def && It->second->Params == Params) {
+      if (It->second->Def == Def &&
+          std::equal(It->second->Params.begin(), It->second->Params.end(),
+                     Params.begin(), Params.end())) {
         ++(IsType ? NumTypeUniqueHits : NumAttrUniqueHits);
         return It->second.get();
       }
   }
   ++(IsType ? NumTypeUniqueMisses : NumAttrUniqueMisses);
 
+  std::vector<ParamValue> Copy;
+  if (!Owned) {
+    Copy.assign(Params.begin(), Params.end());
+    Owned = &Copy;
+  }
   // The verifier may unique nested types; it runs before the insert.
   if (const auto &Verifier = Def->getVerifier())
-    if (failed(Verifier(Params, Diags, Loc)))
+    if (failed(Verifier(*Owned, Diags, Loc)))
       return nullptr;
   auto Storage = std::make_unique<StorageT>();
   Storage->Def = Def;
-  Storage->Params = std::move(Params);
+  Storage->Params = std::move(*Owned);
   StorageT *Raw = Storage.get();
   (this->*PoolOf).emplace(H, std::move(Storage));
   return Raw;
@@ -198,8 +206,15 @@ Type IRContext::getType(const TypeDefinition *Def,
 Type IRContext::getTypeChecked(const TypeDefinition *Def,
                                std::vector<ParamValue> Params,
                                DiagnosticEngine &Diags, SMLoc Loc) {
-  return Type(uniqueStorage(&IRContext::TypePool, Def, std::move(Params),
-                            Diags, Loc));
+  return Type(
+      uniqueStorage(&IRContext::TypePool, Def, Params, &Params, Diags, Loc));
+}
+
+Type IRContext::lookupOrCreateType(const TypeDefinition *Def,
+                                   std::span<const ParamValue> Params,
+                                   DiagnosticEngine &Diags, SMLoc Loc) {
+  return Type(
+      uniqueStorage(&IRContext::TypePool, Def, Params, nullptr, Diags, Loc));
 }
 
 Attribute IRContext::getAttr(const AttrDefinition *Def,
@@ -214,8 +229,15 @@ Attribute IRContext::getAttr(const AttrDefinition *Def,
 Attribute IRContext::getAttrChecked(const AttrDefinition *Def,
                                     std::vector<ParamValue> Params,
                                     DiagnosticEngine &Diags, SMLoc Loc) {
-  return Attribute(uniqueStorage(&IRContext::AttrPool, Def, std::move(Params),
-                                 Diags, Loc));
+  return Attribute(
+      uniqueStorage(&IRContext::AttrPool, Def, Params, &Params, Diags, Loc));
+}
+
+Attribute IRContext::lookupOrCreateAttr(const AttrDefinition *Def,
+                                        std::span<const ParamValue> Params,
+                                        DiagnosticEngine &Diags, SMLoc Loc) {
+  return Attribute(
+      uniqueStorage(&IRContext::AttrPool, Def, Params, nullptr, Diags, Loc));
 }
 
 size_t IRContext::getNumUniquedTypes() const { return TypePool.size(); }
@@ -420,10 +442,12 @@ Type IRContext::getIndexType() { return getType(IndexTypeDef); }
 
 Type IRContext::getFunctionType(const std::vector<Type> &Inputs,
                                 const std::vector<Type> &Results) {
-  std::vector<ParamValue> InputParams(Inputs.begin(), Inputs.end());
-  std::vector<ParamValue> ResultParams(Results.begin(), Results.end());
-  return getType(FunctionTypeDef, {ParamValue(std::move(InputParams)),
-                                   ParamValue(std::move(ResultParams))});
+  // Built in place: an initializer list would copy both arrays.
+  std::vector<ParamValue> Params;
+  Params.reserve(2);
+  Params.emplace_back(std::vector<ParamValue>(Inputs.begin(), Inputs.end()));
+  Params.emplace_back(std::vector<ParamValue>(Results.begin(), Results.end()));
+  return getType(FunctionTypeDef, std::move(Params));
 }
 
 Attribute IRContext::getIntegerAttr(IntVal Value) {

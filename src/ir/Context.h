@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 namespace irdl {
@@ -101,6 +102,16 @@ public:
                            std::vector<ParamValue> Params,
                            DiagnosticEngine &Diags, SMLoc Loc = SMLoc());
 
+  /// Like getTypeChecked and getAttrChecked, for parameters the caller
+  /// keeps: they are copied only when the type or attribute is new, so
+  /// finding an existing one allocates nothing.
+  Type lookupOrCreateType(const TypeDefinition *Def,
+                          std::span<const ParamValue> Params,
+                          DiagnosticEngine &Diags, SMLoc Loc = SMLoc());
+  Attribute lookupOrCreateAttr(const AttrDefinition *Def,
+                               std::span<const ParamValue> Params,
+                               DiagnosticEngine &Diags, SMLoc Loc = SMLoc());
+
   /// Number of distinct types/attributes uniqued in this context's own
   /// pools, not counting its parent's (introspection, tests).
   size_t getNumUniquedTypes() const;
@@ -172,9 +183,12 @@ private:
   /// Finds (Def, Params) in the pool \p PoolOf of this context or an
   /// ancestor; on a miss runs the definition's verifier and interns the
   /// storage into this context's own pool. Null if the verifier fails.
+  /// \p Owned, if given, holds \p Params and is moved from on a miss;
+  /// otherwise a miss copies them.
   template <typename StorageT, typename DefT>
   StorageT *uniqueStorage(UniquePool<StorageT> IRContext::*PoolOf,
-                          const DefT *Def, std::vector<ParamValue> &&Params,
+                          const DefT *Def, std::span<const ParamValue> Params,
+                          std::vector<ParamValue> *Owned,
                           DiagnosticEngine &Diags, SMLoc Loc);
 
   const IRContext *Parent = nullptr;

@@ -12,7 +12,7 @@
 #include "support/Diagnostics.h"
 #include "support/SourceMgr.h"
 
-#include <deque>
+#include <forward_list>
 #include <string>
 #include <string_view>
 
@@ -96,9 +96,10 @@ private:
   const char *End;
   DiagnosticEngine &Diags;
   IRToken Tok;
-  /// Unescaped bodies of string literals with escapes; a deque so earlier
-  /// tokens' spellings stay valid.
-  std::deque<std::string> Unescaped;
+  /// Unescaped bodies of string literals with escapes; a list so earlier
+  /// tokens' spellings stay valid, and one that allocates nothing until
+  /// a literal has an escape.
+  std::forward_list<std::string> Unescaped;
 };
 
 } // namespace irdl

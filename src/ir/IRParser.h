@@ -15,6 +15,7 @@
 #include "ir/Operation.h"
 
 #include <memory>
+#include <typeindex>
 
 namespace irdl {
 
@@ -58,6 +59,13 @@ public:
 private:
   Operation *Op = nullptr;
 };
+
+/// The deepest nesting the IR readers (text and `.irbc`) accept, so that
+/// hostile input is diagnosed instead of overflowing the stack. Regions
+/// are counted apart from values: at most this many regions nest inside
+/// one another, and at most this many types, attributes and parameters
+/// (each one level, so `[[1]]` is three deep).
+inline constexpr unsigned MaxNestingDepth = 256;
 
 /// Parses \p Source as a module body. The buffer is registered with
 /// \p SrcMgr so diagnostics render carets. Returns a null ref on error.
@@ -127,7 +135,21 @@ public:
               const std::vector<std::pair<UnresolvedOperand, Type>>
                   &EntryArgs = {});
 
+  /// A \p T that lives until the end of the parse, default-constructed on
+  /// first use: a hook keeps its buffers here to reuse them from op to op
+  /// instead of allocating them for every op. There is one per type, so a
+  /// hook that parses regions (whose ops may run the same hook) must not
+  /// hold it across parseRegion.
+  template <typename T> T &getScratch() {
+    std::shared_ptr<void> &Slot = scratchSlot(std::type_index(typeid(T)));
+    if (!Slot)
+      Slot = std::make_shared<T>();
+    return *static_cast<T *>(Slot.get());
+  }
+
 private:
+  std::shared_ptr<void> &scratchSlot(std::type_index Type);
+
   IRParserImpl &Impl;
 };
 

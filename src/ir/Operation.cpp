@@ -56,8 +56,27 @@ OperationState::~OperationState() = default;
 
 Region *OperationState::addRegion() {
   assert(Ctx && "operation state has no context");
-  Regions.push_back(std::make_unique<Region>(*Ctx));
+  if (SpareRegions.empty()) {
+    Regions.push_back(std::make_unique<Region>(*Ctx));
+  } else {
+    Regions.push_back(std::move(SpareRegions.back()));
+    SpareRegions.pop_back();
+  }
   return Regions.back().get();
+}
+
+void OperationState::reset(const OperationName &NewName, SMLoc NewLoc) {
+  // Copy-assigned so an unregistered name reuses this state's string.
+  Name = NewName;
+  Loc = NewLoc;
+  Operands.clear();
+  ResultTypes.clear();
+  Attributes.clear();
+  Successors.clear();
+  for (std::unique_ptr<Region> &R : Regions)
+    if (R->empty())
+      SpareRegions.push_back(std::move(R));
+  Regions.clear();
 }
 
 //===----------------------------------------------------------------------===//

@@ -318,6 +318,15 @@ struct OperationState {
   /// Adds a (possibly empty) region; its blocks will be transferred to the
   /// operation on creation.
   Region *addRegion();
+
+  /// Empties the state for another operation named \p NewName, keeping
+  /// the capacity of every list. Regions that Operation::create emptied
+  /// are kept for later addRegion calls; regions still holding blocks (a
+  /// failed build) are destroyed with their contents.
+  void reset(const OperationName &NewName, SMLoc NewLoc = SMLoc());
+
+private:
+  std::vector<std::unique_ptr<Region>> SpareRegions;
 };
 
 /// A generic SSA operation.

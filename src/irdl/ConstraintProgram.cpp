@@ -7,6 +7,8 @@
 #include "support/Statistic.h"
 #include "support/Timing.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <sstream>
 
@@ -300,39 +302,39 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC,
   const CInstr &I = Instrs[Pc];
   const uint32_t *Child = Children.data() + I.ChildrenBegin;
   switch (I.Op) {
-  case COpcode::TypeParams: {
-    const TypeDefinition *Def = TypeDefs[I.A];
-    if ((I.Flags & CInstr::FlagBaseOnly) && Def->getNumParams() != 0)
-      return std::nullopt;
-    std::vector<ParamValue> Params;
-    for (uint16_t C = 0; C != I.NumChildren; ++C) {
-      auto V = concreteAt(Child[C], MC, Ctx);
-      if (!V)
-        return std::nullopt;
-      Params.push_back(std::move(*V));
-    }
-    DiagnosticEngine Scratch;
-    Type T = Ctx.getTypeChecked(Def, std::move(Params), Scratch);
-    if (!T)
-      return std::nullopt;
-    return ParamValue(T);
-  }
+  case COpcode::TypeParams:
   case COpcode::AttrParams: {
-    const AttrDefinition *Def = AttrDefs[I.A];
-    if ((I.Flags & CInstr::FlagBaseOnly) && Def->getNumParams() != 0)
+    bool IsType = I.Op == COpcode::TypeParams;
+    unsigned NumParams = IsType ? TypeDefs[I.A]->getNumParams()
+                                : AttrDefs[I.A]->getNumParams();
+    if ((I.Flags & CInstr::FlagBaseOnly) && NumParams != 0)
       return std::nullopt;
-    std::vector<ParamValue> Params;
+    // Most definitions take a few parameters; those are kept on the stack
+    // and looked up in place, so finding an existing type allocates
+    // nothing.
+    std::array<ParamValue, 4> Inline;
+    std::vector<ParamValue> Spilled;
+    std::span<ParamValue> Params(
+        Inline.data(), std::min<size_t>(I.NumChildren, Inline.size()));
+    if (I.NumChildren > Inline.size()) {
+      Spilled.resize(I.NumChildren);
+      Params = Spilled;
+    }
     for (uint16_t C = 0; C != I.NumChildren; ++C) {
       auto V = concreteAt(Child[C], MC, Ctx);
       if (!V)
         return std::nullopt;
-      Params.push_back(std::move(*V));
+      Params[C] = std::move(*V);
     }
     DiagnosticEngine Scratch;
-    Attribute A = Ctx.getAttrChecked(Def, std::move(Params), Scratch);
-    if (!A)
-      return std::nullopt;
-    return ParamValue(A);
+    if (IsType) {
+      if (Type T = Ctx.lookupOrCreateType(TypeDefs[I.A], Params, Scratch))
+        return ParamValue(T);
+    } else if (Attribute A =
+                   Ctx.lookupOrCreateAttr(AttrDefs[I.A], Params, Scratch)) {
+      return ParamValue(A);
+    }
+    return std::nullopt;
   }
   case COpcode::IntEq:
     return ParamValue(Ints[I.A]);

@@ -7,6 +7,7 @@
 #include "irdl/ConstraintProgram.h"
 #include "support/StringExtras.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -118,14 +119,30 @@ std::optional<unsigned> lookupVarParam(const ConstraintPtr &VC,
   return std::nullopt;
 }
 
+/// A `$Var.param` value read by the parse hook.
+struct VarParamValue {
+  unsigned Var;
+  unsigned Param;
+  ParamValue Value;
+};
+
+/// What the parse hook reuses from op to op within one parse.
+struct FormatParseScratch {
+  std::vector<CustomOpParser::UnresolvedOperand> OperandRefs;
+  MatchContext MC;
+  /// In format order; the first value read for a parameter counts.
+  std::vector<VarParamValue> VarParamVals;
+  /// The parameters of the var deriveVars is building.
+  std::vector<ParamValue> Params;
+};
+
 /// Derives the value of every still-unbound var in \p MC, using parsed
 /// per-var parameter values; derived values are uniqued in \p Ctx. Vars
 /// that stay unbound surface later, when the operand/result types they
-/// feed cannot be inferred.
+/// feed cannot be inferred. \p Params is scratch storage.
 void deriveVars(const OpSpec &Spec, MatchContext &MC,
-                const std::map<std::pair<unsigned, unsigned>, ParamValue>
-                    &VarParamVals,
-                IRContext &Ctx) {
+                const std::vector<VarParamValue> &VarParamVals,
+                std::vector<ParamValue> &Params, IRContext &Ctx) {
   bool Progress = true;
   while (Progress) {
     Progress = false;
@@ -136,12 +153,15 @@ void deriveVars(const OpSpec &Spec, MatchContext &MC,
       if (VC->getKind() != Constraint::Kind::TypeParams &&
           VC->getKind() != Constraint::Kind::AttrParams)
         continue;
-      std::vector<ParamValue> Params;
+      Params.clear();
       bool Ok = true;
       for (unsigned I = 0, N = VC->getChildren().size(); I != N; ++I) {
-        auto It = VarParamVals.find({V, I});
+        auto It = std::find_if(VarParamVals.begin(), VarParamVals.end(),
+                               [&](const VarParamValue &P) {
+                                 return P.Var == V && P.Param == I;
+                               });
         if (It != VarParamVals.end()) {
-          Params.push_back(It->second);
+          Params.push_back(It->Value);
           continue;
         }
         auto CV = Spec.VarPrograms[V]->concreteChildValue(I, MC, Ctx);
@@ -155,14 +175,13 @@ void deriveVars(const OpSpec &Spec, MatchContext &MC,
         continue;
       DiagnosticEngine Scratch;
       if (VC->getKind() == Constraint::Kind::TypeParams) {
-        Type T = Ctx.getTypeChecked(VC->getTypeDef(), std::move(Params),
-                                    Scratch);
+        Type T = Ctx.lookupOrCreateType(VC->getTypeDef(), Params, Scratch);
         if (!T)
           continue;
         MC.bind(V, ParamValue(T));
       } else {
-        Attribute A = Ctx.getAttrChecked(VC->getAttrDef(), std::move(Params),
-                                         Scratch);
+        Attribute A = Ctx.lookupOrCreateAttr(VC->getAttrDef(), Params,
+                                             Scratch);
         if (!A)
           continue;
         MC.bind(V, ParamValue(A));
@@ -358,10 +377,14 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
                          -> LogicalResult {
     const OpSpec &Spec = *SpecRef;
     SMLoc OpLoc = P.getCurrentLoc();
-    std::vector<CustomOpParser::UnresolvedOperand> OperandRefs(
-        Spec.Operands.size());
-    MatchContext MC(&Spec.VarPrograms);
-    std::map<std::pair<unsigned, unsigned>, ParamValue> VarParamVals;
+    FormatParseScratch &Scratch = P.getScratch<FormatParseScratch>();
+    std::vector<CustomOpParser::UnresolvedOperand> &OperandRefs =
+        Scratch.OperandRefs;
+    OperandRefs.assign(Spec.Operands.size(), {});
+    MatchContext &MC = Scratch.MC;
+    MC.reset(&Spec.VarPrograms);
+    std::vector<VarParamValue> &VarParamVals = Scratch.VarParamVals;
+    VarParamVals.clear();
 
     for (const FormatElement &Elem : Compiled->Elements) {
       switch (Elem.K) {
@@ -370,8 +393,11 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
           if (Kind == IRToken::Kind::Identifier) {
             if (failed(P.parseKeyword(Spelling)))
               return failure();
-          } else if (failed(P.expect(Kind, "'" + Spelling + "'"))) {
-            return failure();
+          } else if (!P.consumeIf(Kind)) {
+            // What expect() would report, without building the message
+            // for every op that parses.
+            return P.emitError(P.getCurrentLoc(),
+                               "expected '" + Spelling + "'");
           }
         }
         break;
@@ -397,15 +423,14 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
         ParamValue V;
         if (failed(P.parseParam(V)))
           return failure();
-        VarParamVals.emplace(
-            std::make_pair(Elem.Index, Elem.ParamIndex), std::move(V));
+        VarParamVals.push_back({Elem.Index, Elem.ParamIndex, std::move(V)});
         break;
       }
       }
     }
 
     IRContext &Ctx = *P.getContext();
-    deriveVars(Spec, MC, VarParamVals, Ctx);
+    deriveVars(Spec, MC, VarParamVals, Scratch.Params, Ctx);
 
     // Resolve operand and result types through their programs.
     for (unsigned I = 0, E = Spec.Operands.size(); I != E; ++I) {

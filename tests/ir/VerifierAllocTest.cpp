@@ -1,12 +1,13 @@
 //===- VerifierAllocTest.cpp - Per-op allocation contracts ---------------===//
 ///
-/// The verifier makes no heap allocation per operation on success, and
-/// the `.irbc` reader makes none of its own per operation. Both are
-/// checked by counting calls to the global operator new, which this test
-/// executable replaces: verifying a module of 2N functions must allocate
-/// exactly as often as verifying one of N, and reading a function of 2N
-/// ops may only add the one extra doubling of each growing table. No
-/// timing is involved.
+/// The verifier makes no heap allocation per operation on success, the
+/// `.irbc` reader makes none of its own per operation, and the text
+/// parser makes at most one per operation. All three are checked by
+/// counting calls to the global operator new, which this test executable
+/// replaces: verifying a module of 2N functions must allocate exactly as
+/// often as verifying one of N, reading a function of 2N ops may only add
+/// the one extra doubling of each growing table, and parsing 2N functions
+/// may add at most one allocation per added op. No timing is involved.
 
 #include "bytecode/Bytecode.h"
 #include "ir/Block.h"
@@ -132,6 +133,87 @@ TEST_F(VerifierAllocTest, VerifyAllocatesNothingPerOp) {
   });
   EXPECT_EQ(N, TwoN) << "200 functions: " << N << " allocations, 400: "
                      << TwoN;
+}
+
+/// \p NumFuncs functions mixing generic ops, custom-format ops (one of
+/// them deriving its type variable from a parameter), `%x:2` multi-result
+/// bindings, and forward references. Each body repeats the mix four
+/// times, about the 50 ops a function of pipebench's serve-mixed module
+/// has, over which the signature's own allocations (argument lists, the
+/// function type and the symbol name) spread.
+std::string mixedModule(unsigned NumFuncs) {
+  std::string Src;
+  for (unsigned I = 0; I != NumFuncs; ++I) {
+    Src += "std.func @f" + std::to_string(I) + R"((
+        %a: !cmath.complex<f32>, %b: !cmath.complex<f32>, %x: i32,
+        %y: i32, %c: i1) -> f32 {
+      %t = std.constant 0.0 : f32
+)";
+    std::string Acc = "%t";
+    for (unsigned R = 0; R != 4; ++R) {
+      std::string N = std::to_string(R);
+      Src += "      \"test.sink\"(%later" + N + ") : (i32) -> ()\n" +
+             "      %m" + N + " = cmath.mul %a, %b : f32\n" +
+             "      %n" + N + " = cmath.norm %m" + N + " : f32\n" +
+             "      %k" + N + " = cmath.norm %a : f32\n" +
+             "      %s" + N +
+             " = \"arith.addi\"(%x, %y) : (i32, i32) -> (i32)\n" +
+             "      %p" + N + " = \"arith.muli\"(%s" + N +
+             ", %y) : (i32, i32) -> (i32)\n" +
+             "      %q" + N + " = \"arith.select\"(%c, %s" + N + ", %p" + N +
+             ") : (i1, i32, i32) -> (i32)\n" +
+             "      %pair" + N + ":2 = \"test.pair\"(%q" + N +
+             ") : (i32) -> (i32, f32)\n" +
+             "      %later" + N + " = \"arith.addi\"(%pair" + N +
+             "#0, %x) : (i32, i32) -> (i32)\n" +
+             "      %r" + N + " = std.addf %n" + N + ", %k" + N + " : f32\n" +
+             "      %u" + N + " = std.mulf %r" + N + ", %pair" + N +
+             "#1 : f32\n" +
+             "      %acc" + N + " = std.addf " + Acc + ", %u" + N + " : f32\n";
+      Acc = "%acc" + N;
+    }
+    Src += "      std.return " + Acc + " : f32\n    }\n";
+  }
+  return Src;
+}
+
+TEST_F(VerifierAllocTest, ParserAllocatesAtMostOncePerOp) {
+  for (const auto &S : Specs)
+    ASSERT_NE(S, nullptr) << Diags.renderAll();
+  Dialect *Test = Ctx.getOrCreateDialect("test");
+  Test->addOp("sink");
+  Test->addOp("pair");
+  std::string Small = mixedModule(100), Large = mixedModule(200);
+
+  // Allocations of one parse, minus the slabs the op arena reserved for
+  // the ops; the module is destroyed after counting. A first parse of the
+  // large module uniques every type and attribute but the function names.
+  auto ParseAllocs = [&](const std::string &Src, uint64_t *NumOps) {
+    OpArenaStats Before = Ctx.getOpArena().getStats();
+    OwningOpRef M;
+    uint64_t Allocs = allocationsOf([&] {
+      SourceMgr ParseSrcMgr;
+      DiagnosticEngine ParseDiags(&ParseSrcMgr);
+      M = parseSourceString(Ctx, Src, ParseSrcMgr, ParseDiags);
+      EXPECT_TRUE(M) << ParseDiags.renderAll();
+    });
+    OpArenaStats After = Ctx.getOpArena().getStats();
+    if (M && NumOps) {
+      *NumOps = 0;
+      M->walk([&](Operation *) { ++*NumOps; });
+    }
+    return Allocs - (After.Slabs - Before.Slabs) -
+           (After.LargeAllocs - Before.LargeAllocs);
+  };
+  (void)ParseAllocs(Large, nullptr);
+  uint64_t SmallOps = 0, LargeOps = 0;
+  uint64_t N = ParseAllocs(Small, &SmallOps);
+  uint64_t TwoN = ParseAllocs(Large, &LargeOps);
+  ASSERT_GT(LargeOps, SmallOps);
+  EXPECT_GE(TwoN, N);
+  EXPECT_LE(TwoN - N, LargeOps - SmallOps)
+      << SmallOps << " ops: " << N << " allocations, " << LargeOps
+      << " ops: " << TwoN;
 }
 
 TEST_F(VerifierAllocTest, ReaderAllocatesNothingOfItsOwnPerOp) {

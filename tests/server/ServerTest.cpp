@@ -408,6 +408,34 @@ TEST(ServerTest, StreamMisuseIsProtocolError) {
   }
 }
 
+TEST(ServerTest, TooDeepVerifyIsAnsweredAndTheConnectionServes) {
+  // Ten thousand nested regions in one frame used to overflow the parsing
+  // connection thread's stack and take the server down.
+  ServerFixture Fixture("deep");
+  ServeClient Client = Fixture.connect();
+  ResponseFrame Response;
+  std::string Error;
+  std::string Deep;
+  for (unsigned I = 0; I != 10000; ++I)
+    Deep += "\"std.func\"() ({\n";
+  ASSERT_TRUE(succeeded(Client.verify("deep.mlir", Deep, Response, Error)))
+      << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Fail);
+  EXPECT_NE(Response.Payload.find("deep.mlir:" +
+                                  std::to_string(MaxNestingDepth + 1) +
+                                  ":15: error: regions nested deeper than " +
+                                  std::to_string(MaxNestingDepth)),
+            std::string::npos)
+      << Response.Payload.substr(0, 500);
+
+  ASSERT_TRUE(succeeded(Client.ping(Response, Error))) << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Ok);
+  ASSERT_TRUE(succeeded(Client.verify(
+      "ok.mlir", "std.func @f() {\n  std.return\n}\n", Response, Error)))
+      << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+}
+
 TEST(ServerTest, UnknownFrameTypeClosesConnection) {
   ServerFixture Fixture("unknown");
   std::string Error;

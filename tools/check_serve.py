@@ -12,6 +12,9 @@ service misbehaves:
   known-bad module answers Fail with rendered diagnostics that carry the
   buffer name and the ``IR failed to verify before the pipeline`` tag
   irdl_opt prints for the same input;
+* VERIFY of 10,000 nested regions (hostile nesting past the readers'
+  depth cap) answers Fail with a diagnostic instead of crashing the
+  server, and a PING on the same connection then answers Ok;
 * RELOAD_DIALECT of a byte-identical spec is deduplicated by the
   content-hash cache: it answers Ok with the *unchanged* epoch number
   and bumps ``irdl_serve_spec_cache_hits``;
@@ -56,6 +59,8 @@ BAD_MODULE = (
     '  std.return %r : f32\n'
     '}\n'
 )
+# Far deeper than the readers' nesting cap (MaxNestingDepth, 256).
+DEEP_MODULE = '"std.func"() ({\n' * 10000
 
 
 def send_frame(sock, frame_type, payload):
@@ -227,6 +232,18 @@ def main(argv):
                 "IR failed to verify before the pipeline" in diag, \
                 f"bad VERIFY diagnostics look wrong:\n{diag}"
             print("VERIFY bad.mlir failed with rendered diagnostics")
+
+            status, payload = request(
+                sock, VERIFY, named_payload("deep.mlir", DEEP_MODULE))
+            diag = payload.decode()
+            assert status == FAIL, f"deep VERIFY unexpectedly {status}"
+            assert "deep.mlir:257:15: error: regions nested deeper than" \
+                in diag, f"deep VERIFY diagnostics look wrong:\n{diag[:500]}"
+            status, payload = request(sock, PING)
+            assert status == OK and payload == b"", \
+                f"PING after deep VERIFY: status={status} payload={payload!r}"
+            print("VERIFY deep.mlir failed with a nesting diagnostic; "
+                  "the connection still serves")
 
             # Re-send the last dialect byte-for-byte: the content-hash
             # cache must dedup it — Ok, epoch unchanged, hit counted.
