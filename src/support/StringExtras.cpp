@@ -8,14 +8,6 @@
 
 using namespace irdl;
 
-bool irdl::isIdentifierStart(char C) {
-  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
-}
-
-bool irdl::isIdentifierChar(char C) {
-  return isIdentifierStart(C) || (C >= '0' && C <= '9');
-}
-
 bool irdl::isIdentifier(std::string_view Str) {
   if (Str.empty() || !isIdentifierStart(Str[0]))
     return false;

@@ -9,6 +9,7 @@
 #ifndef IRDL_SUPPORT_STRINGEXTRAS_H
 #define IRDL_SUPPORT_STRINGEXTRAS_H
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -17,10 +18,35 @@
 
 namespace irdl {
 
+namespace detail {
+/// Identifier character classes, one table load per character: the IR
+/// lexer runs these on every byte of its input.
+enum IdentClass : uint8_t { IdentStart = 1, IdentDigit = 2 };
+
+constexpr std::array<uint8_t, 256> buildIdentClasses() {
+  std::array<uint8_t, 256> Table{};
+  for (int C = 'a'; C <= 'z'; ++C)
+    Table[C] = IdentStart;
+  for (int C = 'A'; C <= 'Z'; ++C)
+    Table[C] = IdentStart;
+  Table['_'] = IdentStart;
+  for (int C = '0'; C <= '9'; ++C)
+    Table[C] = IdentDigit;
+  return Table;
+}
+
+inline constexpr std::array<uint8_t, 256> IdentClasses = buildIdentClasses();
+} // namespace detail
+
 /// Returns true for [a-zA-Z_].
-bool isIdentifierStart(char C);
+inline bool isIdentifierStart(char C) {
+  return detail::IdentClasses[static_cast<unsigned char>(C)] &
+         detail::IdentStart;
+}
 /// Returns true for [a-zA-Z0-9_].
-bool isIdentifierChar(char C);
+inline bool isIdentifierChar(char C) {
+  return detail::IdentClasses[static_cast<unsigned char>(C)] != 0;
+}
 /// Returns true if \p Str is a non-empty identifier.
 bool isIdentifier(std::string_view Str);
 
