@@ -260,14 +260,18 @@ void printFunc(Operation *Op, CustomOpPrinter &P) {
   P << ")";
   if (!Results.empty()) {
     P << " -> ";
-    if (Results.size() > 1)
+    // A lone function-typed result needs its parentheses too: its own
+    // arrow would otherwise end the signature.
+    bool Parens = Results.size() > 1 || Results[0].getType().getDef() ==
+                                            Ctx->getFunctionTypeDef();
+    if (Parens)
       P << "(";
     for (unsigned I = 0, E = Results.size(); I != E; ++I) {
       if (I)
         P << ", ";
       P.printType(Results[I].getType());
     }
-    if (Results.size() > 1)
+    if (Parens)
       P << ")";
   }
   // Extra attributes need an `attributes` keyword so the dict's `{` cannot
@@ -284,7 +288,6 @@ void printFunc(Operation *Op, CustomOpPrinter &P) {
     P << " ";
     P.printRegion(Body);
   }
-  (void)Ctx;
 }
 
 LogicalResult parseFunc(CustomOpParser &P, OperationState &State) {

@@ -72,7 +72,11 @@ void irdl::printType(Type T, std::ostream &OS) {
       printType(Inputs[I].getType(), OS);
     }
     OS << ") -> ";
-    if (Results.size() == 1) {
+    // A single result prints bare unless it is itself a function type,
+    // whose own arrow would otherwise end this type's result list.
+    Type Single = Results.size() == 1 ? Results[0].getType() : Type();
+    if (Results.size() == 1 &&
+        !(Single && isBuiltinDef(Single.getDef(), "function"))) {
       printType(Results[0].getType(), OS);
       return;
     }

@@ -15,7 +15,7 @@ using namespace irdl;
 // Private-constructor access: the factories are members, so they can build
 // directly.
 #define MAKE(KIND)                                                          \
-  std::shared_ptr<Constraint> C(new Constraint(Kind::KIND))
+  auto C = std::make_shared<Constraint>(FactoryTag{}, Kind::KIND)
 
 ConstraintPtr Constraint::anyType() {
   MAKE(AnyType);
@@ -248,6 +248,7 @@ void Constraint::computeFlags() {
   for (const ConstraintPtr &Child : Children) {
     HasCpp |= Child->HasCpp;
     HasVar |= Child->HasVar;
+    Height = std::max(Height, Child->Height + 1);
   }
 }
 
@@ -484,32 +485,37 @@ void Constraint::collectUnguardedVars(std::vector<unsigned> &Out) const {
   }
 }
 
-std::optional<unsigned>
-irdl::findVarCycle(const std::vector<std::vector<unsigned>> &UnguardedRefs) {
+VarCycleFinder &VarCycleFinder::forThread() {
+  static thread_local VarCycleFinder Finder;
+  return Finder;
+}
+
+std::optional<unsigned> VarCycleFinder::search() {
   // Iterative depth-first search (a hostile `.irbc` may chain thousands
   // of variables): a reference to a variable still on the stack closes
   // a cycle through it.
   enum : uint8_t { Unvisited, OnStack, Done };
-  std::vector<uint8_t> State(UnguardedRefs.size(), Unvisited);
-  std::vector<std::pair<unsigned, size_t>> Stack; // (variable, next ref)
-  for (unsigned Root = 0; Root != UnguardedRefs.size(); ++Root) {
+  unsigned NumVars = RefsBegin.size() - 1;
+  State.assign(NumVars, Unvisited);
+  Stack.clear();
+  for (unsigned Root = 0; Root != NumVars; ++Root) {
     if (State[Root] != Unvisited)
       continue;
     State[Root] = OnStack;
-    Stack.push_back({Root, 0});
+    Stack.push_back({Root, RefsBegin[Root]});
     while (!Stack.empty()) {
       auto &[V, Next] = Stack.back();
-      if (Next == UnguardedRefs[V].size()) {
+      if (Next == RefsBegin[V + 1]) {
         State[V] = Done;
         Stack.pop_back();
         continue;
       }
-      unsigned W = UnguardedRefs[V][Next++];
+      unsigned W = Refs[Next++];
       if (State[W] == OnStack)
         return W;
       if (State[W] == Unvisited) {
         State[W] = OnStack;
-        Stack.push_back({W, 0});
+        Stack.push_back({W, RefsBegin[W]});
       }
     }
   }

@@ -221,6 +221,10 @@ public:
   /// construction-time bit.
   bool referencesVar() const { return HasVar; }
 
+  /// Levels of the tree rooted here, 1 for a leaf. Also computed at
+  /// construction; the frontend bounds it by MaxNestingDepth.
+  unsigned getHeight() const { return Height; }
+
   //===------------------------------------------------------------------===//
   // Evaluation
   //===------------------------------------------------------------------===//
@@ -247,7 +251,14 @@ public:
   std::string str() const;
 
 private:
-  Constraint(Kind K) : K(K) {}
+  /// Only the factories can name it, so only they construct nodes (one
+  /// allocation each, through make_shared).
+  struct FactoryTag {};
+
+public:
+  Constraint(FactoryTag, Kind K) : K(K) {}
+
+private:
 
   /// Folds the construction-time property bits from Children (called by
   /// every factory after the children are in place).
@@ -256,6 +267,7 @@ private:
   Kind K;
   bool HasCpp = false;
   bool HasVar = false;
+  unsigned Height = 1;
   std::vector<ConstraintPtr> Children;
   const TypeDefinition *TDef = nullptr;
   const AttrDefinition *ADef = nullptr;
@@ -270,24 +282,51 @@ private:
   NativeConstraintFn NativeFn;
 };
 
-/// Returns a constraint variable that reaches itself through unguarded
-/// references, or nullopt if there is none. \p UnguardedRefs[V] lists the
-/// variables that variable V's constraint references unguarded (see
-/// Constraint::collectUnguardedVars). Matching such a variable recurses
-/// on the same value forever, while a reference under a parameter or an
-/// array element descends into a strictly smaller value and terminates.
-std::optional<unsigned>
-findVarCycle(const std::vector<std::vector<unsigned>> &UnguardedRefs);
+/// Finds a constraint variable that reaches itself through unguarded
+/// references (see Constraint::collectUnguardedVars). Matching such a
+/// variable recurses on the same value forever, while a reference under a
+/// parameter or an array element descends into a strictly smaller value
+/// and terminates. The finder keeps its storage from call to call, so the
+/// per-thread one that findUnguardedVarCycle uses stops allocating once
+/// it has seen the largest operation.
+class VarCycleFinder {
+public:
+  /// A variable of \p Vars (variable constraints or variable programs,
+  /// ConstraintProgram::collectUnguardedVars) on such a cycle, or nullopt
+  /// if there is none.
+  template <typename T>
+  std::optional<unsigned>
+  find(const std::vector<std::shared_ptr<const T>> &Vars) {
+    Refs.clear();
+    RefsBegin.clear();
+    for (const auto &V : Vars) {
+      RefsBegin.push_back((uint32_t)Refs.size());
+      V->collectUnguardedVars(Refs);
+    }
+    RefsBegin.push_back((uint32_t)Refs.size());
+    return search();
+  }
 
-/// findVarCycle over an operation's variable constraints or variable
-/// programs (ConstraintProgram::collectUnguardedVars).
+  /// The calling thread's finder.
+  static VarCycleFinder &forThread();
+
+private:
+  std::optional<unsigned> search();
+
+  /// Variable V references Refs[RefsBegin[V], RefsBegin[V + 1]).
+  std::vector<unsigned> Refs;
+  std::vector<uint32_t> RefsBegin;
+  std::vector<uint8_t> State;
+  std::vector<std::pair<unsigned, uint32_t>> Stack; // (variable, next ref)
+};
+
+/// VarCycleFinder::find on the calling thread's finder.
 template <typename T>
 std::optional<unsigned>
 findUnguardedVarCycle(const std::vector<std::shared_ptr<const T>> &Vars) {
-  std::vector<std::vector<unsigned>> Refs(Vars.size());
-  for (size_t V = 0; V != Vars.size(); ++V)
-    Vars[V]->collectUnguardedVars(Refs[V]);
-  return findVarCycle(Refs);
+  if (Vars.empty())
+    return std::nullopt;
+  return VarCycleFinder::forThread().find(Vars);
 }
 
 } // namespace irdl

@@ -4,6 +4,10 @@
 
 #include "support/Statistic.h"
 
+#include <algorithm>
+#include <type_traits>
+#include <utility>
+
 using namespace irdl;
 
 IRDL_STATISTIC(ConstraintCompiler, NumProgramsCompiled,
@@ -45,12 +49,37 @@ const void *dispatchKey(const Constraint &C) {
 
 namespace irdl::detail {
 
+/// Emits a program into scratch arrays it keeps from program to program,
+/// then copies them into exact-size program storage. Pools are
+/// deduplicated by scanning them while they are small, and through a
+/// hash index once one outgrows that, so that a large hostile tree stays
+/// linear.
 class ConstraintProgramBuilder {
 public:
-  ConstraintProgramBuilder() : P(std::make_shared<ConstraintProgram>()) {}
-
-  ConstraintProgramPtr take(const ConstraintPtr &Root) {
-    emit(*Root);
+  ConstraintProgramPtr build(const Constraint &Root) {
+    Instrs.clear();
+    Children.clear();
+    TableAlts.clear();
+    TypeDefs.clear();
+    AttrDefs.clear();
+    Ints.clear();
+    Floats.clear();
+    EnumDefs.clear();
+    EnumVals.clear();
+    // Clearing a map wipes all of its buckets, so only the (rare) used
+    // ones are cleared.
+    if (!TypeDefIdx.empty())
+      TypeDefIdx.clear();
+    if (!AttrDefIdx.empty())
+      AttrDefIdx.clear();
+    if (!EnumDefIdx.empty())
+      EnumDefIdx.clear();
+    if (!StringIdx.empty())
+      StringIdx.clear();
+    auto P = std::make_shared<ConstraintProgram>();
+    Prog = P.get();
+    emit(Root);
+    layOut(*P);
     ++NumProgramsCompiled;
     NumInstrsEmitted += P->Instrs.size();
     return P;
@@ -63,23 +92,27 @@ private:
     if (C.getKind() == Kind::Named)
       return emit(*C.getChildren()[0]);
 
-    uint32_t Idx = (uint32_t)P->Instrs.size();
-    P->Instrs.emplace_back();
+    uint32_t Idx = (uint32_t)Instrs.size();
+    Instrs.emplace_back();
 
     // Children first (pre-order: the subtree of Idx is exactly
     // [Idx, Instrs.size()) when this frame returns), then the child
-    // slice, so sibling slices stay contiguous.
-    std::vector<uint32_t> ChildIdx;
-    ChildIdx.reserve(C.getChildren().size());
-    for (const ConstraintPtr &Ch : C.getChildren())
-      ChildIdx.push_back(emit(*Ch));
+    // slice, so sibling slices stay contiguous. The child indices wait on
+    // the ChildStack meanwhile.
+    size_t StackBase = ChildStack.size();
+    for (const ConstraintPtr &Ch : C.getChildren()) {
+      uint32_t ChildIdx = emit(*Ch);
+      ChildStack.push_back(ChildIdx);
+    }
+    size_t NumChildren = ChildStack.size() - StackBase;
+    uint32_t Begin = (uint32_t)Children.size();
+    Children.insert(Children.end(), ChildStack.begin() + StackBase,
+                    ChildStack.end());
+    ChildStack.resize(StackBase);
 
-    uint32_t Begin = (uint32_t)P->Children.size();
-    P->Children.insert(P->Children.end(), ChildIdx.begin(), ChildIdx.end());
-
-    assert(ChildIdx.size() <= UINT16_MAX && "constraint fan-out too large");
-    CInstr &I = P->Instrs[Idx];
-    I.NumChildren = (uint16_t)ChildIdx.size();
+    assert(NumChildren <= UINT16_MAX && "constraint fan-out too large");
+    CInstr &I = Instrs[Idx];
+    I.NumChildren = (uint16_t)NumChildren;
     I.ChildrenBegin = Begin;
 
     switch (C.getKind()) {
@@ -94,46 +127,46 @@ private:
       break;
     case Kind::TypeParams:
       I.Op = COpcode::TypeParams;
-      I.A = poolIndex(TypeDefIdx, P->TypeDefs, C.getTypeDef());
+      I.A = poolIndex(TypeDefIdx, TypeDefs, C.getTypeDef());
       if (C.isBaseOnly())
         I.Flags |= CInstr::FlagBaseOnly;
       break;
     case Kind::AttrParams:
       I.Op = COpcode::AttrParams;
-      I.A = poolIndex(AttrDefIdx, P->AttrDefs, C.getAttrDef());
+      I.A = poolIndex(AttrDefIdx, AttrDefs, C.getAttrDef());
       if (C.isBaseOnly())
         I.Flags |= CInstr::FlagBaseOnly;
       break;
     case Kind::IntKind:
       I.Op = COpcode::IntKind;
-      I.A = pushPool(P->Ints, C.getIntVal());
+      I.A = pushPool(Ints, C.getIntVal());
       break;
     case Kind::IntEq:
       I.Op = COpcode::IntEq;
-      I.A = pushPool(P->Ints, C.getIntVal());
+      I.A = pushPool(Ints, C.getIntVal());
       break;
     case Kind::FloatKind:
       I.Op = COpcode::FloatKind;
-      I.A = pushPool(P->Floats, C.getFloatVal());
+      I.A = pushPool(Floats, C.getFloatVal());
       break;
     case Kind::FloatEq:
       I.Op = COpcode::FloatEq;
-      I.A = pushPool(P->Floats, C.getFloatVal());
+      I.A = pushPool(Floats, C.getFloatVal());
       break;
     case Kind::StringKind:
       I.Op = COpcode::StringKind;
       break;
     case Kind::StringEq:
       I.Op = COpcode::StringEq;
-      I.A = stringIndex(C.getString());
+      I.A = poolIndex(StringIdx, Prog->Strings, C.getString());
       break;
     case Kind::EnumKind:
       I.Op = COpcode::EnumKind;
-      I.A = poolIndex(EnumDefIdx, P->EnumDefs, C.getEnumDef());
+      I.A = poolIndex(EnumDefIdx, EnumDefs, C.getEnumDef());
       break;
     case Kind::EnumEq:
       I.Op = COpcode::EnumEq;
-      I.A = pushPool(P->EnumVals, C.getEnumVal());
+      I.A = pushPool(EnumVals, C.getEnumVal());
       break;
     case Kind::ArrayOf:
       I.Op = COpcode::ArrayOf;
@@ -143,11 +176,11 @@ private:
       break;
     case Kind::OpaqueKind:
       I.Op = COpcode::OpaqueKind;
-      I.A = stringIndex(C.getString());
+      I.A = poolIndex(StringIdx, Prog->Strings, C.getString());
       break;
     case Kind::AnyOf:
       I.Op = COpcode::AnyOf;
-      lowerAnyOf(C, Idx, ChildIdx);
+      lowerAnyOf(C, Idx);
       break;
     case Kind::And:
       I.Op = COpcode::And;
@@ -161,11 +194,11 @@ private:
       break;
     case Kind::Cpp:
       I.Op = COpcode::Cpp;
-      I.A = pushPool(P->CppPreds, C.getCppPred());
+      I.A = pushPool(Prog->CppPreds, C.getCppPred());
       break;
     case Kind::Native:
       I.Op = COpcode::Native;
-      I.A = pushPool(P->NativeFns, C.getNativeFn());
+      I.A = pushPool(Prog->NativeFns, C.getNativeFn());
       break;
     case Kind::Named:
       assert(false && "Named handled above");
@@ -175,51 +208,71 @@ private:
     return Idx;
   }
 
-  /// Upgrades an AnyOf to AnyOfTable when every alternative is rooted in
-  /// a base definition check and there are enough of them.
-  void lowerAnyOf(const Constraint &C, uint32_t Idx,
-                  const std::vector<uint32_t> &ChildIdx) {
+  /// Upgrades the AnyOf at \p Idx to AnyOfTable when every alternative is
+  /// rooted in a base definition check and there are enough of them.
+  void lowerAnyOf(const Constraint &C, uint32_t Idx) {
     const auto &Alts = C.getChildren();
     if (Alts.size() < ConstraintCompiler::MinDispatchAlts)
       return;
-    std::vector<const void *> Keys;
-    Keys.reserve(Alts.size());
-    for (const ConstraintPtr &Alt : Alts) {
-      const void *Key = dispatchKey(*Alt);
-      if (!Key)
+    for (const ConstraintPtr &Alt : Alts)
+      if (!dispatchKey(*Alt))
         return;
-      Keys.push_back(Key);
-    }
 
     // Group alternative entry points by definition, preserving source
     // order within each group (same-def alternatives still try in
-    // declaration order, exactly like the sequential scan).
+    // declaration order, exactly like the sequential scan): number the
+    // groups in first-seen order, then lay the alternatives out grouped
+    // by a counting sort.
     ConstraintProgram::DispatchTable Table;
-    std::vector<std::vector<uint32_t>> Groups;
-    for (size_t AltI = 0; AltI != Keys.size(); ++AltI) {
+    AltGroup.clear();
+    GroupStart.clear();
+    for (const ConstraintPtr &Alt : Alts) {
       auto [It, Inserted] = Table.Map.try_emplace(
-          Keys[AltI], (uint32_t)Groups.size(), 0u);
+          dispatchKey(*Alt), (uint32_t)GroupStart.size(), 0u);
       if (Inserted)
-        Groups.emplace_back();
-      Groups[It->second.first].push_back(ChildIdx[AltI]);
+        GroupStart.push_back(0);
+      AltGroup.push_back(It->second.first);
+      ++GroupStart[It->second.first];
     }
+    uint32_t Next = 0;
+    for (uint32_t &Start : GroupStart)
+      Next += std::exchange(Start, Next);
+    Grouped.resize(Alts.size());
+    const CInstr &I = Instrs[Idx];
+    for (size_t AltI = 0; AltI != Alts.size(); ++AltI)
+      Grouped[GroupStart[AltGroup[AltI]]++] = Children[I.ChildrenBegin + AltI];
+    // GroupStart[G] is now the end of group G; its size is in the map.
     for (auto &[Key, Slice] : Table.Map) {
-      std::vector<uint32_t> &Group = Groups[Slice.first];
-      Slice = {(uint32_t)P->TableAlts.size(), (uint32_t)Group.size()};
-      P->TableAlts.insert(P->TableAlts.end(), Group.begin(), Group.end());
+      uint32_t Group = Slice.first;
+      uint32_t End = GroupStart[Group];
+      uint32_t Size = End - (Group ? GroupStart[Group - 1] : 0);
+      Slice = {(uint32_t)TableAlts.size(), Size};
+      TableAlts.insert(TableAlts.end(), Grouped.begin() + (End - Size),
+                       Grouped.begin() + End);
     }
 
-    CInstr &I = P->Instrs[Idx];
-    I.Op = COpcode::AnyOfTable;
-    I.A = (uint32_t)P->Tables.size();
-    P->Tables.push_back(std::move(Table));
+    Instrs[Idx].Op = COpcode::AnyOfTable;
+    Instrs[Idx].A = (uint32_t)Prog->Tables.size();
+    Prog->Tables.push_back(std::move(Table));
     ++NumDispatchTablesBuilt;
   }
 
-  template <typename T, typename PoolT>
-  uint32_t poolIndex(std::unordered_map<T, uint32_t> &Cache, PoolT &Pool,
-                     T Value) {
-    auto [It, Inserted] = Cache.try_emplace(Value, (uint32_t)Pool.size());
+  /// Index of \p Value in \p Pool, appended if new.
+  template <typename T>
+  uint32_t poolIndex(std::unordered_map<T, uint32_t> &Index,
+                     std::vector<T> &Pool, const T &Value) {
+    constexpr size_t MaxScanned = 16;
+    if (Pool.size() <= MaxScanned) {
+      auto It = std::find(Pool.begin(), Pool.end(), Value);
+      if (It != Pool.end())
+        return (uint32_t)(It - Pool.begin());
+      Pool.push_back(Value);
+      if (Pool.size() > MaxScanned)
+        for (size_t I = 0; I != Pool.size(); ++I)
+          Index.emplace(Pool[I], (uint32_t)I);
+      return (uint32_t)Pool.size() - 1;
+    }
+    auto [It, Inserted] = Index.try_emplace(Value, (uint32_t)Pool.size());
     if (Inserted)
       Pool.push_back(Value);
     return It->second;
@@ -231,26 +284,75 @@ private:
     return (uint32_t)Pool.size() - 1;
   }
 
-  uint32_t stringIndex(const std::string &S) {
-    auto [It, Inserted] =
-        StringIdx.try_emplace(S, (uint32_t)P->Strings.size());
-    if (Inserted)
-      P->Strings.push_back(S);
-    return It->second;
+  /// Copies the scratch arrays into \p P's exact-size storage.
+  void layOut(ConstraintProgram &P) {
+    size_t Size = 0;
+    auto Reserve = [&Size](const auto &From) {
+      using T = typename std::decay_t<decltype(From)>::value_type;
+      static_assert(std::is_trivially_copyable_v<T>);
+      Size = (Size + alignof(T) - 1) / alignof(T) * alignof(T);
+      size_t Offset = Size;
+      Size += From.size() * sizeof(T);
+      return Offset;
+    };
+    size_t Offsets[] = {Reserve(Instrs),   Reserve(Children),
+                        Reserve(TableAlts), Reserve(TypeDefs),
+                        Reserve(AttrDefs), Reserve(Ints),
+                        Reserve(Floats),   Reserve(EnumDefs),
+                        Reserve(EnumVals)};
+    std::byte *Base = P.InlineStorage;
+    if (Size > sizeof(P.InlineStorage)) {
+      P.Storage = std::make_unique<std::byte[]>(Size);
+      Base = P.Storage.get();
+    }
+    auto Assign = [Base](auto &To, const auto &From, size_t Offset) {
+      using T = typename std::decay_t<decltype(From)>::value_type;
+      T *Dest = reinterpret_cast<T *>(Base + Offset);
+      std::copy(From.begin(), From.end(), Dest);
+      To.Data = Dest;
+      To.Size = (uint32_t)From.size();
+    };
+    Assign(P.Instrs, Instrs, Offsets[0]);
+    Assign(P.Children, Children, Offsets[1]);
+    Assign(P.TableAlts, TableAlts, Offsets[2]);
+    Assign(P.TypeDefs, TypeDefs, Offsets[3]);
+    Assign(P.AttrDefs, AttrDefs, Offsets[4]);
+    Assign(P.Ints, Ints, Offsets[5]);
+    Assign(P.Floats, Floats, Offsets[6]);
+    Assign(P.EnumDefs, EnumDefs, Offsets[7]);
+    Assign(P.EnumVals, EnumVals, Offsets[8]);
   }
 
-  std::shared_ptr<ConstraintProgram> P;
+  /// The program being built; it receives the pools that are not flat.
+  ConstraintProgram *Prog = nullptr;
+
+  // Scratch, kept from program to program.
+  std::vector<CInstr> Instrs;
+  std::vector<uint32_t> Children;
+  std::vector<uint32_t> TableAlts;
+  std::vector<const TypeDefinition *> TypeDefs;
+  std::vector<const AttrDefinition *> AttrDefs;
+  std::vector<IntVal> Ints;
+  std::vector<FloatVal> Floats;
+  std::vector<const EnumDef *> EnumDefs;
+  std::vector<EnumVal> EnumVals;
   std::unordered_map<const TypeDefinition *, uint32_t> TypeDefIdx;
   std::unordered_map<const AttrDefinition *, uint32_t> AttrDefIdx;
   std::unordered_map<const EnumDef *, uint32_t> EnumDefIdx;
   std::unordered_map<std::string, uint32_t> StringIdx;
+  std::vector<uint32_t> ChildStack;
+  std::vector<uint32_t> AltGroup;
+  std::vector<uint32_t> GroupStart;
+  std::vector<uint32_t> Grouped;
 };
 
 } // namespace irdl::detail
 
 ConstraintProgramPtr ConstraintCompiler::compile(const ConstraintPtr &C) {
   assert(C && "compiling a null constraint");
-  return detail::ConstraintProgramBuilder().take(C);
+  // One builder per thread, so its scratch is reused by every compile.
+  static thread_local detail::ConstraintProgramBuilder Builder;
+  return Builder.build(*C);
 }
 
 std::vector<ConstraintProgramPtr> ConstraintCompiler::compileVarPrograms(

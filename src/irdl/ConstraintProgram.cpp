@@ -382,39 +382,33 @@ ConstraintProgram::concreteChildValue(unsigned I, const MatchContext &MC,
 }
 
 void ConstraintProgram::collectUnguardedVars(std::vector<unsigned> &Out) const {
-  // A worklist with a visited set: a program compiled from a hostile
-  // `.irbc` tree may nest deeply.
-  std::vector<bool> Visited(Instrs.size());
-  std::vector<uint32_t> Work{0};
-  while (!Work.empty()) {
-    uint32_t Pc = Work.back();
-    Work.pop_back();
-    if (Visited[Pc])
-      continue;
-    Visited[Pc] = true;
-    const CInstr &I = Instrs[Pc];
-    const uint32_t *Child = Children.data() + I.ChildrenBegin;
-    switch (I.Op) {
-    case COpcode::Var:
-      Out.push_back(I.A);
-      break;
-    case COpcode::AnyOfTable:
-      for (const auto &[Def, Slice] : Tables[I.A].Map)
-        Work.insert(Work.end(), TableAlts.begin() + Slice.first,
-                    TableAlts.begin() + Slice.first + Slice.second);
-      [[fallthrough]];
-    case COpcode::AnyOf:
-    case COpcode::And:
-    case COpcode::Not:
-    case COpcode::Cpp:
-    case COpcode::Native:
-      Work.insert(Work.end(), Child, Child + I.NumChildren);
-      break;
-    default:
-      // Leaves, and parameter/element programs that only ever see a
-      // strictly smaller value.
-      break;
-    }
+  collectUnguardedVarsAt(0, Out);
+}
+
+void ConstraintProgram::collectUnguardedVarsAt(
+    uint32_t Pc, std::vector<unsigned> &Out) const {
+  // Programs are trees no deeper than their source constraints, which
+  // both readers bound (MaxNestingDepth), so this recursion is bounded
+  // too. An AnyOfTable's dispatch slices hold its children again, so its
+  // children slice covers every alternative.
+  const CInstr &I = Instrs[Pc];
+  switch (I.Op) {
+  case COpcode::Var:
+    Out.push_back(I.A);
+    return;
+  case COpcode::AnyOf:
+  case COpcode::AnyOfTable:
+  case COpcode::And:
+  case COpcode::Not:
+  case COpcode::Cpp:
+  case COpcode::Native:
+    for (uint16_t C = 0; C != I.NumChildren; ++C)
+      collectUnguardedVarsAt(Children[I.ChildrenBegin + C], Out);
+    return;
+  default:
+    // Leaves, and parameter/element programs that only ever see a
+    // strictly smaller value.
+    return;
   }
 }
 

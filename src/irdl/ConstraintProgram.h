@@ -36,6 +36,7 @@
 #include "irdl/Constraint.h"
 
 #include <atomic>
+#include <cstddef>
 #include <unordered_map>
 
 namespace irdl {
@@ -93,6 +94,26 @@ struct CInstr {
   uint32_t ChildrenBegin = 0;
 
   static constexpr uint8_t FlagBaseOnly = 1u << 0;
+};
+
+/// A fixed-size array in a program's storage, written once by the
+/// compiler and only read afterwards.
+template <typename T> class ProgramArray {
+public:
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  const T &operator[](size_t I) const {
+    assert(I < Size && "program array index out of range");
+    return Data[I];
+  }
+  const T *data() const { return Data; }
+  const T *begin() const { return Data; }
+  const T *end() const { return Data + Size; }
+
+private:
+  friend class detail::ConstraintProgramBuilder;
+  const T *Data = nullptr;
+  uint32_t Size = 0;
 };
 
 /// A compiled, immutable constraint program. Instruction 0 is the entry
@@ -174,23 +195,24 @@ private:
   bool exec(uint32_t Pc, const ParamValue &V, MatchContext &MC) const;
   std::optional<ParamValue> concreteAt(uint32_t Pc, const MatchContext &MC,
                                        IRContext &Ctx) const;
+  void collectUnguardedVarsAt(uint32_t Pc, std::vector<unsigned> &Out) const;
 
   /// The flat program: instructions (entry at 0), the child-index array
   /// their (Begin, Count) slices point into, and the dispatch-table
   /// alternative array. The program owns all three, so nothing outside
   /// the program can change what exec() runs.
-  std::vector<CInstr> Instrs;
-  std::vector<uint32_t> Children;
-  std::vector<uint32_t> TableAlts;
+  ProgramArray<CInstr> Instrs;
+  ProgramArray<uint32_t> Children;
+  ProgramArray<uint32_t> TableAlts;
 
   // Literal/definition pools (indexed by CInstr::A).
-  std::vector<const TypeDefinition *> TypeDefs;
-  std::vector<const AttrDefinition *> AttrDefs;
-  std::vector<IntVal> Ints;
-  std::vector<FloatVal> Floats;
+  ProgramArray<const TypeDefinition *> TypeDefs;
+  ProgramArray<const AttrDefinition *> AttrDefs;
+  ProgramArray<IntVal> Ints;
+  ProgramArray<FloatVal> Floats;
+  ProgramArray<const EnumDef *> EnumDefs;
+  ProgramArray<EnumVal> EnumVals;
   std::vector<std::string> Strings;
-  std::vector<const EnumDef *> EnumDefs;
-  std::vector<EnumVal> EnumVals;
   std::vector<CppParamPredicate> CppPreds;
   std::vector<NativeConstraintFn> NativeFns;
 
@@ -201,6 +223,11 @@ private:
     std::unordered_map<const void *, std::pair<uint32_t, uint32_t>> Map;
   };
   std::vector<DispatchTable> Tables;
+
+  /// The storage of the ProgramArrays, sized exactly at compile time: the
+  /// inline bytes when they fit (most programs), else one heap block.
+  std::unique_ptr<std::byte[]> Storage;
+  alignas(8) std::byte InlineStorage[64];
 
   /// --profile-constraints accumulators (relaxed; see getProfiledEvals).
   mutable std::atomic<uint64_t> ProfEvals{0};

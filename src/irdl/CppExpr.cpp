@@ -3,9 +3,11 @@
 #include "irdl/CppExpr.h"
 
 #include "irdl/Spec.h"
+#include "ir/IRParser.h"
 #include "ir/Operation.h"
 #include "support/StringExtras.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 using namespace irdl;
@@ -69,12 +71,34 @@ private:
     return std::shared_ptr<CppExpr>(new CppExpr(K));
   }
 
+  /// Sets \p E's height from its operands; fails past MaxNestingDepth.
+  ExprPtr bounded(std::shared_ptr<CppExpr> E) {
+    E->Height = 1 + std::max(E->Lhs ? E->Lhs->Height : 0,
+                             E->Rhs ? E->Rhs->Height : 0);
+    if (E->Height > MaxNestingDepth)
+      return tooDeep();
+    return E;
+  }
+
+  ExprPtr tooDeep() {
+    return error("nested deeper than " + std::to_string(MaxNestingDepth));
+  }
+
+  /// Counts one level of parenthesized or prefixed operand while it is
+  /// parsed, so that the parser's own recursion is bounded too.
+  struct Nesting {
+    explicit Nesting(CppExprParser &P) : P(P) { ++P.Depth; }
+    ~Nesting() { --P.Depth; }
+    bool tooDeep() const { return P.Depth > MaxNestingDepth; }
+    CppExprParser &P;
+  };
+
   ExprPtr makeBinary(std::string Op, ExprPtr L, ExprPtr R) {
     auto E = make(CppExpr::Kind::Binary);
     E->StrValue = std::move(Op);
     E->Lhs = std::move(L);
     E->Rhs = std::move(R);
-    return E;
+    return bounded(std::move(E));
   }
 
   ExprPtr parseOr() {
@@ -173,22 +197,28 @@ private:
     if (Pos < Src.size() && Src[Pos] == '!' &&
         (Pos + 1 >= Src.size() || Src[Pos + 1] != '=')) {
       ++Pos;
+      Nesting Level(*this);
+      if (Level.tooDeep())
+        return tooDeep();
       ExprPtr Inner = parseUnary();
       if (!Inner)
         return nullptr;
       auto E = make(CppExpr::Kind::Unary);
       E->StrValue = "!";
       E->Lhs = std::move(Inner);
-      return E;
+      return bounded(std::move(E));
     }
     if (consume("-")) {
+      Nesting Level(*this);
+      if (Level.tooDeep())
+        return tooDeep();
       ExprPtr Inner = parseUnary();
       if (!Inner)
         return nullptr;
       auto E = make(CppExpr::Kind::Unary);
       E->StrValue = "-";
       E->Lhs = std::move(Inner);
-      return E;
+      return bounded(std::move(E));
     }
     return parsePostfix();
   }
@@ -217,7 +247,7 @@ private:
           ++Pos;
           M->IsCall = true;
         }
-        E = std::move(M);
+        E = bounded(std::move(M));
         continue;
       }
       break;
@@ -233,6 +263,9 @@ private:
     char C = Src[Pos];
     if (C == '(') {
       ++Pos;
+      Nesting Level(*this);
+      if (Level.tooDeep())
+        return tooDeep();
       ExprPtr Inner = parseOr();
       if (!Inner)
         return nullptr;
@@ -303,6 +336,7 @@ private:
 
   std::string_view Src;
   size_t Pos = 0;
+  unsigned Depth = 0;
   DiagnosticEngine &Diags;
   SMLoc Loc;
 };

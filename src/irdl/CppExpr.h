@@ -89,6 +89,9 @@ private:
   std::string StrValue; // literal / member name / operator spelling
   std::shared_ptr<const CppExpr> Lhs, Rhs;
   bool IsCall = false;
+  /// Levels of the tree rooted here; the parser bounds it by
+  /// MaxNestingDepth, so evaluation recurses at most that deep.
+  unsigned Height = 1;
 };
 
 } // namespace irdl

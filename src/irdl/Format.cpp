@@ -8,8 +8,9 @@
 #include "support/StringExtras.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <forward_list>
+#include <span>
+#include <utility>
 
 using namespace irdl;
 
@@ -18,25 +19,53 @@ namespace {
 struct FormatElement {
   enum class Kind { Literal, Operand, AttrField, Var, VarParam };
   Kind K;
-  /// Literal: raw text. Others: unused.
-  std::string Text;
-  /// Literal: expected tokens (kind + spelling for identifier-likes).
-  /// Spellings are owned copies: the lexer that produced them is gone.
-  std::vector<std::pair<IRToken::Kind, std::string>> Tokens;
+  /// Literal: raw text, viewing the operation's FormatSrc.
+  std::string_view Text;
+  /// Literal: its expected tokens, CompiledFormat::Tokens[TokensBegin,
+  /// TokensBegin + NumTokens).
+  uint32_t TokensBegin = 0;
+  uint32_t NumTokens = 0;
   /// Operand / AttrField / Var index.
   unsigned Index = 0;
   /// VarParam: parameter index within the var's parametric constraint.
   unsigned ParamIndex = 0;
 };
 
+/// A format compiled for its operation. The views in it point into the
+/// operation's FormatSrc, which the hooks keep alive with the spec.
 struct CompiledFormat {
   std::vector<FormatElement> Elements;
+  /// The expected tokens of every literal: kind and spelling (used for
+  /// identifier-likes).
+  std::vector<std::pair<IRToken::Kind, std::string_view>> Tokens;
+  /// Spellings of string tokens with escapes, which the lexer unescaped.
+  std::forward_list<std::string> Unescaped;
+
+  std::span<const std::pair<IRToken::Kind, std::string_view>>
+  tokens(const FormatElement &Elem) const {
+    return {Tokens.data() + Elem.TokensBegin, Elem.NumTokens};
+  }
+};
+
+/// What a format's directives bind directly: whole variables (\p
+/// KnownVars[V]) and single parameters of variables (the VarParam
+/// elements).
+struct FormatBindings {
+  const std::vector<uint8_t> &KnownVars;
+  const std::vector<FormatElement> &Elements;
+
+  bool knowsParam(unsigned Var, unsigned Param) const {
+    return std::any_of(Elements.begin(), Elements.end(),
+                       [&](const FormatElement &E) {
+                         return E.K == FormatElement::Kind::VarParam &&
+                                E.Index == Var && E.ParamIndex == Param;
+                       });
+  }
 };
 
 /// Can \p C's value be reconstructed given directly-bound vars and
 /// per-var known parameters?
-bool derivable(const ConstraintPtr &C, const std::set<unsigned> &KnownVars,
-               const std::map<unsigned, std::set<unsigned>> &KnownParams,
+bool derivable(const ConstraintPtr &C, const FormatBindings &Known,
                const std::vector<ConstraintPtr> &VarConstraints,
                unsigned Depth = 0) {
   if (Depth > 16)
@@ -44,7 +73,7 @@ bool derivable(const ConstraintPtr &C, const std::set<unsigned> &KnownVars,
   switch (C->getKind()) {
   case Constraint::Kind::Var: {
     unsigned V = C->getVarIndex();
-    if (KnownVars.count(V))
+    if (Known.KnownVars[V])
       return true;
     // Derivable through its own parametric constraint?
     const ConstraintPtr &VC = VarConstraints[V];
@@ -56,12 +85,11 @@ bool derivable(const ConstraintPtr &C, const std::set<unsigned> &KnownVars,
              (VC->getKind() == Constraint::Kind::TypeParams
                   ? VC->getTypeDef()->getNumParams() == 0
                   : VC->getAttrDef()->getNumParams() == 0);
-    auto KP = KnownParams.find(V);
     for (unsigned I = 0, E = VC->getChildren().size(); I != E; ++I) {
-      if (KP != KnownParams.end() && KP->second.count(I))
+      if (Known.knowsParam(V, I))
         continue;
-      if (!derivable(VC->getChildren()[I], KnownVars, KnownParams,
-                     VarConstraints, Depth + 1))
+      if (!derivable(VC->getChildren()[I], Known, VarConstraints,
+                     Depth + 1))
         return false;
     }
     return true;
@@ -75,8 +103,7 @@ bool derivable(const ConstraintPtr &C, const std::set<unsigned> &KnownVars,
       return NumParams == 0;
     }
     for (const ConstraintPtr &Child : C->getChildren())
-      if (!derivable(Child, KnownVars, KnownParams, VarConstraints,
-                     Depth + 1))
+      if (!derivable(Child, Known, VarConstraints, Depth + 1))
         return false;
     return true;
   }
@@ -92,14 +119,12 @@ bool derivable(const ConstraintPtr &C, const std::set<unsigned> &KnownVars,
   case Constraint::Kind::Named: {
     if (C->getKind() == Constraint::Kind::ArrayExact) {
       for (const ConstraintPtr &Child : C->getChildren())
-        if (!derivable(Child, KnownVars, KnownParams, VarConstraints,
-                       Depth + 1))
+        if (!derivable(Child, Known, VarConstraints, Depth + 1))
           return false;
       return true;
     }
     for (const ConstraintPtr &Child : C->getChildren())
-      if (derivable(Child, KnownVars, KnownParams, VarConstraints,
-                    Depth + 1))
+      if (derivable(Child, Known, VarConstraints, Depth + 1))
         return true;
     return false;
   }
@@ -217,31 +242,48 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
     return FormatError("successors are not supported in formats");
 
   auto Compiled = std::make_shared<CompiledFormat>();
-  std::set<unsigned> SeenOperands, SeenAttrs, KnownVars;
-  std::map<unsigned, std::set<unsigned>> KnownVarParams;
+  const std::string &Src = Op.FormatSrc;
+  // Directives and the literals between them alternate, and a token
+  // takes at least one character.
+  Compiled->Elements.reserve(2 * std::count(Src.begin(), Src.end(), '$') +
+                             1);
+  Compiled->Tokens.reserve(Src.size());
+  // Which operands, attributes and variables the format names.
+  size_t NumOperands = Op.Operands.size(), NumAttrs = Op.Attributes.size();
+  std::vector<uint8_t> Seen(NumOperands + NumAttrs + Op.VarNames.size());
+  auto SeenOperand = [&](unsigned I) -> uint8_t & { return Seen[I]; };
+  auto SeenAttr = [&](unsigned I) -> uint8_t & {
+    return Seen[NumOperands + I];
+  };
 
   // Tokenize the format string.
-  const std::string &Src = Op.FormatSrc;
   size_t Pos = 0;
   while (Pos < Src.size()) {
     if (Src[Pos] != '$') {
       size_t Start = Pos;
       while (Pos < Src.size() && Src[Pos] != '$')
         ++Pos;
-      std::string Text = Src.substr(Start, Pos - Start);
+      std::string_view Text(Src.data() + Start, Pos - Start);
       // Pure whitespace chunks only affect printing.
       FormatElement Elem;
       Elem.K = FormatElement::Kind::Literal;
       Elem.Text = Text;
+      Elem.TokensBegin = Compiled->Tokens.size();
       DiagnosticEngine Scratch;
       IRLexer Lex(Text, Scratch);
       while (!Lex.getToken().is(IRToken::Kind::Eof)) {
         if (Lex.getToken().is(IRToken::Kind::Error))
-          return FormatError("invalid literal '" + Text + "'");
-        Elem.Tokens.emplace_back(Lex.getToken().K, Lex.getToken().Spelling);
+          return FormatError("invalid literal '" + std::string(Text) + "'");
+        std::string_view Spelling = Lex.getToken().Spelling;
+        if (!Spelling.empty() && (Spelling.data() < Text.data() ||
+                                  Spelling.data() >= Text.data() +
+                                                         Text.size()))
+          Spelling = Compiled->Unescaped.emplace_front(Spelling);
+        Compiled->Tokens.emplace_back(Lex.getToken().K, Spelling);
         Lex.lex();
       }
-      Compiled->Elements.push_back(std::move(Elem));
+      Elem.NumTokens = Compiled->Tokens.size() - Elem.TokensBegin;
+      Compiled->Elements.push_back(Elem);
       continue;
     }
     ++Pos; // consume '$'
@@ -250,14 +292,14 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
       ++Pos;
     if (Pos == Start)
       return FormatError("expected name after '$'");
-    std::string Name = Src.substr(Start, Pos - Start);
-    std::string ParamName;
+    std::string_view Name(Src.data() + Start, Pos - Start);
+    std::string_view ParamName;
     if (Pos < Src.size() && Src[Pos] == '.') {
       ++Pos;
       size_t PStart = Pos;
       while (Pos < Src.size() && isIdentifierChar(Src[Pos]))
         ++Pos;
-      ParamName = Src.substr(PStart, Pos - PStart);
+      ParamName = std::string_view(Src.data() + PStart, Pos - PStart);
       if (ParamName.empty())
         return FormatError("expected parameter name after '.'");
     }
@@ -266,57 +308,62 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
     if (auto OpIdx = Op.lookupOperand(Name)) {
       if (!ParamName.empty())
         return FormatError("operands have no printable parameters");
-      if (!SeenOperands.insert(*OpIdx).second)
-        return FormatError("operand '" + Name + "' appears twice");
+      if (std::exchange(SeenOperand(*OpIdx), 1))
+        return FormatError("operand '" + std::string(Name) +
+                           "' appears twice");
       Elem.K = FormatElement::Kind::Operand;
       Elem.Index = *OpIdx;
     } else if (auto AttrIdx = Op.lookupAttrField(Name)) {
       if (!ParamName.empty())
         return FormatError("attribute directives take no parameter");
-      if (!SeenAttrs.insert(*AttrIdx).second)
-        return FormatError("attribute '" + Name + "' appears twice");
+      if (std::exchange(SeenAttr(*AttrIdx), 1))
+        return FormatError("attribute '" + std::string(Name) +
+                           "' appears twice");
       Elem.K = FormatElement::Kind::AttrField;
       Elem.Index = *AttrIdx;
     } else if (auto VarIdx = Op.lookupVar(Name)) {
       Elem.Index = *VarIdx;
       if (ParamName.empty()) {
         Elem.K = FormatElement::Kind::Var;
-        KnownVars.insert(*VarIdx);
+        Seen[NumOperands + NumAttrs + *VarIdx] = 1;
       } else {
         auto PIdx =
             lookupVarParam(Op.VarConstraints[*VarIdx], ParamName);
         if (!PIdx)
-          return FormatError("constraint variable '" + Name +
-                             "' has no parameter '" + ParamName + "'");
+          return FormatError("constraint variable '" + std::string(Name) +
+                             "' has no parameter '" +
+                             std::string(ParamName) + "'");
         Elem.K = FormatElement::Kind::VarParam;
         Elem.ParamIndex = *PIdx;
-        KnownVarParams[*VarIdx].insert(*PIdx);
       }
     } else if (Op.lookupResult(Name)) {
       return FormatError("results cannot appear in formats; they are "
                          "inferred from constraints");
     } else {
-      return FormatError("unknown directive '$" + Name + "'");
+      return FormatError("unknown directive '$" + std::string(Name) + "'");
     }
-    Compiled->Elements.push_back(std::move(Elem));
+    Compiled->Elements.push_back(Elem);
   }
 
   // Feasibility: every operand printed, every attribute printed, every
   // operand/result type derivable.
   for (unsigned I = 0, E = Op.Operands.size(); I != E; ++I)
-    if (!SeenOperands.count(I))
+    if (!SeenOperand(I))
       return FormatError("operand '" + Op.Operands[I].Name +
                          "' does not appear in the format");
   for (unsigned I = 0, E = Op.Attributes.size(); I != E; ++I)
-    if (!SeenAttrs.count(I))
+    if (!SeenAttr(I))
       return FormatError("attribute '" + Op.Attributes[I].Name +
                          "' does not appear in the format");
+  // The variable flags are the tail of Seen.
+  Seen.erase(Seen.begin(), Seen.begin() + NumOperands + NumAttrs);
+  FormatBindings Known{Seen, Compiled->Elements};
   for (const OperandSpec &O : Op.Operands)
-    if (!derivable(O.Constr, KnownVars, KnownVarParams, Op.VarConstraints))
+    if (!derivable(O.Constr, Known, Op.VarConstraints))
       return FormatError("the type of operand '" + O.Name +
                          "' cannot be inferred from the format");
   for (const OperandSpec &R : Op.Results)
-    if (!derivable(R.Constr, KnownVars, KnownVarParams, Op.VarConstraints))
+    if (!derivable(R.Constr, Known, Op.VarConstraints))
       return FormatError("the type of result '" + R.Name +
                          "' cannot be inferred from the format");
 
@@ -389,7 +436,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
     for (const FormatElement &Elem : Compiled->Elements) {
       switch (Elem.K) {
       case FormatElement::Kind::Literal:
-        for (const auto &[Kind, Spelling] : Elem.Tokens) {
+        for (const auto &[Kind, Spelling] : Compiled->tokens(Elem)) {
           if (Kind == IRToken::Kind::Identifier) {
             if (failed(P.parseKeyword(Spelling)))
               return failure();
@@ -397,7 +444,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
             // What expect() would report, without building the message
             // for every op that parses.
             return P.emitError(P.getCurrentLoc(),
-                               "expected '" + Spelling + "'");
+                               "expected '" + std::string(Spelling) + "'");
           }
         }
         break;

@@ -8,6 +8,13 @@
 /// int32_t, ...) parse as plain references; semantic analysis gives them
 /// meaning.
 ///
+/// The tree is a view: names, paths and strings view the source buffer
+/// (a string literal with escapes views its unescaped copy), and nodes
+/// and lists live in the bump storage of their ParsedIRDL. Every node is
+/// trivially destructible, so dropping the storage frees the whole tree
+/// at once. A tree is valid while both its ParsedIRDL and the source
+/// buffer live; Sema copies what the resolved specs keep.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IRDL_IRDL_IRDLAST_H
@@ -17,14 +24,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <optional>
-#include <string>
-#include <vector>
+#include <span>
+#include <string_view>
 
 namespace irdl::ast {
 
-struct ConstraintExpr;
-using ConstraintExprPtr = std::unique_ptr<ConstraintExpr>;
+/// A dotted name (`a.b.c`), one view per segment.
+using Path = std::span<const std::string_view>;
 
 /// A constraint expression: a (possibly sigiled, possibly parameterized)
 /// reference, a literal, or a fixed-size array pattern.
@@ -42,113 +50,123 @@ struct ConstraintExpr {
 
   // Ref:
   char Sigil = 0; // '!', '#', or 0
-  std::vector<std::string> Path;
   bool HasArgs = false;
-  std::vector<ConstraintExprPtr> Args; // Ref args / ArrayExact elements
+  ast::Path Path;
+  std::span<const ConstraintExpr *const> Args; // Ref args / ArrayExact elems
 
   // Literals:
   int64_t IntValue = 0;
   double FloatValue = 0.0;
-  std::string StrValue;
+  std::string_view StrValue;
   /// Optional `: int32_t`-style kind annotation on a literal.
-  std::vector<std::string> KindRef;
+  ast::Path KindRef;
 };
 
 /// `name: constraint` — parameters, operands, results, attributes, and
 /// region arguments all share this shape.
 struct NamedConstraint {
-  std::string Name;
-  ConstraintExprPtr Constr;
+  std::string_view Name;
+  const ConstraintExpr *Constr = nullptr;
   SMLoc Loc;
 };
+
+using NamedConstraintList = std::span<const NamedConstraint>;
 
 /// Type or Attribute definition.
 struct TypeOrAttrDecl {
   bool IsAttr = false;
-  std::string Name;
-  SMLoc Loc;
-  std::vector<NamedConstraint> Params;
-  std::string Summary;
-  /// IRDL-C++ additional invariant ($_self is the type/attribute).
-  std::string CppConstraint;
   bool HasCppConstraint = false;
+  std::string_view Name;
+  SMLoc Loc;
+  NamedConstraintList Params;
+  std::string_view Summary;
+  /// IRDL-C++ additional invariant ($_self is the type/attribute).
+  std::string_view CppConstraint;
 };
 
 /// `Region name { Arguments (...) Terminator op }`.
 struct RegionDecl {
-  std::string Name;
+  std::string_view Name;
   SMLoc Loc;
-  std::vector<NamedConstraint> Args;
+  NamedConstraintList Args;
   /// Dotted op path; empty when unconstrained.
-  std::vector<std::string> Terminator;
+  ast::Path Terminator;
 };
 
 /// Operation definition.
 struct OpDecl {
-  std::string Name;
+  std::string_view Name;
   SMLoc Loc;
   /// ConstraintVar(s) (!T: ..., ...). Names are stored without sigils.
-  std::vector<NamedConstraint> ConstraintVars;
-  std::vector<NamedConstraint> Operands;
-  std::vector<NamedConstraint> Results;
-  std::vector<NamedConstraint> Attributes;
-  std::vector<RegionDecl> Regions;
+  NamedConstraintList ConstraintVars;
+  NamedConstraintList Operands;
+  NamedConstraintList Results;
+  NamedConstraintList Attributes;
+  std::span<const RegionDecl> Regions;
   /// Present (possibly empty) iff a Successors directive appeared — which
   /// makes the operation a terminator (Section 4.6).
-  std::optional<std::vector<std::string>> Successors;
-  std::string Format;
+  std::optional<std::span<const std::string_view>> Successors;
+  std::string_view Format;
   bool HasFormat = false;
-  std::string Summary;
-  std::string CppConstraint;
   bool HasCppConstraint = false;
+  std::string_view Summary;
+  std::string_view CppConstraint;
 };
 
 /// `Alias !Name = expr` / parametric `Alias !Name<T, U> = expr`.
 struct AliasDecl {
   char Sigil = 0;
-  std::string Name;
+  std::string_view Name;
   SMLoc Loc;
-  std::vector<std::string> Params;
-  ConstraintExprPtr Body;
+  std::span<const std::string_view> Params;
+  const ConstraintExpr *Body = nullptr;
 };
 
 /// `Enum name { A, B, C }`.
 struct EnumDecl {
-  std::string Name;
+  std::string_view Name;
   SMLoc Loc;
-  std::vector<std::string> Cases;
+  std::span<const std::string_view> Cases;
 };
 
 /// IRDL-C++ `Constraint name : base { Summary CppConstraint }`.
 struct ConstraintDecl {
-  std::string Name;
+  std::string_view Name;
   SMLoc Loc;
-  ConstraintExprPtr Base;
-  std::string Summary;
-  std::string CppConstraint;
+  const ConstraintExpr *Base = nullptr;
   bool HasCppConstraint = false;
+  std::string_view Summary;
+  std::string_view CppConstraint;
 };
 
 /// IRDL-C++ `TypeOrAttrParam name { CppClassName CppParser CppPrinter }`.
 struct TypeOrAttrParamDecl {
-  std::string Name;
+  std::string_view Name;
   SMLoc Loc;
-  std::string Summary;
-  std::string CppClassName;
-  std::string CppParser;
-  std::string CppPrinter;
+  std::string_view Summary;
+  std::string_view CppClassName;
+  std::string_view CppParser;
+  std::string_view CppPrinter;
 };
 
-/// A whole `Dialect name { ... }` body, in declaration order.
+/// A whole `Dialect name { ... }` body, each kind in declaration order.
 struct DialectDecl {
-  std::string Name;
+  std::string_view Name;
   SMLoc Loc;
-  std::vector<TypeOrAttrDecl> TypesAndAttrs;
-  std::vector<OpDecl> Ops;
-  std::vector<AliasDecl> Aliases;
-  std::vector<EnumDecl> Enums;
-  std::vector<ConstraintDecl> Constraints;
-  std::vector<TypeOrAttrParamDecl> ParamTypes;
+  std::span<const TypeOrAttrDecl> TypesAndAttrs;
+  std::span<const OpDecl> Ops;
+  std::span<const AliasDecl> Aliases;
+  std::span<const EnumDecl> Enums;
+  std::span<const ConstraintDecl> Constraints;
+  std::span<const TypeOrAttrParamDecl> ParamTypes;
+};
+
+/// The AST of one IRDL buffer and the storage its nodes live in. Moving
+/// it keeps every node where it is.
+struct ParsedIRDL {
+  std::span<const DialectDecl> Dialects;
+  /// Holds every node, list and unescaped string literal of the tree.
+  std::unique_ptr<std::pmr::monotonic_buffer_resource> Storage;
 };
 
 } // namespace irdl::ast

@@ -55,12 +55,12 @@ irdl::loadIRDL(IRContext &Ctx, std::string_view Source, SourceMgr &SrcMgr,
     Diags.setSourceMgr(&SrcMgr);
 
   unsigned ErrorsBefore = Diags.getNumErrors();
-  std::vector<ast::DialectDecl> Decls;
+  ast::ParsedIRDL Ast;
   {
     // The IRDL lexer runs on demand inside the parser, so one phase
     // covers both.
     IRDL_TIME_SCOPE("lex+parse");
-    Decls = parseIRDL(SrcMgr.getBufferContents(Id), Diags);
+    Ast = parseIRDL(SrcMgr.getBufferContents(Id), Diags);
   }
   if (Diags.getNumErrors() != ErrorsBefore)
     return nullptr;
@@ -68,13 +68,13 @@ irdl::loadIRDL(IRContext &Ctx, std::string_view Source, SourceMgr &SrcMgr,
   Sema S(Ctx, Diags, Opts);
   {
     IRDL_TIME_SCOPE("sema");
-    for (const ast::DialectDecl &Decl : Decls)
+    for (const ast::DialectDecl &Decl : Ast.Dialects)
       if (failed(S.declareDialect(Decl)))
         return nullptr;
   }
 
   auto Module = std::make_unique<IRDLModule>();
-  for (const ast::DialectDecl &Decl : Decls) {
+  for (const ast::DialectDecl &Decl : Ast.Dialects) {
     auto Spec = std::make_shared<DialectSpec>();
     {
       IRDL_TIME_SCOPE("sema");

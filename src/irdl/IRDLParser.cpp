@@ -1,10 +1,22 @@
 //===- IRDLParser.cpp -----------------------------------------------===//
+//
+// The parser builds the view-based AST of IRDLAst.h without a heap
+// allocation per token, node or list: nodes are placed in the
+// ParsedIRDL's bump storage, each list is gathered on a scratch stack and
+// copied out to the storage once complete (so nested lists never
+// interleave), and diagnostic messages are built only on failure.
+//
+//===----------------------------------------------------------------------===//
 
 #include "irdl/IRDLParser.h"
 
 #include "ir/IRLexer.h"
+#include "ir/IRParser.h"
 #include "support/LogicalResult.h"
 #include "support/StringExtras.h"
+
+#include <type_traits>
+#include <vector>
 
 using namespace irdl;
 using namespace irdl::ast;
@@ -14,10 +26,14 @@ namespace {
 class IRDLParserImpl {
 public:
   IRDLParserImpl(std::string_view Source, DiagnosticEngine &Diags)
-      : Diags(Diags), Lex(Source, Diags) {}
+      : Diags(Diags), Lex(Source, Diags), Source(Source) {
+    // The tree of a typical spec takes a few times its text; larger
+    // trees grow the storage geometrically.
+    Result.Storage = std::make_unique<std::pmr::monotonic_buffer_resource>(
+        std::max<size_t>(1024, Source.size() * 4));
+  }
 
-  std::vector<DialectDecl> parseTopLevel() {
-    std::vector<DialectDecl> Dialects;
+  ParsedIRDL parseTopLevel() {
     while (!tok().is(IRToken::Kind::Eof)) {
       if (tok().is(IRToken::Kind::Error))
         return {};
@@ -28,9 +44,10 @@ public:
       DialectDecl D;
       if (failed(parseDialect(D)))
         return {};
-      Dialects.push_back(std::move(D));
+      DialectStack.push_back(D);
     }
-    return Dialects;
+    Result.Dialects = keep(DialectStack, 0);
+    return std::move(Result);
   }
 
 private:
@@ -44,10 +61,13 @@ private:
     return true;
   }
 
-  LogicalResult expect(IRToken::Kind K, std::string_view What) {
+  /// Consumes a \p K token, or reports "expected <What><Suffix>".
+  LogicalResult expect(IRToken::Kind K, std::string_view What,
+                       std::string_view Suffix = {}) {
     if (consumeIf(K))
       return success();
-    return error(tok().Loc, "expected " + std::string(What));
+    return error(tok().Loc,
+                 "expected " + std::string(What) + std::string(Suffix));
   }
 
   LogicalResult error(SMLoc Loc, std::string Message) {
@@ -55,38 +75,82 @@ private:
     return failure();
   }
 
+  //===------------------------------------------------------------------===//
+  // Storage
+  //===------------------------------------------------------------------===//
+
+  template <typename T> T *make() {
+    static_assert(std::is_trivially_destructible_v<T>);
+    return new (Result.Storage->allocate(sizeof(T), alignof(T))) T();
+  }
+
+  /// Moves the entries of \p Stack above \p Base into the storage and pops
+  /// them.
+  template <typename T>
+  std::span<const T> keep(std::vector<T> &Stack, size_t Base) {
+    static_assert(std::is_trivially_destructible_v<T> &&
+                  std::is_trivially_copyable_v<T>);
+    size_t N = Stack.size() - Base;
+    if (N == 0)
+      return {};
+    T *Out = static_cast<T *>(
+        Result.Storage->allocate(N * sizeof(T), alignof(T)));
+    std::uninitialized_copy(Stack.begin() + Base, Stack.end(), Out);
+    Stack.erase(Stack.begin() + Base, Stack.end());
+    return {Out, N};
+  }
+
+  /// The current string token's body, as a view that outlives the lexer:
+  /// the source text, or a stored copy of an unescaped body.
+  std::string_view stringBody() {
+    std::string_view Body = tok().Spelling;
+    if (Body.empty() || (Body.data() >= Source.data() &&
+                         Body.data() < Source.data() + Source.size()))
+      return Body;
+    char *Copy = static_cast<char *>(Result.Storage->allocate(Body.size(), 1));
+    std::copy(Body.begin(), Body.end(), Copy);
+    return {Copy, Body.size()};
+  }
+
+  //===------------------------------------------------------------------===//
+  // Names and strings
+  //===------------------------------------------------------------------===//
+
   /// Parses a plain identifier; fails with a message naming \p What.
-  LogicalResult parseIdent(std::string &Result, std::string_view What) {
+  LogicalResult parseIdent(std::string_view &Result, std::string_view What,
+                           std::string_view Suffix = {}) {
     if (!tok().is(IRToken::Kind::Identifier))
-      return error(tok().Loc, "expected " + std::string(What));
+      return error(tok().Loc,
+                   "expected " + std::string(What) + std::string(Suffix));
     Result = tok().Spelling;
     lex();
     return success();
   }
 
-  /// Parses `a.b.c`.
-  LogicalResult parseDottedPath(std::vector<std::string> &Path,
-                                std::string_view What) {
-    std::string First;
-    if (failed(parseIdent(First, What)))
+  /// Parses `a.b.c`, appending its segments to \p Path.
+  LogicalResult parseDottedPath(ast::Path &Path, std::string_view What) {
+    size_t Base = Names.size();
+    Names.insert(Names.end(), Path.begin(), Path.end());
+    std::string_view Segment;
+    if (failed(parseIdent(Segment, What)))
       return failure();
-    Path.push_back(std::move(First));
+    Names.push_back(Segment);
     while (consumeIf(IRToken::Kind::Dot)) {
-      std::string Next;
-      if (failed(parseIdent(Next, "identifier after '.'")))
+      if (failed(parseIdent(Segment, "identifier after '.'")))
         return failure();
-      Path.push_back(std::move(Next));
+      Names.push_back(Segment);
     }
+    Path = keep(Names, Base);
     return success();
   }
 
   /// Parses a quoted string following a directive keyword.
-  LogicalResult parseDirectiveString(std::string &Result,
+  LogicalResult parseDirectiveString(std::string_view &Result,
                                      std::string_view Directive) {
     if (!tok().is(IRToken::Kind::String))
       return error(tok().Loc, "expected string literal after '" +
                                   std::string(Directive) + "'");
-    Result = tok().Spelling;
+    Result = stringBody();
     lex();
     return success();
   }
@@ -95,9 +159,32 @@ private:
   // Constraint expressions
   //===------------------------------------------------------------------===//
 
-  LogicalResult parseConstraintExpr(ConstraintExprPtr &Result) {
-    auto Expr = std::make_unique<ConstraintExpr>();
+  /// Parses the comma-separated expressions of \p Expr's argument or
+  /// element list, up to (not including) \p Close.
+  LogicalResult parseExprList(ConstraintExpr &Expr, IRToken::Kind Close,
+                              unsigned Depth) {
+    if (tok().is(Close))
+      return success();
+    size_t Base = Exprs.size();
+    do {
+      const ConstraintExpr *Elem;
+      if (failed(parseConstraintExpr(Elem, Depth + 1)))
+        return failure();
+      Exprs.push_back(Elem);
+    } while (consumeIf(IRToken::Kind::Comma));
+    Expr.Args = keep(Exprs, Base);
+    return success();
+  }
+
+  /// Parses one expression at nesting level \p Depth (1 at the top).
+  LogicalResult parseConstraintExpr(const ConstraintExpr *&Result,
+                                    unsigned Depth = 1) {
+    if (Depth > MaxNestingDepth)
+      return error(tok().Loc, "constraints nested deeper than " +
+                                  std::to_string(MaxNestingDepth));
+    ConstraintExpr *Expr = make<ConstraintExpr>();
     Expr->Loc = tok().Loc;
+    Result = Expr;
 
     // Literals.
     if (tok().is(IRToken::Kind::Minus) ||
@@ -126,34 +213,22 @@ private:
       if (consumeIf(IRToken::Kind::Colon))
         if (failed(parseDottedPath(Expr->KindRef, "literal kind")))
           return failure();
-      Result = std::move(Expr);
       return success();
     }
 
     if (tok().is(IRToken::Kind::String)) {
       Expr->K = ConstraintExpr::Kind::StrLit;
-      Expr->StrValue = tok().Spelling;
+      Expr->StrValue = stringBody();
       lex();
-      Result = std::move(Expr);
       return success();
     }
 
     // [pc1, ..., pcN]
     if (consumeIf(IRToken::Kind::LSquare)) {
       Expr->K = ConstraintExpr::Kind::ArrayExact;
-      if (!tok().is(IRToken::Kind::RSquare)) {
-        do {
-          ConstraintExprPtr Elem;
-          if (failed(parseConstraintExpr(Elem)))
-            return failure();
-          Expr->Args.push_back(std::move(Elem));
-        } while (consumeIf(IRToken::Kind::Comma));
-      }
-      if (failed(expect(IRToken::Kind::RSquare,
-                        "']' in array constraint")))
+      if (failed(parseExprList(*Expr, IRToken::Kind::RSquare, Depth)))
         return failure();
-      Result = std::move(Expr);
-      return success();
+      return expect(IRToken::Kind::RSquare, "']' in array constraint");
     }
 
     // [!|#] path [<args>]
@@ -166,48 +241,41 @@ private:
       return failure();
     if (consumeIf(IRToken::Kind::Less)) {
       Expr->HasArgs = true;
-      if (!tok().is(IRToken::Kind::Greater)) {
-        do {
-          ConstraintExprPtr Arg;
-          if (failed(parseConstraintExpr(Arg)))
-            return failure();
-          Expr->Args.push_back(std::move(Arg));
-        } while (consumeIf(IRToken::Kind::Comma));
-      }
-      if (failed(expect(IRToken::Kind::Greater,
-                        "'>' in constraint arguments")))
+      if (failed(parseExprList(*Expr, IRToken::Kind::Greater, Depth)))
         return failure();
+      return expect(IRToken::Kind::Greater, "'>' in constraint arguments");
     }
-    Result = std::move(Expr);
     return success();
   }
 
-  /// Parses `(name: expr, ...)`; when \p AllowSigilNames, names may be
-  /// prefixed with ! or # (ConstraintVar declarations).
-  LogicalResult parseNamedConstraintList(std::vector<NamedConstraint> &Out,
+  /// Parses `(name: expr, ...)`, appending to \p Out (a directive may be
+  /// repeated); when \p AllowSigilNames, names may be prefixed with ! or
+  /// # (ConstraintVar declarations).
+  LogicalResult parseNamedConstraintList(NamedConstraintList &Out,
                                          std::string_view What,
                                          bool AllowSigilNames = false) {
-    if (failed(expect(IRToken::Kind::LParen,
-                      "'(' after " + std::string(What))))
+    if (failed(expect(IRToken::Kind::LParen, "'(' after ", What)))
       return failure();
     if (consumeIf(IRToken::Kind::RParen))
       return success();
+    size_t Base = Named.size();
+    Named.insert(Named.end(), Out.begin(), Out.end());
     do {
       NamedConstraint NC;
       NC.Loc = tok().Loc;
       if (AllowSigilNames)
         (void)(consumeIf(IRToken::Kind::Bang) ||
                consumeIf(IRToken::Kind::Hash));
-      if (failed(parseIdent(NC.Name, "name in " + std::string(What))))
+      if (failed(parseIdent(NC.Name, "name in ", What)))
         return failure();
       if (failed(expect(IRToken::Kind::Colon, "':' after name")))
         return failure();
       if (failed(parseConstraintExpr(NC.Constr)))
         return failure();
-      Out.push_back(std::move(NC));
+      Named.push_back(NC);
     } while (consumeIf(IRToken::Kind::Comma));
-    return expect(IRToken::Kind::RParen,
-                  "')' after " + std::string(What));
+    Out = keep(Named, Base);
+    return expect(IRToken::Kind::RParen, "')' after ", What);
   }
 
   //===------------------------------------------------------------------===//
@@ -267,12 +335,30 @@ private:
     return success();
   }
 
+  LogicalResult parseSuccessors(OpDecl &Decl) {
+    if (failed(expect(IRToken::Kind::LParen, "'(' after Successors")))
+      return failure();
+    Decl.Successors.emplace();
+    if (consumeIf(IRToken::Kind::RParen))
+      return success();
+    size_t Base = Names.size();
+    do {
+      std::string_view Name;
+      if (failed(parseIdent(Name, "successor name")))
+        return failure();
+      Names.push_back(Name);
+    } while (consumeIf(IRToken::Kind::Comma));
+    *Decl.Successors = keep(Names, Base);
+    return expect(IRToken::Kind::RParen, "')' after successors");
+  }
+
   LogicalResult parseOperation(OpDecl &Decl) {
     Decl.Loc = tok().Loc;
     lex(); // consume 'Operation'
     if (failed(parseIdent(Decl.Name, "operation name")) ||
         failed(expect(IRToken::Kind::LBrace, "'{' to begin operation")))
       return failure();
+    size_t RegionBase = Regions.size();
     while (!consumeIf(IRToken::Kind::RBrace)) {
       if (tok().isIdent("ConstraintVar") || tok().isIdent("ConstraintVars")) {
         lex();
@@ -296,23 +382,11 @@ private:
         RegionDecl R;
         if (failed(parseRegionDecl(R)))
           return failure();
-        Decl.Regions.push_back(std::move(R));
+        Regions.push_back(R);
       } else if (tok().isIdent("Successors")) {
         lex();
-        Decl.Successors.emplace();
-        if (failed(expect(IRToken::Kind::LParen, "'(' after Successors")))
+        if (failed(parseSuccessors(Decl)))
           return failure();
-        if (!consumeIf(IRToken::Kind::RParen)) {
-          do {
-            std::string Name;
-            if (failed(parseIdent(Name, "successor name")))
-              return failure();
-            Decl.Successors->push_back(std::move(Name));
-          } while (consumeIf(IRToken::Kind::Comma));
-          if (failed(expect(IRToken::Kind::RParen,
-                            "')' after successors")))
-            return failure();
-        }
       } else if (tok().isIdent("Format")) {
         lex();
         Decl.HasFormat = true;
@@ -332,6 +406,7 @@ private:
         return error(tok().Loc, "unknown directive in operation body");
       }
     }
+    Decl.Regions = keep(Regions, RegionBase);
     return success();
   }
 
@@ -345,15 +420,17 @@ private:
     if (failed(parseIdent(Decl.Name, "alias name")))
       return failure();
     if (consumeIf(IRToken::Kind::Less)) {
+      size_t Base = Names.size();
       do {
-        std::string Param;
+        std::string_view Param;
         // Parameters may themselves carry a sigil (ignored).
         (void)(consumeIf(IRToken::Kind::Bang) ||
                consumeIf(IRToken::Kind::Hash));
         if (failed(parseIdent(Param, "alias parameter")))
           return failure();
-        Decl.Params.push_back(std::move(Param));
+        Names.push_back(Param);
       } while (consumeIf(IRToken::Kind::Comma));
+      Decl.Params = keep(Names, Base);
       if (failed(expect(IRToken::Kind::Greater,
                         "'>' after alias parameters")))
         return failure();
@@ -370,12 +447,14 @@ private:
         failed(expect(IRToken::Kind::LBrace, "'{' to begin enum")))
       return failure();
     if (!consumeIf(IRToken::Kind::RBrace)) {
+      size_t Base = Names.size();
       do {
-        std::string Case;
+        std::string_view Case;
         if (failed(parseIdent(Case, "enum constructor")))
           return failure();
-        Decl.Cases.push_back(std::move(Case));
+        Names.push_back(Case);
       } while (consumeIf(IRToken::Kind::Comma));
+      Decl.Cases = keep(Names, Base);
       if (failed(expect(IRToken::Kind::RBrace, "'}' after enum cases")))
         return failure();
     }
@@ -417,7 +496,7 @@ private:
                       "'{' to begin parameter kind")))
       return failure();
     while (!consumeIf(IRToken::Kind::RBrace)) {
-      std::string *Target = nullptr;
+      std::string_view *Target = nullptr;
       if (tok().isIdent("Summary"))
         Target = &Decl.Summary;
       else if (tok().isIdent("CppClassName"))
@@ -437,6 +516,16 @@ private:
     return success();
   }
 
+  /// Parses one declaration of kind \p T with \p Parse onto \p Stack.
+  template <typename T, typename ParseFn>
+  LogicalResult parseInto(std::vector<T> &Stack, ParseFn Parse) {
+    T D;
+    if (failed(Parse(D)))
+      return failure();
+    Stack.push_back(D);
+    return success();
+  }
+
   LogicalResult parseDialect(DialectDecl &Decl) {
     Decl.Loc = tok().Loc;
     lex(); // consume 'Dialect'
@@ -444,50 +533,62 @@ private:
         failed(expect(IRToken::Kind::LBrace, "'{' to begin dialect")))
       return failure();
     while (!consumeIf(IRToken::Kind::RBrace)) {
+      LogicalResult R = failure();
       if (tok().isIdent("Type") || tok().isIdent("Attribute")) {
-        TypeOrAttrDecl D;
-        if (failed(parseTypeOrAttr(D, tok().isIdent("Attribute"))))
-          return failure();
-        Decl.TypesAndAttrs.push_back(std::move(D));
+        bool IsAttr = tok().isIdent("Attribute");
+        R = parseInto(TypesAndAttrs, [&](TypeOrAttrDecl &D) {
+          return parseTypeOrAttr(D, IsAttr);
+        });
       } else if (tok().isIdent("Operation")) {
-        OpDecl D;
-        if (failed(parseOperation(D)))
-          return failure();
-        Decl.Ops.push_back(std::move(D));
+        R = parseInto(Ops, [&](OpDecl &D) { return parseOperation(D); });
       } else if (tok().isIdent("Alias")) {
-        AliasDecl D;
-        if (failed(parseAlias(D)))
-          return failure();
-        Decl.Aliases.push_back(std::move(D));
+        R = parseInto(Aliases, [&](AliasDecl &D) { return parseAlias(D); });
       } else if (tok().isIdent("Enum")) {
-        EnumDecl D;
-        if (failed(parseEnum(D)))
-          return failure();
-        Decl.Enums.push_back(std::move(D));
+        R = parseInto(Enums, [&](EnumDecl &D) { return parseEnum(D); });
       } else if (tok().isIdent("Constraint")) {
-        ConstraintDecl D;
-        if (failed(parseConstraintDecl(D)))
-          return failure();
-        Decl.Constraints.push_back(std::move(D));
+        R = parseInto(Constraints, [&](ConstraintDecl &D) {
+          return parseConstraintDecl(D);
+        });
       } else if (tok().isIdent("TypeOrAttrParam")) {
-        TypeOrAttrParamDecl D;
-        if (failed(parseTypeOrAttrParam(D)))
-          return failure();
-        Decl.ParamTypes.push_back(std::move(D));
+        R = parseInto(ParamTypes, [&](TypeOrAttrParamDecl &D) {
+          return parseTypeOrAttrParam(D);
+        });
       } else {
         return error(tok().Loc, "unknown directive in dialect body");
       }
+      if (failed(R))
+        return failure();
     }
+    Decl.TypesAndAttrs = keep(TypesAndAttrs, 0);
+    Decl.Ops = keep(Ops, 0);
+    Decl.Aliases = keep(Aliases, 0);
+    Decl.Enums = keep(Enums, 0);
+    Decl.Constraints = keep(Constraints, 0);
+    Decl.ParamTypes = keep(ParamTypes, 0);
     return success();
   }
 
   DiagnosticEngine &Diags;
   IRLexer Lex;
+  std::string_view Source;
+  ParsedIRDL Result;
+
+  // Scratch stacks: each list is gathered here and kept once complete.
+  std::vector<const ConstraintExpr *> Exprs;
+  std::vector<std::string_view> Names;
+  std::vector<NamedConstraint> Named;
+  std::vector<RegionDecl> Regions;
+  std::vector<DialectDecl> DialectStack;
+  std::vector<TypeOrAttrDecl> TypesAndAttrs;
+  std::vector<OpDecl> Ops;
+  std::vector<AliasDecl> Aliases;
+  std::vector<EnumDecl> Enums;
+  std::vector<ConstraintDecl> Constraints;
+  std::vector<TypeOrAttrParamDecl> ParamTypes;
 };
 
 } // namespace
 
-std::vector<DialectDecl> irdl::parseIRDL(std::string_view Source,
-                                         DiagnosticEngine &Diags) {
+ParsedIRDL irdl::parseIRDL(std::string_view Source, DiagnosticEngine &Diags) {
   return IRDLParserImpl(Source, Diags).parseTopLevel();
 }

@@ -13,16 +13,14 @@
 #include "irdl/IRDLAst.h"
 #include "support/Diagnostics.h"
 
-#include <vector>
-
 namespace irdl {
 
 /// Parses \p Source as a sequence of Dialect declarations. Returns an
-/// empty vector and emits diagnostics on error. The source text must
-/// outlive any locations recorded in the AST (register it with a
-/// SourceMgr for caret rendering).
-std::vector<ast::DialectDecl> parseIRDL(std::string_view Source,
-                                        DiagnosticEngine &Diags);
+/// empty AST and emits diagnostics on error. The tree views \p Source,
+/// which must outlive it (register it with a SourceMgr for caret
+/// rendering). Constraint expressions nest at most MaxNestingDepth
+/// (IRParser.h) deep.
+ast::ParsedIRDL parseIRDL(std::string_view Source, DiagnosticEngine &Diags);
 
 } // namespace irdl
 

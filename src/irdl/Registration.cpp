@@ -453,45 +453,45 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
     // registered: each record pins its program's allocation.
     bool Profiling = constraintProfilingEnabled();
     auto Compile = [&](ConstraintProgramPtr &Prog, const ConstraintPtr &C,
-                       const std::string &Owner, const char *Slot,
+                       const std::string &Symbol, const char *Slot,
                        const std::string &Name) {
       Prog = ConstraintCompiler::compile(C);
       if (Profiling)
         ConstraintProfiler::instance().registerProgram(
-            Prog, Owner + " " + Slot + " '" + Name + "'");
+            Prog, Spec->Name + "." + Symbol + " " + Slot + " '" + Name + "'");
     };
     auto CompileParams = [&](std::vector<ParamSpec> &Params,
-                             const std::string &Owner) {
+                             const std::string &Symbol) {
       for (ParamSpec &P : Params)
-        Compile(P.Prog, P.Constr, Owner, "param", P.Name);
+        Compile(P.Prog, P.Constr, Symbol, "param", P.Name);
     };
     auto CompileOperands = [&](std::vector<OperandSpec> &Specs,
-                               const std::string &Owner, const char *Slot) {
+                               const std::string &Symbol, const char *Slot) {
       for (OperandSpec &O : Specs)
-        Compile(O.Prog, O.Constr, Owner, Slot, O.Name);
+        Compile(O.Prog, O.Constr, Symbol, Slot, O.Name);
     };
     for (TypeOrAttrSpec &TS : Spec->Types)
-      CompileParams(TS.Params, Spec->Name + "." + TS.Name);
+      CompileParams(TS.Params, TS.Name);
     for (TypeOrAttrSpec &TS : Spec->Attrs)
-      CompileParams(TS.Params, Spec->Name + "." + TS.Name);
+      CompileParams(TS.Params, TS.Name);
+    static const std::string UnnamedVar = "?";
     for (OpSpec &OS : Spec->Ops) {
-      std::string Owner = Spec->Name + "." + OS.Name;
       // Var opcodes index these slots through the verifier's
       // MatchContext, so every variable needs its program.
       OS.VarPrograms.resize(OS.VarConstraints.size());
       for (size_t I = 0; I != OS.VarPrograms.size(); ++I)
-        Compile(OS.VarPrograms[I], OS.VarConstraints[I], Owner, "var",
-                I < OS.VarNames.size() ? OS.VarNames[I] : "?");
+        Compile(OS.VarPrograms[I], OS.VarConstraints[I], OS.Name, "var",
+                I < OS.VarNames.size() ? OS.VarNames[I] : UnnamedVar);
       // Sema and the `.irbc` reader reject unguarded variable cycles in
       // the trees, and programs compiled from them cannot add one.
       assert(!findUnguardedVarCycle(OS.VarPrograms) &&
              "unguarded variable cycle survived the tree checks");
-      CompileOperands(OS.Operands, Owner, "operand");
-      CompileOperands(OS.Results, Owner, "result");
+      CompileOperands(OS.Operands, OS.Name, "operand");
+      CompileOperands(OS.Results, OS.Name, "result");
       for (ParamSpec &A : OS.Attributes)
-        Compile(A.Prog, A.Constr, Owner, "attr", A.Name);
+        Compile(A.Prog, A.Constr, OS.Name, "attr", A.Name);
       for (RegionSpec &RS : OS.Regions)
-        CompileOperands(RS.Args, Owner, "region arg");
+        CompileOperands(RS.Args, OS.Name, "region arg");
     }
   }
 

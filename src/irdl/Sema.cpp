@@ -2,7 +2,10 @@
 
 #include "irdl/Sema.h"
 
+#include "ir/IRParser.h"
 #include "support/StringExtras.h"
+
+#include <algorithm>
 
 using namespace irdl;
 using namespace irdl::ast;
@@ -21,8 +24,8 @@ LogicalResult Sema::declareDialect(const DialectDecl &Decl) {
   // (component name clashes are diagnosed below), but declaring the same
   // dialect twice in one load is an error.
   if (Tables.count(Decl.Name)) {
-    Diags.emitError(Decl.Loc,
-                    "redefinition of dialect '" + Decl.Name + "'");
+    Diags.emitError(Decl.Loc, "redefinition of dialect '" +
+                                  std::string(Decl.Name) + "'");
     return failure();
   }
   Dialect *D = Ctx.getOrCreateDialect(Decl.Name);
@@ -31,59 +34,60 @@ LogicalResult Sema::declareDialect(const DialectDecl &Decl) {
   T.D = D;
 
   for (const EnumDecl &E : Decl.Enums) {
-    if (!D->addEnum(E.Name, E.Cases)) {
-      Diags.emitError(E.Loc, "redefinition of enum '" + E.Name + "'");
+    if (!D->addEnum(std::string(E.Name),
+                    std::vector<std::string>(E.Cases.begin(),
+                                             E.Cases.end()))) {
+      Diags.emitError(E.Loc, "redefinition of enum '" + std::string(E.Name) +
+                                 "'");
       return failure();
     }
   }
   for (const TypeOrAttrDecl &TA : Decl.TypesAndAttrs) {
     std::vector<std::string> ParamNames;
+    ParamNames.reserve(TA.Params.size());
     for (const NamedConstraint &P : TA.Params)
-      ParamNames.push_back(P.Name);
-    if (TA.IsAttr) {
-      AttrDefinition *Def = D->addAttr(TA.Name);
-      if (!Def) {
-        Diags.emitError(TA.Loc,
-                        "redefinition of attribute '" + TA.Name + "'");
-        return failure();
-      }
-      Def->setParamNames(std::move(ParamNames));
-      Def->setSummary(TA.Summary);
-    } else {
-      TypeDefinition *Def = D->addType(TA.Name);
-      if (!Def) {
-        Diags.emitError(TA.Loc, "redefinition of type '" + TA.Name + "'");
-        return failure();
-      }
-      Def->setParamNames(std::move(ParamNames));
-      Def->setSummary(TA.Summary);
-    }
-  }
-  for (const OpDecl &Op : Decl.Ops) {
-    OpDefinition *Def = D->addOp(Op.Name);
+      ParamNames.emplace_back(P.Name);
+    TypeOrAttrDefinitionBase *Def;
+    if (TA.IsAttr)
+      Def = D->addAttr(std::string(TA.Name));
+    else
+      Def = D->addType(std::string(TA.Name));
     if (!Def) {
-      Diags.emitError(Op.Loc,
-                      "redefinition of operation '" + Op.Name + "'");
+      Diags.emitError(TA.Loc, std::string("redefinition of ") +
+                                  (TA.IsAttr ? "attribute" : "type") +
+                                  " '" + std::string(TA.Name) + "'");
       return failure();
     }
-    Def->setSummary(Op.Summary);
+    Def->setParamNames(std::move(ParamNames));
+    Def->setSummary(std::string(TA.Summary));
+  }
+  for (const OpDecl &Op : Decl.Ops) {
+    OpDefinition *Def = D->addOp(std::string(Op.Name));
+    if (!Def) {
+      Diags.emitError(Op.Loc, "redefinition of operation '" +
+                                  std::string(Op.Name) + "'");
+      return failure();
+    }
+    Def->setSummary(std::string(Op.Summary));
   }
   for (const AliasDecl &A : Decl.Aliases) {
     if (!T.Aliases.emplace(A.Name, &A).second) {
-      Diags.emitError(A.Loc, "redefinition of alias '" + A.Name + "'");
+      Diags.emitError(A.Loc, "redefinition of alias '" +
+                                 std::string(A.Name) + "'");
       return failure();
     }
   }
   for (const ConstraintDecl &C : Decl.Constraints) {
     if (!T.Constraints.emplace(C.Name, &C).second) {
-      Diags.emitError(C.Loc, "redefinition of constraint '" + C.Name + "'");
+      Diags.emitError(C.Loc, "redefinition of constraint '" +
+                                 std::string(C.Name) + "'");
       return failure();
     }
   }
   for (const TypeOrAttrParamDecl &P : Decl.ParamTypes) {
     if (!T.ParamTypes.emplace(P.Name, &P).second) {
-      Diags.emitError(P.Loc,
-                      "redefinition of parameter kind '" + P.Name + "'");
+      Diags.emitError(P.Loc, "redefinition of parameter kind '" +
+                                 std::string(P.Name) + "'");
       return failure();
     }
   }
@@ -94,6 +98,37 @@ LogicalResult Sema::declareDialect(const DialectDecl &Decl) {
 // Constraint resolution
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The kinds of Sema::LeafKey.
+enum LeafKind : unsigned {
+  LeafAnyType,
+  LeafAnyAttr,
+  LeafAnyParam,
+  LeafStringKind,
+  LeafIntKind,
+  LeafFloatKind,
+  LeafIntEq,
+  LeafEnumKind,
+  LeafEnumEq,
+  LeafBaseType,
+  LeafBaseAttr,
+  LeafTypeSugar,
+  LeafFloatAttrSugar,
+};
+
+std::string joinPath(ast::Path Path) {
+  std::string Joined;
+  for (size_t I = 0; I != Path.size(); ++I) {
+    if (I)
+      Joined += '.';
+    Joined += Path[I];
+  }
+  return Joined;
+}
+
+} // namespace
+
 namespace irdl {
 
 /// Resolves constraint expressions within one lexical scope.
@@ -102,35 +137,29 @@ public:
   ConstraintResolver(Sema &S, Sema::DialectTables &Current)
       : S(S), Current(Current) {}
 
-  /// Variable names visible in the current operation, if any.
+  /// Variable names visible in the current operation, if any, and the
+  /// operation's shared reference node for each (null until first use).
   const std::vector<std::string> *VarNames = nullptr;
-  /// Substitution environment during alias expansion.
-  const std::map<std::string, ConstraintPtr> *AliasEnv = nullptr;
+  std::vector<ConstraintPtr> *VarNodes = nullptr;
+  /// Substitution environment during alias expansion, in parameter order.
+  const std::vector<std::pair<std::string_view, ConstraintPtr>> *AliasEnv =
+      nullptr;
   /// Alias expansion depth guard.
   unsigned Depth = 0;
+  /// Level in the resolved tree of the expression being resolved, 1 at
+  /// the root of a slot's constraint. Alias bodies resolve at the level
+  /// of their use, so no resolved tree is deeper than MaxNestingDepth.
+  unsigned Level = 1;
 
   ConstraintPtr resolve(const ConstraintExpr &E) {
-    switch (E.K) {
-    case ConstraintExpr::Kind::IntLit:
-      return resolveIntLit(E);
-    case ConstraintExpr::Kind::FloatLit:
-      return resolveFloatLit(E);
-    case ConstraintExpr::Kind::StrLit:
-      return Constraint::stringEq(E.StrValue);
-    case ConstraintExpr::Kind::ArrayExact: {
-      std::vector<ConstraintPtr> Elems;
-      for (const auto &Arg : E.Args) {
-        ConstraintPtr C = resolve(*Arg);
-        if (!C)
-          return nullptr;
-        Elems.push_back(std::move(C));
-      }
-      return Constraint::arrayExact(std::move(Elems));
-    }
-    case ConstraintExpr::Kind::Ref:
-      return resolveRef(E);
-    }
-    return nullptr;
+    if (Level > MaxNestingDepth)
+      return tooDeep(E.Loc);
+    ConstraintPtr C = resolveExpr(E);
+    // A subtree resolved elsewhere (an alias argument, a named
+    // constraint, a builtin's expansion) may reach deeper than the text.
+    if (C && Level - 1 + C->getHeight() > MaxNestingDepth)
+      return tooDeep(E.Loc);
+    return C;
   }
 
 private:
@@ -139,6 +168,49 @@ private:
   ConstraintPtr error(SMLoc Loc, std::string Message) {
     diags().emitError(Loc, std::move(Message));
     return nullptr;
+  }
+
+  ConstraintPtr tooDeep(SMLoc Loc) {
+    return error(Loc, "constraints nested deeper than " +
+                          std::to_string(MaxNestingDepth));
+  }
+
+  /// The load's shared leaf for \p Key, made by \p Make the first time.
+  template <typename MakeFn>
+  ConstraintPtr leaf(unsigned Kind, const void *Def, int64_t Value,
+                     unsigned Bits, MakeFn Make) {
+    auto [It, Inserted] = S.Leaves.try_emplace({Kind, Bits, Def, Value});
+    if (Inserted)
+      It->second = Make();
+    return It->second;
+  }
+
+  ConstraintPtr resolveExpr(const ConstraintExpr &E) {
+    switch (E.K) {
+    case ConstraintExpr::Kind::IntLit:
+      return resolveIntLit(E);
+    case ConstraintExpr::Kind::FloatLit:
+      return resolveFloatLit(E);
+    case ConstraintExpr::Kind::StrLit:
+      return Constraint::stringEq(std::string(E.StrValue));
+    case ConstraintExpr::Kind::ArrayExact: {
+      std::vector<ConstraintPtr> Elems;
+      if (!resolveArgs(E, Elems))
+        return nullptr;
+      return Constraint::arrayExact(std::move(Elems));
+    }
+    case ConstraintExpr::Kind::Ref:
+      return resolveRef(E);
+    }
+    return nullptr;
+  }
+
+  /// Resolves \p E one level below the current expression.
+  ConstraintPtr resolveChild(const ConstraintExpr &E) {
+    ++Level;
+    ConstraintPtr C = resolve(E);
+    --Level;
+    return C;
   }
 
   /// Interprets `int32_t`-family names. Returns (width, sign) on match.
@@ -190,11 +262,14 @@ private:
             static_cast<uint16_t>(*FK ? *FK : 64),
             static_cast<double>(E.IntValue)});
       } else {
-        return error(E.Loc, "unknown literal kind '" + E.KindRef[0] + "'");
+        return error(E.Loc, "unknown literal kind '" +
+                                std::string(E.KindRef[0]) + "'");
       }
     }
-    return Constraint::intEq(
-        IntVal{static_cast<uint16_t>(Width), Sign, E.IntValue});
+    IntVal V{static_cast<uint16_t>(Width), Sign, E.IntValue};
+    return leaf(LeafIntEq, nullptr, V.Value,
+                Width * 4 + static_cast<unsigned>(Sign),
+                [&] { return Constraint::intEq(V); });
   }
 
   ConstraintPtr resolveFloatLit(const ConstraintExpr &E) {
@@ -204,7 +279,8 @@ private:
         return error(E.Loc, "invalid literal kind");
       auto FK = matchFloatKindName(E.KindRef[0]);
       if (!FK)
-        return error(E.Loc, "unknown float kind '" + E.KindRef[0] + "'");
+        return error(E.Loc, "unknown float kind '" +
+                                std::string(E.KindRef[0]) + "'");
       if (*FK)
         Width = *FK;
     }
@@ -215,8 +291,9 @@ private:
   /// Resolves each argument of \p E.
   bool resolveArgs(const ConstraintExpr &E,
                    std::vector<ConstraintPtr> &Out) {
-    for (const auto &Arg : E.Args) {
-      ConstraintPtr C = resolve(*Arg);
+    Out.reserve(E.Args.size());
+    for (const ConstraintExpr *Arg : E.Args) {
+      ConstraintPtr C = resolveChild(*Arg);
       if (!C)
         return false;
       Out.push_back(std::move(C));
@@ -227,14 +304,17 @@ private:
   /// Builds the constraint for builtin type sugar names (f32, i32, ...).
   ConstraintPtr resolveBuiltinTypeSugar(std::string_view Name) {
     IRContext &Ctx = S.Ctx;
+    const TypeDefinition *Def = nullptr;
     if (Name == "f16" || Name == "f32" || Name == "f64") {
       unsigned Width = Name == "f16" ? 16 : Name == "f32" ? 32 : 64;
-      return Constraint::typeConstraint(Ctx.getFloatTypeDef(Width), {},
-                                        /*BaseOnly=*/false);
+      Def = Ctx.getFloatTypeDef(Width);
+    } else if (Name == "index") {
+      Def = Ctx.getIndexTypeDef();
     }
-    if (Name == "index")
-      return Constraint::typeConstraint(Ctx.getIndexTypeDef(), {},
-                                        /*BaseOnly=*/false);
+    if (Def)
+      return leaf(LeafTypeSugar, Def, 0, 0, [&] {
+        return Constraint::typeConstraint(Def, {}, /*BaseOnly=*/false);
+      });
     Signedness Sign;
     std::string_view Digits;
     if (startsWith(Name, "si")) {
@@ -252,23 +332,36 @@ private:
     auto Width = parseUInt(Digits);
     if (!Width || *Width < 1 || *Width > 128)
       return nullptr;
-    return Constraint::typeConstraint(
-        Ctx.getIntegerTypeDef(),
-        {Constraint::intEq(IntVal{32, Signedness::Unsigned,
-                                  static_cast<int64_t>(*Width)}),
-         Constraint::enumEq(EnumVal{Ctx.getSignednessEnum(),
-                                    static_cast<unsigned>(Sign)})},
-        /*BaseOnly=*/false);
+    return leaf(
+        LeafTypeSugar, Ctx.getIntegerTypeDef(), static_cast<int64_t>(*Width),
+        static_cast<unsigned>(Sign), [&] {
+          return Constraint::typeConstraint(
+              Ctx.getIntegerTypeDef(),
+              {Constraint::intEq(IntVal{32, Signedness::Unsigned,
+                                        static_cast<int64_t>(*Width)}),
+               Constraint::enumEq(EnumVal{Ctx.getSignednessEnum(),
+                                          static_cast<unsigned>(Sign)})},
+              /*BaseOnly=*/false);
+        });
   }
 
   /// Resolves a type/attr definition reference with optional arguments.
   ConstraintPtr resolveDefRef(const ConstraintExpr &E,
                               TypeDefinition *TDef, AttrDefinition *ADef) {
+    if (!E.HasArgs) {
+      if (TDef)
+        return leaf(LeafBaseType, TDef, 0, 0, [&] {
+          return Constraint::typeConstraint(TDef, {}, /*BaseOnly=*/true);
+        });
+      return leaf(LeafBaseAttr, ADef, 0, 0, [&] {
+        return Constraint::attrConstraint(ADef, {}, /*BaseOnly=*/true);
+      });
+    }
     std::vector<ConstraintPtr> Args;
     if (!resolveArgs(E, Args))
       return nullptr;
     unsigned NumParams = TDef ? TDef->getNumParams() : ADef->getNumParams();
-    if (E.HasArgs && Args.size() != NumParams)
+    if (Args.size() != NumParams)
       return error(E.Loc,
                    "'" + (TDef ? TDef->getFullName() : ADef->getFullName()) +
                        "' has " + std::to_string(NumParams) +
@@ -276,9 +369,9 @@ private:
                        " constraints were given");
     if (TDef)
       return Constraint::typeConstraint(TDef, std::move(Args),
-                                        /*BaseOnly=*/!E.HasArgs);
+                                        /*BaseOnly=*/false);
     return Constraint::attrConstraint(ADef, std::move(Args),
-                                      /*BaseOnly=*/!E.HasArgs);
+                                      /*BaseOnly=*/false);
   }
 
   /// Expands an alias with the given argument expressions.
@@ -288,16 +381,18 @@ private:
     if (Depth > 32)
       return error(E.Loc, "alias expansion too deep (recursive alias?)");
     if (E.Args.size() != Alias.Params.size())
-      return error(E.Loc, "alias '" + Alias.Name + "' expects " +
+      return error(E.Loc, "alias '" + std::string(Alias.Name) +
+                              "' expects " +
                               std::to_string(Alias.Params.size()) +
                               " arguments but got " +
                               std::to_string(E.Args.size()));
-    std::map<std::string, ConstraintPtr> Env;
+    std::vector<std::pair<std::string_view, ConstraintPtr>> Env;
+    Env.reserve(Alias.Params.size());
     for (size_t I = 0, N = Alias.Params.size(); I != N; ++I) {
-      ConstraintPtr Arg = resolve(*E.Args[I]);
+      ConstraintPtr Arg = resolveChild(*E.Args[I]);
       if (!Arg)
         return nullptr;
-      Env.emplace(Alias.Params[I], std::move(Arg));
+      Env.emplace_back(Alias.Params[I], std::move(Arg));
     }
     // The alias body resolves in the *owning* dialect's scope, with the
     // parameter environment layered on, and no access to the use-site's
@@ -305,19 +400,20 @@ private:
     ConstraintResolver BodyResolver(S, Owner);
     BodyResolver.AliasEnv = Env.empty() ? nullptr : &Env;
     BodyResolver.Depth = Depth + 1;
+    BodyResolver.Level = Level;
     BodyResolver.VarNames = VarNames; // vars may flow via ConstraintVars
+    BodyResolver.VarNodes = VarNodes;
     return BodyResolver.resolve(*Alias.Body);
   }
 
   /// Resolves a named IRDL-C++ Constraint declaration (with caching).
   ConstraintPtr resolveNamedConstraint(const ast::ConstraintDecl &Decl,
                                        Sema::DialectTables &Owner) {
-    std::string Key = Decl.Name;
-    auto It = Owner.ResolvedConstraints.find(Key);
+    auto It = Owner.ResolvedConstraints.find(Decl.Name);
     if (It != Owner.ResolvedConstraints.end())
       return It->second;
     // Insert a tombstone to catch recursion.
-    Owner.ResolvedConstraints.emplace(Key, nullptr);
+    Owner.ResolvedConstraints.emplace(Decl.Name, nullptr);
 
     ConstraintResolver BaseResolver(S, Owner);
     BaseResolver.Depth = Depth + 1;
@@ -327,7 +423,7 @@ private:
     ConstraintPtr Result = Base;
     if (Decl.HasCppConstraint) {
       if (startsWith(Decl.CppConstraint, "native:")) {
-        std::string Name = Decl.CppConstraint.substr(7);
+        std::string Name(Decl.CppConstraint.substr(7));
         auto NIt = S.Opts.NativeConstraints.find(Name);
         if (NIt == S.Opts.NativeConstraints.end())
           return error(Decl.Loc,
@@ -335,7 +431,8 @@ private:
                            "'");
         Result = Constraint::native(Base, NIt->second, Name);
       } else {
-        auto Expr = CppExpr::parse(Decl.CppConstraint, S.Diags, Decl.Loc);
+        std::string Source(Decl.CppConstraint);
+        auto Expr = CppExpr::parse(Source, S.Diags, Decl.Loc);
         if (!Expr)
           return nullptr;
         Result = Constraint::cpp(
@@ -346,12 +443,12 @@ private:
               auto B = Expr->evaluateBool(Ctx);
               return B && *B;
             },
-            Decl.CppConstraint);
+            std::move(Source));
       }
     }
-    Result = Constraint::named(
-        Result, Owner.D->getNamespace() + "." + Decl.Name);
-    Owner.ResolvedConstraints[Key] = Result;
+    Result = Constraint::named(Result, Owner.D->getNamespace() + "." +
+                                           std::string(Decl.Name));
+    Owner.ResolvedConstraints[Decl.Name] = Result;
     return Result;
   }
 
@@ -391,7 +488,8 @@ private:
     if (EnumDef *Def = D->lookupEnum(Name)) {
       if (E.HasArgs)
         return error(E.Loc, "enum constraints take no arguments");
-      return Constraint::enumKind(Def);
+      return leaf(LeafEnumKind, Def, 0, 0,
+                  [&] { return Constraint::enumKind(Def); });
     }
     // Cross-sigil fallback (lenient).
     if (E.Sigil == '#')
@@ -403,19 +501,31 @@ private:
     return nullptr;
   }
 
+  ConstraintPtr enumCase(const ConstraintExpr &E, EnumDef *Def,
+                         std::string_view Case) {
+    if (auto Index = Def->lookupCase(Case))
+      return leaf(LeafEnumEq, Def, *Index, 0, [&] {
+        return Constraint::enumEq(EnumVal{Def, *Index});
+      });
+    return error(E.Loc, "'" + std::string(Case) +
+                            "' is not a constructor of enum '" +
+                            Def->getFullName() + "'");
+  }
+
   ConstraintPtr resolveRef(const ConstraintExpr &E) {
     IRContext &Ctx = S.Ctx;
 
     if (E.Path.size() == 1) {
-      const std::string &Name = E.Path[0];
+      std::string_view Name = E.Path[0];
 
       // 1. Alias-parameter environment.
       if (AliasEnv) {
-        auto It = AliasEnv->find(Name);
-        if (It != AliasEnv->end()) {
+        for (const auto &[Param, Arg] : *AliasEnv) {
+          if (Param != Name)
+            continue;
           if (E.HasArgs)
             return error(E.Loc, "alias parameters take no arguments");
-          return It->second;
+          return Arg;
         }
       }
 
@@ -426,7 +536,10 @@ private:
             if (E.HasArgs)
               return error(E.Loc,
                            "constraint variables take no arguments");
-            return Constraint::var(I, Name);
+            ConstraintPtr &Node = (*VarNodes)[I];
+            if (!Node)
+              Node = Constraint::var(I, std::string(Name));
+            return Node;
           }
         }
       }
@@ -437,48 +550,61 @@ private:
         if (!resolveArgs(E, Args))
           return nullptr;
         if (Args.empty())
-          return error(E.Loc, Name + " requires at least one constraint");
+          return error(E.Loc, std::string(Name) +
+                                  " requires at least one constraint");
         return Name == "AnyOf" ? Constraint::anyOf(std::move(Args))
                                : Constraint::conjunction(std::move(Args));
       }
       if (Name == "Not") {
         if (E.Args.size() != 1)
           return error(E.Loc, "Not takes exactly one constraint");
-        ConstraintPtr Inner = resolve(*E.Args[0]);
+        ConstraintPtr Inner = resolveChild(*E.Args[0]);
         return Inner ? Constraint::negation(std::move(Inner)) : nullptr;
       }
       if (Name == "Variadic" || Name == "Optional")
-        return error(E.Loc, Name + " is only allowed at the top level of "
-                                   "operand, result, and region argument "
-                                   "definitions");
+        return error(E.Loc, std::string(Name) +
+                                " is only allowed at the top level of "
+                                "operand, result, and region argument "
+                                "definitions");
       if (Name == "array") {
         if (!E.HasArgs)
           return Constraint::anyArray();
         if (E.Args.size() != 1)
           return error(E.Loc, "array takes at most one element constraint");
-        ConstraintPtr Elem = resolve(*E.Args[0]);
+        ConstraintPtr Elem = resolveChild(*E.Args[0]);
         return Elem ? Constraint::arrayOf(std::move(Elem)) : nullptr;
       }
       if (Name == "AnyType")
-        return Constraint::anyType();
+        return leaf(LeafAnyType, nullptr, 0, 0,
+                    [] { return Constraint::anyType(); });
       if (Name == "AnyAttr")
-        return Constraint::anyAttr();
+        return leaf(LeafAnyAttr, nullptr, 0, 0,
+                    [] { return Constraint::anyAttr(); });
       if (Name == "AnyParam")
-        return Constraint::anyParam();
+        return leaf(LeafAnyParam, nullptr, 0, 0,
+                    [] { return Constraint::anyParam(); });
       if (auto IK = matchIntKindName(Name))
-        return Constraint::intKind(IK->first, IK->second);
+        return leaf(LeafIntKind, nullptr, IK->first,
+                    static_cast<unsigned>(IK->second), [&] {
+                      return Constraint::intKind(IK->first, IK->second);
+                    });
       if (auto FK = matchFloatKindName(Name))
-        return Constraint::floatKind(*FK);
+        return leaf(LeafFloatKind, nullptr, *FK, 0,
+                    [&] { return Constraint::floatKind(*FK); });
       if (Name == "string")
-        return Constraint::stringKind();
+        return leaf(LeafStringKind, nullptr, 0, 0,
+                    [] { return Constraint::stringKind(); });
       if (Name == "location" || Name == "type_id")
-        return Constraint::opaqueKind(Name);
+        return Constraint::opaqueKind(std::string(Name));
       // Builtin attribute sugar: #f32_attr / #f64_attr (Listing 5).
-      if (Name == "f32_attr" || Name == "f64_attr")
-        return Constraint::attrConstraint(
-            Ctx.getFloatAttrDef(),
-            {Constraint::floatKind(Name == "f32_attr" ? 32 : 64)},
-            /*BaseOnly=*/false);
+      if (Name == "f32_attr" || Name == "f64_attr") {
+        unsigned Width = Name == "f32_attr" ? 32 : 64;
+        return leaf(LeafFloatAttrSugar, nullptr, Width, 0, [&] {
+          return Constraint::attrConstraint(Ctx.getFloatAttrDef(),
+                                            {Constraint::floatKind(Width)},
+                                            /*BaseOnly=*/false);
+        });
+      }
       if (!E.HasArgs)
         if (ConstraintPtr Sugar = resolveBuiltinTypeSugar(Name))
           return Sugar;
@@ -498,7 +624,7 @@ private:
         if (S.Diags.getNumErrors() != ErrorsBefore)
           return nullptr;
       }
-      return error(E.Loc, "unknown constraint '" + Name + "'");
+      return error(E.Loc, "unknown constraint '" + std::string(Name) + "'");
     }
 
     // Multi-segment path.
@@ -513,29 +639,19 @@ private:
           return nullptr;
       }
       // (b) enum constructor: enum.Case
-      if (EnumDef *Def = Ctx.resolveEnumDef(E.Path[0], Current.D)) {
-        if (auto Index = Def->lookupCase(E.Path[1]))
-          return Constraint::enumEq(EnumVal{Def, *Index});
-        return error(E.Loc, "'" + E.Path[1] +
-                                "' is not a constructor of enum '" +
-                                Def->getFullName() + "'");
-      }
-      return error(E.Loc,
-                   "unknown constraint '" + join(E.Path, ".") + "'");
+      if (EnumDef *Def = Ctx.resolveEnumDef(E.Path[0], Current.D))
+        return enumCase(E, Def, E.Path[1]);
+      return error(E.Loc, "unknown constraint '" + joinPath(E.Path) + "'");
     }
 
     // (c) dialect.enum.Case
     if (E.Path.size() == 3) {
-      std::string EnumPath = E.Path[0] + "." + E.Path[1];
-      if (EnumDef *Def = Ctx.resolveEnumDef(EnumPath, Current.D)) {
-        if (auto Index = Def->lookupCase(E.Path[2]))
-          return Constraint::enumEq(EnumVal{Def, *Index});
-        return error(E.Loc, "'" + E.Path[2] +
-                                "' is not a constructor of enum '" +
-                                Def->getFullName() + "'");
-      }
+      std::string EnumPath =
+          std::string(E.Path[0]) + "." + std::string(E.Path[1]);
+      if (EnumDef *Def = Ctx.resolveEnumDef(EnumPath, Current.D))
+        return enumCase(E, Def, E.Path[2]);
     }
-    return error(E.Loc, "unknown constraint '" + join(E.Path, ".") + "'");
+    return error(E.Loc, "unknown constraint '" + joinPath(E.Path) + "'");
   }
 
   Sema &S;
@@ -563,54 +679,54 @@ const ConstraintExpr *unwrapVariadic(const ConstraintExpr &E,
     VK = VariadicKind::Optional;
   else
     return &E;
-  return E.Args.size() == 1 ? E.Args[0].get() : nullptr;
+  return E.Args.size() == 1 ? E.Args[0] : nullptr;
 }
 
 } // namespace
 
 LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
                                    DialectSpec &Spec) {
-  DialectTables &T = Tables[Decl.Name];
-  Spec.Name = Decl.Name;
+  DialectTables &T = Tables.find(Decl.Name)->second;
+  Spec.Name = std::string(Decl.Name);
   Spec.D = T.D;
 
-  ConstraintResolver Resolver(*this, T);
-
   // Enums were registered in pass 1; mirror them in the spec.
+  Spec.Enums.reserve(Decl.Enums.size());
   for (const EnumDecl &E : Decl.Enums) {
-    EnumSpec ES;
-    ES.Name = E.Name;
-    ES.Cases = E.Cases;
+    EnumSpec &ES = Spec.Enums.emplace_back();
+    ES.Name = std::string(E.Name);
+    ES.Cases.assign(E.Cases.begin(), E.Cases.end());
     ES.Def = T.D->lookupEnum(E.Name);
-    Spec.Enums.push_back(std::move(ES));
   }
 
   // Opaque parameter kinds.
+  Spec.ParamTypes.reserve(Decl.ParamTypes.size());
   for (const TypeOrAttrParamDecl &P : Decl.ParamTypes) {
-    ParamTypeSpec PS;
-    PS.Name = P.Name;
-    PS.Summary = P.Summary;
-    PS.CppClassName = P.CppClassName;
-    PS.CppParserSrc = P.CppParser;
-    PS.CppPrinterSrc = P.CppPrinter;
-    Spec.ParamTypes.push_back(std::move(PS));
+    ParamTypeSpec &PS = Spec.ParamTypes.emplace_back();
+    PS.Name = std::string(P.Name);
+    PS.Summary = std::string(P.Summary);
+    PS.CppClassName = std::string(P.CppClassName);
+    PS.CppParserSrc = std::string(P.CppParser);
+    PS.CppPrinterSrc = std::string(P.CppPrinter);
   }
 
   // Named constraints (also forces resolution/caching).
+  Spec.Constraints.reserve(Decl.Constraints.size());
   for (const ast::ConstraintDecl &C : Decl.Constraints) {
     ConstraintResolver R(*this, T);
     ConstraintPtr Resolved = R.resolve(*C.Base);
     if (!Resolved)
       return failure();
     NamedConstraintSpec NS;
-    NS.Name = C.Name;
-    NS.Summary = C.Summary;
+    NS.Name = std::string(C.Name);
+    NS.Summary = std::string(C.Summary);
     NS.HasCpp = C.HasCppConstraint;
     // Resolve through the cache path so Cpp predicates attach.
+    std::string_view RefPath[] = {C.Name};
     ConstraintExpr Ref;
     Ref.K = ConstraintExpr::Kind::Ref;
     Ref.Loc = C.Loc;
-    Ref.Path.push_back(C.Name);
+    Ref.Path = RefPath;
     NS.Constr = ConstraintResolver(*this, T).resolve(Ref);
     if (!NS.Constr)
       return failure();
@@ -618,11 +734,12 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
   }
 
   // Aliases (non-parametric ones resolve for documentation).
+  Spec.Aliases.reserve(Decl.Aliases.size());
   for (const AliasDecl &A : Decl.Aliases) {
     AliasSpec AS;
     AS.Sigil = A.Sigil;
-    AS.Name = A.Name;
-    AS.Params = A.Params;
+    AS.Name = std::string(A.Name);
+    AS.Params.assign(A.Params.begin(), A.Params.end());
     if (A.Params.empty()) {
       ConstraintResolver R(*this, T);
       AS.Body = R.resolve(*A.Body);
@@ -633,22 +750,28 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
   }
 
   // Types and attributes.
+  size_t NumAttrs = std::count_if(
+      Decl.TypesAndAttrs.begin(), Decl.TypesAndAttrs.end(),
+      [](const TypeOrAttrDecl &TA) { return TA.IsAttr; });
+  Spec.Attrs.reserve(NumAttrs);
+  Spec.Types.reserve(Decl.TypesAndAttrs.size() - NumAttrs);
   for (const TypeOrAttrDecl &TA : Decl.TypesAndAttrs) {
     TypeOrAttrSpec TS;
     TS.IsAttr = TA.IsAttr;
-    TS.Name = TA.Name;
-    TS.Summary = TA.Summary;
+    TS.Name = std::string(TA.Name);
+    TS.Summary = std::string(TA.Summary);
+    TS.Params.reserve(TA.Params.size());
     for (const NamedConstraint &P : TA.Params) {
       ConstraintResolver R(*this, T);
       ConstraintPtr C = R.resolve(*P.Constr);
       if (!C)
         return failure();
-      TS.Params.push_back(ParamSpec{P.Name, std::move(C)});
+      TS.Params.push_back(ParamSpec{std::string(P.Name), std::move(C), {}});
     }
     if (TA.HasCppConstraint) {
-      TS.CppConstraintSrc = TA.CppConstraint;
+      TS.CppConstraintSrc = std::string(TA.CppConstraint);
       if (startsWith(TA.CppConstraint, "native:")) {
-        std::string NativeName = TA.CppConstraint.substr(7);
+        std::string NativeName(TA.CppConstraint.substr(7));
         auto It = Opts.NativeConstraints.find(NativeName);
         if (It == Opts.NativeConstraints.end()) {
           Diags.emitError(TA.Loc, "no native constraint registered under '" +
@@ -673,18 +796,23 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
   }
 
   // Operations.
+  Spec.Ops.reserve(Decl.Ops.size());
   for (const OpDecl &Op : Decl.Ops) {
-    OpSpec OS;
-    OS.Name = Op.Name;
-    OS.Summary = Op.Summary;
+    OpSpec &OS = Spec.Ops.emplace_back();
+    OS.Name = std::string(Op.Name);
+    OS.Summary = std::string(Op.Summary);
     OS.Def = T.D->lookupOp(Op.Name);
 
+    OS.VarNames.reserve(Op.ConstraintVars.size());
     for (const NamedConstraint &V : Op.ConstraintVars)
-      OS.VarNames.push_back(V.Name);
+      OS.VarNames.emplace_back(V.Name);
 
     ConstraintResolver OpResolver(*this, T);
+    OpVarNodes.assign(OS.VarNames.size(), nullptr);
     OpResolver.VarNames = &OS.VarNames;
+    OpResolver.VarNodes = &OpVarNodes;
 
+    OS.VarConstraints.reserve(Op.ConstraintVars.size());
     for (const NamedConstraint &V : Op.ConstraintVars) {
       ConstraintPtr C = OpResolver.resolve(*V.Constr);
       if (!C)
@@ -697,8 +825,9 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
     }
 
     auto ResolveOperandList =
-        [&](const std::vector<NamedConstraint> &Decls,
+        [&](NamedConstraintList Decls,
             std::vector<OperandSpec> &Out) -> LogicalResult {
+      Out.reserve(Decls.size());
       for (const NamedConstraint &NC : Decls) {
         VariadicKind VK;
         const ConstraintExpr *Inner = unwrapVariadic(*NC.Constr, VK);
@@ -710,7 +839,7 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
         ConstraintPtr C = OpResolver.resolve(*Inner);
         if (!C)
           return failure();
-        Out.push_back(OperandSpec{NC.Name, std::move(C), VK});
+        Out.push_back(OperandSpec{std::string(NC.Name), std::move(C), VK, {}});
       }
       return success();
     };
@@ -719,20 +848,22 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
         failed(ResolveOperandList(Op.Results, OS.Results)))
       return failure();
 
+    OS.Attributes.reserve(Op.Attributes.size());
     for (const NamedConstraint &A : Op.Attributes) {
       ConstraintPtr C = OpResolver.resolve(*A.Constr);
       if (!C)
         return failure();
-      OS.Attributes.push_back(ParamSpec{A.Name, std::move(C)});
+      OS.Attributes.push_back(ParamSpec{std::string(A.Name), std::move(C), {}});
     }
 
+    OS.Regions.reserve(Op.Regions.size());
     for (const RegionDecl &R : Op.Regions) {
-      RegionSpec RS;
-      RS.Name = R.Name;
+      RegionSpec &RS = OS.Regions.emplace_back();
+      RS.Name = std::string(R.Name);
       if (failed(ResolveOperandList(R.Args, RS.Args)))
         return failure();
       if (!R.Terminator.empty()) {
-        std::string TermName = join(R.Terminator, ".");
+        std::string TermName = joinPath(R.Terminator);
         OpDefinition *TermDef = Ctx.resolveOpDef(TermName, T.D);
         if (!TermDef) {
           Diags.emitError(R.Loc, "unknown terminator operation '" +
@@ -741,20 +872,20 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
         }
         RS.TerminatorOpName = TermDef->getFullName();
       }
-      OS.Regions.push_back(std::move(RS));
     }
 
-    OS.Successors = Op.Successors;
+    if (Op.Successors)
+      OS.Successors.emplace(Op.Successors->begin(), Op.Successors->end());
 
     if (Op.HasFormat) {
       OS.HasFormat = true;
-      OS.FormatSrc = Op.Format;
+      OS.FormatSrc = std::string(Op.Format);
     }
 
     if (Op.HasCppConstraint) {
-      OS.CppConstraintSrc = Op.CppConstraint;
+      OS.CppConstraintSrc = std::string(Op.CppConstraint);
       if (startsWith(Op.CppConstraint, "native:")) {
-        OS.NativeVerifierName = Op.CppConstraint.substr(7);
+        OS.NativeVerifierName = std::string(Op.CppConstraint.substr(7));
         if (!Opts.NativeOpVerifiers.count(OS.NativeVerifierName)) {
           Diags.emitError(Op.Loc, "no native op verifier registered under '" +
                                       OS.NativeVerifierName + "'");
@@ -766,8 +897,6 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
           return failure();
       }
     }
-
-    Spec.Ops.push_back(std::move(OS));
   }
 
   return success();

@@ -16,7 +16,9 @@
 namespace irdl {
 
 /// Shared state of one load: the AST-level symbol tables consulted during
-/// resolution (aliases, named constraints, opaque parameter kinds).
+/// resolution (aliases, named constraints, opaque parameter kinds) and
+/// the leaf constraints shared by every use. Keys view the AST, which
+/// outlives the Sema.
 class Sema {
 public:
   Sema(IRContext &Ctx, DiagnosticEngine &Diags,
@@ -42,13 +44,21 @@ private:
   struct DialectTables {
     const ast::DialectDecl *Decl = nullptr;
     Dialect *D = nullptr;
-    std::map<std::string, const ast::AliasDecl *, std::less<>> Aliases;
-    std::map<std::string, const ast::ConstraintDecl *, std::less<>>
-        Constraints;
-    std::map<std::string, const ast::TypeOrAttrParamDecl *, std::less<>>
-        ParamTypes;
+    std::map<std::string_view, const ast::AliasDecl *> Aliases;
+    std::map<std::string_view, const ast::ConstraintDecl *> Constraints;
+    std::map<std::string_view, const ast::TypeOrAttrParamDecl *> ParamTypes;
     /// Cache of resolved named constraints.
-    std::map<std::string, ConstraintPtr, std::less<>> ResolvedConstraints;
+    std::map<std::string_view, ConstraintPtr> ResolvedConstraints;
+  };
+
+  /// Identifies a leaf constraint (one that depends on no name in scope)
+  /// by its kind and its definition or value.
+  struct LeafKey {
+    unsigned Kind;
+    unsigned Bits;
+    const void *Def;
+    int64_t Value;
+    auto operator<=>(const LeafKey &) const = default;
   };
 
   DialectTables *lookupTables(std::string_view DialectName);
@@ -56,7 +66,11 @@ private:
   IRContext &Ctx;
   DiagnosticEngine &Diags;
   const IRDLLoadOptions &Opts;
-  std::map<std::string, DialectTables, std::less<>> Tables;
+  std::map<std::string_view, DialectTables> Tables;
+  /// Constraint trees are immutable, so each leaf is built once per load.
+  std::map<LeafKey, ConstraintPtr> Leaves;
+  /// The variable reference nodes of the operation being resolved.
+  std::vector<ConstraintPtr> OpVarNodes;
 };
 
 } // namespace irdl

@@ -2,6 +2,7 @@
 
 #include "ir/Context.h"
 #include "ir/Builder.h"
+#include "ir/IRParser.h"
 #include "ir/Printer.h"
 #include "ir/Region.h"
 
@@ -32,6 +33,39 @@ TEST_F(PrinterTest, FunctionTypeSyntax) {
   Type Multi = Ctx.getFunctionType({}, {Ctx.getFloatType(32),
                                         Ctx.getFloatType(64)});
   EXPECT_EQ(Multi.str(), "() -> (f32, f64)");
+}
+
+TEST_F(PrinterTest, FunctionResultOfFunctionTypeRoundTrips) {
+  Type F32 = Ctx.getFloatType(32);
+  Type Inner = Ctx.getFunctionType({F32}, {F32});
+  Type Middle = Ctx.getFunctionType({F32}, {Inner});
+  Type Outer = Ctx.getFunctionType({}, {Middle});
+  // A function type that is a single result keeps its parentheses.
+  EXPECT_EQ(Outer.str(), "() -> ((f32) -> ((f32) -> f32))");
+  for (Type T : {Inner, Middle, Outer,
+                 Ctx.getFunctionType({Middle}, {Middle, F32})}) {
+    DiagnosticEngine Diags;
+    Type Reparsed = parseTypeString(Ctx, T.str(), Diags);
+    EXPECT_EQ(Reparsed, T) << T.str() << "\n" << Diags.renderAll();
+  }
+}
+
+TEST_F(PrinterTest, FuncReturningFunctionTypeRoundTrips) {
+  const char *Source = R"(std.func @curry(%x: f32) -> ((f32) -> f32) {
+  %f = "test.closure"(%x) : (f32) -> ((f32) -> f32)
+  std.return %f : (f32) -> f32
+})";
+  Ctx.getOrCreateDialect("test")->addOp("closure");
+  SourceMgr SrcMgr;
+  DiagnosticEngine Diags(&SrcMgr);
+  OwningOpRef M = parseSourceString(Ctx, Source, SrcMgr, Diags);
+  ASSERT_TRUE(M) << Diags.renderAll();
+  std::string Printed = printOpToString(M.get());
+  OwningOpRef Again = parseSourceString(Ctx, Printed, SrcMgr, Diags);
+  ASSERT_TRUE(Again) << Printed << "\n" << Diags.renderAll();
+  EXPECT_EQ(printOpToString(Again.get()), Printed);
+  EXPECT_NE(Printed.find("-> ((f32) -> f32) {"), std::string::npos)
+      << Printed;
 }
 
 TEST_F(PrinterTest, DialectTypeWithParams) {

@@ -7,7 +7,9 @@
 /// replaces: verifying a module of 2N functions must allocate exactly as
 /// often as verifying one of N, reading a function of 2N ops may only add
 /// the one extra doubling of each growing table, and parsing 2N functions
-/// may add at most one allocation per added op. No timing is involved.
+/// may add at most one allocation per added op. Loading an IRDL spec pays
+/// a fixed number of allocations per operation it defines, and the five
+/// bundled dialects stay within a budget. No timing is involved.
 
 #include "bytecode/Bytecode.h"
 #include "ir/Block.h"
@@ -22,7 +24,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -248,6 +252,81 @@ TEST_F(VerifierAllocTest, ReaderAllocatesNothingOfItsOwnPerOp) {
   EXPECT_GE(TwoN, N);
   EXPECT_LE(TwoN - N, 8u) << "2000 ops: " << N << " allocations, 4000: "
                           << TwoN;
+}
+
+/// A dialect of \p NumOps operations shaped like the bundled elementwise
+/// ones: a constraint variable bound through an alias, two operands and a
+/// result of that variable, a declarative format and a summary.
+std::string elementwiseDialect(unsigned NumOps) {
+  std::string Src = "Dialect gen {\n"
+                    "  Alias !Scalar = !AnyOf<!f16, !f32, !f64>\n";
+  for (unsigned I = 0; I != NumOps; ++I)
+    Src += "  Operation op" + std::to_string(I) +
+           " {\n"
+           "    ConstraintVar (!T: !Scalar)\n"
+           "    Operands (lhs: !T, rhs: !T)\n"
+           "    Results (result: !T)\n"
+           "    Format \"$lhs, $rhs : $T\"\n"
+           "    Summary \"Generated elementwise operation\"\n"
+           "  }\n";
+  return Src + "}\n";
+}
+
+/// Heap allocations of loading \p Sources, one buffer after another, into
+/// a fresh context, after one untimed load that warms the per-thread
+/// scratch the frontend reuses (the constraint compiler's and the
+/// variable-cycle check's).
+uint64_t loadAllocations(const std::vector<std::string> &Sources) {
+  auto LoadAll = [&](IRContext &Ctx, SourceMgr &SrcMgr,
+                     DiagnosticEngine &Diags) {
+    std::vector<std::unique_ptr<IRDLModule>> Modules;
+    for (const std::string &Source : Sources) {
+      Modules.push_back(loadIRDL(Ctx, Source, SrcMgr, Diags));
+      EXPECT_TRUE(Modules.back()) << Diags.renderAll();
+    }
+    return Modules;
+  };
+  {
+    IRContext Ctx;
+    SourceMgr SrcMgr;
+    DiagnosticEngine Diags(&SrcMgr);
+    LoadAll(Ctx, SrcMgr, Diags);
+  }
+  IRContext Ctx;
+  SourceMgr SrcMgr;
+  DiagnosticEngine Diags(&SrcMgr);
+  std::vector<std::unique_ptr<IRDLModule>> Modules;
+  uint64_t Allocs =
+      allocationsOf([&] { Modules = LoadAll(Ctx, SrcMgr, Diags); });
+  return Allocs;
+}
+
+TEST(SpecLoadAllocTest, EachOpCostsAFixedNumberOfAllocations) {
+  // What one such op keeps: its definition and name table entry, its
+  // summary (definition and spec), the variable's name, constraint and
+  // reference node, the alias's AnyOf node and alternatives, the operand,
+  // result and variable-program vectors, four programs, the verifier,
+  // and the format's compiled form, tables and two hooks. Parsing and
+  // the per-load tables add nothing per op beyond amortized growth.
+  constexpr uint64_t PerOp = 24;
+  uint64_t N = loadAllocations({elementwiseDialect(100)});
+  uint64_t TwoN = loadAllocations({elementwiseDialect(200)});
+  EXPECT_GE(TwoN, N);
+  EXPECT_LE(TwoN - N, 100 * PerOp + 16)
+      << "100 ops: " << N << " allocations, 200: " << TwoN;
+}
+
+TEST(SpecLoadAllocTest, BundledDialectsStayWithinBudget) {
+  std::vector<std::string> Sources;
+  for (const char *Name : {"cmath", "arith", "complex", "math", "scf"}) {
+    std::ifstream In(std::string(IRDL_DIALECTS_DIR) + "/" + Name + ".irdl");
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Sources.push_back(SS.str());
+  }
+  uint64_t Allocs = loadAllocations(Sources);
+  EXPECT_LE(Allocs, 2500u) << "5 bundled dialects: " << Allocs
+                           << " allocations";
 }
 
 } // namespace

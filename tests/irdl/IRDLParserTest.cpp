@@ -11,12 +11,20 @@ namespace {
 
 class IRDLParserTest : public ::testing::Test {
 protected:
-  std::vector<DialectDecl> parse(std::string_view Src) {
-    return parseIRDL(Src, Diags);
+  /// The dialects of \p Src, valid until the next parse.
+  std::span<const DialectDecl> parse(std::string_view Src) {
+    Ast = parseIRDL(Src, Diags);
+    return Ast.Dialects;
   }
 
   DiagnosticEngine Diags;
+  ParsedIRDL Ast;
 };
+
+/// Owned copies of \p Names, for comparisons.
+std::vector<std::string> strs(std::span<const std::string_view> Names) {
+  return {Names.begin(), Names.end()};
+}
 
 TEST_F(IRDLParserTest, EmptyDialect) {
   auto Dialects = parse("Dialect cmath { }");
@@ -49,7 +57,7 @@ TEST_F(IRDLParserTest, TypeWithParameters) {
   EXPECT_EQ(T.Params[0].Name, "elementType");
   EXPECT_EQ(T.Params[0].Constr->K, ConstraintExpr::Kind::Ref);
   EXPECT_EQ(T.Params[0].Constr->Sigil, '!');
-  EXPECT_EQ(T.Params[0].Constr->Path,
+  EXPECT_EQ(strs(T.Params[0].Constr->Path),
             std::vector<std::string>{"FloatType"});
   EXPECT_EQ(T.Summary, "A complex number");
 }
@@ -116,7 +124,7 @@ TEST_F(IRDLParserTest, RegionWithTerminator) {
   ASSERT_EQ(Op.Regions.size(), 1u);
   EXPECT_EQ(Op.Regions[0].Name, "body");
   ASSERT_EQ(Op.Regions[0].Args.size(), 1u);
-  EXPECT_EQ(Op.Regions[0].Terminator,
+  EXPECT_EQ(strs(Op.Regions[0].Terminator),
             std::vector<std::string>{"range_loop_terminator"});
 }
 
@@ -133,7 +141,7 @@ TEST_F(IRDLParserTest, AliasForms) {
   ASSERT_EQ(Aliases.size(), 3u);
   EXPECT_EQ(Aliases[0].Sigil, '!');
   EXPECT_TRUE(Aliases[0].Params.empty());
-  EXPECT_EQ(Aliases[1].Params, std::vector<std::string>{"T"});
+  EXPECT_EQ(strs(Aliases[1].Params), std::vector<std::string>{"T"});
   EXPECT_EQ(Aliases[2].Sigil, '#');
 }
 
@@ -145,7 +153,7 @@ TEST_F(IRDLParserTest, EnumDecl) {
   )");
   ASSERT_EQ(Dialects.size(), 1u);
   ASSERT_EQ(Dialects[0].Enums.size(), 1u);
-  EXPECT_EQ(Dialects[0].Enums[0].Cases,
+  EXPECT_EQ(strs(Dialects[0].Enums[0].Cases),
             (std::vector<std::string>{"Signless", "Signed", "Unsigned"}));
 }
 
@@ -169,7 +177,7 @@ TEST_F(IRDLParserTest, ConstraintAndTypeOrAttrParam) {
   const ConstraintDecl &C = Dialects[0].Constraints[0];
   EXPECT_EQ(C.Name, "BoundedInteger");
   EXPECT_EQ(C.CppConstraint, "$_self <= 32");
-  EXPECT_EQ(C.Base->Path, std::vector<std::string>{"uint32_t"});
+  EXPECT_EQ(strs(C.Base->Path), std::vector<std::string>{"uint32_t"});
   ASSERT_EQ(Dialects[0].ParamTypes.size(), 1u);
   EXPECT_EQ(Dialects[0].ParamTypes[0].CppClassName, "char*");
 }
@@ -188,7 +196,7 @@ TEST_F(IRDLParserTest, LiteralConstraints) {
   ASSERT_EQ(Params.size(), 5u);
   EXPECT_EQ(Params[0].Constr->K, ConstraintExpr::Kind::IntLit);
   EXPECT_EQ(Params[0].Constr->IntValue, 3);
-  EXPECT_EQ(Params[0].Constr->KindRef,
+  EXPECT_EQ(strs(Params[0].Constr->KindRef),
             std::vector<std::string>{"int32_t"});
   EXPECT_EQ(Params[1].Constr->K, ConstraintExpr::Kind::StrLit);
   EXPECT_EQ(Params[2].Constr->K, ConstraintExpr::Kind::ArrayExact);
@@ -208,11 +216,11 @@ TEST_F(IRDLParserTest, NestedConstraintArgs) {
   )");
   ASSERT_EQ(Dialects.size(), 1u);
   const ConstraintExpr &E = *Dialects[0].Ops[0].Operands[0].Constr;
-  EXPECT_EQ(E.Path, std::vector<std::string>{"AnyOf"});
+  EXPECT_EQ(strs(E.Path), std::vector<std::string>{"AnyOf"});
   ASSERT_EQ(E.Args.size(), 2u);
-  EXPECT_EQ(E.Args[1]->Path, std::vector<std::string>{"And"});
+  EXPECT_EQ(strs(E.Args[1]->Path), std::vector<std::string>{"And"});
   ASSERT_EQ(E.Args[1]->Args.size(), 2u);
-  EXPECT_EQ(E.Args[1]->Args[1]->Path, std::vector<std::string>{"Not"});
+  EXPECT_EQ(strs(E.Args[1]->Args[1]->Path), std::vector<std::string>{"Not"});
 }
 
 TEST_F(IRDLParserTest, Comments) {

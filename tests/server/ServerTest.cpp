@@ -436,6 +436,41 @@ TEST(ServerTest, TooDeepVerifyIsAnsweredAndTheConnectionServes) {
   EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
 }
 
+TEST(ServerTest, TooDeepLoadDialectIsAnsweredAndTheConnectionServes) {
+  // A spec nesting 20,000 constraint levels used to overflow the loading
+  // connection thread's stack and take the server down.
+  ServerFixture Fixture("deepspec");
+  ServeClient Client = Fixture.connect();
+  ResponseFrame Response;
+  std::string Error;
+  std::string Deep = "Dialect deep { Operation o { Operands (x: ";
+  for (unsigned I = 0; I != 20000; ++I)
+    Deep += "!AnyOf<";
+  Deep += "!f32" + std::string(20000, '>') + ") } }";
+  ASSERT_TRUE(
+      succeeded(Client.loadDialect("deep.irdl", Deep, Response, Error)))
+      << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Fail);
+  EXPECT_NE(Response.Payload.find("deep.irdl:1:" +
+                                  std::to_string(43 + 7 * MaxNestingDepth) +
+                                  ": error: constraints nested deeper than " +
+                                  std::to_string(MaxNestingDepth)),
+            std::string::npos)
+      << Response.Payload.substr(0, 500);
+  EXPECT_EQ(Fixture.Server.epochs().currentEpochNumber(), 1u);
+
+  ASSERT_TRUE(succeeded(Client.ping(Response, Error))) << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Ok);
+  ASSERT_TRUE(succeeded(
+      Client.loadDialect("cmath.irdl", cmathSource(), Response, Error)))
+      << Error;
+  ASSERT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+  ASSERT_TRUE(
+      succeeded(Client.verify("m.mlir", NormF32Module, Response, Error)))
+      << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+}
+
 TEST(ServerTest, UnknownFrameTypeClosesConnection) {
   ServerFixture Fixture("unknown");
   std::string Error;

@@ -15,6 +15,9 @@ service misbehaves:
 * VERIFY of 10,000 nested regions (hostile nesting past the readers'
   depth cap) answers Fail with a diagnostic instead of crashing the
   server, and a PING on the same connection then answers Ok;
+* LOAD_DIALECT of a spec nesting 20,000 constraint levels answers Fail
+  with the frontend's nesting diagnostic, and a PING on the same
+  connection then answers Ok;
 * RELOAD_DIALECT of a byte-identical spec is deduplicated by the
   content-hash cache: it answers Ok with the *unchanged* epoch number
   and bumps ``irdl_serve_spec_cache_hits``;
@@ -61,6 +64,10 @@ BAD_MODULE = (
 )
 # Far deeper than the readers' nesting cap (MaxNestingDepth, 256).
 DEEP_MODULE = '"std.func"() ({\n' * 10000
+# A spec whose one operand constraint nests 20,000 levels, far past the
+# IRDL frontend's cap (the same MaxNestingDepth).
+DEEP_SPEC = ('Dialect deep { Operation o { Operands (x: ' +
+             '!AnyOf<' * 20000 + '!f32' + '>' * 20000 + ') } }\n')
 
 
 def send_frame(sock, frame_type, payload):
@@ -243,6 +250,21 @@ def main(argv):
             assert status == OK and payload == b"", \
                 f"PING after deep VERIFY: status={status} payload={payload!r}"
             print("VERIFY deep.mlir failed with a nesting diagnostic; "
+                  "the connection still serves")
+
+            status, payload = request(
+                sock, LOAD_DIALECT,
+                named_payload("deep.irdl", DEEP_SPEC.encode()))
+            diag = payload.decode()
+            assert status == FAIL, f"deep LOAD_DIALECT unexpectedly {status}"
+            assert "deep.irdl:1:" in diag and \
+                "error: constraints nested deeper than 256" in diag, \
+                f"deep LOAD_DIALECT diagnostics look wrong:\n{diag[:500]}"
+            status, payload = request(sock, PING)
+            assert status == OK and payload == b"", \
+                f"PING after deep LOAD_DIALECT: status={status} " \
+                f"payload={payload!r}"
+            print("LOAD_DIALECT deep.irdl failed with a nesting diagnostic; "
                   "the connection still serves")
 
             # Re-send the last dialect byte-for-byte: the content-hash
