@@ -258,9 +258,11 @@ void IRContext::registerBuiltinDialect() {
   for (unsigned I = 0; I != 3; ++I) {
     FloatTypeDefs[I] = Builtin->addType(FloatNames[I]);
     FloatTypeDefs[I]->setSummary("An IEEE floating-point type");
+    FloatTypeDefs[I]->setBuiltinKind(BuiltinKind::FloatType);
   }
 
   IntegerTypeDef = Builtin->addType("integer");
+  IntegerTypeDef->setBuiltinKind(BuiltinKind::IntegerType);
   IntegerTypeDef->setSummary("An integer type with bitwidth and signedness");
   IntegerTypeDef->setParamNames({"bitwidth", "signedness"});
   EnumDef *SignEnum = SignednessEnum;
@@ -282,9 +284,11 @@ void IRContext::registerBuiltinDialect() {
       });
 
   IndexTypeDef = Builtin->addType("index");
+  IndexTypeDef->setBuiltinKind(BuiltinKind::IndexType);
   IndexTypeDef->setSummary("A platform-sized index type");
 
   FunctionTypeDef = Builtin->addType("function");
+  FunctionTypeDef->setBuiltinKind(BuiltinKind::FunctionType);
   FunctionTypeDef->setSummary("A function type: (inputs) -> (results)");
   FunctionTypeDef->setParamNames({"inputs", "results"});
   FunctionTypeDef->setVerifier(
@@ -308,6 +312,7 @@ void IRContext::registerBuiltinDialect() {
       });
 
   IntAttrDef = Builtin->addAttr("int");
+  IntAttrDef->setBuiltinKind(BuiltinKind::IntAttr);
   IntAttrDef->setSummary("An integer attribute");
   IntAttrDef->setParamNames({"value"});
   IntAttrDef->setVerifier([](const std::vector<ParamValue> &Params,
@@ -321,6 +326,7 @@ void IRContext::registerBuiltinDialect() {
   });
 
   FloatAttrDef = Builtin->addAttr("float");
+  FloatAttrDef->setBuiltinKind(BuiltinKind::FloatAttr);
   FloatAttrDef->setSummary("A floating-point attribute");
   FloatAttrDef->setParamNames({"value"});
   FloatAttrDef->setVerifier([](const std::vector<ParamValue> &Params,
@@ -340,6 +346,7 @@ void IRContext::registerBuiltinDialect() {
   });
 
   StringAttrDef = Builtin->addAttr("string");
+  StringAttrDef->setBuiltinKind(BuiltinKind::StringAttr);
   StringAttrDef->setSummary("A string attribute");
   StringAttrDef->setParamNames({"value"});
   StringAttrDef->setVerifier([](const std::vector<ParamValue> &Params,
@@ -354,6 +361,7 @@ void IRContext::registerBuiltinDialect() {
   });
 
   TypeAttrDef = Builtin->addAttr("type");
+  TypeAttrDef->setBuiltinKind(BuiltinKind::TypeAttr);
   TypeAttrDef->setSummary("An attribute wrapping a type");
   TypeAttrDef->setParamNames({"type"});
   TypeAttrDef->setVerifier([](const std::vector<ParamValue> &Params,
@@ -367,6 +375,7 @@ void IRContext::registerBuiltinDialect() {
   });
 
   EnumAttrDef = Builtin->addAttr("enum");
+  EnumAttrDef->setBuiltinKind(BuiltinKind::EnumAttr);
   EnumAttrDef->setSummary("An attribute holding an enum constructor");
   EnumAttrDef->setParamNames({"value"});
   EnumAttrDef->setVerifier([](const std::vector<ParamValue> &Params,
@@ -380,9 +389,11 @@ void IRContext::registerBuiltinDialect() {
   });
 
   UnitAttrDef = Builtin->addAttr("unit");
+  UnitAttrDef->setBuiltinKind(BuiltinKind::UnitAttr);
   UnitAttrDef->setSummary("A unit (presence-only) attribute");
 
   ArrayAttrDef = Builtin->addAttr("array");
+  ArrayAttrDef->setBuiltinKind(BuiltinKind::ArrayAttr);
   ArrayAttrDef->setSummary("An array of attributes");
   ArrayAttrDef->setParamNames({"elements"});
   ArrayAttrDef->setVerifier([](const std::vector<ParamValue> &Params,

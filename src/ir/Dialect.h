@@ -51,6 +51,23 @@ private:
   std::vector<std::string> Cases;
 };
 
+/// The builtin type and attribute definitions that print in a short
+/// form, tagged when the builtin dialect is registered.
+enum class BuiltinKind : uint8_t {
+  None,
+  FloatType,
+  IntegerType,
+  IndexType,
+  FunctionType,
+  IntAttr,
+  FloatAttr,
+  StringAttr,
+  TypeAttr,
+  UnitAttr,
+  EnumAttr,
+  ArrayAttr,
+};
+
 /// Common state of type and attribute definitions.
 class TypeOrAttrDefinitionBase {
 public:
@@ -84,6 +101,9 @@ public:
   bool requiresCpp() const { return RequiresCpp; }
   void setRequiresCpp(bool V = true) { RequiresCpp = V; }
 
+  BuiltinKind getBuiltinKind() const { return Builtin; }
+  void setBuiltinKind(BuiltinKind K) { Builtin = K; }
+
 private:
   Dialect *Owner;
   std::string Name;
@@ -91,6 +111,7 @@ private:
   std::vector<std::string> ParamNames;
   VerifierFn Verifier;
   bool RequiresCpp = false;
+  BuiltinKind Builtin = BuiltinKind::None;
 };
 
 /// Runtime definition of a type.

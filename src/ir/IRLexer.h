@@ -85,12 +85,14 @@ public:
   }
 
 private:
-  IRToken lexImpl();
-  IRToken makeToken(IRToken::Kind K, const char *Start);
-  IRToken lexNumber(const char *Start);
-  IRToken lexString(const char *Start);
-  IRToken lexPrefixedIdent(const char *Start, IRToken::Kind K,
-                           bool AllowHashSuffix);
+  /// Each of these lexes one token into Tok.
+  void lexImpl();
+  /// A token of kind \p K spelled [Start, Cur).
+  void setToken(IRToken::Kind K, const char *Start);
+  void lexNumber(const char *Start);
+  void lexString(const char *Start);
+  void lexPrefixedIdent(const char *Start, IRToken::Kind K,
+                        bool AllowHashSuffix);
 
   const char *Cur;
   const char *End;

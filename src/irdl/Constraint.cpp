@@ -579,8 +579,9 @@ std::string Constraint::str() const {
       OS << "float" << FV.Width << "_t";
     break;
   case Kind::FloatEq: {
-    printFloatLiteral(FV.Value, OS);
-    OS << " : float" << FV.Width << "_t";
+    std::string Literal;
+    printFloatLiteral(FV.Value, Literal);
+    OS << Literal << " : float" << FV.Width << "_t";
     break;
   }
   case Kind::StringKind:

@@ -370,20 +370,32 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
   // Install the hooks. Alias the shared_ptr so the spec outlives us.
   std::shared_ptr<OpSpec> SpecRef(OwningSpec, &Op);
 
-  Op.Def->setPrintFn([SpecRef, Compiled](Operation *O, CustomOpPrinter &P) {
+  bool PrintsVars = std::any_of(
+      Compiled->Elements.begin(), Compiled->Elements.end(),
+      [](const FormatElement &E) {
+        return E.K == FormatElement::Kind::Var ||
+               E.K == FormatElement::Kind::VarParam;
+      });
+  Op.Def->setPrintFn([SpecRef, Compiled, PrintsVars](Operation *O,
+                                                     CustomOpPrinter &P) {
     const OpSpec &Spec = *SpecRef;
-    // Rebind constraint variables from the verified op.
-    MatchContext MC(&Spec.VarPrograms);
-    for (unsigned I = 0, E = std::min<size_t>(Spec.Operands.size(),
-                                              O->getNumOperands());
-         I != E; ++I)
-      (void)Spec.Operands[I].Prog->run(
-          ParamValue(O->getOperand(I).getType()), MC);
-    for (unsigned I = 0, E = std::min<size_t>(Spec.Results.size(),
-                                              O->getNumResults());
-         I != E; ++I)
-      (void)Spec.Results[I].Prog->run(
-          ParamValue(O->getResult(I).getType()), MC);
+    // Rebind constraint variables from the verified op, when the format
+    // prints any. The context is reused from op to op (a hook prints no
+    // nested ops), so it allocates only for the largest variable count.
+    thread_local MatchContext MC;
+    if (PrintsVars) {
+      MC.reset(&Spec.VarPrograms);
+      for (unsigned I = 0, E = std::min<size_t>(Spec.Operands.size(),
+                                                O->getNumOperands());
+           I != E; ++I)
+        (void)Spec.Operands[I].Prog->run(
+            ParamValue(O->getOperand(I).getType()), MC);
+      for (unsigned I = 0, E = std::min<size_t>(Spec.Results.size(),
+                                                O->getNumResults());
+           I != E; ++I)
+        (void)Spec.Results[I].Prog->run(
+            ParamValue(O->getResult(I).getType()), MC);
+    }
 
     for (const FormatElement &Elem : Compiled->Elements) {
       switch (Elem.K) {

@@ -17,27 +17,31 @@ bool irdl::isIdentifier(std::string_view Str) {
   return true;
 }
 
-std::string irdl::escapeString(std::string_view Str) {
-  std::string Result;
-  Result.reserve(Str.size());
+void irdl::appendEscaped(std::string &Out, std::string_view Str) {
   for (char C : Str) {
     switch (C) {
     case '"':
-      Result += "\\\"";
+      Out += "\\\"";
       break;
     case '\\':
-      Result += "\\\\";
+      Out += "\\\\";
       break;
     case '\n':
-      Result += "\\n";
+      Out += "\\n";
       break;
     case '\t':
-      Result += "\\t";
+      Out += "\\t";
       break;
     default:
-      Result += C;
+      Out += C;
     }
   }
+}
+
+std::string irdl::escapeString(std::string_view Str) {
+  std::string Result;
+  Result.reserve(Str.size());
+  appendEscaped(Result, Str);
   return Result;
 }
 

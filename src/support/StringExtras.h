@@ -52,6 +52,8 @@ bool isIdentifier(std::string_view Str);
 
 /// Escapes a string for inclusion in a double-quoted literal.
 std::string escapeString(std::string_view Str);
+/// Appends \p Str escaped as escapeString does.
+void appendEscaped(std::string &Out, std::string_view Str);
 
 /// Unescapes the body of a double-quoted literal (without the quotes).
 /// Returns std::nullopt on a malformed escape.

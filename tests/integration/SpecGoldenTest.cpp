@@ -9,23 +9,18 @@
 /// carets, from the parser, Sema and format installation.
 
 #include "bytecode/Bytecode.h"
+#include "common/TokenStreamHash.h"
 #include "corpus/Corpus.h"
 #include "irdl/IRDL.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 using namespace irdl;
 
 namespace {
-
-uint64_t fnv1a(std::string_view S) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 /// The recorded output for one dialect: its printed spec and its
 /// serialized Specs section, each as (size, FNV-1a).
@@ -652,6 +647,47 @@ Dialect builtin { Type f32 {} }
                   ^
 )golden"},
 };
+
+/// The IR lexer's token streams (see TokenStreamHash.h) over the spec
+/// sources: each bundled dialect, the corpus dialects one by one, the whole
+/// corpus module, and all malformed specs above.
+const std::pair<const char *, uint64_t> BundledTokenGoldens[] = {
+    {"cmath", 0x849e3e7c75b60971ull},   {"arith", 0xb168a576565752fdull},
+    {"complex", 0x6080aa1e245abc7dull}, {"math", 0x883a5bfdee2558e6ull},
+    {"scf", 0x140a39e56ebd67cbull},
+};
+constexpr uint64_t CorpusDialectsTokenHash = 0xbbe5db47a7572ec5ull;
+constexpr uint64_t CorpusModuleTokenHash = 0x8bd3fab31cc9523dull;
+constexpr uint64_t MalformedSpecsTokenHash = 0xd8ef0e9d524802d4ull;
+
+TEST(TokenStreamGolden, BundledDialects) {
+  for (const auto &[Name, Hash] : BundledTokenGoldens) {
+    std::ifstream In(std::string(IRDL_DIALECTS_DIR) + "/" + Name + ".irdl");
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    EXPECT_EQ(tokenStreamHash(SS.str()), Hash)
+        << Name << ": 0x" << std::hex << tokenStreamHash(SS.str());
+  }
+}
+
+TEST(TokenStreamGolden, Corpus) {
+  Fnv1a Dialects;
+  Dialects.word(tokenStreamHash(synthesizeSupportDialectIRDL()));
+  for (const DialectProfile &Profile : getDialectProfiles())
+    Dialects.word(tokenStreamHash(synthesizeDialectIRDL(Profile)));
+  EXPECT_EQ(Dialects.get(), CorpusDialectsTokenHash)
+      << "0x" << std::hex << Dialects.get();
+  uint64_t Module = tokenStreamHash(synthesizeCorpusIRDL());
+  EXPECT_EQ(Module, CorpusModuleTokenHash) << "0x" << std::hex << Module;
+}
+
+TEST(TokenStreamGolden, MalformedSpecs) {
+  Fnv1a All;
+  for (const DiagGolden &G : DiagGoldens)
+    All.word(tokenStreamHash(G.Source));
+  EXPECT_EQ(All.get(), MalformedSpecsTokenHash)
+      << "0x" << std::hex << All.get();
+}
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, SpecDiagnosticGolden, ::testing::ValuesIn(DiagGoldens),

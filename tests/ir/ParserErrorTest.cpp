@@ -4,6 +4,7 @@
 /// and produce a diagnostic containing the expected fragment (never a
 /// crash, never a silent success).
 
+#include "common/TokenStreamHash.h"
 #include "ir/Context.h"
 #include "ir/IRParser.h"
 #include "ir/Printer.h"
@@ -50,9 +51,9 @@ std::string caseName(const ::testing::TestParamInfo<ErrorCase> &Info) {
   return Info.param.Name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Malformed, ParserErrorTest,
-    ::testing::Values(
+// The cases keep the indentation they had as arguments: the raw strings'
+// continuation lines are part of the inputs.
+const ErrorCase ErrorCases[] = {
         ErrorCase{"UnknownOp", R"("zzz.op"() : () -> ())",
                   "unknown operation"},
         ErrorCase{"UnknownType",
@@ -142,8 +143,20 @@ INSTANTIATE_TEST_SUITE_P(
                   R"(std.func @f() -> {
                        std.return
                      })",
-                  "expected type"}),
-    caseName);
+                  "expected type"}};
+
+INSTANTIATE_TEST_SUITE_P(Malformed, ParserErrorTest,
+                         ::testing::ValuesIn(ErrorCases), caseName);
+
+/// The IR lexer's token streams over the malformed inputs above (see
+/// TokenStreamHash.h).
+TEST(TokenStreamGolden, MalformedIR) {
+  Fnv1a All;
+  for (const ErrorCase &C : ErrorCases)
+    All.word(tokenStreamHash(C.Source));
+  EXPECT_EQ(All.get(), 0x53e02b6f62512d45ull)
+      << "0x" << std::hex << All.get();
+}
 
 /// The self-reference case above actually parses (forward ref resolved by
 /// its own definition) but must then fail verification; special-case it.

@@ -180,9 +180,9 @@ TEST_F(PrinterTest, RegionPrinting) {
 }
 
 TEST_F(PrinterTest, FloatLiteralRoundTrippable) {
-  std::ostringstream OS;
-  printFloatLiteral(0.1, OS);
-  EXPECT_EQ(std::strtod(OS.str().c_str(), nullptr), 0.1);
+  std::string Literal;
+  printFloatLiteral(0.1, Literal);
+  EXPECT_EQ(std::strtod(Literal.c_str(), nullptr), 0.1);
 }
 
 } // namespace
