@@ -2,6 +2,7 @@
 
 #include "support/Diagnostics.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace irdl;
@@ -31,6 +32,13 @@ Diagnostic &DiagnosticEngine::emit(Severity S, SMLoc Loc,
   return D;
 }
 
+/// A source line longer than this prints as a window of this many bytes
+/// around the caret, cut ends marked `...`, so that a diagnostic on a
+/// hostile one-line input stays small.
+constexpr size_t ExcerptWidth = 240;
+/// How much of the window at most precedes the caret.
+constexpr size_t ExcerptLead = 160;
+
 static void renderOne(std::ostringstream &OS, const SourceMgr *SrcMgr,
                       Severity S, SMLoc Loc, const std::string &Message) {
   if (SrcMgr && Loc.isValid()) {
@@ -38,9 +46,19 @@ static void renderOne(std::ostringstream &OS, const SourceMgr *SrcMgr,
     if (LC.Line != 0) {
       OS << LC.BufferName << ":" << LC.Line << ":" << LC.Column << ": "
          << severityName(S) << ": " << Message << "\n";
-      OS << LC.LineText << "\n";
-      for (unsigned I = 1; I < LC.Column; ++I)
-        OS << (LC.LineText[I - 1] == '\t' ? '\t' : ' ');
+      std::string_view Line = LC.LineText;
+      size_t Caret = LC.Column - 1;
+      size_t Begin = 0, End = Line.size();
+      if (Line.size() > ExcerptWidth) {
+        Begin = Caret > ExcerptLead ? Caret - ExcerptLead : 0;
+        End = std::min(Line.size(), Begin + ExcerptWidth);
+        Begin = End - ExcerptWidth;
+      }
+      OS << (Begin ? "..." : "") << Line.substr(Begin, End - Begin)
+         << (End < Line.size() ? "..." : "") << "\n"
+         << (Begin ? "   " : "");
+      for (size_t I = Begin; I < Caret; ++I)
+        OS << (I < Line.size() && Line[I] == '\t' ? '\t' : ' ');
       OS << "^";
       return;
     }

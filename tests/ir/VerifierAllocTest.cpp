@@ -16,6 +16,7 @@
 #include "ir/Context.h"
 #include "ir/IRParser.h"
 #include "ir/OpArena.h"
+#include "ir/Printer.h"
 #include "ir/Region.h"
 #include "ir/Verifier.h"
 #include "irdl/IRDL.h"
@@ -252,6 +253,55 @@ TEST_F(VerifierAllocTest, ReaderAllocatesNothingOfItsOwnPerOp) {
   EXPECT_GE(TwoN, N);
   EXPECT_LE(TwoN - N, 8u) << "2000 ops: " << N << " allocations, 4000: "
                           << TwoN;
+}
+
+/// One function whose body repeats ops printed by their declarative
+/// formats, one of which prints a constraint variable, \p Reps times.
+std::string formatOpsModule(unsigned Reps) {
+  std::string Src = R"(std.func @f(%a: !cmath.complex<f32>,
+      %b: !cmath.complex<f32>) -> f32 {
+)";
+  for (unsigned I = 0; I != Reps; ++I) {
+    std::string N = std::to_string(I);
+    Src += "  %m" + N + " = cmath.mul %a, %b : f32\n";
+    Src += "  %n" + N + " = cmath.norm %m" + N + " : f32\n";
+  }
+  Src += "  std.return %n0 : f32\n}\n";
+  return Src;
+}
+
+TEST_F(VerifierAllocTest, PrintAllocatesOnlyForBufferGrowth) {
+  for (const auto &S : Specs)
+    ASSERT_NE(S, nullptr) << Diags.renderAll();
+  // Allocations of printing \p Src's module, after one warm-up print
+  // (format hooks keep per-thread scratch), and the number of ops.
+  auto PrintAllocs = [&](const std::string &Src, PrintOptions Opts,
+                         uint64_t &NumOps) {
+    OwningOpRef M = parse(Src);
+    EXPECT_TRUE(M) << Diags.renderAll();
+    NumOps = 0;
+    M->walk([&](Operation *) { ++NumOps; });
+    std::string Printed = printOpToString(M.get(), Opts);
+    return allocationsOf([&] { Printed = printOpToString(M.get(), Opts); });
+  };
+  PrintOptions Generic;
+  Generic.GenericForm = true;
+  for (PrintOptions Opts : {PrintOptions(), Generic}) {
+    for (auto *Module : {&longFunctionModule, &formatOpsModule}) {
+      uint64_t Ops = 0, TwiceOps = 0;
+      uint64_t N = PrintAllocs((*Module)(1000), Opts, Ops);
+      uint64_t TwoN = PrintAllocs((*Module)(2000), Opts, TwiceOps);
+      ASSERT_GE(TwiceOps, 4000u);
+      // Doubling the ops adds one growth of the output buffer and one of
+      // the value-name table.
+      EXPECT_GE(TwoN, N);
+      EXPECT_LE(TwoN - N, 2u)
+          << Ops << " ops: " << N << " allocations, " << TwiceOps
+          << " ops: " << TwoN << " (generic: " << Opts.GenericForm << ")";
+      // Buffer and table growth, logarithmic in the size of the output.
+      EXPECT_LE(TwoN, 40u) << TwiceOps << " ops";
+    }
+  }
 }
 
 /// A dialect of \p NumOps operations shaped like the bundled elementwise

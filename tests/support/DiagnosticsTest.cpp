@@ -58,6 +58,39 @@ TEST(DiagnosticsTest, RenderWithCaret) {
   EXPECT_NE(Rendered.find("  ^"), std::string::npos);
 }
 
+TEST(DiagnosticsTest, LongLinesRenderAWindowAroundTheCaret) {
+  SourceMgr SM;
+  // 1,000 bytes on one line: the excerpt keeps 240 of them, 160 before
+  // the caret, and marks both cut ends.
+  std::string Line;
+  for (unsigned I = 0; I != 100; ++I)
+    Line += "abcdefghi" + std::to_string(I % 10);
+  unsigned Id = SM.addBuffer(Line + "\nnext", "long.irdl");
+  DiagnosticEngine Engine(&SM);
+  std::string_view Contents = SM.getBufferContents(Id);
+  auto RenderAt = [&](size_t Offset) {
+    return Engine.render(Engine.emitError(
+        SMLoc::getFromPointer(Contents.data() + Offset), "here"));
+  };
+  EXPECT_EQ(RenderAt(500),
+            "long.irdl:1:501: error: here\n..." + Line.substr(340, 240) +
+                "...\n" + std::string(163, ' ') + "^");
+  // Near either end the window stays full width and one end is uncut.
+  EXPECT_EQ(RenderAt(3), "long.irdl:1:4: error: here\n" +
+                             Line.substr(0, 240) + "...\n   ^");
+  EXPECT_EQ(RenderAt(999), "long.irdl:1:1000: error: here\n..." +
+                               Line.substr(760) + "\n" +
+                               std::string(3 + 239, ' ') + "^");
+  // A line of at most 240 bytes prints whole.
+  unsigned Short = SM.addBuffer(Line.substr(0, 240), "short.irdl");
+  EXPECT_EQ(Engine.render(Engine.emitError(
+                SMLoc::getFromPointer(SM.getBufferContents(Short).data() +
+                                      239),
+                "end")),
+            "short.irdl:1:240: error: end\n" + Line.substr(0, 240) + "\n" +
+                std::string(239, ' ') + "^");
+}
+
 TEST(DiagnosticsTest, ResetAndClear) {
   DiagnosticEngine Engine;
   Engine.emitError(SMLoc(), "x");
