@@ -19,13 +19,24 @@ using namespace irdl;
 
 namespace {
 
+/// Plain pointers to the nodes of \p Trees, which MatchContext takes.
+std::vector<const Constraint *>
+nodesOf(const std::vector<ConstraintPtr> &Trees) {
+  std::vector<const Constraint *> Nodes;
+  for (const ConstraintPtr &C : Trees)
+    Nodes.push_back(C.get());
+  return Nodes;
+}
+
 struct Fixture {
   IRContext Ctx;
+  /// The storage the fixture's trees (and those built over them) live in.
+  SpecStoragePtr Store = std::make_shared<BumpStorage>();
   std::vector<ConstraintPtr> Branches;
 
   Fixture() {
     for (unsigned W = 1; W <= 16; ++W)
-      Branches.push_back(Constraint::typeEq(Ctx.getIntegerType(W)));
+      Branches.push_back(Constraint::typeEq(Store, Ctx.getIntegerType(W)));
   }
 };
 
@@ -34,6 +45,7 @@ struct Fixture {
 /// (a dialect's "one of our N types" constraint).
 struct DispatchFixture {
   IRContext Ctx;
+  SpecStoragePtr Store = std::make_shared<BumpStorage>();
   std::vector<TypeDefinition *> Defs;
   std::vector<ConstraintPtr> Branches;
   std::vector<Type> Values;
@@ -45,7 +57,7 @@ struct DispatchFixture {
       T->setParamNames({"elem"});
       Defs.push_back(T);
       Branches.push_back(Constraint::typeConstraint(
-          T, {Constraint::typeEq(Ctx.getFloatType(32))},
+          Store, T, {Constraint::typeEq(Store, Ctx.getFloatType(32))},
           /*BaseOnly=*/false));
       Values.push_back(
           Ctx.getType(T, {ParamValue(Ctx.getFloatType(32))}));
@@ -55,7 +67,7 @@ struct DispatchFixture {
 
 void BM_AnyOf_MatchFirst(benchmark::State &State) {
   Fixture F;
-  ConstraintPtr C = Constraint::anyOf(F.Branches);
+  ConstraintPtr C = Constraint::anyOf(F.Store, F.Branches);
   ParamValue V(F.Ctx.getIntegerType(1));
   for (auto _ : State) {
     MatchContext MC;
@@ -67,7 +79,7 @@ BENCHMARK(BM_AnyOf_MatchFirst);
 
 void BM_AnyOf_MatchLast(benchmark::State &State) {
   Fixture F;
-  ConstraintPtr C = Constraint::anyOf(F.Branches);
+  ConstraintPtr C = Constraint::anyOf(F.Store, F.Branches);
   ParamValue V(F.Ctx.getIntegerType(16));
   for (auto _ : State) {
     MatchContext MC;
@@ -79,7 +91,7 @@ BENCHMARK(BM_AnyOf_MatchLast);
 
 void BM_AnyOf_NoMatch(benchmark::State &State) {
   Fixture F;
-  ConstraintPtr C = Constraint::anyOf(F.Branches);
+  ConstraintPtr C = Constraint::anyOf(F.Store, F.Branches);
   ParamValue V(F.Ctx.getFloatType(32));
   for (auto _ : State) {
     MatchContext MC;
@@ -91,11 +103,12 @@ BENCHMARK(BM_AnyOf_NoMatch);
 
 void BM_VarBind_FirstUse(benchmark::State &State) {
   Fixture F;
-  std::vector<ConstraintPtr> Vars = {Constraint::anyType()};
-  ConstraintPtr C = Constraint::var(0, "T");
+  std::vector<ConstraintPtr> Vars = {Constraint::anyType(F.Store)};
+  ConstraintPtr C = Constraint::var(F.Store, 0, "T");
   ParamValue V(F.Ctx.getIntegerType(32));
+  std::vector<const Constraint *> VarNodes = nodesOf(Vars);
   for (auto _ : State) {
-    MatchContext MC(&Vars);
+    MatchContext MC(VarNodes);
     bool R = C->matches(V, MC);
     benchmark::DoNotOptimize(R);
   }
@@ -105,11 +118,12 @@ BENCHMARK(BM_VarBind_FirstUse);
 void BM_VarBind_UnifyThreeUses(benchmark::State &State) {
   // The cmath.mul pattern: one var, three uses.
   Fixture F;
-  std::vector<ConstraintPtr> Vars = {Constraint::anyType()};
-  ConstraintPtr C = Constraint::var(0, "T");
+  std::vector<ConstraintPtr> Vars = {Constraint::anyType(F.Store)};
+  ConstraintPtr C = Constraint::var(F.Store, 0, "T");
   ParamValue V(F.Ctx.getIntegerType(32));
+  std::vector<const Constraint *> VarNodes = nodesOf(Vars);
   for (auto _ : State) {
-    MatchContext MC(&Vars);
+    MatchContext MC(VarNodes);
     bool R = C->matches(V, MC) && C->matches(V, MC) && C->matches(V, MC);
     benchmark::DoNotOptimize(R);
   }
@@ -122,19 +136,21 @@ void BM_AnyOf_BacktrackingWithVars(benchmark::State &State) {
   Dialect *D = F.Ctx.getOrCreateDialect("bt");
   TypeDefinition *Pair = D->addType("pair");
   Pair->setParamNames({"a", "b"});
-  std::vector<ConstraintPtr> Vars = {Constraint::anyType()};
-  ConstraintPtr T = Constraint::var(0, "T");
+  std::vector<ConstraintPtr> Vars = {Constraint::anyType(F.Store)};
+  ConstraintPtr T = Constraint::var(F.Store, 0, "T");
   std::vector<ConstraintPtr> Branches;
   for (unsigned W = 1; W <= 8; ++W)
     Branches.push_back(Constraint::typeConstraint(
-        Pair, {T, Constraint::typeEq(F.Ctx.getIntegerType(W))},
+        F.Store, Pair,
+        {T, Constraint::typeEq(F.Store, F.Ctx.getIntegerType(W))},
         /*BaseOnly=*/false));
-  ConstraintPtr C = Constraint::anyOf(Branches);
+  ConstraintPtr C = Constraint::anyOf(F.Store, Branches);
   Type V = F.Ctx.getType(Pair, {ParamValue(F.Ctx.getFloatType(32)),
                                 ParamValue(F.Ctx.getIntegerType(8))});
   ParamValue PV(V);
+  std::vector<const Constraint *> VarNodes = nodesOf(Vars);
   for (auto _ : State) {
-    MatchContext MC(&Vars);
+    MatchContext MC(VarNodes);
     bool R = C->matches(PV, MC);
     benchmark::DoNotOptimize(R);
   }
@@ -148,7 +164,7 @@ BENCHMARK(BM_AnyOf_BacktrackingWithVars);
 void BM_Compiled_AnyOf_MatchLast(benchmark::State &State) {
   Fixture F;
   ConstraintProgramPtr P =
-      ConstraintCompiler::compile(Constraint::anyOf(F.Branches));
+      ConstraintCompiler::compile(Constraint::anyOf(F.Store, F.Branches));
   ParamValue V(F.Ctx.getIntegerType(16));
   for (auto _ : State) {
     MatchContext MC;
@@ -161,7 +177,7 @@ BENCHMARK(BM_Compiled_AnyOf_MatchLast);
 void BM_Compiled_DispatchTable_MatchLast(benchmark::State &State) {
   DispatchFixture F;
   ConstraintProgramPtr P =
-      ConstraintCompiler::compile(Constraint::anyOf(F.Branches));
+      ConstraintCompiler::compile(Constraint::anyOf(F.Store, F.Branches));
   ParamValue V(F.Values.back());
   for (auto _ : State) {
     MatchContext MC;
@@ -173,7 +189,7 @@ BENCHMARK(BM_Compiled_DispatchTable_MatchLast);
 
 void BM_Interpreted_DispatchShape_MatchLast(benchmark::State &State) {
   DispatchFixture F;
-  ConstraintPtr C = Constraint::anyOf(F.Branches);
+  ConstraintPtr C = Constraint::anyOf(F.Store, F.Branches);
   ParamValue V(F.Values.back());
   for (auto _ : State) {
     MatchContext MC;
@@ -188,22 +204,23 @@ void BM_Compiled_AnyOf_BacktrackingWithVars(benchmark::State &State) {
   Dialect *D = F.Ctx.getOrCreateDialect("bt");
   TypeDefinition *Pair = D->addType("pair");
   Pair->setParamNames({"a", "b"});
-  std::vector<ConstraintPtr> Vars = {Constraint::anyType()};
-  ConstraintPtr T = Constraint::var(0, "T");
+  std::vector<ConstraintPtr> Vars = {Constraint::anyType(F.Store)};
+  ConstraintPtr T = Constraint::var(F.Store, 0, "T");
   std::vector<ConstraintPtr> Branches;
   for (unsigned W = 1; W <= 8; ++W)
     Branches.push_back(Constraint::typeConstraint(
-        Pair, {T, Constraint::typeEq(F.Ctx.getIntegerType(W))},
+        F.Store, Pair,
+        {T, Constraint::typeEq(F.Store, F.Ctx.getIntegerType(W))},
         /*BaseOnly=*/false));
   ConstraintProgramPtr P =
-      ConstraintCompiler::compile(Constraint::anyOf(Branches));
-  std::vector<ConstraintProgramPtr> VarProgs =
+      ConstraintCompiler::compile(Constraint::anyOf(F.Store, Branches));
+  std::vector<const ConstraintProgram *> VarProgs =
       ConstraintCompiler::compileVarPrograms(Vars);
   Type V = F.Ctx.getType(Pair, {ParamValue(F.Ctx.getFloatType(32)),
                                 ParamValue(F.Ctx.getIntegerType(8))});
   ParamValue PV(V);
   for (auto _ : State) {
-    MatchContext MC(&VarProgs);
+    MatchContext MC(VarProgs);
     bool R = P->run(PV, MC);
     benchmark::DoNotOptimize(R);
   }
@@ -222,10 +239,10 @@ BENCHMARK(BM_Compiled_AnyOf_BacktrackingWithVars);
 /// (tools/check_constraint_bench.py keys on these names).
 void runPhaseBreakdown() {
   Fixture F;
-  ConstraintPtr AnyOfC = Constraint::anyOf(F.Branches);
+  ConstraintPtr AnyOfC = Constraint::anyOf(F.Store, F.Branches);
   auto RunMatches = [](const char *Phase, const ConstraintPtr &C,
                        const ParamValue &V,
-                       const std::vector<ConstraintPtr> *Vars) {
+                       std::span<const Constraint *const> Vars) {
     IRDL_TIME_SCOPE(Phase);
     for (int I = 0; I != 1000; ++I) {
       MatchContext MC(Vars);
@@ -234,39 +251,41 @@ void runPhaseBreakdown() {
     }
   };
   RunMatches("anyof-match-first-x1000", AnyOfC,
-             ParamValue(F.Ctx.getIntegerType(1)), nullptr);
+             ParamValue(F.Ctx.getIntegerType(1)), {});
   RunMatches("anyof-match-last-x1000", AnyOfC,
-             ParamValue(F.Ctx.getIntegerType(16)), nullptr);
+             ParamValue(F.Ctx.getIntegerType(16)), {});
   RunMatches("anyof-no-match-x1000", AnyOfC,
-             ParamValue(F.Ctx.getFloatType(32)), nullptr);
+             ParamValue(F.Ctx.getFloatType(32)), {});
 
-  std::vector<ConstraintPtr> Vars = {Constraint::anyType()};
-  RunMatches("var-bind-first-use-x1000", Constraint::var(0, "T"),
-             ParamValue(F.Ctx.getIntegerType(32)), &Vars);
+  std::vector<ConstraintPtr> Vars = {Constraint::anyType(F.Store)};
+  std::vector<const Constraint *> VarNodes = nodesOf(Vars);
+  RunMatches("var-bind-first-use-x1000", Constraint::var(F.Store, 0, "T"),
+             ParamValue(F.Ctx.getIntegerType(32)), VarNodes);
 
   {
     // The backtracking scenario of BM_AnyOf_BacktrackingWithVars.
     Dialect *D = F.Ctx.getOrCreateDialect("bt");
     TypeDefinition *Pair = D->addType("pair");
     Pair->setParamNames({"a", "b"});
-    ConstraintPtr T = Constraint::var(0, "T");
+    ConstraintPtr T = Constraint::var(F.Store, 0, "T");
     std::vector<ConstraintPtr> Branches;
     for (unsigned W = 1; W <= 8; ++W)
       Branches.push_back(Constraint::typeConstraint(
-          Pair, {T, Constraint::typeEq(F.Ctx.getIntegerType(W))},
+          F.Store, Pair,
+          {T, Constraint::typeEq(F.Store, F.Ctx.getIntegerType(W))},
           /*BaseOnly=*/false));
-    ConstraintPtr C = Constraint::anyOf(Branches);
+    ConstraintPtr C = Constraint::anyOf(F.Store, Branches);
     Type V = F.Ctx.getType(Pair, {ParamValue(F.Ctx.getFloatType(32)),
                                   ParamValue(F.Ctx.getIntegerType(8))});
-    RunMatches("anyof-backtracking-vars-x1000", C, ParamValue(V), &Vars);
+    RunMatches("anyof-backtracking-vars-x1000", C, ParamValue(V), VarNodes);
   }
 
   // Compiled-vs-interpreted pairs. Each pair evaluates the same values
   // against the same constraint; only the engine differs.
   auto RunPair = [](const char *Workload, const ConstraintPtr &C,
-                    const std::vector<ConstraintProgramPtr> &VarProgs,
+                    std::span<const ConstraintProgram *const> VarProgs,
                     const std::vector<ParamValue> &Values,
-                    const std::vector<ConstraintPtr> *Vars, int Iters) {
+                    std::span<const Constraint *const> Vars, int Iters) {
     ConstraintProgramPtr P = ConstraintCompiler::compile(C);
     std::string Interp = std::string(Workload) + "-interpreted";
     std::string Compiled = std::string(Workload) + "-compiled";
@@ -291,7 +310,7 @@ void runPhaseBreakdown() {
       for (int I = 0; I != Iters; ++I)
         CompiledSampler.sample([&] {
           for (const ParamValue &V : Values) {
-            MatchContext MC(&VarProgs);
+            MatchContext MC(VarProgs);
             bool R = P->run(V, MC);
             benchmark::DoNotOptimize(R);
           }
@@ -307,8 +326,8 @@ void runPhaseBreakdown() {
     for (Type T : DF.Values)
       Values.emplace_back(T);
     Values.emplace_back(DF.Ctx.getFloatType(32));
-    RunPair("anyof-heavy", Constraint::anyOf(DF.Branches), {}, Values,
-            nullptr, 1000);
+    RunPair("anyof-heavy", Constraint::anyOf(DF.Store, DF.Branches), {}, Values,
+            {}, 1000);
   }
 
   {
@@ -317,24 +336,27 @@ void runPhaseBreakdown() {
     Dialect *D = F.Ctx.getOrCreateDialect("vh");
     TypeDefinition *Pair = D->addType("pair");
     Pair->setParamNames({"a", "b"});
-    ConstraintPtr T = Constraint::var(0, "T");
-    ConstraintPtr Widths = Constraint::anyOf(F.Branches); // 16 int widths
+    ConstraintPtr T = Constraint::var(F.Store, 0, "T");
+    // 16 int widths.
+    ConstraintPtr Widths = Constraint::anyOf(F.Store, F.Branches);
     std::vector<ConstraintPtr> Branches;
     for (unsigned W = 1; W <= 8; ++W)
       Branches.push_back(Constraint::typeConstraint(
-          Pair,
+          F.Store, Pair,
           {T, Constraint::conjunction(
-                  {Constraint::typeEq(F.Ctx.getIntegerType(W)), Widths})},
+                  F.Store,
+                  {Constraint::typeEq(F.Store, F.Ctx.getIntegerType(W)),
+                   Widths})},
           /*BaseOnly=*/false));
-    ConstraintPtr C = Constraint::anyOf(Branches);
+    ConstraintPtr C = Constraint::anyOf(F.Store, Branches);
     std::vector<ParamValue> Values;
     for (unsigned W = 1; W <= 8; ++W)
       Values.emplace_back(
           F.Ctx.getType(Pair, {ParamValue(F.Ctx.getFloatType(32)),
                                ParamValue(F.Ctx.getIntegerType(W))}));
-    std::vector<ConstraintProgramPtr> VarProgs =
+    std::vector<const ConstraintProgram *> VarProgs =
         ConstraintCompiler::compileVarPrograms(Vars);
-    RunPair("variable-heavy", C, VarProgs, Values, &Vars, 1000);
+    RunPair("variable-heavy", C, VarProgs, Values, VarNodes, 1000);
   }
 
   {
@@ -345,7 +367,7 @@ void runPhaseBreakdown() {
     std::vector<ParamValue> Values;
     for (Type T : DF.Values)
       Values.emplace_back(T);
-    RunPair("large", Constraint::anyOf(DF.Branches), {}, Values, nullptr,
+    RunPair("large", Constraint::anyOf(DF.Store, DF.Branches), {}, Values, {},
             500);
   }
 }

@@ -122,7 +122,7 @@ void BM_ConstraintMatch_Parametric(benchmark::State &State) {
   const OpSpec *Norm = Cmath->lookupOp("norm");
   ParamValue V(F.Mul->getOperand(0).getType());
   for (auto _ : State) {
-    MatchContext MC(&Norm->VarPrograms);
+    MatchContext MC(Norm->VarPrograms);
     bool R = Norm->Operands[0].Prog->run(V, MC);
     benchmark::DoNotOptimize(R);
   }
@@ -214,7 +214,7 @@ void runPhaseBreakdown() {
     const OpSpec *Norm = Cmath->lookupOp("norm");
     ParamValue V(F->Mul->getOperand(0).getType());
     for (int I = 0; I != 1000; ++I) {
-      MatchContext MC(&Norm->VarPrograms);
+      MatchContext MC(Norm->VarPrograms);
       bool R = Norm->Operands[0].Prog->run(V, MC);
       benchmark::DoNotOptimize(R);
     }

@@ -16,7 +16,7 @@ using namespace irdl;
 
 namespace {
 
-void emitConstraint(std::ostream &OS, const ConstraintPtr &C) {
+void emitConstraint(std::ostream &OS, const Constraint *C) {
   OS << "`" << C->str() << "`";
 }
 
@@ -35,7 +35,7 @@ void emitDialectDoc(std::ostream &OS, const DialectSpec &D) {
   }
 
   auto EmitTypeOrAttrSection = [&OS, &D](
-                                   const std::vector<TypeOrAttrSpec> &Defs,
+                                   std::span<const TypeOrAttrSpec> Defs,
                                    const char *Title, char Sigil) {
     if (Defs.empty())
       return;
@@ -83,7 +83,7 @@ void emitDialectDoc(std::ostream &OS, const DialectSpec &D) {
         OS << "\n\n";
       }
       auto EmitOperands = [&OS](const char *What,
-                                const std::vector<OperandSpec> &Items) {
+                                std::span<const OperandSpec> Items) {
         if (Items.empty())
           return;
         OS << "| " << What << " | constraint |\n|---|---|\n";

@@ -42,7 +42,7 @@ std::string_view irdl::cppConstraintKindName(CppConstraintKind K) {
   return "?";
 }
 
-ParamKind irdl::classifyParamKind(const ConstraintPtr &C) {
+ParamKind irdl::classifyParamKind(const Constraint *C) {
   switch (C->getKind()) {
   case Constraint::Kind::AnyType:
   case Constraint::Kind::TypeParams:
@@ -80,7 +80,7 @@ ParamKind irdl::classifyParamKind(const ConstraintPtr &C) {
     // Uniform child kinds classify as that kind; otherwise mixed params
     // count as domain-specific.
     std::optional<ParamKind> Kind;
-    for (const ConstraintPtr &Child : C->getChildren()) {
+    for (const Constraint *Child : C->getChildren()) {
       ParamKind CK = classifyParamKind(Child);
       if (!Kind)
         Kind = CK;
@@ -108,10 +108,10 @@ namespace {
 /// Named constraints carry the category in their name by convention
 /// (which is how the corpus encodes them); anonymous expressions are
 /// pattern-matched on their source.
-CppConstraintKind categorizeCpp(const ConstraintPtr &C) {
-  const std::string &Tag = C->getString();
+CppConstraintKind categorizeCpp(const Constraint *C) {
+  std::string_view Tag = C->getString();
   auto Contains = [&Tag](const char *Needle) {
-    return Tag.find(Needle) != std::string::npos;
+    return Tag.find(Needle) != std::string_view::npos;
   };
   if (Contains("stride") || Contains("Stride"))
     return CppConstraintKind::StrideCheck;
@@ -125,12 +125,12 @@ CppConstraintKind categorizeCpp(const ConstraintPtr &C) {
 }
 
 /// Walks a constraint tree collecting the categories of any C++ nodes.
-void collectCppKinds(const ConstraintPtr &C,
+void collectCppKinds(const Constraint *C,
                      std::vector<CppConstraintKind> &Out) {
   if (C->getKind() == Constraint::Kind::Cpp ||
       C->getKind() == Constraint::Kind::Native)
     Out.push_back(categorizeCpp(C));
-  for (const ConstraintPtr &Child : C->getChildren())
+  for (const Constraint *Child : C->getChildren())
     collectCppKinds(Child, Out);
 }
 

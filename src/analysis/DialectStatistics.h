@@ -37,7 +37,7 @@ enum class ParamKind {
 std::string_view paramKindName(ParamKind K);
 
 /// Classifies one parameter constraint into its Figure 8 kind.
-ParamKind classifyParamKind(const ConstraintPtr &C);
+ParamKind classifyParamKind(const Constraint *C);
 
 /// The Figure 12 categories of local constraints that need IRDL-C++.
 /// Detection is by naming convention on named constraints plus a generic

@@ -98,6 +98,11 @@ struct BytecodeReader::Impl {
 
   std::vector<std::string_view> Strings;
   bool StringsRead = false;
+
+  /// The storage of the spec being decoded, which its trees are built in.
+  SpecStoragePtr Store;
+  /// Constraint children being decoded, innermost node's last.
+  std::vector<ConstraintPtr> ChildStack;
   /// Names whole-buffer diagnostics (bad magic, version mismatch) after
   /// the file the buffer came from; empty for anonymous buffers.
   std::string BufferName;
@@ -414,46 +419,53 @@ struct BytecodeReader::Impl {
       C.error("unknown constraint tag " + std::to_string(Tag));
       return nullptr;
     }
-    auto ReadChildren = [&](std::vector<ConstraintPtr> &Out) {
+    // Children are decoded onto ChildStack above Base; the node built
+    // from them copies them, and the stack is truncated on every return.
+    size_t Base = ChildStack.size();
+    struct Truncate {
+      std::vector<ConstraintPtr> &Stack;
+      size_t Base;
+      ~Truncate() { Stack.resize(Base); }
+    } PopChildren{ChildStack, Base};
+    auto ReadChildren = [&]() {
       uint64_t N;
       if (!readCount(C, "constraint child count", N))
         return false;
-      Out.reserve(N);
       for (uint64_t I = 0; I != N; ++I) {
         ConstraintPtr Child = readConstraint(C, NumVars, Depth + 1);
         if (!Child)
           return false;
-        Out.push_back(std::move(Child));
+        ChildStack.push_back(std::move(Child));
       }
       return true;
     };
+    auto Children = [&]() {
+      return std::span<const ConstraintPtr>(ChildStack).subspan(Base);
+    };
     auto ReadOneChild = [&](std::string_view What) -> ConstraintPtr {
-      std::vector<ConstraintPtr> Children;
-      if (!ReadChildren(Children))
+      if (!ReadChildren())
         return nullptr;
-      if (Children.size() != 1) {
+      if (Children().size() != 1) {
         C.error(std::string(What) + " constraint requires exactly one "
                                     "child, got " +
-                std::to_string(Children.size()));
+                std::to_string(Children().size()));
         return nullptr;
       }
-      return std::move(Children.front());
+      return Children().front();
     };
 
     switch (static_cast<ConstraintTag>(Tag)) {
     case ConstraintTag::AnyType:
-      return Constraint::anyType();
+      return Constraint::anyType(Store);
     case ConstraintTag::AnyAttr:
-      return Constraint::anyAttr();
+      return Constraint::anyAttr(Store);
     case ConstraintTag::AnyParam:
-      return Constraint::anyParam();
+      return Constraint::anyParam(Store);
     case ConstraintTag::TypeParams:
     case ConstraintTag::AttrParams: {
       std::string_view Name;
       uint8_t BaseOnly;
-      std::vector<ConstraintPtr> Children;
-      if (!readString(C, Name) || !C.readByte(BaseOnly) ||
-          !ReadChildren(Children))
+      if (!readString(C, Name) || !C.readByte(BaseOnly) || !ReadChildren())
         return nullptr;
       if (static_cast<ConstraintTag>(Tag) == ConstraintTag::TypeParams) {
         TypeDefinition *Def = Ctx.resolveTypeDef(Name);
@@ -461,13 +473,13 @@ struct BytecodeReader::Impl {
           C.error("unknown type definition '" + std::string(Name) + "'");
           return nullptr;
         }
-        if (!BaseOnly && Children.size() != Def->getNumParams()) {
+        if (!BaseOnly && Children().size() != Def->getNumParams()) {
           C.error("constraint on '" + std::string(Name) + "' has " +
-                  std::to_string(Children.size()) + " parameters, expected " +
+                  std::to_string(Children().size()) + " parameters, expected " +
                   std::to_string(Def->getNumParams()));
           return nullptr;
         }
-        return Constraint::typeConstraint(Def, std::move(Children),
+        return Constraint::typeConstraint(Store, Def, Children(),
                                           BaseOnly != 0);
       }
       AttrDefinition *Def = Ctx.resolveAttrDef(Name);
@@ -475,13 +487,13 @@ struct BytecodeReader::Impl {
         C.error("unknown attribute definition '" + std::string(Name) + "'");
         return nullptr;
       }
-      if (!BaseOnly && Children.size() != Def->getNumParams()) {
+      if (!BaseOnly && Children().size() != Def->getNumParams()) {
         C.error("constraint on '" + std::string(Name) + "' has " +
-                std::to_string(Children.size()) + " parameters, expected " +
+                std::to_string(Children().size()) + " parameters, expected " +
                 std::to_string(Def->getNumParams()));
         return nullptr;
       }
-      return Constraint::attrConstraint(Def, std::move(Children),
+      return Constraint::attrConstraint(Store, Def, Children(),
                                         BaseOnly != 0);
     }
     case ConstraintTag::IntKind: {
@@ -494,34 +506,34 @@ struct BytecodeReader::Impl {
         C.error("invalid signedness " + std::to_string(Sign));
         return nullptr;
       }
-      return Constraint::intKind(static_cast<unsigned>(Width),
+      return Constraint::intKind(Store, static_cast<unsigned>(Width),
                                  static_cast<Signedness>(Sign));
     }
     case ConstraintTag::IntEq: {
       IntVal V;
       if (!readIntVal(C, V))
         return nullptr;
-      return Constraint::intEq(V);
+      return Constraint::intEq(Store, V);
     }
     case ConstraintTag::FloatKind: {
       uint64_t Width;
       if (!C.readVarIntBelow(0x10000, "float width", Width))
         return nullptr;
-      return Constraint::floatKind(static_cast<unsigned>(Width));
+      return Constraint::floatKind(Store, static_cast<unsigned>(Width));
     }
     case ConstraintTag::FloatEq: {
       FloatVal V;
       if (!readFloatVal(C, V))
         return nullptr;
-      return Constraint::floatEq(V);
+      return Constraint::floatEq(Store, V);
     }
     case ConstraintTag::StringKind:
-      return Constraint::stringKind();
+      return Constraint::stringKind(Store);
     case ConstraintTag::StringEq: {
       std::string_view S;
       if (!readString(C, S))
         return nullptr;
-      return Constraint::stringEq(std::string(S));
+      return Constraint::stringEq(Store, S);
     }
     case ConstraintTag::EnumKind: {
       std::string_view Name;
@@ -532,53 +544,49 @@ struct BytecodeReader::Impl {
         C.error("unknown enum '" + std::string(Name) + "'");
         return nullptr;
       }
-      return Constraint::enumKind(Def);
+      return Constraint::enumKind(Store, Def);
     }
     case ConstraintTag::EnumEq: {
       EnumVal V;
       if (!readEnumVal(C, V))
         return nullptr;
-      return Constraint::enumEq(V);
+      return Constraint::enumEq(Store, V);
     }
     case ConstraintTag::ArrayOf: {
-      std::vector<ConstraintPtr> Children;
-      if (!ReadChildren(Children))
+      if (!ReadChildren())
         return nullptr;
-      if (Children.empty())
-        return Constraint::anyArray();
-      if (Children.size() == 1)
-        return Constraint::arrayOf(std::move(Children.front()));
+      if (Children().empty())
+        return Constraint::anyArray(Store);
+      if (Children().size() == 1)
+        return Constraint::arrayOf(Store, Children().front());
       C.error("array-of constraint with " +
-              std::to_string(Children.size()) + " children");
+              std::to_string(Children().size()) + " children");
       return nullptr;
     }
     case ConstraintTag::ArrayExact: {
-      std::vector<ConstraintPtr> Children;
-      if (!ReadChildren(Children))
+      if (!ReadChildren())
         return nullptr;
-      return Constraint::arrayExact(std::move(Children));
+      return Constraint::arrayExact(Store, Children());
     }
     case ConstraintTag::OpaqueKind: {
       std::string_view Name;
       if (!readString(C, Name))
         return nullptr;
-      return Constraint::opaqueKind(std::string(Name));
+      return Constraint::opaqueKind(Store, Name);
     }
     case ConstraintTag::AnyOf: {
-      std::vector<ConstraintPtr> Children;
-      if (!ReadChildren(Children))
+      if (!ReadChildren())
         return nullptr;
-      return Constraint::anyOf(std::move(Children));
+      return Constraint::anyOf(Store, Children());
     }
     case ConstraintTag::And: {
-      std::vector<ConstraintPtr> Children;
-      if (!ReadChildren(Children))
+      if (!ReadChildren())
         return nullptr;
-      return Constraint::conjunction(std::move(Children));
+      return Constraint::conjunction(Store, Children());
     }
     case ConstraintTag::Not: {
       ConstraintPtr Inner = ReadOneChild("negation");
-      return Inner ? Constraint::negation(std::move(Inner)) : nullptr;
+      return Inner ? Constraint::negation(Store, std::move(Inner)) : nullptr;
     }
     case ConstraintTag::Var: {
       uint64_t Index;
@@ -586,8 +594,7 @@ struct BytecodeReader::Impl {
       if (!C.readVarIntBelow(NumVars, "constraint variable index", Index) ||
           !readString(C, Name))
         return nullptr;
-      return Constraint::var(static_cast<unsigned>(Index),
-                             std::string(Name));
+      return Constraint::var(Store, static_cast<unsigned>(Index), Name);
     }
     case ConstraintTag::Cpp: {
       std::string_view Src;
@@ -605,14 +612,14 @@ struct BytecodeReader::Impl {
         return nullptr;
       }
       return Constraint::cpp(
-          std::move(Base),
+          Store, std::move(Base),
           [Expr](const ParamValue &V) {
             CppExpr::EvalContext EC;
             EC.Self = cppEvalFromParam(V);
             auto B = Expr->evaluateBool(EC);
             return B && *B;
           },
-          std::string(Src));
+          Src);
     }
     case ConstraintTag::Native: {
       std::string_view Name;
@@ -627,27 +634,26 @@ struct BytecodeReader::Impl {
                 std::string(Name) + "'");
         return nullptr;
       }
-      return Constraint::native(std::move(Base), It->second,
-                                std::string(Name));
+      return Constraint::native(Store, std::move(Base), It->second, Name);
     }
     case ConstraintTag::Named: {
       std::string_view Name;
       if (!readString(C, Name))
         return nullptr;
       ConstraintPtr Inner = ReadOneChild("named");
-      return Inner ? Constraint::named(std::move(Inner), std::string(Name))
+      return Inner ? Constraint::named(Store, std::move(Inner), Name)
                    : nullptr;
     }
     }
     return nullptr;
   }
 
-  bool readParamSpecs(BytecodeCursor &C, std::vector<ParamSpec> &Out,
-                      uint64_t NumVars) {
+  bool readParamSpecs(BytecodeCursor &C, DialectSpec &Spec,
+                      std::span<ParamSpec> &Out, uint64_t NumVars) {
     uint64_t N;
     if (!readCount(C, "parameter spec count", N))
       return false;
-    Out.reserve(N);
+    Out = Spec.allocate<ParamSpec>(N);
     for (uint64_t I = 0; I != N; ++I) {
       std::string_view Name;
       if (!readString(C, Name))
@@ -655,17 +661,17 @@ struct BytecodeReader::Impl {
       ConstraintPtr Constr = readConstraint(C, NumVars);
       if (!Constr)
         return false;
-      Out.push_back(ParamSpec{std::string(Name), std::move(Constr)});
+      Out[I] = ParamSpec{Spec.copy(Name), Constr.get(), nullptr};
     }
     return true;
   }
 
-  bool readOperandSpecs(BytecodeCursor &C, std::vector<OperandSpec> &Out,
-                        uint64_t NumVars) {
+  bool readOperandSpecs(BytecodeCursor &C, DialectSpec &Spec,
+                        std::span<OperandSpec> &Out, uint64_t NumVars) {
     uint64_t N;
     if (!readCount(C, "operand spec count", N))
       return false;
-    Out.reserve(N);
+    Out = Spec.allocate<OperandSpec>(N);
     for (uint64_t I = 0; I != N; ++I) {
       std::string_view Name;
       uint8_t VK;
@@ -678,8 +684,8 @@ struct BytecodeReader::Impl {
       ConstraintPtr Constr = readConstraint(C, NumVars);
       if (!Constr)
         return false;
-      Out.push_back(OperandSpec{std::string(Name), std::move(Constr),
-                                static_cast<VariadicKind>(VK)});
+      Out[I] = OperandSpec{Spec.copy(Name), Constr.get(),
+                           static_cast<VariadicKind>(VK), nullptr};
     }
     return true;
   }
@@ -687,61 +693,73 @@ struct BytecodeReader::Impl {
   /// Pass 1: creates the dialect and skeleton definitions for every
   /// component, so that constraints anywhere in the buffer can resolve
   /// them by name (mirrors Sema::declareDialect).
+  /// Reads \p N strings into a list of copies in \p Spec's storage.
+  bool readNames(BytecodeCursor &C, DialectSpec &Spec, uint64_t N,
+                 std::span<const std::string_view> &Out) {
+    std::span<std::string_view> Names = Spec.allocate<std::string_view>(N);
+    for (std::string_view &Name : Names) {
+      std::string_view S;
+      if (!readString(C, S))
+        return false;
+      Name = Spec.copy(S);
+    }
+    Out = Names;
+    return true;
+  }
+
+  /// The parsed IRDL-C++ expression of \p Src, kept alive by \p Spec's
+  /// storage; null (with a diagnostic) if it does not parse.
+  const CppExpr *parseCpp(DialectSpec &Spec, std::string_view Src) {
+    std::shared_ptr<const CppExpr> Expr = CppExpr::parse(Src, Diags);
+    if (!Expr)
+      return nullptr;
+    return Spec.getStorage()
+        .create<std::shared_ptr<const CppExpr>>(std::move(Expr))
+        ->get();
+  }
+
   LogicalResult readSkeleton(BytecodeCursor &C, DialectSpec &Spec) {
     std::string_view Name;
     if (!readString(C, Name))
       return failure();
-    Spec.Name = std::string(Name);
+    Spec.Name = Spec.copy(Name);
     Dialect *D = Ctx.getOrCreateDialect(Spec.Name);
     Spec.D = D;
 
     uint64_t NumEnums;
     if (!readCount(C, "enum count", NumEnums))
       return failure();
-    for (uint64_t I = 0; I != NumEnums; ++I) {
+    Spec.Enums = Spec.allocate<EnumSpec>(NumEnums);
+    for (EnumSpec &ES : Spec.Enums) {
       std::string_view EnumName;
       uint64_t NumCases;
-      if (!readString(C, EnumName) || !readCount(C, "case count", NumCases))
+      if (!readString(C, EnumName) || !readCount(C, "case count", NumCases) ||
+          !readNames(C, Spec, NumCases, ES.Cases))
         return failure();
-      std::vector<std::string> Cases;
-      Cases.reserve(NumCases);
-      for (uint64_t J = 0; J != NumCases; ++J) {
-        std::string_view Case;
-        if (!readString(C, Case))
-          return failure();
-        Cases.push_back(std::string(Case));
-      }
-      EnumDef *Def = D->addEnum(std::string(EnumName), Cases);
-      if (!Def)
+      ES.Name = Spec.copy(EnumName);
+      ES.Def = D->addEnum(EnumName, ES.Cases);
+      if (!ES.Def)
         return C.error("redefinition of enum '" + std::string(EnumName) +
                        "'");
-      Spec.Enums.push_back(EnumSpec{std::string(EnumName), std::move(Cases),
-                                    Def});
     }
 
     auto ReadTypeOrAttrSkeletons =
-        [&](bool IsAttr, std::vector<TypeOrAttrSpec> &Out) -> LogicalResult {
+        [&](bool IsAttr, std::span<TypeOrAttrSpec> &Out) -> LogicalResult {
       uint64_t N;
       if (!readCount(C, "definition count", N))
         return failure();
-      for (uint64_t I = 0; I != N; ++I) {
+      Out = Spec.allocate<TypeOrAttrSpec>(N);
+      for (TypeOrAttrSpec &TS : Out) {
         std::string_view DefName, Summary;
         uint64_t NumParams;
+        std::span<const std::string_view> ParamNames;
         if (!readString(C, DefName) || !readString(C, Summary) ||
-            !readCount(C, "parameter count", NumParams))
+            !readCount(C, "parameter count", NumParams) ||
+            !readNames(C, Spec, NumParams, ParamNames))
           return failure();
-        std::vector<std::string> ParamNames;
-        ParamNames.reserve(NumParams);
-        for (uint64_t J = 0; J != NumParams; ++J) {
-          std::string_view P;
-          if (!readString(C, P))
-            return failure();
-          ParamNames.push_back(std::string(P));
-        }
-        TypeOrAttrSpec TS;
         TS.IsAttr = IsAttr;
-        TS.Name = std::string(DefName);
-        TS.Summary = std::string(Summary);
+        TS.Name = Spec.copy(DefName);
+        TS.Summary = Spec.copy(Summary);
         TypeOrAttrDefinitionBase *Def =
             IsAttr ? static_cast<TypeOrAttrDefinitionBase *>(
                          D->addAttr(TS.Name))
@@ -750,11 +768,9 @@ struct BytecodeReader::Impl {
         if (!Def)
           return C.error("redefinition of " +
                          std::string(IsAttr ? "attribute" : "type") + " '" +
-                         TS.Name + "'");
-        Def->setParamNames(std::move(ParamNames));
-        Def->setSummary(TS.Summary);
+                         std::string(TS.Name) + "'");
+        Def->setParamNames(ParamNames);
         TS.Def = Def;
-        Out.push_back(std::move(TS));
       }
       return success();
     };
@@ -765,18 +781,17 @@ struct BytecodeReader::Impl {
     uint64_t NumOps;
     if (!readCount(C, "op count", NumOps))
       return failure();
-    for (uint64_t I = 0; I != NumOps; ++I) {
+    Spec.Ops = Spec.allocate<OpSpec>(NumOps);
+    for (OpSpec &OS : Spec.Ops) {
       std::string_view OpName, Summary;
       if (!readString(C, OpName) || !readString(C, Summary))
         return failure();
-      OpSpec OS;
-      OS.Name = std::string(OpName);
-      OS.Summary = std::string(Summary);
+      OS.Name = Spec.copy(OpName);
+      OS.Summary = Spec.copy(Summary);
       OS.Def = D->addOp(OS.Name);
       if (!OS.Def)
-        return C.error("redefinition of operation '" + OS.Name + "'");
-      OS.Def->setSummary(OS.Summary);
-      Spec.Ops.push_back(std::move(OS));
+        return C.error("redefinition of operation '" + std::string(OS.Name) +
+                       "'");
     }
     return success();
   }
@@ -784,72 +799,67 @@ struct BytecodeReader::Impl {
   /// Pass 2: decodes constraints and everything else into the spec whose
   /// skeletons pass 1 created.
   LogicalResult readSpecBody(BytecodeCursor &C, DialectSpec &Spec) {
+    Store = Spec.shareStorage();
     uint64_t N;
     if (!readCount(C, "parameter type count", N))
       return failure();
-    for (uint64_t I = 0; I != N; ++I) {
-      ParamTypeSpec P;
+    Spec.ParamTypes = Spec.allocate<ParamTypeSpec>(N);
+    for (ParamTypeSpec &P : Spec.ParamTypes) {
       std::string_view Name, Summary, CppClass, ParserSrc, PrinterSrc;
       if (!readString(C, Name) || !readString(C, Summary) ||
           !readString(C, CppClass) || !readString(C, ParserSrc) ||
           !readString(C, PrinterSrc))
         return failure();
-      P.Name = std::string(Name);
-      P.Summary = std::string(Summary);
-      P.CppClassName = std::string(CppClass);
-      P.CppParserSrc = std::string(ParserSrc);
-      P.CppPrinterSrc = std::string(PrinterSrc);
-      Spec.ParamTypes.push_back(std::move(P));
+      P.Name = Spec.copy(Name);
+      P.Summary = Spec.copy(Summary);
+      P.CppClassName = Spec.copy(CppClass);
+      P.CppParserSrc = Spec.copy(ParserSrc);
+      P.CppPrinterSrc = Spec.copy(PrinterSrc);
     }
 
     if (!readCount(C, "named constraint count", N))
       return failure();
-    for (uint64_t I = 0; I != N; ++I) {
-      NamedConstraintSpec NC;
+    Spec.Constraints = Spec.allocate<NamedConstraintSpec>(N);
+    for (NamedConstraintSpec &NC : Spec.Constraints) {
       std::string_view Name, Summary;
       uint8_t HasCpp;
       if (!readString(C, Name) || !readString(C, Summary) ||
           !C.readByte(HasCpp))
         return failure();
-      NC.Name = std::string(Name);
-      NC.Summary = std::string(Summary);
+      NC.Name = Spec.copy(Name);
+      NC.Summary = Spec.copy(Summary);
       NC.HasCpp = HasCpp != 0;
-      NC.Constr = readConstraint(C, /*NumVars=*/0);
-      if (!NC.Constr)
+      ConstraintPtr Constr = readConstraint(C, /*NumVars=*/0);
+      if (!Constr)
         return failure();
-      Spec.Constraints.push_back(std::move(NC));
+      NC.Constr = Constr.get();
     }
 
     if (!readCount(C, "alias count", N))
       return failure();
-    for (uint64_t I = 0; I != N; ++I) {
-      AliasSpec A;
+    Spec.Aliases = Spec.allocate<AliasSpec>(N);
+    for (AliasSpec &A : Spec.Aliases) {
       uint8_t Sigil, HasBody;
       std::string_view Name;
       uint64_t NumParams;
       if (!C.readByte(Sigil) || !readString(C, Name) ||
-          !readCount(C, "alias parameter count", NumParams))
+          !readCount(C, "alias parameter count", NumParams) ||
+          !readNames(C, Spec, NumParams, A.Params))
         return failure();
       A.Sigil = static_cast<char>(Sigil);
-      A.Name = std::string(Name);
-      for (uint64_t J = 0; J != NumParams; ++J) {
-        std::string_view P;
-        if (!readString(C, P))
-          return failure();
-        A.Params.push_back(std::string(P));
-      }
+      A.Name = Spec.copy(Name);
       if (!C.readByte(HasBody))
         return failure();
       if (HasBody) {
-        A.Body = readConstraint(C, /*NumVars=*/0);
-        if (!A.Body)
+        ConstraintPtr Body = readConstraint(C, /*NumVars=*/0);
+        if (!Body)
           return failure();
+        A.Body = Body.get();
       }
-      Spec.Aliases.push_back(std::move(A));
     }
 
     auto ReadTypeOrAttrBodies =
-        [&](std::vector<TypeOrAttrSpec> &TAs) -> LogicalResult {
+        [&](std::span<TypeOrAttrSpec> TAs) -> LogicalResult {
       uint64_t Count;
       if (!C.readVarInt(Count))
         return failure();
@@ -862,7 +872,7 @@ struct BytecodeReader::Impl {
         if (Name != TS.Name)
           return C.error("dialect body out of sync with skeleton at '" +
                          std::string(Name) + "'");
-        if (!readParamSpecs(C, TS.Params, /*NumVars=*/0))
+        if (!readParamSpecs(C, Spec, TS.Params, /*NumVars=*/0))
           return failure();
         uint8_t HasCpp;
         if (!C.readByte(HasCpp))
@@ -871,14 +881,14 @@ struct BytecodeReader::Impl {
           std::string_view Src;
           if (!readString(C, Src))
             return failure();
-          TS.CppConstraintSrc = std::string(Src);
+          TS.CppConstraintSrc = Spec.copy(Src);
           if (TS.CppConstraintSrc.starts_with("native:")) {
-            std::string NativeName = TS.CppConstraintSrc.substr(7);
+            std::string NativeName(TS.CppConstraintSrc.substr(7));
             if (!Opts.NativeConstraints.count(NativeName))
               return C.error("no native constraint registered under '" +
                              NativeName + "'");
           } else {
-            TS.CppConstraint = CppExpr::parse(Src, Diags);
+            TS.CppConstraint = parseCpp(Spec, Src);
             if (!TS.CppConstraint)
               return failure();
           }
@@ -903,60 +913,52 @@ struct BytecodeReader::Impl {
         return C.error("dialect body out of sync with skeleton at '" +
                        std::string(Name) + "'");
       uint64_t NumVars;
-      if (!readCount(C, "constraint variable count", NumVars))
+      if (!readCount(C, "constraint variable count", NumVars) ||
+          !readNames(C, Spec, NumVars, OS.VarNames))
         return failure();
-      for (uint64_t I = 0; I != NumVars; ++I) {
-        std::string_view V;
-        if (!readString(C, V))
+      std::span<const Constraint *> VarConstraints =
+          Spec.allocate<const Constraint *>(NumVars);
+      for (const Constraint *&VC : VarConstraints) {
+        ConstraintPtr Constr = readConstraint(C, NumVars);
+        if (!Constr)
           return failure();
-        OS.VarNames.push_back(std::string(V));
+        VC = Constr.get();
       }
-      for (uint64_t I = 0; I != NumVars; ++I) {
-        ConstraintPtr VC = readConstraint(C, NumVars);
-        if (!VC)
-          return failure();
-        OS.VarConstraints.push_back(std::move(VC));
-      }
+      OS.VarConstraints = VarConstraints;
       if (auto V = findUnguardedVarCycle(OS.VarConstraints))
         return C.error(OS.varCycleMessage(*V));
-      if (!readOperandSpecs(C, OS.Operands, NumVars) ||
-          !readOperandSpecs(C, OS.Results, NumVars) ||
-          !readParamSpecs(C, OS.Attributes, NumVars))
+      if (!readOperandSpecs(C, Spec, OS.Operands, NumVars) ||
+          !readOperandSpecs(C, Spec, OS.Results, NumVars) ||
+          !readParamSpecs(C, Spec, OS.Attributes, NumVars))
         return failure();
       uint64_t NumRegions;
       if (!readCount(C, "region spec count", NumRegions))
         return failure();
-      for (uint64_t I = 0; I != NumRegions; ++I) {
-        RegionSpec RS;
+      OS.Regions = Spec.allocate<RegionSpec>(NumRegions);
+      for (RegionSpec &RS : OS.Regions) {
         std::string_view RName, Term;
         if (!readString(C, RName))
           return failure();
-        RS.Name = std::string(RName);
-        if (!readOperandSpecs(C, RS.Args, NumVars))
+        RS.Name = Spec.copy(RName);
+        if (!readOperandSpecs(C, Spec, RS.Args, NumVars))
           return failure();
         if (!readString(C, Term))
           return failure();
         if (!Term.empty() && !Ctx.resolveOpDef(Term))
           return C.error("unknown terminator op '" + std::string(Term) +
                          "'");
-        RS.TerminatorOpName = std::string(Term);
-        OS.Regions.push_back(std::move(RS));
+        RS.TerminatorOpName = Spec.copy(Term);
       }
       uint8_t HasSuccessors, HasFormat, HasCpp;
       if (!C.readByte(HasSuccessors))
         return failure();
       if (HasSuccessors) {
         uint64_t NumSucc;
-        if (!readCount(C, "successor count", NumSucc))
+        std::span<const std::string_view> Succs;
+        if (!readCount(C, "successor count", NumSucc) ||
+            !readNames(C, Spec, NumSucc, Succs))
           return failure();
-        std::vector<std::string> Succs;
-        for (uint64_t I = 0; I != NumSucc; ++I) {
-          std::string_view S;
-          if (!readString(C, S))
-            return failure();
-          Succs.push_back(std::string(S));
-        }
-        OS.Successors = std::move(Succs);
+        OS.Successors = Succs;
       }
       if (!C.readByte(HasFormat))
         return failure();
@@ -965,7 +967,7 @@ struct BytecodeReader::Impl {
         if (!readString(C, Src))
           return failure();
         OS.HasFormat = true;
-        OS.FormatSrc = std::string(Src);
+        OS.FormatSrc = Spec.copy(Src);
       }
       if (!C.readByte(HasCpp))
         return failure();
@@ -973,14 +975,15 @@ struct BytecodeReader::Impl {
         std::string_view Src;
         if (!readString(C, Src))
           return failure();
-        OS.CppConstraintSrc = std::string(Src);
+        OS.CppConstraintSrc = Spec.copy(Src);
         if (OS.CppConstraintSrc.starts_with("native:")) {
           OS.NativeVerifierName = OS.CppConstraintSrc.substr(7);
-          if (!Opts.NativeOpVerifiers.count(OS.NativeVerifierName))
+          if (!Opts.NativeOpVerifiers.count(
+                  std::string(OS.NativeVerifierName)))
             return C.error("no native op verifier registered under '" +
-                           OS.NativeVerifierName + "'");
+                           std::string(OS.NativeVerifierName) + "'");
         } else {
-          OS.CppConstraint = CppExpr::parse(Src, Diags);
+          OS.CppConstraint = parseCpp(Spec, Src);
           if (!OS.CppConstraint)
             return failure();
         }

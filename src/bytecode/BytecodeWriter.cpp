@@ -278,7 +278,7 @@ struct BytecodeWriter::Impl {
     };
     auto Children = [&]() {
       Out.writeVarInt(C.getChildren().size());
-      for (const ConstraintPtr &Child : C.getChildren())
+      for (const Constraint *Child : C.getChildren())
         encodeConstraint(Out, *Child);
     };
     switch (C.getKind()) {
@@ -363,7 +363,7 @@ struct BytecodeWriter::Impl {
   }
 
   void encodeOperandSpecs(BytecodeOutput &Out,
-                          const std::vector<OperandSpec> &Specs) {
+                          std::span<const OperandSpec> Specs) {
     Out.writeVarInt(Specs.size());
     for (const OperandSpec &S : Specs) {
       writeString(Out, S.Name);
@@ -373,7 +373,7 @@ struct BytecodeWriter::Impl {
   }
 
   void encodeParamSpecs(BytecodeOutput &Out,
-                        const std::vector<ParamSpec> &Specs) {
+                        std::span<const ParamSpec> Specs) {
     Out.writeVarInt(Specs.size());
     for (const ParamSpec &S : Specs) {
       writeString(Out, S.Name);
@@ -389,10 +389,10 @@ struct BytecodeWriter::Impl {
     for (const EnumSpec &E : Spec.Enums) {
       writeString(Out, E.Name);
       Out.writeVarInt(E.Cases.size());
-      for (const std::string &Case : E.Cases)
+      for (std::string_view Case : E.Cases)
         writeString(Out, Case);
     }
-    auto TypeOrAttrSkeleton = [&](const std::vector<TypeOrAttrSpec> &TAs) {
+    auto TypeOrAttrSkeleton = [&](std::span<const TypeOrAttrSpec> TAs) {
       Out.writeVarInt(TAs.size());
       for (const TypeOrAttrSpec &TA : TAs) {
         writeString(Out, TA.Name);
@@ -435,14 +435,14 @@ struct BytecodeWriter::Impl {
       Out.writeByte(static_cast<uint8_t>(A.Sigil));
       writeString(Out, A.Name);
       Out.writeVarInt(A.Params.size());
-      for (const std::string &P : A.Params)
+      for (std::string_view P : A.Params)
         writeString(Out, P);
       Out.writeByte(A.Body ? 1 : 0);
       if (A.Body)
         encodeConstraint(Out, *A.Body);
     }
 
-    auto TypeOrAttrBody = [&](const std::vector<TypeOrAttrSpec> &TAs) {
+    auto TypeOrAttrBody = [&](std::span<const TypeOrAttrSpec> TAs) {
       Out.writeVarInt(TAs.size());
       for (const TypeOrAttrSpec &TA : TAs) {
         writeString(Out, TA.Name);
@@ -459,9 +459,9 @@ struct BytecodeWriter::Impl {
     for (const OpSpec &Op : Spec.Ops) {
       writeString(Out, Op.Name);
       Out.writeVarInt(Op.VarNames.size());
-      for (const std::string &V : Op.VarNames)
+      for (std::string_view V : Op.VarNames)
         writeString(Out, V);
-      for (const ConstraintPtr &C : Op.VarConstraints)
+      for (const Constraint *C : Op.VarConstraints)
         encodeConstraint(Out, *C);
       encodeOperandSpecs(Out, Op.Operands);
       encodeOperandSpecs(Out, Op.Results);
@@ -475,7 +475,7 @@ struct BytecodeWriter::Impl {
       Out.writeByte(Op.Successors ? 1 : 0);
       if (Op.Successors) {
         Out.writeVarInt(Op.Successors->size());
-        for (const std::string &S : *Op.Successors)
+        for (std::string_view S : *Op.Successors)
           writeString(Out, S);
       }
       Out.writeByte(Op.HasFormat ? 1 : 0);

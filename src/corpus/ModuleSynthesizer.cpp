@@ -163,7 +163,7 @@ private:
       if (C.isBaseOnly())
         return std::nullopt;
       std::vector<ParamValue> Params;
-      for (const ConstraintPtr &Child : C.getChildren()) {
+      for (const Constraint *Child : C.getChildren()) {
         auto V = solve(*Child, Depth + 1);
         if (!V)
           return std::nullopt;
@@ -195,7 +195,7 @@ private:
     case Constraint::Kind::StringKind:
       return ParamValue(std::string("s") + std::to_string(Rng.below(10)));
     case Constraint::Kind::StringEq:
-      return ParamValue(C.getString());
+      return ParamValue(std::string(C.getString()));
     case Constraint::Kind::EnumKind:
       return ParamValue(EnumVal{
           C.getEnumDef(),
@@ -212,7 +212,7 @@ private:
     }
     case Constraint::Kind::ArrayExact: {
       std::vector<ParamValue> Elems;
-      for (const ConstraintPtr &Child : C.getChildren()) {
+      for (const Constraint *Child : C.getChildren()) {
         auto V = solve(*Child, Depth + 1);
         if (!V)
           return std::nullopt;
@@ -221,9 +221,9 @@ private:
       return ParamValue(std::move(Elems));
     }
     case Constraint::Kind::OpaqueKind:
-      return ParamValue(OpaqueVal{C.getString(), "synth-payload"});
+      return ParamValue(OpaqueVal{std::string(C.getString()), "synth-payload"});
     case Constraint::Kind::AnyOf:
-      for (const ConstraintPtr &Child : C.getChildren())
+      for (const Constraint *Child : C.getChildren())
         if (auto V = solve(*Child, Depth + 1))
           if (auto Whole = checked(C, std::move(*V)))
             return Whole;
@@ -263,7 +263,7 @@ private:
   // Operation synthesis
   //===------------------------------------------------------------------===//
 
-  Type typeFor(const ConstraintPtr &C) {
+  Type typeFor(const Constraint *C) {
     if (auto V = solve(*C, 0))
       if (V->isType())
         return V->getType();

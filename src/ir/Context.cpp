@@ -49,32 +49,36 @@ IRContext::IRContext(const IRContext &Parent)
 
 IRContext::~IRContext() = default;
 
+static auto findDialect(const std::pmr::vector<Dialect *> &Dialects,
+                        std::string_view Namespace) {
+  return std::lower_bound(Dialects.begin(), Dialects.end(), Namespace,
+                          [](const Dialect *D, std::string_view Ns) {
+                            return D->getNamespace() < Ns;
+                          });
+}
+
 Dialect *IRContext::getOrCreateDialect(std::string_view Namespace) {
   assert(!Parent && "dialects are registered in a root context");
-  auto It = Dialects.find(Namespace);
-  if (It != Dialects.end())
-    return It->second.get();
-  auto D = std::make_unique<Dialect>(this, std::string(Namespace));
-  Dialect *Result = D.get();
-  Dialects.emplace(std::string(Namespace), std::move(D));
-  return Result;
+  auto It = findDialect(Dialects, Namespace);
+  if (It != Dialects.end() && (*It)->getNamespace() == Namespace)
+    return *It;
+  Dialect *D = Storage.create<Dialect>(this, Storage, Namespace);
+  Dialects.insert(It, D);
+  return D;
 }
 
 Dialect *IRContext::lookupDialect(std::string_view Namespace) const {
   if (Parent)
     return Parent->lookupDialect(Namespace);
-  auto It = Dialects.find(Namespace);
-  return It == Dialects.end() ? nullptr : It->second.get();
+  auto It = findDialect(Dialects, Namespace);
+  return It != Dialects.end() && (*It)->getNamespace() == Namespace ? *It
+                                                                    : nullptr;
 }
 
 std::vector<Dialect *> IRContext::getDialects() const {
   if (Parent)
     return Parent->getDialects();
-  std::vector<Dialect *> Result;
-  Result.reserve(Dialects.size());
-  for (const auto &[Name, D] : Dialects)
-    Result.push_back(D.get());
-  return Result;
+  return std::vector<Dialect *>(Dialects.begin(), Dialects.end());
 }
 
 namespace {
@@ -497,13 +501,17 @@ Attribute IRContext::getArrayAttr(std::vector<Attribute> Elements) {
 void IRContext::registerOpaqueParamCodec(std::string ParamTypeName,
                                          OpaqueParamCodec Codec) {
   assert(!Parent && "codecs are registered in a root context");
-  OpaqueCodecs[std::move(ParamTypeName)] = std::move(Codec);
+  auto It = OpaqueCodecs.find(std::string_view(ParamTypeName));
+  if (It != OpaqueCodecs.end())
+    It->second = std::move(Codec);
+  else
+    OpaqueCodecs.emplace(std::string_view(ParamTypeName), std::move(Codec));
 }
 
 const OpaqueParamCodec *
 IRContext::lookupOpaqueParamCodec(std::string_view ParamTypeName) const {
   if (Parent)
     return Parent->lookupOpaqueParamCodec(ParamTypeName);
-  auto It = OpaqueCodecs.find(ParamTypeName);
+  auto It = OpaqueCodecs.find(std::string_view(ParamTypeName));
   return It == OpaqueCodecs.end() ? nullptr : &It->second;
 }

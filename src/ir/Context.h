@@ -15,7 +15,9 @@
 #include "ir/Dialect.h"
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -191,9 +193,14 @@ private:
                           std::vector<ParamValue> *Owned,
                           DiagnosticEngine &Diags, SMLoc Loc);
 
+  /// Holds the dialects, their definitions and the codec table; declared
+  /// first, so it is freed last, in one go.
+  BumpStorage Storage;
+
   const IRContext *Parent = nullptr;
 
-  std::map<std::string, std::unique_ptr<Dialect>, std::less<>> Dialects;
+  /// Sorted by namespace.
+  std::pmr::vector<Dialect *> Dialects{&Storage};
 
   /// Storage arena for operations (and their operand overflow arrays).
   std::unique_ptr<OpArena> Arena;
@@ -201,7 +208,8 @@ private:
   UniquePool<TypeStorage> TypePool;
   UniquePool<AttrStorage> AttrPool;
 
-  std::map<std::string, OpaqueParamCodec, std::less<>> OpaqueCodecs;
+  std::pmr::map<std::pmr::string, OpaqueParamCodec, std::less<>> OpaqueCodecs{
+      &Storage};
 
   bool AllowUnregisteredOps = false;
 

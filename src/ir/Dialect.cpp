@@ -4,10 +4,12 @@
 
 #include "ir/Context.h"
 
+#include <algorithm>
+
 using namespace irdl;
 
 std::string EnumDef::getFullName() const {
-  return Owner->getNamespace() + "." + Name;
+  return Owner->getNamespace() + "." + std::string(Name);
 }
 
 std::optional<unsigned> EnumDef::lookupCase(std::string_view Case) const {
@@ -18,7 +20,18 @@ std::optional<unsigned> EnumDef::lookupCase(std::string_view Case) const {
 }
 
 std::string TypeOrAttrDefinitionBase::getFullName() const {
-  return Owner->getNamespace() + "." + Name;
+  return Owner->getNamespace() + "." + std::string(Name);
+}
+
+void TypeOrAttrDefinitionBase::setParamNames(
+    std::span<const std::string_view> Names) {
+  BumpStorage &S = Owner->getStorage();
+  auto *Copy = static_cast<std::string_view *>(
+      S.allocate(Names.size() * sizeof(std::string_view),
+                 alignof(std::string_view)));
+  for (size_t I = 0; I != Names.size(); ++I)
+    new (Copy + I) std::string_view(S.copyString(Names[I]));
+  ParamNames = {Copy, Names.size()};
 }
 
 std::optional<unsigned>
@@ -29,81 +42,95 @@ TypeOrAttrDefinitionBase::lookupParam(std::string_view ParamName) const {
   return std::nullopt;
 }
 
-OpDefinition::OpDefinition(Dialect *D, std::string Name)
-    : Owner(D), Name(std::move(Name)),
-      FullName(D->getNamespace() + "." + this->Name) {}
-
-TypeDefinition *Dialect::addType(std::string Name) {
-  auto [It, Inserted] = Types.try_emplace(Name, nullptr);
-  if (!Inserted)
-    return nullptr;
-  It->second = std::make_unique<TypeDefinition>(this, std::move(Name));
-  return It->second.get();
+OpDefinition::OpDefinition(Dialect *D, std::string_view Name)
+    : Owner(D), Name(Name), FullName(D->getNamespace()) {
+  FullName += '.';
+  FullName += Name;
 }
 
-AttrDefinition *Dialect::addAttr(std::string Name) {
-  auto [It, Inserted] = Attrs.try_emplace(Name, nullptr);
-  if (!Inserted)
-    return nullptr;
-  It->second = std::make_unique<AttrDefinition>(this, std::move(Name));
-  return It->second.get();
+std::pmr::vector<Dialect::Entry>::const_iterator
+Dialect::find(std::string_view Name, DefKind Kind) const {
+  return std::lower_bound(Defs.begin(), Defs.end(), std::pair(Name, Kind),
+                          [](const Entry &E, const auto &Key) {
+                            return std::pair(E.Name, E.Kind) < Key;
+                          });
 }
 
-OpDefinition *Dialect::addOp(std::string Name) {
-  auto [It, Inserted] = Ops.try_emplace(Name, nullptr);
-  if (!Inserted)
-    return nullptr;
-  It->second = std::make_unique<OpDefinition>(this, std::move(Name));
-  return It->second.get();
+void *Dialect::lookup(std::string_view Name, DefKind Kind) const {
+  auto It = find(Name, Kind);
+  return It != Defs.end() && It->Name == Name && It->Kind == Kind ? It->Def
+                                                                  : nullptr;
 }
 
-EnumDef *Dialect::addEnum(std::string Name, std::vector<std::string> Cases) {
-  auto [It, Inserted] = Enums.try_emplace(Name, nullptr);
-  if (!Inserted)
+template <typename T, typename... ArgTs>
+T *Dialect::add(std::string_view Name, DefKind Kind, ArgTs &&...Args) {
+  auto It = find(Name, Kind);
+  if (It != Defs.end() && It->Name == Name && It->Kind == Kind)
     return nullptr;
-  It->second =
-      std::make_unique<EnumDef>(this, std::move(Name), std::move(Cases));
-  return It->second.get();
+  std::string_view Copy = Storage.copyString(Name);
+  T *Def = Storage.create<T>(this, Copy, std::forward<ArgTs>(Args)...);
+  Defs.insert(It, Entry{Copy, Kind, Def});
+  return Def;
+}
+
+TypeDefinition *Dialect::addType(std::string_view Name) {
+  return add<TypeDefinition>(Name, DefKind::Type);
+}
+
+AttrDefinition *Dialect::addAttr(std::string_view Name) {
+  return add<AttrDefinition>(Name, DefKind::Attr);
+}
+
+OpDefinition *Dialect::addOp(std::string_view Name) {
+  return add<OpDefinition>(Name, DefKind::Op);
+}
+
+EnumDef *Dialect::addEnum(std::string_view Name,
+                          std::span<const std::string_view> Cases) {
+  if (lookup(Name, DefKind::Enum))
+    return nullptr;
+  auto *Copy = static_cast<std::string_view *>(Storage.allocate(
+      Cases.size() * sizeof(std::string_view), alignof(std::string_view)));
+  for (size_t I = 0; I != Cases.size(); ++I)
+    new (Copy + I) std::string_view(Storage.copyString(Cases[I]));
+  return add<EnumDef>(Name, DefKind::Enum,
+                      std::span<const std::string_view>(Copy, Cases.size()));
 }
 
 TypeDefinition *Dialect::lookupType(std::string_view Name) const {
-  auto It = Types.find(Name);
-  return It == Types.end() ? nullptr : It->second.get();
+  return static_cast<TypeDefinition *>(lookup(Name, DefKind::Type));
 }
 
 AttrDefinition *Dialect::lookupAttr(std::string_view Name) const {
-  auto It = Attrs.find(Name);
-  return It == Attrs.end() ? nullptr : It->second.get();
+  return static_cast<AttrDefinition *>(lookup(Name, DefKind::Attr));
 }
 
 OpDefinition *Dialect::lookupOp(std::string_view Name) const {
-  auto It = Ops.find(Name);
-  return It == Ops.end() ? nullptr : It->second.get();
+  return static_cast<OpDefinition *>(lookup(Name, DefKind::Op));
 }
 
 EnumDef *Dialect::lookupEnum(std::string_view Name) const {
-  auto It = Enums.find(Name);
-  return It == Enums.end() ? nullptr : It->second.get();
+  return static_cast<EnumDef *>(lookup(Name, DefKind::Enum));
 }
 
-template <typename MapT, typename T>
-static std::vector<T *> collectDefs(const MapT &Map) {
+template <typename T>
+std::vector<T *> Dialect::collect(DefKind Kind) const {
   std::vector<T *> Result;
-  Result.reserve(Map.size());
-  for (const auto &[Name, Def] : Map)
-    Result.push_back(Def.get());
+  for (const Entry &E : Defs)
+    if (E.Kind == Kind)
+      Result.push_back(static_cast<T *>(E.Def));
   return Result;
 }
 
 std::vector<TypeDefinition *> Dialect::getTypeDefs() const {
-  return collectDefs<decltype(Types), TypeDefinition>(Types);
+  return collect<TypeDefinition>(DefKind::Type);
 }
 std::vector<AttrDefinition *> Dialect::getAttrDefs() const {
-  return collectDefs<decltype(Attrs), AttrDefinition>(Attrs);
+  return collect<AttrDefinition>(DefKind::Attr);
 }
 std::vector<OpDefinition *> Dialect::getOpDefs() const {
-  return collectDefs<decltype(Ops), OpDefinition>(Ops);
+  return collect<OpDefinition>(DefKind::Op);
 }
 std::vector<EnumDef *> Dialect::getEnumDefs() const {
-  return collectDefs<decltype(Enums), EnumDef>(Enums);
+  return collect<EnumDef>(DefKind::Enum);
 }

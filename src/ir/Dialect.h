@@ -7,20 +7,28 @@
 /// a *definition* object owned by its Dialect. This is what makes dialects
 /// registrable at runtime without recompilation (Section 3 of the paper).
 ///
+/// Dialects and definitions live in the bump storage of the root context
+/// that registers them (support/BumpStorage.h): they are never freed one
+/// by one, only all at once with the context.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IRDL_IR_DIALECT_H
 #define IRDL_IR_DIALECT_H
 
 #include "ir/Types.h"
+#include "support/BumpStorage.h"
 #include "support/Diagnostics.h"
 #include "support/LogicalResult.h"
 
 #include <functional>
-#include <map>
+#include <initializer_list>
 #include <memory>
+#include <memory_resource>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace irdl {
@@ -34,21 +42,22 @@ struct OperationState;
 /// An enumerated type (Section 4.8): a named list of constructors.
 class EnumDef {
 public:
-  EnumDef(Dialect *D, std::string Name, std::vector<std::string> Cases)
-      : Owner(D), Name(std::move(Name)), Cases(std::move(Cases)) {}
+  EnumDef(Dialect *D, std::string_view Name,
+          std::span<const std::string_view> Cases)
+      : Owner(D), Name(Name), Cases(Cases) {}
 
   Dialect *getDialect() const { return Owner; }
-  const std::string &getShortName() const { return Name; }
+  std::string_view getShortName() const { return Name; }
   std::string getFullName() const;
-  const std::vector<std::string> &getCases() const { return Cases; }
+  std::span<const std::string_view> getCases() const { return Cases; }
 
   /// Returns the index of \p Case, or nullopt if it is not a constructor.
   std::optional<unsigned> lookupCase(std::string_view Case) const;
 
 private:
   Dialect *Owner;
-  std::string Name;
-  std::vector<std::string> Cases;
+  std::string_view Name;
+  std::span<const std::string_view> Cases;
 };
 
 /// The builtin type and attribute definitions that print in a short
@@ -74,19 +83,25 @@ public:
   using VerifierFn = std::function<LogicalResult(
       const std::vector<ParamValue> &, DiagnosticEngine &, SMLoc)>;
 
-  TypeOrAttrDefinitionBase(Dialect *D, std::string Name)
-      : Owner(D), Name(std::move(Name)) {}
+  TypeOrAttrDefinitionBase(Dialect *D, std::string_view Name)
+      : Owner(D), Name(Name) {}
 
   Dialect *getDialect() const { return Owner; }
-  const std::string &getShortName() const { return Name; }
+  std::string_view getShortName() const { return Name; }
   std::string getFullName() const;
 
-  const std::string &getSummary() const { return Summary; }
-  void setSummary(std::string S) { Summary = std::move(S); }
+  /// The summary is not copied: it must outlive the definition (a
+  /// literal, or the storage of a spec the dialect retains).
+  std::string_view getSummary() const { return Summary; }
+  void setSummary(std::string_view S) { Summary = S; }
 
-  const std::vector<std::string> &getParamNames() const { return ParamNames; }
-  void setParamNames(std::vector<std::string> Names) {
-    ParamNames = std::move(Names);
+  std::span<const std::string_view> getParamNames() const {
+    return ParamNames;
+  }
+  /// Copies \p Names into the dialect's storage.
+  void setParamNames(std::span<const std::string_view> Names);
+  void setParamNames(std::initializer_list<std::string_view> Names) {
+    setParamNames(std::span(Names.begin(), Names.size()));
   }
   unsigned getNumParams() const { return ParamNames.size(); }
   std::optional<unsigned> lookupParam(std::string_view ParamName) const;
@@ -106,9 +121,9 @@ public:
 
 private:
   Dialect *Owner;
-  std::string Name;
-  std::string Summary;
-  std::vector<std::string> ParamNames;
+  std::string_view Name;
+  std::string_view Summary;
+  std::span<const std::string_view> ParamNames;
   VerifierFn Verifier;
   bool RequiresCpp = false;
   BuiltinKind Builtin = BuiltinKind::None;
@@ -135,17 +150,19 @@ public:
   using ParseFn =
       std::function<LogicalResult(CustomOpParser &, OperationState &)>;
 
-  OpDefinition(Dialect *D, std::string Name);
+  OpDefinition(Dialect *D, std::string_view Name);
 
   Dialect *getDialect() const { return Owner; }
-  const std::string &getShortName() const { return Name; }
+  std::string_view getShortName() const { return Name; }
   /// The cached "dialect.op" name. Returned by reference so that every
   /// OperationName of a registered op aliases one string instead of
   /// copying it per operation.
   const std::string &getFullName() const { return FullName; }
 
-  const std::string &getSummary() const { return Summary; }
-  void setSummary(std::string S) { Summary = std::move(S); }
+  /// The summary is not copied: it must outlive the definition (a
+  /// literal, or the storage of a spec the dialect retains).
+  std::string_view getSummary() const { return Summary; }
+  void setSummary(std::string_view S) { Summary = S; }
 
   /// Terminator ops may only appear last in a block (Section 4.6:
   /// "Defining a Successors field (even empty) will define an operation as
@@ -179,9 +196,9 @@ public:
 
 private:
   Dialect *Owner;
-  std::string Name;
+  std::string_view Name;
   std::string FullName;
-  std::string Summary;
+  std::string_view Summary;
   bool Terminator = false;
   std::optional<unsigned> NumSuccessors;
   VerifierFn Verifier;
@@ -192,10 +209,13 @@ private:
 };
 
 /// A dialect: a namespace of type, attribute, enum, and op definitions.
+/// It lives in its context's storage, with its definitions.
 class Dialect {
 public:
-  Dialect(const IRContext *Ctx, std::string Namespace)
-      : Ctx(Ctx), Namespace(std::move(Namespace)) {}
+  Dialect(const IRContext *Ctx, BumpStorage &Storage,
+          std::string_view Namespace)
+      : Ctx(Ctx), Storage(Storage), Namespace(Namespace), Defs(&Storage),
+        Retained(&Storage) {}
 
   /// The context that registered this dialect. Read-only: it may be the
   /// shared parent of the context IR is being built in, so types and
@@ -203,12 +223,28 @@ public:
   const IRContext *getContext() const { return Ctx; }
   const std::string &getNamespace() const { return Namespace; }
 
+  /// The storage of the registering context, which holds the dialect's
+  /// definitions and names.
+  BumpStorage &getStorage() const { return Storage; }
+
   /// Registration. Each returns the created definition (owned by the
-  /// dialect) or null if the name is already taken.
-  TypeDefinition *addType(std::string Name);
-  AttrDefinition *addAttr(std::string Name);
-  OpDefinition *addOp(std::string Name);
-  EnumDef *addEnum(std::string Name, std::vector<std::string> Cases);
+  /// dialect) or null if the name is already taken by a definition of
+  /// the same kind. Names are copied.
+  TypeDefinition *addType(std::string_view Name);
+  AttrDefinition *addAttr(std::string_view Name);
+  OpDefinition *addOp(std::string_view Name);
+  EnumDef *addEnum(std::string_view Name,
+                   std::span<const std::string_view> Cases);
+  EnumDef *addEnum(std::string_view Name,
+                   std::initializer_list<std::string_view> Cases) {
+    return addEnum(Name, std::span(Cases.begin(), Cases.size()));
+  }
+
+  /// Keeps \p Owner alive as long as the dialect: the spec whose storage
+  /// the definitions' hooks and summaries point into.
+  void retain(std::shared_ptr<const void> Owner) {
+    Retained.push_back(std::move(Owner));
+  }
 
   /// Lookup by short name; returns null if absent.
   TypeDefinition *lookupType(std::string_view Name) const;
@@ -223,12 +259,29 @@ public:
   std::vector<EnumDef *> getEnumDefs() const;
 
 private:
+  enum class DefKind : uint8_t { Type, Attr, Op, Enum };
+  /// One entry of the definition table, which is sorted by (Name, Kind).
+  struct Entry {
+    std::string_view Name;
+    DefKind Kind;
+    void *Def;
+  };
+
+  /// The entry of (\p Name, \p Kind), or where it would be inserted.
+  std::pmr::vector<Entry>::const_iterator find(std::string_view Name,
+                                               DefKind Kind) const;
+  void *lookup(std::string_view Name, DefKind Kind) const;
+  /// Creates a T from (this, copied name, \p Args...) and enters it,
+  /// unless the name is taken.
+  template <typename T, typename... ArgTs>
+  T *add(std::string_view Name, DefKind Kind, ArgTs &&...Args);
+  template <typename T> std::vector<T *> collect(DefKind Kind) const;
+
   const IRContext *Ctx;
+  BumpStorage &Storage;
   std::string Namespace;
-  std::map<std::string, std::unique_ptr<TypeDefinition>, std::less<>> Types;
-  std::map<std::string, std::unique_ptr<AttrDefinition>, std::less<>> Attrs;
-  std::map<std::string, std::unique_ptr<OpDefinition>, std::less<>> Ops;
-  std::map<std::string, std::unique_ptr<EnumDef>, std::less<>> Enums;
+  std::pmr::vector<Entry> Defs;
+  std::pmr::vector<std::shared_ptr<const void>> Retained;
 };
 
 } // namespace irdl

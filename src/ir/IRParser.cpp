@@ -468,21 +468,47 @@ public:
       return Type();
     }
 
-    std::vector<ParamValue> Params;
-    if (consumeIf(IRToken::Kind::Less)) {
-      if (!tok().is(IRToken::Kind::Greater)) {
-        do {
-          ParamValue P;
-          if (failed(parseParam(P)))
-            return Type();
-          Params.push_back(std::move(P));
-        } while (consumeIf(IRToken::Kind::Comma));
-      }
-      if (failed(expect(IRToken::Kind::Greater, "'>' in type parameters")))
-        return Type();
-    }
-    return Ctx.getTypeChecked(Def, std::move(Params), Diags, Loc);
+    ParamList Params(*this);
+    if (failed(Params.parse("'>' in type parameters")))
+      return Type();
+    return Ctx.lookupOrCreateType(Def, Params.get(), Diags, Loc);
   }
+
+  /// The parameters of one type or attribute, parsed onto the parser's
+  /// ParamStack (nested ones stack above them and are gone by the time
+  /// the next parameter is parsed) and popped again when it goes out of
+  /// scope, so a parametric type allocates no list of its own.
+  class ParamList {
+  public:
+    explicit ParamList(IRParserImpl &P) : P(P), Base(P.ParamStack.size()) {}
+    ~ParamList() { P.ParamStack.resize(Base); }
+    ParamList(const ParamList &) = delete;
+    ParamList &operator=(const ParamList &) = delete;
+
+    /// Parses an optional `<param, ...>`; \p Closing names the expected
+    /// `>` in the diagnostic.
+    LogicalResult parse(const char *Closing) {
+      if (!P.consumeIf(IRToken::Kind::Less))
+        return success();
+      if (!P.tok().is(IRToken::Kind::Greater)) {
+        do {
+          ParamValue V;
+          if (failed(P.parseParam(V)))
+            return failure();
+          P.ParamStack.push_back(std::move(V));
+        } while (P.consumeIf(IRToken::Kind::Comma));
+      }
+      return P.expect(IRToken::Kind::Greater, Closing);
+    }
+
+    std::span<const ParamValue> get() const {
+      return std::span<const ParamValue>(P.ParamStack).subspan(Base);
+    }
+
+  private:
+    IRParserImpl &P;
+    size_t Base;
+  };
 
   /// Parses an optional `: suffix` kind after a numeric literal. Returns
   /// failure on malformed suffix. Out params describe the kind.
@@ -732,21 +758,10 @@ public:
                         "unknown attribute '" + std::string(FullName) + "'");
         return Attribute();
       }
-      std::vector<ParamValue> Params;
-      if (consumeIf(IRToken::Kind::Less)) {
-        if (!tok().is(IRToken::Kind::Greater)) {
-          do {
-            ParamValue P;
-            if (failed(parseParam(P)))
-              return Attribute();
-            Params.push_back(std::move(P));
-          } while (consumeIf(IRToken::Kind::Comma));
-        }
-        if (failed(expect(IRToken::Kind::Greater,
-                          "'>' in attribute parameters")))
-          return Attribute();
-      }
-      return Ctx.getAttrChecked(Def, std::move(Params), Diags, Loc);
+      ParamList Params(*this);
+      if (failed(Params.parse("'>' in attribute parameters")))
+        return Attribute();
+      return Ctx.lookupOrCreateAttr(Def, Params.get(), Diags, Loc);
     }
     case IRToken::Kind::Identifier:
       if (tok().isIdent("unit")) {
@@ -791,21 +806,10 @@ public:
             return Ctx.getTypeAttr(Sugar);
         if (TypeDefinition *Def = Ctx.resolveTypeDef(FullName)) {
           // Continue a full type parse for optional parameters.
-          std::vector<ParamValue> Params;
-          if (consumeIf(IRToken::Kind::Less)) {
-            if (!tok().is(IRToken::Kind::Greater)) {
-              do {
-                ParamValue P;
-                if (failed(parseParam(P)))
-                  return Attribute();
-                Params.push_back(std::move(P));
-              } while (consumeIf(IRToken::Kind::Comma));
-            }
-            if (failed(expect(IRToken::Kind::Greater,
-                              "'>' in type parameters")))
-              return Attribute();
-          }
-          Type T = Ctx.getTypeChecked(Def, std::move(Params), Diags, Loc);
+          ParamList Params(*this);
+          if (failed(Params.parse("'>' in type parameters")))
+            return Attribute();
+          Type T = Ctx.lookupOrCreateType(Def, Params.get(), Diags, Loc);
           if (!T)
             return Attribute();
           return Ctx.getTypeAttr(T);
@@ -1290,6 +1294,8 @@ public:
   unsigned OpDepth = 0;
   /// Types, attributes and parameters being parsed inside one another.
   unsigned TypeAttrDepth = 0;
+  /// The parameters of the types and attributes being parsed (ParamList).
+  std::vector<ParamValue> ParamStack;
   OperationName ForwardRefName{"builtin.__forward_ref__"};
   const OpDefinition *ModuleDef = Ctx.resolveOpDef("builtin.module");
   /// Chunks backing storeResultName; NameStoreCur..NameStoreEnd is free.

@@ -102,7 +102,7 @@ void *OpArena::allocate(size_t Size, size_t Align) {
       return Head;
     }
     if (static_cast<size_t>(End - Cur) < Size) {
-      Slabs.push_back(std::make_unique<std::byte[]>(SlabSize));
+      Slabs.push_back(std::make_unique_for_overwrite<std::byte[]>(SlabSize));
       Cur = Slabs.back().get();
       End = Cur + SlabSize;
       Stats.Slabs++;
@@ -116,7 +116,7 @@ void *OpArena::allocate(size_t Size, size_t Align) {
 
   // Out-of-band block: still a single allocation for the caller, but too
   // big to be worth bucketing. Tracked so the arena owns it either way.
-  auto Block = std::make_unique<std::byte[]>(Size);
+  auto Block = std::make_unique_for_overwrite<std::byte[]>(Size);
   void *Result = Block.get();
   Large.emplace(Result, std::move(Block));
   Stats.LargeAllocs++;

@@ -12,227 +12,227 @@ using namespace irdl;
 // Factories
 //===----------------------------------------------------------------------===//
 
-// Private-constructor access: the factories are members, so they can build
-// directly.
-#define MAKE(KIND)                                                          \
-  auto C = std::make_shared<Constraint>(FactoryTag{}, Kind::KIND)
+Constraint *Constraint::make(BumpStorage &S, Kind K,
+                             std::span<const ConstraintPtr> Kids) {
+  Constraint *C = S.create<Constraint>(Constraint(S, K));
+  if (!Kids.empty()) {
+    auto *Slots = static_cast<const Constraint **>(
+        S.allocate(Kids.size() * sizeof(const Constraint *),
+                   alignof(const Constraint *)));
+    for (size_t I = 0; I != Kids.size(); ++I) {
+      assert(&Kids[I]->getStorage() == &S &&
+             "children must live in their parent's storage");
+      Slots[I] = Kids[I].get();
+    }
+    C->Children = Slots;
+    C->NumChildren = (uint32_t)Kids.size();
+  }
+  return C;
+}
 
-ConstraintPtr Constraint::anyType() {
+// Every factory makes its node with MAKE and hands it out with DONE.
+#define MAKE(KIND, ...)                                                     \
+  Constraint *C = make(*S, Kind::KIND __VA_OPT__(, ) __VA_ARGS__)
+#define DONE()                                                              \
+  C->computeFlags();                                                        \
+  return ConstraintPtr(S, C)
+
+ConstraintPtr Constraint::anyType(const SpecStoragePtr &S) {
   MAKE(AnyType);
-  C->computeFlags();
-  return C;
+  DONE();
 }
-ConstraintPtr Constraint::anyAttr() {
+ConstraintPtr Constraint::anyAttr(const SpecStoragePtr &S) {
   MAKE(AnyAttr);
-  C->computeFlags();
-  return C;
+  DONE();
 }
-ConstraintPtr Constraint::anyParam() {
+ConstraintPtr Constraint::anyParam(const SpecStoragePtr &S) {
   MAKE(AnyParam);
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::typeConstraint(const TypeDefinition *Def,
-                                         std::vector<ConstraintPtr> Params,
+ConstraintPtr Constraint::typeConstraint(const SpecStoragePtr &S,
+                                         const TypeDefinition *Def,
+                                         std::span<const ConstraintPtr> Params,
                                          bool BaseOnly) {
   assert(Def && "null type definition");
   assert((BaseOnly || Params.size() == Def->getNumParams()) &&
          "parameter constraint count mismatch");
-  MAKE(TypeParams);
+  MAKE(TypeParams, Params);
   C->TDef = Def;
-  C->Children = std::move(Params);
   C->BaseOnly = BaseOnly;
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::attrConstraint(const AttrDefinition *Def,
-                                         std::vector<ConstraintPtr> Params,
+ConstraintPtr Constraint::attrConstraint(const SpecStoragePtr &S,
+                                         const AttrDefinition *Def,
+                                         std::span<const ConstraintPtr> Params,
                                          bool BaseOnly) {
   assert(Def && "null attribute definition");
-  MAKE(AttrParams);
+  MAKE(AttrParams, Params);
   C->ADef = Def;
-  C->Children = std::move(Params);
   C->BaseOnly = BaseOnly;
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::typeEq(Type T) {
+ConstraintPtr Constraint::typeEq(const SpecStoragePtr &S, Type T) {
   std::vector<ConstraintPtr> Params;
   for (const ParamValue &P : T.getParams()) {
     switch (P.getKind()) {
     case ParamValue::Kind::Type:
-      Params.push_back(typeEq(P.getType()));
+      Params.push_back(typeEq(S, P.getType()));
       break;
     case ParamValue::Kind::Int:
-      Params.push_back(intEq(P.getInt()));
+      Params.push_back(intEq(S, P.getInt()));
       break;
     case ParamValue::Kind::Float:
-      Params.push_back(floatEq(P.getFloat()));
+      Params.push_back(floatEq(S, P.getFloat()));
       break;
     case ParamValue::Kind::String:
-      Params.push_back(stringEq(P.getString()));
+      Params.push_back(stringEq(S, P.getString()));
       break;
     case ParamValue::Kind::Enum:
-      Params.push_back(enumEq(P.getEnum()));
+      Params.push_back(enumEq(S, P.getEnum()));
       break;
     default: {
       // Fall back to a native equality check for the exotic kinds.
       ParamValue Expected = P;
       Params.push_back(native(
-          anyParam(),
+          S, anyParam(S),
           [Expected](const ParamValue &V) { return V == Expected; },
           "exact-param"));
       break;
     }
     }
   }
-  return typeConstraint(T.getDef(), std::move(Params), /*BaseOnly=*/false);
+  return typeConstraint(S, T.getDef(), Params, /*BaseOnly=*/false);
 }
 
-ConstraintPtr Constraint::intKind(unsigned Width, Signedness Sign) {
+ConstraintPtr Constraint::intKind(const SpecStoragePtr &S, unsigned Width,
+                                  Signedness Sign) {
   MAKE(IntKind);
   C->IV = IntVal{static_cast<uint16_t>(Width), Sign, 0};
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::intEq(IntVal V) {
+ConstraintPtr Constraint::intEq(const SpecStoragePtr &S, IntVal V) {
   MAKE(IntEq);
   C->IV = V;
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::floatKind(unsigned Width) {
+ConstraintPtr Constraint::floatKind(const SpecStoragePtr &S, unsigned Width) {
   MAKE(FloatKind);
   C->FV = FloatVal{static_cast<uint16_t>(Width), 0.0};
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::floatEq(FloatVal V) {
+ConstraintPtr Constraint::floatEq(const SpecStoragePtr &S, FloatVal V) {
   MAKE(FloatEq);
   C->FV = V;
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::stringKind() {
+ConstraintPtr Constraint::stringKind(const SpecStoragePtr &S) {
   MAKE(StringKind);
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::stringEq(std::string S) {
+ConstraintPtr Constraint::stringEq(const SpecStoragePtr &S,
+                                   std::string_view Str) {
   MAKE(StringEq);
-  C->Str = std::move(S);
-  C->computeFlags();
-  return C;
+  C->Str = S->copyString(Str);
+  DONE();
 }
 
-ConstraintPtr Constraint::enumKind(const EnumDef *Def) {
+ConstraintPtr Constraint::enumKind(const SpecStoragePtr &S,
+                                   const EnumDef *Def) {
   MAKE(EnumKind);
   C->EDef = Def;
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::enumEq(EnumVal V) {
+ConstraintPtr Constraint::enumEq(const SpecStoragePtr &S, EnumVal V) {
   MAKE(EnumEq);
   C->EV = V;
   C->EDef = V.Def;
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::arrayOf(ConstraintPtr Elem) {
+ConstraintPtr Constraint::arrayOf(const SpecStoragePtr &S, ConstraintPtr Elem) {
+  MAKE(ArrayOf, std::span(&Elem, 1));
+  DONE();
+}
+
+ConstraintPtr Constraint::anyArray(const SpecStoragePtr &S) {
   MAKE(ArrayOf);
-  C->Children.push_back(std::move(Elem));
-  C->computeFlags();
-  return C;
+  DONE();
 }
 
-ConstraintPtr Constraint::anyArray() {
-  MAKE(ArrayOf);
-  C->computeFlags();
-  return C;
+ConstraintPtr Constraint::arrayExact(const SpecStoragePtr &S,
+                                     std::span<const ConstraintPtr> Elems) {
+  MAKE(ArrayExact, Elems);
+  DONE();
 }
 
-ConstraintPtr Constraint::arrayExact(std::vector<ConstraintPtr> Elems) {
-  MAKE(ArrayExact);
-  C->Children = std::move(Elems);
-  C->computeFlags();
-  return C;
-}
-
-ConstraintPtr Constraint::opaqueKind(std::string ParamTypeName) {
+ConstraintPtr Constraint::opaqueKind(const SpecStoragePtr &S,
+                                     std::string_view ParamTypeName) {
   MAKE(OpaqueKind);
-  C->Str = std::move(ParamTypeName);
-  C->computeFlags();
-  return C;
+  C->Str = S->copyString(ParamTypeName);
+  DONE();
 }
 
-ConstraintPtr Constraint::anyOf(std::vector<ConstraintPtr> Cs) {
-  MAKE(AnyOf);
-  C->Children = std::move(Cs);
-  C->computeFlags();
-  return C;
+ConstraintPtr Constraint::anyOf(const SpecStoragePtr &S,
+                                std::span<const ConstraintPtr> Cs) {
+  MAKE(AnyOf, Cs);
+  DONE();
 }
 
-ConstraintPtr Constraint::conjunction(std::vector<ConstraintPtr> Cs) {
-  MAKE(And);
-  C->Children = std::move(Cs);
-  C->computeFlags();
-  return C;
+ConstraintPtr Constraint::conjunction(const SpecStoragePtr &S,
+                                      std::span<const ConstraintPtr> Cs) {
+  MAKE(And, Cs);
+  DONE();
 }
 
-ConstraintPtr Constraint::negation(ConstraintPtr Inner) {
-  MAKE(Not);
-  C->Children.push_back(std::move(Inner));
-  C->computeFlags();
-  return C;
+ConstraintPtr Constraint::negation(const SpecStoragePtr &S,
+                                   ConstraintPtr Inner) {
+  MAKE(Not, std::span(&Inner, 1));
+  DONE();
 }
 
-ConstraintPtr Constraint::var(unsigned Index, std::string Name) {
+ConstraintPtr Constraint::var(const SpecStoragePtr &S, unsigned Index,
+                              std::string_view Name) {
   MAKE(Var);
   C->VarIndex = Index;
-  C->Str = std::move(Name);
-  C->computeFlags();
-  return C;
+  C->Str = S->copyString(Name);
+  DONE();
 }
 
-ConstraintPtr Constraint::cpp(ConstraintPtr Base, CppParamPredicate Pred,
-                              std::string Source) {
-  MAKE(Cpp);
-  C->Children.push_back(std::move(Base));
-  C->CppPred = std::move(Pred);
-  C->Str = std::move(Source);
-  C->computeFlags();
-  return C;
+ConstraintPtr Constraint::cpp(const SpecStoragePtr &S, ConstraintPtr Base,
+                              CppParamPredicate Pred,
+                              std::string_view Source) {
+  MAKE(Cpp, std::span(&Base, 1));
+  C->CppPred = S->create<CppParamPredicate>(std::move(Pred));
+  C->Str = S->copyString(Source);
+  DONE();
 }
 
-ConstraintPtr Constraint::native(ConstraintPtr Base, NativeConstraintFn Fn,
-                                 std::string Name) {
-  MAKE(Native);
-  C->Children.push_back(std::move(Base));
-  C->NativeFn = std::move(Fn);
-  C->Str = std::move(Name);
-  C->computeFlags();
-  return C;
+ConstraintPtr Constraint::native(const SpecStoragePtr &S, ConstraintPtr Base,
+                                 NativeConstraintFn Fn,
+                                 std::string_view Name) {
+  MAKE(Native, std::span(&Base, 1));
+  C->NativeFn = S->create<NativeConstraintFn>(std::move(Fn));
+  C->Str = S->copyString(Name);
+  DONE();
 }
 
-ConstraintPtr Constraint::named(ConstraintPtr Inner,
-                                std::string QualifiedName) {
-  MAKE(Named);
-  C->Children.push_back(std::move(Inner));
-  C->Str = std::move(QualifiedName);
-  C->computeFlags();
-  return C;
+ConstraintPtr Constraint::named(const SpecStoragePtr &S, ConstraintPtr Inner,
+                                std::string_view QualifiedName) {
+  MAKE(Named, std::span(&Inner, 1));
+  C->Str = S->copyString(QualifiedName);
+  DONE();
 }
 
+#undef DONE
 #undef MAKE
 
 //===----------------------------------------------------------------------===//
@@ -245,7 +245,7 @@ void Constraint::computeFlags() {
   // walk on every requiresCpp()/referencesVar() query.
   HasCpp = K == Kind::Cpp || K == Kind::Native;
   HasVar = K == Kind::Var;
-  for (const ConstraintPtr &Child : Children) {
+  for (const Constraint *Child : getChildren()) {
     HasCpp |= Child->HasCpp;
     HasVar |= Child->HasVar;
     Height = std::max(Height, Child->Height + 1);
@@ -270,7 +270,7 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
     if (BaseOnly)
       return true;
     const auto &Params = V.getType().getParams();
-    if (Params.size() != Children.size())
+    if (Params.size() != NumChildren)
       return false;
     for (size_t I = 0, E = Params.size(); I != E; ++I)
       if (!Children[I]->matches(Params[I], MC))
@@ -283,7 +283,7 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
     if (BaseOnly)
       return true;
     const auto &Params = V.getAttr().getParams();
-    if (Params.size() != Children.size())
+    if (Params.size() != NumChildren)
       return false;
     for (size_t I = 0, E = Params.size(); I != E; ++I)
       if (!Children[I]->matches(Params[I], MC))
@@ -324,7 +324,7 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
   case Kind::ArrayOf: {
     if (!V.isArray())
       return false;
-    if (Children.empty())
+    if (NumChildren == 0)
       return true;
     for (const ParamValue &Elem : V.getArray())
       if (!Children[0]->matches(Elem, MC))
@@ -332,9 +332,9 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
     return true;
   }
   case Kind::ArrayExact: {
-    if (!V.isArray() || V.getArray().size() != Children.size())
+    if (!V.isArray() || V.getArray().size() != NumChildren)
       return false;
-    for (size_t I = 0, E = Children.size(); I != E; ++I)
+    for (size_t I = 0, E = NumChildren; I != E; ++I)
       if (!Children[I]->matches(V.getArray()[I], MC))
         return false;
     return true;
@@ -342,7 +342,7 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
   case Kind::OpaqueKind:
     return V.isOpaque() && V.getOpaque().ParamTypeName == Str;
   case Kind::AnyOf: {
-    for (const ConstraintPtr &Child : Children) {
+    for (const Constraint *Child : getChildren()) {
       MatchContext::Mark M = MC.mark();
       if (Child->matches(V, MC))
         return true;
@@ -351,7 +351,7 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
     return false;
   }
   case Kind::And: {
-    for (const ConstraintPtr &Child : Children)
+    for (const Constraint *Child : getChildren())
       if (!Child->matches(V, MC))
         return false;
     return true;
@@ -367,7 +367,7 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
     if (Binding) {
       return *Binding == V;
     }
-    if (!MC.getVarConstraint(VarIndex)->matches(V, MC))
+    if (!MC.getVarConstraint(VarIndex).matches(V, MC))
       return false;
     MC.bind(VarIndex, V);
     return true;
@@ -375,12 +375,12 @@ bool Constraint::matches(const ParamValue &V, MatchContext &MC) const {
   case Kind::Cpp: {
     if (!Children[0]->matches(V, MC) || !CppPred)
       return false;
-    return CppPred(V);
+    return (*CppPred)(V);
   }
   case Kind::Native: {
     if (!Children[0]->matches(V, MC) || !NativeFn)
       return false;
-    return NativeFn(V);
+    return (*NativeFn)(V);
   }
   case Kind::Named:
     return Children[0]->matches(V, MC);
@@ -395,7 +395,7 @@ Constraint::concreteValue(const MatchContext &MC, IRContext &Ctx) const {
     if (BaseOnly && TDef->getNumParams() != 0)
       return std::nullopt;
     std::vector<ParamValue> Params;
-    for (const ConstraintPtr &Child : Children) {
+    for (const Constraint *Child : getChildren()) {
       auto V = Child->concreteValue(MC, Ctx);
       if (!V)
         return std::nullopt;
@@ -412,7 +412,7 @@ Constraint::concreteValue(const MatchContext &MC, IRContext &Ctx) const {
     if (BaseOnly && ADef->getNumParams() != 0)
       return std::nullopt;
     std::vector<ParamValue> Params;
-    for (const ConstraintPtr &Child : Children) {
+    for (const Constraint *Child : getChildren()) {
       auto V = Child->concreteValue(MC, Ctx);
       if (!V)
         return std::nullopt;
@@ -429,12 +429,12 @@ Constraint::concreteValue(const MatchContext &MC, IRContext &Ctx) const {
   case Kind::FloatEq:
     return ParamValue(FV);
   case Kind::StringEq:
-    return ParamValue(Str);
+    return ParamValue(std::string(Str));
   case Kind::EnumEq:
     return ParamValue(EV);
   case Kind::ArrayExact: {
     std::vector<ParamValue> Elems;
-    for (const ConstraintPtr &Child : Children) {
+    for (const Constraint *Child : getChildren()) {
       auto V = Child->concreteValue(MC, Ctx);
       if (!V)
         return std::nullopt;
@@ -451,7 +451,7 @@ Constraint::concreteValue(const MatchContext &MC, IRContext &Ctx) const {
   case Kind::Native:
   case Kind::Named:
     // Derivable when some conjunct is.
-    for (const ConstraintPtr &Child : Children)
+    for (const Constraint *Child : getChildren())
       if (auto V = Child->concreteValue(MC, Ctx))
         return V;
     return std::nullopt;
@@ -475,7 +475,7 @@ void Constraint::collectUnguardedVars(std::vector<unsigned> &Out) const {
   case Kind::Cpp:
   case Kind::Native:
   case Kind::Named:
-    for (const ConstraintPtr &Child : Children)
+    for (const Constraint *Child : getChildren())
       Child->collectUnguardedVars(Out);
     return;
   default:
@@ -527,7 +527,7 @@ std::optional<unsigned> VarCycleFinder::search() {
 //===----------------------------------------------------------------------===//
 
 static void printList(std::ostream &OS,
-                      const std::vector<ConstraintPtr> &Cs) {
+                      std::span<const Constraint *const> Cs) {
   for (size_t I = 0, E = Cs.size(); I != E; ++I) {
     if (I)
       OS << ", ";
@@ -549,17 +549,17 @@ std::string Constraint::str() const {
     break;
   case Kind::TypeParams:
     OS << "!" << TDef->getFullName();
-    if (!BaseOnly && !Children.empty()) {
+    if (!BaseOnly && !NumChildren == 0) {
       OS << "<";
-      printList(OS, Children);
+      printList(OS, getChildren());
       OS << ">";
     }
     break;
   case Kind::AttrParams:
     OS << "#" << ADef->getFullName();
-    if (!BaseOnly && !Children.empty()) {
+    if (!BaseOnly && !NumChildren == 0) {
       OS << "<";
-      printList(OS, Children);
+      printList(OS, getChildren());
       OS << ">";
     }
     break;
@@ -597,7 +597,7 @@ std::string Constraint::str() const {
     OS << EV.Def->getFullName() << "." << EV.Def->getCases()[EV.Index];
     break;
   case Kind::ArrayOf:
-    if (Children.empty()) {
+    if (NumChildren == 0) {
       OS << "array";
     } else {
       OS << "array<" << Children[0]->str() << ">";
@@ -605,7 +605,7 @@ std::string Constraint::str() const {
     break;
   case Kind::ArrayExact:
     OS << "[";
-    printList(OS, Children);
+    printList(OS, getChildren());
     OS << "]";
     break;
   case Kind::OpaqueKind:
@@ -613,12 +613,12 @@ std::string Constraint::str() const {
     break;
   case Kind::AnyOf:
     OS << "AnyOf<";
-    printList(OS, Children);
+    printList(OS, getChildren());
     OS << ">";
     break;
   case Kind::And:
     OS << "And<";
-    printList(OS, Children);
+    printList(OS, getChildren());
     OS << ">";
     break;
   case Kind::Not:

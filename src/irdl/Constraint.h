@@ -9,14 +9,18 @@
 /// the IRDL-C++ escape hatches (interpreted C++ expressions and native
 /// callbacks).
 ///
-/// Constraints are immutable trees shared via shared_ptr. Registration
-/// compiles every tree into a ConstraintProgram (ConstraintProgram.h),
-/// and verification, printing and parsing run only those programs. The
-/// tree evaluators below (matches / concreteValue) are the reference
-/// semantics that tests compare the programs against. Both evaluate
-/// against a MatchContext that carries constraint-variable bindings with
-/// a backtracking trail (AnyOf and Not undo the variables bound since
-/// their choice point instead of copying all bindings).
+/// Constraints are immutable trees placed in the bump storage of the spec
+/// that owns them (support/BumpStorage.h): a node points to its children
+/// with plain pointers, and a ConstraintPtr handed out is an aliasing
+/// shared_ptr of the storage's owner, so any handle keeps the whole tree
+/// alive. Registration compiles every tree into a ConstraintProgram
+/// (ConstraintProgram.h), and verification, printing and parsing run
+/// only those programs. The tree evaluators below (matches /
+/// concreteValue) are the reference semantics that tests compare the
+/// programs against. Both evaluate against a MatchContext that carries
+/// constraint-variable bindings with a backtracking trail (AnyOf and Not
+/// undo the variables bound since their choice point instead of copying
+/// all bindings).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,10 +28,13 @@
 #define IRDL_IRDL_CONSTRAINT_H
 
 #include "ir/Context.h"
+#include "support/BumpStorage.h"
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 
 namespace irdl {
 
@@ -35,6 +42,12 @@ class Constraint;
 using ConstraintPtr = std::shared_ptr<const Constraint>;
 class ConstraintProgram;
 using ConstraintProgramPtr = std::shared_ptr<const ConstraintProgram>;
+
+/// The storage a constraint tree (and the programs compiled from it) is
+/// built in. Handles to the tree share its ownership: a DialectSpec hands
+/// out an aliasing pointer to its own storage, a test may make_shared
+/// one.
+using SpecStoragePtr = std::shared_ptr<BumpStorage>;
 
 /// Constraint-variable bindings during one match (the ConstraintVars
 /// directive, Section 4.6): "constraints that need to be satisfied by the
@@ -44,12 +57,10 @@ using ConstraintProgramPtr = std::shared_ptr<const ConstraintProgram>;
 class MatchContext {
 public:
   MatchContext() = default;
-  explicit MatchContext(const std::vector<ConstraintProgramPtr> *VarPrograms)
-      : VarPrograms(VarPrograms),
-        Bindings(VarPrograms ? VarPrograms->size() : 0) {}
-  explicit MatchContext(const std::vector<ConstraintPtr> *VarConstraints)
-      : VarConstraints(VarConstraints),
-        Bindings(VarConstraints ? VarConstraints->size() : 0) {}
+  explicit MatchContext(std::span<const ConstraintProgram *const> VarPrograms)
+      : VarPrograms(VarPrograms), Bindings(VarPrograms.size()) {}
+  explicit MatchContext(std::span<const Constraint *const> VarConstraints)
+      : VarConstraints(VarConstraints), Bindings(VarConstraints.size()) {}
 
   unsigned getNumVars() const { return Bindings.size(); }
 
@@ -57,11 +68,11 @@ public:
   /// variable unbound, the trail empty, and the storage of both kept, so
   /// a context reused across operations stops allocating once it has
   /// seen the largest variable count.
-  void reset(const std::vector<ConstraintProgramPtr> *NewVarPrograms) {
+  void reset(std::span<const ConstraintProgram *const> NewVarPrograms) {
     undoTo(0);
     VarPrograms = NewVarPrograms;
-    VarConstraints = nullptr;
-    Bindings.resize(NewVarPrograms ? NewVarPrograms->size() : 0);
+    VarConstraints = {};
+    Bindings.resize(NewVarPrograms.size());
   }
 
   const std::optional<ParamValue> &getBinding(unsigned Index) const {
@@ -80,13 +91,13 @@ public:
     Bindings[Index] = std::move(V);
   }
   const ConstraintProgram &getVarProgram(unsigned Index) const {
-    assert(VarPrograms && Index < VarPrograms->size() &&
-           (*VarPrograms)[Index] && "no program for this variable");
-    return *(*VarPrograms)[Index];
+    assert(Index < VarPrograms.size() && VarPrograms[Index] &&
+           "no program for this variable");
+    return *VarPrograms[Index];
   }
-  const ConstraintPtr &getVarConstraint(unsigned Index) const {
-    assert(VarConstraints && Index < VarConstraints->size());
-    return (*VarConstraints)[Index];
+  const Constraint &getVarConstraint(unsigned Index) const {
+    assert(Index < VarConstraints.size() && VarConstraints[Index]);
+    return *VarConstraints[Index];
   }
 
   /// Backtracking for AnyOf/Not: mark() opens a choice point, undoTo()
@@ -103,8 +114,8 @@ public:
   }
 
 private:
-  const std::vector<ConstraintProgramPtr> *VarPrograms = nullptr;
-  const std::vector<ConstraintPtr> *VarConstraints = nullptr;
+  std::span<const ConstraintProgram *const> VarPrograms;
+  std::span<const Constraint *const> VarConstraints;
   std::vector<std::optional<ParamValue>> Bindings;
   /// Indices of bound variables, in binding order.
   std::vector<unsigned> Trail;
@@ -150,63 +161,105 @@ public:
   //===------------------------------------------------------------------===//
   // Factories
   //===------------------------------------------------------------------===//
+  //
+  // Each builds one node in \p S and returns a handle sharing S's owner.
+  // Children must live in the same storage (a node points to them
+  // without owning them).
 
-  static ConstraintPtr anyType();
-  static ConstraintPtr anyAttr();
-  static ConstraintPtr anyParam();
+  static ConstraintPtr anyType(const SpecStoragePtr &S);
+  static ConstraintPtr anyAttr(const SpecStoragePtr &S);
+  static ConstraintPtr anyParam(const SpecStoragePtr &S);
   /// Base-only match when \p Params is empty and \p BaseOnly is true;
   /// otherwise the parameter count must equal the definition's.
-  static ConstraintPtr typeConstraint(const TypeDefinition *Def,
-                                      std::vector<ConstraintPtr> Params,
+  static ConstraintPtr typeConstraint(const SpecStoragePtr &S,
+                                      const TypeDefinition *Def,
+                                      std::span<const ConstraintPtr> Params,
                                       bool BaseOnly);
-  static ConstraintPtr attrConstraint(const AttrDefinition *Def,
-                                      std::vector<ConstraintPtr> Params,
+  static ConstraintPtr
+  typeConstraint(const SpecStoragePtr &S, const TypeDefinition *Def,
+                 std::initializer_list<ConstraintPtr> Params, bool BaseOnly) {
+    return typeConstraint(S, Def, std::span(Params.begin(), Params.size()),
+                          BaseOnly);
+  }
+  static ConstraintPtr attrConstraint(const SpecStoragePtr &S,
+                                      const AttrDefinition *Def,
+                                      std::span<const ConstraintPtr> Params,
                                       bool BaseOnly);
+  static ConstraintPtr
+  attrConstraint(const SpecStoragePtr &S, const AttrDefinition *Def,
+                 std::initializer_list<ConstraintPtr> Params, bool BaseOnly) {
+    return attrConstraint(S, Def, std::span(Params.begin(), Params.size()),
+                          BaseOnly);
+  }
   /// Exact match of a fully concrete type.
-  static ConstraintPtr typeEq(Type T);
-  static ConstraintPtr intKind(unsigned Width, Signedness Sign);
-  static ConstraintPtr intEq(IntVal V);
-  static ConstraintPtr floatKind(unsigned Width);
-  static ConstraintPtr floatEq(FloatVal V);
-  static ConstraintPtr stringKind();
-  static ConstraintPtr stringEq(std::string S);
-  static ConstraintPtr enumKind(const EnumDef *Def);
-  static ConstraintPtr enumEq(EnumVal V);
-  static ConstraintPtr arrayOf(ConstraintPtr Elem);
-  static ConstraintPtr anyArray();
-  static ConstraintPtr arrayExact(std::vector<ConstraintPtr> Elems);
-  static ConstraintPtr opaqueKind(std::string ParamTypeName);
-  static ConstraintPtr anyOf(std::vector<ConstraintPtr> Cs);
-  static ConstraintPtr conjunction(std::vector<ConstraintPtr> Cs);
-  static ConstraintPtr negation(ConstraintPtr C);
-  static ConstraintPtr var(unsigned Index, std::string Name);
-  static ConstraintPtr cpp(ConstraintPtr Base, CppParamPredicate Pred,
-                           std::string Source);
-  static ConstraintPtr native(ConstraintPtr Base, NativeConstraintFn Fn,
-                              std::string Name);
+  static ConstraintPtr typeEq(const SpecStoragePtr &S, Type T);
+  static ConstraintPtr intKind(const SpecStoragePtr &S, unsigned Width,
+                               Signedness Sign);
+  static ConstraintPtr intEq(const SpecStoragePtr &S, IntVal V);
+  static ConstraintPtr floatKind(const SpecStoragePtr &S, unsigned Width);
+  static ConstraintPtr floatEq(const SpecStoragePtr &S, FloatVal V);
+  static ConstraintPtr stringKind(const SpecStoragePtr &S);
+  static ConstraintPtr stringEq(const SpecStoragePtr &S, std::string_view Str);
+  static ConstraintPtr enumKind(const SpecStoragePtr &S, const EnumDef *Def);
+  static ConstraintPtr enumEq(const SpecStoragePtr &S, EnumVal V);
+  static ConstraintPtr arrayOf(const SpecStoragePtr &S, ConstraintPtr Elem);
+  static ConstraintPtr anyArray(const SpecStoragePtr &S);
+  static ConstraintPtr arrayExact(const SpecStoragePtr &S,
+                                  std::span<const ConstraintPtr> Elems);
+  static ConstraintPtr arrayExact(const SpecStoragePtr &S,
+                                  std::initializer_list<ConstraintPtr> Elems) {
+    return arrayExact(S, std::span(Elems.begin(), Elems.size()));
+  }
+  static ConstraintPtr opaqueKind(const SpecStoragePtr &S,
+                                  std::string_view ParamTypeName);
+  static ConstraintPtr anyOf(const SpecStoragePtr &S,
+                             std::span<const ConstraintPtr> Cs);
+  static ConstraintPtr anyOf(const SpecStoragePtr &S,
+                             std::initializer_list<ConstraintPtr> Cs) {
+    return anyOf(S, std::span(Cs.begin(), Cs.size()));
+  }
+  static ConstraintPtr conjunction(const SpecStoragePtr &S,
+                                   std::span<const ConstraintPtr> Cs);
+  static ConstraintPtr conjunction(const SpecStoragePtr &S,
+                                   std::initializer_list<ConstraintPtr> Cs) {
+    return conjunction(S, std::span(Cs.begin(), Cs.size()));
+  }
+  static ConstraintPtr negation(const SpecStoragePtr &S, ConstraintPtr C);
+  static ConstraintPtr var(const SpecStoragePtr &S, unsigned Index,
+                           std::string_view Name);
+  static ConstraintPtr cpp(const SpecStoragePtr &S, ConstraintPtr Base,
+                           CppParamPredicate Pred, std::string_view Source);
+  static ConstraintPtr native(const SpecStoragePtr &S, ConstraintPtr Base,
+                              NativeConstraintFn Fn, std::string_view Name);
   /// Wraps a use of a named Constraint declaration: behaves exactly like
   /// \p Inner but prints as \p QualifiedName (e.g. "cmath.Bounded"),
   /// keeping pretty-printed specs reparseable.
-  static ConstraintPtr named(ConstraintPtr Inner,
-                             std::string QualifiedName);
+  static ConstraintPtr named(const SpecStoragePtr &S, ConstraintPtr Inner,
+                             std::string_view QualifiedName);
 
   //===------------------------------------------------------------------===//
   // Accessors
   //===------------------------------------------------------------------===//
 
   Kind getKind() const { return K; }
-  const std::vector<ConstraintPtr> &getChildren() const { return Children; }
+  std::span<const Constraint *const> getChildren() const {
+    return {Children, NumChildren};
+  }
+  /// The storage this node (and its whole tree) lives in.
+  BumpStorage &getStorage() const { return *Storage; }
   const TypeDefinition *getTypeDef() const { return TDef; }
   const AttrDefinition *getAttrDef() const { return ADef; }
   bool isBaseOnly() const { return BaseOnly; }
   const IntVal &getIntVal() const { return IV; }
   const FloatVal &getFloatVal() const { return FV; }
-  const std::string &getString() const { return Str; }
+  std::string_view getString() const { return Str; }
   const EnumDef *getEnumDef() const { return EDef; }
   const EnumVal &getEnumVal() const { return EV; }
   unsigned getVarIndex() const { return VarIndex; }
-  const CppParamPredicate &getCppPred() const { return CppPred; }
-  const NativeConstraintFn &getNativeFn() const { return NativeFn; }
+  /// The predicate of a Cpp node or the callback of a Native node, owned
+  /// by the tree's storage; null for every other kind.
+  const CppParamPredicate *getCppPred() const { return CppPred; }
+  const NativeConstraintFn *getNativeFn() const { return NativeFn; }
   unsigned getIntWidth() const { return IV.Width; }
   Signedness getIntSign() const { return IV.Sign; }
 
@@ -251,35 +304,35 @@ public:
   std::string str() const;
 
 private:
-  /// Only the factories can name it, so only they construct nodes (one
-  /// allocation each, through make_shared).
-  struct FactoryTag {};
+  Constraint(BumpStorage &Storage, Kind K) : Storage(&Storage), K(K) {}
 
-public:
-  Constraint(FactoryTag, Kind K) : K(K) {}
-
-private:
+  /// A new node of kind \p K in \p S, with a copy of \p Kids as its
+  /// children.
+  static Constraint *make(BumpStorage &S, Kind K,
+                          std::span<const ConstraintPtr> Kids = {});
 
   /// Folds the construction-time property bits from Children (called by
   /// every factory after the children are in place).
   void computeFlags();
 
+  BumpStorage *Storage;
   Kind K;
   bool HasCpp = false;
   bool HasVar = false;
+  bool BaseOnly = false;
+  uint32_t NumChildren = 0;
   unsigned Height = 1;
-  std::vector<ConstraintPtr> Children;
+  unsigned VarIndex = 0;
+  const Constraint *const *Children = nullptr;
   const TypeDefinition *TDef = nullptr;
   const AttrDefinition *ADef = nullptr;
-  bool BaseOnly = false;
   IntVal IV;
   FloatVal FV;
-  std::string Str; // string literal / var name / opaque kind / cpp source
+  std::string_view Str; // string literal / var name / opaque kind / source
   const EnumDef *EDef = nullptr;
   EnumVal EV;
-  unsigned VarIndex = 0;
-  CppParamPredicate CppPred;
-  NativeConstraintFn NativeFn;
+  const CppParamPredicate *CppPred = nullptr;
+  const NativeConstraintFn *NativeFn = nullptr;
 };
 
 /// Finds a constraint variable that reaches itself through unguarded
@@ -295,8 +348,7 @@ public:
   /// ConstraintProgram::collectUnguardedVars) on such a cycle, or nullopt
   /// if there is none.
   template <typename T>
-  std::optional<unsigned>
-  find(const std::vector<std::shared_ptr<const T>> &Vars) {
+  std::optional<unsigned> find(std::span<const T *const> Vars) {
     Refs.clear();
     RefsBegin.clear();
     for (const auto &V : Vars) {
@@ -320,10 +372,10 @@ private:
   std::vector<std::pair<unsigned, uint32_t>> Stack; // (variable, next ref)
 };
 
-/// VarCycleFinder::find on the calling thread's finder.
-template <typename T>
-std::optional<unsigned>
-findUnguardedVarCycle(const std::vector<std::shared_ptr<const T>> &Vars) {
+/// VarCycleFinder::find on the calling thread's finder. The overload for
+/// variable programs is in ConstraintProgram.h.
+inline std::optional<unsigned>
+findUnguardedVarCycle(std::span<const Constraint *const> Vars) {
   if (Vars.empty())
     return std::nullopt;
   return VarCycleFinder::forThread().find(Vars);

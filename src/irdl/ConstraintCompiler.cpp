@@ -27,7 +27,7 @@ namespace {
 const Constraint *stripNamed(const Constraint *C) {
 
   while (C->getKind() == Constraint::Kind::Named)
-    C = C->getChildren()[0].get();
+    C = C->getChildren()[0];
   return C;
 }
 
@@ -50,13 +50,13 @@ const void *dispatchKey(const Constraint &C) {
 namespace irdl::detail {
 
 /// Emits a program into scratch arrays it keeps from program to program,
-/// then copies them into exact-size program storage. Pools are
+/// then copies them into the storage of the source tree. Pools are
 /// deduplicated by scanning them while they are small, and through a
 /// hash index once one outgrows that, so that a large hostile tree stays
 /// linear.
 class ConstraintProgramBuilder {
 public:
-  ConstraintProgramPtr build(const Constraint &Root) {
+  const ConstraintProgram &build(const Constraint &Root) {
     Instrs.clear();
     Children.clear();
     TableAlts.clear();
@@ -66,6 +66,11 @@ public:
     Floats.clear();
     EnumDefs.clear();
     EnumVals.clear();
+    Strings.clear();
+    CppPreds.clear();
+    NativeFns.clear();
+    Slots.clear();
+    Tables.clear();
     // Clearing a map wipes all of its buckets, so only the (rare) used
     // ones are cleared.
     if (!TypeDefIdx.empty())
@@ -76,13 +81,16 @@ public:
       EnumDefIdx.clear();
     if (!StringIdx.empty())
       StringIdx.clear();
-    auto P = std::make_shared<ConstraintProgram>();
-    Prog = P.get();
     emit(Root);
+    BumpStorage &S = Root.getStorage();
+    static_assert(std::is_trivially_destructible_v<ConstraintProgram>);
+    auto *P = new (S.allocate(sizeof(ConstraintProgram),
+                              alignof(ConstraintProgram)))
+        ConstraintProgram(S);
     layOut(*P);
     ++NumProgramsCompiled;
     NumInstrsEmitted += P->Instrs.size();
-    return P;
+    return *P;
   }
 
 private:
@@ -100,7 +108,7 @@ private:
     // slice, so sibling slices stay contiguous. The child indices wait on
     // the ChildStack meanwhile.
     size_t StackBase = ChildStack.size();
-    for (const ConstraintPtr &Ch : C.getChildren()) {
+    for (const Constraint *Ch : C.getChildren()) {
       uint32_t ChildIdx = emit(*Ch);
       ChildStack.push_back(ChildIdx);
     }
@@ -158,7 +166,7 @@ private:
       break;
     case Kind::StringEq:
       I.Op = COpcode::StringEq;
-      I.A = poolIndex(StringIdx, Prog->Strings, C.getString());
+      I.A = poolIndex(StringIdx, Strings, C.getString());
       break;
     case Kind::EnumKind:
       I.Op = COpcode::EnumKind;
@@ -176,7 +184,7 @@ private:
       break;
     case Kind::OpaqueKind:
       I.Op = COpcode::OpaqueKind;
-      I.A = poolIndex(StringIdx, Prog->Strings, C.getString());
+      I.A = poolIndex(StringIdx, Strings, C.getString());
       break;
     case Kind::AnyOf:
       I.Op = COpcode::AnyOf;
@@ -194,11 +202,11 @@ private:
       break;
     case Kind::Cpp:
       I.Op = COpcode::Cpp;
-      I.A = pushPool(Prog->CppPreds, C.getCppPred());
+      I.A = pushPool(CppPreds, C.getCppPred());
       break;
     case Kind::Native:
       I.Op = COpcode::Native;
-      I.A = pushPool(Prog->NativeFns, C.getNativeFn());
+      I.A = pushPool(NativeFns, C.getNativeFn());
       break;
     case Kind::Named:
       assert(false && "Named handled above");
@@ -211,28 +219,41 @@ private:
   /// Upgrades the AnyOf at \p Idx to AnyOfTable when every alternative is
   /// rooted in a base definition check and there are enough of them.
   void lowerAnyOf(const Constraint &C, uint32_t Idx) {
-    const auto &Alts = C.getChildren();
+    std::span<const Constraint *const> Alts = C.getChildren();
     if (Alts.size() < ConstraintCompiler::MinDispatchAlts)
       return;
-    for (const ConstraintPtr &Alt : Alts)
+    for (const Constraint *Alt : Alts)
       if (!dispatchKey(*Alt))
         return;
 
     // Group alternative entry points by definition, preserving source
     // order within each group (same-def alternatives still try in
     // declaration order, exactly like the sequential scan): number the
-    // groups in first-seen order, then lay the alternatives out grouped
-    // by a counting sort.
-    ConstraintProgram::DispatchTable Table;
+    // groups in first-seen order while filling the table's slots (their
+    // Begin holds the group number meanwhile), then lay the alternatives
+    // out grouped by a counting sort.
+    uint32_t NumSlots = 1;
+    while (NumSlots < 2 * Alts.size())
+      NumSlots *= 2;
+    uint32_t Mask = NumSlots - 1;
+    uint32_t SlotsBegin = (uint32_t)Slots.size();
+    Slots.resize(SlotsBegin + NumSlots, {nullptr, 0, 0});
     AltGroup.clear();
     GroupStart.clear();
-    for (const ConstraintPtr &Alt : Alts) {
-      auto [It, Inserted] = Table.Map.try_emplace(
-          dispatchKey(*Alt), (uint32_t)GroupStart.size(), 0u);
-      if (Inserted)
+    GroupSlot.clear();
+    for (const Constraint *Alt : Alts) {
+      const void *Key = dispatchKey(*Alt);
+      uint32_t I = ConstraintProgram::dispatchHash(Key, Mask);
+      while (Slots[SlotsBegin + I].Key && Slots[SlotsBegin + I].Key != Key)
+        I = (I + 1) & Mask;
+      ConstraintProgram::DispatchSlot &Slot = Slots[SlotsBegin + I];
+      if (!Slot.Key) {
+        Slot = {Key, (uint32_t)GroupStart.size(), 0};
         GroupStart.push_back(0);
-      AltGroup.push_back(It->second.first);
-      ++GroupStart[It->second.first];
+        GroupSlot.push_back(SlotsBegin + I);
+      }
+      AltGroup.push_back(Slot.Begin);
+      ++GroupStart[Slot.Begin];
     }
     uint32_t Next = 0;
     for (uint32_t &Start : GroupStart)
@@ -241,19 +262,19 @@ private:
     const CInstr &I = Instrs[Idx];
     for (size_t AltI = 0; AltI != Alts.size(); ++AltI)
       Grouped[GroupStart[AltGroup[AltI]]++] = Children[I.ChildrenBegin + AltI];
-    // GroupStart[G] is now the end of group G; its size is in the map.
-    for (auto &[Key, Slice] : Table.Map) {
-      uint32_t Group = Slice.first;
+    // GroupStart[G] is now the end of group G.
+    for (uint32_t Group = 0; Group != GroupStart.size(); ++Group) {
       uint32_t End = GroupStart[Group];
       uint32_t Size = End - (Group ? GroupStart[Group - 1] : 0);
-      Slice = {(uint32_t)TableAlts.size(), Size};
+      Slots[GroupSlot[Group]].Begin = (uint32_t)TableAlts.size();
+      Slots[GroupSlot[Group]].Count = Size;
       TableAlts.insert(TableAlts.end(), Grouped.begin() + (End - Size),
                        Grouped.begin() + End);
     }
 
     Instrs[Idx].Op = COpcode::AnyOfTable;
-    Instrs[Idx].A = (uint32_t)Prog->Tables.size();
-    Prog->Tables.push_back(std::move(Table));
+    Instrs[Idx].A = (uint32_t)Tables.size();
+    Tables.push_back({SlotsBegin, Mask, (uint32_t)GroupStart.size()});
     ++NumDispatchTablesBuilt;
   }
 
@@ -284,7 +305,7 @@ private:
     return (uint32_t)Pool.size() - 1;
   }
 
-  /// Copies the scratch arrays into \p P's exact-size storage.
+  /// Copies the scratch arrays into one block of \p P's storage.
   void layOut(ConstraintProgram &P) {
     size_t Size = 0;
     auto Reserve = [&Size](const auto &From) {
@@ -295,16 +316,15 @@ private:
       Size += From.size() * sizeof(T);
       return Offset;
     };
-    size_t Offsets[] = {Reserve(Instrs),   Reserve(Children),
+    size_t Offsets[] = {Reserve(Instrs),    Reserve(Children),
                         Reserve(TableAlts), Reserve(TypeDefs),
-                        Reserve(AttrDefs), Reserve(Ints),
-                        Reserve(Floats),   Reserve(EnumDefs),
-                        Reserve(EnumVals)};
-    std::byte *Base = P.InlineStorage;
-    if (Size > sizeof(P.InlineStorage)) {
-      P.Storage = std::make_unique<std::byte[]>(Size);
-      Base = P.Storage.get();
-    }
+                        Reserve(AttrDefs),  Reserve(Ints),
+                        Reserve(Floats),    Reserve(EnumDefs),
+                        Reserve(EnumVals),  Reserve(Strings),
+                        Reserve(CppPreds),  Reserve(NativeFns),
+                        Reserve(Slots),     Reserve(Tables)};
+    auto *Base = static_cast<std::byte *>(
+        P.getStorage().allocate(Size, alignof(std::max_align_t)));
     auto Assign = [Base](auto &To, const auto &From, size_t Offset) {
       using T = typename std::decay_t<decltype(From)>::value_type;
       T *Dest = reinterpret_cast<T *>(Base + Offset);
@@ -321,10 +341,12 @@ private:
     Assign(P.Floats, Floats, Offsets[6]);
     Assign(P.EnumDefs, EnumDefs, Offsets[7]);
     Assign(P.EnumVals, EnumVals, Offsets[8]);
+    Assign(P.Strings, Strings, Offsets[9]);
+    Assign(P.CppPreds, CppPreds, Offsets[10]);
+    Assign(P.NativeFns, NativeFns, Offsets[11]);
+    Assign(P.Slots, Slots, Offsets[12]);
+    Assign(P.Tables, Tables, Offsets[13]);
   }
-
-  /// The program being built; it receives the pools that are not flat.
-  ConstraintProgram *Prog = nullptr;
 
   // Scratch, kept from program to program.
   std::vector<CInstr> Instrs;
@@ -336,30 +358,41 @@ private:
   std::vector<FloatVal> Floats;
   std::vector<const EnumDef *> EnumDefs;
   std::vector<EnumVal> EnumVals;
+  std::vector<std::string_view> Strings;
+  std::vector<const CppParamPredicate *> CppPreds;
+  std::vector<const NativeConstraintFn *> NativeFns;
+  std::vector<ConstraintProgram::DispatchSlot> Slots;
+  std::vector<ConstraintProgram::DispatchTable> Tables;
   std::unordered_map<const TypeDefinition *, uint32_t> TypeDefIdx;
   std::unordered_map<const AttrDefinition *, uint32_t> AttrDefIdx;
   std::unordered_map<const EnumDef *, uint32_t> EnumDefIdx;
-  std::unordered_map<std::string, uint32_t> StringIdx;
+  std::unordered_map<std::string_view, uint32_t> StringIdx;
   std::vector<uint32_t> ChildStack;
   std::vector<uint32_t> AltGroup;
   std::vector<uint32_t> GroupStart;
+  std::vector<uint32_t> GroupSlot;
   std::vector<uint32_t> Grouped;
 };
 
 } // namespace irdl::detail
 
-ConstraintProgramPtr ConstraintCompiler::compile(const ConstraintPtr &C) {
-  assert(C && "compiling a null constraint");
+const ConstraintProgram &
+ConstraintCompiler::compileInStorage(const Constraint &C) {
   // One builder per thread, so its scratch is reused by every compile.
   static thread_local detail::ConstraintProgramBuilder Builder;
-  return Builder.build(*C);
+  return Builder.build(C);
 }
 
-std::vector<ConstraintProgramPtr> ConstraintCompiler::compileVarPrograms(
-    const std::vector<ConstraintPtr> &VarConstraints) {
-  std::vector<ConstraintProgramPtr> Programs;
+ConstraintProgramPtr ConstraintCompiler::compile(const ConstraintPtr &C) {
+  assert(C && "compiling a null constraint");
+  return ConstraintProgramPtr(C, &compileInStorage(*C));
+}
+
+std::vector<const ConstraintProgram *> ConstraintCompiler::compileVarPrograms(
+    std::span<const ConstraintPtr> VarConstraints) {
+  std::vector<const ConstraintProgram *> Programs;
   Programs.reserve(VarConstraints.size());
   for (const ConstraintPtr &C : VarConstraints)
-    Programs.push_back(compile(C));
+    Programs.push_back(&compileInStorage(*C));
   return Programs;
 }

@@ -26,14 +26,20 @@ public:
   /// hash lookup).
   static constexpr size_t MinDispatchAlts = 4;
 
-  /// Compiles \p C into a program. Var opcodes in it resolve through
-  /// the variable programs of the MatchContext it runs under.
+  /// Compiles \p C into a program placed in the storage of C's tree.
+  /// Var opcodes in it resolve through the variable programs of the
+  /// MatchContext it runs under. The handle shares C's owner.
   static ConstraintProgramPtr compile(const ConstraintPtr &C);
 
+  /// compile() for registration, which keeps the program by a plain
+  /// pointer next to its tree.
+  static const ConstraintProgram &compileInStorage(const Constraint &C);
+
   /// Compiles one program per constraint variable, the slots a
-  /// MatchContext for the owning operation carries.
-  static std::vector<ConstraintProgramPtr>
-  compileVarPrograms(const std::vector<ConstraintPtr> &VarConstraints);
+  /// MatchContext for the owning operation carries. The programs live in
+  /// the storage of their trees.
+  static std::vector<const ConstraintProgram *>
+  compileVarPrograms(std::span<const ConstraintPtr> VarConstraints);
 };
 
 } // namespace irdl

@@ -51,8 +51,9 @@ public:
 
   /// Associates \p Name with \p Prog. Holds only a weak reference: a
   /// program dies with its spec and silently drops out of reports. A
-  /// weak reference still pins the program's allocation, so the records
-  /// of dead programs are dropped here and in collect().
+  /// weak reference still pins the allocation of the spec's control
+  /// block, so the records of dead programs are dropped here and in
+  /// collect().
   void registerProgram(const ConstraintProgramPtr &Prog, std::string Name);
 
   /// Records held, those of dead programs included.

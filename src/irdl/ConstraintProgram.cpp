@@ -90,7 +90,8 @@ std::string_view irdl::getOpcodeName(COpcode Op) {
   return "<invalid>";
 }
 
-ConstraintProgram::ConstraintProgram() {
+ConstraintProgram::ConstraintProgram(BumpStorage &Storage)
+    : Storage(&Storage) {
   static std::atomic<uint64_t> NextId{1};
   Id = NextId.fetch_add(1, std::memory_order_relaxed);
 }
@@ -236,19 +237,18 @@ bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
       Def = V.getType().getDef();
     else if (V.isAttr())
       Def = V.getAttr().getDef();
-    const DispatchTable &Table = Tables[I.A];
-    auto It = Def ? Table.Map.find(Def) : Table.Map.end();
-    if (It == Table.Map.end()) {
+    const DispatchSlot *Slot =
+        Def ? lookupDispatch(Tables[I.A], Def) : nullptr;
+    if (!Slot) {
       if (metricsEnabled())
         ConstraintMetrics::get().DispatchRejects.inc();
       return false;
     }
     if (metricsEnabled())
       ConstraintMetrics::get().DispatchHits.inc();
-    auto [Begin, Count] = It->second;
-    for (uint32_t C = 0; C != Count; ++C) {
+    for (uint32_t C = 0; C != Slot->Count; ++C) {
       MatchContext::Mark M = MC.mark();
-      if (exec(TableAlts[Begin + C], V, MC))
+      if (exec(TableAlts[Slot->Begin + C], V, MC))
         return true;
       MC.undoTo(M);
     }
@@ -276,14 +276,14 @@ bool ConstraintProgram::exec(uint32_t Pc, const ParamValue &V,
     return true;
   }
   case COpcode::Cpp: {
-    if (!exec(Child[0], V, MC) || !CppPreds[I.A])
+    if (!exec(Child[0], V, MC) || !CppPreds[I.A] || !*CppPreds[I.A])
       return false;
-    return CppPreds[I.A](V);
+    return (*CppPreds[I.A])(V);
   }
   case COpcode::Native: {
-    if (!exec(Child[0], V, MC) || !NativeFns[I.A])
+    if (!exec(Child[0], V, MC) || !NativeFns[I.A] || !*NativeFns[I.A])
       return false;
-    return NativeFns[I.A](V);
+    return (*NativeFns[I.A])(V);
   }
   }
   return false;
@@ -341,7 +341,7 @@ ConstraintProgram::concreteAt(uint32_t Pc, const MatchContext &MC,
   case COpcode::FloatEq:
     return ParamValue(Floats[I.A]);
   case COpcode::StringEq:
-    return ParamValue(Strings[I.A]);
+    return ParamValue(std::string(Strings[I.A]));
   case COpcode::EnumEq:
     return ParamValue(EnumVals[I.A]);
   case COpcode::ArrayExact: {
@@ -444,7 +444,7 @@ std::string ConstraintProgram::dump() const {
          << EnumVals[I.A].Index;
       break;
     case COpcode::AnyOfTable:
-      OS << " tbl=" << I.A << "/" << Tables[I.A].Map.size() << "defs";
+      OS << " tbl=" << I.A << "/" << Tables[I.A].NumKeys << "defs";
       break;
     case COpcode::Var:
       OS << " v" << I.A;

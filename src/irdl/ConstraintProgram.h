@@ -18,6 +18,9 @@
 ///    TypeParams/AttrParams/TypeEq check, a hash on the value's uniqued
 ///    definition pointer jumps directly to the plausible alternatives.
 ///
+/// A program lives in the storage of the tree it was compiled from, with
+/// all of its arrays, so a ConstraintProgramPtr shares the tree's owner.
+///
 /// There is no verdict cache: every run executes the program, so a
 /// verdict follows from the constraints alone.
 ///
@@ -37,7 +40,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <unordered_map>
 
 namespace irdl {
 
@@ -96,7 +98,7 @@ struct CInstr {
   static constexpr uint8_t FlagBaseOnly = 1u << 0;
 };
 
-/// A fixed-size array in a program's storage, written once by the
+/// A fixed-size array in the program's storage, written once by the
 /// compiler and only read afterwards.
 template <typename T> class ProgramArray {
 public:
@@ -121,7 +123,6 @@ private:
 /// program (the profiling accumulators are relaxed atomics).
 class ConstraintProgram {
 public:
-  ConstraintProgram();
 
   /// Executes the program against \p V under the bindings in \p MC.
   /// Exactly equivalent to Constraint::matches of the source tree:
@@ -184,6 +185,9 @@ public:
 
   size_t getNumDispatchTables() const { return Tables.size(); }
 
+  /// The storage the program (and its source tree) lives in.
+  BumpStorage &getStorage() const { return *Storage; }
+
   /// One-line-per-instruction disassembly, e.g.
   /// "0: AnyOfTable tbl=0 n=16 [1..16]".
   std::string dump() const;
@@ -192,6 +196,8 @@ private:
   friend class ConstraintCompiler;
   friend class detail::ConstraintProgramBuilder;
 
+  explicit ConstraintProgram(BumpStorage &Storage);
+
   bool exec(uint32_t Pc, const ParamValue &V, MatchContext &MC) const;
   std::optional<ParamValue> concreteAt(uint32_t Pc, const MatchContext &MC,
                                        IRContext &Ctx) const;
@@ -199,35 +205,60 @@ private:
 
   /// The flat program: instructions (entry at 0), the child-index array
   /// their (Begin, Count) slices point into, and the dispatch-table
-  /// alternative array. The program owns all three, so nothing outside
-  /// the program can change what exec() runs.
+  /// alternative array.
   ProgramArray<CInstr> Instrs;
   ProgramArray<uint32_t> Children;
   ProgramArray<uint32_t> TableAlts;
 
-  // Literal/definition pools (indexed by CInstr::A).
+  // Literal/definition pools (indexed by CInstr::A). Strings view and
+  // predicates point into the source tree, which shares the storage.
   ProgramArray<const TypeDefinition *> TypeDefs;
   ProgramArray<const AttrDefinition *> AttrDefs;
   ProgramArray<IntVal> Ints;
   ProgramArray<FloatVal> Floats;
   ProgramArray<const EnumDef *> EnumDefs;
   ProgramArray<EnumVal> EnumVals;
-  std::vector<std::string> Strings;
-  std::vector<CppParamPredicate> CppPreds;
-  std::vector<NativeConstraintFn> NativeFns;
+  ProgramArray<std::string_view> Strings;
+  ProgramArray<const CppParamPredicate *> CppPreds;
+  ProgramArray<const NativeConstraintFn *> NativeFns;
 
-  /// AnyOf dispatch: uniqued definition pointer -> (Begin, Count) slice
-  /// of TableAlts holding the alternatives rooted in that definition, in
-  /// source order.
-  struct DispatchTable {
-    std::unordered_map<const void *, std::pair<uint32_t, uint32_t>> Map;
+  /// AnyOf dispatch: an open-addressed table per AnyOfTable instruction
+  /// from a uniqued definition pointer to the (Begin, Count) slice of
+  /// TableAlts holding the alternatives rooted in that definition, in
+  /// source order. Empty slots have a null Key.
+  struct DispatchSlot {
+    const void *Key;
+    uint32_t Begin;
+    uint32_t Count;
   };
-  std::vector<DispatchTable> Tables;
+  struct DispatchTable {
+    /// Slots[SlotsBegin, SlotsBegin + Mask + 1), a power of two at least
+    /// twice NumKeys, so a probe always ends at an empty slot.
+    uint32_t SlotsBegin;
+    uint32_t Mask;
+    uint32_t NumKeys;
+  };
+  ProgramArray<DispatchSlot> Slots;
+  ProgramArray<DispatchTable> Tables;
 
-  /// The storage of the ProgramArrays, sized exactly at compile time: the
-  /// inline bytes when they fit (most programs), else one heap block.
-  std::unique_ptr<std::byte[]> Storage;
-  alignas(8) std::byte InlineStorage[64];
+  /// The first slot to probe for \p Key in a table of \p Mask + 1 slots.
+  static uint32_t dispatchHash(const void *Key, uint32_t Mask) {
+    uint64_t H = reinterpret_cast<uintptr_t>(Key) * 0x9E3779B97F4A7C15ull;
+    return static_cast<uint32_t>(H >> 32) & Mask;
+  }
+  /// The slot of \p Key in table \p T, or null.
+  const DispatchSlot *lookupDispatch(const DispatchTable &T,
+                                     const void *Key) const {
+    for (uint32_t I = dispatchHash(Key, T.Mask);; I = (I + 1) & T.Mask) {
+      const DispatchSlot &S = Slots[T.SlotsBegin + I];
+      if (S.Key == Key)
+        return &S;
+      if (!S.Key)
+        return nullptr;
+    }
+  }
+
+  BumpStorage *Storage;
 
   /// --profile-constraints accumulators (relaxed; see getProfiledEvals).
   mutable std::atomic<uint64_t> ProfEvals{0};
@@ -235,6 +266,14 @@ private:
 
   uint64_t Id;
 };
+
+/// findUnguardedVarCycle over variable programs.
+inline std::optional<unsigned>
+findUnguardedVarCycle(std::span<const ConstraintProgram *const> Vars) {
+  if (Vars.empty())
+    return std::nullopt;
+  return VarCycleFinder::forThread().find(Vars);
+}
 
 } // namespace irdl
 

@@ -370,7 +370,7 @@ CppEvalValue fromParam(const ParamValue &P) {
     return P.getAttr();
   case ParamValue::Kind::Enum: {
     const EnumVal &E = P.getEnum();
-    return E.Def->getCases()[E.Index];
+    return std::string(E.Def->getCases()[E.Index]);
   }
   case ParamValue::Kind::Opaque:
     return P.getOpaque().Payload;

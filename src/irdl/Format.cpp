@@ -8,13 +8,19 @@
 #include "support/StringExtras.h"
 
 #include <algorithm>
-#include <forward_list>
 #include <span>
 #include <utility>
 
 using namespace irdl;
 
-namespace {
+namespace irdl {
+
+/// An expected token of a format literal: its kind, and its spelling for
+/// identifier-likes.
+struct FormatToken {
+  IRToken::Kind K;
+  std::string_view Spelling;
+};
 
 struct FormatElement {
   enum class Kind { Literal, Operand, AttrField, Var, VarParam };
@@ -31,28 +37,32 @@ struct FormatElement {
   unsigned ParamIndex = 0;
 };
 
-/// A format compiled for its operation. The views in it point into the
-/// operation's FormatSrc, which the hooks keep alive with the spec.
+/// A format compiled for its operation, in the storage of its spec. The
+/// views in it point into the operation's FormatSrc or that storage.
 struct CompiledFormat {
-  std::vector<FormatElement> Elements;
+  std::span<const FormatElement> Elements;
   /// The expected tokens of every literal: kind and spelling (used for
-  /// identifier-likes).
-  std::vector<std::pair<IRToken::Kind, std::string_view>> Tokens;
-  /// Spellings of string tokens with escapes, which the lexer unescaped.
-  std::forward_list<std::string> Unescaped;
+  /// identifier-likes). Spellings of string tokens with escapes, which
+  /// the lexer unescaped, are copies in the storage.
+  std::span<const FormatToken> Tokens;
+  /// Whether the format prints a variable or a parameter of one.
+  bool PrintsVars = false;
 
-  std::span<const std::pair<IRToken::Kind, std::string_view>>
-  tokens(const FormatElement &Elem) const {
-    return {Tokens.data() + Elem.TokensBegin, Elem.NumTokens};
+  std::span<const FormatToken> tokens(const FormatElement &Elem) const {
+    return Tokens.subspan(Elem.TokensBegin, Elem.NumTokens);
   }
 };
+
+} // namespace irdl
+
+namespace {
 
 /// What a format's directives bind directly: whole variables (\p
 /// KnownVars[V]) and single parameters of variables (the VarParam
 /// elements).
 struct FormatBindings {
-  const std::vector<uint8_t> &KnownVars;
-  const std::vector<FormatElement> &Elements;
+  std::span<const uint8_t> KnownVars;
+  std::span<const FormatElement> Elements;
 
   bool knowsParam(unsigned Var, unsigned Param) const {
     return std::any_of(Elements.begin(), Elements.end(),
@@ -65,8 +75,8 @@ struct FormatBindings {
 
 /// Can \p C's value be reconstructed given directly-bound vars and
 /// per-var known parameters?
-bool derivable(const ConstraintPtr &C, const FormatBindings &Known,
-               const std::vector<ConstraintPtr> &VarConstraints,
+bool derivable(const Constraint *C, const FormatBindings &Known,
+               std::span<const Constraint *const> VarConstraints,
                unsigned Depth = 0) {
   if (Depth > 16)
     return false;
@@ -76,7 +86,7 @@ bool derivable(const ConstraintPtr &C, const FormatBindings &Known,
     if (Known.KnownVars[V])
       return true;
     // Derivable through its own parametric constraint?
-    const ConstraintPtr &VC = VarConstraints[V];
+    const Constraint *VC = VarConstraints[V];
     if (VC->getKind() != Constraint::Kind::TypeParams &&
         VC->getKind() != Constraint::Kind::AttrParams)
       return false;
@@ -102,7 +112,7 @@ bool derivable(const ConstraintPtr &C, const FormatBindings &Known,
                                : C->getAttrDef()->getNumParams();
       return NumParams == 0;
     }
-    for (const ConstraintPtr &Child : C->getChildren())
+    for (const Constraint *Child : C->getChildren())
       if (!derivable(Child, Known, VarConstraints, Depth + 1))
         return false;
     return true;
@@ -118,12 +128,12 @@ bool derivable(const ConstraintPtr &C, const FormatBindings &Known,
   case Constraint::Kind::Native:
   case Constraint::Kind::Named: {
     if (C->getKind() == Constraint::Kind::ArrayExact) {
-      for (const ConstraintPtr &Child : C->getChildren())
+      for (const Constraint *Child : C->getChildren())
         if (!derivable(Child, Known, VarConstraints, Depth + 1))
           return false;
       return true;
     }
-    for (const ConstraintPtr &Child : C->getChildren())
+    for (const Constraint *Child : C->getChildren())
       if (derivable(Child, Known, VarConstraints, Depth + 1))
         return true;
     return false;
@@ -135,7 +145,7 @@ bool derivable(const ConstraintPtr &C, const FormatBindings &Known,
 
 /// Looks up the parameter index \p ParamName inside a var's parametric
 /// constraint; nullopt if the constraint has no such named parameter.
-std::optional<unsigned> lookupVarParam(const ConstraintPtr &VC,
+std::optional<unsigned> lookupVarParam(const Constraint *VC,
                                        std::string_view ParamName) {
   if (VC->getKind() == Constraint::Kind::TypeParams)
     return VC->getTypeDef()->lookupParam(ParamName);
@@ -174,7 +184,7 @@ void deriveVars(const OpSpec &Spec, MatchContext &MC,
     for (unsigned V = 0, E = Spec.VarConstraints.size(); V != E; ++V) {
       if (MC.getBinding(V))
         continue;
-      const ConstraintPtr &VC = Spec.VarConstraints[V];
+      const Constraint *VC = Spec.VarConstraints[V];
       if (VC->getKind() != Constraint::Kind::TypeParams &&
           VC->getKind() != Constraint::Kind::AttrParams)
         continue;
@@ -216,16 +226,23 @@ void deriveVars(const OpSpec &Spec, MatchContext &MC,
   }
 }
 
+/// What installFormat reuses from format to format.
+struct FormatCompileScratch {
+  std::vector<FormatElement> Elements;
+  std::vector<FormatToken> Tokens;
+  std::vector<uint8_t> Seen;
+};
+
 } // namespace
 
-LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
-                                  OpSpec &Op, DiagnosticEngine &Diags) {
+LogicalResult irdl::installFormat(DialectSpec &OwningSpec, OpSpec &Op,
+                                  DiagnosticEngine &Diags) {
   assert(Op.HasFormat && "operation has no format");
   SMLoc Loc; // Format strings do not retain source locations.
 
   auto FormatError = [&](const std::string &Message) {
-    Diags.emitError(Loc, "in format of operation '" + Op.Name + "': " +
-                             Message);
+    Diags.emitError(Loc, "in format of operation '" + std::string(Op.Name) +
+                             "': " + Message);
     return failure();
   };
 
@@ -241,16 +258,16 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
   if (Op.Successors && !Op.Successors->empty())
     return FormatError("successors are not supported in formats");
 
-  auto Compiled = std::make_shared<CompiledFormat>();
-  const std::string &Src = Op.FormatSrc;
-  // Directives and the literals between them alternate, and a token
-  // takes at least one character.
-  Compiled->Elements.reserve(2 * std::count(Src.begin(), Src.end(), '$') +
-                             1);
-  Compiled->Tokens.reserve(Src.size());
+  thread_local FormatCompileScratch Scratch;
+  std::vector<FormatElement> &Elements = Scratch.Elements;
+  std::vector<FormatToken> &Tokens = Scratch.Tokens;
+  Elements.clear();
+  Tokens.clear();
+  std::string_view Src = Op.FormatSrc;
   // Which operands, attributes and variables the format names.
   size_t NumOperands = Op.Operands.size(), NumAttrs = Op.Attributes.size();
-  std::vector<uint8_t> Seen(NumOperands + NumAttrs + Op.VarNames.size());
+  std::vector<uint8_t> &Seen = Scratch.Seen;
+  Seen.assign(NumOperands + NumAttrs + Op.VarNames.size(), 0);
   auto SeenOperand = [&](unsigned I) -> uint8_t & { return Seen[I]; };
   auto SeenAttr = [&](unsigned I) -> uint8_t & {
     return Seen[NumOperands + I];
@@ -268,7 +285,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
       FormatElement Elem;
       Elem.K = FormatElement::Kind::Literal;
       Elem.Text = Text;
-      Elem.TokensBegin = Compiled->Tokens.size();
+      Elem.TokensBegin = Tokens.size();
       DiagnosticEngine Scratch;
       IRLexer Lex(Text, Scratch);
       while (!Lex.getToken().is(IRToken::Kind::Eof)) {
@@ -278,12 +295,12 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
         if (!Spelling.empty() && (Spelling.data() < Text.data() ||
                                   Spelling.data() >= Text.data() +
                                                          Text.size()))
-          Spelling = Compiled->Unescaped.emplace_front(Spelling);
-        Compiled->Tokens.emplace_back(Lex.getToken().K, Spelling);
+          Spelling = OwningSpec.copy(Spelling);
+        Tokens.emplace_back(Lex.getToken().K, Spelling);
         Lex.lex();
       }
-      Elem.NumTokens = Compiled->Tokens.size() - Elem.TokensBegin;
-      Compiled->Elements.push_back(Elem);
+      Elem.NumTokens = Tokens.size() - Elem.TokensBegin;
+      Elements.push_back(Elem);
       continue;
     }
     ++Pos; // consume '$'
@@ -342,49 +359,54 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
     } else {
       return FormatError("unknown directive '$" + std::string(Name) + "'");
     }
-    Compiled->Elements.push_back(Elem);
+    Elements.push_back(Elem);
   }
 
   // Feasibility: every operand printed, every attribute printed, every
   // operand/result type derivable.
   for (unsigned I = 0, E = Op.Operands.size(); I != E; ++I)
     if (!SeenOperand(I))
-      return FormatError("operand '" + Op.Operands[I].Name +
+      return FormatError("operand '" + std::string(Op.Operands[I].Name) +
                          "' does not appear in the format");
   for (unsigned I = 0, E = Op.Attributes.size(); I != E; ++I)
     if (!SeenAttr(I))
-      return FormatError("attribute '" + Op.Attributes[I].Name +
+      return FormatError("attribute '" + std::string(Op.Attributes[I].Name) +
                          "' does not appear in the format");
   // The variable flags are the tail of Seen.
-  Seen.erase(Seen.begin(), Seen.begin() + NumOperands + NumAttrs);
-  FormatBindings Known{Seen, Compiled->Elements};
+  FormatBindings Known{std::span(Seen).subspan(NumOperands + NumAttrs),
+                       Elements};
   for (const OperandSpec &O : Op.Operands)
     if (!derivable(O.Constr, Known, Op.VarConstraints))
-      return FormatError("the type of operand '" + O.Name +
+      return FormatError("the type of operand '" + std::string(O.Name) +
                          "' cannot be inferred from the format");
   for (const OperandSpec &R : Op.Results)
     if (!derivable(R.Constr, Known, Op.VarConstraints))
-      return FormatError("the type of result '" + R.Name +
+      return FormatError("the type of result '" + std::string(R.Name) +
                          "' cannot be inferred from the format");
 
-  // Install the hooks. Alias the shared_ptr so the spec outlives us.
-  std::shared_ptr<OpSpec> SpecRef(OwningSpec, &Op);
-
-  bool PrintsVars = std::any_of(
-      Compiled->Elements.begin(), Compiled->Elements.end(),
-      [](const FormatElement &E) {
+  BumpStorage &Storage = OwningSpec.getStorage();
+  CompiledFormat *Compiled = Storage.create<CompiledFormat>();
+  Compiled->Elements =
+      Storage.copyArray(std::span<const FormatElement>(Elements));
+  Compiled->Tokens = Storage.copyArray(std::span<const FormatToken>(Tokens));
+  Compiled->PrintsVars =
+      std::any_of(Elements.begin(), Elements.end(), [](const FormatElement &E) {
         return E.K == FormatElement::Kind::Var ||
                E.K == FormatElement::Kind::VarParam;
       });
-  Op.Def->setPrintFn([SpecRef, Compiled, PrintsVars](Operation *O,
-                                                     CustomOpPrinter &P) {
+  Op.Format = Compiled;
+
+  // Install the hooks. They capture only the spec, so the std::functions
+  // store them inline.
+  Op.Def->setPrintFn([SpecRef = &Op](Operation *O, CustomOpPrinter &P) {
     const OpSpec &Spec = *SpecRef;
+    const CompiledFormat &Format = *Spec.Format;
     // Rebind constraint variables from the verified op, when the format
     // prints any. The context is reused from op to op (a hook prints no
     // nested ops), so it allocates only for the largest variable count.
     thread_local MatchContext MC;
-    if (PrintsVars) {
-      MC.reset(&Spec.VarPrograms);
+    if (Format.PrintsVars) {
+      MC.reset(Spec.VarPrograms);
       for (unsigned I = 0, E = std::min<size_t>(Spec.Operands.size(),
                                                 O->getNumOperands());
            I != E; ++I)
@@ -397,7 +419,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
             ParamValue(O->getResult(I).getType()), MC);
     }
 
-    for (const FormatElement &Elem : Compiled->Elements) {
+    for (const FormatElement &Elem : Format.Elements) {
       switch (Elem.K) {
       case FormatElement::Kind::Literal:
         P << Elem.Text;
@@ -431,24 +453,24 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
     }
   });
 
-  Op.Def->setParseFn([SpecRef, Compiled](CustomOpParser &P,
-                                         OperationState &State)
-                         -> LogicalResult {
+  Op.Def->setParseFn([SpecRef = &Op](CustomOpParser &P,
+                                     OperationState &State) -> LogicalResult {
     const OpSpec &Spec = *SpecRef;
+    const CompiledFormat &Format = *Spec.Format;
     SMLoc OpLoc = P.getCurrentLoc();
     FormatParseScratch &Scratch = P.getScratch<FormatParseScratch>();
     std::vector<CustomOpParser::UnresolvedOperand> &OperandRefs =
         Scratch.OperandRefs;
     OperandRefs.assign(Spec.Operands.size(), {});
     MatchContext &MC = Scratch.MC;
-    MC.reset(&Spec.VarPrograms);
+    MC.reset(Spec.VarPrograms);
     std::vector<VarParamValue> &VarParamVals = Scratch.VarParamVals;
     VarParamVals.clear();
 
-    for (const FormatElement &Elem : Compiled->Elements) {
+    for (const FormatElement &Elem : Format.Elements) {
       switch (Elem.K) {
       case FormatElement::Kind::Literal:
-        for (const auto &[Kind, Spelling] : Compiled->tokens(Elem)) {
+        for (const auto &[Kind, Spelling] : Format.tokens(Elem)) {
           if (Kind == IRToken::Kind::Identifier) {
             if (failed(P.parseKeyword(Spelling)))
               return failure();
@@ -497,7 +519,7 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
       if (!TV || !TV->isType())
         return P.emitError(OpLoc,
                            "cannot infer the type of operand '" +
-                               Spec.Operands[I].Name + "'");
+                               std::string(Spec.Operands[I].Name) + "'");
       if (failed(P.resolveOperand(OperandRefs[I], TV->getType(),
                                   State.Operands)))
         return failure();
@@ -506,7 +528,8 @@ LogicalResult irdl::installFormat(std::shared_ptr<DialectSpec> OwningSpec,
       auto TV = Spec.Results[I].Prog->concreteValue(MC, Ctx);
       if (!TV || !TV->isType())
         return P.emitError(OpLoc, "cannot infer the type of result '" +
-                                      Spec.Results[I].Name + "'");
+                                      std::string(Spec.Results[I].Name) +
+                                      "'");
       State.ResultTypes.push_back(TV->getType());
     }
     return success();

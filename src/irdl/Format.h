@@ -18,11 +18,12 @@
 
 namespace irdl {
 
-/// Compiles \p Op's FormatSrc and installs parse/print hooks on its
-/// OpDefinition. \p OwningSpec keeps the spec alive from within the hooks.
-/// Emits diagnostics and fails when the format cannot drive a parser.
-LogicalResult installFormat(std::shared_ptr<DialectSpec> OwningSpec,
-                            OpSpec &Op, DiagnosticEngine &Diags);
+/// Compiles \p Op's FormatSrc into the storage of \p OwningSpec and
+/// installs parse/print hooks on its OpDefinition. The hooks point to
+/// \p Op, which the dialect keeps alive by retaining the spec. Emits
+/// diagnostics and fails when the format cannot drive a parser.
+LogicalResult installFormat(DialectSpec &OwningSpec, OpSpec &Op,
+                            DiagnosticEngine &Diags);
 
 } // namespace irdl
 

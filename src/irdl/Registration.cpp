@@ -20,7 +20,7 @@ using namespace irdl;
 //===----------------------------------------------------------------------===//
 
 bool irdl::computeSegmentsInto(
-    const std::vector<OperandSpec> &Specs, unsigned Actual,
+    std::span<const OperandSpec> Specs, unsigned Actual,
     const Operation *Op, std::string_view SegmentAttrName,
     std::vector<std::pair<unsigned, unsigned>> &Segments, std::string &Err) {
   unsigned NumVariadic = 0;
@@ -60,7 +60,7 @@ bool irdl::computeSegmentsInto(
         continue;
       }
       if (Specs[I].VK == VariadicKind::Optional && Slack > 1) {
-        Err = "optional definition '" + Specs[I].Name +
+        Err = "optional definition '" + std::string(Specs[I].Name) +
               "' matches at most one, but " + std::to_string(Slack) +
               " remain";
         return false;
@@ -105,7 +105,7 @@ bool irdl::computeSegmentsInto(
                   (Specs[I].VK != VariadicKind::Optional || Size <= 1);
     if (!SizeOk) {
       Err = "segment size " + std::to_string(Size) +
-            " is invalid for definition '" + Specs[I].Name + "'";
+            " is invalid for definition '" + std::string(Specs[I].Name) + "'";
       return false;
     }
     Segments[I] = {Pos, static_cast<unsigned>(Size)};
@@ -120,7 +120,7 @@ bool irdl::computeSegmentsInto(
 }
 
 std::optional<std::vector<std::pair<unsigned, unsigned>>>
-irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
+irdl::computeSegments(std::span<const OperandSpec> Specs, unsigned Actual,
                       const Operation *Op, std::string_view SegmentAttrName,
                       std::string &Err) {
   std::vector<std::pair<unsigned, unsigned>> Segments;
@@ -135,15 +135,12 @@ irdl::computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
 
 namespace {
 
-/// Builds the parameter verifier for a type/attribute definition.
+/// Builds the parameter verifier for a type/attribute definition. It
+/// captures only the spec, so the std::function stores it inline.
 TypeOrAttrDefinitionBase::VerifierFn
-buildTypeOrAttrVerifier(std::shared_ptr<DialectSpec> Owner,
-                        const TypeOrAttrSpec &Spec,
-                        NativeConstraintFn NativeVerifier) {
-  std::shared_ptr<const TypeOrAttrSpec> Ref(Owner, &Spec);
-  return [Ref, NativeVerifier](const std::vector<ParamValue> &Params,
-                               DiagnosticEngine &Diags,
-                               SMLoc Loc) -> LogicalResult {
+buildTypeOrAttrVerifier(const TypeOrAttrSpec &Spec) {
+  return [Ref = &Spec](const std::vector<ParamValue> &Params,
+                       DiagnosticEngine &Diags, SMLoc Loc) -> LogicalResult {
     const TypeOrAttrSpec &S = *Ref;
     std::string FullName = S.Def->getFullName();
     if (Params.size() != S.Params.size()) {
@@ -156,8 +153,8 @@ buildTypeOrAttrVerifier(std::shared_ptr<DialectSpec> Owner,
     MatchContext MC;
     for (size_t I = 0, E = Params.size(); I != E; ++I) {
       if (!S.Params[I].Prog->run(Params[I], MC)) {
-        Diags.emitError(Loc, "parameter '" + S.Params[I].Name + "' of '" +
-                                 FullName +
+        Diags.emitError(Loc, "parameter '" + std::string(S.Params[I].Name) +
+                                 "' of '" + FullName +
                                  "' does not satisfy constraint " +
                                  S.Params[I].Constr->str());
         return failure();
@@ -170,12 +167,12 @@ buildTypeOrAttrVerifier(std::shared_ptr<DialectSpec> Owner,
       if (!B || !*B) {
         Diags.emitError(Loc, "'" + FullName +
                                  "' violates its IRDL-C++ constraint \"" +
-                                 S.CppConstraintSrc + "\"");
+                                 std::string(S.CppConstraintSrc) + "\"");
         return failure();
       }
     }
-    if (NativeVerifier && !NativeVerifier(ParamValue(
-                              std::vector<ParamValue>(Params)))) {
+    if (S.NativeVerifier && !(*S.NativeVerifier)(ParamValue(
+                                std::vector<ParamValue>(Params)))) {
       Diags.emitError(Loc, "'" + FullName +
                                "' violates its native constraint");
       return failure();
@@ -210,7 +207,7 @@ struct ListMatch {
 
 /// True when no definition of \p Specs is Variadic or Optional: the
 /// segments are the identity and only the count needs checking.
-bool allSingle(const std::vector<OperandSpec> &Specs) {
+bool allSingle(std::span<const OperandSpec> Specs) {
   return std::all_of(Specs.begin(), Specs.end(), [](const OperandSpec &S) {
     return S.VK == VariadicKind::Single;
   });
@@ -219,7 +216,7 @@ bool allSingle(const std::vector<OperandSpec> &Specs) {
 /// Matches the \p Actual values whose types \p TypeAt yields against
 /// \p Specs, in definition order.
 template <typename TypeAtFn>
-ListMatch matchList(const std::vector<OperandSpec> &Specs, bool AllSingle,
+ListMatch matchList(std::span<const OperandSpec> Specs, bool AllSingle,
                     unsigned Actual, TypeAtFn TypeAt, const Operation *Op,
                     std::string_view SegmentAttrName,
                     OpVerifyScratch &Scratch) {
@@ -252,31 +249,16 @@ ListMatch matchList(const std::vector<OperandSpec> &Specs, bool AllSingle,
   return M;
 }
 
-/// Which value lists of an op are all-Single, decided once when its
-/// verifier is built.
-struct OpShape {
-  bool OperandsSingle;
-  bool ResultsSingle;
-  std::vector<bool> ArgsSingle;
-
-  explicit OpShape(const OpSpec &S)
-      : OperandsSingle(allSingle(S.Operands)),
-        ResultsSingle(allSingle(S.Results)) {
-    for (const RegionSpec &RS : S.Regions)
-      ArgsSingle.push_back(allSingle(RS.Args));
-  }
-};
-
 /// Everything the IRDL declaration checks except the IRDL-C++ and native
 /// constraints: value counts and constraints, attributes and regions.
-LogicalResult verifyDeclared(const OpSpec &S, const OpShape &Shape,
-                             Operation *Op, DiagnosticEngine &Diags,
+LogicalResult verifyDeclared(const OpSpec &S, Operation *Op,
+                             DiagnosticEngine &Diags,
                              OpVerifyScratch &Scratch) {
   const std::string &FullName = S.Def->getFullName();
-  Scratch.MC.reset(&S.VarPrograms);
+  Scratch.MC.reset(S.VarPrograms);
 
   ListMatch Operands = matchList(
-      S.Operands, Shape.OperandsSingle, Op->getNumOperands(),
+      S.Operands, S.OperandsSingle, Op->getNumOperands(),
       [Op](unsigned I) { return Op->getOperand(I).getType(); }, Op,
       "operandSegmentSizes", Scratch);
   if (Operands.CountMismatch) {
@@ -287,15 +269,16 @@ LogicalResult verifyDeclared(const OpSpec &S, const OpShape &Shape,
   }
   if (Operands.Failed) {
     Diags.emitError(Op->getLoc(),
-                    "operand '" + Operands.Failed->Name + "' of '" +
-                        FullName + "' (type " + Operands.FailedType.str() +
+                    "operand '" + std::string(Operands.Failed->Name) +
+                        "' of '" + FullName + "' (type " +
+                        Operands.FailedType.str() +
                         ") does not satisfy constraint " +
                         Operands.Failed->Constr->str());
     return failure();
   }
 
   ListMatch Results = matchList(
-      S.Results, Shape.ResultsSingle, Op->getNumResults(),
+      S.Results, S.ResultsSingle, Op->getNumResults(),
       [Op](unsigned I) { return Op->getResult(I).getType(); }, Op,
       "resultSegmentSizes", Scratch);
   if (Results.CountMismatch) {
@@ -306,8 +289,9 @@ LogicalResult verifyDeclared(const OpSpec &S, const OpShape &Shape,
   }
   if (Results.Failed) {
     Diags.emitError(Op->getLoc(),
-                    "result '" + Results.Failed->Name + "' of '" + FullName +
-                        "' (type " + Results.FailedType.str() +
+                    "result '" + std::string(Results.Failed->Name) +
+                        "' of '" + FullName + "' (type " +
+                        Results.FailedType.str() +
                         ") does not satisfy constraint " +
                         Results.Failed->Constr->str());
     return failure();
@@ -317,13 +301,13 @@ LogicalResult verifyDeclared(const OpSpec &S, const OpShape &Shape,
     Attribute Attr = Op->getAttr(A.Name);
     if (!Attr) {
       Diags.emitError(Op->getLoc(), "'" + FullName +
-                                        "' requires attribute '" + A.Name +
-                                        "'");
+                                        "' requires attribute '" +
+                                        std::string(A.Name) + "'");
       return failure();
     }
     if (!A.Prog->run(ParamValue(Attr), Scratch.MC)) {
-      Diags.emitError(Op->getLoc(), "attribute '" + A.Name + "' of '" +
-                                        FullName +
+      Diags.emitError(Op->getLoc(), "attribute '" + std::string(A.Name) +
+                                        "' of '" + FullName +
                                         "' does not satisfy constraint " +
                                         A.Constr->str());
       return failure();
@@ -342,43 +326,48 @@ LogicalResult verifyDeclared(const OpSpec &S, const OpShape &Shape,
     Region &R = Op->getRegion(I);
     if (!RS.Args.empty() || !RS.TerminatorOpName.empty()) {
       if (R.empty()) {
-        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
-                                          FullName + "' must not be empty");
+        Diags.emitError(Op->getLoc(), "region '" + std::string(RS.Name) +
+                                          "' of '" + FullName +
+                                          "' must not be empty");
         return failure();
       }
     }
     if (!RS.Args.empty()) {
       Block &Entry = R.front();
       ListMatch Args = matchList(
-          RS.Args, Shape.ArgsSingle[I], Entry.getNumArguments(),
+          RS.Args, RS.ArgsSingle, Entry.getNumArguments(),
           [&Entry](unsigned J) { return Entry.getArgument(J).getType(); },
           Op, "argumentSegmentSizes", Scratch);
       if (Args.CountMismatch) {
-        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
-                                          FullName + "' argument mismatch: " +
+        Diags.emitError(Op->getLoc(), "region '" + std::string(RS.Name) +
+                                          "' of '" + FullName +
+                                          "' argument mismatch: " +
                                           Args.CountErr);
         return failure();
       }
       if (Args.Failed) {
-        Diags.emitError(Op->getLoc(), "argument '" + Args.Failed->Name +
-                                          "' of region '" + RS.Name +
-                                          "' does not satisfy constraint " +
-                                          Args.Failed->Constr->str());
+        Diags.emitError(Op->getLoc(),
+                        "argument '" + std::string(Args.Failed->Name) +
+                            "' of region '" + std::string(RS.Name) +
+                            "' does not satisfy constraint " +
+                            Args.Failed->Constr->str());
         return failure();
       }
     }
     if (!RS.TerminatorOpName.empty()) {
       if (R.getNumBlocks() != 1) {
-        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
-                                          FullName +
+        Diags.emitError(Op->getLoc(), "region '" + std::string(RS.Name) +
+                                          "' of '" + FullName +
                                           "' must consist of a single block");
         return failure();
       }
       Operation *Term = R.front().empty() ? nullptr : &R.front().back();
       if (!Term || Term->getName().str() != RS.TerminatorOpName) {
-        Diags.emitError(Op->getLoc(), "region '" + RS.Name + "' of '" +
-                                          FullName + "' must end with '" +
-                                          RS.TerminatorOpName + "'");
+        Diags.emitError(Op->getLoc(), "region '" + std::string(RS.Name) +
+                                          "' of '" + FullName +
+                                          "' must end with '" +
+                                          std::string(RS.TerminatorOpName) +
+                                          "'");
         return failure();
       }
     }
@@ -389,21 +378,17 @@ LogicalResult verifyDeclared(const OpSpec &S, const OpShape &Shape,
 /// Builds the operation verifier for an OpSpec. On success it allocates
 /// nothing: names are referenced, diagnostics are built only on failure,
 /// and bindings and segments live in the thread's OpVerifyScratch.
-OpDefinition::VerifierFn buildOpVerifier(
-    std::shared_ptr<DialectSpec> Owner, const OpSpec &Spec,
-    std::function<LogicalResult(Operation *, DiagnosticEngine &)>
-        NativeVerifier) {
-  std::shared_ptr<const OpSpec> Ref(Owner, &Spec);
-  return [Ref, Shape = OpShape(Spec),
-          NativeVerifier](Operation *Op,
-                          DiagnosticEngine &Diags) -> LogicalResult {
+/// It captures only the spec, so the std::function stores it inline.
+OpDefinition::VerifierFn buildOpVerifier(const OpSpec &Spec) {
+  return [Ref = &Spec](Operation *Op,
+                       DiagnosticEngine &Diags) -> LogicalResult {
     const OpSpec &S = *Ref;
     {
       std::optional<OpVerifyScratch> Nested;
       OpVerifyScratch &Scratch =
           ThreadScratch.InUse ? Nested.emplace() : ThreadScratch;
       Scratch.InUse = true;
-      LogicalResult Declared = verifyDeclared(S, Shape, Op, Diags, Scratch);
+      LogicalResult Declared = verifyDeclared(S, Op, Diags, Scratch);
       Scratch.InUse = false;
       if (failed(Declared))
         return failure();
@@ -419,12 +404,12 @@ OpDefinition::VerifierFn buildOpVerifier(
         Diags.emitError(Op->getLoc(),
                         "'" + S.Def->getFullName() +
                             "' violates its IRDL-C++ constraint \"" +
-                            S.CppConstraintSrc + "\"");
+                            std::string(S.CppConstraintSrc) + "\"");
         return failure();
       }
     }
-    if (NativeVerifier)
-      return NativeVerifier(Op, Diags);
+    if (S.NativeVerifier)
+      return (*S.NativeVerifier)(Op, Diags);
     return success();
   };
 }
@@ -435,10 +420,11 @@ OpDefinition::VerifierFn buildOpVerifier(
 // Installation
 //===----------------------------------------------------------------------===//
 
-LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
-                                        IRContext &Ctx,
-                                        DiagnosticEngine &Diags,
-                                        const IRDLLoadOptions &Opts) {
+LogicalResult
+irdl::registerDialectSpec(const std::shared_ptr<DialectSpec> &Spec,
+                          IRContext &Ctx, DiagnosticEngine &Diags,
+                          const IRDLLoadOptions &Opts) {
+  BumpStorage &Storage = Spec->getStorage();
   // Compile every resolved constraint into its flat program form up
   // front, so verification never pays the lowering cost. The frontend
   // (after Sema) and the `.irbc` reader (after its own tree checks) are
@@ -450,38 +436,41 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
     // constraint profiler under a "<dialect>.<symbol> <slot> '<name>'"
     // attribution name, so --profile-constraints reports hot programs by
     // source location rather than bare program ids. Off, nothing is
-    // registered: each record pins its program's allocation.
+    // registered: each record pins its program's spec.
     bool Profiling = constraintProfilingEnabled();
-    auto Compile = [&](ConstraintProgramPtr &Prog, const ConstraintPtr &C,
-                       const std::string &Symbol, const char *Slot,
-                       const std::string &Name) {
-      Prog = ConstraintCompiler::compile(C);
+    auto Compile = [&](const Constraint *C, std::string_view Symbol,
+                       const char *Slot, std::string_view Name) {
+      const ConstraintProgram *Prog = &ConstraintCompiler::compileInStorage(*C);
       if (Profiling)
         ConstraintProfiler::instance().registerProgram(
-            Prog, Spec->Name + "." + Symbol + " " + Slot + " '" + Name + "'");
+            ConstraintProgramPtr(Spec, Prog),
+            std::string(Spec->Name) + "." + std::string(Symbol) + " " + Slot +
+                " '" + std::string(Name) + "'");
+      return Prog;
     };
-    auto CompileParams = [&](std::vector<ParamSpec> &Params,
-                             const std::string &Symbol) {
+    auto CompileParams = [&](std::span<ParamSpec> Params,
+                             std::string_view Symbol) {
       for (ParamSpec &P : Params)
-        Compile(P.Prog, P.Constr, Symbol, "param", P.Name);
+        P.Prog = Compile(P.Constr, Symbol, "param", P.Name);
     };
-    auto CompileOperands = [&](std::vector<OperandSpec> &Specs,
-                               const std::string &Symbol, const char *Slot) {
+    auto CompileOperands = [&](std::span<OperandSpec> Specs,
+                               std::string_view Symbol, const char *Slot) {
       for (OperandSpec &O : Specs)
-        Compile(O.Prog, O.Constr, Symbol, Slot, O.Name);
+        O.Prog = Compile(O.Constr, Symbol, Slot, O.Name);
     };
     for (TypeOrAttrSpec &TS : Spec->Types)
       CompileParams(TS.Params, TS.Name);
     for (TypeOrAttrSpec &TS : Spec->Attrs)
       CompileParams(TS.Params, TS.Name);
-    static const std::string UnnamedVar = "?";
     for (OpSpec &OS : Spec->Ops) {
       // Var opcodes index these slots through the verifier's
       // MatchContext, so every variable needs its program.
-      OS.VarPrograms.resize(OS.VarConstraints.size());
-      for (size_t I = 0; I != OS.VarPrograms.size(); ++I)
-        Compile(OS.VarPrograms[I], OS.VarConstraints[I], OS.Name, "var",
-                I < OS.VarNames.size() ? OS.VarNames[I] : UnnamedVar);
+      std::span<const ConstraintProgram *> VarPrograms =
+          Spec->allocate<const ConstraintProgram *>(OS.VarConstraints.size());
+      for (size_t I = 0; I != VarPrograms.size(); ++I)
+        VarPrograms[I] = Compile(OS.VarConstraints[I], OS.Name, "var",
+                                 I < OS.VarNames.size() ? OS.VarNames[I] : "?");
+      OS.VarPrograms = VarPrograms;
       // Sema and the `.irbc` reader reject unguarded variable cycles in
       // the trees, and programs compiled from them cannot add one.
       assert(!findUnguardedVarCycle(OS.VarPrograms) &&
@@ -489,17 +478,21 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
       CompileOperands(OS.Operands, OS.Name, "operand");
       CompileOperands(OS.Results, OS.Name, "result");
       for (ParamSpec &A : OS.Attributes)
-        Compile(A.Prog, A.Constr, OS.Name, "attr", A.Name);
+        A.Prog = Compile(A.Constr, OS.Name, "attr", A.Name);
       for (RegionSpec &RS : OS.Regions)
         CompileOperands(RS.Args, OS.Name, "region arg");
     }
   }
 
+  // The hooks and summaries installed below point into the spec's
+  // storage.
+  Spec->D->retain(Spec);
+
   // Opaque parameter kinds get a default identity codec (the IRDL-C++
   // CppParser/CppPrinter sources are carried for documentation; a host
   // can overwrite the codec for real validation).
   for (const ParamTypeSpec &P : Spec->ParamTypes) {
-    std::string FullName = Spec->Name + "." + P.Name;
+    std::string FullName = std::string(Spec->Name) + "." + std::string(P.Name);
     if (!Ctx.lookupOpaqueParamCodec(FullName)) {
       OpaqueParamCodec Identity;
       Identity.Print = [](const OpaqueVal &V) { return V.Payload; };
@@ -512,18 +505,18 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
   }
 
   auto InstallTypeOrAttr = [&](TypeOrAttrSpec &TS) -> LogicalResult {
-    NativeConstraintFn Native;
     if (startsWith(TS.CppConstraintSrc, "native:")) {
-      auto It =
-          Opts.NativeConstraints.find(TS.CppConstraintSrc.substr(7));
+      std::string Name(TS.CppConstraintSrc.substr(7));
+      auto It = Opts.NativeConstraints.find(Name);
       if (It == Opts.NativeConstraints.end()) {
         Diags.emitError(SMLoc(), "no native constraint registered under '" +
-                                     TS.CppConstraintSrc.substr(7) + "'");
+                                     Name + "'");
         return failure();
       }
-      Native = It->second;
+      TS.NativeVerifier = Storage.create<NativeConstraintFn>(It->second);
     }
-    TS.Def->setVerifier(buildTypeOrAttrVerifier(Spec, TS, Native));
+    TS.Def->setVerifier(buildTypeOrAttrVerifier(TS));
+    TS.Def->setSummary(TS.Summary);
     TS.Def->setRequiresCpp(TS.requiresCppVerifier() ||
                            !TS.CppConstraintSrc.empty() ||
                            TS.requiresCppParams());
@@ -538,17 +531,21 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
       return failure();
 
   for (OpSpec &OS : Spec->Ops) {
-    std::function<LogicalResult(Operation *, DiagnosticEngine &)> Native;
     if (!OS.NativeVerifierName.empty()) {
-      auto It = Opts.NativeOpVerifiers.find(OS.NativeVerifierName);
+      auto It = Opts.NativeOpVerifiers.find(std::string(OS.NativeVerifierName));
       if (It == Opts.NativeOpVerifiers.end()) {
         Diags.emitError(SMLoc(), "no native op verifier registered under '" +
-                                     OS.NativeVerifierName + "'");
+                                     std::string(OS.NativeVerifierName) + "'");
         return failure();
       }
-      Native = It->second;
+      OS.NativeVerifier = Storage.create<NativeOpVerifierFn>(It->second);
     }
-    OS.Def->setVerifier(buildOpVerifier(Spec, OS, Native));
+    OS.OperandsSingle = allSingle(OS.Operands);
+    OS.ResultsSingle = allSingle(OS.Results);
+    for (RegionSpec &RS : OS.Regions)
+      RS.ArgsSingle = allSingle(RS.Args);
+    OS.Def->setVerifier(buildOpVerifier(OS));
+    OS.Def->setSummary(OS.Summary);
     if (OS.Successors) {
       OS.Def->setTerminator();
       OS.Def->setNumSuccessors(OS.Successors->size());
@@ -556,7 +553,7 @@ LogicalResult irdl::registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
     OS.Def->setRequiresCpp(OS.requiresCppVerifier() ||
                            !OS.localConstraintsInIRDL());
     if (OS.HasFormat)
-      if (failed(installFormat(Spec, OS, Diags)))
+      if (failed(installFormat(*Spec, OS, Diags)))
         return failure();
   }
 

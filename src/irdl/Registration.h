@@ -22,21 +22,22 @@ namespace irdl {
 /// size of the variadic operands and results is expected"). On mismatch,
 /// fills \p Err and returns nullopt.
 std::optional<std::vector<std::pair<unsigned, unsigned>>>
-computeSegments(const std::vector<OperandSpec> &Specs, unsigned Actual,
+computeSegments(std::span<const OperandSpec> Specs, unsigned Actual,
                 const Operation *Op, std::string_view SegmentAttrName,
                 std::string &Err);
 
 /// computeSegments into a caller-owned \p Segments (resized to
 /// Specs.size()), so a caller that reuses it does not allocate. Returns
 /// false and fills \p Err on mismatch.
-bool computeSegmentsInto(const std::vector<OperandSpec> &Specs,
+bool computeSegmentsInto(std::span<const OperandSpec> Specs,
                          unsigned Actual, const Operation *Op,
                          std::string_view SegmentAttrName,
                          std::vector<std::pair<unsigned, unsigned>> &Segments,
                          std::string &Err);
 
-/// Installs verifiers, terminator flags, and format hooks for \p Spec.
-LogicalResult registerDialectSpec(std::shared_ptr<DialectSpec> Spec,
+/// Installs verifiers, terminator flags, and format hooks for \p Spec,
+/// whose dialect retains it: the hooks point into its storage.
+LogicalResult registerDialectSpec(const std::shared_ptr<DialectSpec> &Spec,
                                   IRContext &Ctx, DiagnosticEngine &Diags,
                                   const IRDLLoadOptions &Opts);
 

@@ -34,41 +34,35 @@ LogicalResult Sema::declareDialect(const DialectDecl &Decl) {
   T.D = D;
 
   for (const EnumDecl &E : Decl.Enums) {
-    if (!D->addEnum(std::string(E.Name),
-                    std::vector<std::string>(E.Cases.begin(),
-                                             E.Cases.end()))) {
+    if (!D->addEnum(E.Name, E.Cases)) {
       Diags.emitError(E.Loc, "redefinition of enum '" + std::string(E.Name) +
                                  "'");
       return failure();
     }
   }
   for (const TypeOrAttrDecl &TA : Decl.TypesAndAttrs) {
-    std::vector<std::string> ParamNames;
-    ParamNames.reserve(TA.Params.size());
-    for (const NamedConstraint &P : TA.Params)
-      ParamNames.emplace_back(P.Name);
     TypeOrAttrDefinitionBase *Def;
     if (TA.IsAttr)
-      Def = D->addAttr(std::string(TA.Name));
+      Def = D->addAttr(TA.Name);
     else
-      Def = D->addType(std::string(TA.Name));
+      Def = D->addType(TA.Name);
     if (!Def) {
       Diags.emitError(TA.Loc, std::string("redefinition of ") +
                                   (TA.IsAttr ? "attribute" : "type") +
                                   " '" + std::string(TA.Name) + "'");
       return failure();
     }
-    Def->setParamNames(std::move(ParamNames));
-    Def->setSummary(std::string(TA.Summary));
+    NameScratch.clear();
+    for (const NamedConstraint &P : TA.Params)
+      NameScratch.push_back(P.Name);
+    Def->setParamNames(NameScratch);
   }
   for (const OpDecl &Op : Decl.Ops) {
-    OpDefinition *Def = D->addOp(std::string(Op.Name));
-    if (!Def) {
+    if (!D->addOp(Op.Name)) {
       Diags.emitError(Op.Loc, "redefinition of operation '" +
                                   std::string(Op.Name) + "'");
       return failure();
     }
-    Def->setSummary(std::string(Op.Summary));
   }
   for (const AliasDecl &A : Decl.Aliases) {
     if (!T.Aliases.emplace(A.Name, &A).second) {
@@ -139,7 +133,7 @@ public:
 
   /// Variable names visible in the current operation, if any, and the
   /// operation's shared reference node for each (null until first use).
-  const std::vector<std::string> *VarNames = nullptr;
+  std::span<const std::string_view> VarNames;
   std::vector<ConstraintPtr> *VarNodes = nullptr;
   /// Substitution environment during alias expansion, in parameter order.
   const std::vector<std::pair<std::string_view, ConstraintPtr>> *AliasEnv =
@@ -192,12 +186,12 @@ private:
     case ConstraintExpr::Kind::FloatLit:
       return resolveFloatLit(E);
     case ConstraintExpr::Kind::StrLit:
-      return Constraint::stringEq(std::string(E.StrValue));
+      return Constraint::stringEq(S.Store, E.StrValue);
     case ConstraintExpr::Kind::ArrayExact: {
-      std::vector<ConstraintPtr> Elems;
-      if (!resolveArgs(E, Elems))
+      size_t Base = S.ArgStack.size();
+      if (!resolveArgs(E))
         return nullptr;
-      return Constraint::arrayExact(std::move(Elems));
+      return Constraint::arrayExact(S.Store, popArgs(Base));
     }
     case ConstraintExpr::Kind::Ref:
       return resolveRef(E);
@@ -258,7 +252,7 @@ private:
         Width = IK->first;
         Sign = IK->second;
       } else if (auto FK = matchFloatKindName(E.KindRef[0])) {
-        return Constraint::floatEq(FloatVal{
+        return Constraint::floatEq(S.Store, FloatVal{
             static_cast<uint16_t>(*FK ? *FK : 64),
             static_cast<double>(E.IntValue)});
       } else {
@@ -269,7 +263,7 @@ private:
     IntVal V{static_cast<uint16_t>(Width), Sign, E.IntValue};
     return leaf(LeafIntEq, nullptr, V.Value,
                 Width * 4 + static_cast<unsigned>(Sign),
-                [&] { return Constraint::intEq(V); });
+                [&] { return Constraint::intEq(S.Store, V); });
   }
 
   ConstraintPtr resolveFloatLit(const ConstraintExpr &E) {
@@ -285,21 +279,37 @@ private:
         Width = *FK;
     }
     return Constraint::floatEq(
-        FloatVal{static_cast<uint16_t>(Width), E.FloatValue});
+        S.Store, FloatVal{static_cast<uint16_t>(Width), E.FloatValue});
   }
 
-  /// Resolves each argument of \p E.
-  bool resolveArgs(const ConstraintExpr &E,
-                   std::vector<ConstraintPtr> &Out) {
-    Out.reserve(E.Args.size());
+  /// Resolves each argument of \p E onto the Sema's argument stack,
+  /// which the caller truncates again (popArgs). On failure the stack
+  /// is restored.
+  bool resolveArgs(const ConstraintExpr &E) {
+    size_t Base = S.ArgStack.size();
     for (const ConstraintExpr *Arg : E.Args) {
       ConstraintPtr C = resolveChild(*Arg);
-      if (!C)
+      if (!C) {
+        S.ArgStack.resize(Base);
         return false;
-      Out.push_back(std::move(C));
+      }
+      S.ArgStack.push_back(std::move(C));
     }
     return true;
   }
+
+  /// The arguments pushed since \p Base, valid until the next push; the
+  /// ArgPopper returned here truncates the stack to \p Base when the
+  /// full expression that built the node ends.
+  struct ArgPopper {
+    std::vector<ConstraintPtr> &Stack;
+    size_t Base;
+    ~ArgPopper() { Stack.resize(Base); }
+    operator std::span<const ConstraintPtr>() const {
+      return std::span<const ConstraintPtr>(Stack).subspan(Base);
+    }
+  };
+  ArgPopper popArgs(size_t Base) { return ArgPopper{S.ArgStack, Base}; }
 
   /// Builds the constraint for builtin type sugar names (f32, i32, ...).
   ConstraintPtr resolveBuiltinTypeSugar(std::string_view Name) {
@@ -313,7 +323,7 @@ private:
     }
     if (Def)
       return leaf(LeafTypeSugar, Def, 0, 0, [&] {
-        return Constraint::typeConstraint(Def, {}, /*BaseOnly=*/false);
+        return Constraint::typeConstraint(S.Store, Def, {}, /*BaseOnly=*/false);
       });
     Signedness Sign;
     std::string_view Digits;
@@ -336,10 +346,10 @@ private:
         LeafTypeSugar, Ctx.getIntegerTypeDef(), static_cast<int64_t>(*Width),
         static_cast<unsigned>(Sign), [&] {
           return Constraint::typeConstraint(
-              Ctx.getIntegerTypeDef(),
-              {Constraint::intEq(IntVal{32, Signedness::Unsigned,
+              S.Store, Ctx.getIntegerTypeDef(),
+              {Constraint::intEq(S.Store, IntVal{32, Signedness::Unsigned,
                                         static_cast<int64_t>(*Width)}),
-               Constraint::enumEq(EnumVal{Ctx.getSignednessEnum(),
+               Constraint::enumEq(S.Store, EnumVal{Ctx.getSignednessEnum(),
                                           static_cast<unsigned>(Sign)})},
               /*BaseOnly=*/false);
         });
@@ -351,26 +361,29 @@ private:
     if (!E.HasArgs) {
       if (TDef)
         return leaf(LeafBaseType, TDef, 0, 0, [&] {
-          return Constraint::typeConstraint(TDef, {}, /*BaseOnly=*/true);
+          return Constraint::typeConstraint(S.Store, TDef, {},
+                                            /*BaseOnly=*/true);
         });
       return leaf(LeafBaseAttr, ADef, 0, 0, [&] {
-        return Constraint::attrConstraint(ADef, {}, /*BaseOnly=*/true);
+        return Constraint::attrConstraint(S.Store, ADef, {}, /*BaseOnly=*/true);
       });
     }
-    std::vector<ConstraintPtr> Args;
-    if (!resolveArgs(E, Args))
+    size_t Base = S.ArgStack.size();
+    if (!resolveArgs(E))
       return nullptr;
+    ArgPopper Args = popArgs(Base);
+    size_t NumArgs = S.ArgStack.size() - Base;
     unsigned NumParams = TDef ? TDef->getNumParams() : ADef->getNumParams();
-    if (Args.size() != NumParams)
+    if (NumArgs != NumParams)
       return error(E.Loc,
                    "'" + (TDef ? TDef->getFullName() : ADef->getFullName()) +
                        "' has " + std::to_string(NumParams) +
-                       " parameters but " + std::to_string(Args.size()) +
+                       " parameters but " + std::to_string(NumArgs) +
                        " constraints were given");
     if (TDef)
-      return Constraint::typeConstraint(TDef, std::move(Args),
+      return Constraint::typeConstraint(S.Store, TDef, Args,
                                         /*BaseOnly=*/false);
-    return Constraint::attrConstraint(ADef, std::move(Args),
+    return Constraint::attrConstraint(S.Store, ADef, Args,
                                       /*BaseOnly=*/false);
   }
 
@@ -429,24 +442,24 @@ private:
           return error(Decl.Loc,
                        "no native constraint registered under '" + Name +
                            "'");
-        Result = Constraint::native(Base, NIt->second, Name);
+        Result = Constraint::native(S.Store, Base, NIt->second, Name);
       } else {
         std::string Source(Decl.CppConstraint);
         auto Expr = CppExpr::parse(Source, S.Diags, Decl.Loc);
         if (!Expr)
           return nullptr;
         Result = Constraint::cpp(
-            Base,
+            S.Store, Base,
             [Expr](const ParamValue &V) {
               CppExpr::EvalContext Ctx;
               Ctx.Self = cppEvalFromParam(V);
               auto B = Expr->evaluateBool(Ctx);
               return B && *B;
             },
-            std::move(Source));
+            Source);
       }
     }
-    Result = Constraint::named(Result, Owner.D->getNamespace() + "." +
+    Result = Constraint::named(S.Store, Result, Owner.D->getNamespace() + "." +
                                            std::string(Decl.Name));
     Owner.ResolvedConstraints[Decl.Name] = Result;
     return Result;
@@ -473,7 +486,7 @@ private:
       if (auto It = T->ParamTypes.find(Name); It != T->ParamTypes.end()) {
         if (E.HasArgs)
           return error(E.Loc, "parameter kinds take no arguments");
-        return Constraint::opaqueKind(D->getNamespace() + "." +
+        return Constraint::opaqueKind(S.Store, D->getNamespace() + "." +
                                       std::string(Name));
       }
     }
@@ -489,7 +502,7 @@ private:
       if (E.HasArgs)
         return error(E.Loc, "enum constraints take no arguments");
       return leaf(LeafEnumKind, Def, 0, 0,
-                  [&] { return Constraint::enumKind(Def); });
+                  [&] { return Constraint::enumKind(S.Store, Def); });
     }
     // Cross-sigil fallback (lenient).
     if (E.Sigil == '#')
@@ -505,7 +518,7 @@ private:
                          std::string_view Case) {
     if (auto Index = Def->lookupCase(Case))
       return leaf(LeafEnumEq, Def, *Index, 0, [&] {
-        return Constraint::enumEq(EnumVal{Def, *Index});
+        return Constraint::enumEq(S.Store, EnumVal{Def, *Index});
       });
     return error(E.Loc, "'" + std::string(Case) +
                             "' is not a constructor of enum '" +
@@ -530,15 +543,15 @@ private:
       }
 
       // 2. Constraint variables.
-      if (VarNames) {
-        for (unsigned I = 0, N = VarNames->size(); I != N; ++I) {
-          if ((*VarNames)[I] == Name) {
+      if (VarNodes) {
+        for (unsigned I = 0, N = VarNames.size(); I != N; ++I) {
+          if (VarNames[I] == Name) {
             if (E.HasArgs)
               return error(E.Loc,
                            "constraint variables take no arguments");
             ConstraintPtr &Node = (*VarNodes)[I];
             if (!Node)
-              Node = Constraint::var(I, std::string(Name));
+              Node = Constraint::var(S.Store, I, Name);
             return Node;
           }
         }
@@ -546,20 +559,22 @@ private:
 
       // 3. Combinators and builtins.
       if (Name == "AnyOf" || Name == "And") {
-        std::vector<ConstraintPtr> Args;
-        if (!resolveArgs(E, Args))
+        size_t Base = S.ArgStack.size();
+        if (!resolveArgs(E))
           return nullptr;
-        if (Args.empty())
+        ArgPopper Args = popArgs(Base);
+        if (S.ArgStack.size() == Base)
           return error(E.Loc, std::string(Name) +
                                   " requires at least one constraint");
-        return Name == "AnyOf" ? Constraint::anyOf(std::move(Args))
-                               : Constraint::conjunction(std::move(Args));
+        return Name == "AnyOf" ? Constraint::anyOf(S.Store, Args)
+                               : Constraint::conjunction(S.Store, Args);
       }
       if (Name == "Not") {
         if (E.Args.size() != 1)
           return error(E.Loc, "Not takes exactly one constraint");
         ConstraintPtr Inner = resolveChild(*E.Args[0]);
-        return Inner ? Constraint::negation(std::move(Inner)) : nullptr;
+        return Inner ? Constraint::negation(S.Store, std::move(Inner))
+                     : nullptr;
       }
       if (Name == "Variadic" || Name == "Optional")
         return error(E.Loc, std::string(Name) +
@@ -568,41 +583,42 @@ private:
                                 "definitions");
       if (Name == "array") {
         if (!E.HasArgs)
-          return Constraint::anyArray();
+          return Constraint::anyArray(S.Store);
         if (E.Args.size() != 1)
           return error(E.Loc, "array takes at most one element constraint");
         ConstraintPtr Elem = resolveChild(*E.Args[0]);
-        return Elem ? Constraint::arrayOf(std::move(Elem)) : nullptr;
+        return Elem ? Constraint::arrayOf(S.Store, std::move(Elem)) : nullptr;
       }
       if (Name == "AnyType")
         return leaf(LeafAnyType, nullptr, 0, 0,
-                    [] { return Constraint::anyType(); });
+                    [&] { return Constraint::anyType(S.Store); });
       if (Name == "AnyAttr")
         return leaf(LeafAnyAttr, nullptr, 0, 0,
-                    [] { return Constraint::anyAttr(); });
+                    [&] { return Constraint::anyAttr(S.Store); });
       if (Name == "AnyParam")
         return leaf(LeafAnyParam, nullptr, 0, 0,
-                    [] { return Constraint::anyParam(); });
+                    [&] { return Constraint::anyParam(S.Store); });
       if (auto IK = matchIntKindName(Name))
         return leaf(LeafIntKind, nullptr, IK->first,
                     static_cast<unsigned>(IK->second), [&] {
-                      return Constraint::intKind(IK->first, IK->second);
+                      return Constraint::intKind(S.Store, IK->first,
+                                                 IK->second);
                     });
       if (auto FK = matchFloatKindName(Name))
         return leaf(LeafFloatKind, nullptr, *FK, 0,
-                    [&] { return Constraint::floatKind(*FK); });
+                    [&] { return Constraint::floatKind(S.Store, *FK); });
       if (Name == "string")
         return leaf(LeafStringKind, nullptr, 0, 0,
-                    [] { return Constraint::stringKind(); });
+                    [&] { return Constraint::stringKind(S.Store); });
       if (Name == "location" || Name == "type_id")
-        return Constraint::opaqueKind(std::string(Name));
+        return Constraint::opaqueKind(S.Store, Name);
       // Builtin attribute sugar: #f32_attr / #f64_attr (Listing 5).
       if (Name == "f32_attr" || Name == "f64_attr") {
         unsigned Width = Name == "f32_attr" ? 32 : 64;
         return leaf(LeafFloatAttrSugar, nullptr, Width, 0, [&] {
-          return Constraint::attrConstraint(Ctx.getFloatAttrDef(),
-                                            {Constraint::floatKind(Width)},
-                                            /*BaseOnly=*/false);
+          return Constraint::attrConstraint(
+              S.Store, Ctx.getFloatAttrDef(),
+              {Constraint::floatKind(S.Store, Width)}, /*BaseOnly=*/false);
         });
       }
       if (!E.HasArgs)
@@ -684,42 +700,74 @@ const ConstraintExpr *unwrapVariadic(const ConstraintExpr &E,
 
 } // namespace
 
+/// Copies of \p Names in \p Spec's storage.
+static std::span<const std::string_view>
+copyNames(DialectSpec &Spec, std::span<const std::string_view> Names) {
+  std::span<std::string_view> Copy =
+      Spec.allocate<std::string_view>(Names.size());
+  for (size_t I = 0; I != Names.size(); ++I)
+    Copy[I] = Spec.copy(Names[I]);
+  return Copy;
+}
+
+/// The parsed IRDL-C++ expression of \p Source, kept alive by \p Spec's
+/// storage; null (with a diagnostic) if it does not parse.
+static const CppExpr *parseCpp(DialectSpec &Spec, std::string_view Source,
+                               DiagnosticEngine &Diags, SMLoc Loc) {
+  std::shared_ptr<const CppExpr> Expr = CppExpr::parse(Source, Diags, Loc);
+  if (!Expr)
+    return nullptr;
+  return Spec.getStorage()
+      .create<std::shared_ptr<const CppExpr>>(std::move(Expr))
+      ->get();
+}
+
 LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
                                    DialectSpec &Spec) {
   DialectTables &T = Tables.find(Decl.Name)->second;
-  Spec.Name = std::string(Decl.Name);
+  Spec.Name = Spec.copy(Decl.Name);
   Spec.D = T.D;
+  // Every tree of this spec lives in its storage, so nothing resolved
+  // for an earlier dialect of the load is shared with it.
+  Store = Spec.shareStorage();
+  Leaves.clear();
+  for (auto &[Name, Other] : Tables)
+    Other.ResolvedConstraints.clear();
 
   // Enums were registered in pass 1; mirror them in the spec.
-  Spec.Enums.reserve(Decl.Enums.size());
-  for (const EnumDecl &E : Decl.Enums) {
-    EnumSpec &ES = Spec.Enums.emplace_back();
-    ES.Name = std::string(E.Name);
-    ES.Cases.assign(E.Cases.begin(), E.Cases.end());
+  Spec.Enums = Spec.allocate<EnumSpec>(Decl.Enums.size());
+  for (size_t I = 0; I != Decl.Enums.size(); ++I) {
+    const EnumDecl &E = Decl.Enums[I];
+    EnumSpec &ES = Spec.Enums[I];
+    ES.Name = Spec.copy(E.Name);
+    ES.Cases = copyNames(Spec, E.Cases);
     ES.Def = T.D->lookupEnum(E.Name);
   }
 
   // Opaque parameter kinds.
-  Spec.ParamTypes.reserve(Decl.ParamTypes.size());
-  for (const TypeOrAttrParamDecl &P : Decl.ParamTypes) {
-    ParamTypeSpec &PS = Spec.ParamTypes.emplace_back();
-    PS.Name = std::string(P.Name);
-    PS.Summary = std::string(P.Summary);
-    PS.CppClassName = std::string(P.CppClassName);
-    PS.CppParserSrc = std::string(P.CppParser);
-    PS.CppPrinterSrc = std::string(P.CppPrinter);
+  Spec.ParamTypes = Spec.allocate<ParamTypeSpec>(Decl.ParamTypes.size());
+  for (size_t I = 0; I != Decl.ParamTypes.size(); ++I) {
+    const TypeOrAttrParamDecl &P = Decl.ParamTypes[I];
+    ParamTypeSpec &PS = Spec.ParamTypes[I];
+    PS.Name = Spec.copy(P.Name);
+    PS.Summary = Spec.copy(P.Summary);
+    PS.CppClassName = Spec.copy(P.CppClassName);
+    PS.CppParserSrc = Spec.copy(P.CppParser);
+    PS.CppPrinterSrc = Spec.copy(P.CppPrinter);
   }
 
   // Named constraints (also forces resolution/caching).
-  Spec.Constraints.reserve(Decl.Constraints.size());
-  for (const ast::ConstraintDecl &C : Decl.Constraints) {
+  Spec.Constraints =
+      Spec.allocate<NamedConstraintSpec>(Decl.Constraints.size());
+  for (size_t I = 0; I != Decl.Constraints.size(); ++I) {
+    const ast::ConstraintDecl &C = Decl.Constraints[I];
     ConstraintResolver R(*this, T);
     ConstraintPtr Resolved = R.resolve(*C.Base);
     if (!Resolved)
       return failure();
-    NamedConstraintSpec NS;
-    NS.Name = std::string(C.Name);
-    NS.Summary = std::string(C.Summary);
+    NamedConstraintSpec &NS = Spec.Constraints[I];
+    NS.Name = Spec.copy(C.Name);
+    NS.Summary = Spec.copy(C.Summary);
     NS.HasCpp = C.HasCppConstraint;
     // Resolve through the cache path so Cpp predicates attach.
     std::string_view RefPath[] = {C.Name};
@@ -727,49 +775,54 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
     Ref.K = ConstraintExpr::Kind::Ref;
     Ref.Loc = C.Loc;
     Ref.Path = RefPath;
-    NS.Constr = ConstraintResolver(*this, T).resolve(Ref);
-    if (!NS.Constr)
+    ConstraintPtr Named = ConstraintResolver(*this, T).resolve(Ref);
+    if (!Named)
       return failure();
-    Spec.Constraints.push_back(std::move(NS));
+    NS.Constr = Named.get();
   }
 
   // Aliases (non-parametric ones resolve for documentation).
-  Spec.Aliases.reserve(Decl.Aliases.size());
-  for (const AliasDecl &A : Decl.Aliases) {
-    AliasSpec AS;
+  Spec.Aliases = Spec.allocate<AliasSpec>(Decl.Aliases.size());
+  for (size_t I = 0; I != Decl.Aliases.size(); ++I) {
+    const AliasDecl &A = Decl.Aliases[I];
+    AliasSpec &AS = Spec.Aliases[I];
     AS.Sigil = A.Sigil;
-    AS.Name = std::string(A.Name);
-    AS.Params.assign(A.Params.begin(), A.Params.end());
+    AS.Name = Spec.copy(A.Name);
+    AS.Params = copyNames(Spec, A.Params);
     if (A.Params.empty()) {
       ConstraintResolver R(*this, T);
-      AS.Body = R.resolve(*A.Body);
-      if (!AS.Body)
+      ConstraintPtr Body = R.resolve(*A.Body);
+      if (!Body)
         return failure();
+      AS.Body = Body.get();
     }
-    Spec.Aliases.push_back(std::move(AS));
   }
 
   // Types and attributes.
   size_t NumAttrs = std::count_if(
       Decl.TypesAndAttrs.begin(), Decl.TypesAndAttrs.end(),
       [](const TypeOrAttrDecl &TA) { return TA.IsAttr; });
-  Spec.Attrs.reserve(NumAttrs);
-  Spec.Types.reserve(Decl.TypesAndAttrs.size() - NumAttrs);
+  Spec.Attrs = Spec.allocate<TypeOrAttrSpec>(NumAttrs);
+  Spec.Types =
+      Spec.allocate<TypeOrAttrSpec>(Decl.TypesAndAttrs.size() - NumAttrs);
+  size_t NextType = 0, NextAttr = 0;
   for (const TypeOrAttrDecl &TA : Decl.TypesAndAttrs) {
-    TypeOrAttrSpec TS;
+    TypeOrAttrSpec &TS =
+        TA.IsAttr ? Spec.Attrs[NextAttr++] : Spec.Types[NextType++];
     TS.IsAttr = TA.IsAttr;
-    TS.Name = std::string(TA.Name);
-    TS.Summary = std::string(TA.Summary);
-    TS.Params.reserve(TA.Params.size());
-    for (const NamedConstraint &P : TA.Params) {
+    TS.Name = Spec.copy(TA.Name);
+    TS.Summary = Spec.copy(TA.Summary);
+    TS.Params = Spec.allocate<ParamSpec>(TA.Params.size());
+    for (size_t I = 0; I != TA.Params.size(); ++I) {
+      const NamedConstraint &P = TA.Params[I];
       ConstraintResolver R(*this, T);
       ConstraintPtr C = R.resolve(*P.Constr);
       if (!C)
         return failure();
-      TS.Params.push_back(ParamSpec{std::string(P.Name), std::move(C), {}});
+      TS.Params[I] = ParamSpec{Spec.copy(P.Name), C.get(), nullptr};
     }
     if (TA.HasCppConstraint) {
-      TS.CppConstraintSrc = std::string(TA.CppConstraint);
+      TS.CppConstraintSrc = Spec.copy(TA.CppConstraint);
       if (startsWith(TA.CppConstraint, "native:")) {
         std::string NativeName(TA.CppConstraint.substr(7));
         auto It = Opts.NativeConstraints.find(NativeName);
@@ -778,11 +831,10 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
                                       NativeName + "'");
           return failure();
         }
-        // Represent as an always-available expr via a wrapper: keep the
-        // native fn in the definition verifier (handled at registration
-        // through the spec's CppConstraintSrc prefix).
+        // Registration finds the callback again through the spec's
+        // CppConstraintSrc prefix and keeps it in the definition verifier.
       } else {
-        TS.CppConstraint = CppExpr::parse(TA.CppConstraint, Diags, TA.Loc);
+        TS.CppConstraint = parseCpp(Spec, TA.CppConstraint, Diags, TA.Loc);
         if (!TS.CppConstraint)
           return failure();
       }
@@ -792,33 +844,37 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
                        T.D->lookupAttr(TA.Name))
                  : static_cast<TypeOrAttrDefinitionBase *>(
                        T.D->lookupType(TA.Name));
-    (TA.IsAttr ? Spec.Attrs : Spec.Types).push_back(std::move(TS));
   }
 
   // Operations.
-  Spec.Ops.reserve(Decl.Ops.size());
-  for (const OpDecl &Op : Decl.Ops) {
-    OpSpec &OS = Spec.Ops.emplace_back();
-    OS.Name = std::string(Op.Name);
-    OS.Summary = std::string(Op.Summary);
+  Spec.Ops = Spec.allocate<OpSpec>(Decl.Ops.size());
+  for (size_t OpI = 0; OpI != Decl.Ops.size(); ++OpI) {
+    const OpDecl &Op = Decl.Ops[OpI];
+    OpSpec &OS = Spec.Ops[OpI];
+    OS.Name = Spec.copy(Op.Name);
+    OS.Summary = Spec.copy(Op.Summary);
     OS.Def = T.D->lookupOp(Op.Name);
 
-    OS.VarNames.reserve(Op.ConstraintVars.size());
-    for (const NamedConstraint &V : Op.ConstraintVars)
-      OS.VarNames.emplace_back(V.Name);
+    std::span<std::string_view> VarNames =
+        Spec.allocate<std::string_view>(Op.ConstraintVars.size());
+    for (size_t I = 0; I != VarNames.size(); ++I)
+      VarNames[I] = Spec.copy(Op.ConstraintVars[I].Name);
+    OS.VarNames = VarNames;
 
     ConstraintResolver OpResolver(*this, T);
     OpVarNodes.assign(OS.VarNames.size(), nullptr);
-    OpResolver.VarNames = &OS.VarNames;
+    OpResolver.VarNames = OS.VarNames;
     OpResolver.VarNodes = &OpVarNodes;
 
-    OS.VarConstraints.reserve(Op.ConstraintVars.size());
-    for (const NamedConstraint &V : Op.ConstraintVars) {
-      ConstraintPtr C = OpResolver.resolve(*V.Constr);
+    std::span<const Constraint *> VarConstraints =
+        Spec.allocate<const Constraint *>(Op.ConstraintVars.size());
+    for (size_t I = 0; I != VarConstraints.size(); ++I) {
+      ConstraintPtr C = OpResolver.resolve(*Op.ConstraintVars[I].Constr);
       if (!C)
         return failure();
-      OS.VarConstraints.push_back(std::move(C));
+      VarConstraints[I] = C.get();
     }
+    OS.VarConstraints = VarConstraints;
     if (auto V = findUnguardedVarCycle(OS.VarConstraints)) {
       Diags.emitError(Op.ConstraintVars[*V].Loc, OS.varCycleMessage(*V));
       return failure();
@@ -826,9 +882,10 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
 
     auto ResolveOperandList =
         [&](NamedConstraintList Decls,
-            std::vector<OperandSpec> &Out) -> LogicalResult {
-      Out.reserve(Decls.size());
-      for (const NamedConstraint &NC : Decls) {
+            std::span<OperandSpec> &Out) -> LogicalResult {
+      Out = Spec.allocate<OperandSpec>(Decls.size());
+      for (size_t I = 0; I != Decls.size(); ++I) {
+        const NamedConstraint &NC = Decls[I];
         VariadicKind VK;
         const ConstraintExpr *Inner = unwrapVariadic(*NC.Constr, VK);
         if (!Inner) {
@@ -839,7 +896,7 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
         ConstraintPtr C = OpResolver.resolve(*Inner);
         if (!C)
           return failure();
-        Out.push_back(OperandSpec{std::string(NC.Name), std::move(C), VK, {}});
+        Out[I] = OperandSpec{Spec.copy(NC.Name), C.get(), VK, nullptr};
       }
       return success();
     };
@@ -848,18 +905,20 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
         failed(ResolveOperandList(Op.Results, OS.Results)))
       return failure();
 
-    OS.Attributes.reserve(Op.Attributes.size());
-    for (const NamedConstraint &A : Op.Attributes) {
+    OS.Attributes = Spec.allocate<ParamSpec>(Op.Attributes.size());
+    for (size_t I = 0; I != Op.Attributes.size(); ++I) {
+      const NamedConstraint &A = Op.Attributes[I];
       ConstraintPtr C = OpResolver.resolve(*A.Constr);
       if (!C)
         return failure();
-      OS.Attributes.push_back(ParamSpec{std::string(A.Name), std::move(C), {}});
+      OS.Attributes[I] = ParamSpec{Spec.copy(A.Name), C.get(), nullptr};
     }
 
-    OS.Regions.reserve(Op.Regions.size());
-    for (const RegionDecl &R : Op.Regions) {
-      RegionSpec &RS = OS.Regions.emplace_back();
-      RS.Name = std::string(R.Name);
+    OS.Regions = Spec.allocate<RegionSpec>(Op.Regions.size());
+    for (size_t I = 0; I != Op.Regions.size(); ++I) {
+      const RegionDecl &R = Op.Regions[I];
+      RegionSpec &RS = OS.Regions[I];
+      RS.Name = Spec.copy(R.Name);
       if (failed(ResolveOperandList(R.Args, RS.Args)))
         return failure();
       if (!R.Terminator.empty()) {
@@ -870,29 +929,31 @@ LogicalResult Sema::resolveDialect(const DialectDecl &Decl,
                                      TermName + "'");
           return failure();
         }
-        RS.TerminatorOpName = TermDef->getFullName();
+        RS.TerminatorOpName = Spec.copy(TermDef->getFullName());
       }
     }
 
     if (Op.Successors)
-      OS.Successors.emplace(Op.Successors->begin(), Op.Successors->end());
+      OS.Successors = copyNames(Spec, *Op.Successors);
 
     if (Op.HasFormat) {
       OS.HasFormat = true;
-      OS.FormatSrc = std::string(Op.Format);
+      OS.FormatSrc = Spec.copy(Op.Format);
     }
 
     if (Op.HasCppConstraint) {
-      OS.CppConstraintSrc = std::string(Op.CppConstraint);
+      OS.CppConstraintSrc = Spec.copy(Op.CppConstraint);
       if (startsWith(Op.CppConstraint, "native:")) {
-        OS.NativeVerifierName = std::string(Op.CppConstraint.substr(7));
-        if (!Opts.NativeOpVerifiers.count(OS.NativeVerifierName)) {
+        OS.NativeVerifierName = OS.CppConstraintSrc.substr(7);
+        if (!Opts.NativeOpVerifiers.count(
+                std::string(OS.NativeVerifierName))) {
           Diags.emitError(Op.Loc, "no native op verifier registered under '" +
-                                      OS.NativeVerifierName + "'");
+                                      std::string(OS.NativeVerifierName) +
+                                      "'");
           return failure();
         }
       } else {
-        OS.CppConstraint = CppExpr::parse(Op.CppConstraint, Diags, Op.Loc);
+        OS.CppConstraint = parseCpp(Spec, Op.CppConstraint, Diags, Op.Loc);
         if (!OS.CppConstraint)
           return failure();
       }

@@ -30,7 +30,8 @@ public:
   /// Also indexes aliases / constraints / param kinds.
   LogicalResult declareDialect(const ast::DialectDecl &Decl);
 
-  /// Pass 2: resolves every declaration of \p Decl into \p Spec.
+  /// Pass 2: resolves every declaration of \p Decl into \p Spec (held by
+  /// a shared_ptr), building its trees in the spec's storage.
   LogicalResult resolveDialect(const ast::DialectDecl &Decl,
                                DialectSpec &Spec);
 
@@ -67,10 +68,17 @@ private:
   DiagnosticEngine &Diags;
   const IRDLLoadOptions &Opts;
   std::map<std::string_view, DialectTables> Tables;
-  /// Constraint trees are immutable, so each leaf is built once per load.
+  /// The storage of the spec being resolved, which every tree is built in.
+  SpecStoragePtr Store;
+  /// Constraint trees are immutable, so each leaf is built once per spec.
   std::map<LeafKey, ConstraintPtr> Leaves;
   /// The variable reference nodes of the operation being resolved.
   std::vector<ConstraintPtr> OpVarNodes;
+  /// The resolved arguments of the combinators being built, innermost
+  /// last (ConstraintResolver::resolveArgs).
+  std::vector<ConstraintPtr> ArgStack;
+  /// Parameter names of the definition being declared.
+  std::vector<std::string_view> NameScratch;
 };
 
 } // namespace irdl

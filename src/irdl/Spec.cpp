@@ -4,12 +4,12 @@
 
 using namespace irdl;
 
-bool TypeOrAttrSpec::usesOpaqueParam(const ConstraintPtr &C) {
+bool TypeOrAttrSpec::usesOpaqueParam(const Constraint &C) {
   // Locations and type ids are IRDL builtins (Figure 8), not IRDL-C++.
-  if (C->getKind() == Constraint::Kind::OpaqueKind)
-    return C->getString() != "location" && C->getString() != "type_id";
-  for (const ConstraintPtr &Child : C->getChildren())
-    if (usesOpaqueParam(Child))
+  if (C.getKind() == Constraint::Kind::OpaqueKind)
+    return C.getString() != "location" && C.getString() != "type_id";
+  for (const Constraint *Child : C.getChildren())
+    if (usesOpaqueParam(*Child))
       return true;
   return false;
 }
@@ -28,7 +28,7 @@ bool OpSpec::localConstraintsInIRDL() const {
     for (const OperandSpec &A : R.Args)
       if (A.Constr->requiresCpp())
         return false;
-  for (const ConstraintPtr &V : VarConstraints)
+  for (const Constraint *V : VarConstraints)
     if (V->requiresCpp())
       return false;
   return true;
@@ -57,8 +57,9 @@ std::optional<unsigned> OpSpec::lookupVar(std::string_view N) const {
 
 std::string OpSpec::varCycleMessage(unsigned V) const {
   return "constraint variable '" +
-         (V < VarNames.size() ? VarNames[V] : std::to_string(V)) +
-         "' of operation '" + Name +
+         (V < VarNames.size() ? std::string(VarNames[V])
+                              : std::to_string(V)) +
+         "' of operation '" + std::string(Name) +
          "' refers to itself outside any type, attribute or array "
          "parameter";
 }

@@ -15,30 +15,37 @@
 #include "irdl/Constraint.h"
 #include "irdl/CppExpr.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace irdl {
 
+struct CompiledFormat;
+
 /// A named, constrained slot (type/attr parameter or op attribute).
 struct ParamSpec {
-  std::string Name;
-  ConstraintPtr Constr;
+  std::string_view Name;
+  const Constraint *Constr = nullptr;
   /// Compiled form of Constr (set by registration; null until then).
-  ConstraintProgramPtr Prog;
+  const ConstraintProgram *Prog = nullptr;
 };
 
 /// Resolved type or attribute definition.
 struct TypeOrAttrSpec {
   bool IsAttr = false;
-  std::string Name;
-  std::string Summary;
-  std::vector<ParamSpec> Params;
+  std::string_view Name;
+  std::string_view Summary;
+  std::span<ParamSpec> Params;
   /// Interpreted IRDL-C++ verifier over the whole type/attr; null if none.
-  std::shared_ptr<const CppExpr> CppConstraint;
-  std::string CppConstraintSrc;
+  const CppExpr *CppConstraint = nullptr;
+  std::string_view CppConstraintSrc;
+  /// The host callback a `native:<name>` CppConstraint names (set by
+  /// registration; null otherwise).
+  const NativeConstraintFn *NativeVerifier = nullptr;
   /// The runtime definition created for it (set by registration).
   TypeOrAttrDefinitionBase *Def = nullptr;
 
@@ -48,11 +55,11 @@ struct TypeOrAttrSpec {
   bool requiresCppVerifier() const { return CppConstraint != nullptr; }
   bool requiresCppParams() const {
     for (const ParamSpec &P : Params)
-      if (P.Constr->requiresCpp() || usesOpaqueParam(P.Constr))
+      if (P.Constr->requiresCpp() || usesOpaqueParam(*P.Constr))
         return true;
     return false;
   }
-  static bool usesOpaqueParam(const ConstraintPtr &C);
+  static bool usesOpaqueParam(const Constraint &C);
 };
 
 /// Variadicity of an operand/result/region-argument definition
@@ -60,45 +67,60 @@ struct TypeOrAttrSpec {
 enum class VariadicKind { Single, Optional, Variadic };
 
 struct OperandSpec {
-  std::string Name;
-  ConstraintPtr Constr;
+  std::string_view Name;
+  const Constraint *Constr = nullptr;
   VariadicKind VK = VariadicKind::Single;
   /// Compiled form of Constr (set by registration; null until then).
-  ConstraintProgramPtr Prog;
+  const ConstraintProgram *Prog = nullptr;
 };
 
 struct RegionSpec {
-  std::string Name;
-  std::vector<OperandSpec> Args;
+  std::string_view Name;
+  std::span<OperandSpec> Args;
   /// Full name ("cmath.range_loop_terminator") of the required terminator;
   /// empty when unconstrained. A non-empty terminator also requires the
   /// region to consist of a single block.
-  std::string TerminatorOpName;
+  std::string_view TerminatorOpName;
+  /// No argument is Variadic or Optional (set by registration).
+  bool ArgsSingle = false;
 };
 
-/// Resolved operation definition.
+/// The host callback a `native:<name>` op CppConstraint names.
+using NativeOpVerifierFn =
+    std::function<LogicalResult(Operation *, DiagnosticEngine &)>;
+
+/// Resolved operation definition. Everything it refers to lives in the
+/// storage of its DialectSpec.
 struct OpSpec {
-  std::string Name;
-  std::string Summary;
+  std::string_view Name;
+  std::string_view Summary;
   /// Constraint variables: name + the constraint each binding must satisfy.
-  std::vector<std::string> VarNames;
-  std::vector<ConstraintPtr> VarConstraints;
+  std::span<const std::string_view> VarNames;
+  std::span<const Constraint *const> VarConstraints;
   /// Compiled programs for VarConstraints, one per variable (set by
   /// registration). The op's MatchContexts carry them, so a Var opcode
   /// in any program of this op runs the variable's program.
-  std::vector<ConstraintProgramPtr> VarPrograms;
-  std::vector<OperandSpec> Operands;
-  std::vector<OperandSpec> Results;
-  std::vector<ParamSpec> Attributes;
-  std::vector<RegionSpec> Regions;
-  std::optional<std::vector<std::string>> Successors;
-  std::string FormatSrc;
+  std::span<const ConstraintProgram *const> VarPrograms;
+  std::span<OperandSpec> Operands;
+  std::span<OperandSpec> Results;
+  std::span<ParamSpec> Attributes;
+  std::span<RegionSpec> Regions;
+  std::optional<std::span<const std::string_view>> Successors;
+  std::string_view FormatSrc;
   bool HasFormat = false;
+  /// No operand (result) is Variadic or Optional (set by registration).
+  bool OperandsSingle = false;
+  bool ResultsSingle = false;
   /// Interpreted IRDL-C++ op verifier; null if none.
-  std::shared_ptr<const CppExpr> CppConstraint;
-  std::string CppConstraintSrc;
-  /// Native op verifier name referenced via `CppConstraint "native:<n>"`.
-  std::string NativeVerifierName;
+  const CppExpr *CppConstraint = nullptr;
+  std::string_view CppConstraintSrc;
+  /// Native op verifier name referenced via `CppConstraint "native:<n>"`,
+  /// and its callback (set by registration).
+  std::string_view NativeVerifierName;
+  const NativeOpVerifierFn *NativeVerifier = nullptr;
+  /// The declarative format compiled for the parse/print hooks (set by
+  /// registration when HasFormat).
+  const CompiledFormat *Format = nullptr;
   OpDefinition *Def = nullptr;
 
   bool isTerminator() const { return Successors.has_value(); }
@@ -123,52 +145,81 @@ struct OpSpec {
 };
 
 struct EnumSpec {
-  std::string Name;
-  std::vector<std::string> Cases;
+  std::string_view Name;
+  std::span<const std::string_view> Cases;
   EnumDef *Def = nullptr;
 };
 
 /// IRDL-C++ TypeOrAttrParam: an opaque parameter kind.
 struct ParamTypeSpec {
-  std::string Name;
-  std::string Summary;
-  std::string CppClassName;
-  std::string CppParserSrc;
-  std::string CppPrinterSrc;
+  std::string_view Name;
+  std::string_view Summary;
+  std::string_view CppClassName;
+  std::string_view CppParserSrc;
+  std::string_view CppPrinterSrc;
 };
 
 /// A named reusable constraint (IRDL-C++ Constraint directive).
 struct NamedConstraintSpec {
-  std::string Name;
-  std::string Summary;
-  ConstraintPtr Constr;
+  std::string_view Name;
+  std::string_view Summary;
+  const Constraint *Constr = nullptr;
   bool HasCpp = false;
 };
 
 /// An alias, kept for documentation/analysis (uses are expanded inline).
 struct AliasSpec {
   char Sigil = 0;
-  std::string Name;
-  std::vector<std::string> Params;
+  std::string_view Name;
+  std::span<const std::string_view> Params;
   /// Resolved body for non-parametric aliases only.
-  ConstraintPtr Body;
+  const Constraint *Body = nullptr;
 };
 
-/// A fully resolved dialect.
-struct DialectSpec {
-  std::string Name;
-  std::vector<TypeOrAttrSpec> Types;
-  std::vector<TypeOrAttrSpec> Attrs;
-  std::vector<OpSpec> Ops;
-  std::vector<EnumSpec> Enums;
-  std::vector<ParamTypeSpec> ParamTypes;
-  std::vector<NamedConstraintSpec> Constraints;
-  std::vector<AliasSpec> Aliases;
+/// A fully resolved dialect. It owns the bump storage that everything it
+/// refers to lives in: the strings and lists of its specs, its constraint
+/// trees and their compiled programs, and its compiled formats. A
+/// DialectSpec is always held by a shared_ptr (std::make_shared), and a
+/// handle to one of its trees or programs is an aliasing shared_ptr of
+/// it, so any handle keeps the whole spec alive. The spec holds no
+/// handle to itself.
+struct DialectSpec : std::enable_shared_from_this<DialectSpec> {
+  std::string_view Name;
+  std::span<TypeOrAttrSpec> Types;
+  std::span<TypeOrAttrSpec> Attrs;
+  std::span<OpSpec> Ops;
+  std::span<EnumSpec> Enums;
+  std::span<ParamTypeSpec> ParamTypes;
+  std::span<NamedConstraintSpec> Constraints;
+  std::span<AliasSpec> Aliases;
   Dialect *D = nullptr;
+
+  /// The storage, as the owner handle the Constraint factories take: an
+  /// aliasing shared_ptr of this spec.
+  SpecStoragePtr shareStorage() {
+    return SpecStoragePtr(shared_from_this(), &Storage);
+  }
+  BumpStorage &getStorage() { return Storage; }
+
+  /// A copy of \p S in the storage.
+  std::string_view copy(std::string_view S) { return Storage.copyString(S); }
+  /// \p N value-initialized elements in the storage.
+  template <typename T> std::span<T> allocate(size_t N) {
+    static_assert(std::is_trivially_destructible_v<T>);
+    if (N == 0)
+      return {};
+    T *P = static_cast<T *>(Storage.allocate(N * sizeof(T), alignof(T)));
+    for (size_t I = 0; I != N; ++I)
+      new (P + I) T();
+    return {P, N};
+  }
 
   const OpSpec *lookupOp(std::string_view OpName) const;
   const TypeOrAttrSpec *lookupType(std::string_view TypeName) const;
   const TypeOrAttrSpec *lookupAttr(std::string_view AttrName) const;
+
+private:
+  BumpStorage Storage;
 };
 
 } // namespace irdl

@@ -19,7 +19,7 @@ using namespace irdl;
 namespace {
 
 void printNamedList(std::ostringstream &OS, std::string_view Directive,
-                    const std::vector<ParamSpec> &Items,
+                    std::span<const ParamSpec> Items,
                     std::string_view Indent) {
   if (Items.empty())
     return;
@@ -33,7 +33,7 @@ void printNamedList(std::ostringstream &OS, std::string_view Directive,
 }
 
 void printOperandList(std::ostringstream &OS, std::string_view Directive,
-                      const std::vector<OperandSpec> &Items,
+                      std::span<const OperandSpec> Items,
                       std::string_view Indent = "  ") {
   if (Items.empty())
     return;
@@ -57,13 +57,13 @@ void printOperandList(std::ostringstream &OS, std::string_view Directive,
   OS << ")\n";
 }
 
-void printSummary(std::ostringstream &OS, const std::string &Summary,
+void printSummary(std::ostringstream &OS, std::string_view Summary,
                   std::string_view Indent = "  ") {
   if (!Summary.empty())
     OS << Indent << "Summary \"" << escapeString(Summary) << "\"\n";
 }
 
-void printCpp(std::ostringstream &OS, const std::string &Src,
+void printCpp(std::ostringstream &OS, std::string_view Src,
               std::string_view Indent = "  ") {
   if (!Src.empty())
     OS << Indent << "CppConstraint \"" << escapeString(Src) << "\"\n";
@@ -100,14 +100,14 @@ std::string irdl::printDialectSpec(const DialectSpec &Spec) {
   for (const NamedConstraintSpec &C : Spec.Constraints) {
     // Named constraints resolve to their base + predicate; print the base
     // and the original Cpp source when available.
-    const Constraint *Body = C.Constr.get();
+    const Constraint *Body = C.Constr;
     if (Body->getKind() == Constraint::Kind::Named)
-      Body = Body->getChildren()[0].get();
+      Body = Body->getChildren()[0];
     std::string CppSrc;
     bool IsNative = Body->getKind() == Constraint::Kind::Native;
     if (Body->getKind() == Constraint::Kind::Cpp || IsNative) {
       CppSrc = Body->getString();
-      Body = Body->getChildren()[0].get();
+      Body = Body->getChildren()[0];
     }
     OS << "  Constraint " << C.Name << " : " << Body->str() << " {\n";
     printSummary(OS, C.Summary, "    ");

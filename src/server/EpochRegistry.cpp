@@ -68,7 +68,7 @@ LogicalResult EpochRegistry::loadInto(IRContext &Ctx, Epoch &E,
     }
   }
   for (const auto &D : Loaded->getDialects())
-    DialectNames.push_back(D->Name);
+    DialectNames.emplace_back(D->Name);
   E.Modules.push_back(std::move(Loaded));
   return success();
 }

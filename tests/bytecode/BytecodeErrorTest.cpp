@@ -554,7 +554,8 @@ TEST(BytecodeError, UnknownDefinitionInPool) {
 /// become \p Trees. Built in memory: the frontend rejects these cycles,
 /// so only a hostile or hand-made file carries them.
 std::string cyclicSpecBytes(
-    const std::function<std::vector<ConstraintPtr>(IRContext &)> &Trees) {
+    const std::function<std::vector<ConstraintPtr>(
+        IRContext &, const SpecStoragePtr &)> &Trees) {
   IRContext Ctx;
   SourceMgr SrcMgr;
   DiagnosticEngine Diags(&SrcMgr);
@@ -568,8 +569,13 @@ std::string cyclicSpecBytes(
   )",
                     SrcMgr, Diags);
   EXPECT_NE(M, nullptr) << Diags.renderAll();
-  OpSpec &Op = M->getDialects()[0]->Ops[0];
-  Op.VarConstraints = Trees(Ctx);
+  DialectSpec &Spec = *M->getDialects()[0];
+  std::vector<ConstraintPtr> Vars = Trees(Ctx, Spec.shareStorage());
+  std::span<const Constraint *> Slots =
+      Spec.allocate<const Constraint *>(Vars.size());
+  for (size_t I = 0; I != Vars.size(); ++I)
+    Slots[I] = Vars[I].get();
+  Spec.Ops[0].VarConstraints = Slots;
   BytecodeWriter Writer;
   Writer.addModuleSpecs(*M);
   return Writer.write();
@@ -577,22 +583,23 @@ std::string cyclicSpecBytes(
 
 TEST(BytecodeError, CyclicConstraintVariablesAreRejected) {
   using Vars = std::vector<ConstraintPtr>;
-  std::function<Vars(IRContext &)> Benign = [](IRContext &) {
-    return Vars{Constraint::anyType(), Constraint::anyType()};
+  using MakeVars = std::function<Vars(IRContext &, const SpecStoragePtr &)>;
+  MakeVars Benign = [](IRContext &, const SpecStoragePtr &S) {
+    return Vars{Constraint::anyType(S), Constraint::anyType(S)};
   };
   // (!T: !T), (!T: !U, !U: !T), (!T: !AnyOf<!T, !f32>)
-  std::vector<std::function<Vars(IRContext &)>> Cyclic = {
-      [](IRContext &) {
-        return Vars{Constraint::var(0, "T"), Constraint::anyType()};
+  std::vector<MakeVars> Cyclic = {
+      [](IRContext &, const SpecStoragePtr &S) {
+        return Vars{Constraint::var(S, 0, "T"), Constraint::anyType(S)};
       },
-      [](IRContext &) {
-        return Vars{Constraint::var(1, "U"), Constraint::var(0, "T")};
+      [](IRContext &, const SpecStoragePtr &S) {
+        return Vars{Constraint::var(S, 1, "U"), Constraint::var(S, 0, "T")};
       },
-      [](IRContext &Ctx) {
-        return Vars{Constraint::anyOf({Constraint::var(0, "T"),
-                                       Constraint::typeEq(
-                                           Ctx.getFloatType(32))}),
-                    Constraint::anyType()};
+      [](IRContext &Ctx, const SpecStoragePtr &S) {
+        return Vars{
+            Constraint::anyOf(S, {Constraint::var(S, 0, "T"),
+                                  Constraint::typeEq(S, Ctx.getFloatType(32))}),
+            Constraint::anyType(S)};
       }};
   for (size_t I = 0; I != Cyclic.size(); ++I) {
     // The file carries trees only; the reader rejects the cycle before

@@ -57,11 +57,11 @@ public:
 
 private:
   size_t checkOp(Operation *Op, const OpSpec &S, const std::string &Label) {
-    MatchContext TreeMC(&S.VarConstraints);
-    MatchContext ProgMC(&S.VarPrograms);
+    MatchContext TreeMC(S.VarConstraints);
+    MatchContext ProgMC(S.VarPrograms);
     size_t Slots = 0;
-    auto Compare = [&](const ConstraintPtr &Constr,
-                       const ConstraintProgramPtr &Prog,
+    auto Compare = [&](const Constraint *Constr,
+                       const ConstraintProgram *Prog,
                        const ParamValue &V, const std::string &Slot) {
       ++Slots;
       std::string Where = Label + ": " + Op->getName().str() + " " + Slot;
@@ -79,7 +79,7 @@ private:
         }
       }
     };
-    auto CompareTypes = [&](const std::vector<OperandSpec> &Specs,
+    auto CompareTypes = [&](std::span<const OperandSpec> Specs,
                             unsigned Count, auto TypeAt,
                             std::string_view SegmentAttr,
                             const char *Kind) {
@@ -92,7 +92,8 @@ private:
         for (unsigned J = 0; J != Size; ++J)
           Compare(Specs[I].Constr, Specs[I].Prog,
                   ParamValue(TypeAt(Begin + J)),
-                  std::string(Kind) + " '" + Specs[I].Name + "'");
+                  std::string(Kind) + " '" + std::string(Specs[I].Name) +
+                      "'");
       }
     };
 
@@ -107,7 +108,7 @@ private:
     for (const ParamSpec &A : S.Attributes)
       if (Attribute Attr = Op->getAttr(A.Name))
         Compare(A.Constr, A.Prog, ParamValue(Attr),
-                "attribute '" + A.Name + "'");
+                "attribute '" + std::string(A.Name) + "'");
     if (Op->getNumRegions() == S.Regions.size())
       for (size_t R = 0, E = S.Regions.size(); R != E; ++R) {
         if (S.Regions[R].Args.empty() || Op->getRegion(R).empty())

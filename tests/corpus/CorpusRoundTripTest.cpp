@@ -30,6 +30,12 @@ TEST_P(CorpusRoundTrip, PrintReloadPreservesStatistics) {
   ASSERT_NE(M, nullptr) << Profile.Name << "\n" << Diags.renderAll();
   const DialectSpec *Original = M->lookupDialect(Profile.Name);
   ASSERT_NE(Original, nullptr);
+  auto Shared = [](const IRDLModule &Module, const DialectSpec *D) {
+    for (const std::shared_ptr<DialectSpec> &Spec : Module.getDialects())
+      if (Spec.get() == D)
+        return Spec;
+    return std::shared_ptr<DialectSpec>();
+  };
 
   // Pretty-print and reload into a fresh context.
   std::string Printed = printDialectSpec(*Original);
@@ -45,13 +51,12 @@ TEST_P(CorpusRoundTrip, PrintReloadPreservesStatistics) {
   ASSERT_NE(Reloaded, nullptr);
 
   // Statistics must be identical.
-  auto StatsOf = [](const DialectSpec &D) {
-    std::vector<std::shared_ptr<DialectSpec>> One = {
-        std::make_shared<DialectSpec>(D)};
+  auto StatsOf = [](std::shared_ptr<DialectSpec> D) {
+    std::vector<std::shared_ptr<DialectSpec>> One = {std::move(D)};
     return CorpusStatistics::compute(One);
   };
-  CorpusStatistics A = StatsOf(*Original);
-  CorpusStatistics B = StatsOf(*Reloaded);
+  CorpusStatistics A = StatsOf(Shared(*M, Original));
+  CorpusStatistics B = StatsOf(Shared(*M2, Reloaded));
 
   ASSERT_EQ(A.getDialects().size(), 1u);
   ASSERT_EQ(B.getDialects().size(), 1u);

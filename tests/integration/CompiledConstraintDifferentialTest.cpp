@@ -49,7 +49,7 @@ TEST(CompiledConstraintDifferentialTest, CorpusDialectsAgree) {
   for (const auto &Spec : Corpus.AnalysisDialects) {
     OwningOpRef M = synthesizeModule(Ctx, *Spec);
     ASSERT_TRUE(static_cast<bool>(M)) << Spec->Name;
-    Slots += Oracle.check(M.get(), Spec->Name);
+    Slots += Oracle.check(M.get(), std::string(Spec->Name));
   }
   EXPECT_GT(Slots, 0u);
 }
@@ -70,7 +70,7 @@ TEST(CompiledConstraintDifferentialTest, MutatedCorpusModulesAgree) {
     OwningOpRef M = synthesizeModule(Ctx, *Spec, Opts);
     ASSERT_TRUE(static_cast<bool>(M)) << Spec->Name;
     TotalMutations += mutateDropAttributes(M.get());
-    Oracle.check(M.get(), Spec->Name + " (mutated)");
+    Oracle.check(M.get(), std::string(Spec->Name) + " (mutated)");
   }
   // The corpus profiles carry op attributes; the mutation must have bitten.
   EXPECT_GT(TotalMutations, 0u);
@@ -93,15 +93,15 @@ TEST_P(BundledDialectDifferentialTest, EnginesAgree) {
   for (const auto &Spec : Module->getDialects()) {
     OwningOpRef M = synthesizeModule(Ctx, *Spec);
     ASSERT_TRUE(static_cast<bool>(M)) << Spec->Name;
-    Oracle.check(M.get(), std::string(GetParam()) + "/" + Spec->Name);
+    std::string Label = std::string(GetParam()) + "/" + std::string(Spec->Name);
+    Oracle.check(M.get(), Label);
 
     ModuleSynthOptions Opts;
     Opts.Seed = 13;
     OwningOpRef Mut = synthesizeModule(Ctx, *Spec, Opts);
     ASSERT_TRUE(static_cast<bool>(Mut)) << Spec->Name;
     mutateDropAttributes(Mut.get());
-    Oracle.check(Mut.get(), std::string(GetParam()) + "/" + Spec->Name +
-                                " (mutated)");
+    Oracle.check(Mut.get(), Label + " (mutated)");
   }
 }
 

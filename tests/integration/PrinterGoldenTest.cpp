@@ -97,7 +97,7 @@ TEST(PrinterGoldenTest, BundledDialects) {
     for (const auto &Spec : M->getDialects()) {
       OwningOpRef Module = synthesizeModule(Ctx, *Spec);
       ASSERT_TRUE(Module) << Spec->Name;
-      printBothForms(Printed, Spec->Name, Module.get());
+      printBothForms(Printed, std::string(Spec->Name), Module.get());
     }
   }
   // The example module of irdl_opt, in the same context.
@@ -184,7 +184,7 @@ TEST(PrinterGoldenTest, Corpus) {
   for (const auto &Spec : R.Module->getDialects()) {
     Modules.push_back(synthesizeModule(Ctx, *Spec));
     ASSERT_TRUE(Modules.back()) << Spec->Name;
-    printBothForms(Printed, Spec->Name, Modules.back().get());
+    printBothForms(Printed, std::string(Spec->Name), Modules.back().get());
   }
   // The corpus module: every dialect's top-level ops, in load order, moved
   // into the first module, so value numbering runs across dialects.

@@ -94,7 +94,7 @@ std::vector<Input> makeInputs() {
     for (const auto &Spec : Module->getDialects()) {
       OwningOpRef Synth = synthesizeModule(Ctx, *Spec);
       EXPECT_TRUE(static_cast<bool>(Synth)) << Spec->Name;
-      Inputs.push_back({Spec->Name + ".synth.mlir",
+      Inputs.push_back({std::string(Spec->Name) + ".synth.mlir",
                         printOpToString(Synth.get(), Generic) + "\n"});
       OwningOpRef Mutated = synthesizeModule(Ctx, *Spec, {/*Seed=*/13});
       EXPECT_TRUE(static_cast<bool>(Mutated)) << Spec->Name;
@@ -102,7 +102,7 @@ std::vector<Input> makeInputs() {
         if (!Op->getAttrs().empty())
           Op->removeAttr(Op->getAttrs().begin()->Name);
       });
-      Inputs.push_back({Spec->Name + ".mutated.mlir",
+      Inputs.push_back({std::string(Spec->Name) + ".mutated.mlir",
                         printOpToString(Mutated.get(), Generic) + "\n"});
     }
   Inputs.push_back({"bad_verify.mlir",

@@ -9,7 +9,9 @@
 /// the one extra doubling of each growing table, and parsing 2N functions
 /// may add at most one allocation per added op. Loading an IRDL spec pays
 /// a fixed number of allocations per operation it defines, and the five
-/// bundled dialects stay within a budget. No timing is involved.
+/// bundled dialects stay within a budget. An empty context is cheap to
+/// make, and a context holding the bundled dialects frees its storage in
+/// a few blocks. No timing is involved.
 
 #include "bytecode/Bytecode.h"
 #include "ir/Block.h"
@@ -33,6 +35,7 @@
 namespace {
 std::atomic<bool> Counting{false};
 std::atomic<uint64_t> NumAllocs{0};
+std::atomic<uint64_t> NumFrees{0};
 
 void *countedAlloc(std::size_t Size) {
   if (Counting.load(std::memory_order_relaxed))
@@ -45,10 +48,16 @@ void *countedAlloc(std::size_t Size) {
 
 void *operator new(std::size_t Size) { return countedAlloc(Size); }
 void *operator new[](std::size_t Size) { return countedAlloc(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void countedFree(void *P) {
+  if (P && Counting.load(std::memory_order_relaxed))
+    NumFrees.fetch_add(1, std::memory_order_relaxed);
+  std::free(P);
+}
+
+void operator delete(void *P) noexcept { countedFree(P); }
+void operator delete[](void *P) noexcept { countedFree(P); }
+void operator delete(void *P, std::size_t) noexcept { countedFree(P); }
+void operator delete[](void *P, std::size_t) noexcept { countedFree(P); }
 
 using namespace irdl;
 
@@ -61,6 +70,15 @@ template <typename FnT> uint64_t allocationsOf(FnT Fn) {
   Fn();
   Counting.store(false);
   return NumAllocs.load();
+}
+
+/// Calls of operator delete made while \p Fn runs.
+template <typename FnT> uint64_t freesOf(FnT Fn) {
+  NumFrees.store(0);
+  Counting.store(true);
+  Fn();
+  Counting.store(false);
+  return NumFrees.load();
 }
 
 class VerifierAllocTest : public ::testing::Test {
@@ -352,13 +370,13 @@ uint64_t loadAllocations(const std::vector<std::string> &Sources) {
 }
 
 TEST(SpecLoadAllocTest, EachOpCostsAFixedNumberOfAllocations) {
-  // What one such op keeps: its definition and name table entry, its
-  // summary (definition and spec), the variable's name, constraint and
-  // reference node, the alias's AnyOf node and alternatives, the operand,
-  // result and variable-program vectors, four programs, the verifier,
-  // and the format's compiled form, tables and two hooks. Parsing and
-  // the per-load tables add nothing per op beyond amortized growth.
-  constexpr uint64_t PerOp = 24;
+  // What one such op keeps lives in bump storage: its definition and
+  // name table entry in the context's, its summary, lists, constraint
+  // trees, programs and compiled format in the spec's. Only the slabs
+  // that storage grows by are allocated, and the op's full name when it
+  // is longer than a short string. Parsing and the per-load tables add
+  // nothing per op beyond amortized growth.
+  constexpr uint64_t PerOp = 4;
   uint64_t N = loadAllocations({elementwiseDialect(100)});
   uint64_t TwoN = loadAllocations({elementwiseDialect(200)});
   EXPECT_GE(TwoN, N);
@@ -366,7 +384,8 @@ TEST(SpecLoadAllocTest, EachOpCostsAFixedNumberOfAllocations) {
       << "100 ops: " << N << " allocations, 200: " << TwoN;
 }
 
-TEST(SpecLoadAllocTest, BundledDialectsStayWithinBudget) {
+/// The sources of the five bundled dialects.
+std::vector<std::string> bundledDialects() {
   std::vector<std::string> Sources;
   for (const char *Name : {"cmath", "arith", "complex", "math", "scf"}) {
     std::ifstream In(std::string(IRDL_DIALECTS_DIR) + "/" + Name + ".irdl");
@@ -374,9 +393,43 @@ TEST(SpecLoadAllocTest, BundledDialectsStayWithinBudget) {
     SS << In.rdbuf();
     Sources.push_back(SS.str());
   }
-  uint64_t Allocs = loadAllocations(Sources);
-  EXPECT_LE(Allocs, 2500u) << "5 bundled dialects: " << Allocs
-                           << " allocations";
+  return Sources;
+}
+
+TEST(SpecLoadAllocTest, BundledDialectsStayWithinBudget) {
+  uint64_t Allocs = loadAllocations(bundledDialects());
+  EXPECT_LE(Allocs, 300u) << "5 bundled dialects: " << Allocs
+                          << " allocations";
+}
+
+TEST(ContextAllocTest, EmptyContextIsCheap) {
+  // The builtin and std registries live in the context's storage: its
+  // first slab, the op arena, and the few full op names that outgrow a
+  // short string.
+  { IRContext Warm; }
+  uint64_t Allocs = allocationsOf([] { IRContext Ctx; });
+  EXPECT_LE(Allocs, 12u) << "IRContext(): " << Allocs << " allocations";
+}
+
+TEST(ContextAllocTest, TeardownFreesStorageNotObjects) {
+  std::vector<std::string> Sources = bundledDialects();
+  auto Ctx = std::make_unique<IRContext>();
+  SourceMgr SrcMgr;
+  DiagnosticEngine Diags(&SrcMgr);
+  std::vector<std::unique_ptr<IRDLModule>> Modules;
+  for (const std::string &Source : Sources) {
+    Modules.push_back(loadIRDL(*Ctx, Source, SrcMgr, Diags));
+    ASSERT_TRUE(Modules.back()) << Diags.renderAll();
+  }
+  // The dialects retain their specs, so dropping the modules first
+  // frees nothing yet; the context's teardown frees the specs' slabs and
+  // its own.
+  uint64_t Frees = freesOf([&] {
+    Modules.clear();
+    Ctx.reset();
+  });
+  EXPECT_LE(Frees, 200u) << "context with 5 dialects: " << Frees
+                         << " operator delete calls";
 }
 
 } // namespace

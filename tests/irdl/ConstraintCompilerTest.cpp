@@ -10,6 +10,8 @@
 #include "irdl/IRDL.h"
 #include "support/File.h"
 
+#include "common/ConstraintNodes.h"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -61,13 +63,15 @@ protected:
   /// grid value: verdict and resulting variable bindings.
   void expectEquivalent(const ConstraintPtr &C,
                         const std::vector<ConstraintPtr> *Vars = nullptr) {
-    std::vector<ConstraintProgramPtr> VarProgs =
+    std::vector<const ConstraintProgram *> VarProgs =
         Vars ? ConstraintCompiler::compileVarPrograms(*Vars)
-             : std::vector<ConstraintProgramPtr>();
+             : std::vector<const ConstraintProgram *>();
+    std::vector<const Constraint *> VarNodes =
+        Vars ? nodesOf(*Vars) : std::vector<const Constraint *>();
     ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
     for (const ParamValue &V : grid()) {
-      MatchContext TreeMC(Vars);
-      MatchContext ProgMC(&VarProgs);
+      MatchContext TreeMC(VarNodes);
+      MatchContext ProgMC(VarProgs);
       bool TreeVerdict = C->matches(V, TreeMC);
       bool ProgVerdict = Prog->run(V, ProgMC);
       EXPECT_EQ(TreeVerdict, ProgVerdict)
@@ -84,112 +88,113 @@ protected:
   }
 
   IRContext Ctx;
+  /// The storage the trees of a test are built in.
+  SpecStoragePtr Store = std::make_shared<BumpStorage>();
   TypeDefinition *Complex = nullptr;
   TypeDefinition *Pair = nullptr;
 };
 
 TEST_F(ConstraintCompilerTest, LeafEquivalence) {
-  expectEquivalent(Constraint::anyType());
-  expectEquivalent(Constraint::anyAttr());
-  expectEquivalent(Constraint::anyParam());
-  expectEquivalent(Constraint::typeEq(Ctx.getFloatType(32)));
-  expectEquivalent(Constraint::intKind(32, Signedness::Signed));
-  expectEquivalent(Constraint::intEq(IntVal{32, Signedness::Signed, 3}));
-  expectEquivalent(Constraint::floatKind(32));
-  expectEquivalent(Constraint::floatKind(0));
-  expectEquivalent(Constraint::floatEq(FloatVal{32, 1.5}));
-  expectEquivalent(Constraint::stringKind());
-  expectEquivalent(Constraint::stringEq("foo"));
-  expectEquivalent(Constraint::enumKind(Ctx.getSignednessEnum()));
+  expectEquivalent(Constraint::anyType(Store));
+  expectEquivalent(Constraint::anyAttr(Store));
+  expectEquivalent(Constraint::anyParam(Store));
+  expectEquivalent(Constraint::typeEq(Store, Ctx.getFloatType(32)));
+  expectEquivalent(Constraint::intKind(Store, 32, Signedness::Signed));
+  expectEquivalent(Constraint::intEq(Store, IntVal{32, Signedness::Signed, 3}));
+  expectEquivalent(Constraint::floatKind(Store, 32));
+  expectEquivalent(Constraint::floatKind(Store, 0));
+  expectEquivalent(Constraint::floatEq(Store, FloatVal{32, 1.5}));
+  expectEquivalent(Constraint::stringKind(Store));
+  expectEquivalent(Constraint::stringEq(Store, "foo"));
+  expectEquivalent(Constraint::enumKind(Store, Ctx.getSignednessEnum()));
   expectEquivalent(
-      Constraint::enumEq(EnumVal{Ctx.getSignednessEnum(), 1}));
-  expectEquivalent(Constraint::anyArray());
-  expectEquivalent(
-      Constraint::arrayOf(Constraint::intKind(32, Signedness::Signless)));
+      Constraint::enumEq(Store, EnumVal{Ctx.getSignednessEnum(), 1}));
+  expectEquivalent(Constraint::anyArray(Store));
+  expectEquivalent(Constraint::arrayOf(
+      Store, Constraint::intKind(Store, 32, Signedness::Signless)));
   expectEquivalent(Constraint::arrayExact(
-      {Constraint::intEq(IntVal{32, Signedness::Signless, 1}),
-       Constraint::intEq(IntVal{32, Signedness::Signless, 2})}));
-  expectEquivalent(Constraint::opaqueKind("cmath.custom"));
+      Store, {Constraint::intEq(Store, IntVal{32, Signedness::Signless, 1}),
+              Constraint::intEq(Store, IntVal{32, Signedness::Signless, 2})}));
+  expectEquivalent(Constraint::opaqueKind(Store, "cmath.custom"));
 }
 
 TEST_F(ConstraintCompilerTest, CombinatorEquivalence) {
-  ConstraintPtr F32 = Constraint::typeEq(Ctx.getFloatType(32));
-  ConstraintPtr F64 = Constraint::typeEq(Ctx.getFloatType(64));
+  ConstraintPtr F32 = Constraint::typeEq(Store, Ctx.getFloatType(32));
+  ConstraintPtr F64 = Constraint::typeEq(Store, Ctx.getFloatType(64));
   ConstraintPtr CpxBase =
-      Constraint::typeConstraint(Complex, {}, /*BaseOnly=*/true);
+      Constraint::typeConstraint(Store, Complex, {}, /*BaseOnly=*/true);
   ConstraintPtr CpxF32 = Constraint::typeConstraint(
-      Complex, {Constraint::typeEq(Ctx.getFloatType(32))},
+      Store, Complex, {Constraint::typeEq(Store, Ctx.getFloatType(32))},
       /*BaseOnly=*/false);
-  expectEquivalent(Constraint::anyOf({F32, F64}));
-  expectEquivalent(Constraint::anyOf({CpxF32, F32}));
-  expectEquivalent(Constraint::conjunction({CpxBase, CpxF32}));
-  expectEquivalent(Constraint::negation(F32));
-  expectEquivalent(Constraint::negation(Constraint::anyOf({F32, CpxF32})));
-  expectEquivalent(Constraint::named(CpxF32, "cmath.ComplexF32"));
+  expectEquivalent(Constraint::anyOf(Store, {F32, F64}));
+  expectEquivalent(Constraint::anyOf(Store, {CpxF32, F32}));
+  expectEquivalent(Constraint::conjunction(Store, {CpxBase, CpxF32}));
+  expectEquivalent(Constraint::negation(Store, F32));
+  expectEquivalent(
+      Constraint::negation(Store, Constraint::anyOf(Store, {F32, CpxF32})));
+  expectEquivalent(Constraint::named(Store, CpxF32, "cmath.ComplexF32"));
 }
 
 TEST_F(ConstraintCompilerTest, CppAndNativeEquivalence) {
   ConstraintPtr OnlyF32 = Constraint::native(
-      Constraint::anyType(),
+      Store, Constraint::anyType(Store),
       [](const ParamValue &V) {
         return V.isType() && V.getType().getParams().empty();
       },
       "paramless");
   expectEquivalent(OnlyF32);
   ConstraintPtr Cpp = Constraint::cpp(
-      Constraint::anyType(), [](const ParamValue &) { return true; },
-      "true");
+      Store, Constraint::anyType(Store),
+      [](const ParamValue &) { return true; }, "true");
   expectEquivalent(Cpp);
 }
 
 TEST_F(ConstraintCompilerTest, VariableEquivalence) {
   // AnyOf<complex<!T>, !T> where T: AnyType — exercises bind + backtrack.
-  std::vector<ConstraintPtr> Vars{Constraint::anyType()};
-  ConstraintPtr T = Constraint::var(0, "T");
+  std::vector<ConstraintPtr> Vars{Constraint::anyType(Store)};
+  ConstraintPtr T = Constraint::var(Store, 0, "T");
   ConstraintPtr CpxT =
-      Constraint::typeConstraint(Complex, {T}, /*BaseOnly=*/false);
-  expectEquivalent(Constraint::anyOf({CpxT, T}), &Vars);
-  expectEquivalent(Constraint::conjunction({Constraint::anyType(), T}),
-                   &Vars);
+      Constraint::typeConstraint(Store, Complex, {T}, /*BaseOnly=*/false);
+  expectEquivalent(Constraint::anyOf(Store, {CpxT, T}), &Vars);
+  expectEquivalent(
+      Constraint::conjunction(Store, {Constraint::anyType(Store), T}), &Vars);
 }
 
 TEST_F(ConstraintCompilerTest, VariablesResolveThroughVariablePrograms) {
   // T: AnyOf<f32, complex<T>> (guarded self-reference) and
   // C: complex<T> (a variable referring to another).
+  ConstraintPtr T = Constraint::var(Store, 0, "T");
   std::vector<ConstraintPtr> Vars{
-      Constraint::anyOf(
-          {Constraint::typeEq(Ctx.getFloatType(32)),
-           Constraint::typeConstraint(Complex, {Constraint::var(0, "T")},
-                                      /*BaseOnly=*/false)}),
-      Constraint::typeConstraint(Complex, {Constraint::var(0, "T")},
-                                 /*BaseOnly=*/false)};
-  expectEquivalent(Constraint::var(0, "T"), &Vars);
-  expectEquivalent(Constraint::var(1, "C"), &Vars);
+      Constraint::anyOf(Store, {Constraint::typeEq(Store, Ctx.getFloatType(32)),
+                                Constraint::typeConstraint(
+                                    Store, Complex, {T}, /*BaseOnly=*/false)}),
+      Constraint::typeConstraint(Store, Complex, {T}, /*BaseOnly=*/false)};
+  expectEquivalent(Constraint::var(Store, 0, "T"), &Vars);
+  expectEquivalent(Constraint::var(Store, 1, "C"), &Vars);
   expectEquivalent(
-      Constraint::anyOf({Constraint::var(1, "C"), Constraint::var(0, "T")}),
-      &Vars);
-  EXPECT_FALSE(findUnguardedVarCycle(Vars).has_value());
+      Constraint::anyOf(Store, {Constraint::var(Store, 1, "C"), T}), &Vars);
+  EXPECT_FALSE(findUnguardedVarCycle(nodesOf(Vars)).has_value());
   EXPECT_FALSE(findUnguardedVarCycle(
                    ConstraintCompiler::compileVarPrograms(Vars))
                    .has_value());
 
   // Nesting deeper than the grid: T matches complex<complex<f32>>.
-  std::vector<ConstraintProgramPtr> VarProgs =
+  std::vector<const ConstraintProgram *> VarProgs =
       ConstraintCompiler::compileVarPrograms(Vars);
-  MatchContext MC(&VarProgs);
+  MatchContext MC(VarProgs);
   ParamValue Deep(complexOf(complexOf(Ctx.getFloatType(32))));
-  EXPECT_TRUE(ConstraintCompiler::compile(Constraint::var(0, "T"))
+  EXPECT_TRUE(ConstraintCompiler::compile(Constraint::var(Store, 0, "T"))
                   ->run(Deep, MC));
   ASSERT_TRUE(MC.getBinding(0).has_value());
   EXPECT_TRUE(*MC.getBinding(0) == Deep);
 }
 
 TEST_F(ConstraintCompilerTest, UnguardedVariableCyclesAreFound) {
-  ConstraintPtr T = Constraint::var(0, "T");
-  ConstraintPtr U = Constraint::var(1, "U");
-  ConstraintPtr F32 = Constraint::typeEq(Ctx.getFloatType(32));
+  ConstraintPtr T = Constraint::var(Store, 0, "T");
+  ConstraintPtr U = Constraint::var(Store, 1, "U");
+  ConstraintPtr F32 = Constraint::typeEq(Store, Ctx.getFloatType(32));
   ConstraintPtr CpxT =
-      Constraint::typeConstraint(Complex, {T}, /*BaseOnly=*/false);
+      Constraint::typeConstraint(Store, Complex, {T}, /*BaseOnly=*/false);
   struct Case {
     std::vector<ConstraintPtr> Vars;
     std::optional<unsigned> Cycle;
@@ -197,17 +202,18 @@ TEST_F(ConstraintCompilerTest, UnguardedVariableCyclesAreFound) {
   std::vector<Case> Cases = {
       {{T}, 0u},
       {{U, T}, 0u},
-      {{Constraint::anyOf({T, F32})}, 0u},
-      {{Constraint::negation(Constraint::named(T, "d.Self"))}, 0u},
+      {{Constraint::anyOf(Store, {T, F32})}, 0u},
+      {{Constraint::negation(Store, Constraint::named(Store, T, "d.Self"))},
+       0u},
       // U only leads into T's self-loop; the cycle is T's.
-      {{Constraint::conjunction({F32, T}), T}, 0u},
+      {{Constraint::conjunction(Store, {F32, T}), T}, 0u},
       {{U, U}, 1u},
-      {{Constraint::anyOf({F32, CpxT})}, std::nullopt},
-      {{Constraint::arrayOf(T)}, std::nullopt},
-      {{F32, Constraint::anyOf({T, CpxT})}, std::nullopt},
+      {{Constraint::anyOf(Store, {F32, CpxT})}, std::nullopt},
+      {{Constraint::arrayOf(Store, T)}, std::nullopt},
+      {{F32, Constraint::anyOf(Store, {T, CpxT})}, std::nullopt},
   };
   for (const Case &C : Cases) {
-    EXPECT_EQ(findUnguardedVarCycle(C.Vars), C.Cycle);
+    EXPECT_EQ(findUnguardedVarCycle(nodesOf(C.Vars)), C.Cycle);
     EXPECT_EQ(
         findUnguardedVarCycle(ConstraintCompiler::compileVarPrograms(C.Vars)),
         C.Cycle);
@@ -217,25 +223,25 @@ TEST_F(ConstraintCompilerTest, UnguardedVariableCyclesAreFound) {
 TEST_F(ConstraintCompilerTest, FailedAnyOfBranchUnbindsVariables) {
   // First alternative binds T then fails on the second conjunct; the
   // trail must unbind T so the second alternative sees it fresh.
-  std::vector<ConstraintPtr> Vars{Constraint::anyType()};
-  ConstraintPtr T = Constraint::var(0, "T");
+  std::vector<ConstraintPtr> Vars{Constraint::anyType(Store)};
+  ConstraintPtr T = Constraint::var(Store, 0, "T");
   ConstraintPtr Failing = Constraint::conjunction(
-      {T, Constraint::typeEq(Ctx.getFloatType(64))});
-  ConstraintPtr C = Constraint::anyOf({Failing, T});
+      Store, {T, Constraint::typeEq(Store, Ctx.getFloatType(64))});
+  ConstraintPtr C = Constraint::anyOf(Store, {Failing, T});
   expectEquivalent(C, &Vars);
 
-  std::vector<ConstraintProgramPtr> VarProgs =
+  std::vector<const ConstraintProgram *> VarProgs =
       ConstraintCompiler::compileVarPrograms(Vars);
   ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
-  MatchContext MC(&VarProgs);
+  MatchContext MC(VarProgs);
   EXPECT_TRUE(Prog->run(ParamValue(Ctx.getFloatType(32)), MC));
   ASSERT_TRUE(MC.getBinding(0).has_value());
   EXPECT_TRUE(MC.getBinding(0)->getType() == Ctx.getFloatType(32));
 }
 
 TEST_F(ConstraintCompilerTest, NamedWrappersAreElided) {
-  ConstraintPtr Inner = Constraint::typeEq(Ctx.getFloatType(32));
-  ConstraintPtr Named = Constraint::named(Inner, "cmath.F32");
+  ConstraintPtr Inner = Constraint::typeEq(Store, Ctx.getFloatType(32));
+  ConstraintPtr Named = Constraint::named(Store, Inner, "cmath.F32");
   ConstraintProgramPtr Prog = ConstraintCompiler::compile(Named);
   ConstraintProgramPtr Direct = ConstraintCompiler::compile(Inner);
   EXPECT_EQ(Prog->getNumInstrs(), Direct->getNumInstrs());
@@ -246,9 +252,9 @@ TEST_F(ConstraintCompilerTest, AnyOfLowersToDispatchTable) {
   std::vector<Type> Elems = {Ctx.getFloatType(16), Ctx.getFloatType(32),
                              Ctx.getFloatType(64)};
   for (Type E : Elems)
-    Alts.push_back(Constraint::typeEq(complexOf(E)));
-  Alts.push_back(Constraint::typeEq(Ctx.getFloatType(32)));
-  ConstraintPtr C = Constraint::anyOf(Alts);
+    Alts.push_back(Constraint::typeEq(Store, complexOf(E)));
+  Alts.push_back(Constraint::typeEq(Store, Ctx.getFloatType(32)));
+  ConstraintPtr C = Constraint::anyOf(Store, Alts);
   ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
   ASSERT_EQ(Prog->getNumDispatchTables(), 1u);
   EXPECT_EQ(Prog->getInstr(0).Op, COpcode::AnyOfTable);
@@ -257,12 +263,12 @@ TEST_F(ConstraintCompilerTest, AnyOfLowersToDispatchTable) {
 
 TEST_F(ConstraintCompilerTest, AnyOfWithUndispatchableAltStaysSequential) {
   std::vector<ConstraintPtr> Alts = {
-      Constraint::typeEq(complexOf(Ctx.getFloatType(16))),
-      Constraint::typeEq(complexOf(Ctx.getFloatType(32))),
-      Constraint::typeEq(complexOf(Ctx.getFloatType(64))),
-      Constraint::anyType()}; // not rooted in a definition
+      Constraint::typeEq(Store, complexOf(Ctx.getFloatType(16))),
+      Constraint::typeEq(Store, complexOf(Ctx.getFloatType(32))),
+      Constraint::typeEq(Store, complexOf(Ctx.getFloatType(64))),
+      Constraint::anyType(Store)}; // not rooted in a definition
   ConstraintProgramPtr Prog =
-      ConstraintCompiler::compile(Constraint::anyOf(Alts));
+      ConstraintCompiler::compile(Constraint::anyOf(Store, Alts));
   EXPECT_EQ(Prog->getNumDispatchTables(), 0u);
   EXPECT_EQ(Prog->getInstr(0).Op, COpcode::AnyOf);
 }
@@ -271,11 +277,11 @@ TEST_F(ConstraintCompilerTest, SameDefAlternativesKeepSourceOrder) {
   // Two alternatives under the same base definition must still be tried
   // in declaration order through the table.
   std::vector<ConstraintPtr> Alts = {
-      Constraint::typeEq(complexOf(Ctx.getFloatType(32))),
-      Constraint::typeConstraint(Complex, {}, /*BaseOnly=*/true),
-      Constraint::typeEq(Ctx.getFloatType(32)),
-      Constraint::typeEq(Ctx.getFloatType(64))};
-  ConstraintPtr C = Constraint::anyOf(Alts);
+      Constraint::typeEq(Store, complexOf(Ctx.getFloatType(32))),
+      Constraint::typeConstraint(Store, Complex, {}, /*BaseOnly=*/true),
+      Constraint::typeEq(Store, Ctx.getFloatType(32)),
+      Constraint::typeEq(Store, Ctx.getFloatType(64))};
+  ConstraintPtr C = Constraint::anyOf(Store, Alts);
   ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
   ASSERT_EQ(Prog->getNumDispatchTables(), 1u);
   expectEquivalent(C);
@@ -285,29 +291,33 @@ TEST_F(ConstraintCompilerTest, SameDefAlternativesKeepSourceOrder) {
 }
 
 TEST_F(ConstraintCompilerTest, ConcreteValueEquivalence) {
-  std::vector<ConstraintPtr> Vars{Constraint::anyType()};
+  std::vector<ConstraintPtr> Vars{Constraint::anyType(Store)};
   std::vector<ConstraintPtr> Cases = {
-      Constraint::typeEq(complexOf(Ctx.getFloatType(32))),
-      Constraint::intEq(IntVal{32, Signedness::Signed, 3}),
-      Constraint::floatEq(FloatVal{32, 1.5}),
-      Constraint::stringEq("foo"),
-      Constraint::enumEq(EnumVal{Ctx.getSignednessEnum(), 1}),
+      Constraint::typeEq(Store, complexOf(Ctx.getFloatType(32))),
+      Constraint::intEq(Store, IntVal{32, Signedness::Signed, 3}),
+      Constraint::floatEq(Store, FloatVal{32, 1.5}),
+      Constraint::stringEq(Store, "foo"),
+      Constraint::enumEq(Store, EnumVal{Ctx.getSignednessEnum(), 1}),
       Constraint::arrayExact(
-          {Constraint::intEq(IntVal{32, Signedness::Signless, 1})}),
+          Store,
+          {Constraint::intEq(Store, IntVal{32, Signedness::Signless, 1})}),
       Constraint::conjunction(
-          {Constraint::anyType(), Constraint::typeEq(Ctx.getFloatType(32))}),
-      Constraint::anyOf({Constraint::typeEq(Ctx.getFloatType(32)),
-                         Constraint::typeEq(Ctx.getFloatType(64))}),
-      Constraint::typeConstraint(Complex, {}, /*BaseOnly=*/true),
-      Constraint::var(0, "T"),
-      Constraint::anyType(),
+          Store, {Constraint::anyType(Store),
+                  Constraint::typeEq(Store, Ctx.getFloatType(32))}),
+      Constraint::anyOf(Store,
+                        {Constraint::typeEq(Store, Ctx.getFloatType(32)),
+                         Constraint::typeEq(Store, Ctx.getFloatType(64))}),
+      Constraint::typeConstraint(Store, Complex, {}, /*BaseOnly=*/true),
+      Constraint::var(Store, 0, "T"),
+      Constraint::anyType(Store),
   };
-  std::vector<ConstraintProgramPtr> VarProgs =
+  std::vector<const ConstraintProgram *> VarProgs =
       ConstraintCompiler::compileVarPrograms(Vars);
   for (const ConstraintPtr &C : Cases) {
     ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
-    MatchContext TreeMC(&Vars);
-    MatchContext ProgMC(&VarProgs);
+    std::vector<const Constraint *> VarNodes = nodesOf(Vars);
+    MatchContext TreeMC(VarNodes);
+    MatchContext ProgMC(VarProgs);
     if (C->getKind() == Constraint::Kind::Var) {
       TreeMC.bind(0, ParamValue(Ctx.getFloatType(64)));
       ProgMC.bind(0, ParamValue(Ctx.getFloatType(64)));
@@ -323,8 +333,8 @@ TEST_F(ConstraintCompilerTest, ConcreteValueEquivalence) {
 
 TEST_F(ConstraintCompilerTest, DumpNamesEveryInstruction) {
   ConstraintPtr C = Constraint::anyOf(
-      {Constraint::typeEq(complexOf(Ctx.getFloatType(32))),
-       Constraint::typeEq(Ctx.getFloatType(32))});
+      Store, {Constraint::typeEq(Store, complexOf(Ctx.getFloatType(32))),
+       Constraint::typeEq(Store, Ctx.getFloatType(32))});
   ConstraintProgramPtr Prog = ConstraintCompiler::compile(C);
   std::string D = Prog->dump();
   EXPECT_NE(D.find("AnyOf"), std::string::npos);
@@ -333,8 +343,10 @@ TEST_F(ConstraintCompilerTest, DumpNamesEveryInstruction) {
 }
 
 TEST_F(ConstraintCompilerTest, ProgramIdsAreUnique) {
-  ConstraintProgramPtr A = ConstraintCompiler::compile(Constraint::anyType());
-  ConstraintProgramPtr B = ConstraintCompiler::compile(Constraint::anyType());
+  ConstraintProgramPtr A =
+      ConstraintCompiler::compile(Constraint::anyType(Store));
+  ConstraintProgramPtr B =
+      ConstraintCompiler::compile(Constraint::anyType(Store));
   EXPECT_NE(A->getId(), B->getId());
 }
 
@@ -342,8 +354,9 @@ TEST_F(ConstraintCompilerTest, ProfilerAttributesExecutions) {
   ConstraintProfiler &Prof = ConstraintProfiler::instance();
   Prof.reset();
   ConstraintProgramPtr Prog = ConstraintCompiler::compile(
-      Constraint::anyOf({Constraint::typeEq(Ctx.getFloatType(32)),
-                         Constraint::typeEq(Ctx.getFloatType(64))}));
+      Constraint::anyOf(Store,
+                        {Constraint::typeEq(Store, Ctx.getFloatType(32)),
+                         Constraint::typeEq(Store, Ctx.getFloatType(64))}));
   Prof.registerProgram(Prog, "test.prof anyof");
 
   // Off by default: runs leave the counters untouched.
@@ -385,9 +398,9 @@ TEST_F(ConstraintCompilerTest, ProfilerAttributesExecutions) {
 /// The distinct compiled programs \p Module's specs hold.
 size_t countPrograms(const IRDLModule &Module) {
   std::set<const ConstraintProgram *> Programs;
-  auto Add = [&](const ConstraintProgramPtr &P) {
+  auto Add = [&](const ConstraintProgram *P) {
     if (P)
-      Programs.insert(P.get());
+      Programs.insert(P);
   };
   for (const auto &Spec : Module.getDialects()) {
     for (const auto *List : {&Spec->Types, &Spec->Attrs})
@@ -395,7 +408,7 @@ size_t countPrograms(const IRDLModule &Module) {
         for (const ParamSpec &P : TS.Params)
           Add(P.Prog);
     for (const OpSpec &OS : Spec->Ops) {
-      for (const ConstraintProgramPtr &P : OS.VarPrograms)
+      for (const ConstraintProgram *P : OS.VarPrograms)
         Add(P);
       for (const auto *List : {&OS.Operands, &OS.Results})
         for (const OperandSpec &O : *List)

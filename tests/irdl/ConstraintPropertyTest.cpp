@@ -7,6 +7,8 @@
 
 #include "irdl/Constraint.h"
 
+#include "common/ConstraintNodes.h"
+
 #include <gtest/gtest.h>
 
 using namespace irdl;
@@ -47,30 +49,33 @@ public:
   }
 
   IRContext Ctx;
+  /// The storage every tree of the suite is built in.
+  SpecStoragePtr Store = std::make_shared<BumpStorage>();
   TypeDefinition *Box;
   EnumDef *E;
   std::vector<ParamValue> Values;
 
   std::vector<ConstraintPtr> sampleConstraints() {
     return {
-        Constraint::anyType(),
-        Constraint::anyAttr(),
-        Constraint::anyParam(),
-        Constraint::typeEq(Ctx.getFloatType(32)),
-        Constraint::typeConstraint(Box, {}, /*BaseOnly=*/true),
+        Constraint::anyType(Store),
+        Constraint::anyAttr(Store),
+        Constraint::anyParam(Store),
+        Constraint::typeEq(Store, Ctx.getFloatType(32)),
+        Constraint::typeConstraint(Store, Box, {}, /*BaseOnly=*/true),
         Constraint::typeConstraint(
-            Box, {Constraint::typeEq(Ctx.getFloatType(32))}, false),
-        Constraint::intKind(32, Signedness::Signless),
-        Constraint::intEq(IntVal{32, Signedness::Signless, 7}),
-        Constraint::floatKind(32),
-        Constraint::stringKind(),
-        Constraint::stringEq("hello"),
-        Constraint::enumKind(E),
-        Constraint::enumEq(EnumVal{E, 0}),
-        Constraint::anyArray(),
+            Store, Box, {Constraint::typeEq(Store, Ctx.getFloatType(32))},
+            false),
+        Constraint::intKind(Store, 32, Signedness::Signless),
+        Constraint::intEq(Store, IntVal{32, Signedness::Signless, 7}),
+        Constraint::floatKind(Store, 32),
+        Constraint::stringKind(Store),
+        Constraint::stringEq(Store, "hello"),
+        Constraint::enumKind(Store, E),
+        Constraint::enumEq(Store, EnumVal{E, 0}),
+        Constraint::anyArray(Store),
         Constraint::arrayOf(
-            Constraint::intKind(32, Signedness::Signless)),
-        Constraint::opaqueKind("location"),
+            Store, Constraint::intKind(Store, 32, Signedness::Signless)),
+        Constraint::opaqueKind(Store, "location"),
     };
   }
 };
@@ -90,34 +95,38 @@ class ConstraintValueGrid
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(ConstraintValueGrid, NotIsComplement) {
+  const SpecStoragePtr &S = pool().Store;
   auto [CI, VI] = GetParam();
   ConstraintPtr C = pool().sampleConstraints()[CI];
   const ParamValue &V = pool().Values[VI];
-  EXPECT_NE(plainMatch(C, V), plainMatch(Constraint::negation(C), V));
+  EXPECT_NE(plainMatch(C, V), plainMatch(Constraint::negation(S, C), V));
 }
 
 TEST_P(ConstraintValueGrid, DoubleNegationIsIdentity) {
+  const SpecStoragePtr &S = pool().Store;
   auto [CI, VI] = GetParam();
   ConstraintPtr C = pool().sampleConstraints()[CI];
   const ParamValue &V = pool().Values[VI];
   ConstraintPtr NotNot =
-      Constraint::negation(Constraint::negation(C));
+      Constraint::negation(S, Constraint::negation(S, C));
   EXPECT_EQ(plainMatch(C, V), plainMatch(NotNot, V));
 }
 
 TEST_P(ConstraintValueGrid, ExcludedMiddle) {
+  const SpecStoragePtr &S = pool().Store;
   auto [CI, VI] = GetParam();
   ConstraintPtr C = pool().sampleConstraints()[CI];
   const ParamValue &V = pool().Values[VI];
   ConstraintPtr Either =
-      Constraint::anyOf({C, Constraint::negation(C)});
+      Constraint::anyOf(S, {C, Constraint::negation(S, C)});
   EXPECT_TRUE(plainMatch(Either, V));
   ConstraintPtr Both =
-      Constraint::conjunction({C, Constraint::negation(C)});
+      Constraint::conjunction(S, {C, Constraint::negation(S, C)});
   EXPECT_FALSE(plainMatch(Both, V));
 }
 
 TEST_P(ConstraintValueGrid, AnyOfIsDisjunction) {
+  const SpecStoragePtr &S = pool().Store;
   auto [CI, VI] = GetParam();
   auto Cs = pool().sampleConstraints();
   ConstraintPtr A = Cs[CI];
@@ -125,13 +134,14 @@ TEST_P(ConstraintValueGrid, AnyOfIsDisjunction) {
   for (size_t J = 0; J < Cs.size(); J += 3) {
     ConstraintPtr B = Cs[J];
     bool Expected = plainMatch(A, V) || plainMatch(B, V);
-    EXPECT_EQ(plainMatch(Constraint::anyOf({A, B}), V), Expected);
+    EXPECT_EQ(plainMatch(Constraint::anyOf(S, {A, B}), V), Expected);
     // Commutativity.
-    EXPECT_EQ(plainMatch(Constraint::anyOf({B, A}), V), Expected);
+    EXPECT_EQ(plainMatch(Constraint::anyOf(S, {B, A}), V), Expected);
   }
 }
 
 TEST_P(ConstraintValueGrid, AndIsConjunction) {
+  const SpecStoragePtr &S = pool().Store;
   auto [CI, VI] = GetParam();
   auto Cs = pool().sampleConstraints();
   ConstraintPtr A = Cs[CI];
@@ -139,7 +149,8 @@ TEST_P(ConstraintValueGrid, AndIsConjunction) {
   for (size_t J = 0; J < Cs.size(); J += 3) {
     ConstraintPtr B = Cs[J];
     bool Expected = plainMatch(A, V) && plainMatch(B, V);
-    EXPECT_EQ(plainMatch(Constraint::conjunction({A, B}), V), Expected);
+    EXPECT_EQ(plainMatch(Constraint::conjunction(S, {A, B}), V),
+              Expected);
   }
 }
 
@@ -170,25 +181,29 @@ INSTANTIATE_TEST_SUITE_P(
 class VarBindingSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(VarBindingSweep, VarUnifiesOnlyWithItself) {
+  const SpecStoragePtr &S = pool().Store;
   const ParamValue &V = pool().Values[GetParam()];
-  std::vector<ConstraintPtr> Vars = {Constraint::anyParam()};
-  ConstraintPtr VarC = Constraint::var(0, "T");
-  MatchContext MC(&Vars);
+  std::vector<ConstraintPtr> Vars = {Constraint::anyParam(S)};
+  ConstraintPtr VarC = Constraint::var(S, 0, "T");
+  std::vector<const Constraint *> VarNodes = nodesOf(Vars);
+  MatchContext MC(VarNodes);
   ASSERT_TRUE(VarC->matches(V, MC));
   for (const ParamValue &Other : pool().Values)
     EXPECT_EQ(VarC->matches(Other, MC), Other == V);
 }
 
 TEST_P(VarBindingSweep, FailedAnyOfBranchNeverLeaksBinding) {
+  const SpecStoragePtr &S = pool().Store;
   const ParamValue &V = pool().Values[GetParam()];
-  std::vector<ConstraintPtr> Vars = {Constraint::anyParam()};
+  std::vector<ConstraintPtr> Vars = {Constraint::anyParam(S)};
   // First branch binds T then fails (conjunction with an unsatisfiable
   // constraint); second branch never references T.
-  ConstraintPtr Unsat = Constraint::conjunction(
-      {Constraint::var(0, "T"),
-       Constraint::negation(Constraint::anyParam())});
-  ConstraintPtr C = Constraint::anyOf({Unsat, Constraint::anyParam()});
-  MatchContext MC(&Vars);
+  ConstraintPtr Unsat = Constraint::conjunction(S, 
+      {Constraint::var(S, 0, "T"),
+       Constraint::negation(S, Constraint::anyParam(S))});
+  ConstraintPtr C = Constraint::anyOf(S, {Unsat, Constraint::anyParam(S)});
+  std::vector<const Constraint *> VarNodes = nodesOf(Vars);
+  MatchContext MC(VarNodes);
   EXPECT_TRUE(C->matches(V, MC));
   EXPECT_FALSE(MC.getBinding(0).has_value());
 }

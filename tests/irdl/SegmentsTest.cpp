@@ -330,9 +330,10 @@ TEST_F(SegmentsTest, RegionCountDiagnostic) {
 }
 
 TEST_F(SegmentsTest, ComputeSegmentsDirect) {
+  // Segmentation reads only the variadicity of each definition.
   std::vector<OperandSpec> Specs;
-  Specs.push_back({"a", Constraint::anyType(), VariadicKind::Single});
-  Specs.push_back({"b", Constraint::anyType(), VariadicKind::Variadic});
+  Specs.push_back({"a", nullptr, VariadicKind::Single});
+  Specs.push_back({"b", nullptr, VariadicKind::Variadic});
   std::string Err;
   OperationState S(Ctx, OperationName(std::string("x.y")));
   Operation *Op = Operation::create(S);

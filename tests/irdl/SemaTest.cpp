@@ -221,8 +221,9 @@ TEST_F(SemaTest, ConstraintVarsAcrossDirectives) {
   )");
   ASSERT_NE(M, nullptr) << Diags.renderAll();
   const OpSpec *Op = M->lookupDialect("d")->lookupOp("op");
-  EXPECT_EQ(Op->VarNames,
-            (std::vector<std::string>{"T", "U"}));
+  EXPECT_EQ(std::vector<std::string_view>(Op->VarNames.begin(),
+                                          Op->VarNames.end()),
+            (std::vector<std::string_view>{"T", "U"}));
   EXPECT_EQ(Op->Operands[0].Constr->getKind(), Constraint::Kind::Var);
   EXPECT_EQ(Op->Results[0].Constr->getVarIndex(), 0u);
 }

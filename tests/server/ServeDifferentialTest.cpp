@@ -166,7 +166,7 @@ TEST_F(ServeDifferentialTest, SynthesizedModulesMatchOverText) {
       Generic.GenericForm = true;
       std::string ValidText = printOpToString(Valid.get(), Generic) + "\n";
       expectServedMatchesReference(File, ValidText,
-                                   Spec->Name + ".valid.mlir");
+                                   std::string(Spec->Name) + ".valid.mlir");
 
       OwningOpRef Mutated = synthesizeModule(Ctx, *Spec, {/*Seed=*/13});
       ASSERT_TRUE(static_cast<bool>(Mutated)) << Spec->Name;
@@ -174,7 +174,7 @@ TEST_F(ServeDifferentialTest, SynthesizedModulesMatchOverText) {
       std::string MutatedText =
           printOpToString(Mutated.get(), Generic) + "\n";
       expectServedMatchesReference(File, MutatedText,
-                                   Spec->Name + ".mutated.mlir");
+                                   std::string(Spec->Name) + ".mutated.mlir");
     }
   }
 }
@@ -230,7 +230,7 @@ TEST_F(ServeDifferentialTest, ModuleOnlyBytecodeMatches) {
       ASSERT_FALSE(bytecodeBufferHasSpecs(Buffer));
       expectServedMatchesReference(
           "cmath.irdl", Buffer,
-          Spec->Name + ".seed" + std::to_string(Seed) + ".irbc");
+          std::string(Spec->Name) + ".seed" + std::to_string(Seed) + ".irbc");
     }
   }
 

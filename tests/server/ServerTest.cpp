@@ -337,6 +337,77 @@ TEST(ServerTest, StreamedVerifyPinsEpochAcrossReload) {
   EXPECT_EQ(Response.Status, FrameStatus::Fail) << Response.Payload;
 }
 
+TEST(ServerTest, VerifyPinsOldEpochsWhileReloadsPublishNewOnes) {
+  // Every RELOAD_DIALECT below publishes a new epoch with its own specs,
+  // and the previous epoch's specs are freed once no request pins it.
+  // One connection keeps verifying meanwhile, and a stream stays pinned
+  // to the first epoch throughout; the sanitizer jobs check that no
+  // request reads spec storage another thread frees.
+  ServerFixture Fixture("epochs");
+  ServeClient Admin = Fixture.connect();
+  ServeClient Verifier = Fixture.connect();
+  ServeClient Streamer = Fixture.connect();
+  ResponseFrame Response;
+  std::string Error;
+
+  ASSERT_TRUE(succeeded(
+      Admin.loadDialect("cmath.irdl", cmathSource(), Response, Error)))
+      << Error;
+  ASSERT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+  std::weak_ptr<const Epoch> First = Fixture.Server.epochs().current();
+  uint64_t FirstNumber = Fixture.Server.epochs().currentEpochNumber();
+
+  ASSERT_TRUE(succeeded(Streamer.verifyBegin("s.mlir", Response, Error)))
+      << Error;
+  ASSERT_EQ(Response.Status, FrameStatus::Ok);
+  ASSERT_TRUE(
+      succeeded(Streamer.verifyChunk(NormF32Module, Response, Error)))
+      << Error;
+  ASSERT_EQ(Response.Status, FrameStatus::Ok);
+
+  constexpr int NumReloads = 20;
+  std::atomic<bool> Reloading{true};
+  std::atomic<unsigned> ReloadFailures{0};
+  std::thread Reloads([&]() {
+    for (int I = 0; I != NumReloads; ++I) {
+      // The same dialect in different text, so no reload is deduplicated.
+      std::string Source =
+          cmathSource() + "// reload " + std::to_string(I) + "\n";
+      ResponseFrame R;
+      std::string E;
+      if (failed(Admin.reloadDialect("cmath.irdl", Source, R, E)) ||
+          R.Status != FrameStatus::Ok)
+        ++ReloadFailures;
+    }
+    Reloading = false;
+  });
+  unsigned Verifies = 0;
+  while (Reloading || Verifies < 2 * NumReloads) {
+    ASSERT_TRUE(succeeded(
+        Verifier.verify("ok.mlir", NormF32Module, Response, Error)))
+        << Error;
+    EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+    ASSERT_TRUE(succeeded(
+        Verifier.verify("bad.mlir", BadNormModule, Response, Error)))
+        << Error;
+    EXPECT_EQ(Response.Status, FrameStatus::Fail) << Response.Payload;
+    Verifies += 2;
+  }
+  Reloads.join();
+  EXPECT_EQ(ReloadFailures.load(), 0u);
+  EXPECT_EQ(Fixture.Server.epochs().currentEpochNumber(),
+            FirstNumber + NumReloads);
+
+  // The stream still runs against the first epoch, which it pins.
+  EXPECT_FALSE(First.expired());
+  ASSERT_TRUE(
+      succeeded(Streamer.verifyChunk(NormF32Module, Response, Error)))
+      << Error;
+  ASSERT_EQ(Response.Status, FrameStatus::Ok);
+  ASSERT_TRUE(succeeded(Streamer.verifyEnd(Response, Error))) << Error;
+  EXPECT_EQ(Response.Status, FrameStatus::Ok) << Response.Payload;
+}
+
 TEST(ServerTest, StreamFailFastAcrossChunks) {
   ServerFixture Fixture("stream");
   ServeClient Client = Fixture.connect();

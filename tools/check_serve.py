@@ -26,6 +26,11 @@ service misbehaves:
   ``irdl_serve_requests_total`` counters are nonzero and whose
   ``irdl_serve_spec_cache_hits`` counter is nonzero after the
   duplicate reload;
+* 20 RELOAD_DIALECT frames of cmath (each in different text, so each
+  publishes an epoch and frees the specs of an unpinned older one) go
+  out on a second connection while VERIFY frames of the good and the
+  bad module go out on the first: every verdict stays the same, every
+  reload bumps the epoch, and a final PING is answered;
 * SHUTDOWN makes the server exit 0 and remove its socket file.
 
 With ``--bench-json FILE`` (a ``perf_serve --json`` summary) it also
@@ -43,6 +48,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 # Frame types (src/server/Protocol.h).
@@ -148,6 +154,56 @@ def check_prometheus(text):
     if not declared:
         raise AssertionError("no # TYPE lines in the exposition")
     return samples
+
+
+def check_reloads_during_verifies(sock, reload_sock, cmath_source, epoch,
+                                  num_reloads=20):
+    """Reloads cmath num_reloads times on reload_sock while verifying on
+    sock; returns the epoch after the last reload."""
+    reload_errors = []
+    reloads_done = threading.Event()
+
+    def reload_loop():
+        try:
+            for i in range(num_reloads):
+                source = cmath_source + f"// reload {i}\n".encode()
+                status, payload = request(
+                    reload_sock, RELOAD_DIALECT,
+                    named_payload("cmath.irdl", source))
+                if status != OK or payload != str(epoch + i + 1).encode():
+                    reload_errors.append(
+                        f"reload {i}: status={status} payload={payload!r}")
+        except Exception as e:  # reported by the main thread
+            reload_errors.append(f"reload thread: {e!r}")
+        finally:
+            reloads_done.set()
+
+    reloader = threading.Thread(target=reload_loop)
+    reloader.start()
+    verifies = 0
+    try:
+        while not reloads_done.is_set() or verifies < 2 * num_reloads:
+            status, payload = request(
+                sock, VERIFY, named_payload("good.mlir", GOOD_MODULE))
+            assert status == OK and payload == b"", \
+                f"good VERIFY during reloads: status={status} " \
+                f"payload={payload.decode()}"
+            status, payload = request(
+                sock, VERIFY, named_payload("bad.mlir", BAD_MODULE))
+            assert status == FAIL and "bad.mlir:2:" in payload.decode(), \
+                f"bad VERIFY during reloads: status={status} " \
+                f"payload={payload.decode()}"
+            verifies += 2
+    finally:
+        reloader.join()
+    assert not reload_errors, "\n".join(reload_errors)
+    status, payload = request(sock, PING)
+    assert status == OK and payload == b"", \
+        f"PING after reloads: status={status} payload={payload!r}"
+    print(f"{num_reloads} RELOAD_DIALECT cmath.irdl during {verifies} "
+          f"VERIFY frames: verdicts unchanged, epoch {epoch} -> "
+          f"{epoch + num_reloads}, PING ok")
+    return epoch + num_reloads
 
 
 def check_bench_json(path):
@@ -297,6 +353,14 @@ def main(argv):
             print(f"METRICS well-formed ({len(samples)} samples, "
                   f"{int(served)} requests served, "
                   f"{int(cache_hits)} spec cache hits)")
+
+            cmath_path = os.path.join(dialect_dir, "cmath.irdl")
+            with open(cmath_path, "rb") as f:
+                cmath_source = f.read()
+            reload_sock = connect_with_retry(sock_path)
+            epoch = check_reloads_during_verifies(
+                sock, reload_sock, cmath_source, epoch)
+            reload_sock.close()
 
             status, payload = request(sock, SHUTDOWN)
             assert status == OK, "SHUTDOWN failed"
